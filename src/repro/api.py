@@ -1,11 +1,9 @@
 """The public facade: one entry point for mapping and SNP calling.
 
-Historically the repository grew three overlapping ways to run the pipeline:
-constructing :class:`~repro.pipeline.gnumap.GnumapSnp` directly, calling
-:func:`~repro.pipeline.mp_backend.run_multiprocessing`, and the CLI's private
-wiring.  :class:`Engine` collapses them: it binds a reference genome and a
+:class:`Engine` binds a reference genome and a
 :class:`~repro.pipeline.config.PipelineConfig` once, exposes the pipeline's
-three verbs, and picks the serial or multiprocessing backend per call.
+three verbs, and runs them serially (``workers == 1``) or over its worker
+pool.
 
     from repro.api import Engine
 
@@ -29,17 +27,14 @@ ingest), then call once::
     engine.map_reads(batch_b)        # same accumulator keeps filling
     result = engine.call()
 
-Worker count is engine state (constructor ``workers=`` or
-``config.parallel.workers``); the historical per-call
-``map_reads(reads, workers=N)`` kwarg still works for one release behind a
-:class:`DeprecationWarning`.
+Worker count is engine state: the constructor ``workers=`` kwarg, the
+``workers`` property, or ``config.parallel.workers``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.calling.records import SNPCall, write_snp_calls
 from repro.errors import PipelineError
@@ -47,17 +42,18 @@ from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.memory.base import Accumulator
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.gnumap import GnumapSnp, MappingStats, PipelineResult
+from repro.pipeline.gnumap import (
+    GnumapSnp,
+    MappingStats,
+    PipelineResult,
+    fill_timers,
+)
 from repro.util.timers import TimerRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.livestream import TelemetryAggregator
     from repro.observability.promexport import PrometheusEndpoint
     from repro.parallel.pool import PersistentPool
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit value, so the
-#: deprecated per-call ``workers=`` only warns when actually used.
-_UNSET: Any = object()
 
 __all__ = ["CallResult", "Engine", "MappingStats"]
 
@@ -266,47 +262,41 @@ class Engine:
             self._pool = None
             self._pool_flags = None
 
-    def _resolve_workers(self, workers: Any) -> int:
-        """Engine worker count, honouring the deprecated per-call kwarg."""
-        if workers is _UNSET or workers is None:
-            return self._workers
-        warnings.warn(
-            "the per-call workers= kwarg is deprecated; set workers on the "
-            "Engine (constructor kwarg, .workers property, or "
-            "config.parallel.workers) so calls share the persistent pool",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if workers < 1:
-            raise PipelineError(f"workers must be >= 1, got {workers}")
-        return int(workers)
+    def _map_over_pool(
+        self, reads: "list[Read]", timers: TimerRegistry
+    ) -> "tuple[Accumulator, MappingStats]":
+        """Map ``reads`` over the warm pool, (re)building it as needed.
 
-    def _pool_for(self, n_workers: int) -> "PersistentPool | None":
-        """The warm pool for ``n_workers``, (re)building it as needed.
-
-        Returns ``None`` when pooling doesn't apply (serial, or
-        ``config.parallel.persistent`` off — the per-run dispatcher path).
         Sanitizer/tracing enable-state is captured by workers at spawn, so
-        a flag flip since the pool was built recycles the fleet.
+        a flag flip since the pool was built recycles the fleet.  Called
+        inside any tracing scope, so a freshly-built pool's workers see
+        the final enable-state.
         """
-        if n_workers <= 1 or not self.config.parallel.persistent:
-            return None
         import repro.observability.trace as trace_mod
+        from repro.observability import scope
         from repro.phmm import sanitize
-        from repro.pipeline.mp_backend import make_pool
+        from repro.pipeline.mp_backend import make_pool, map_reads_multiprocessing
 
-        flags = (sanitize.enabled(), trace_mod.enabled(), n_workers)
+        flags = (sanitize.enabled(), trace_mod.enabled())
         if self._pool is not None and (self._pool.closed or self._pool_flags != flags):
             self._teardown_pool()
         if self._pool is None:
             self._pool = make_pool(
-                self._pipeline, n_workers, telemetry=self._ensure_telemetry()
+                self._pipeline, self._workers, telemetry=self._ensure_telemetry()
             )
             self._pool_flags = flags
-        return self._pool
+        with scope() as reg:
+            acc, stats = map_reads_multiprocessing(self._pipeline, reads, self._pool)
+            fill_timers(timers, reg.snapshot())
+        if sanitize.enabled():
+            # Validate the cross-worker reduction before anyone consumes it:
+            # a partial corrupted in transit (or by a worker) must fail
+            # here, not as a bogus SNP downstream.
+            sanitize.check_accumulator(acc.snapshot(), where="accumulator.merge")
+        return acc, stats
 
     # -- staged verbs -----------------------------------------------------------
-    def map_reads(self, reads: "list[Read]", workers: Any = _UNSET) -> MappingStats:
+    def map_reads(self, reads: "list[Read]") -> MappingStats:
         """Align ``reads`` and fold their evidence into the engine's
         accumulator; returns the cumulative mapping stats.
 
@@ -317,19 +307,11 @@ class Engine:
         retried, then degraded to a serial re-run — see
         :mod:`repro.pipeline.mp_backend`); the merged partial folds into
         the staged accumulator exactly as the serial path would.
-
-        The per-call ``workers=`` kwarg is deprecated (worker count is
-        engine state); passing it still works but warns.
         """
-        n_workers = self._resolve_workers(workers)
         if self._accumulator is None:
             self._accumulator = self._pipeline.new_accumulator()
-        if n_workers > 1:
-            from repro.pipeline.mp_backend import map_reads_multiprocessing
-
-            part_acc, stats = map_reads_multiprocessing(
-                self._pipeline, reads, n_workers, pool=self._pool_for(n_workers)
-            )
+        if self._workers > 1:
+            part_acc, stats = self._map_over_pool(reads, self._timers)
             self._accumulator.merge(part_acc)
         else:
             _, stats = self._pipeline.map_reads(
@@ -357,44 +339,31 @@ class Engine:
         self._timers = TimerRegistry()
 
     # -- one-shot verb ----------------------------------------------------------
-    def run(
-        self,
-        reads: "list[Read]",
-        workers: Any = _UNSET,
-        trace: "str | None" = None,
-    ) -> CallResult:
+    def run(self, reads: "list[Read]", trace: "str | None" = None) -> CallResult:
         """Full pipeline over ``reads`` with a fresh accumulator.
 
         With engine ``workers > 1`` the mapping runs over the persistent
-        pool's warm fleet (identical output to serial; the reduction is
-        order-deterministic).  Does not touch the engine's staged
-        accumulator.  The per-call ``workers=`` kwarg is deprecated.
+        pool's warm fleet: the same call set as serial, numeric columns
+        within the tolerance :mod:`repro.pipeline.mp_backend` states, and
+        byte-identical between runs of the same chunking.  Does not touch
+        the engine's staged accumulator.
 
         ``trace`` enables flight-recorder tracing for this call and writes
         the resulting timeline to that path as Chrome trace-event JSON
         (openable in ``chrome://tracing`` or https://ui.perfetto.dev), with
         a run manifest embedded under ``otherData``.
         """
-        n_workers = self._resolve_workers(workers)
 
-        def execute() -> PipelineResult:
-            if n_workers == 1:
-                return self._pipeline.run(reads)
-            from repro.pipeline.mp_backend import run_multiprocessing
-
-            # _pool_for is called here — inside any tracing scope — so a
-            # freshly-built pool's workers see the final enable-state.
-            return run_multiprocessing(
-                self.reference,
-                reads,
-                self.config,
-                n_workers=n_workers,
-                pool=self._pool_for(n_workers),
-                pipeline=self._pipeline,
-            )
+        def execute() -> CallResult:
+            if self._workers == 1:
+                return CallResult.from_pipeline_result(self._pipeline.run(reads))
+            timers = TimerRegistry()
+            acc, stats = self._map_over_pool(reads, timers)
+            snps = self._pipeline.call_snps(acc, timers=timers)
+            return CallResult(snps=snps, stats=stats, accumulator=acc, timers=timers)
 
         if trace is None:
-            return CallResult.from_pipeline_result(execute())
+            return execute()
 
         import repro.observability.trace as trace_mod
         from repro.observability import scope, write_chrome_trace
@@ -413,7 +382,7 @@ class Engine:
             trace,
             snapshot,
             manifest=run_manifest(
-                config=self.config, workers=n_workers, command="Engine.run"
+                config=self.config, workers=self._workers, command="Engine.run"
             ),
         )
-        return CallResult.from_pipeline_result(result)
+        return result

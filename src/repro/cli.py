@@ -85,8 +85,6 @@ def _cmd_call(args: argparse.Namespace) -> int:
             chunk_timeout=args.chunk_timeout,
             max_retries=args.max_retries,
             fault_spec=args.fault_spec,
-            persistent=args.parallel_pool == "persistent",
-            shared_memory=args.parallel_shared_memory,
         ),
         caller=CallerConfig(ploidy=args.ploidy, alpha=args.alpha,
                             method=args.method, fdr=args.fdr),
@@ -355,10 +353,10 @@ def _seeder_config(args: argparse.Namespace) -> "SeederConfig":
 
 
 def _add_parallel_args(p: argparse.ArgumentParser) -> None:
-    """The ``--parallel-*`` family (old flat spellings kept as aliases)."""
+    """The ``--parallel-*`` family (short spellings kept as aliases)."""
     g = p.add_argument_group(
         "parallel execution",
-        "worker fleet, persistent pool and per-chunk fault tolerance",
+        "worker fleet and per-chunk fault tolerance",
     )
     g.add_argument(
         "--parallel-workers",
@@ -368,22 +366,6 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="map reads across this many worker processes (default: 1)",
-    )
-    g.add_argument(
-        "--parallel-pool",
-        dest="parallel_pool",
-        default="persistent",
-        choices=["persistent", "per-call"],
-        help="worker provisioning: 'persistent' (default) keeps one warm "
-        "fleet with the genome/index in shared memory for the whole run; "
-        "'per-call' spawns a fresh dispatcher per mapping call",
-    )
-    g.add_argument(
-        "--parallel-no-shared-memory",
-        dest="parallel_shared_memory",
-        action="store_false",
-        help="ship the genome to workers by pickle and rebuild the index "
-        "per process instead of attaching shared-memory segments",
     )
     g.add_argument(
         "--parallel-chunk-timeout",

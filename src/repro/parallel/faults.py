@@ -31,7 +31,7 @@ are bit-reproducible across processes and start methods.  ``times``
 (default 1) bounds how many *attempts* of a chunk fire the fault — the
 default makes every fault transient: attempt 0 fails, the retry succeeds.
 
-Activation: ``PipelineConfig.mp_fault_spec``, or the ``REPRO_FAULTS``
+Activation: ``ParallelConfig.fault_spec``, or the ``REPRO_FAULTS``
 environment variable when the config field is empty (see
 :func:`resolve_fault_plan`).  An empty spec parses to the falsy
 :data:`EMPTY_PLAN`, whose hooks are no-ops.

@@ -116,14 +116,13 @@ class PersistentPool:
     ctx, n_workers, worker_fn:
         As for :class:`ChunkDispatcher`; the fleet is spawned once and
         reused across :meth:`run` calls.
-    initializer, initargs:
-        Worker one-time init.  When ``arrays`` is given, the initializer
-        receives the publication map (``dict[str, SharedArraySpec]``) as
-        its **first** argument, followed by ``initargs``.
     arrays:
         Read-only arrays to publish as shared-memory segments (genome
-        codes, index CSR arrays, ...).  ``None`` skips publication and the
-        initializer gets exactly ``initargs`` (pickle fallback path).
+        codes, index CSR arrays, ...).
+    initializer, initargs:
+        Worker one-time init.  The initializer receives the publication
+        map (``dict[str, SharedArraySpec]``) as its **first** argument,
+        followed by ``initargs``.
     timeout, max_retries, backoff_base, validate:
         Per-chunk fault-tolerance knobs, forwarded to the dispatcher.
     chunks_per_worker, autotune, model:
@@ -140,10 +139,10 @@ class PersistentPool:
         ctx: "BaseContext",
         n_workers: int,
         worker_fn: "Callable[[Any, int, int], Any]",
+        arrays: "dict[str, np.ndarray]",
         *,
         initializer: "Callable[..., None] | None" = None,
         initargs: "tuple[Any, ...]" = (),
-        arrays: "dict[str, np.ndarray] | None" = None,
         timeout: float = 120.0,
         max_retries: int = 2,
         backoff_base: float = 0.05,
@@ -164,27 +163,24 @@ class PersistentPool:
         self._per_item_nbytes = 0.0
         self._runs = 0
         self._bundle = SharedArrayBundle()
-        if arrays is not None:
-            for key, arr in arrays.items():
-                self._bundle.publish(key, arr)
-            current().gauge_max("mp.shm_bytes", self._bundle.nbytes)
-            trace.instant(
-                "mp.shm_publish",
-                segments=len(arrays),
-                nbytes=self._bundle.nbytes,
-            )
-            initargs = (self._bundle.specs,) + tuple(initargs)
+        for key, arr in arrays.items():
+            self._bundle.publish(key, arr)
+        current().gauge_max("mp.shm_bytes", self._bundle.nbytes)
+        trace.instant(
+            "mp.shm_publish",
+            segments=len(arrays),
+            nbytes=self._bundle.nbytes,
+        )
         self._dispatcher = ChunkDispatcher(
             ctx,
             n_workers,
             worker_fn,
             initializer=initializer,
-            initargs=initargs,
+            initargs=(self._bundle.specs,) + tuple(initargs),
             timeout=timeout,
             max_retries=max_retries,
             backoff_base=backoff_base,
             validate=validate,
-            persistent=True,
             telemetry=telemetry,
         )
         self._closed = False
@@ -242,7 +238,7 @@ class PersistentPool:
 
     @property
     def shm_bytes(self) -> int:
-        """Bytes published to shared memory (0 on the pickle fallback path)."""
+        """Bytes published to shared memory."""
         return self._bundle.nbytes
 
     @property

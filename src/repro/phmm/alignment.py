@@ -29,8 +29,8 @@ from repro.phmm.posterior import PosteriorResult, posteriors_batch, z_vectors
 from repro.phmm.wavefront import DTYPES, wavefront_forward_backward
 
 #: Kernel families the alignment layer can dispatch to: the anti-diagonal
-#: wavefront kernels (default — bitwise against the naive oracle in float64,
-#: optional float32 fast path) or the legacy row-sweep kernels.
+#: wavefront kernels (bitwise against the naive oracle in float64, optional
+#: float32 fast path) or the row-sweep kernels (the pipeline default).
 KERNELS = ("wavefront", "rowsweep")
 
 

@@ -5,18 +5,12 @@ described declaratively.  Sub-configurations (seeder, caller, parallel
 execution) reuse their own dataclasses.
 
 Parallel-execution knobs live in :class:`ParallelConfig` under
-``PipelineConfig.parallel``.  The historical flat ``mp_*`` spellings
-(``mp_chunk_timeout=...`` kwargs and ``config.mp_chunk_timeout`` reads) are
-accepted for one release behind :class:`DeprecationWarning` shims; the
-migration table lives in DESIGN.md §14.
+``PipelineConfig.parallel``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
-from dataclasses import InitVar, dataclass, field
-from typing import Any
+from dataclasses import dataclass, field
 
 from repro.calling.caller import CallerConfig
 from repro.errors import ConfigError
@@ -27,29 +21,19 @@ from repro.phmm.model import PHMMParams
 #: Start methods the multiprocessing backend may be pinned to.
 MP_START_METHODS = ("spawn", "fork", "forkserver")
 
-#: ParallelConfig fields reachable through the deprecated flat ``mp_<name>``
-#: spellings (both constructor kwargs and attribute reads).
-_PARALLEL_FIELD_NAMES = frozenset(
-    {
-        "start_method",
-        "chunk_timeout",
-        "max_retries",
-        "backoff_base",
-        "chunks_per_worker",
-        "fault_spec",
-    }
-)
-
 
 @dataclass
 class ParallelConfig:
-    """Parallel-execution knobs: fleet shape, fault tolerance, pool mode.
+    """Parallel-execution knobs: fleet shape, fault tolerance, chunking.
 
     Attributes
     ----------
     workers:
         Default worker-process count for ``Engine``/CLI runs; 1 means
-        serial execution (no pool, no fleet).
+        serial execution (no pool, no fleet).  More than 1 maps reads over
+        a persistent fleet (:class:`repro.parallel.pool.PersistentPool`)
+        that attaches the genome and index from shared memory;
+        ``Engine.close()`` (or the context manager) tears it down.
     start_method:
         Multiprocessing start method for the real process backend, pinned
         explicitly (``"spawn"`` default) so span-stack and
@@ -76,18 +60,6 @@ class ParallelConfig:
         :mod:`repro.parallel.faults` for the grammar).  Empty (default)
         defers to the ``REPRO_FAULTS`` environment variable; both empty
         means no injection.
-    persistent:
-        Keep the worker fleet alive across ``Engine`` calls
-        (:class:`repro.parallel.pool.PersistentPool`) instead of spawning
-        per run.  Spawn/init costs then amortise to zero over an Engine's
-        lifetime; ``Engine.close()`` (or the context manager) tears the
-        fleet down.
-    shared_memory:
-        Publish genome codes and index CSR arrays as
-        ``multiprocessing.shared_memory`` segments that workers map
-        zero-copy, instead of pickling the genome to every worker and
-        re-building the index per process.  Only meaningful with
-        ``persistent=True``.
     autotune_chunks:
         Let the pool plan chunk counts from the LogGP cost model plus the
         live ``mp.chunk_map_seconds`` history instead of always using the
@@ -102,8 +74,6 @@ class ParallelConfig:
     backoff_base: float = 0.05
     chunks_per_worker: int = 4
     fault_spec: str = ""
-    persistent: bool = True
-    shared_memory: bool = True
     autotune_chunks: bool = True
 
     def __post_init__(self) -> None:
@@ -186,15 +156,6 @@ class TelemetryConfig:
             )
 
 
-def _warn_deprecated_mp(old: str, new: str) -> None:
-    warnings.warn(
-        f"PipelineConfig.{old} is deprecated; use "
-        f"PipelineConfig.parallel.{new} (ParallelConfig) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 @dataclass
 class PipelineConfig:
     """Everything the GNUMAP-SNP driver needs besides the data.
@@ -263,9 +224,7 @@ class PipelineConfig:
         ``phmm_kernel="wavefront"``.
     parallel:
         Parallel-execution sub-config (:class:`ParallelConfig`): fleet
-        shape, per-chunk fault tolerance, persistent-pool and
-        shared-memory modes.  The flat ``mp_*`` kwargs/attributes are
-        deprecated shims over these fields.
+        shape, per-chunk fault tolerance and chunk planning.
     telemetry:
         Live telemetry plane sub-config (:class:`TelemetryConfig`):
         worker metric streaming, stall watchdog and the Prometheus
@@ -292,38 +251,8 @@ class PipelineConfig:
     phmm: PHMMParams = field(default_factory=PHMMParams)
     seeder: SeederConfig = field(default_factory=SeederConfig)
     caller: CallerConfig = field(default_factory=CallerConfig)
-    # Deprecated flat spellings (one release of grace): accepted as kwargs,
-    # folded into ``parallel`` with a DeprecationWarning, never stored.
-    mp_start_method: InitVar["str | None"] = None
-    mp_chunk_timeout: InitVar["float | None"] = None
-    mp_max_retries: InitVar["int | None"] = None
-    mp_backoff_base: InitVar["float | None"] = None
-    mp_chunks_per_worker: InitVar["int | None"] = None
-    mp_fault_spec: InitVar["str | None"] = None
 
-    def __post_init__(
-        self,
-        mp_start_method: "str | None",
-        mp_chunk_timeout: "float | None",
-        mp_max_retries: "int | None",
-        mp_backoff_base: "float | None",
-        mp_chunks_per_worker: "int | None",
-        mp_fault_spec: "str | None",
-    ) -> None:
-        legacy: "dict[str, Any]" = {
-            "start_method": mp_start_method,
-            "chunk_timeout": mp_chunk_timeout,
-            "max_retries": mp_max_retries,
-            "backoff_base": mp_backoff_base,
-            "chunks_per_worker": mp_chunks_per_worker,
-            "fault_spec": mp_fault_spec,
-        }
-        used = {name: value for name, value in legacy.items() if value is not None}
-        for name in used:
-            _warn_deprecated_mp(f"mp_{name}", name)
-        if used:
-            # replace() re-runs ParallelConfig validation on the merged values.
-            self.parallel = dataclasses.replace(self.parallel, **used)
+    def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.pad < 0:
@@ -383,17 +312,6 @@ class PipelineConfig:
                 "calibrates the fast path on semi-global paths only)"
             )
 
-    def __getattr__(self, name: str) -> Any:
-        # Deprecated flat reads (config.mp_chunk_timeout, ...) forward to the
-        # nested ParallelConfig.  Only fires for attributes that don't exist,
-        # so regular fields and the InitVar kwargs are unaffected.
-        if name.startswith("mp_") and name[3:] in _PARALLEL_FIELD_NAMES:
-            _warn_deprecated_mp(name, name[3:])
-            return getattr(self.parallel, name[3:])
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
     @property
     def banding(self) -> bool:
         """Whether the marginal alignment path runs banded kernels."""
@@ -410,11 +328,3 @@ class PipelineConfig:
             return 1.0
         width = read_len + 2 * self.pad
         return min(1.0, (2 * self.band_w + 1) / width)
-
-
-# The InitVar defaults linger as class attributes after dataclass processing
-# and would shadow __getattr__, making deprecated reads silently return None.
-# The generated __init__ already captured the defaults, so drop them.
-for _legacy_name in _PARALLEL_FIELD_NAMES:
-    delattr(PipelineConfig, f"mp_{_legacy_name}")
-del _legacy_name

@@ -36,7 +36,7 @@ from repro.pipeline.config import PipelineConfig
 from repro.util.timers import TimerRegistry
 
 #: Stage names the flat :class:`TimerRegistry` view mirrors from span data.
-STAGE_NAMES = ("index_build", "seed", "align", "accumulate", "call")
+STAGE_NAMES = ("index_build", "seed", "align", "accumulate", "call", "map_parallel")
 
 
 def fill_timers(timers: TimerRegistry, snapshot: MetricsSnapshot) -> None:

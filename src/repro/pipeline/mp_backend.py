@@ -3,8 +3,16 @@
 The simulated cluster measures *modelled* speedup; this backend is the real
 thing for machines that have the cores: reads are chunked across worker
 processes, each maps against its own pipeline instance, partial accumulators
-come back in buffer form and are merged in the parent.  Results are
-identical to the serial pipeline (reductions are order-deterministic).
+come back in buffer form and are merged in the parent in chunk order.
+
+The serial-vs-pool contract is a tolerance, not an identity: two runs with
+the **same chunking** (same worker count, ``autotune_chunks=False``)
+produce byte-identical calls, whatever failed and was retried along the
+way; across worker counts the **call set** (position, ref, alt, zygosity)
+is identical and every numeric column agrees to a relative ``1e-3`` — the
+float32 NORM accumulator sums partials in chunk order, so a different
+chunking can move the last printed digit
+(``tests/pipeline/test_mp_backend.py::TestSerialPoolContract``).
 
 Execution is **fault tolerant** (see :mod:`repro.parallel.dispatch`): chunks
 are dispatched asynchronously with a per-chunk timeout, worker deaths and
@@ -17,16 +25,11 @@ Recovery paths are testable via deterministic fault injection
 (:mod:`repro.parallel.faults`; ``ParallelConfig.fault_spec`` or the
 ``REPRO_FAULTS`` environment variable).
 
-Two worker-provisioning modes exist:
-
-* **pickle mode** (:func:`_init_worker`, the non-pool path): each worker
-  receives the genome codes by pickle and re-builds the index — simple,
-  but the costs recur per worker per run;
-* **shared-memory pool mode** (:func:`_init_pool_worker`, the default via
-  :class:`repro.parallel.pool.PersistentPool`): the parent publishes genome
-  codes and index CSR arrays as shared-memory segments once per Engine, and
-  every worker — including one respawned after a crash — attaches zero-copy
-  views instead (``mp.worker_attach_seconds`` measures the difference).
+Workers are provisioned one way (:func:`make_pool`): the parent publishes
+genome codes and index CSR arrays as shared-memory segments once per
+:class:`repro.parallel.pool.PersistentPool`, and every worker — including
+one respawned after a crash — attaches zero-copy views in
+:func:`_init_pool_worker` (``mp.worker_attach_seconds`` measures the cost).
 
 The start method is pinned explicitly (``ParallelConfig.start_method``,
 default ``"spawn"``) so span-stack and sanitizer-propagation semantics never
@@ -43,14 +46,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 import repro.observability.trace as trace
-from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.index.hashindex import GenomeIndex
 from repro.memory.base import Accumulator
 from repro.observability import current, detached, merge_snapshots, scope, span
 from repro.observability.snapshot import MetricsSnapshot
-from repro.parallel.dispatch import ChunkDispatcher
 from repro.parallel.faults import FaultPlan, corrupt_buffers, resolve_fault_plan
 from repro.parallel.partition import (
     partition_reads_contiguous,
@@ -61,8 +62,7 @@ from repro.parallel.pool import PersistentPool
 from repro.parallel.shm import attach_array
 from repro.phmm import sanitize
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.gnumap import GnumapSnp, MappingStats, PipelineResult, fill_timers
-from repro.util.timers import TimerRegistry
+from repro.pipeline.gnumap import GnumapSnp, MappingStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.livestream import TelemetryAggregator
@@ -74,32 +74,6 @@ ChunkPayload = "tuple[list, list, list]"
 # Module-level worker state (initialised per process by the pool initializer;
 # avoids re-pickling the reference for every chunk).
 _WORKER: dict = {}
-
-
-def _init_worker(
-    ref_codes: np.ndarray,
-    ref_name: str,
-    config: PipelineConfig,
-    sanitize_on: bool = False,
-    fault_plan: "FaultPlan | None" = None,
-    trace_on: bool = False,
-) -> None:
-    # Sanctioned pool-initializer pattern: each worker process installs its
-    # own pipeline once; no writes ever flow back to the parent.
-    if sanitize_on:
-        # Spawned workers don't inherit a programmatically-enabled sanitizer;
-        # propagate the parent's setting explicitly.
-        sanitize.enable()
-    if trace_on:
-        # Same propagation rule as the sanitizer: spawned workers start with
-        # tracing off unless REPRO_TRACE is set.  Label the lane so exported
-        # timelines read "worker (pid N)".
-        trace.enable()
-    trace.set_process_label("worker")
-    reference = Reference(ref_codes, name=ref_name)
-    _WORKER["pipe"] = GnumapSnp(reference, config)  # replint: disable=RPL301,RPL801
-    _WORKER["config"] = config  # replint: disable=RPL301,RPL801
-    _WORKER["faults"] = fault_plan  # replint: disable=RPL301,RPL801
 
 
 def _init_pool_worker(
@@ -114,12 +88,11 @@ def _init_pool_worker(
 ) -> None:
     """Attach-mode initializer for :class:`PersistentPool` workers.
 
-    Instead of a pickled genome, the worker gets the publication map and
-    wraps zero-copy read-only views over the parent's shared segments —
-    genome codes plus the index CSR triple — then rehydrates the pipeline
-    around them without any index rebuild.  A respawned worker runs this
-    again: re-attaching costs an ``mmap``, not a genome pickle, which is
-    what makes crash recovery cheap under the persistent pool.
+    The worker gets the publication map and wraps zero-copy read-only
+    views over the parent's shared segments — genome codes plus the index
+    CSR triple — then rehydrates the pipeline around them without any
+    index rebuild.  A respawned worker runs this again: re-attaching costs
+    an ``mmap``, which is what makes crash recovery cheap.
     """
     if sanitize_on:
         sanitize.enable()
@@ -151,15 +124,17 @@ def _init_pool_worker(
         n_masked_long_kmers=n_masked_long_kmers,
     )
     pipe = GnumapSnp(reference, config, index=index)
+    # Sanctioned pool-initializer pattern: each worker process installs its
+    # own pipeline once; no writes ever flow back to the parent.
     # Handles must stay alive as long as the views (closing unmaps the
     # buffer); the worker holds them for its lifetime and never unlinks —
     # the publishing parent owns unlink (see repro.parallel.shm).
-    _WORKER["pipe"] = pipe  # replint: disable=RPL301
-    _WORKER["config"] = config  # replint: disable=RPL301
-    _WORKER["faults"] = fault_plan  # replint: disable=RPL301
-    _WORKER["shm_handles"] = handles  # replint: disable=RPL301
+    _WORKER["pipe"] = pipe  # replint: disable=RPL301,RPL801
+    _WORKER["config"] = config  # replint: disable=RPL301,RPL801
+    _WORKER["faults"] = fault_plan  # replint: disable=RPL301,RPL801
+    _WORKER["shm_handles"] = handles  # replint: disable=RPL301,RPL801
     # One-shot attach cost; the next _map_chunk pops it into its snapshot.
-    _WORKER["attach_seconds"] = time.perf_counter() - started  # replint: disable=RPL301
+    _WORKER["attach_seconds"] = time.perf_counter() - started  # replint: disable=RPL301,RPL801
 
 
 def _map_chunk(
@@ -203,19 +178,15 @@ def make_pool(
 ) -> PersistentPool:
     """Build a :class:`PersistentPool` for ``pipe``'s genome and config.
 
-    With ``config.parallel.shared_memory`` on (default) the genome codes
-    and index CSR arrays are published as shared segments and workers run
-    the attach-mode initializer; otherwise workers fall back to the pickle
-    initializer (still persistent — spawn costs amortise either way).  The
-    caller owns the pool: ``Engine`` keeps it for its lifetime and
-    ``close()`` releases workers and segments.
+    The genome codes and index CSR arrays are published as shared segments
+    and workers run the attach-mode initializer.  The caller owns the
+    pool: ``Engine`` keeps it for its lifetime and ``close()`` releases
+    workers and segments.
 
     ``telemetry`` (optional, the Engine wires it from ``TelemetryConfig``)
     makes every pool worker stream live metric deltas and heartbeats to
     the given aggregator over a dedicated sideband pipe.
     """
-    if n_workers < 1:
-        raise PipelineError(f"n_workers must be >= 1, got {n_workers}")
     config = pipe.config
     par = config.parallel
     reference = pipe.reference
@@ -234,42 +205,33 @@ def make_pool(
         part = acc_type.from_buffers(glen, buffers)
         sanitize.check_partial(part.snapshot(), chunk_id)
 
-    common = (
-        config,
-        sanitize.enabled(),
-        plan if plan else None,
-        trace.enabled(),
-    )
-    arrays: "dict[str, np.ndarray] | None" = None
-    if par.shared_memory:
-        kmers, offsets, positions = pipe.index.csr_arrays()
-        arrays = {
-            "ref_codes": np.asarray(reference.codes),
-            "index_kmers": kmers,
-            "index_offsets": offsets,
-            "index_positions": positions,
-        }
-        if pipe.index.seed_len is not None:
-            long_kmers, long_offsets, long_positions = pipe.index.long_csr_arrays()
-            arrays["index_long_kmers"] = long_kmers
-            arrays["index_long_offsets"] = long_offsets
-            arrays["index_long_positions"] = long_positions
-        initializer = _init_pool_worker
-        initargs = (
-            (reference.name,)
-            + common
-            + (pipe.index.n_masked_kmers, pipe.index.n_masked_long_kmers)
-        )
-    else:
-        initializer = _init_worker
-        initargs = (np.asarray(reference.codes), reference.name) + common
+    kmers, offsets, positions = pipe.index.csr_arrays()
+    arrays = {
+        "ref_codes": np.asarray(reference.codes),
+        "index_kmers": kmers,
+        "index_offsets": offsets,
+        "index_positions": positions,
+    }
+    if pipe.index.seed_len is not None:
+        long_kmers, long_offsets, long_positions = pipe.index.long_csr_arrays()
+        arrays["index_long_kmers"] = long_kmers
+        arrays["index_long_offsets"] = long_offsets
+        arrays["index_long_positions"] = long_positions
     return PersistentPool(
         ctx,
         n_workers,
         _map_chunk,
-        initializer=initializer,
-        initargs=initargs,
-        arrays=arrays,
+        arrays,
+        initializer=_init_pool_worker,
+        initargs=(
+            reference.name,
+            config,
+            sanitize.enabled(),
+            plan if plan else None,
+            trace.enabled(),
+            pipe.index.n_masked_kmers,
+            pipe.index.n_masked_long_kmers,
+        ),
         timeout=par.chunk_timeout,
         max_retries=par.max_retries,
         backoff_base=par.backoff_base,
@@ -294,47 +256,37 @@ def _payload_item_nbytes(payload: "tuple[list, list, list]") -> float:
 def map_reads_multiprocessing(
     pipe: GnumapSnp,
     reads: "list[Read]",
-    n_workers: int,
-    pool: "PersistentPool | None" = None,
+    pool: PersistentPool,
 ) -> "tuple[Accumulator, MappingStats]":
-    """Map ``reads`` across ``n_workers`` processes with fault tolerance.
+    """Map ``reads`` across ``pool``'s warm fleet with fault tolerance.
 
-    The mapping-only core shared by :func:`run_multiprocessing`, the online
-    chunked feed (:class:`~repro.pipeline.online.OnlineGnumap`) and the
-    staged :meth:`~repro.api.Engine.map_reads`: partitions the reads into
-    per-worker chunks, dispatches them through the fault-tolerant
+    The mapping core behind :meth:`~repro.api.Engine.run` and
+    :meth:`~repro.api.Engine.map_reads` (and through them the online
+    chunked feed): partitions the reads into chunks (the count comes from
+    the pool's planner), streams them over the pool's fault-tolerant
     :class:`~repro.parallel.dispatch.ChunkDispatcher`, re-runs exhausted
     chunks serially in the parent, and merges partials in chunk order so
-    the result is deterministic whatever failed along the way.
-
-    With ``pool`` given (the Engine path), chunks stream over the pool's
-    warm persistent fleet instead of a per-run dispatcher, and the chunk
-    count comes from the pool's autotuner; the observed per-chunk cost is
-    fed back afterwards.  Chunking never changes results — per-read
-    evidence is chunk-invariant — so the plan only affects latency.
+    the result is deterministic whatever failed along the way.  The
+    observed per-chunk cost is fed back to the planner afterwards;
+    chunking never changes the call set, only latency and the last float
+    digit (see the module docstring).
 
     Counters and spans land in the *current* observability registry.
-    Degenerate inputs (one worker, fewer than two reads) run serially with
-    an explicit ``mp.serial_fallbacks`` counter and an effective-worker
-    gauge of 1, so metrics consumers can always distinguish "ran serial"
-    from "parallel with no overhead".
+    Fewer than two reads run serially with an explicit
+    ``mp.serial_fallbacks`` counter and an effective-worker gauge of 1, so
+    metrics consumers can always distinguish "ran serial" from "parallel
+    with no overhead".
     """
-    if n_workers < 1:
-        raise PipelineError(f"n_workers must be >= 1, got {n_workers}")
     config = pipe.config
-    par = config.parallel
-    reference = pipe.reference
+    n_workers = pool.n_workers
     reg = current()
 
-    if n_workers == 1 or len(reads) < 2:
+    if len(reads) < 2:
         reg.inc("mp.serial_fallbacks")
         reg.gauge_max("mp.workers_effective", 1)
         return pipe.map_reads(reads)
 
-    if pool is not None:
-        n_chunks = pool.plan_chunks(len(reads))
-    else:
-        n_chunks = max(1, min(len(reads), n_workers * par.chunks_per_worker))
+    n_chunks = pool.plan_chunks(len(reads))
     slices = partition_reads_contiguous(len(reads), n_chunks)
     validate_partition(slices, len(reads))
     chunk_reads = [take(reads, sl) for sl in slices]
@@ -347,50 +299,12 @@ def map_reads_multiprocessing(
         for part in chunk_reads
     ]
 
-    glen = len(reference)
+    glen = len(pipe.reference)
     acc_type = type(pipe.new_accumulator())
-    dispatcher: "ChunkDispatcher | None" = None
-    if pool is None:
-        plan = resolve_fault_plan(par.fault_spec)
-        ctx = mp.get_context(par.start_method)
-
-        def validate_partial(
-            chunk_id: int, result: "tuple[dict, dict, MetricsSnapshot]"
-        ) -> None:
-            # Parent-side partial validation before merge (see make_pool).
-            buffers, _, _ = result
-            part = acc_type.from_buffers(glen, buffers)
-            sanitize.check_partial(part.snapshot(), chunk_id)
-
-        dispatcher = ChunkDispatcher(
-            ctx,
-            n_workers,
-            _map_chunk,
-            initializer=_init_worker,
-            initargs=(
-                np.asarray(reference.codes),
-                reference.name,
-                config,
-                sanitize.enabled(),
-                plan if plan else None,
-                trace.enabled(),
-            ),
-            timeout=par.chunk_timeout,
-            max_retries=par.max_retries,
-            backoff_base=par.backoff_base,
-            # validate= runs in the *parent* on returned partials; it is never
-            # pickled or shipped to a worker, so capturing locals here is safe.
-            validate=validate_partial if sanitize.enabled() else None,  # replint: disable=RPL802
-        )
-
     merged: "Accumulator | None" = None
     total = MappingStats()
     with span("map_parallel"):
-        if pool is not None:
-            outcome = pool.run(payloads)
-        else:
-            assert dispatcher is not None
-            outcome = dispatcher.run(payloads)
+        outcome = pool.run(payloads)
 
         # Merge in chunk order — deterministic regardless of completion
         # order, retries, or which chunks degraded to the parent.
@@ -422,16 +336,15 @@ def map_reads_multiprocessing(
             # One associative fold, then one coherent tree in this process.
             worker_merged = merge_snapshots(*worker_snaps)
             reg.absorb(worker_merged)
-            if pool is not None:
-                # Autotune feedback: the run's median chunk cost refines the
-                # next plan_chunks() call on this warm pool.
-                p50 = worker_merged.histogram_quantile("mp.chunk_map_seconds", 0.5)
-                if math.isfinite(p50):
-                    pool.note_chunk_time(
-                        p50,
-                        len(reads) / n_chunks,
-                        _payload_item_nbytes(payloads[0]),
-                    )
+            # Autotune feedback: the run's median chunk cost refines the
+            # next plan_chunks() call on this warm pool.
+            p50 = worker_merged.histogram_quantile("mp.chunk_map_seconds", 0.5)
+            if math.isfinite(p50):
+                pool.note_chunk_time(
+                    p50,
+                    len(reads) / n_chunks,
+                    _payload_item_nbytes(payloads[0]),
+                )
         reg.gauge_max("mp.workers", n_workers)
         # Effective parallelism: requested workers capped by chunk count
         # (n_workers > n_chunks leaves the surplus idle).
@@ -445,47 +358,3 @@ def map_reads_multiprocessing(
     if merged is None:  # pragma: no cover - n_chunks >= 1 always
         merged = pipe.new_accumulator()
     return merged, total
-
-
-def run_multiprocessing(
-    reference: Reference,
-    reads: "list[Read]",
-    config: PipelineConfig | None = None,
-    n_workers: int = 2,
-    *,
-    pool: "PersistentPool | None" = None,
-    pipeline: "GnumapSnp | None" = None,
-) -> PipelineResult:
-    """Map reads across ``n_workers`` real processes, then call SNPs.
-
-    Equivalent to the serial :meth:`GnumapSnp.run`; the parallel win is real
-    only when the machine has that many cores.  Worker crashes, hangs and
-    corrupted partials are retried and, past the retry budget, re-run
-    serially in the parent — the run completes with identical SNP calls and
-    the recovery counters tell the story (see the module docstring).
-
-    ``pool``/``pipeline`` are the Engine integration points: a warm
-    :class:`PersistentPool` reuses its fleet and shared segments instead of
-    spawning per run, and a pre-built pipeline skips the index rebuild.
-    """
-    if n_workers < 1:
-        raise PipelineError(f"n_workers must be >= 1, got {n_workers}")
-    config = config or PipelineConfig()
-    pipe = pipeline if pipeline is not None else GnumapSnp(reference, config)
-    timers = TimerRegistry()
-
-    with scope() as reg:
-        merged, total = map_reads_multiprocessing(pipe, reads, n_workers, pool=pool)
-        if sanitize.enabled():
-            # Validate the cross-worker reduction before calling: a partial
-            # corrupted in transit (or by a worker) must fail here, not as a
-            # bogus SNP downstream.
-            sanitize.check_accumulator(merged.snapshot(), where="accumulator.merge")
-        snps = pipe.call_snps(merged)
-        snap = reg.snapshot()
-        fill_timers(timers, snap)
-        totals = snap.leaf_totals()
-        if "map_parallel" in totals:
-            seconds, count = totals["map_parallel"]
-            timers.account("map_parallel", seconds, entries=count)
-    return PipelineResult(snps=snps, accumulator=merged, stats=total, timers=timers)

@@ -13,12 +13,12 @@ separate post-processing pass over mapping output.
   and ``feed`` reports which of them changed call state in that chunk —
   the trigger mechanism a streaming consumer would hook.
 
-With ``workers > 1`` each fed chunk is mapped across real worker processes
-through the same fault-tolerant dispatcher as the batch backend
-(:func:`repro.pipeline.mp_backend.map_reads_multiprocessing`): worker
-crashes, hangs and corrupted partials are retried and, past the retry
-budget, re-run serially in the parent — a stream never dies to one bad
-chunk, and the recovery counters (``mp.*``) tell the story.
+The stream drives an :class:`~repro.api.Engine` (``map_reads`` per chunk,
+``call`` for the LRT), so with ``workers > 1`` each fed chunk is mapped over
+the engine's persistent worker pool: worker crashes, hangs and corrupted
+partials are retried and, past the retry budget, re-run serially in the
+parent — a stream never dies to one bad chunk, and the recovery counters
+(``mp.*``) tell the story.
 
 Calls converge: once coverage saturates, later chunks can only refine
 p-values.  ``history()`` exposes the call-count trajectory for convergence
@@ -37,10 +37,10 @@ from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.gnumap import GnumapSnp, MappingStats
+from repro.pipeline.gnumap import MappingStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.parallel.pool import PersistentPool
+    from repro.memory.base import Accumulator
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,17 @@ class ChunkReport:
 
 
 class OnlineGnumap:
-    """Streaming wrapper over :class:`GnumapSnp` with a shared accumulator.
+    """Streaming wrapper over an :class:`~repro.api.Engine`'s staged verbs.
 
     With ``workers > 1`` (explicit, or via ``config.parallel.workers``) the
-    stream lazily builds a persistent shared-memory pool on the first fed
-    chunk and reuses its warm fleet for every subsequent chunk; ``close()``
+    engine lazily builds its persistent shared-memory pool on the first fed
+    chunk and reuses the warm fleet for every subsequent chunk; ``close()``
     (or the context manager) releases it.  A long-lived stream is exactly
     the workload the persistent pool exists for: spawn and genome-broadcast
     costs are paid once, not per chunk.
+
+    ``accumulator`` and ``stats`` hold the evidence and mapping counters as
+    of the last ``feed`` (``accumulator`` is ``None`` before the first).
     """
 
     def __init__(
@@ -80,35 +83,20 @@ class OnlineGnumap:
         config: PipelineConfig | None = None,
         workers: "int | None" = None,
     ) -> None:
-        self.pipeline = GnumapSnp(reference, config)
-        if workers is None:
-            workers = self.pipeline.config.parallel.workers
-        if workers < 1:
-            raise PipelineError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.accumulator = self.pipeline.new_accumulator()
+        # Imported here: repro.api imports this package on its way up.
+        from repro.api import Engine
+
+        self.engine = Engine(reference, config, workers=workers)
+        self.accumulator: "Accumulator | None" = None
         self.stats = MappingStats()
         self._chunk_index = 0
         self._watched: set[int] = set()
         self._watch_state: dict[int, "str | None"] = {}
         self._history: list[int] = []
-        self._pool: "PersistentPool | None" = None
-
-    def _get_pool(self) -> "PersistentPool | None":
-        """Lazily build (and then reuse) the stream's persistent pool."""
-        if not self.pipeline.config.parallel.persistent:
-            return None
-        if self._pool is None or self._pool.closed:
-            from repro.pipeline.mp_backend import make_pool
-
-            self._pool = make_pool(self.pipeline, self.workers)
-        return self._pool
 
     def close(self) -> None:
-        """Release the worker pool and shared segments (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Release the engine's worker pool and telemetry (idempotent)."""
+        self.engine.close()
 
     def __enter__(self) -> "OnlineGnumap":
         return self
@@ -120,28 +108,17 @@ class OnlineGnumap:
         """Track positions; ``feed`` reports their call-state transitions."""
         for pos in positions:
             pos = int(pos)
-            if not 0 <= pos < len(self.pipeline.reference):
+            if not 0 <= pos < len(self.engine.reference):
                 raise PipelineError(f"watched position {pos} outside the genome")
             self._watched.add(pos)
             self._watch_state.setdefault(pos, None)
 
     def feed(self, reads: "list[Read]") -> ChunkReport:
         """Map one chunk of reads and report the updated call state."""
-        if self.workers > 1:
-            # Same fault-tolerant dispatcher as the batch backend; the
-            # chunk's merged partial folds into the stream's accumulator.
-            from repro.pipeline.mp_backend import map_reads_multiprocessing
-
-            part_acc, chunk_stats = map_reads_multiprocessing(
-                self.pipeline, reads, self.workers, pool=self._get_pool()
-            )
-            self.accumulator.merge(part_acc)
-        else:
-            _, chunk_stats = self.pipeline.map_reads(
-                reads, accumulator=self.accumulator
-            )
-        self.stats.merge(chunk_stats)
-        snps = self.current_snps()
+        self.engine.map_reads(reads)
+        result = self.engine.call()
+        self.accumulator, self.stats = result.accumulator, result.stats
+        snps = result.snps
         self._history.append(len(snps))
         events: list[WatchEvent] = []
         if self._watched:
@@ -169,7 +146,9 @@ class OnlineGnumap:
 
     def current_snps(self) -> "list[SNPCall]":
         """LRT over the evidence accumulated so far."""
-        return self.pipeline.call_snps(self.accumulator)
+        if self.accumulator is None:
+            return []
+        return self.engine.call().snps
 
     def history(self) -> "list[int]":
         """SNP count after each chunk (convergence trajectory)."""
@@ -177,12 +156,14 @@ class OnlineGnumap:
 
     def coverage_summary(self) -> dict:
         """Mean/median/max accumulated depth (progress reporting)."""
+        if self.accumulator is None:
+            raise PipelineError("coverage_summary() before feed(): no evidence yet")
         depth = self.accumulator.total_depth()
         return {
             "mean": float(depth.mean()),
             "median": float(np.median(depth)),
             "max": float(depth.max()),
             "positions_above_min_depth": int(
-                (depth >= self.pipeline.caller.config.min_depth).sum()
+                (depth >= self.engine.config.caller.min_depth).sum()
             ),
         }

@@ -21,8 +21,8 @@ from repro.cli import main
 from repro.experiments.workload import build_workload
 from repro.observability import MetricsRegistry, scope, use
 from repro.pipeline.config import PipelineConfig
+from repro.api import Engine
 from repro.pipeline.gnumap import GnumapSnp
-from repro.pipeline.mp_backend import run_multiprocessing
 
 #: Counters that must not depend on how the work is partitioned.
 #: (pipeline.batches and phmm.batches legitimately differ with chunking.)
@@ -107,13 +107,9 @@ class TestSerialVsMultiprocessing:
         self, workload, reads
     ):
         with scope() as serial_reg:
-            serial = run_multiprocessing(
-                workload.reference, reads, PipelineConfig(), n_workers=1
-            )
-        with scope() as mp_reg:
-            parallel = run_multiprocessing(
-                workload.reference, reads, PipelineConfig(), n_workers=3
-            )
+            serial = Engine(workload.reference).run(reads)
+        with scope() as mp_reg, Engine(workload.reference, workers=3) as engine:
+            parallel = engine.run(reads)
         s, p = serial_reg.snapshot(), mp_reg.snapshot()
         for name in INVARIANT_COUNTERS:
             assert s.counters[name] == p.counters[name], name

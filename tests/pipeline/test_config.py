@@ -1,7 +1,5 @@
 """Tests for pipeline configuration validation."""
 
-import warnings
-
 import pytest
 
 from repro.errors import ConfigError
@@ -99,10 +97,6 @@ class TestParallelConfig:
         assert par.max_retries == 2
         assert par.chunks_per_worker == 4
         assert par.fault_spec == ""
-        # The 2.0 defaults: warm pool over shared-memory segments, chunk
-        # granularity autotuned.
-        assert par.persistent
-        assert par.shared_memory
         assert par.autotune_chunks
 
     def test_validation(self):
@@ -129,46 +123,10 @@ class TestParallelConfig:
         assert cfg.parallel.workers == 4
         assert cfg.parallel.start_method == "fork"
 
-
-class TestDeprecatedFlatKnobs:
-    """The six 1.x flat ``mp_*`` knobs stay usable for one release, folding
-    into the nested ``parallel`` config behind a DeprecationWarning."""
-
-    def test_legacy_kwargs_warn_and_fold(self):
-        with pytest.warns(DeprecationWarning, match="parallel.chunk_timeout"):
-            cfg = PipelineConfig(mp_chunk_timeout=5.0)
-        assert cfg.parallel.chunk_timeout == 5.0
-        with pytest.warns(DeprecationWarning, match="parallel.start_method"):
-            cfg = PipelineConfig(mp_start_method="fork")
-        assert cfg.parallel.start_method == "fork"
-        with pytest.warns(DeprecationWarning):
-            cfg = PipelineConfig(
-                mp_max_retries=1, mp_backoff_base=0.01,
-                mp_chunks_per_worker=2, mp_fault_spec="crash:chunk=0",
-            )
-        assert cfg.parallel.max_retries == 1
-        assert cfg.parallel.backoff_base == 0.01
-        assert cfg.parallel.chunks_per_worker == 2
-        assert cfg.parallel.fault_spec == "crash:chunk=0"
-
-    def test_legacy_kwarg_still_validates(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                PipelineConfig(mp_start_method="thread")
-
-    def test_legacy_reads_warn_and_forward(self):
-        cfg = PipelineConfig(parallel=ParallelConfig(chunk_timeout=7.0))
-        with pytest.warns(DeprecationWarning, match="parallel.chunk_timeout"):
-            assert cfg.mp_chunk_timeout == 7.0
-        with pytest.warns(DeprecationWarning):
-            assert cfg.mp_start_method == "spawn"
-
-    def test_new_spelling_stays_silent(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cfg = PipelineConfig(parallel=ParallelConfig(workers=2))
-            assert cfg.parallel.workers == 2
-            assert cfg.parallel.chunk_timeout == 120.0
+    def test_flat_mp_kwarg_is_a_type_error(self):
+        # The 1.x flat spellings are gone, not silently accepted.
+        with pytest.raises(TypeError):
+            PipelineConfig(mp_chunk_timeout=1)
 
 
 class TestSeederKnobs:

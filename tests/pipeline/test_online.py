@@ -5,7 +5,9 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.experiments.workload import build_workload
-from repro.pipeline.config import ParallelConfig, PipelineConfig
+from repro.observability import scope
+from repro.phmm import sanitize
+from repro.pipeline.config import ParallelConfig, PipelineConfig, TelemetryConfig
 from repro.pipeline.gnumap import GnumapSnp
 from repro.pipeline.online import OnlineGnumap
 
@@ -13,6 +15,12 @@ from repro.pipeline.online import OnlineGnumap
 @pytest.fixture(scope="module")
 def workload():
     return build_workload(scale="tiny", seed=303)
+
+
+def fork_config(**kwargs):
+    # Pinned chunking: evidence comparisons between streams are exact.
+    kwargs.setdefault("autotune_chunks", False)
+    return PipelineConfig(parallel=ParallelConfig(start_method="fork", **kwargs))
 
 
 def chunks(reads, n):
@@ -83,14 +91,13 @@ class TestOnlineParallelFeed:
             OnlineGnumap(workload.reference, workers=0)
 
     def test_parallel_feed_matches_serial_stream(self, workload):
-        # fork keeps the per-chunk worker spawns cheap; the dispatcher
-        # itself is start-method-agnostic (tests/pipeline/test_mp_backend).
-        config = PipelineConfig(parallel=ParallelConfig(start_method="fork"))
+        # fork keeps the worker spawns cheap; the dispatcher itself is
+        # start-method-agnostic (tests/pipeline/test_mp_backend).
         serial = OnlineGnumap(workload.reference, PipelineConfig())
-        parallel = OnlineGnumap(workload.reference, config, workers=2)
-        for chunk in chunks(workload.reads[:200], 2):
-            serial.feed(chunk)
-            parallel.feed(chunk)
+        with OnlineGnumap(workload.reference, fork_config(), workers=2) as parallel:
+            for chunk in chunks(workload.reads[:200], 2):
+                serial.feed(chunk)
+                parallel.feed(chunk)
         assert {(s.pos, s.alt_name) for s in parallel.current_snps()} == {
             (s.pos, s.alt_name) for s in serial.current_snps()
         }
@@ -104,17 +111,42 @@ class TestOnlineParallelFeed:
     def test_parallel_feed_survives_injected_crash(self, workload):
         # A fed chunk with a crashing worker still lands: the stream keeps
         # going, evidence is identical to an unfaulted parallel stream.
-        config = PipelineConfig(parallel=ParallelConfig(
-            start_method="fork", fault_spec="crash:chunk=0"
-        ))
-        clean = OnlineGnumap(
-            workload.reference,
-            PipelineConfig(parallel=ParallelConfig(start_method="fork")),
-            workers=2,
-        )
-        faulted = OnlineGnumap(workload.reference, config, workers=2)
-        clean.feed(workload.reads[:120])
-        faulted.feed(workload.reads[:120])
+        with OnlineGnumap(
+            workload.reference, fork_config(), workers=2
+        ) as clean, OnlineGnumap(
+            workload.reference, fork_config(fault_spec="crash:chunk=0"), workers=2
+        ) as faulted:
+            clean.feed(workload.reads[:120])
+            faulted.feed(workload.reads[:120])
         assert np.array_equal(
             faulted.accumulator.snapshot(), clean.accumulator.snapshot()
         )
+
+    def test_flag_flip_between_feeds_recycles_the_fleet(self, workload):
+        # The parent's validate hook (and the workers' sanitizer state) are
+        # fixed when the fleet spawns.  Enabling the sanitizer mid-stream
+        # must reach the next feed: the corrupted partial is rejected and
+        # retried, never merged.  chunk=7 only exists in the second feed
+        # (4 reads -> 4 chunks, 120 reads -> 8), so the first stays clean.
+        batches = [workload.reads[:4], workload.reads[4:124]]
+        with OnlineGnumap(workload.reference, fork_config(), workers=2) as clean:
+            for batch in batches:
+                clean.feed(batch)
+        with OnlineGnumap(
+            workload.reference, fork_config(fault_spec="corrupt:chunk=7"), workers=2
+        ) as stream:
+            with sanitize.sanitized(False):
+                stream.feed(batches[0])
+            with sanitize.sanitized(True), scope() as reg:
+                stream.feed(batches[1])
+        assert reg.snapshot().counter("mp.partial_rejects") >= 1
+        assert np.array_equal(
+            stream.accumulator.snapshot(), clean.accumulator.snapshot()
+        )
+
+    def test_telemetry_reaches_stream_workers(self, workload):
+        config = fork_config()
+        config.telemetry = TelemetryConfig(enabled=True, interval=0.05, port=None)
+        with OnlineGnumap(workload.reference, config, workers=2) as stream:
+            stream.feed(workload.reads[:120])
+            assert len(stream.engine.telemetry.worker_views()) == 2

@@ -85,12 +85,6 @@ class TestEngine:
     def test_bad_workers_rejected(self, workload):
         with pytest.raises(PipelineError):
             Engine(workload.reference, workers=0)
-        # An explicit per-call workers=0 warns (deprecated kwarg) and then
-        # fails validation, same as always.
-        with pytest.warns(DeprecationWarning), pytest.raises(PipelineError):
-            Engine(workload.reference).run(workload.reads, workers=0)
-        with pytest.warns(DeprecationWarning), pytest.raises(PipelineError):
-            Engine(workload.reference).map_reads(workload.reads, workers=0)
 
     def test_workers_from_config(self, workload):
         engine = Engine(
@@ -167,7 +161,8 @@ class TestEngineLifecycle:
         # __exit__ released the fleet and segments...
         assert engine._pool is None
         # ...but the engine is not poisoned: the next call just rebuilds.
-        again = engine.run(reads)
+        with engine:
+            again = engine.run(reads)
         assert snp_keys(again.snps) == snp_keys(first.snps)
 
     def test_pool_reused_across_calls(self, workload):
@@ -193,13 +188,10 @@ class TestEngineLifecycle:
         with pytest.raises(PipelineError):
             engine.workers = 0
 
-    def test_per_call_workers_kwarg_warns(self, workload):
-        reads = workload.reads[:120]
-        with Engine(workload.reference, fork_config()) as engine:
-            with pytest.warns(DeprecationWarning, match="workers"):
-                result = engine.run(reads, workers=2)
-        serial = Engine(workload.reference).run(reads)
-        assert snp_keys(result.snps) == snp_keys(serial.snps)
+    def test_per_call_workers_kwarg_is_a_type_error(self, workload):
+        # Worker count is engine state; the 1.x per-call kwarg is gone.
+        with pytest.raises(TypeError):
+            Engine(workload.reference).run(workload.reads, workers=2)
 
     def test_close_is_idempotent(self, workload):
         engine = Engine(workload.reference, workers=2)

@@ -136,6 +136,11 @@ class TestSimulateCallEvaluate:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_removed_pool_mode_flag_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["call", "ref.fa", "reads.fq", "--parallel-pool", "per-call"])
+        assert exc.value.code == 2
+
     def test_seeding_flags(self, tmp_path, capsys):
         ref = tmp_path / "ref.fa"
         reads = tmp_path / "reads.fq"
