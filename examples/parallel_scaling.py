@@ -10,12 +10,7 @@ correctness check against the serial pipeline — a miniature Fig. 4.
 
 from repro import Engine, PipelineConfig, build_workload
 from repro.parallel import Cluster, LogGPModel
-from repro.pipeline import (
-    ComputeCalibration,
-    run_hybrid,
-    run_memory_spread,
-    run_read_spread,
-)
+from repro.pipeline import ComputeCalibration, run_memory_spread, run_read_spread
 
 
 def main() -> None:
@@ -36,22 +31,21 @@ def main() -> None:
     )
 
     cost = LogGPModel()  # ~GbE cluster: 50 us latency, ~1 Gb/s
-    def hybrid2(comm, reference, reads, config, calibration):
-        # two node-groups: memory-spread across them, read-spread within
-        return run_hybrid(comm, reference, reads, config, calibration, n_groups=2)
-
     print(f"{'mode':<14} {'ranks':>5} {'sim time':>9} {'reads/s':>9} {'eff':>6} match")
-    for mode, program in (
-        ("read-spread", run_read_spread),
-        ("memory-spread", run_memory_spread),
-        ("hybrid (G=2)", hybrid2),
+    # The genome-partitioned program takes a group count: one group per rank
+    # is memory-spread; two node-groups split the genome across them and the
+    # reads within them.
+    for mode, program, n_groups in (
+        ("read-spread", run_read_spread, ()),
+        ("memory-spread", run_memory_spread, ()),
+        ("hybrid (G=2)", run_memory_spread, (2,)),
     ):
         base = None
         for p in (1, 2, 4, 8):
             if mode.startswith("hybrid") and p % 2:
                 continue  # hybrid needs the world divisible by its groups
             res = Cluster(p, cost).run(
-                program, wl.reference, wl.reads, config, calibration
+                program, wl.reference, wl.reads, config, calibration, *n_groups
             )
             rate = wl.n_reads / res.makespan
             base = base if base is not None else rate / p  # per-rank baseline

@@ -10,6 +10,7 @@ evaluation.
 
 from repro import Engine, PipelineConfig, build_workload
 from repro.evaluation.metrics import compare_to_truth
+from repro.observability import format_metrics_report
 
 def main() -> None:
     # A deterministic scaled-down chrX-like workload: synthetic reference
@@ -29,7 +30,7 @@ def main() -> None:
 
     print(f"\nmapped {result.stats.n_mapped}/{result.stats.n_reads} reads "
           f"({result.stats.n_pairs} candidate alignments)")
-    print(result.timers.report())
+    print(format_metrics_report(result.metrics))
 
     print(f"\ncalled {len(result.snps)} SNPs:")
     for snp in result.snps:

@@ -32,7 +32,7 @@ from repro.genome.reference import Reference
 from repro.genome.variants import Variant, VariantCatalog
 from repro.phmm.model import PHMMParams
 from repro.pipeline.config import ParallelConfig, PipelineConfig
-from repro.pipeline.gnumap import MappingStats, PipelineResult
+from repro.pipeline.gnumap import MappingStats
 
 __version__ = "2.0.0"
 
@@ -53,6 +53,5 @@ __all__ = [
     "Engine",
     "CallResult",
     "MappingStats",
-    "PipelineResult",
     "__version__",
 ]

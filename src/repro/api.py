@@ -33,22 +33,16 @@ Worker count is engine state: the constructor ``workers=`` kwarg, the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.calling.records import SNPCall, write_snp_calls
 from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.memory.base import Accumulator
+from repro.observability import scope
+from repro.observability.snapshot import MetricsSnapshot
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.gnumap import (
-    GnumapSnp,
-    MappingStats,
-    PipelineResult,
-    fill_timers,
-)
-from repro.util.timers import TimerRegistry
+from repro.pipeline.gnumap import CallResult, GnumapSnp, MappingStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.livestream import TelemetryAggregator
@@ -56,51 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.pool import PersistentPool
 
 __all__ = ["CallResult", "Engine", "MappingStats"]
-
-
-@dataclass
-class CallResult:
-    """Everything one mapping+calling run produced.
-
-    Attributes
-    ----------
-    snps:
-        Significant SNP calls, sorted by position.
-    stats:
-        Mapping-stage counters (reads, pairs, batches).
-    accumulator:
-        The genome evidence the calls were made from (reusable for
-        re-calling under a different caller configuration).
-    timers:
-        Flat per-stage wall-clock view mirrored from the run's spans.
-    """
-
-    snps: list[SNPCall]
-    stats: MappingStats
-    accumulator: Accumulator
-    timers: TimerRegistry = field(default_factory=TimerRegistry)
-
-    @property
-    def reads_per_second(self) -> float:
-        """Mapping throughput (reads / seed+align+accumulate seconds)."""
-        mapping = sum(
-            self.timers[k].elapsed for k in ("seed", "align", "accumulate")
-            if k in self.timers
-        )
-        return self.stats.n_reads / mapping if mapping > 0 else 0.0
-
-    def write_tsv(self, path: str) -> int:
-        """Write the SNP calls as the standard TSV; returns rows written."""
-        return write_snp_calls(path, self.snps)
-
-    @classmethod
-    def from_pipeline_result(cls, result: PipelineResult) -> "CallResult":
-        return cls(
-            snps=result.snps,
-            stats=result.stats,
-            accumulator=result.accumulator,
-            timers=result.timers,
-        )
 
 
 class Engine:
@@ -135,7 +84,7 @@ class Engine:
         self._pipeline = GnumapSnp(reference, self.config)
         self._accumulator: Accumulator | None = None
         self._stats = MappingStats()
-        self._timers = TimerRegistry()
+        self._metrics = MetricsSnapshot.empty()
         self._pool: "PersistentPool | None" = None
         self._pool_flags: "tuple | None" = None
         self._telemetry: "TelemetryAggregator | None" = None
@@ -263,7 +212,7 @@ class Engine:
             self._pool_flags = None
 
     def _map_over_pool(
-        self, reads: "list[Read]", timers: TimerRegistry
+        self, reads: "list[Read]"
     ) -> "tuple[Accumulator, MappingStats]":
         """Map ``reads`` over the warm pool, (re)building it as needed.
 
@@ -273,7 +222,6 @@ class Engine:
         the final enable-state.
         """
         import repro.observability.trace as trace_mod
-        from repro.observability import scope
         from repro.phmm import sanitize
         from repro.pipeline.mp_backend import make_pool, map_reads_multiprocessing
 
@@ -285,9 +233,7 @@ class Engine:
                 self._pipeline, self._workers, telemetry=self._ensure_telemetry()
             )
             self._pool_flags = flags
-        with scope() as reg:
-            acc, stats = map_reads_multiprocessing(self._pipeline, reads, self._pool)
-            fill_timers(timers, reg.snapshot())
+        acc, stats = map_reads_multiprocessing(self._pipeline, reads, self._pool)
         if sanitize.enabled():
             # Validate the cross-worker reduction before anyone consumes it:
             # a partial corrupted in transit (or by a worker) must fail
@@ -310,13 +256,15 @@ class Engine:
         """
         if self._accumulator is None:
             self._accumulator = self._pipeline.new_accumulator()
-        if self._workers > 1:
-            part_acc, stats = self._map_over_pool(reads, self._timers)
-            self._accumulator.merge(part_acc)
-        else:
-            _, stats = self._pipeline.map_reads(
-                reads, accumulator=self._accumulator, timers=self._timers
-            )
+        with scope() as reg:
+            if self._workers > 1:
+                part_acc, stats = self._map_over_pool(reads)
+                self._accumulator.merge(part_acc)
+            else:
+                _, stats = self._pipeline.map_reads(
+                    reads, accumulator=self._accumulator
+                )
+            self._metrics = self._metrics.merge(reg.snapshot_values())
         self._stats.merge(stats)
         return self._stats
 
@@ -324,19 +272,16 @@ class Engine:
         """LRT over the evidence accumulated by ``map_reads`` so far."""
         if self._accumulator is None:
             raise PipelineError("call() before map_reads(): no evidence yet")
-        snps = self._pipeline.call_snps(self._accumulator, timers=self._timers)
-        return CallResult(
-            snps=snps,
-            stats=self._stats,
-            accumulator=self._accumulator,
-            timers=self._timers,
-        )
+        with scope() as reg:
+            snps = self._pipeline.call_snps(self._accumulator)
+            self._metrics = self._metrics.merge(reg.snapshot_values())
+        return CallResult(snps, self._stats, self._accumulator, self._metrics)
 
     def reset(self) -> None:
         """Drop accumulated evidence and stats (start a fresh staged run)."""
         self._accumulator = None
         self._stats = MappingStats()
-        self._timers = TimerRegistry()
+        self._metrics = MetricsSnapshot.empty()
 
     # -- one-shot verb ----------------------------------------------------------
     def run(self, reads: "list[Read]", trace: "str | None" = None) -> CallResult:
@@ -356,17 +301,17 @@ class Engine:
 
         def execute() -> CallResult:
             if self._workers == 1:
-                return CallResult.from_pipeline_result(self._pipeline.run(reads))
-            timers = TimerRegistry()
-            acc, stats = self._map_over_pool(reads, timers)
-            snps = self._pipeline.call_snps(acc, timers=timers)
-            return CallResult(snps=snps, stats=stats, accumulator=acc, timers=timers)
+                return self._pipeline.run(reads)
+            with scope() as reg:
+                acc, stats = self._map_over_pool(reads)
+                snps = self._pipeline.call_snps(acc)
+                return CallResult(snps, stats, acc, reg.snapshot_values())
 
         if trace is None:
             return execute()
 
         import repro.observability.trace as trace_mod
-        from repro.observability import scope, write_chrome_trace
+        from repro.observability import write_chrome_trace
         from repro.observability.manifest import run_manifest
 
         was_enabled = trace_mod.enabled()

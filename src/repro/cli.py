@@ -122,7 +122,6 @@ def _cmd_call(args: argparse.Namespace) -> int:
     if args.verbose:
         from repro.observability import current, format_metrics_report
 
-        print(result.timers.report())
         print(format_metrics_report(current().snapshot()))
     return 0
 

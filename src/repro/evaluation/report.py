@@ -3,7 +3,7 @@
 A downstream user's first question after a run is "what happened?" —
 mapping rates, stage timing, coverage shape, the calls themselves, and (in
 validation settings) accuracy against a truth set.  :func:`run_report`
-renders all of it as markdown from a :class:`PipelineResult`, so `repro`
+renders all of it as markdown from a :class:`CallResult`, so `repro`
 runs document themselves.
 """
 
@@ -19,7 +19,7 @@ from repro.genome.variants import VariantCatalog
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.genome.reference import Reference
-    from repro.pipeline.gnumap import PipelineResult
+    from repro.pipeline.gnumap import CallResult
 
 
 def _coverage_histogram(depth: np.ndarray, n_bins: int = 10, width: int = 40) -> str:
@@ -40,7 +40,7 @@ def _coverage_histogram(depth: np.ndarray, n_bins: int = 10, width: int = 40) ->
 
 
 def run_report(
-    result: "PipelineResult",
+    result: "CallResult",
     reference: "Reference",
     truth: "VariantCatalog | None" = None,
     title: str = "GNUMAP-SNP run report",
@@ -48,7 +48,7 @@ def run_report(
 ) -> str:
     """Render a pipeline run as a markdown document.
 
-    ``result`` is a :class:`~repro.pipeline.gnumap.PipelineResult`;
+    ``result`` is a :class:`~repro.pipeline.gnumap.CallResult`;
     ``reference`` the :class:`~repro.genome.reference.Reference` it ran
     against; ``truth`` an optional catalog for accuracy scoring.
     """
@@ -73,12 +73,15 @@ def run_report(
         "",
     ]
 
-    timers = result.timers.as_dict()
-    if timers:
+    stages = result.metrics.leaf_totals()
+    if stages:
+        # Span names nest (map_reads holds seed/align/accumulate), so the
+        # total is the top-level spans, not the column sum.
         lines += ["## Stage timing", "", "| stage | seconds |", "|---|---|"]
-        for name, sec in timers.items():
+        for name, (sec, _) in stages.items():
             lines.append(f"| {name} | {sec:.2f} |")
-        lines += [f"| **total** | **{sum(timers.values()):.2f}** |", ""]
+        total = result.metrics.total_span_seconds()
+        lines += [f"| **total** | **{total:.2f}** |", ""]
 
     lines += ["## Coverage", "", "```", _coverage_histogram(depth), "```", ""]
 

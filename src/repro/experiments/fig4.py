@@ -15,7 +15,7 @@ sequences/second computed from the makespan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import Any
 
 from repro.errors import ConfigError
 from repro.experiments.workload import Workload, build_workload
@@ -25,12 +25,6 @@ from repro.pipeline.calibration import ComputeCalibration
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.parallel_driver import run_memory_spread, run_read_spread
 from repro.util.tables import format_table
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.genome.fastq import Read
-    from repro.genome.reference import Reference
-    from repro.parallel.comm import Comm
-    from repro.pipeline.parallel_driver import ParallelRunResult
 
 DEFAULT_RANKS = (1, 2, 4, 8, 16, 32)
 
@@ -75,34 +69,28 @@ def run(
     calibration = ComputeCalibration.measure(wl.reference, calib_sample, config)
     cost = LogGPModel()
 
-    modes: list[tuple[str, object]] = [
-        ("read-spread", run_read_spread),
-        ("memory-spread", run_memory_spread),
+    # (series name, program, extra program arguments after the calibration)
+    modes: list[tuple[str, Any, tuple[int, ...]]] = [
+        ("read-spread", run_read_spread, ()),
+        ("memory-spread", run_memory_spread, ()),
     ]
     if include_hybrid:
-        from repro.pipeline.parallel_driver import run_hybrid
-
-        def hybrid_program(
-            comm: "Comm",
-            reference: "Reference",
-            reads: "list[Read] | None",
-            cfg: "PipelineConfig | None",
-            calib: "ComputeCalibration | None",
-        ) -> "ParallelRunResult":
-            return run_hybrid(comm, reference, reads, cfg, calib, hybrid_groups)
-
-        modes.append((f"hybrid (G={hybrid_groups})", hybrid_program))
+        modes.append(
+            (f"hybrid (G={hybrid_groups})", run_memory_spread, (hybrid_groups,))
+        )
 
     points: list[Fig4Point] = []
     base_rate: dict[str, float] = {}
-    for mode, program in modes:
+    for mode, program, extra in modes:
         for p in ranks:
             if mode == "memory-spread" and p > len(wl.reference):
                 continue
             if mode.startswith("hybrid") and p % hybrid_groups != 0:
                 continue
             cluster = Cluster(p, cost)
-            res = cluster.run(program, wl.reference, wl.reads, config, calibration)
+            res = cluster.run(
+                program, wl.reference, wl.reads, config, calibration, *extra
+            )
             rate = len(wl.reads) / res.makespan
             if mode not in base_rate:
                 base_rate[mode] = rate / p

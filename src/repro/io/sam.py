@@ -27,10 +27,10 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.genome.alphabet import decode, reverse_complement
 from repro.genome.fastq import Read
-from repro.phmm.forward_backward import emissions_batch
-from repro.phmm.pwm import flat_pwm, pwm_from_read, reverse_complement_pwm
+from repro.phmm.forward_backward import emissions_batch, forward_batch
 from repro.phmm.scoring import normalize_location_weights
 from repro.phmm.viterbi import viterbi_align
+from repro.pipeline.evidence import PairStack, cut_windows
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.pipeline.gnumap import GnumapSnp
@@ -101,37 +101,21 @@ def collect_placements(
     """
     if max_secondary < 0:
         raise PipelineError("max_secondary must be >= 0")
-    from repro.phmm.alignment import build_windows
-
     cfg = pipeline.config
     out: list[Placement] = []
     for read in reads:
         candidates = pipeline.seeder.candidates(read)
         if not candidates:
             continue
-        pwm_fwd = (
-            pwm_from_read(read) if cfg.quality_aware else flat_pwm(read.codes)
+        stack = PairStack()
+        stack.add_read(read, candidates, cfg, 0)
+        pwms, start_arr, windows, _ = cut_windows(
+            pipeline.reference.codes, stack, cfg
         )
-        pwm_rc = None
-        pwms, starts, strands = [], [], []
-        for cand in candidates:
-            if cand.strand == 1:
-                pwms.append(pwm_fwd)
-            else:
-                if pwm_rc is None:
-                    pwm_rc = reverse_complement_pwm(pwm_fwd)
-                pwms.append(pwm_rc)
-            starts.append(cand.start)
-            strands.append(cand.strand)
+        strands = stack.strands
         n = len(read)
-        width = n + 2 * cfg.pad
-        start_arr = np.asarray(starts, dtype=np.int64)
-        windows, valid = build_windows(
-            pipeline.reference.codes, start_arr - cfg.pad, width
-        )
-        pstar = emissions_batch(np.stack(pwms), windows, cfg.phmm)
-        from repro.phmm.forward_backward import forward_batch
-
+        # Placement needs scores, not z: forward pass only.
+        pstar = emissions_batch(pwms, windows, cfg.phmm)
         fwd = forward_batch(pstar, cfg.phmm, mode=cfg.alignment_mode)
         weights = normalize_location_weights(fwd.loglik, min_ratio=cfg.min_ratio)
 

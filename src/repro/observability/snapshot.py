@@ -240,8 +240,7 @@ class MetricsSnapshot:
         """Per-name ``(seconds, count)`` summed over every path position.
 
         A name appearing at several depths (e.g. ``align`` under different
-        parents) is summed — this is the flattened stage view the legacy
-        :class:`~repro.util.timers.TimerRegistry` exposes.
+        parents) is summed.
         """
         totals: dict[str, tuple[float, int]] = {}
 

@@ -29,12 +29,12 @@ from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.memory.base import Accumulator
-from repro.phmm.alignment import align_batch, build_windows
-from repro.phmm.pwm import flat_pwm, pwm_from_read, reverse_complement_pwm
+from repro.observability import scope, span
+from repro.phmm.scoring import normalize_location_weights
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.gnumap import GnumapSnp, MappingStats, PipelineResult
+from repro.pipeline.evidence import PairEvidence, PairStack, align_pairs, deposit
+from repro.pipeline.gnumap import CallResult, GnumapSnp, MappingStats
 from repro.simulate.paired import ReadPair
-from repro.util.timers import TimerRegistry
 
 
 @dataclass
@@ -65,18 +65,6 @@ class PairedConfig:
         )
 
 
-@dataclass
-class _MateCandidates:
-    """Aligned candidates of one mate: locations, strands, logliks, z."""
-
-    starts: np.ndarray
-    strands: np.ndarray
-    logliks: np.ndarray
-    z: np.ndarray  # (n_cand, width, 5)
-    cols: np.ndarray  # (n_cand, width) genome positions
-    valid: np.ndarray  # (n_cand, width)
-
-
 class PairedGnumap:
     """Paired-end driver wrapping the single-end pipeline machinery."""
 
@@ -98,54 +86,25 @@ class PairedGnumap:
         return self.pipeline.config
 
     # -- per-mate alignment ----------------------------------------------------
-    def _align_mate(self, read: Read) -> "_MateCandidates | None":
-        cfg = self.config
-        candidates = self.pipeline.seeder.candidates(read)
+    def _align_mate(self, read: Read) -> "PairEvidence | None":
+        """One mate's candidates through the shared step B core."""
+        with span("seed"):
+            candidates = self.pipeline.seeder.candidates(read)
         if not candidates:
             return None
-        pwm_fwd = (
-            pwm_from_read(read) if cfg.quality_aware else flat_pwm(read.codes)
-        )
-        pwm_rc = None
-        pwms, starts, strands = [], [], []
-        for cand in candidates:
-            if cand.strand == 1:
-                pwms.append(pwm_fwd)
-            else:
-                if pwm_rc is None:
-                    pwm_rc = reverse_complement_pwm(pwm_fwd)
-                pwms.append(pwm_rc)
-            starts.append(cand.start)
-            strands.append(cand.strand)
-        n = len(read)
-        width = n + 2 * cfg.pad
-        start_arr = np.asarray(starts, dtype=np.int64)
-        windows, valid = build_windows(
-            self.reference.codes, start_arr - cfg.pad, width
-        )
-        outcome = align_batch(
-            np.stack(pwms), windows, cfg.phmm,
-            mode=cfg.alignment_mode, edge_policy=cfg.edge_policy, valid=valid,
-            kernel=cfg.phmm_kernel, dtype=cfg.phmm_dtype,
-        )
-        cols = (start_arr - cfg.pad)[:, None] + np.arange(width)[None, :]
-        return _MateCandidates(
-            starts=start_arr,
-            strands=np.asarray(strands),
-            logliks=outcome.loglik,
-            z=outcome.z,
-            cols=cols,
-            valid=valid,
-        )
+        with span("align"):
+            stack = PairStack()
+            stack.add_read(read, candidates, self.config, 0)
+            return align_pairs(self.reference.codes, stack, self.config)
 
     # -- pairing ---------------------------------------------------------------
     def _pair_weights(
-        self, m1: _MateCandidates, m2: _MateCandidates, read_len: int
+        self, m1: PairEvidence, m2: PairEvidence, read_len: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """Marginal per-candidate weights from the joint placement softmax."""
         p = self.paired
-        l1 = m1.logliks[:, None]  # (n1, 1)
-        l2 = m2.logliks[None, :]  # (1, n2)
+        l1 = m1.loglik[:, None]  # (n1, 1)
+        l2 = m2.loglik[None, :]  # (1, n2)
         s1 = m1.strands[:, None]
         s2 = m2.strands[None, :]
         pos1 = m1.starts[:, None].astype(np.float64)
@@ -167,7 +126,7 @@ class PairedGnumap:
         )
         ceiling = np.max(joint) if joint.size else -np.inf
         if not np.isfinite(ceiling):
-            return np.zeros(m1.logliks.size), np.zeros(m2.logliks.size)
+            return np.zeros(m1.loglik.size), np.zeros(m2.loglik.size)
         ej = np.exp(np.clip(joint - ceiling, -745.0, 0.0))
         total = ej.sum()
         w1 = ej.sum(axis=1) / total
@@ -179,64 +138,46 @@ class PairedGnumap:
         self,
         pairs: "list[ReadPair]",
         accumulator: Accumulator | None = None,
-        timers: TimerRegistry | None = None,
     ) -> tuple[Accumulator, MappingStats]:
         """Align read pairs with joint insert-aware weighting (steps A-C)."""
+        cfg = self.config
         acc = (
             accumulator
             if accumulator is not None
             else self.pipeline.new_accumulator()
         )
-        timers = timers if timers is not None else TimerRegistry()
         stats = MappingStats()
-        dense = self.config.accumulator.upper() == "NORM"
 
-        for pair in pairs:
-            stats.n_reads += 2
-            with timers["align"]:
-                m1 = self._align_mate(pair.read1)
-                m2 = self._align_mate(pair.read2)
-            if m1 is None and m2 is None:
-                stats.n_unmapped += 2
-                continue
-            with timers["accumulate"]:
-                if m1 is not None and m2 is not None:
-                    stats.n_mapped += 2
-                    w1, w2 = self._pair_weights(m1, m2, len(pair.read1))
-                    self._deposit(acc, m1, w1, dense)
-                    self._deposit(acc, m2, w2, dense)
-                    stats.n_pairs += m1.logliks.size + m2.logliks.size
-                else:
-                    # one mate unmapped: the other degrades to single-end
-                    mate = m1 if m1 is not None else m2
-                    stats.n_mapped += 1
-                    stats.n_unmapped += 1
-                    from repro.phmm.scoring import normalize_location_weights
-
-                    w = normalize_location_weights(
-                        mate.logliks, min_ratio=self.config.min_ratio
-                    )
-                    self._deposit(acc, mate, w, dense)
-                    stats.n_pairs += mate.logliks.size
+        with span("map_reads"):
+            for pair in pairs:
+                stats.n_reads += 2
+                aligned = (self._align_mate(pair.read1), self._align_mate(pair.read2))
+                mates = [m for m in aligned if m is not None]
+                stats.n_mapped += len(mates)
+                stats.n_unmapped += 2 - len(mates)
+                if not mates:
+                    continue
+                with span("accumulate"):
+                    if len(mates) == 2:
+                        weights = list(
+                            self._pair_weights(mates[0], mates[1], len(pair.read1))
+                        )
+                    else:
+                        # one mate unmapped: the other degrades to single-end
+                        weights = [
+                            normalize_location_weights(
+                                mates[0].loglik, min_ratio=cfg.min_ratio
+                            )
+                        ]
+                    for mate, w in zip(mates, weights):
+                        deposit(acc, mate, w, cfg)
+                        stats.n_pairs += mate.loglik.size
+        stats.publish()
         return acc, stats
 
-    @staticmethod
-    def _deposit(acc: Accumulator, mate: _MateCandidates, weights: np.ndarray,
-                 dense: bool) -> None:
-        zw = mate.z * weights[:, None, None]
-        live = mate.valid & (weights[:, None] > 0)
-        if dense:
-            m = live.ravel()
-            acc.add(mate.cols.ravel()[m], zw.reshape(-1, 5)[m])
-        else:
-            for k in range(zw.shape[0]):
-                m = live[k]
-                if m.any():
-                    acc.add(mate.cols[k][m], zw[k][m])
-
-    def run(self, pairs: "list[ReadPair]") -> PipelineResult:
+    def run(self, pairs: "list[ReadPair]") -> CallResult:
         """Full paired pipeline: map every pair, then call SNPs."""
-        timers = TimerRegistry()
-        acc, stats = self.map_pairs(pairs, timers=timers)
-        snps = self.pipeline.call_snps(acc, timers=timers)
-        return PipelineResult(snps=snps, accumulator=acc, stats=stats, timers=timers)
+        with scope() as reg:
+            acc, stats = self.map_pairs(pairs)
+            snps = self.pipeline.call_snps(acc)
+            return CallResult(snps, stats, acc, reg.snapshot_values())

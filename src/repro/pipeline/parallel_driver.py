@@ -5,14 +5,20 @@ Read-spread ("shared memory" in Fig. 4)
     partitioned.  One accumulator reduction at the end.  Near-linear scaling
     — per-rank compute drops as 1/P and communication is a single payload.
 
-Memory-spread
-    The genome is split into contiguous segments (plus a halo so candidate
-    windows never cross rank ownership); every rank sees every read
-    (broadcast), seeds against its local sub-index, aligns only candidates
-    it *owns* (candidate start inside the core segment), and per read-batch
-    the ranks allreduce per-read likelihood totals so multiread weights are
-    normalised globally — the communication that spoils scaling.  Evidence
-    accumulated into the halo is shipped to the owning neighbour at the end.
+Memory-spread (genome-partitioned)
+    One program with a group count.  The genome is split into ``n_groups``
+    contiguous segments (plus a halo so candidate windows never cross
+    ownership); every rank sees every read (broadcast), the ranks of a
+    group share its reads out between them, each seeds against the group's
+    sub-index and aligns only candidates the group *owns* (candidate start
+    inside the core segment), and per read-batch all ranks allreduce
+    per-read likelihood totals so multiread weights are normalised
+    globally — the communication that spoils scaling.  Evidence reduces
+    within the group, and what its leader accumulated into the halo is
+    shipped to the owning neighbour group at the end.  One rank per group
+    (the default) is the paper's memory-spread mode, where every rank
+    seeds every read; fewer groups are its "distributed memory and/or
+    shared memory" hybrid.
 
 Both programs compute real results (used by the correctness tests against
 serial runs) while charging calibrated compute and modelled communication to
@@ -47,10 +53,9 @@ from repro.parallel.partition import (
     validate_partition,
 )
 from repro.parallel.reduction import reduce_accumulator
-from repro.phmm.alignment import align_batch, align_batch_banded, build_windows
-from repro.phmm.pwm import flat_pwm, pwm_from_read, reverse_complement_pwm
 from repro.pipeline.calibration import ComputeCalibration
 from repro.pipeline.config import PipelineConfig
+from repro.pipeline.evidence import PairStack, align_pairs, deposit
 from repro.pipeline.gnumap import GnumapSnp, MappingStats
 
 
@@ -120,105 +125,41 @@ def run_memory_spread(
     reads: "list[Read] | None",
     config: PipelineConfig | None = None,
     calibration: ComputeCalibration | None = None,
+    n_groups: int | None = None,
     read_batch: int = 256,
 ) -> ParallelRunResult:
     """Genome-partitioned SPMD program (call via ``Cluster.run``).
 
-    Only the root needs ``reads``; they are broadcast (a real, costed
-    message) to every rank, as in the paper's memory-spread design.
-    """
-    config = config or PipelineConfig()
-    if read_batch < 1:
-        raise PipelineError("read_batch must be >= 1")
-    reads = comm.bcast(reads, root=0)
-    if reads is None:
-        raise PipelineError("root must supply the reads")
-
-    glen = len(reference)
-    segments = Reference.split(reference, comm.size)
-    seg = segments[comm.rank]
-    max_read_len = max((len(r) for r in reads), default=0)
-    halo = max_read_len + config.pad
-    ext_start = max(0, seg.start - halo)
-    ext_stop = min(glen, seg.stop + halo)
-    local_ref = Reference(
-        np.asarray(reference.codes[ext_start:ext_stop]),
-        name=f"{reference.name}[{ext_start}:{ext_stop}]",
-    )
-    index = GenomeIndex(
-        local_ref, k=config.k,
-        max_positions_per_kmer=config.max_index_positions_per_kmer,
-        seed_len=config.seeder.seed_len,
-    )
-    seeder = Seeder(index, config.seeder)
-    if calibration:
-        comm.account_compute(calibration.index_seconds(len(local_ref)))
-
-    acc = make_accumulator(config.accumulator, len(local_ref))
-    stats = MappingStats()
-
-    for batch_lo in range(0, len(reads), read_batch):
-        batch = reads[batch_lo : batch_lo + read_batch]
-        _process_read_batch(
-            comm, batch, seeder, local_ref, acc, seg, ext_start, config, stats,
-            calibration,
-        )
-
-    with span("halo_exchange"):
-        _halo_exchange(comm, acc, seg, ext_start, ext_stop, glen, halo, config)
-
-    # Per-segment calling on the core region, then gather to root.
-    caller = SNPCaller(config.caller)
-    core_lo = seg.start - ext_start
-    core_hi = seg.stop - ext_start
-    z = acc.snapshot()[core_lo:core_hi]
-    positions = np.arange(seg.start, seg.stop, dtype=np.int64)
-    if calibration:
-        comm.account_compute(calibration.calling_seconds(len(seg)))
-    local_snps = caller.snps(z, reference.codes, positions=positions)
-
-    gathered = comm.gather((local_snps, stats), root=0)
-    if comm.rank != 0:
-        return ParallelRunResult(snps=None, stats=None)
-    snps: list[SNPCall] = []
-    total = MappingStats()
-    for part_snps, part_stats in gathered:
-        snps.extend(part_snps)
-        total.merge(part_stats)
-    # Each read is seeded on every rank; report logical counts once.
-    total.n_reads = len(reads)
-    total.n_mapped = min(total.n_mapped, len(reads))
-    snps.sort(key=lambda s: s.pos)
-    return ParallelRunResult(snps=snps, stats=total)
-
-
-def run_hybrid(
-    comm: Comm,
-    reference: Reference,
-    reads: "list[Read] | None",
-    config: PipelineConfig | None = None,
-    calibration: ComputeCalibration | None = None,
-    n_groups: int = 2,
-    read_batch: int = 256,
-) -> ParallelRunResult:
-    """Two-level hybrid mode: memory-spread across groups, read-spread within.
-
-    The paper's "distributed memory and/or shared memory" deployment:
-    ``n_groups`` node groups each own one genome segment (so per-rank memory
-    scales as 1/groups), while inside a group the reads are partitioned (so
-    per-rank seeding/alignment work scales as 1/group_size, unlike pure
-    memory-spread where every rank seeds every read).  Per-read score
+    ``n_groups`` rank groups each own one genome segment, so per-rank
+    memory scales as 1/groups; inside a group the reads are partitioned,
+    so per-rank seeding/alignment work scales as 1/group_size.  The default
+    ``n_groups=None`` means one rank per group — the paper's memory-spread
+    mode, where every rank seeds every read; fewer groups give its
+    "distributed memory and/or shared memory" hybrid.  Per-read score
     normalisation is a global allreduce; genome state reduces within each
-    group, halos flow between neighbouring group leaders.
+    group and halos flow between neighbouring group leaders.
 
-    ``comm.size`` must be divisible by ``n_groups``.
+    Only the root needs ``reads``; they are broadcast (a real, costed
+    message) to every rank.  ``comm.size`` must be divisible by
+    ``n_groups``.
     """
     config = config or PipelineConfig()
+    if n_groups is None:
+        n_groups = comm.size
     if n_groups < 1:
         raise PipelineError(f"n_groups must be >= 1, got {n_groups}")
     if comm.size % n_groups != 0:
         raise PipelineError(
             f"world size {comm.size} not divisible by n_groups {n_groups}"
+        )
+    if read_batch < 1:
+        raise PipelineError("read_batch must be >= 1")
+    if config.posterior_mode != "marginal":
+        # One-hot-best needs every candidate of a read in one place; here
+        # they are spread over the ranks that own their segments.
+        raise PipelineError(
+            f"posterior_mode={config.posterior_mode!r} is not supported by the "
+            "genome-partitioned program; use run_read_spread"
         )
     rpg = comm.size // n_groups
     group = comm.rank // rpg
@@ -228,8 +169,7 @@ def run_hybrid(
         raise PipelineError("root must supply the reads")
 
     glen = len(reference)
-    segments = Reference.split(reference, n_groups)
-    seg = segments[group]
+    seg = Reference.split(reference, n_groups)[group]
     max_read_len = max((len(r) for r in reads), default=0)
     halo = max_read_len + config.pad
     ext_start = max(0, seg.start - halo)
@@ -251,10 +191,9 @@ def run_hybrid(
     stats = MappingStats()
     for batch_lo in range(0, len(reads), read_batch):
         batch = reads[batch_lo : batch_lo + read_batch]
-        mask = (np.arange(len(batch)) % rpg) == subcomm.rank
         _process_read_batch(
-            comm, batch, seeder, local_ref, acc, seg, ext_start, config,
-            stats, calibration, read_mask=mask,
+            comm, batch, (np.arange(len(batch)) % rpg) == subcomm.rank, seeder,
+            local_ref, acc, seg, ext_start, config, stats, calibration,
         )
 
     # Genome state reduces within the group; only leaders keep going.
@@ -264,33 +203,30 @@ def run_hybrid(
 
     local_snps: "list[SNPCall] | None" = None
     if subcomm.rank == 0:
-        left = (group - 1) * rpg if group > 0 else None
-        right = (group + 1) * rpg if group < n_groups - 1 else None
         with span("halo_exchange"):
             _halo_exchange(
-                comm, merged, seg, ext_start, ext_stop, glen, halo, config,
-                left=left, right=right,
+                comm, merged, seg, ext_start,
+                left=(group - 1) * rpg if group > 0 else None,
+                right=(group + 1) * rpg if group < n_groups - 1 else None,
             )
-        caller = SNPCaller(config.caller)
-        core_lo = seg.start - ext_start
-        core_hi = seg.stop - ext_start
-        z = merged.snapshot()[core_lo:core_hi]
+        # Per-segment calling on the core region, then gather to root.
+        z = merged.snapshot()[seg.start - ext_start : seg.stop - ext_start]
         positions = np.arange(seg.start, seg.stop, dtype=np.int64)
         if calibration:
             comm.account_compute(calibration.calling_seconds(len(seg)))
-        local_snps = caller.snps(z, reference.codes, positions=positions)
+        local_snps = SNPCaller(config.caller).snps(
+            z, reference.codes, positions=positions
+        )
 
     gathered_snps = comm.gather(local_snps, root=0)
     if comm.rank != 0:
         return ParallelRunResult(snps=None, stats=None)
-    snps: list[SNPCall] = []
-    for part in gathered_snps:
-        if part is not None:
-            snps.extend(part)
+    snps = [snp for part in gathered_snps if part is not None for snp in part]
     snps.sort(key=lambda s: s.pos)
     total = MappingStats()
     for s in gathered_stats:
         total.merge(s)
+    # Each read is seeded in every group; report logical counts once.
     total.n_reads = len(reads)
     total.n_mapped = min(total.n_mapped, len(reads))
     return ParallelRunResult(snps=snps, stats=total)
@@ -299,6 +235,7 @@ def run_hybrid(
 def _process_read_batch(
     comm: Comm,
     batch: "list[Read]",
+    read_mask: np.ndarray,
     seeder: Seeder,
     local_ref: Reference,
     acc: Accumulator,
@@ -307,105 +244,42 @@ def _process_read_batch(
     config: PipelineConfig,
     stats: MappingStats,
     calibration: ComputeCalibration | None,
-    read_mask: "np.ndarray | None" = None,
 ) -> None:
     """Align one batch of reads against the local segment with global weights.
 
-    ``read_mask`` (hybrid mode) marks which batch reads *this* rank seeds;
-    unmarked reads still occupy allreduce slots so other ranks' scores
-    normalise correctly.
+    ``read_mask`` marks which batch reads *this* rank seeds (its share of
+    the group's reads); unmarked reads still occupy allreduce slots so
+    other ranks' scores normalise correctly.
     """
-    pwms: list[np.ndarray] = []
-    starts: list[int] = []
-    groups: list[int] = []
-    centers: list[int] = []
-    n_local_pairs = 0
-    n_seeded = 0
-    # Per-read local log-likelihoods gathered for global normalisation.
-    for b, read in enumerate(batch):
-        if read_mask is not None and not read_mask[b]:
-            continue
-        n_seeded += 1
-        candidates = seeder.candidates(read)
-        owned = [
-            c
-            for c in candidates
-            if seg.contains(ext_start + c.start)
-        ]
-        if not owned:
-            continue
-        pwm_fwd = (
-            pwm_from_read(read) if config.quality_aware else flat_pwm(read.codes)
+    if len({len(r) for r in batch}) > 1:
+        raise PipelineError(
+            "memory-spread driver requires equal-length reads per batch"
         )
-        pwm_rc: np.ndarray | None = None
-        for cand in owned:
-            pwm = pwm_fwd
-            if cand.strand == -1:
-                if pwm_rc is None:
-                    pwm_rc = reverse_complement_pwm(pwm_fwd)
-                pwm = pwm_rc
-            pwms.append(pwm)
-            starts.append(cand.start)
-            groups.append(b)
-            centers.append(config.pad + (cand.band_diagonal - cand.start))
-            n_local_pairs += 1
+    stack = PairStack()
+    for b in np.flatnonzero(read_mask):
+        read = batch[b]
+        owned = [
+            c for c in seeder.candidates(read) if seg.contains(ext_start + c.start)
+        ]
+        if owned:
+            stack.add_read(read, owned, config, int(b))
 
     if calibration:
         comm.account_compute(
             calibration.mapping_seconds(
-                n_seeded,
-                n_local_pairs,
+                int(read_mask.sum()),
+                len(stack),
                 cell_fraction=config.band_cell_fraction(_mean_read_len(batch)),
             )
         )
 
-    if pwms:
-        read_len = pwms[0].shape[0]
-        if any(p.shape[0] != read_len for p in pwms):
-            raise PipelineError(
-                "memory-spread driver requires equal-length reads per batch"
-            )
-        width = read_len + 2 * config.pad
-        pwm_arr = np.stack(pwms)
-        start_arr = np.asarray(starts, dtype=np.int64)
-        windows, valid = build_windows(local_ref.codes, start_arr - config.pad, width)
-        if config.banding:
-            outcome = align_batch_banded(
-                pwm_arr,
-                windows,
-                config.phmm,
-                np.asarray(centers, dtype=np.int64),
-                config.band_w,
-                tolerance=config.band_tolerance,
-                adaptive=config.band_mode == "adaptive",
-                mode=config.alignment_mode,
-                edge_policy=config.edge_policy,
-                valid=valid,
-                groups=np.asarray(groups, dtype=np.int64),
-                escape_min_ratio=config.min_ratio,
-                kernel=config.phmm_kernel,
-                dtype=config.phmm_dtype,
-            )
-        else:
-            outcome = align_batch(
-                pwm_arr,
-                windows,
-                config.phmm,
-                mode=config.alignment_mode,
-                edge_policy=config.edge_policy,
-                valid=valid,
-                kernel=config.phmm_kernel,
-                dtype=config.phmm_dtype,
-            )
-    else:
-        outcome = None
+    evidence = align_pairs(local_ref.codes, stack, config) if stack else None
 
     # Global per-read normalisation: allreduce (logsumexp, max) across ranks.
     local_lse = np.full(len(batch), -np.inf)
     local_max = np.full(len(batch), -np.inf)
-    if outcome is not None:
-        for k, g in enumerate(groups):
-            ll = outcome.loglik[k]
+    if evidence is not None:
+        for g, ll in zip(stack.groups, evidence.loglik):
             local_lse[g] = np.logaddexp(local_lse[g], ll)
             local_max[g] = max(local_max[g], ll)
     packed = np.stack([local_lse, local_max])
@@ -418,37 +292,20 @@ def _process_read_batch(
         )
     global_lse, global_max = global_packed[0], global_packed[1]
 
-    for b in range(len(batch)):
-        stats.n_reads += 1
-        if np.isfinite(global_lse[b]):
-            stats.n_mapped += 1
-        else:
-            stats.n_unmapped += 1
-    stats.n_pairs += n_local_pairs
+    n_mapped = int(np.isfinite(global_lse).sum())
+    stats.n_reads += len(batch)
+    stats.n_mapped += n_mapped
+    stats.n_unmapped += len(batch) - n_mapped
+    stats.n_pairs += len(stack)
 
-    if outcome is None:
+    if evidence is None:
         return
-    group_arr = np.asarray(groups)
     with np.errstate(invalid="ignore"):
-        weights = np.exp(outcome.loglik - global_lse[group_arr])
-        rel = np.exp(outcome.loglik - global_max[group_arr])
+        weights = np.exp(evidence.loglik - global_lse[evidence.groups])
+        rel = np.exp(evidence.loglik - global_max[evidence.groups])
     weights = np.where(rel < config.min_ratio, 0.0, weights)
     weights = np.nan_to_num(weights, nan=0.0)
-
-    width = pwm_arr.shape[1] + 2 * config.pad
-    zw = outcome.z * weights[:, None, None]
-    cols = (np.asarray(starts, dtype=np.int64) - config.pad)[:, None] + np.arange(
-        width
-    )[None, :]
-    live = valid & (weights[:, None] > 0)
-    if config.accumulator.upper() == "NORM":
-        mask = live.ravel()
-        acc.add(cols.ravel()[mask], zw.reshape(-1, 5)[mask])
-    else:
-        for k in range(zw.shape[0]):
-            m = live[k]
-            if m.any():
-                acc.add(cols[k][m], zw[k][m])
+    deposit(acc, evidence, weights, config)
     stats.n_batches += 1
 
 
@@ -457,27 +314,16 @@ def _halo_exchange(
     acc: Accumulator,
     seg: Segment,
     ext_start: int,
-    ext_stop: int,
-    glen: int,
-    halo: int,
-    config: PipelineConfig,
-    left: "int | None | str" = "default",
-    right: "int | None | str" = "default",
+    left: "int | None",
+    right: "int | None",
 ) -> None:
     """Ship halo evidence to the owning neighbours and fold theirs in.
 
     Evidence this rank accumulated at positions left of its core belongs to
-    the ``left`` neighbour; right of the core to ``right``.  The sentinel
-    ``"default"`` means ``rank -+ 1`` (memory-spread); explicit ``None``
-    means *no neighbour on that side* (hybrid group leaders at the genome
-    ends).  Payloads are dense z slices (honestly sized); received slices
-    are folded in via ``add``.
+    the ``left`` neighbour rank; right of the core to ``right``; ``None``
+    means no neighbour on that side (the genome ends).  Payloads are dense
+    z slices (honestly sized); received slices are folded in via ``add``.
     """
-    rank, size = comm.rank, comm.size
-    if left == "default":
-        left = rank - 1 if rank > 0 else None
-    if right == "default":
-        right = rank + 1 if rank < size - 1 else None
     if left is None and right is None:
         return
     snap = acc.snapshot()

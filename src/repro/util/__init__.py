@@ -1,13 +1,10 @@
-"""Shared utilities: deterministic RNG plumbing, stage timers, tables."""
+"""Shared utilities: deterministic RNG plumbing, tables."""
 
 from repro.util.rng import resolve_rng, spawn_child
-from repro.util.timers import StageTimer, TimerRegistry
 from repro.util.tables import format_table
 
 __all__ = [
     "resolve_rng",
     "spawn_child",
-    "StageTimer",
-    "TimerRegistry",
     "format_table",
 ]

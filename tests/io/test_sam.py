@@ -110,6 +110,25 @@ class TestCollectPlacements:
         primaries = [p for p in placements if p.is_primary]
         assert len(primaries) == 1
 
+    def test_placements_pinned(self, setup):
+        """(pos, strand, weight, cigar) of the fixture's first 200 reads, as
+        emitted before collect_placements moved onto the shared step B
+        core (weights to 6 decimals)."""
+        import hashlib
+
+        wl, pipe = setup
+        placements = collect_placements(pipe, wl.reads[:200])
+        assert len(placements) == 208
+        assert sum(not p.is_primary for p in placements) == 8
+        assert sum(p.strand == -1 for p in placements) == 101
+        rows = "\n".join(
+            f"{p.read_name}\t{p.pos}\t{p.strand}\t{p.weight:.6f}\t{p.cigar}"
+            for p in placements
+        )
+        assert hashlib.sha256(rows.encode()).hexdigest() == (
+            "fa72a6e5d6ebac1e7dd3884efbf41d46db0f658821e75a2c7a6cee43c6e579b5"
+        )
+
     def test_validation(self, setup):
         _, pipe = setup
         with pytest.raises(PipelineError):

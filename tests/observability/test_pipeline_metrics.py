@@ -84,11 +84,10 @@ class TestSerialInvariants:
         assert child_sum <= snap.span_seconds("map_reads") + 1e-9
         assert snap.total_span_seconds() <= wall + 1e-9
 
-        # The legacy flat timers mirror the spans exactly.
+        # The result's own snapshot is the same clock, not a second one.
         for stage in ("seed", "align", "accumulate", "call"):
-            assert result.timers[stage].elapsed == pytest.approx(
-                snap.leaf_totals()[stage][0]
-            )
+            assert result.metrics.leaf_totals()[stage] == snap.leaf_totals()[stage]
+        assert not result.metrics.events
 
     def test_cells_match_batch_geometry(self, workload, reads):
         with scope() as reg:

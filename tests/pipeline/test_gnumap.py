@@ -47,9 +47,15 @@ class TestEndToEnd:
         )
 
     def test_timers_populated(self, result):
+        totals = result.metrics.leaf_totals()
         for stage in ("seed", "align", "accumulate", "call"):
-            assert stage in result.timers
-            assert result.timers[stage].elapsed > 0
+            seconds, count = totals[stage]
+            assert seconds > 0 and count > 0
+        assert result.reads_per_second > 0
+
+    def test_timers_parameter_is_gone(self, pipeline, workload):
+        with pytest.raises(TypeError):
+            pipeline.map_reads(workload.reads[:1], timers=object())
 
     def test_alt_alleles_match_truth(self, result, workload):
         counts = compare_to_truth(result.snps, workload.catalog, allele_aware=True)

@@ -94,33 +94,38 @@ class TestPairedPipeline:
         assert acc.total_depth().sum() > 60  # both mates deposited
 
 
+@pytest.fixture(scope="module")
+def repeat_case():
+    """A SNP planted inside one copy of an *exact* 300 bp repeat."""
+    ref, _, _, repeats, pcfg = paired_workload(
+        length=30_000, n_snps=0, seed=15,
+        n_repeats=1, repeat_length=300, repeat_divergence=0.0,
+        insert_mean=450.0,
+    )
+    rep = repeats[0]
+    pos = rep.src_start + 150
+    alt = (int(ref.codes[pos]) + 1) % 4
+    catalog = VariantCatalog([Variant(pos, int(ref.codes[pos]), alt)])
+    (hap,) = apply_variants(ref, catalog)
+    pairs = PairedReadSimulator(
+        [hap],
+        PairedReadSimSpec(read_length=62, coverage=20.0,
+                          insert_mean=450.0, insert_sd=25.0,
+                          error_model=IlluminaErrorModel()),
+        seed=16,
+    ).simulate()
+    result = PairedGnumap(ref, PipelineConfig(), pcfg).run(pairs)
+    return ref, pairs, pcfg, pos, rep.copy_start + 150, alt, result
+
+
 class TestRepeatDisambiguation:
-    def test_pairing_concentrates_weight_on_true_copy(self):
+    def test_pairing_concentrates_weight_on_true_copy(self, repeat_case):
         """The paired pipeline's reason to exist: a SNP inside an *exact*
         repeat is 50/50-ambiguous for single-end reads, but a mate anchored
         in unique flanking sequence pins the fragment, so the paired caller
         assigns the variant to the true copy (and calls it homozygous there,
         rather than a phantom het at both copies)."""
-        ref, _, _, repeats, pcfg = paired_workload(
-            length=30_000, n_snps=0, seed=15,
-            n_repeats=1, repeat_length=300, repeat_divergence=0.0,
-            insert_mean=450.0,
-        )
-        rep = repeats[0]
-        pos = rep.src_start + 150
-        copy_pos = rep.copy_start + 150
-        alt = (int(ref.codes[pos]) + 1) % 4
-        catalog = VariantCatalog([Variant(pos, int(ref.codes[pos]), alt)])
-        (hap,) = apply_variants(ref, catalog)
-        pairs = PairedReadSimulator(
-            [hap],
-            PairedReadSimSpec(read_length=62, coverage=20.0,
-                              insert_mean=450.0, insert_sd=25.0,
-                              error_model=IlluminaErrorModel()),
-            seed=16,
-        ).simulate()
-
-        result = PairedGnumap(ref, PipelineConfig(), pcfg).run(pairs)
+        _, _, _, pos, copy_pos, alt, result = repeat_case
         z = result.accumulator.snapshot()
         true_alt_mass = z[pos, alt]
         copy_alt_mass = z[copy_pos, alt]
@@ -128,3 +133,20 @@ class TestRepeatDisambiguation:
         assert true_alt_mass > 2.0 * copy_alt_mass, (true_alt_mass, copy_alt_mass)
         called = {s.pos for s in result.snps}
         assert pos in called
+
+    def test_band_mode_is_honoured_and_calls_match(self, repeat_case):
+        ref, pairs, pcfg, *_, full = repeat_case
+        banded = PairedGnumap(ref, PipelineConfig(band_mode="adaptive"), pcfg).run(pairs)
+        assert banded.metrics.counter("phmm.cells_banded") > 0
+        assert full.metrics.counter("phmm.cells_banded") == 0
+        assert [(s.pos, s.alt_name) for s in banded.snps] == [
+            (s.pos, s.alt_name) for s in full.snps
+        ]
+
+    def test_run_is_measured_by_the_pipeline_spans(self, repeat_case):
+        *_, result = repeat_case
+        stages = result.metrics.span_node("map_reads")["children"]
+        assert {"seed", "align", "accumulate"} <= set(stages)
+        assert result.metrics.counter("pipeline.reads") == result.stats.n_reads
+        assert result.metrics.counter("pipeline.pairs") == result.stats.n_pairs
+        assert result.reads_per_second > 0

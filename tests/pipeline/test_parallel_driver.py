@@ -94,24 +94,52 @@ class TestMemorySpread:
         assert got == serial_snps
 
 
+class TestGroupCount:
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    def test_default_is_one_group_per_rank(self, workload, config, n_ranks):
+        calib = ComputeCalibration(2e-4, 8e-4, 1.3, 2e-6, 3e-6)
+        runs = [
+            Cluster(n_ranks, LogGPModel()).run(
+                run_memory_spread, workload.reference, workload.reads[:600],
+                config, calib, n_groups,
+            )
+            for n_groups in (None, n_ranks)
+        ]
+        implicit, explicit = (r.results[0] for r in runs)
+        assert implicit.snps == explicit.snps
+        assert implicit.stats == explicit.stats
+        assert runs[0].makespan == runs[1].makespan
+
+    def test_viterbi_mode_rejected(self, workload):
+        """One-hot-best cannot be decided per rank; dropping the field
+        silently (marginal evidence, softmax weights) is not an option."""
+        from repro.errors import CommError, PipelineError
+
+        with pytest.raises(CommError, match="posterior_mode") as exc:
+            Cluster(2, timeout=10.0).run(
+                run_memory_spread, workload.reference, workload.reads,
+                PipelineConfig(posterior_mode="viterbi"),
+            )
+        assert isinstance(exc.value.__cause__, PipelineError)
+
+
 class TestHybrid:
     @pytest.mark.parametrize("n_ranks,n_groups", [(4, 2), (6, 3), (4, 1), (2, 2)])
     def test_matches_serial(self, workload, config, serial_snps, n_ranks, n_groups):
-        from repro.pipeline.parallel_driver import run_hybrid
-
         res = Cluster(n_ranks).run(
-            run_hybrid, workload.reference, workload.reads, config, None, n_groups
+            run_memory_spread, workload.reference, workload.reads, config, None,
+            n_groups,
         )
         got = {(s.pos, s.alt_name) for s in res.results[0].snps}
         assert got == serial_snps
 
     def test_indivisible_world_rejected(self, workload, config):
         from repro.errors import CommError
-        from repro.pipeline.parallel_driver import run_hybrid
 
         with pytest.raises(CommError):
             Cluster(5, timeout=10.0).run(
-                run_hybrid, workload.reference, workload.reads, config, None, 2
+                run_memory_spread, workload.reference, workload.reads, config,
+                None, 2,
             )
 
     def test_hybrid_seeds_less_than_memory_spread(self, workload, config):
@@ -121,14 +149,12 @@ class TestHybrid:
         calib = ComputeCalibration.measure(
             workload.reference, workload.reads[:150], config
         )
-        from repro.pipeline.parallel_driver import run_hybrid
-
         cost = LogGPModel()
         ms = Cluster(4, cost).run(
             run_memory_spread, workload.reference, workload.reads, config, calib
         ).makespan
         hy = Cluster(4, cost).run(
-            run_hybrid, workload.reference, workload.reads, config, calib, 2
+            run_memory_spread, workload.reference, workload.reads, config, calib, 2
         ).makespan
         assert hy < ms
 

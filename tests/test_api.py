@@ -62,6 +62,11 @@ class TestEngine:
         assert np.allclose(
             staged.accumulator.snapshot(), one_shot.accumulator.snapshot()
         )
+        # the staged result's metrics are the merge of every verb's snapshot
+        assert staged.metrics.span_count("map_reads") == 2
+        assert staged.metrics.span_count("call") == 1
+        assert staged.metrics.counter("pipeline.reads") == len(workload.reads)
+        assert one_shot.metrics.span_count("map_reads") == 1
 
     def test_call_before_map_raises(self, workload):
         with pytest.raises(PipelineError):
