@@ -41,6 +41,24 @@ DEFAULT_K = 10
 CsrTriple = "tuple[np.ndarray, np.ndarray, np.ndarray]"
 
 
+def gather_runs(
+    table: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Concatenate the runs ``table[starts[i] : starts[i] + counts[i]]``.
+
+    Returns ``(values, run_index)``: the gathered rows as ``int64`` and, for
+    each, the ``i`` of the run it came from — no Python loop over runs.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    run_index = np.repeat(np.arange(counts.size), counts)
+    # Output slot t of a run reads table row t + (run start - output start).
+    rows = np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    return table[rows].astype(np.int64, copy=False), run_index
+
+
 class GenomeIndex:
     """Exact-match k-mer index over a reference genome.
 
@@ -234,9 +252,7 @@ class GenomeIndex:
             keep = counts <= max_positions_per_kmer
             n_masked = int((~keep).sum())
             if not keep.all():
-                keep_rows = np.zeros(kmers.size, dtype=bool)
-                for s, c in zip(starts[keep], counts[keep]):
-                    keep_rows[s : s + c] = True
+                keep_rows = np.repeat(keep, counts)  # kmers is sorted by group
                 kmers = kmers[keep_rows]
                 positions = positions[keep_rows]
                 unique, starts, counts = np.unique(
@@ -265,10 +281,12 @@ class GenomeIndex:
 
     def lookup(self, packed_kmer: int) -> np.ndarray:
         """Genome positions where ``packed_kmer`` begins (possibly empty)."""
-        i = np.searchsorted(self._unique_kmers, packed_kmer)
-        if i >= self._unique_kmers.size or self._unique_kmers[i] != packed_kmer:
+        starts, counts = self._locate(
+            self._unique_kmers, self._offsets, np.array([packed_kmer])
+        )
+        if counts[0] == 0:
             return np.empty(0, dtype=np.int64)
-        return self._positions[self._offsets[i] : self._offsets[i + 1]]
+        return self._positions[starts[0] : starts[0] + counts[0]]
 
     def lookup_many(self, packed_kmers: np.ndarray) -> "list[np.ndarray]":
         """Multi-kmer lookup: one position array per query."""
@@ -288,12 +306,30 @@ class GenomeIndex:
         Returns ``(hit_positions, query_indices)`` — flat arrays where
         ``hit_positions[t]`` is a genome hit for query
         ``packed_kmers[query_indices[t]]``; entries are grouped by query in
-        ascending order.  This is the seeding hot path: no Python-level loop
-        over queries or hits.
+        ascending order.  No Python-level loop over queries or hits.
         """
-        return self._flat_lookup(
-            self._unique_kmers, self._offsets, self._positions, packed_kmers
-        )
+        starts, counts = self._locate(self._unique_kmers, self._offsets, packed_kmers)
+        return gather_runs(self._positions, starts, counts)
+
+    def _seed_table(self) -> CsrTriple:
+        """The table seeding queries: the long-seed one when it was built."""
+        return self.csr_arrays() if self._long_kmers is None else self.long_csr_arrays()
+
+    def locate_seeds(self, packed_seeds: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Where each query's hits sit in the seeding table, without
+        materialising them: ``(starts, counts)`` per query (count 0 = not
+        indexed).  ``counts.sum()`` is the size of what :meth:`seed_hits`
+        would return, so a caller can bound its transients first.
+        """
+        unique_kmers, offsets, _ = self._seed_table()
+        return self._locate(unique_kmers, offsets, packed_seeds)
+
+    def seed_hits(
+        self, starts: np.ndarray, counts: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Materialise located seeds (or any slice of them) as
+        ``(hit_positions, query_indices)``, grouped by query."""
+        return gather_runs(self._seed_table()[2], starts, counts)
 
     def lookup_seeds_flat(
         self, packed_seeds: np.ndarray
@@ -304,39 +340,25 @@ class GenomeIndex:
         the packed values must then be ``seed_len``-wide), else the base
         ``k`` table — callers pack their seeds at :attr:`seed_width`.
         """
-        if self._long_kmers is None:
-            return self.lookup_flat(packed_seeds)
-        assert self._long_offsets is not None and self._long_positions is not None
-        return self._flat_lookup(
-            self._long_kmers, self._long_offsets, self._long_positions, packed_seeds
-        )
+        return self.seed_hits(*self.locate_seeds(packed_seeds))
 
     @staticmethod
-    def _flat_lookup(
-        unique_kmers: np.ndarray,
-        offsets: np.ndarray,
-        positions: np.ndarray,
-        packed_kmers: np.ndarray,
+    def _locate(
+        unique_kmers: np.ndarray, offsets: np.ndarray, packed_kmers: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
-        queries = np.asarray(packed_kmers, dtype=np.int64)
+        queries = np.asarray(packed_kmers)
         if queries.size == 0 or unique_kmers.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        idx = np.searchsorted(unique_kmers, queries)
-        idx_c = np.minimum(idx, unique_kmers.size - 1)
-        found = unique_kmers[idx_c] == queries
-        starts = offsets[idx_c].astype(np.int64)
-        counts = np.where(
-            found, offsets[idx_c + 1].astype(np.int64) - starts, 0
-        )
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        qidx = np.repeat(np.arange(queries.size), counts)
-        # offset of each output slot within its query's hit run
-        run_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        within = np.arange(total) - np.repeat(run_starts, counts)
-        hit_pos = positions[np.repeat(starts, counts) + within].astype(np.int64)
-        return hit_pos, qidx
+            nothing = np.zeros(queries.size, dtype=np.int64)
+            return nothing, nothing
+        # Search in the table's dtype: a mixed-dtype searchsorted converts
+        # the whole table on every call.  A query the table dtype cannot
+        # hold is in no table, so it is "not found", never wrapped.
+        narrow = queries.astype(unique_kmers.dtype, copy=False)
+        idx = np.minimum(np.searchsorted(unique_kmers, narrow), unique_kmers.size - 1)
+        found = (unique_kmers[idx] == narrow) & (narrow == queries)
+        starts = offsets[idx].astype(np.int64)
+        counts = np.where(found, offsets[idx + 1] - starts, 0)
+        return starts, counts
 
     def nbytes(self) -> int:
         """Bytes held by the index arrays (used by the footprint model)."""

@@ -4,7 +4,9 @@ Each seed hit at genome position ``g`` for read offset ``r`` implies the
 read would start at diagonal ``g - r``.  Hits are grouped by (strand,
 binned diagonal); a group with enough distinct supporting seeds becomes a
 :class:`CandidateRegion` handed to the Pair-HMM.  Both strands are always
-queried — the reverse-complemented read is seeded independently.
+queried.  Seeding works on a *block* of reads at a time
+(:meth:`Seeder.candidates_batch`): every stage is one NumPy pass over the
+block's concatenated sequences, keyed by ``(sequence, diagonal)``.
 
 Two upstream-pruning stages (both off by default) shrink the candidate
 list before any Pair-HMM runs:
@@ -26,6 +28,7 @@ list before any Pair-HMM runs:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,7 @@ import numpy as np
 from repro.errors import IndexError_
 from repro.genome.alphabet import reverse_complement
 from repro.genome.fastq import Read
-from repro.index.hashindex import GenomeIndex
+from repro.index.hashindex import GenomeIndex, gather_runs
 from repro.index.kmer import MAX_K, rolling_kmers
 from repro.observability import current as metrics
 
@@ -145,33 +148,72 @@ class SeederConfig:
             )
 
 
+#: Most seed hits (or, in the filter, reference q-gram rows) one pass
+#: materialises, at ~100 bytes of transients each; a block holding more is
+#: worked through in slices.  Cache-sized slices are also the fastest.
+_PASS_BUDGET = 1 << 16
+
+
+def _budget_slices(sizes: np.ndarray, budget: int) -> "list[tuple[int, int]]":
+    """Cut ``range(len(sizes))`` into consecutive ``(lo, hi)`` slices whose
+    sizes sum to about ``budget`` (at most one item over it)."""
+    ends = np.cumsum(sizes)
+    if ends.size == 0 or ends[-1] <= budget:
+        return [(0, int(sizes.size))]
+    cuts = np.flatnonzero(np.diff((ends - sizes) // budget)) + 1
+    return list(zip([0, *cuts.tolist()], [*cuts.tolist(), int(sizes.size)]))
+
+
+def _cluster_runs(
+    keys: np.ndarray, votes: np.ndarray, slack: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Bounded-width clusters of sorted distinct ``keys`` carrying ``votes``.
+
+    A *run* is a maximal stretch of keys with no gap wider than ``slack``.
+    A run no wider than ``slack`` overall (nearly all of them) is one
+    cluster — representative the highest-vote key (first on ties), votes
+    the run's sum — found by segment reductions.  A wider run, keys chained
+    pairwise within ``slack``, goes through :func:`_split_run` so no cluster
+    takes votes from beyond ``slack`` of its representative.  Returns
+    ``(representatives, total_votes)``, representatives ascending.
+    """
+    n = keys.size
+    if n == 0:
+        return keys, votes
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys) > slack) + 1))
+    ends = np.append(starts[1:], n)
+    totals = np.add.reduceat(votes, starts)
+    # First highest-vote member of each run: one max over (votes, -index).
+    score = votes * n + np.arange(n - 1, -1, -1)
+    reps = keys[n - 1 - np.maximum.reduceat(score, starts) % n]
+    wide = np.flatnonzero(keys[ends - 1] - keys[starts] > slack)
+    if wide.size:
+        split: "list[tuple[int, int]]" = []
+        for a, b in zip(starts[wide].tolist(), ends[wide].tolist()):
+            _split_run(keys[a:b], votes[a:b], slack, split)
+        narrow = np.ones(starts.size, dtype=bool)
+        narrow[wide] = False
+        extra = np.array(split, dtype=np.int64)
+        reps = np.concatenate((reps[narrow], extra[:, 0]))
+        totals = np.concatenate((totals[narrow], extra[:, 1]))
+        order = np.argsort(reps)
+        reps, totals = reps[order], totals[order]
+    return reps, totals
+
+
 def cluster_diagonals(
     udiags: np.ndarray, votes: np.ndarray, slack: int
 ) -> "list[tuple[int, int]]":
-    """Cluster sorted unique diagonals into bounded-width groups.
+    """Cluster one sequence's sorted unique diagonals (the one-sequence
+    form of :func:`_cluster_runs`, which seeding runs on a whole block).
 
-    First chain-splits at gaps wider than ``slack`` (as before), then
-    splits each chained run so every member diagonal lies within
-    ``slack`` of its cluster's *representative* (the highest-vote
-    diagonal, first on ties).  The second step is the fix for the
-    transitive-merge bug: a chain of diagonals each within ``slack`` of
-    the previous one used to collapse into a single cluster spanning far
-    more than ``slack``, mis-centering the band and inflating support
-    with votes the band could never reach.  For runs no wider than
-    ``slack`` (the overwhelmingly common case) both steps agree and the
-    output is identical to the historical clustering.
-
-    Returns ``(representative_diagonal, total_votes)`` pairs; votes of
-    each diagonal are attributed to exactly one cluster.
+    Returns ``(representative_diagonal, total_votes)`` pairs, ascending;
+    each diagonal's votes go to exactly one cluster.
     """
-    out: "list[tuple[int, int]]" = []
-    run_start = 0
-    for i in range(1, udiags.size):
-        if int(udiags[i]) - int(udiags[i - 1]) > slack:
-            _split_run(udiags[run_start:i], votes[run_start:i], slack, out)
-            run_start = i
-    _split_run(udiags[run_start:], votes[run_start:], slack, out)
-    return out
+    reps, totals = _cluster_runs(
+        np.asarray(udiags, dtype=np.int64), np.asarray(votes, dtype=np.int64), slack
+    )
+    return list(zip(reps.tolist(), totals.tolist()))
 
 
 def _split_run(
@@ -203,19 +245,18 @@ class Seeder:
                 f"seed_len={index.seed_len}; build the GenomeIndex with "
                 f"seed_len={want} (or clear the config knob)"
             )
-        self._ref_qgrams: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._ref_qgrams: "np.ndarray | None" = None
 
-    def _reference_qgrams(self) -> "tuple[np.ndarray, np.ndarray]":
-        """Genome-wide ``(packed, valid)`` q-gram table, built once.
+    def _reference_qgrams(self) -> np.ndarray:
+        """Genome-wide packed q-gram per position (-1 where the window
+        touches an N, which matches nothing), built once.
 
         ``rolling_kmers`` is purely positional, so the q-grams of any
-        window ``ref[lo:hi]`` are exactly rows ``lo .. hi - q`` of this
-        table — every per-cluster window recompute collapses to a slice.
+        window ``ref[lo:hi]`` are exactly rows ``lo .. hi - q`` of this table.
         """
         if self._ref_qgrams is None:
-            self._ref_qgrams = rolling_kmers(
-                self.index.reference.codes, self.config.qgram_q
-            )
+            packed, valid = rolling_kmers(self.index.reference.codes, self.config.qgram_q)
+            self._ref_qgrams = np.where(valid, packed, -1)
         return self._ref_qgrams
 
     def candidates(self, read: Read) -> list[CandidateRegion]:
@@ -223,139 +264,160 @@ class Seeder:
 
         Reads shorter than the seed width yield no candidates.
         """
-        out: list[CandidateRegion] = []
-        out.extend(self._one_strand(read.codes, strand=1))
-        out.extend(self._one_strand(reverse_complement(read.codes), strand=-1))
-        out.sort(key=lambda c: (-c.support, c.start, c.strand))
-        n_found = len(out)
-        out = out[: self.config.max_candidates]
+        return self.candidates_batch([read])[0]
+
+    def candidates_batch(self, reads: "Sequence[Read]") -> "list[list[CandidateRegion]]":
+        """:meth:`candidates` of every read, seeded as one block.
+
+        Both strands of all reads are one concatenated code array; k-mer
+        packing, index lookup, diagonal votes, clustering, q-gram filter,
+        ordering and the ``max_candidates`` cut are each one NumPy pass
+        over it.  Lists and ``seed.*`` metrics do not depend on how reads
+        are divided into blocks.
+        """
+        out: "list[list[CandidateRegion]]" = []
+        # The filter's (sequence, q-gram) keys need 2*reads * 4**q < 2**63.
+        most = len(reads)
+        if self.config.qgram_filter:
+            most = (1 << 62) >> (2 * self.config.qgram_q)
+        for lo in range(0, len(reads), max(1, most)):
+            out.extend(self._seed_block(reads[lo : lo + most]))
+        return out
+
+    def _seed_block(self, reads: "Sequence[Read]") -> "list[list[CandidateRegion]]":
+        cfg = self.config
+        n = len(reads)
+        width = self.index.seed_width
+        glen = len(self.index.reference)
+        # Sequence s < n is read s as given; sequence 2n-1-s is its reverse
+        # complement (the reverse complement of the concatenation).
+        forward = np.concatenate([read.codes for read in reads])
+        codes = np.concatenate((forward, reverse_complement(forward)))
+        lens = np.fromiter(map(len, reads), dtype=np.int64, count=n)
+        lens = np.concatenate((lens, lens[::-1]))
+        seq_of = np.repeat(np.arange(2 * n), lens)
+        offset_of = np.arange(codes.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        # Diagonals lie in (-max_len, glen]; shifted by max_len and spaced
+        # so that neighbouring sequences are further than `slack` apart,
+        # (sequence, diagonal) is one sorted int64 key per hit.
+        shift = int(lens.max(initial=0))
+        span = glen + shift + cfg.diagonal_slack + 1
+        if 2 * n * span >= 1 << 63:
+            raise IndexError_(
+                f"a block of {n} reads against {glen} bases overflows the "
+                "int64 (sequence, diagonal) seeding keys; seed fewer reads per call"
+            )
+
+        packed, valid = rolling_kmers(codes, width)
+        # A window is a seed only inside one sequence, N-free, on the step.
+        valid &= seq_of[: packed.size] == seq_of[width - 1 :]
+        if cfg.step > 1:
+            valid &= offset_of[: packed.size] % cfg.step == 0
+        at = np.flatnonzero(valid)
+        q_seq, q_off = seq_of[at], offset_of[at]
+        starts, counts = self.index.locate_seeds(packed[at])
+
+        # Hits are distinct (offset, position) pairs, so a diagonal's votes
+        # are simply its hits: one sort + count per slice of sequences.
+        found: "list[np.ndarray]" = []  # per slice: (cluster keys, votes) rows
+        per_seq = np.bincount(q_seq, weights=counts, minlength=2 * n)
+        for a, b in _budget_slices(per_seq, _PASS_BUDGET):
+            qa, qb = np.searchsorted(q_seq, (a, b))
+            hit_pos, qidx = self.index.seed_hits(starts[qa:qb], counts[qa:qb])
+            if hit_pos.size == 0:
+                continue
+            qidx += qa
+            keys, votes = np.unique(
+                q_seq[qidx] * span + (hit_pos - q_off[qidx] + shift),
+                return_counts=True,
+            )
+            reps, totals = _cluster_runs(keys, votes, cfg.diagonal_slack)
+            keep = totals >= cfg.min_support
+            found.append(np.stack((reps[keep], totals[keep])))
+        c_key, support = np.concatenate(found, axis=1) if found else np.empty((2, 0), np.int64)
+        c_seq, diagonal = c_key // span, c_key % span - shift
+        if cfg.qgram_filter and c_key.size:
+            keep = self._qgram_keep(codes, seq_of, lens, c_seq, diagonal)
+            c_seq, diagonal, support = c_seq[keep], diagonal[keep], support[keep]
+
+        reverse = c_seq >= n
+        read_of = np.where(reverse, 2 * n - 1 - c_seq, c_seq)
+        strand = np.where(reverse, -1, 1)
+        # The clip never fires for a diagonal that came from a genome hit;
+        # it pins the documented contract that `start` always leaves the
+        # alignment window some genome overlap.
+        start = np.clip(diagonal, 1 - lens[c_seq], glen - 1)
+        order = np.lexsort((diagonal, strand, start, -support, read_of))
+        n_found = np.bincount(read_of, minlength=n)
+        n_kept = np.minimum(n_found, cfg.max_candidates)
+        rank = np.arange(order.size) - np.repeat(np.cumsum(n_found) - n_found, n_found)
+        best = order[rank < cfg.max_candidates]
+        fields = (start, strand, support, diagonal)
+        regions = [
+            CandidateRegion(*row) for row in zip(*(f[best].tolist() for f in fields))
+        ]
+        bounds = np.cumsum(n_kept).tolist()
         reg = metrics()
-        reg.inc("seed.reads")
+        reg.inc("seed.reads", n)
         # Pre-truncation count: `seed.candidates` is what seeding *found*;
         # the max_candidates cap's effect is visible as candidates_dropped.
-        reg.inc("seed.candidates", n_found)
-        if n_found > len(out):
-            reg.inc("seed.candidates_dropped", n_found - len(out))
-        reg.observe("seed.candidates_per_read", float(len(out)))
-        return out
+        reg.inc("seed.candidates", int(c_seq.size))
+        if len(regions) < c_seq.size:
+            reg.inc("seed.candidates_dropped", int(c_seq.size) - len(regions))
+        per_read = np.bincount(n_kept)
+        for kept in np.flatnonzero(per_read).tolist():
+            reg.observe("seed.candidates_per_read", float(kept), int(per_read[kept]))
+        return [regions[a:b] for a, b in zip([0, *bounds[:-1]], bounds)]
 
-    def _one_strand(self, codes: np.ndarray, strand: int) -> list[CandidateRegion]:
-        width = self.index.seed_width
-        packed, valid = rolling_kmers(codes, width)
-        if packed.size == 0:
-            return []
-        cfg = self.config
-        offsets = np.arange(packed.size)[:: cfg.step]
-        keep = valid[offsets]
-        offsets = offsets[keep]
-        if offsets.size == 0:
-            return []
-        hit_pos, qidx = self.index.lookup_seeds_flat(packed[offsets])
-        if hit_pos.size == 0:
-            return []
-        offs = offsets[qidx]
-        diags = hit_pos - offs
-        # Distinct (diagonal, offset) support pairs, then per-diagonal vote
-        # counts — all in NumPy; Python only touches the (few) unique
-        # diagonals during slack clustering.
-        span = int(codes.size)  # offsets < span, so this key is injective
-        keys = np.unique(diags * span + offs)
-        pair_diags = keys // span
-        udiags, votes = np.unique(pair_diags, return_counts=True)
+    def _qgram_keep(
+        self, codes: np.ndarray, seq_of: np.ndarray, lens: np.ndarray,
+        c_seq: np.ndarray, diagonal: np.ndarray,
+    ) -> np.ndarray:
+        """PEANUT-style filtration: which clusters' reference windows share
+        enough distinct q-grams with their sequence.
 
-        clusters = cluster_diagonals(udiags, votes, cfg.diagonal_slack)
-        clusters.sort()  # ascending diagonal, as the chain scan emitted them
-
-        m = int(codes.size)
-        glen = len(self.index.reference)
-        survivors = [(rep, tv) for rep, tv in clusters if tv >= cfg.min_support]
-        if cfg.qgram_filter and survivors:
-            survivors = self._qgram_filter(codes, survivors, glen)
-        out = []
-        for rep, total_votes in survivors:
-            # rep is provably within [-(m - width), glen - width] (it came
-            # from a genome hit), so this clip never fires in practice; it
-            # pins the documented contract that `start` always leaves the
-            # alignment window some genome overlap.
-            start = min(max(rep, -(m - 1)), glen - 1)
-            out.append(
-                CandidateRegion(
-                    start=start, strand=strand, support=total_votes, diagonal=rep
-                )
-            )
-        return out
-
-    def _qgram_filter(
-        self,
-        codes: np.ndarray,
-        clusters: "list[tuple[int, int]]",
-        glen: int,
-    ) -> "list[tuple[int, int]]":
-        """PEANUT-style filtration: keep clusters whose reference window
-        shares enough distinct q-grams with the read.
-
-        The window for a cluster at diagonal ``rep`` is the genome slice
-        the band would align against, widened by ``diagonal_slack`` on
-        each side and clamped to the genome.  All clusters are scored in
-        one vectorised pass against the Seeder's cached genome-wide
-        q-gram table (:meth:`_reference_qgrams`): the windows' q-gram
-        rows are gathered with a repeat/arange index, matched against the
-        read's sorted distinct q-grams by ``searchsorted``, and
-        de-duplicated per window with unique ``(window, read-rank)`` keys
-        — no per-cluster Python loop, no per-window ``rolling_kmers``.
+        A cluster's window is the genome slice the band would align
+        against, widened by ``diagonal_slack`` each side and clamped to the
+        genome.  The block's distinct ``(sequence, q-gram)`` pairs are one
+        sorted key array; each window's rows of the genome-wide q-gram
+        table take their cluster's sequence as the high bits and are
+        matched by one ``searchsorted``, whose rank also de-duplicates a
+        window's matches.
         """
         cfg = self.config
         q = cfg.qgram_q
-        m = int(codes.size)
-        if m < q:
-            return clusters  # read too short to carry q-grams; filter is moot
+        glen = len(self.index.reference)
         packed, valid = rolling_kmers(codes, q)
-        read_q = np.unique(packed[valid])
-        if read_q.size == 0:
-            return clusters
-        ref_packed, ref_valid = self._reference_qgrams()
-        reg = metrics()
-        reps = np.array([rep for rep, _ in clusters], dtype=np.int64)
-        lo = np.maximum(0, reps - cfg.diagonal_slack)
-        hi = np.minimum(glen, reps + m + cfg.diagonal_slack)
+        valid &= seq_of[: packed.size] == seq_of[q - 1 :]
+        own = np.unique((seq_of[: packed.size][valid] << (2 * q)) | packed[valid])
+        n_own = np.bincount(own >> (2 * q), minlength=lens.size)
+        # A sequence too short (or too N-ridden) to carry a q-gram has
+        # nothing to measure with: the filter is moot and keeps its clusters.
+        keep = n_own[c_seq] == 0
+        lo = np.maximum(0, diagonal - cfg.diagonal_slack)
+        hi = np.minimum(glen, diagonal + lens[c_seq] + cfg.diagonal_slack)
         # Number of q-gram start positions each window holds; <= 0 means
         # the window can't hold one q-gram (candidate almost entirely
         # off-genome): nothing to measure, drop it.
-        n_window_q = hi - lo - q + 1
-        measurable = n_window_q > 0
-        idx_m = np.flatnonzero(measurable)
-        lengths = n_window_q[idx_m]
-        # Gather every measurable window's q-gram rows from the global
-        # table: position j of window w is ref row lo[w] + j.
-        total = int(lengths.sum())
-        win_id = np.repeat(np.arange(idx_m.size), lengths)
-        bounds = np.concatenate(([0], np.cumsum(lengths)))
-        rows = (
-            np.arange(total)
-            - np.repeat(bounds[:-1], lengths)
-            + np.repeat(lo[idx_m], lengths)
-        )
-        vals = ref_packed[rows]
-        # Membership of each window q-gram in the read's sorted distinct
-        # q-grams; rank doubles as a stable per-read q-gram identifier.
-        rank = np.searchsorted(read_q, vals)
-        inb = rank < read_q.size
-        hit = ref_valid[rows] & inb
-        hit[hit] &= read_q[rank[hit]] == vals[hit]
-        # Distinct matched q-grams per window: unique (window, rank) keys.
-        keys = np.unique(win_id[hit] * np.int64(read_q.size) + rank[hit])
-        matches = np.bincount(
-            keys // np.int64(read_q.size), minlength=idx_m.size
-        )
-        # An edge-clamped window can't contain all read q-grams no matter
-        # how perfect the overlap — scale the bar to capacity.
-        capacity = np.minimum(read_q.size, lengths)
-        needed = np.maximum(
-            1, np.ceil(cfg.filter_threshold * capacity).astype(np.int64)
-        )
-        keep = np.zeros(reps.size, dtype=bool)
-        keep[idx_m] = matches >= needed
-        n_dropped = int(reps.size - keep.sum())
+        rows_in = hi - lo - q + 1
+        scored = np.flatnonzero(~keep & (rows_in > 0))
+        rows_in, lo, w_seq = rows_in[scored], lo[scored], c_seq[scored]
+        ref_qgrams = self._reference_qgrams()
+        matches = np.zeros(scored.size, dtype=np.int64)
+        for a, b in _budget_slices(rows_in, _PASS_BUDGET):
+            # Row j of window w is reference q-gram lo[w] + j.
+            values, window = gather_runs(ref_qgrams, lo[a:b], rows_in[a:b])
+            wanted = (w_seq[a:b][window] << (2 * q)) | values
+            rank = np.searchsorted(own, wanted)
+            hit = np.flatnonzero(own[np.minimum(rank, own.size - 1)] == wanted)
+            distinct = np.unique(window[hit] * own.size + rank[hit])
+            matches[a:b] = np.bincount(distinct // own.size, minlength=b - a)
+        # An edge-clamped window can't contain all the sequence's q-grams
+        # no matter how perfect the overlap — scale the bar to capacity.
+        capacity = np.minimum(n_own[w_seq], rows_in)
+        needed = np.maximum(1, np.ceil(cfg.filter_threshold * capacity).astype(np.int64))
+        keep[scored] = matches >= needed
+        n_dropped = int(keep.size - np.count_nonzero(keep))
         if n_dropped:
-            reg.inc("seed.filtered", n_dropped)
-        return [pair for pair, ok in zip(clusters, keep) if ok]
+            metrics().inc("seed.filtered", n_dropped)
+        return keep

@@ -191,21 +191,26 @@ class GnumapSnp:
             stack = PairStack()
 
         with span("map_reads"):
-            for ridx, read in enumerate(reads):
-                stats.n_reads += 1
+            # Step A runs a block of reads at a time; steps B/C then stack
+            # them read by read, so Pair-HMM batches are cut where they
+            # always were.
+            for lo in range(0, len(reads), cfg.batch_size):
+                block = reads[lo : lo + cfg.batch_size]
                 with span("seed"):
-                    candidates = self.seeder.candidates(read)
-                if not candidates:
-                    stats.n_unmapped += 1
-                    continue
-                stats.n_mapped += 1
-                stats.n_pairs += len(candidates)
-                if read_len is not None and len(read) != read_len:
-                    flush()
-                read_len = len(read)
-                stack.add_read(read, candidates, cfg, ridx)
-                if len(stack) >= cfg.batch_size:
-                    flush()
+                    seeded = self.seeder.candidates_batch(block)
+                for ridx, (read, candidates) in enumerate(zip(block, seeded), lo):
+                    stats.n_reads += 1
+                    if not candidates:
+                        stats.n_unmapped += 1
+                        continue
+                    stats.n_mapped += 1
+                    stats.n_pairs += len(candidates)
+                    if read_len is not None and len(read) != read_len:
+                        flush()
+                    read_len = len(read)
+                    stack.add_read(read, candidates, cfg, ridx)
+                    if len(stack) >= cfg.batch_size:
+                        flush()
             flush()
         if read_len is not None:
             # Band-aware work estimate: modelled DP-cell fraction per

@@ -28,6 +28,7 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
+from repro.index.seeding import CandidateRegion
 from repro.memory.base import Accumulator
 from repro.observability import scope, span
 from repro.phmm.scoring import normalize_location_weights
@@ -86,10 +87,10 @@ class PairedGnumap:
         return self.pipeline.config
 
     # -- per-mate alignment ----------------------------------------------------
-    def _align_mate(self, read: Read) -> "PairEvidence | None":
+    def _align_mate(
+        self, read: Read, candidates: "list[CandidateRegion]"
+    ) -> "PairEvidence | None":
         """One mate's candidates through the shared step B core."""
-        with span("seed"):
-            candidates = self.pipeline.seeder.candidates(read)
         if not candidates:
             return None
         with span("align"):
@@ -151,7 +152,10 @@ class PairedGnumap:
         with span("map_reads"):
             for pair in pairs:
                 stats.n_reads += 2
-                aligned = (self._align_mate(pair.read1), self._align_mate(pair.read2))
+                both = (pair.read1, pair.read2)
+                with span("seed"):
+                    seeded = self.pipeline.seeder.candidates_batch(both)
+                aligned = [self._align_mate(r, c) for r, c in zip(both, seeded)]
                 mates = [m for m in aligned if m is not None]
                 stats.n_mapped += len(mates)
                 stats.n_unmapped += 2 - len(mates)

@@ -256,13 +256,12 @@ def _process_read_batch(
             "memory-spread driver requires equal-length reads per batch"
         )
     stack = PairStack()
-    for b in np.flatnonzero(read_mask):
-        read = batch[b]
-        owned = [
-            c for c in seeder.candidates(read) if seg.contains(ext_start + c.start)
-        ]
+    mine = np.flatnonzero(read_mask).tolist()
+    seeded = seeder.candidates_batch([batch[b] for b in mine])
+    for b, candidates in zip(mine, seeded):
+        owned = [c for c in candidates if seg.contains(ext_start + c.start)]
         if owned:
-            stack.add_read(read, owned, config, int(b))
+            stack.add_read(batch[b], owned, config, b)
 
     if calibration:
         comm.account_compute(

@@ -73,7 +73,63 @@ class TestLookup:
             assert (hits == idx.lookup(int(q))).all()
 
 
+class TestQueryDtype:
+    """The search runs in the table's dtype (a mixed-dtype ``searchsorted``
+    converts the whole table on every call); a query that dtype cannot hold
+    is in no table and must come back "not found", never wrapped."""
+
+    def test_query_beyond_int32_table_finds_nothing(self):
+        ref, _ = simulate_genome(GenomeSpec(length=2000, n_repeats=0), seed=3)
+        idx = GenomeIndex(ref, k=10)
+        assert idx.csr_arrays()[0].dtype == np.int32
+        present = rolling_kmers(ref.codes, 10)[0][:8]
+        # + 2**32 wraps back onto an indexed k-mer when narrowed to int32.
+        for too_wide in (present + (1 << 32), present + (1 << 31), -present - 1):
+            hits, qidx = idx.lookup_flat(too_wide)
+            assert hits.size == 0 and qidx.size == 0
+            assert all(h.size == 0 for h in idx.lookup_many(too_wide))
+            assert idx.lookup(int(too_wide[0])).size == 0
+        starts, counts = idx.locate_seeds(np.concatenate([present, present + (1 << 32)]))
+        assert (counts[:8] > 0).all() and (counts[8:] == 0).all()
+
+    def test_same_dtype_search_equals_int64_search(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            table = np.unique(rng.integers(0, 1 << 20, rng.integers(1, 300))).astype(np.int32)
+            runs = rng.integers(1, 4, table.size)
+            offsets = np.concatenate([[0], np.cumsum(runs)]).astype(np.int32)
+            queries = rng.integers(-5, (1 << 20) + 5, 200)
+            starts, counts = GenomeIndex._locate(table, offsets, queries)
+            wide = table.astype(np.int64)
+            at = np.minimum(np.searchsorted(wide, queries), wide.size - 1)
+            found = wide[at] == queries
+            assert np.array_equal(counts, np.where(found, runs[at], 0))
+            assert np.array_equal(starts[found], offsets[at][found])
+
+
 class TestRepeatMasking:
+    def test_masked_build_equals_row_by_row_marking(self):
+        """The vectorised drop of over-represented k-mers builds the CSR
+        triple a per-group marking loop would."""
+        ref, _ = simulate_genome(
+            GenomeSpec(length=8000, n_repeats=3, repeat_length=300,
+                       repeat_divergence=0.0),
+            seed=4,
+        )
+        for width, cap in ((4, 30), (10, 2), (10, 1)):
+            idx = GenomeIndex(ref, k=width, max_positions_per_kmer=cap)
+            packed, valid = rolling_kmers(ref.codes, width)
+            where = {}
+            for pos in np.flatnonzero(valid).tolist():
+                where.setdefault(int(packed[pos]), []).append(pos)
+            kept = {kmer: ps for kmer, ps in where.items() if len(ps) <= cap}
+            assert 0 < len(kept) < len(where), "masking must fire and spare some"
+            unique, offsets, positions = idx.csr_arrays()
+            assert unique.tolist() == sorted(kept)
+            assert positions.tolist() == [p for kmer in sorted(kept) for p in kept[kmer]]
+            assert np.diff(offsets).tolist() == [len(kept[kmer]) for kmer in sorted(kept)]
+            assert idx.n_masked_kmers == len(where) - len(kept)
+
     def test_high_frequency_kmers_dropped(self):
         ref = ref_from("A" * 100 + "ACGTACGTCC")
         idx = GenomeIndex(ref, k=5, max_positions_per_kmer=10)

@@ -13,6 +13,7 @@ Three layers:
 """
 
 import json
+import math
 import time
 
 import pytest
@@ -20,6 +21,8 @@ import pytest
 from repro.cli import main
 from repro.experiments.workload import build_workload
 from repro.observability import MetricsRegistry, scope, use
+from repro.observability.snapshot import MetricsSnapshot
+from repro.pipeline.calibration import ComputeCalibration
 from repro.pipeline.config import PipelineConfig
 from repro.api import Engine
 from repro.pipeline.gnumap import GnumapSnp
@@ -88,6 +91,28 @@ class TestSerialInvariants:
         for stage in ("seed", "align", "accumulate", "call"):
             assert result.metrics.leaf_totals()[stage] == snap.leaf_totals()[stage]
         assert not result.metrics.events
+
+        # Step A runs a block of `batch_size` reads per `seed` span; the
+        # span's *total* is still all of seeding, which is what throughput
+        # and the calibration read.
+        totals = result.metrics.leaf_totals()
+        assert totals["seed"][1] == math.ceil(len(reads) / PipelineConfig().batch_size)
+        mapping = sum(totals[stage][0] for stage in ("seed", "align", "accumulate"))
+        assert result.reads_per_second == len(reads) / mapping
+
+    def test_calibration_reads_the_seed_span_total(self, workload, reads, monkeypatch):
+        seen = []
+        real = MetricsSnapshot.leaf_totals
+
+        def spy(snapshot):
+            seen.append(real(snapshot))
+            return seen[-1]
+
+        monkeypatch.setattr(MetricsSnapshot, "leaf_totals", spy)
+        calibration = ComputeCalibration.measure(workload.reference, reads[:60])
+        seed_seconds, seed_spans = seen[-1]["seed"]
+        assert seed_spans == 1  # 60 reads, one block
+        assert calibration.seconds_per_seed == seed_seconds / 60
 
     def test_cells_match_batch_geometry(self, workload, reads):
         with scope() as reg:
