@@ -77,8 +77,6 @@ def _cmd_call(args: argparse.Namespace) -> int:
         band_mode=args.band_mode,
         band_w=args.band_width,
         band_tolerance=args.band_tolerance,
-        phmm_kernel=args.phmm_kernel,
-        phmm_dtype=args.phmm_dtype,
         alignment_mode=args.alignment_mode,
         parallel=ParallelConfig(
             workers=args.workers,
@@ -137,8 +135,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
         band_mode=args.band_mode,
         band_w=args.band_width,
         band_tolerance=args.band_tolerance,
-        phmm_kernel=args.phmm_kernel,
-        phmm_dtype=args.phmm_dtype,
         alignment_mode=args.alignment_mode,
         seeder=_seeder_config(args),
     )
@@ -283,29 +279,14 @@ def _add_band_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_kernel_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--phmm-kernel",
-        default="rowsweep",
-        choices=["wavefront", "rowsweep"],
-        help="Pair-HMM DP kernel family: 'rowsweep' (per-row kernels, "
-        "default) or 'wavefront' (batched anti-diagonal sweeps; required "
-        "for --phmm-dtype float32)",
-    )
-    p.add_argument(
-        "--phmm-dtype",
-        default="float64",
-        choices=["float64", "float32"],
-        help="wavefront kernel precision; float32 runs the fast path with "
-        "automatic per-pair escalation back to float64 (default: float64)",
-    )
+def _add_alignment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--alignment-mode",
         default="semiglobal",
         choices=["semiglobal", "global"],
         help="PHMM boundary conditions: 'semiglobal' (default; reads may "
         "slide with free edge gaps) or 'global' (paper-literal, end-to-end "
-        "paths; incompatible with --phmm-dtype float32)",
+        "paths)",
     )
 
 
@@ -475,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_call.add_argument("-v", "--verbose", action="store_true")
     _add_seeding_args(p_call)
     _add_band_args(p_call)
-    _add_kernel_args(p_call)
+    _add_alignment_args(p_call)
     _add_metrics_arg(p_call)
     _add_trace_arg(p_call)
     _add_sanitize_arg(p_call)
@@ -489,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--max-secondary", type=int, default=4)
     _add_seeding_args(p_map)
     _add_band_args(p_map)
-    _add_kernel_args(p_map)
+    _add_alignment_args(p_map)
     _add_metrics_arg(p_map)
     _add_trace_arg(p_map)
     _add_sanitize_arg(p_map)

@@ -17,10 +17,10 @@ what turns ``BENCH_*.json`` from a write-only artifact into a trajectory:
 CI diffs the fresh bench against the committed baseline and fails on
 ``--fail-on-regression PCT``.
 
-Works on any JSON of nested dicts with numeric leaves — the
-``repro.metrics/v2`` documents and the ``BENCH_kernels.json`` payload
-alike.  ``schema``/``manifest``/``argv`` headers and raw histogram buckets
-are skipped (derived quantile keys still diff).
+Works on any JSON of nested dicts with numeric leaves, the
+``repro.metrics/v2`` documents included.  ``schema``/``manifest``/``argv``
+headers and raw histogram buckets are skipped (derived quantile keys still
+diff).
 """
 
 from __future__ import annotations

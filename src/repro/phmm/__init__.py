@@ -8,11 +8,12 @@ Layout
     Position-weight matrices from read qualities (the paper's "probabilistic
     extension" that makes emissions quality-aware).
 ``forward_backward``
-    Batched, row-vectorised, scaled forward/backward dynamic programmes.
+    Batched, row-vectorised, scaled forward/backward dynamic programmes —
+    the one kernel pair; an optional band restricts each row's columns.
 ``banded``
-    Seed-guided banded variants of the same DP: fill only a configurable
-    band around each candidate's seed diagonal, with posterior band-edge
-    accounting that drives the adaptive full-kernel escape hatch.
+    Band geometry (:class:`BandSpec`, a diagonal band around a candidate's
+    seed diagonal) and the posterior band-edge audit that drives the
+    adaptive unbanded escape hatch.
 ``reference_impl``
     Slow, loop-based log-space implementation used as the numerical oracle in
     tests (never in the pipeline).
@@ -31,12 +32,7 @@ Layout
 from repro.phmm.model import PHMMParams
 from repro.phmm.pwm import pwm_from_read, reverse_complement_pwm
 from repro.phmm.forward_backward import forward_batch, backward_batch
-from repro.phmm.banded import (
-    BandSpec,
-    band_edge_mass,
-    backward_banded,
-    forward_banded,
-)
+from repro.phmm.banded import BandSpec, band_edge_mass
 from repro.phmm.posterior import PosteriorResult, posteriors_batch
 from repro.phmm.alignment import (
     AlignmentOutcome,
@@ -56,8 +52,6 @@ __all__ = [
     "backward_batch",
     "BandSpec",
     "band_edge_mass",
-    "backward_banded",
-    "forward_banded",
     "PosteriorResult",
     "posteriors_batch",
     "AlignmentOutcome",

@@ -18,31 +18,22 @@ from repro.errors import AlignmentError
 from repro.genome.alphabet import N as CODE_N
 from repro.observability import current as metrics
 from repro.phmm import sanitize
-from repro.phmm.banded import BandSpec, backward_banded, band_edge_mass, forward_banded
+from repro.phmm.banded import BandSpec, band_edge_mass
 from repro.phmm.forward_backward import (
     backward_batch,
     emissions_batch,
     forward_batch,
 )
 from repro.phmm.model import PHMMParams
-from repro.phmm.posterior import PosteriorResult, posteriors_batch, z_vectors
-from repro.phmm.wavefront import DTYPES, wavefront_forward_backward
-
-#: Kernel families the alignment layer can dispatch to: the anti-diagonal
-#: wavefront kernels (bitwise against the naive oracle in float64, optional
-#: float32 fast path) or the row-sweep kernels (the pipeline default).
-KERNELS = ("wavefront", "rowsweep")
+from repro.phmm.posterior import posteriors_batch, z_vectors
 
 
 def _check_kernel(kernel: str, dtype: str) -> None:
-    if kernel not in KERNELS:
-        raise AlignmentError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-    if dtype not in DTYPES:
-        raise AlignmentError(f"dtype must be one of {DTYPES}, got {dtype!r}")
-    if kernel == "rowsweep" and dtype != "float64":
+    # ledger/replay.py is the sole reader of the kernel=/dtype= keywords; they
+    # go when the ledger stops passing them.
+    if (kernel, dtype) != ("rowsweep", "float64"):
         raise AlignmentError(
-            "the rowsweep kernels are float64-only; "
-            "use kernel='wavefront' for the float32 fast path"
+            f"the only kernel is ('rowsweep', 'float64'), got {(kernel, dtype)!r}"
         )
 
 
@@ -56,16 +47,10 @@ class AlignmentOutcome:
         ``(B, M, 5)`` per-pair z contributions in channel order (A,C,G,T,gap).
     loglik:
         ``(B,)`` total alignment log-likelihoods (the mapping scores).
-    occupancy:
-        ``(B, M)`` coverage probability per window position.
-    posterior:
-        Full :class:`PosteriorResult` for callers that need raw masses.
     """
 
     z: np.ndarray
     loglik: np.ndarray
-    occupancy: np.ndarray
-    posterior: PosteriorResult
 
 
 def build_windows(
@@ -116,12 +101,9 @@ def align_batch(
     valid:
         Optional ``(B, M)`` bool mask; z mass on False columns is zeroed
         (used for genome-edge pad columns).
-    kernel:
-        ``"rowsweep"`` (default) or ``"wavefront"`` — see :data:`KERNELS`.
-    dtype:
-        ``"float64"`` (default) or ``"float32"`` (wavefront only): run the
-        DP in single precision with automatic per-pair escalation back to
-        float64 (see :mod:`repro.phmm.wavefront`).
+    kernel, dtype:
+        Single-valued (``"rowsweep"``, ``"float64"``); see
+        :func:`_check_kernel`.
     """
     _check_kernel(kernel, dtype)
     pwms = np.asarray(pwms, dtype=np.float64)
@@ -135,11 +117,8 @@ def align_batch(
     pstar = emissions_batch(pwms, windows, params)
     if sanitize.enabled():
         sanitize.check_emissions(pstar)
-    if kernel == "wavefront":
-        fwd, bwd, _ = wavefront_forward_backward(pstar, params, mode=mode, dtype=dtype)
-    else:
-        fwd = forward_batch(pstar, params, mode=mode)
-        bwd = backward_batch(pstar, params, mode=mode)
+    fwd = forward_batch(pstar, params, mode=mode)
+    bwd = backward_batch(pstar, params, mode=mode)
     post = posteriors_batch(pstar, pwms, windows, fwd, bwd, params)
     z = z_vectors(post, edge_policy=edge_policy)
     if valid is not None:
@@ -150,16 +129,8 @@ def align_batch(
             )
         z = z * valid[:, :, None]
     if sanitize.enabled():
-        sanitize.check_z(
-            z,
-            valid,
-            tol=sanitize.SUM_TOLERANCE
-            if dtype == "float64"
-            else sanitize.F32_SUM_TOLERANCE,
-        )
-    return AlignmentOutcome(
-        z=z, loglik=fwd.loglik, occupancy=post.occupancy, posterior=post
-    )
+        sanitize.check_z(z, valid)
+    return AlignmentOutcome(z=z, loglik=fwd.loglik)
 
 
 def align_batch_banded(
@@ -198,9 +169,7 @@ def align_batch_banded(
     *best* banded likelihood is ``-inf`` escape wholesale: the band saw
     nothing, so the full kernels arbitrate.
 
-    ``kernel``/``dtype`` select the DP kernel family exactly as in
-    :func:`align_batch`; escaped pairs re-run full through the *same*
-    kernel, so banded-vs-full comparisons stay within one kernel family.
+    ``kernel``/``dtype`` are single-valued; see :func:`_check_kernel`.
     """
     _check_kernel(kernel, dtype)
     pwms = np.asarray(pwms, dtype=np.float64)
@@ -222,47 +191,35 @@ def align_batch_banded(
         raise AlignmentError(f"band_w must be >= 1, got {band_w}")
     if not 0.0 <= tolerance < 1.0:
         raise AlignmentError(f"tolerance must be in [0, 1), got {tolerance}")
+    if groups is not None:
+        groups = np.asarray(groups, dtype=np.int64)
+        if groups.shape != (B,):
+            raise AlignmentError(
+                f"groups must be ({B},) matching the batch, got {groups.shape}"
+            )
+    if valid is not None:
+        valid = np.asarray(valid, dtype=bool)
+        if valid.shape != windows.shape:
+            raise AlignmentError(
+                f"valid mask shape {valid.shape} != windows shape {windows.shape}"
+            )
 
     z = np.empty((B, M, 5))
     loglik = np.empty(B)
-    occupancy = np.empty((B, M))
-    base_mass = np.empty((B, M, 4))
-    gap_mass = np.empty((B, M))
-    ins_mass = np.empty((B, M))
-    match_posterior = np.empty((B, N, M))
     escaped = np.zeros(B, dtype=bool)
 
-    if B == 0:
-        # Nothing to bucket: return the (0, ...) outcome without touching
-        # the kernels (np.unique on an empty centers array yields no
-        # buckets, but the explicit guard keeps the degenerate path obvious
-        # and regression-tested).
-        posterior = PosteriorResult(
-            base_mass=base_mass, gap_mass=gap_mass, ins_mass=ins_mass,
-            occupancy=occupancy, match_posterior=match_posterior,
-            loglik=loglik.copy(),
-        )
-        return AlignmentOutcome(
-            z=z, loglik=loglik, occupancy=occupancy, posterior=posterior
-        )
-
+    # An empty batch has no buckets (np.unique of no centers) and no escapes.
     for center in np.unique(centers):
         sel = np.nonzero(centers == center)[0]
         band = BandSpec(n=N, m=M, center=int(center), width=band_w)
         if band.n_cells() == 0:
             # The band slid entirely off the matrix for every DP row: no
-            # in-band path exists, so running the kernels would sweep
-            # zero-width diagonals for nothing.  The bucket's pairs are
-            # dead under the band (-inf, zero mass); with the escape hatch
-            # armed they go to the full kernels, which alone can say
-            # whether the pairs are genuinely unalignable.
+            # in-band path exists, so the bucket's pairs are dead under the
+            # band (-inf, zero mass) without running the kernels; with the
+            # escape hatch armed they go to the unbanded fill, which alone
+            # can say whether the pairs are genuinely unalignable.
             z[sel] = 0.0
             loglik[sel] = -np.inf
-            occupancy[sel] = 0.0
-            base_mass[sel] = 0.0
-            gap_mass[sel] = 0.0
-            ins_mass[sel] = 0.0
-            match_posterior[sel] = 0.0
             escaped[sel] = adaptive
             continue
         sub_pwms = pwms[sel]
@@ -273,36 +230,20 @@ def align_batch_banded(
         metrics().observe(
             "phmm.pair_cells", float(band.n_cells()), count=int(sel.size)
         )
-        if kernel == "wavefront":
-            fwd, bwd, _ = wavefront_forward_backward(
-                pstar, params, mode=mode, band=band, dtype=dtype
-            )
-        else:
-            fwd = forward_banded(pstar, params, band, mode=mode)
-            bwd = backward_banded(pstar, params, band, mode=mode)
+        fwd = forward_batch(pstar, params, mode=mode, band=band)
+        bwd = backward_batch(pstar, params, mode=mode, band=band)
         post = posteriors_batch(pstar, sub_pwms, sub_windows, fwd, bwd, params)
         if adaptive:
             edge = band_edge_mass(post.match_posterior, band)
             metrics().observe_array("phmm.band_edge_mass", edge)
             escaped[sel] = (edge > tolerance) | ~np.isfinite(fwd.loglik)
-        sub_z = z_vectors(post, edge_policy=edge_policy)
-        z[sel] = sub_z
+        z[sel] = z_vectors(post, edge_policy=edge_policy)
         loglik[sel] = fwd.loglik
-        occupancy[sel] = post.occupancy
-        base_mass[sel] = post.base_mass
-        gap_mass[sel] = post.gap_mass
-        ins_mass[sel] = post.ins_mass
-        match_posterior[sel] = post.match_posterior
 
     if groups is not None and escape_min_ratio > 0.0 and escaped.any():
-        groups_arr = np.asarray(groups, dtype=np.int64)
-        if groups_arr.shape != (B,):
-            raise AlignmentError(
-                f"groups must be ({B},) matching the batch, got {groups_arr.shape}"
-            )
-        best = np.full(int(groups_arr.max()) + 1, -np.inf)
-        np.maximum.at(best, groups_arr, loglik)
-        group_best = best[groups_arr]
+        best = np.full(int(groups.max()) + 1, -np.inf)
+        np.maximum.at(best, groups, loglik)
+        group_best = best[groups]
         with np.errstate(invalid="ignore"):
             competitive = loglik - group_best >= np.log(escape_min_ratio)
         escaped &= competitive | ~np.isfinite(group_best)
@@ -312,49 +253,16 @@ def align_batch_banded(
         metrics().inc("phmm.band_escapes", int(esc.size))
         trace.instant("phmm.band_escape", pairs=int(esc.size))
         full = align_batch(
-            pwms[esc],
-            windows[esc],
-            params,
-            mode=mode,
-            edge_policy=edge_policy,
-            valid=None,
-            kernel=kernel,
-            dtype=dtype,
+            pwms[esc], windows[esc], params, mode=mode, edge_policy=edge_policy
         )
         z[esc] = full.z
         loglik[esc] = full.loglik
-        occupancy[esc] = full.occupancy
-        base_mass[esc] = full.posterior.base_mass
-        gap_mass[esc] = full.posterior.gap_mass
-        ins_mass[esc] = full.posterior.ins_mass
-        match_posterior[esc] = full.posterior.match_posterior
 
     if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != windows.shape:
-            raise AlignmentError(
-                f"valid mask shape {valid.shape} != windows shape {windows.shape}"
-            )
         z = z * valid[:, :, None]
     if sanitize.enabled():
-        sanitize.check_z(
-            z,
-            valid,
-            tol=sanitize.SUM_TOLERANCE
-            if dtype == "float64"
-            else sanitize.F32_SUM_TOLERANCE,
-        )
-    posterior = PosteriorResult(
-        base_mass=base_mass,
-        gap_mass=gap_mass,
-        ins_mass=ins_mass,
-        occupancy=occupancy,
-        match_posterior=match_posterior,
-        loglik=loglik.copy(),
-    )
-    return AlignmentOutcome(
-        z=z, loglik=loglik, occupancy=occupancy, posterior=posterior
-    )
+        sanitize.check_z(z, valid)
+    return AlignmentOutcome(z=z, loglik=loglik)
 
 
 def align_read(

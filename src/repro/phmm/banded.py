@@ -1,12 +1,14 @@
-"""Seed-guided banded forward/backward kernels.
+"""Seed-guided band geometry and its audit.
 
-The full DP in :mod:`repro.phmm.forward_backward` fills every cell of every
-``(N+1, M+1)`` matrix — ``O(N*M)`` per pair — even though the k-mer seeding
-stage already told us *where* the read aligns: a candidate region is a
-diagonal vote, and real alignments wander at most a few indels away from it.
-Both gpuPairHMM (Schmidt et al.) and Endeavor (Graça & Ilic) exploit this:
-fill only a band of half-width ``band_w`` around the seed diagonal and the
-likelihood is recovered to rounding error at a fraction of the cells.
+A full DP fill costs ``O(N*M)`` per pair even though the k-mer seeding stage
+already told us *where* the read aligns: a candidate region is a diagonal
+vote, and real alignments wander at most a few indels away from it.  Both
+gpuPairHMM (Schmidt et al.) and Endeavor (Graça & Ilic) exploit this: fill
+only a band of half-width ``band_w`` around the seed diagonal and the
+likelihood is recovered to rounding error at a fraction of the cells.  The
+band is a parameter of the one kernel pair in
+:mod:`repro.phmm.forward_backward`; this module holds only its geometry and
+the audit that decides whether it can be trusted.
 
 Band geometry
 -------------
@@ -14,11 +16,7 @@ A :class:`BandSpec` fixes, for DP row ``i`` (read prefix length), the window
 columns ``j`` with ``|j - (i + center)| <= band_w``, clipped to ``[0, M]``.
 ``center`` is the window column the read's first base is expected at — in the
 pipeline every window is cut at ``candidate.start - pad``, so ``center`` is
-``pad`` corrected by any clamping the seeder applied at genome edges.  Cells
-outside the band are *log-domain −inf*: the scaled matrices simply keep their
-zeros there, which the in-band recurrences read back as "no path enters from
-outside the band".  When the band covers the whole matrix the banded kernels
-perform bit-identical arithmetic to the full ones.
+``pad`` corrected by any clamping the seeder applied at genome edges.
 
 Escape hatch
 ------------
@@ -28,14 +26,10 @@ probability mass sitting on the *interior* band-edge cells (edges created by
 the band, not by the matrix boundary).  A well-centred alignment leaves
 essentially zero mass there (reaching the edge costs ``~q^band_w``); an
 alignment squeezed against the edge — a long indel, a mis-centred seed —
-lights it up.  :func:`repro.phmm.alignment.align_batch` re-runs such pairs
-through the full kernels when ``band_mode="adaptive"``, so calls stay
-faithful where the band assumption breaks.
-
-Observability: banded fills charge the actually-computed cells to
-``phmm.forward_cells``/``phmm.backward_cells`` (keeping those counters honest
-DP-cell counts) plus ``phmm.cells_banded``; the full kernels charge
-``phmm.cells_full``; escapes count under ``phmm.band_escapes``.
+lights it up.  :func:`repro.phmm.alignment.align_batch_banded` re-runs such
+pairs unbanded when ``band_mode="adaptive"`` (counted under
+``phmm.band_escapes``), so calls stay faithful where the band assumption
+breaks.
 """
 
 from __future__ import annotations
@@ -43,18 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.errors import AlignmentError
-from repro.observability import current as metrics
-from repro.phmm import sanitize
-from repro.phmm.forward_backward import (
-    _MODES,
-    _TINY,
-    BackwardResult,
-    ForwardResult,
-)
-from repro.phmm.model import PHMMParams
 
 
 @dataclass(frozen=True)
@@ -97,22 +81,9 @@ class BandSpec:
         hi = min(self.m, i + self.center + self.width)
         return lo, hi
 
-    def diag_bounds(self, d: int) -> tuple[int, int]:
-        """Inclusive in-band DP-row range ``(ilo, ihi)`` for anti-diagonal
-        ``i + j = d``.
-
-        Derived from the band inequality ``|d - 2i - center| <= width``
-        intersected with the matrix (``0 <= i <= n``, ``0 <= d - i <= m``).
-        ``ilo > ihi`` means the diagonal has no in-band cells — the wavefront
-        kernels skip it, exactly as the row sweep skips empty rows.
-        """
-        ilo = max(0, d - self.m, -((self.center + self.width - d) // 2))
-        ihi = min(self.n, d, (d - self.center + self.width) // 2)
-        return ilo, ihi
-
     def covers_matrix(self) -> bool:
-        """True when every row's band spans all columns ``0..m`` (banded
-        arithmetic is then bit-identical to the full kernels)."""
+        """True when every row's band spans all columns ``0..m`` (the fill is
+        then bit-identical to ``band=None``)."""
         for i in (0, self.n):
             lo, hi = self.row_bounds(i)
             if lo > 0 or hi < self.m:
@@ -146,209 +117,6 @@ class BandSpec:
         rows = np.arange(self.n + 1)[:, None]
         cols = np.arange(self.m + 1)[None, :]
         return np.abs(cols - rows - self.center) > self.width
-
-
-def _check_inputs(pstar: np.ndarray, mode: str) -> tuple[int, int, int]:
-    if mode not in _MODES:
-        raise AlignmentError(f"mode must be one of {_MODES}, got {mode!r}")
-    if pstar.ndim != 3:
-        raise AlignmentError(f"pstar must be (B, N, M), got {pstar.shape}")
-    B, N, M = pstar.shape
-    if N == 0 or M == 0:
-        raise AlignmentError("empty read or window")
-    return B, N, M
-
-
-def forward_banded(
-    pstar: np.ndarray,
-    params: PHMMParams,
-    band: BandSpec,
-    mode: str = "semiglobal",
-) -> ForwardResult:
-    """Banded scaled forward pass; same conventions as ``forward_batch``.
-
-    All matrices keep their full ``(B, N+1, M+1)`` shape with exact zeros
-    outside the band, so downstream posterior extraction is unchanged.
-    """
-    pstar = np.asarray(pstar, dtype=np.float64)
-    B, N, M = _check_inputs(pstar, mode)
-    if (band.n, band.m) != (N, M):
-        raise AlignmentError(
-            f"band is for ({band.n}, {band.m}), batch is ({N}, {M})"
-        )
-    reg = metrics()
-    reg.inc("phmm.batches")
-    reg.inc("phmm.pairs", B)
-    n_cells = B * band.n_cells()
-    reg.inc("phmm.forward_cells", n_cells)
-    reg.inc("phmm.cells_banded", n_cells)
-    q, TMM, TMG, TGM, TGG = params.q, params.T_MM, params.T_MG, params.T_GM, params.T_GG
-
-    fM = np.zeros((B, N + 1, M + 1))
-    fGX = np.zeros((B, N + 1, M + 1))
-    fGY = np.zeros((B, N + 1, M + 1))
-    log_scale = np.zeros((B, N + 1))
-
-    lo0, hi0 = band.row_bounds(0)
-    if mode == "semiglobal":
-        # Free genome prefix, but only starts the band admits: the read may
-        # begin at any in-band column of row 0.
-        if lo0 <= hi0:
-            fM[:, 0, lo0 : hi0 + 1] = 1.0
-    else:
-        if lo0 <= 0 <= hi0:
-            fM[:, 0, 0] = 1.0
-
-    gy_filt_b = np.array([1.0])
-    gy_filt_a = np.array([1.0, -q * TGG])
-    log_tiny = np.log(_TINY)
-
-    for i in range(1, N + 1):
-        lo, hi = band.row_bounds(i)
-        if lo > hi:
-            # Band slid off the matrix: nothing reachable from here on.
-            log_scale[:, i] = log_scale[:, i - 1] + log_tiny
-            continue
-        jlo = max(lo, 1)  # M/GY cells exist only for j >= 1
-        prevM = fM[:, i - 1, :]
-        prevGX = fGX[:, i - 1, :]
-        prevGY = fGY[:, i - 1, :]
-        rowM = fM[:, i, :]
-        if jlo <= hi:
-            p_row = pstar[:, i - 1, jlo - 1 : hi]  # p*(i, j), j = jlo..hi
-            rowM[:, jlo : hi + 1] = p_row * (
-                TMM * prevM[:, jlo - 1 : hi]
-                + TGM * (prevGX[:, jlo - 1 : hi] + prevGY[:, jlo - 1 : hi])
-            )
-        fGX[:, i, lo : hi + 1] = q * (
-            TMG * prevM[:, lo : hi + 1] + TGG * prevGX[:, lo : hi + 1]
-        )
-        if jlo <= hi:
-            # First-order in-row recurrence, zero-initialised at the band's
-            # left edge (f_GY(i, jlo-1) is out of band, hence 0).
-            drive = q * TMG * rowM[:, jlo - 1 : hi]
-            fGY[:, i, jlo : hi + 1] = lfilter(gy_filt_b, gy_filt_a, drive, axis=-1)
-        s = np.maximum(
-            np.maximum(
-                rowM[:, lo : hi + 1].max(axis=1), fGX[:, i, lo : hi + 1].max(axis=1)
-            ),
-            fGY[:, i, lo : hi + 1].max(axis=1),
-        )
-        s = np.maximum(s, _TINY)
-        fM[:, i, lo : hi + 1] /= s[:, None]
-        fGX[:, i, lo : hi + 1] /= s[:, None]
-        fGY[:, i, lo : hi + 1] /= s[:, None]
-        log_scale[:, i] = log_scale[:, i - 1] + np.log(s)
-
-    if mode == "semiglobal":
-        total = fM[:, N, :].sum(axis=1) + fGX[:, N, :].sum(axis=1)
-    else:
-        total = fM[:, N, M] + fGX[:, N, M] + fGY[:, N, M]
-    with np.errstate(divide="ignore"):
-        loglik = np.log(np.maximum(total, 0.0)) + log_scale[:, N]
-    result = ForwardResult(
-        fM=fM, fGX=fGX, fGY=fGY, log_scale=log_scale, loglik=loglik, mode=mode
-    )
-    if sanitize.enabled():
-        sanitize.check_forward(result)
-        sanitize.check_band(result.fM, result.fGX, result.fGY, band=band, kind="forward")
-    return result
-
-
-def backward_banded(
-    pstar: np.ndarray,
-    params: PHMMParams,
-    band: BandSpec,
-    mode: str = "semiglobal",
-) -> BackwardResult:
-    """Banded scaled backward pass; same conventions as ``backward_batch``."""
-    pstar = np.asarray(pstar, dtype=np.float64)
-    B, N, M = _check_inputs(pstar, mode)
-    if (band.n, band.m) != (N, M):
-        raise AlignmentError(
-            f"band is for ({band.n}, {band.m}), batch is ({N}, {M})"
-        )
-    n_cells = B * band.n_cells()
-    reg = metrics()
-    reg.inc("phmm.backward_cells", n_cells)
-    reg.inc("phmm.cells_banded", n_cells)
-    q, TMM, TMG, TGM, TGG = params.q, params.T_MM, params.T_MG, params.T_GM, params.T_GG
-
-    bM = np.zeros((B, N + 1, M + 1))
-    bGX = np.zeros((B, N + 1, M + 1))
-    bGY = np.zeros((B, N + 1, M + 1))
-    log_scale = np.zeros((B, N + 1))
-
-    loN, hiN = band.row_bounds(N)
-    if mode == "semiglobal":
-        if loN <= hiN:
-            bM[:, N, loN : hiN + 1] = 1.0
-            bGX[:, N, loN : hiN + 1] = 1.0
-    else:
-        if loN <= M <= hiN:
-            bM[:, N, M] = 1.0
-            bGX[:, N, M] = 1.0
-            bGY[:, N, M] = 1.0
-        if loN <= hiN:
-            # Trailing-genome G_Y chain, truncated at the band's left edge.
-            for j in range(min(hiN, M - 1), loN - 1, -1):
-                bGY[:, N, j] = q * TGG * bGY[:, N, j + 1]
-            mhi = min(hiN, M - 1)
-            if loN <= mhi:
-                bM[:, N, loN : mhi + 1] = q * TMG * bGY[:, N, loN + 1 : mhi + 2]
-
-    gy_filt_b = np.array([1.0])
-    gy_filt_a = np.array([1.0, -q * TGG])
-    log_tiny = np.log(_TINY)
-
-    for i in range(N - 1, -1, -1):
-        lo, hi = band.row_bounds(i)
-        if lo > hi:
-            log_scale[:, i] = log_scale[:, i + 1] + log_tiny
-            continue
-        L = hi - lo + 1
-        nextM = bM[:, i + 1, :]
-        nextGX = bGX[:, i + 1, :]
-        # d[j] = p*(i+1, j+1) b_M(i+1, j+1) for j = lo..hi (zero at j = M).
-        d = np.zeros((B, L))
-        dhi = min(hi, M - 1)
-        if lo <= dhi:
-            d[:, : dhi - lo + 1] = (
-                pstar[:, i, lo:dhi + 1] * nextM[:, lo + 1 : dhi + 2]
-            )
-        if i > 0:
-            # Reversed first-order recurrence, zero-initialised at the band's
-            # right edge (b_GY(i, hi+1) is out of band, hence 0).
-            drive = (TGM * d)[:, ::-1]
-            bGY[:, i, lo : hi + 1] = lfilter(gy_filt_b, gy_filt_a, drive, axis=-1)[
-                :, ::-1
-            ]
-        # gy_next[j] = b_GY(i, j+1), zero past the band edge.
-        gy_next = np.zeros((B, L))
-        gy_next[:, : L - 1] = bGY[:, i, lo + 1 : hi + 1]
-        if hi < M:
-            gy_next[:, L - 1] = bGY[:, i, hi + 1]  # always 0 (out of band)
-        bM[:, i, lo : hi + 1] = TMM * d + q * TMG * (
-            nextGX[:, lo : hi + 1] + gy_next
-        )
-        bGX[:, i, lo : hi + 1] = TGM * d + q * TGG * nextGX[:, lo : hi + 1]
-        t = np.maximum(
-            np.maximum(
-                bM[:, i, lo : hi + 1].max(axis=1), bGX[:, i, lo : hi + 1].max(axis=1)
-            ),
-            bGY[:, i, lo : hi + 1].max(axis=1),
-        )
-        t = np.maximum(t, _TINY)
-        bM[:, i, lo : hi + 1] /= t[:, None]
-        bGX[:, i, lo : hi + 1] /= t[:, None]
-        bGY[:, i, lo : hi + 1] /= t[:, None]
-        log_scale[:, i] = log_scale[:, i + 1] + np.log(t)
-
-    result = BackwardResult(bM=bM, bGX=bGX, bGY=bGY, log_scale=log_scale, mode=mode)
-    if sanitize.enabled():
-        sanitize.check_backward(result)
-        sanitize.check_band(result.bM, result.bGX, result.bGY, band=band, kind="backward")
-    return result
 
 
 def band_edge_mass(match_posterior: np.ndarray, band: BandSpec) -> np.ndarray:

@@ -113,17 +113,9 @@ def posteriors_batch(
     # matters and stays finite.
     factor = np.exp(np.minimum(g, 700.0))
 
-    # Combine in float64 regardless of kernel dtype: a float32 fast-path
-    # result must not round the forward*backward product a second time.
-    fM = np.asarray(fwd.fM, dtype=np.float64)
-    fGX = np.asarray(fwd.fGX, dtype=np.float64)
-    fGY = np.asarray(fwd.fGY, dtype=np.float64)
-    bM = np.asarray(bwd.bM, dtype=np.float64)
-    bGX = np.asarray(bwd.bGX, dtype=np.float64)
-    bGY = np.asarray(bwd.bGY, dtype=np.float64)
-    postM_full = fM * bM * factor[:, :, None]
-    postGY_full = fGY * bGY * factor[:, :, None]
-    postGX_full = fGX * bGX * factor[:, :, None]
+    postM_full = fwd.fM * bwd.bM * factor[:, :, None]
+    postGY_full = fwd.fGY * bwd.bGY * factor[:, :, None]
+    postGX_full = fwd.fGX * bwd.bGX * factor[:, :, None]
     if dead.any():
         postM_full[dead] = 0.0
         postGY_full[dead] = 0.0

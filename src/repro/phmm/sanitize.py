@@ -43,14 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: arithmetic accumulates rounding at ~1e-12 per chain, far below this.
 SUM_TOLERANCE = 1e-6
 
-#: Same checks when the DP matrices came from the float32 fast path:
-#: single-precision rounding (eps ~1.2e-7) amplified through the
-#: posterior division puts legitimate z masses a few 1e-6 over unity,
-#: so the float64 tolerance false-positives.  Escalation already bounds
-#: the *likelihood* error at F32_LOGLIK_TOL; per-position mass gets the
-#: matching slack here.
-F32_SUM_TOLERANCE = 1e-4
-
 _active: bool = os.environ.get("REPRO_SANITIZE", "").strip().lower() not in (
     "", "0", "false", "off", "no",
 )
@@ -143,17 +135,11 @@ def check_backward(result: "BackwardResult") -> None:
     check_finite("backward", "log_scale", result.log_scale)
 
 
-def check_z(
-    z: np.ndarray,
-    valid: "np.ndarray | None" = None,
-    tol: float = SUM_TOLERANCE,
-) -> None:
+def check_z(z: np.ndarray, valid: "np.ndarray | None" = None) -> None:
     """Per-read z evidence: finite, non-negative, at most unit mass/position.
 
     ``z`` is ``(B, M, 5)``; ``valid`` optionally masks genome-edge pad
     columns (mass there is zeroed by the caller and not re-checked).
-    ``tol`` is the unit-mass slack — pass :data:`F32_SUM_TOLERANCE` when
-    the matrices came from the float32 kernels.
     """
     z = np.asarray(z)
     check_finite("z_vectors", "z", z)
@@ -161,7 +147,7 @@ def check_z(
     sums = z.sum(axis=-1)
     if valid is not None:
         sums = np.where(np.asarray(valid, dtype=bool), sums, 0.0)
-    bad = sums > 1.0 + tol
+    bad = sums > 1.0 + SUM_TOLERANCE
     if bad.any():
         _fail(
             "z_vectors",
@@ -194,36 +180,6 @@ def check_band(
                 f"state {name} has probability mass outside the band "
                 f"(center={band.center}, width={band.width}): "
                 + _describe_bad(arr, bad),
-            )
-
-
-def check_escalation(
-    escalated: np.ndarray, fwd: "ForwardResult", bwd: "BackwardResult"
-) -> None:
-    """Audit a merged float32/float64 wavefront batch post-escalation.
-
-    The escalation contract promises that every pair the float32 fast path
-    kept (``escalated`` False) produced trustworthy numbers and every
-    escalated pair was replaced by its float64 re-run.  After the merge
-    *nothing* may remain non-finite: a NaN/±inf here means the escalation
-    mask missed a pair (fast-path bug) or the float64 re-run itself
-    overflowed (model bug) — either way the batch must not reach posteriors.
-    """
-    escalated = np.asarray(escalated, dtype=bool)
-    if escalated.shape != fwd.loglik.shape:
-        _fail(
-            "escalation",
-            f"mask shape {escalated.shape} != batch shape {fwd.loglik.shape}",
-        )
-    check_forward(fwd)
-    check_backward(bwd)
-    for name in ("fM", "fGX", "fGY", "bM", "bGX", "bGY"):
-        arr = np.asarray(getattr(fwd if name[0] == "f" else bwd, name))
-        if arr.dtype != np.float64:
-            _fail(
-                "escalation",
-                f"merged {name} is {arr.dtype}, expected float64 "
-                "(escalation driver must promote the fast-path results)",
             )
 
 

@@ -11,6 +11,7 @@ Parallel-execution knobs live in :class:`ParallelConfig` under
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.calling.caller import CallerConfig
 from repro.errors import ConfigError
@@ -198,8 +199,8 @@ class PipelineConfig:
         "off" (default — full O(N*M) fills), "fixed" (fill only a band of
         half-width ``band_w`` around each candidate's seed diagonal,
         unconditionally) or "adaptive" (banded, but pairs whose posterior
-        band-edge mass exceeds ``band_tolerance`` re-run the full kernels —
-        see :mod:`repro.phmm.banded`).  Banding applies to the marginal
+        band-edge mass exceeds ``band_tolerance`` re-run unbanded — see
+        :mod:`repro.phmm.banded`).  Banding applies to the marginal
         posterior path; the viterbi ablation always runs full matrices.
     band_w:
         Band half-width in window columns; a row covers ``2*band_w + 1``
@@ -209,19 +210,6 @@ class PipelineConfig:
         Escape threshold for ``band_mode="adaptive"``: the fraction of a
         read's posterior match mass allowed on band-created edge cells
         before the pair is re-run full-width.
-    phmm_kernel:
-        DP kernel family: ``"rowsweep"`` (default — the lfilter row-sweep
-        kernels, fastest on CPU) or ``"wavefront"`` (batched anti-diagonal
-        sweeps, bitwise against the naive oracle in float64 and the only
-        kernel with a float32 fast path).  Both produce identical SNP
-        calls; see :mod:`repro.phmm.wavefront` and DESIGN.md §12 for the
-        trade-off.
-    phmm_dtype:
-        Kernel precision: ``"float64"`` (default) or ``"float32"`` — the
-        wavefront fast path with automatic per-pair escalation back to
-        float64 on underflow/overflow/inconsistency (counted under
-        ``phmm.f32_escalations``).  Only valid with
-        ``phmm_kernel="wavefront"``.
     parallel:
         Parallel-execution sub-config (:class:`ParallelConfig`): fleet
         shape, per-chunk fault tolerance and chunk planning.
@@ -243,8 +231,9 @@ class PipelineConfig:
     band_mode: str = "off"
     band_w: int = 10
     band_tolerance: float = 1e-4
-    phmm_kernel: str = "rowsweep"
-    phmm_dtype: str = "float64"
+    # Not fields: ledger/replay.py is the sole reader of these two constants.
+    phmm_kernel: ClassVar[str] = "rowsweep"
+    phmm_dtype: ClassVar[str] = "float64"
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     max_index_positions_per_kmer: int | None = 64
@@ -282,34 +271,11 @@ class PipelineConfig:
             raise ConfigError(
                 f"band_tolerance must be in [0, 1), got {self.band_tolerance}"
             )
-        if self.phmm_kernel not in ("wavefront", "rowsweep"):
-            raise ConfigError(
-                f"phmm_kernel must be 'wavefront' or 'rowsweep', "
-                f"got {self.phmm_kernel!r}"
-            )
-        if self.phmm_dtype not in ("float64", "float32"):
-            raise ConfigError(
-                f"phmm_dtype must be 'float64' or 'float32', "
-                f"got {self.phmm_dtype!r}"
-            )
-        if self.phmm_kernel == "rowsweep" and self.phmm_dtype != "float64":
-            raise ConfigError(
-                "phmm_dtype='float32' requires phmm_kernel='wavefront' "
-                "(the rowsweep kernels are float64-only)"
-            )
         if self.seeder.seed_len is not None and self.seeder.seed_len <= self.k:
             raise ConfigError(
                 f"seeder.seed_len={self.seeder.seed_len} must exceed k={self.k}: "
                 "the long-seed table is only worth building wider than the "
                 "base index (drop --seed-len to seed at k)"
-            )
-        if self.phmm_dtype == "float32" and self.alignment_mode == "global":
-            raise ConfigError(
-                "phmm_dtype='float32' requires alignment_mode='semiglobal': "
-                "global alignments accumulate the full O(M+N) gap-run "
-                "penalty in one path score, which overflows the float32 "
-                "escalation contract's validated range (DESIGN §12 "
-                "calibrates the fast path on semi-global paths only)"
             )
 
     @property

@@ -5,9 +5,8 @@ program, the paired pipeline and the SAM writer — turns a read's seed
 candidates into (PWM, window) pairs, runs the configured Pair-HMM evidence
 kernel over them and scatter-adds weighted z mass into an accumulator.
 This module is the only place outside :mod:`repro.phmm` that names the
-kernels and their ``phmm_kernel``/``phmm_dtype``/banding knobs; the drivers
-keep only what differs between them, which is how the per-pair weights are
-computed.
+kernels and their banding knobs; the drivers keep only what differs between
+them, which is how the per-pair weights are computed.
 """
 
 from __future__ import annotations
@@ -126,8 +125,6 @@ def align_pairs(
                 valid=valid,
                 groups=groups,
                 escape_min_ratio=cfg.min_ratio,
-                kernel=cfg.phmm_kernel,
-                dtype=cfg.phmm_dtype,
             )
         else:
             outcome = align_batch(
@@ -137,8 +134,6 @@ def align_pairs(
                 mode=cfg.alignment_mode,
                 edge_policy=cfg.edge_policy,
                 valid=valid,
-                kernel=cfg.phmm_kernel,
-                dtype=cfg.phmm_dtype,
             )
         z, loglik = outcome.z, outcome.loglik
     cols = (starts - cfg.pad)[:, None] + np.arange(windows.shape[1])[None, :]

@@ -290,77 +290,6 @@ class TestCrossCallDomainRPL102:
         assert lint_project(pkg(files)) == []
 
 
-class TestF32ContractEscapeRPL702:
-    FILES = {
-        "proj/phmm/wavefront.py": """
-        import numpy as np
-
-        def forward_f32(x):
-            return x.astype(np.float32)
-        """,
-        "proj/pipeline/run.py": """
-        from proj.phmm.wavefront import forward_f32
-
-        def run(x):
-            return forward_f32(x)
-        """,
-    }
-
-    def test_per_file_engine_misses_it(self):
-        assert lint_project(pkg(self.FILES), project=False) == []
-
-    def test_f32_return_consumed_outside_contract(self):
-        findings = lint_project(pkg(self.FILES))
-        assert ids(findings) == ["RPL702"]
-        assert findings[0].path == "proj/pipeline/run.py"
-        assert "escalation contract" in findings[0].message
-
-    def test_forwarding_helper_tracked_through_lattice(self):
-        # A contract-internal helper that merely forwards the float32 array
-        # still carries the width to its own callers.
-        files = dict(self.FILES)
-        files["proj/phmm/api.py"] = """
-        from proj.phmm.wavefront import forward_f32
-
-        def entry(x):
-            return forward_f32(x)
-        """
-        files["proj/pipeline/run.py"] = """
-        from proj.phmm.api import entry
-
-        def run(x):
-            return entry(x)
-        """
-        findings = lint_project(pkg(files))
-        assert ids(findings) == ["RPL702"]
-        assert "entry()" in findings[0].message
-
-    def test_clean_consumer_inside_contract(self):
-        files = dict(self.FILES)
-        files["proj/phmm/banded.py"] = files.pop("proj/pipeline/run.py")
-        assert lint_project(pkg(files)) == []
-
-    def test_clean_widened_return(self):
-        files = dict(self.FILES)
-        files["proj/phmm/wavefront.py"] = """
-        import numpy as np
-
-        def forward_f32(x):
-            return x.astype(np.float64)
-        """
-        assert lint_project(pkg(files)) == []
-
-    def test_suppression(self):
-        files = dict(self.FILES)
-        files["proj/pipeline/run.py"] = """
-        from proj.phmm.wavefront import forward_f32
-
-        def run(x):
-            return forward_f32(x)  # replint: disable=RPL702
-        """
-        assert lint_project(pkg(files)) == []
-
-
 class TestWorkerGlobalMutationRPL801:
     FILES = {
         "proj/util/cache.py": """
@@ -538,7 +467,7 @@ class TestProjectPassPlumbing:
     def test_select_scopes_project_rules(self):
         files = pkg(TestWorkerGlobalMutationRPL801.FILES)
         assert ids(lint_project(files, ReplintConfig(select=["RPL801"]))) == ["RPL801"]
-        assert lint_project(files, ReplintConfig(select=["RPL702"])) == []
+        assert lint_project(files, ReplintConfig(select=["RPL802"])) == []
 
     def test_syntax_error_file_does_not_break_project_pass(self):
         files = pkg(TestCrossCallDomainRPL101.FILES)

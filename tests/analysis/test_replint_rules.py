@@ -498,77 +498,6 @@ class TestRPL601MetricNameGrammar:
         assert findings == []
 
 
-class TestRPL701DtypeNarrowing:
-    SNIPPET = """
-    import numpy as np
-
-    def forward(x):
-        return x.astype(np.float32)
-    """
-
-    def test_trigger_in_kernel_module(self):
-        findings = lint(self.SNIPPET, path=KERNEL)
-        assert ids(findings) == ["RPL701"]
-        assert "astype" in findings[0].message
-
-    def test_trigger_dtype_kwarg(self):
-        findings = lint(
-            """
-            import numpy as np
-
-            def alloc(n):
-                return np.zeros(n, dtype="float32")
-            """,
-            path=KERNEL,
-        )
-        assert ids(findings) == ["RPL701"]
-        assert "dtype=float32" in findings[0].message
-
-    def test_trigger_constructor(self):
-        findings = lint(
-            """
-            import numpy as np
-
-            def one():
-                return np.float32(1.0)
-            """,
-            path=KERNEL,
-        )
-        assert ids(findings) == ["RPL701"]
-
-    def test_sanctioned_module_exempt(self):
-        findings = lint(self.SNIPPET, path="src/repro/phmm/wavefront.py")
-        assert findings == []
-
-    def test_same_code_outside_kernel_clean(self):
-        findings = lint(self.SNIPPET, path=GENERIC)
-        assert findings == []
-
-    def test_widening_clean(self):
-        findings = lint(
-            """
-            import numpy as np
-
-            def widen(x):
-                return x.astype(np.float64)
-            """,
-            path=KERNEL,
-        )
-        assert findings == []
-
-    def test_suppression(self):
-        findings = lint(
-            """
-            import numpy as np
-
-            def forward(x):
-                return x.astype(np.float32)  # replint: disable=RPL701
-            """,
-            path=KERNEL,
-        )
-        assert findings == []
-
-
 class TestRPL803SharedMemoryScope:
     def test_trigger_unowned_handle(self):
         findings = lint(

@@ -5,7 +5,12 @@ import pytest
 
 from repro.errors import AlignmentError
 from repro.genome.alphabet import N as CODE_N
-from repro.phmm.alignment import align_batch, align_read, build_windows
+from repro.phmm.alignment import (
+    align_batch,
+    align_batch_banded,
+    align_read,
+    build_windows,
+)
 from repro.phmm.model import PHMMParams
 from repro.phmm.pwm import pwm_from_codes
 
@@ -67,6 +72,18 @@ class TestAlignBatch:
         windows, valid = build_windows(genome, np.array([-4]), n + 8)
         out = align_batch(pwm[None], windows, PARAMS, valid=valid)
         assert np.allclose(out.z[0, :4], 0.0)
+
+    def test_pinned_kernel_keywords_are_single_valued(self):
+        codes = np.arange(5, dtype=np.uint8) % 4
+        pwm = pwm_from_codes(codes, np.full(5, 0.01))
+        align_batch(pwm[None], codes[None], PARAMS, kernel="rowsweep", dtype="float64")
+        for bad in ({"kernel": "diagonal"}, {"dtype": "float16"}):
+            with pytest.raises(AlignmentError):
+                align_batch(pwm[None], codes[None], PARAMS, **bad)
+            with pytest.raises(AlignmentError):
+                align_batch_banded(
+                    pwm[None], codes[None], PARAMS, np.zeros(1), band_w=3, **bad
+                )
 
     def test_mask_shape_mismatch_rejected(self):
         rng = np.random.default_rng(2)

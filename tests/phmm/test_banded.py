@@ -1,8 +1,8 @@
-"""Banded-kernel tests: geometry, exactness, convergence, escape hatch.
+"""Band tests: geometry, exactness, convergence, escape hatch.
 
 The band is a pure restriction of the DP lattice, so every guarantee is
-relative to the full kernels: bitwise equality when the band covers the
-matrix, monotone convergence of the likelihood as the band widens, and the
+relative to the unbanded fill (``band=None``): bitwise equality when the band
+covers the matrix, monotone convergence of the likelihood as the band widens, and the
 adaptive escape hatch recovering full-kernel results where the band
 assumption breaks (large indels shifting the alignment off its seed
 diagonal).
@@ -17,12 +17,7 @@ from repro.errors import AlignmentError, SanitizerError
 from repro.observability import scope
 from repro.phmm import sanitize
 from repro.phmm.alignment import align_batch, align_batch_banded
-from repro.phmm.banded import (
-    BandSpec,
-    band_edge_mass,
-    backward_banded,
-    forward_banded,
-)
+from repro.phmm.banded import BandSpec, band_edge_mass
 from repro.phmm.forward_backward import (
     backward_batch,
     emissions_batch,
@@ -91,7 +86,7 @@ class TestBandSpec:
 
 
 class TestExactness:
-    """Band covering the whole matrix => bitwise-identical to full kernels."""
+    """``band=None`` is bitwise a band covering the whole matrix."""
 
     @pytest.mark.parametrize("mode", MODES)
     def test_forward_backward_bitwise(self, mode):
@@ -101,13 +96,45 @@ class TestExactness:
         pstar = emissions_batch(pwms, windows, PARAMS)
         band = BandSpec(n=n, m=m, center=m // 2, width=n + m)
         assert band.covers_matrix()
-        fwd_b = forward_banded(pstar, PARAMS, band, mode=mode)
+        fwd_b = forward_batch(pstar, PARAMS, mode=mode, band=band)
         fwd_f = forward_batch(pstar, PARAMS, mode=mode)
         assert np.array_equal(fwd_b.loglik, fwd_f.loglik)
         assert np.array_equal(fwd_b.fM, fwd_f.fM)
-        bwd_b = backward_banded(pstar, PARAMS, band, mode=mode)
+        bwd_b = backward_batch(pstar, PARAMS, mode=mode, band=band)
         bwd_f = backward_batch(pstar, PARAMS, mode=mode)
         assert np.array_equal(bwd_b.bM, bwd_f.bM)
+
+    def test_cell_counters_full_vs_banded(self):
+        """A full pass charges B*N*M to cells_full, a banded pass charges
+        B*band.n_cells() to cells_banded; each also charges its own
+        forward/backward counter."""
+        rng = np.random.default_rng(8)
+        pwms, windows = random_batch(rng)  # 3 x 8 x 14
+        pstar = emissions_batch(pwms, windows, PARAMS)
+        band = BandSpec(n=8, m=14, center=3, width=2)
+        assert band.n_cells() == 40
+        with scope() as reg:
+            forward_batch(pstar, PARAMS)
+            backward_batch(pstar, PARAMS)
+            full = reg.snapshot().counters
+        assert full == {
+            "phmm.batches": 1,
+            "phmm.pairs": 3,
+            "phmm.forward_cells": 336,
+            "phmm.backward_cells": 336,
+            "phmm.cells_full": 672,
+        }
+        with scope() as reg:
+            forward_batch(pstar, PARAMS, band=band)
+            backward_batch(pstar, PARAMS, band=band)
+            banded = reg.snapshot().counters
+        assert banded == {
+            "phmm.batches": 1,
+            "phmm.pairs": 3,
+            "phmm.forward_cells": 120,
+            "phmm.backward_cells": 120,
+            "phmm.cells_banded": 240,
+        }
 
     def test_align_batch_banded_matches_full_when_covering(self):
         rng = np.random.default_rng(3)
@@ -140,7 +167,7 @@ class TestConvergence:
         prev = np.full(pwms.shape[0], -np.inf)
         for width in range(1, n + m + 1):
             band = BandSpec(n=n, m=m, center=m // 2, width=width)
-            ll = forward_banded(pstar, PARAMS, band, mode=mode).loglik
+            ll = forward_batch(pstar, PARAMS, mode=mode, band=band).loglik
             # wider band = superset of alignment paths: mass only grows
             assert np.all(ll >= prev - 1e-9)
             assert np.all(ll <= full + 1e-9)
@@ -231,8 +258,8 @@ class TestEscapeHatch:
         n, m = pwms.shape[1], windows.shape[1]
         pstar = emissions_batch(pwms, windows, PARAMS)
         band = BandSpec(n=n, m=m, center=m // 2, width=n + m)
-        fwd = forward_banded(pstar, PARAMS, band)
-        bwd = backward_banded(pstar, PARAMS, band)
+        fwd = forward_batch(pstar, PARAMS, band=band)
+        bwd = backward_batch(pstar, PARAMS, band=band)
         from repro.phmm.posterior import posteriors_batch
 
         post = posteriors_batch(pstar, pwms, windows, fwd, bwd, PARAMS)
@@ -249,8 +276,8 @@ class TestSanitizer:
         band = BandSpec(n=n, m=m, center=m // 2, width=3)
         sanitize.enable()
         try:
-            forward_banded(pstar, PARAMS, band)
-            backward_banded(pstar, PARAMS, band)
+            forward_batch(pstar, PARAMS, band=band)
+            backward_batch(pstar, PARAMS, band=band)
         finally:
             sanitize.disable()
 
@@ -271,11 +298,10 @@ class TestSanitizer:
 class TestBatchedBuckets:
     """Batched-banded behaviour across mixed geometries and escapes.
 
-    The wavefront kernels' per-pair power-of-two scaling makes every pair's
-    result independent of its batch-mates bit for bit, so a batch mixing
-    several band centers — including pairs that escape to the full kernels —
-    must be byte-identical to running each pair through the serial per-pair
-    path alone.
+    Row scales are per pair, so every pair's result is independent of its
+    batch-mates bit for bit, and a batch mixing several band centers —
+    including pairs that escape to the unbanded fill — must be byte-identical
+    to running each pair through the serial per-pair path alone.
     """
 
     def test_mixed_band_geometries_one_batch(self):
@@ -286,8 +312,7 @@ class TestBatchedBuckets:
         m = windows.shape[1]
         centers = np.array([0, 0, 5, 5, m - 2, m - 2], dtype=np.int64)
         batched = align_batch_banded(
-            pwms, windows, PARAMS, centers, band_w=3, adaptive=False,
-            kernel="wavefront",
+            pwms, windows, PARAMS, centers, band_w=3, adaptive=False
         )
         for b in range(6):
             solo = align_batch_banded(
@@ -297,11 +322,9 @@ class TestBatchedBuckets:
                 centers[b : b + 1],
                 band_w=3,
                 adaptive=False,
-                kernel="wavefront",
             )
             assert np.array_equal(batched.loglik[b], solo.loglik[0])
             assert np.array_equal(batched.z[b], solo.z[0])
-            assert np.array_equal(batched.occupancy[b], solo.occupancy[0])
 
     def test_per_bucket_cells_accounting(self):
         """Each bucket charges its own clipped band geometry, not a shared
@@ -316,8 +339,7 @@ class TestBatchedBuckets:
             expected += 2 * 2 * band.n_cells()  # 2 pairs x fwd+bwd passes
         with scope() as reg:
             align_batch_banded(
-                pwms, windows, PARAMS, centers, band_w=2, adaptive=False,
-                kernel="wavefront",
+                pwms, windows, PARAMS, centers, band_w=2, adaptive=False
             )
         assert reg.snapshot().counters["phmm.cells_banded"] == expected
 
@@ -334,12 +356,11 @@ class TestBatchedBuckets:
         centers = np.array([ok_pad, esc_pad, ok_pad], dtype=np.int64)
         with scope() as reg:
             batched = align_batch_banded(
-                pwms, windows, PARAMS, centers, band_w=2, tolerance=1e-4,
-                kernel="wavefront",
+                pwms, windows, PARAMS, centers, band_w=2, tolerance=1e-4
             )
             n_escapes = reg.snapshot().counters.get("phmm.band_escapes", 0)
         assert n_escapes == 1
-        full = align_batch(esc_pwms, esc_windows, PARAMS, kernel="wavefront")
+        full = align_batch(esc_pwms, esc_windows, PARAMS)
         assert np.array_equal(batched.loglik[1], full.loglik[0])
         assert np.array_equal(batched.z[1], full.z[0])
         for b in range(3):
@@ -350,29 +371,14 @@ class TestBatchedBuckets:
                 centers[b : b + 1],
                 band_w=2,
                 tolerance=1e-4,
-                kernel="wavefront",
             )
             assert np.array_equal(batched.loglik[b], solo.loglik[0])
             assert np.array_equal(batched.z[b], solo.z[0])
 
-    def test_kernel_families_agree_on_escapes(self):
-        """Wavefront and rowsweep dispatch see the same escape decisions on
-        the indel fixture (the escape test is posterior-level, not
-        kernel-level)."""
-        pwms, windows, pad = indel_case(shift=6, seed=7)
-        centers = np.array([pad], dtype=np.int64)
-        for kernel in ("wavefront", "rowsweep"):
-            with scope() as reg:
-                align_batch_banded(
-                    pwms, windows, PARAMS, centers, band_w=2,
-                    tolerance=1e-4, kernel=kernel,
-                )
-                assert reg.snapshot().counters.get("phmm.band_escapes", 0) == 1
-
 
 class TestEmptyBucket:
     """A bucket whose band misses the matrix entirely must neither crash
-    nor run the kernels (the latent zero-width wavefront allocation)."""
+    nor run the kernels."""
 
     def _off_matrix_center(self, n, m, band_w):
         # row i's band is [i + c - w, i + c + w]; c > m + w - 1 pushes every
@@ -393,12 +399,11 @@ class TestEmptyBucket:
                 np.full(2, c, dtype=np.int64),
                 band_w=3,
                 adaptive=False,
-                kernel="wavefront",
             )
             counters = reg.snapshot().counters
         assert np.all(np.isneginf(out.loglik))
         assert np.all(out.z == 0.0)
-        assert np.all(out.occupancy == 0.0)
+        assert np.all(out.z.sum(axis=2) == 0.0)
         # the kernels were never entered for the dead bucket
         assert "phmm.cells_banded" not in counters
         assert counters.get("phmm.band_escapes", 0) == 0
@@ -458,7 +463,7 @@ class TestEmptyBucket:
         )
         assert out.z.shape == (0, 9, 5)
         assert out.loglik.shape == (0,)
-        assert out.posterior.match_posterior.shape == (0, 5, 9)
+        assert out.z.shape[1:] == (9, 5)
 
 
 class TestValidation:
@@ -479,16 +484,34 @@ class TestValidation:
             )
 
     def test_bad_groups_shape(self):
+        """Rejected up front: with no escapes (wide band, default tolerance)
+        and in fixed mode, not only when some pair happens to escape."""
         rng = np.random.default_rng(0)
         pwms, windows = random_batch(rng, b=2)
-        with pytest.raises(AlignmentError):
-            align_batch_banded(
-                pwms,
-                windows,
-                PARAMS,
-                np.zeros(2, dtype=np.int64),
-                band_w=1,
-                tolerance=0.0,
-                groups=np.zeros(5, dtype=np.int64),
-                escape_min_ratio=0.5,
-            )
+        for adaptive in (True, False):
+            with pytest.raises(AlignmentError, match="groups"):
+                align_batch_banded(
+                    pwms,
+                    windows,
+                    PARAMS,
+                    np.full(2, windows.shape[1] // 2, dtype=np.int64),
+                    band_w=pwms.shape[1] + windows.shape[1],
+                    adaptive=adaptive,
+                    groups=np.zeros(5, dtype=np.int64),
+                    escape_min_ratio=0.5,
+                )
+
+    def test_bad_valid_shape_rejected_before_the_fill(self):
+        rng = np.random.default_rng(0)
+        pwms, windows = random_batch(rng, b=2)
+        with scope() as reg:
+            with pytest.raises(AlignmentError, match="valid"):
+                align_batch_banded(
+                    pwms,
+                    windows,
+                    PARAMS,
+                    np.zeros(2, dtype=np.int64),
+                    band_w=3,
+                    valid=np.ones((2, 3), dtype=bool),
+                )
+            assert "phmm.pairs" not in reg.snapshot().counters

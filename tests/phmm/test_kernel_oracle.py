@@ -12,7 +12,7 @@ to the same B*N*M geometry the numerics are verified over.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AlignmentError
@@ -67,6 +67,42 @@ def params_strategy(draw):
     return PHMMParams(gap_open=gap_open, gap_extend=gap_extend)
 
 
+def _edge_case(pwm_rows, n, m, window_code=None):
+    """B = 2 pairs of one hand-picked input class: every read position has
+    the PWM row ``pwm_rows`` cycles through, the window is all
+    ``window_code`` (4 = N, uniform emission) or a fixed ACGT ramp."""
+    rows = np.asarray(pwm_rows, dtype=np.float64)
+    pwm = rows[np.arange(n) % len(rows)]
+    window = (
+        np.arange(m) % 4 if window_code is None else np.full(m, window_code)
+    ).astype(np.uint8)
+    return np.stack([pwm, pwm[::-1]]), np.stack([window, window[::-1]])
+
+
+_UNIFORM = [[0.25] * 4]
+_ONE_HOT = np.eye(4)
+#: Input classes the random strategy reaches rarely or never: uniform and
+#: one-hot PWMs, all-N windows, a single read row, a single window column,
+#: a read longer than its window.
+EDGE_CASES = (
+    _edge_case(_UNIFORM, 3, 5),
+    _edge_case(_UNIFORM, 5, 8, window_code=4),
+    _edge_case(_ONE_HOT, 6, 7),
+    _edge_case(_ONE_HOT, 1, 6),
+    _edge_case(_ONE_HOT, 5, 1),
+    _edge_case(_UNIFORM, 1, 1),
+    _edge_case(_ONE_HOT, 9, 4),
+)
+
+
+def edge_examples(test):
+    """Pin every edge case, in both modes, as an explicit example."""
+    for case in EDGE_CASES:
+        for mode in MODES:
+            test = example(case=case, params=PHMMParams(), mode=mode)(test)
+    return test
+
+
 def unscale(scaled: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
     """Undo per-row scaling: true value is ``scaled[b,i,j] e^{ls[b,i]}``."""
     return scaled * np.exp(log_scale)[:, :, None]
@@ -74,6 +110,7 @@ def unscale(scaled: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
 
 @settings(max_examples=40, deadline=None)
 @given(case=batch_case(), params=params_strategy(), mode=st.sampled_from(MODES))
+@edge_examples
 def test_forward_matrices_match_naive_per_pair(case, params, mode):
     pwms, windows = case
     B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
@@ -100,6 +137,7 @@ def test_forward_matrices_match_naive_per_pair(case, params, mode):
 
 @settings(max_examples=40, deadline=None)
 @given(case=batch_case(), params=params_strategy(), mode=st.sampled_from(MODES))
+@edge_examples
 def test_backward_matrices_match_naive_per_pair(case, params, mode):
     pwms, windows = case
     B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
@@ -132,6 +170,7 @@ def test_emissions_match_naive_per_pair(case):
 
 @settings(max_examples=30, deadline=None)
 @given(case=batch_case(), params=params_strategy(), mode=st.sampled_from(MODES))
+@edge_examples
 def test_batching_is_not_load_bearing(case, params, mode):
     """Each pair's result is identical whether aligned in a batch or alone."""
     pwms, windows = case

@@ -1,5 +1,7 @@
 """Tests for pipeline configuration validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigError
@@ -33,17 +35,18 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(alignment_mode="local")
 
-    def test_float32_requires_semiglobal_alignment(self):
-        # Global paths accumulate the full end-to-end gap penalty in one
-        # score, outside the float32 escalation contract's validated range.
-        with pytest.raises(ConfigError, match="semiglobal"):
-            PipelineConfig(
-                phmm_kernel="wavefront",
-                phmm_dtype="float32",
-                alignment_mode="global",
-            )
-        PipelineConfig(phmm_kernel="wavefront", phmm_dtype="float32")
-        PipelineConfig(phmm_kernel="wavefront", alignment_mode="global")
+    def test_kernel_keywords_are_a_type_error(self):
+        # One kernel family: the two selectors are read-only constants
+        # (kept for ledger/replay.py), not fields.
+        with pytest.raises(TypeError):
+            PipelineConfig(phmm_kernel="rowsweep")
+        with pytest.raises(TypeError):
+            PipelineConfig(phmm_dtype="float64")
+        cfg = PipelineConfig()
+        assert (cfg.phmm_kernel, cfg.phmm_dtype) == ("rowsweep", "float64")
+        names = {f.name for f in dataclasses.fields(cfg)}
+        assert len(names) == 18
+        assert not names & {"phmm_kernel", "phmm_dtype"}
 
     def test_band_defaults_off(self):
         cfg = PipelineConfig()

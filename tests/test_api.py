@@ -145,6 +145,11 @@ class TestBandedEngine:
             workload.reference, PipelineConfig(band_mode=band_mode)
         ).run(workload.reads)
         assert snp_keys(banded.snps) == snp_keys(full.snps)
+        # Banding at defaults cuts the DP cells filled at least 3x, the
+        # adaptive mode's unbanded escape re-fills included.
+        cells = banded.metrics.counters
+        filled = cells["phmm.cells_banded"] + cells.get("phmm.cells_full", 0)
+        assert full.metrics.counters["phmm.cells_full"] >= 3 * filled
 
     def test_banded_serial_matches_banded_mp(self, workload):
         config = PipelineConfig(band_mode="adaptive")

@@ -100,19 +100,12 @@ class TestSimulateCallEvaluate:
         with pytest.raises(SystemExit):  # argparse rejects unknown modes
             main(["call", str(ref), str(reads), "--band-mode", "wat"])
 
-    def test_float32_global_alignment_rejected(self, tmp_path, capsys):
-        ref = tmp_path / "ref.fa"
-        ref.write_text(">a\nACGTACGTACGTACGT\n")
-        reads = tmp_path / "r.fq"
-        reads.write_text("@r\nACGTACGTACGT\n+\nIIIIIIIIIIII\n")
-        rc = main([
-            "call", str(ref), str(reads), "-o", str(tmp_path / "o.tsv"),
-            "--phmm-kernel", "wavefront", "--phmm-dtype", "float32",
-            "--alignment-mode", "global",
-        ])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "alignment_mode='semiglobal'" in err
+    def test_removed_kernel_flags_exit_2(self):
+        for command in ("call", "map"):
+            for flag in (["--phmm-kernel", "rowsweep"], ["--phmm-dtype", "float64"]):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, "ref.fa", "reads.fq", *flag])
+                assert exc.value.code == 2
 
     def test_experiments_table2(self, capsys):
         rc = main(["experiments", "table2", "--scale", "tiny"])

@@ -3,11 +3,10 @@
 An AST linter encoding the numerical and concurrency invariants this
 codebase depends on: log-space vs. linear-space probability hygiene, seeded
 RNG discipline, multiprocessing shared-state safety, exception-boundary
-policy, ``np.errstate`` guards around kernel reductions, and kernel dtype
-contracts.  Beyond the per-file rules, *project passes* build a module
-symbol table and call graph over the whole file set and run interprocedural
-dataflow: log/linear domain taint across function boundaries (RPL101/102),
-float32 escalation-contract escapes (RPL7xx) and multiprocessing
+policy and ``np.errstate`` guards around kernel reductions.  Beyond the
+per-file rules, *project passes* build a module symbol table and call graph
+over the whole file set and run interprocedural dataflow: log/linear domain
+taint across function boundaries (RPL101/102) and multiprocessing
 shared-state safety from worker entry points outward (RPL8xx).
 
 Run it as ``python -m replint src`` (with ``tools/`` on ``PYTHONPATH``), or

@@ -41,13 +41,6 @@ class ReplintConfig:
     metric_prefixes:
         The ``subsystem`` vocabulary of the ``subsystem.metric`` naming
         grammar; RPL601 flags metric/trace names outside it.
-    f32_sanctioned:
-        Modules implementing the float32 escalation contract (DESIGN §12);
-        the only kernel modules allowed to narrow to float32 (RPL701).
-    f32_contract:
-        Modules *inside* the escalation contract: float32 values may flow
-        freely here; a float32-returning function called from outside this
-        set is an RPL702 contract escape.
     worker_entrypoints:
         Extra worker-root qualname globs (``pkg.mod.func``) for the RPL801
         reachability pass, beyond the roots auto-discovered at dispatch
@@ -82,10 +75,6 @@ class ReplintConfig:
             "seed",
         ]
     )
-    f32_sanctioned: list[str] = field(
-        default_factory=lambda: ["*/phmm/wavefront.py"]
-    )
-    f32_contract: list[str] = field(default_factory=lambda: ["*/phmm/*.py"])
     worker_entrypoints: list[str] = field(default_factory=lambda: [])
     dispatch_targets: list[str] = field(
         default_factory=lambda: ["ChunkDispatcher", "Pool", "Process"]
@@ -106,12 +95,6 @@ class ReplintConfig:
     def is_excluded(self, path: str) -> bool:
         return _match_any(path, self.exclude)
 
-    def is_f32_sanctioned(self, path: str) -> bool:
-        return _match_any(path, self.f32_sanctioned)
-
-    def is_f32_contract(self, path: str) -> bool:
-        return _match_any(path, self.f32_contract) or self.is_f32_sanctioned(path)
-
     def rule_selected(self, rule_id: str) -> bool:
         return not self.select or rule_id in self.select
 
@@ -124,8 +107,6 @@ _LIST_KEYS = (
     "exclude",
     "select",
     "metric_prefixes",
-    "f32_sanctioned",
-    "f32_contract",
     "worker_entrypoints",
     "dispatch_targets",
 )

@@ -1,6 +1,6 @@
-"""Interprocedural dataflow scaffolding: domains and dtypes per function.
+"""Interprocedural dataflow scaffolding: a log/linear domain per function.
 
-Two small abstract interpreters run over the project symbol table and call
+One small abstract interpreter runs over the project symbol table and call
 graph:
 
 * **Log/linear domain inference** — every function gets a *return domain*
@@ -12,13 +12,7 @@ graph:
   where a call's domain is its callee's inferred return domain.  The
   cross-call checks in :mod:`replint.rules.domainflow` consume this.
 
-* **dtype lattice inference** — every function gets the set of float widths
-  its return value can carry (``{"float32"}``, ``{"float64"}``, both =
-  mixed, or empty = unknown), seeded by explicit narrowing/widening
-  expressions (``.astype(np.float32)``, ``dtype="float32"``) and propagated
-  through the call graph to the same fixpoint.  RPL702 consumes this.
-
-Both analyses are deliberately under-approximate: a value is only labelled
+The analysis is deliberately under-approximate: a value is only labelled
 when the label is certain, so project findings are high-confidence.
 """
 
@@ -48,8 +42,6 @@ _MAX_ROUNDS = 8
 _LOG_FUNCS = frozenset({"np.log", "np.log2", "np.log10", "np.log1p", "math.log"})
 _EXP_FUNCS = frozenset({"np.exp", "np.expm1", "math.exp"})
 
-_F32_NAMES = frozenset({"np.float32", "numpy.float32", "float32"})
-_F64_NAMES = frozenset({"np.float64", "numpy.float64", "float64"})
 
 
 def _def_line_annotations(fn: FunctionInfo, source: str) -> "tuple[str | None, dict[str, str]]":
@@ -224,84 +216,3 @@ class ProjectContext:
         if name is None:
             return None
         return self.table.resolve_function(module, name)
-
-    # -- dtype inference ------------------------------------------------------
-    @cached_property
-    def return_dtypes(self) -> dict[str, frozenset[str]]:
-        """Function qualname -> set of float widths the return may carry."""
-        dtypes: dict[str, frozenset[str]] = {
-            qual: frozenset() for qual in self.table.functions
-        }
-        for _ in range(_MAX_ROUNDS):
-            changed = False
-            for qual, fn in self.table.functions.items():
-                acc: set[str] = set(dtypes[qual])
-                for node in ast.walk(fn.node):
-                    if not (isinstance(node, ast.Return) and node.value is not None):
-                        continue
-                    acc |= self.expr_dtypes(node.value, fn.path, fn.module, dtypes)
-                frozen = frozenset(acc)
-                if frozen != dtypes[qual]:
-                    dtypes[qual] = frozen
-                    changed = True
-            if not changed:
-                break
-        return dtypes
-
-    def expr_dtypes(
-        self,
-        node: ast.expr,
-        path: str,
-        module: "str | None" = None,
-        dtypes: "dict[str, frozenset[str]] | None" = None,
-    ) -> frozenset[str]:
-        if isinstance(node, ast.Tuple):
-            out: set[str] = set()
-            for elt in node.elts:
-                out |= self.expr_dtypes(elt, path, module, dtypes)
-            return frozenset(out)
-        if not isinstance(node, ast.Call):
-            return frozenset()
-        width = self.narrowing_width(node, path)
-        if width is not None:
-            return frozenset({width})
-        fn = self.resolve_call(path, node, module)
-        if fn is not None:
-            return (dtypes or self.return_dtypes).get(fn.qualname, frozenset())
-        return frozenset()
-
-    def narrowing_width(self, node: ast.Call, path: str) -> "str | None":
-        """``"float32"``/``"float64"`` when this call pins a float width."""
-
-        def width_of(expr: ast.expr) -> "str | None":
-            name = dotted(expr)
-            if name is not None:
-                head, _, rest = name.partition(".")
-                if head in self.aliases.get(path, frozenset({"numpy"})):
-                    name = f"np.{rest}" if rest else "np"
-                if name in _F32_NAMES:
-                    return "float32"
-                if name in _F64_NAMES:
-                    return "float64"
-            if isinstance(expr, ast.Constant) and expr.value in ("float32", "float64"):
-                return str(expr.value)
-            return None
-
-        # x.astype(np.float32) / x.astype("float32")
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "astype"
-            and node.args
-        ):
-            return width_of(node.args[0])
-        # np.float32(x)
-        target = self.norm_call_target(path, node)
-        if target in _F32_NAMES:
-            return "float32"
-        if target in _F64_NAMES:
-            return "float64"
-        # np.zeros(..., dtype=np.float32) and friends
-        for kw in node.keywords:
-            if kw.arg == "dtype":
-                return width_of(kw.value)
-        return None

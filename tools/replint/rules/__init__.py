@@ -14,7 +14,6 @@ from __future__ import annotations
 from replint.rules.base import FileContext, Rule
 from replint.rules.domainflow import CrossCallDomainRule
 from replint.rules.domains import DomainMixArithRule, LogDomainCallRule
-from replint.rules.dtypes import DtypeNarrowingRule, F32ContractEscapeRule
 from replint.rules.errstate import UnguardedReductionLogRule
 from replint.rules.excepts import BroadExceptRule
 from replint.rules.metricnames import MetricNameRule
@@ -34,14 +33,12 @@ ALL_RULES: tuple[Rule, ...] = (
     BroadExceptRule(),
     UnguardedReductionLogRule(),
     MetricNameRule(),
-    DtypeNarrowingRule(),
     SharedMemoryScopeRule(),
 )
 
 #: Interprocedural passes over the project symbol table / call graph.
 PROJECT_RULES = (
     CrossCallDomainRule(),
-    F32ContractEscapeRule(),
     WorkerGlobalMutationRule(),
     ForkUnsafeCaptureRule(),
 )
