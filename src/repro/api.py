@@ -45,8 +45,8 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.gnumap import CallResult, GnumapSnp, MappingStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.observability.endpoint import TelemetryEndpoint
     from repro.observability.livestream import TelemetryAggregator
-    from repro.observability.promexport import PrometheusEndpoint
     from repro.parallel.pool import PersistentPool
 
 __all__ = ["CallResult", "Engine", "MappingStats"]
@@ -88,7 +88,7 @@ class Engine:
         self._pool: "PersistentPool | None" = None
         self._pool_flags: "tuple | None" = None
         self._telemetry: "TelemetryAggregator | None" = None
-        self._endpoint: "PrometheusEndpoint | None" = None
+        self._endpoint: "TelemetryEndpoint | None" = None
         if self.config.telemetry.enabled:
             # Eager, so telemetry_url is scrapeable before the first run.
             self._ensure_telemetry()
@@ -143,7 +143,8 @@ class Engine:
 
     @property
     def telemetry_url(self) -> "str | None":
-        """The Prometheus ``/metrics`` URL (None when no endpoint is live)."""
+        """URL of the live ``repro.metrics/v2`` document (None when no
+        endpoint is live)."""
         if self._endpoint is None:
             return None
         return self._endpoint.url
@@ -166,14 +167,13 @@ class Engine:
             )
             self._telemetry.start()
         if self._endpoint is None and cfg.port is not None:
-            from repro.observability.promexport import (
-                PrometheusEndpoint,
-                render_telemetry,
-            )
+            import json
+
+            from repro.observability.endpoint import TelemetryEndpoint
 
             aggregator = self._telemetry
-            self._endpoint = PrometheusEndpoint(
-                lambda: render_telemetry(aggregator),
+            self._endpoint = TelemetryEndpoint(
+                lambda: json.dumps(aggregator.live_document()),
                 host=cfg.host,
                 port=cfg.port,
             )

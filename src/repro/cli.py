@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four subcommands cover the full workflow on files:
+Six subcommands cover the full workflow on files:
 
 ``simulate``
     Build a synthetic reference + planted SNP catalog + reads
@@ -14,13 +14,10 @@ Four subcommands cover the full workflow on files:
     Score a SNP TSV against a truth catalog TSV.
 ``top``
     Live terminal dashboard over a running ``call --telemetry``
-    endpoint: per-worker heartbeats, rates and stall flags.
+    endpoint: rates, recovery counts, per-worker heartbeats and stall
+    flags, and the live span tree.
 ``experiments``
     Regenerate one of the paper's tables/figures at a chosen scale.
-``metrics diff``
-    Compare two metrics/bench JSON documents; with
-    ``--fail-on-regression PCT`` exit non-zero when any directional metric
-    regressed beyond the threshold (the CI perf gate).
 
 Every command is deterministic under ``--seed``.  ``--metrics-json`` and
 ``--trace`` write self-describing artifacts (a run manifest with the
@@ -98,6 +95,12 @@ def _cmd_call(args: argparse.Namespace) -> int:
     with Engine.from_fasta(args.reference, config) as engine:
         if engine.telemetry_url is not None:
             print(f"telemetry: {engine.telemetry_url}", file=sys.stderr)
+            if engine.workers == 1:
+                print(
+                    "telemetry: only pool workers publish; the endpoint "
+                    "stays empty without --workers > 1",
+                    file=sys.stderr,
+                )
         result = engine.run(reads)
     n = result.write_tsv(args.output)
     print(
@@ -218,18 +221,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         url = url.rstrip("/") + "/metrics"
     iterations = 1 if args.once else args.iterations
     return run_top(url, interval=args.interval, iterations=iterations)
-
-
-def _cmd_metrics_diff(args: argparse.Namespace) -> int:
-    from repro.observability import diff_files, format_diff, has_regressions
-
-    entries = diff_files(args.baseline, args.current)
-    print(format_diff(entries, threshold_pct=args.fail_on_regression))
-    if args.fail_on_regression is not None and has_regressions(
-        entries, args.fail_on_regression
-    ):
-        return 1
-    return 0
 
 
 def _add_metrics_arg(p: argparse.ArgumentParser) -> None:
@@ -382,14 +373,15 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
 def _add_telemetry_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group(
         "live telemetry",
-        "in-flight worker metrics over a Prometheus endpoint (watch with "
-        "`repro top URL`); never changes call results",
+        "in-flight worker metrics over an HTTP endpoint (watch with "
+        "`repro top URL`; needs --workers > 1); never changes call results",
     )
     g.add_argument(
         "--telemetry",
         action="store_true",
-        help="stream live worker metrics and serve a Prometheus /metrics "
-        "endpoint for the duration of the run (URL printed to stderr)",
+        help="stream live worker metrics and serve them as a "
+        "repro.metrics/v2 JSON document at /metrics for the duration of "
+        "the run (URL printed to stderr)",
     )
     g.add_argument(
         "--telemetry-port",
@@ -517,29 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument(
         "--once",
         action="store_true",
-        help="scrape and render a single frame, then exit",
+        help="fetch and render a single frame, then exit",
     )
     p_top.set_defaults(func=_cmd_top)
-
-    p_metrics = sub.add_parser(
-        "metrics", help="inspect and compare exported metrics JSON"
-    )
-    metrics_sub = p_metrics.add_subparsers(dest="metrics_command", required=True)
-    p_diff = metrics_sub.add_parser(
-        "diff",
-        help="compare two metrics/bench JSON files (the CI perf gate)",
-    )
-    p_diff.add_argument("baseline", help="baseline metrics or BENCH JSON")
-    p_diff.add_argument("current", help="current metrics or BENCH JSON")
-    p_diff.add_argument(
-        "--fail-on-regression",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="exit non-zero if any directional metric regressed by more "
-        "than PCT percent (e.g. 20 for a 20%% wall-time budget)",
-    )
-    p_diff.set_defaults(func=_cmd_metrics_diff)
 
     return parser
 

@@ -15,29 +15,16 @@ Instrumentation writes five kinds of data to the *current* registry:
 Snapshots are picklable and merge associatively, so partial results from
 ``multiprocessing`` workers and simulated cluster ranks fold into one
 coherent tree.  See DESIGN.md ("Observability", "Flight-recorder tracing")
-for the naming scheme and the ``repro.metrics/v2`` JSON contract;
-:mod:`repro.observability.diffing` turns two exported documents into a
-perf-regression gate.
+for the naming scheme and the ``repro.metrics/v2`` JSON contract — the one
+document ``--metrics-json`` writes, the live telemetry endpoint serves and
+``repro top`` renders.
 """
 
 from repro.observability.chrometrace import to_chrome_trace, write_chrome_trace
-from repro.observability.dashboard import (
-    Exposition,
-    fetch_exposition,
-    parse_exposition,
-    render_top,
-    run_top,
-)
-from repro.observability.diffing import (
-    DiffEntry,
-    diff_documents,
-    diff_files,
-    format_diff,
-    has_regressions,
-)
+from repro.observability.dashboard import render_top, run_top
+from repro.observability.endpoint import TelemetryEndpoint
 from repro.observability.export import (
     SCHEMA,
-    SCHEMA_V1,
     format_metrics_report,
     read_metrics_json,
     to_json,
@@ -51,13 +38,6 @@ from repro.observability.livestream import (
     start_publisher,
 )
 from repro.observability.manifest import MANIFEST_SCHEMA, run_manifest
-from repro.observability.promexport import (
-    PrometheusEndpoint,
-    Series,
-    prometheus_name,
-    render_telemetry,
-    to_prometheus,
-)
 from repro.observability.registry import (
     MetricsRegistry,
     current,
@@ -71,31 +51,19 @@ from repro.observability.spans import current_path, detached, span
 __all__ = [
     "MANIFEST_SCHEMA",
     "SCHEMA",
-    "SCHEMA_V1",
-    "DiffEntry",
-    "Exposition",
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "PrometheusEndpoint",
-    "Series",
     "TelemetryAggregator",
+    "TelemetryEndpoint",
     "WorkerView",
     "current",
     "current_path",
     "detached",
-    "diff_documents",
-    "diff_files",
-    "fetch_exposition",
-    "format_diff",
     "format_metrics_report",
     "global_registry",
-    "has_regressions",
     "merge_snapshots",
-    "parse_exposition",
-    "prometheus_name",
     "read_metrics_json",
-    "render_telemetry",
     "render_top",
     "run_manifest",
     "run_top",
@@ -105,7 +73,6 @@ __all__ = [
     "to_chrome_trace",
     "to_json",
     "to_json_dict",
-    "to_prometheus",
     "use",
     "write_chrome_trace",
     "write_metrics_json",

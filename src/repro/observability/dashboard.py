@@ -2,13 +2,15 @@
 
 Split into three testable layers:
 
-* :func:`parse_exposition` — a small Prometheus 0.0.4 text parser (the
-  inverse of :mod:`repro.observability.promexport`, and the validator the
-  CI smoke job uses against a live endpoint);
-* :func:`render_top` — a pure function from two successive
-  :class:`Exposition` scrapes to one dashboard frame (rates come from the
-  scrape-to-scrape counter deltas; quantiles from the live cumulative
-  histogram buckets);
+* :func:`parse_live_document` — decode one endpoint body (the
+  ``repro.metrics/v2`` document plus ``workers``) into a
+  :class:`MetricsSnapshot` and :class:`WorkerView` rows, through the same
+  schema check metrics files get.  The body comes off a socket, so every
+  defect is an :class:`ObservabilityError` (also what the CI smoke job
+  runs against a live endpoint);
+* :func:`render_top` — a pure function from two successive snapshots to
+  one dashboard frame (rates from ``curr.delta_since(prev)``, quantiles
+  from ``MetricsSnapshot.histogram_quantile``);
 * :func:`run_top` — the fetch/render/sleep loop behind the CLI command,
   with injectable fetcher and output stream so tests can drive it without
   sockets or a TTY.
@@ -16,143 +18,54 @@ Split into three testable layers:
 
 from __future__ import annotations
 
+import json
 import math
-import re
 import sys
 import time
-import urllib.error
 import urllib.request
-from typing import IO, Callable
+from typing import IO, Any, Callable
 
 from repro.errors import ObservabilityError
+from repro.observability.export import format_span_tree, snapshot_from_document
+from repro.observability.livestream import WorkerView
+from repro.observability.snapshot import MetricsSnapshot
 
-__all__ = [
-    "Exposition",
-    "fetch_exposition",
-    "parse_exposition",
-    "render_top",
-    "run_top",
-]
+__all__ = ["fetch_live", "parse_live_document", "render_top", "run_top"]
 
-_SAMPLE_RE = re.compile(
-    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})?\s+(\S+)\s*$"
-)
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+#: One decoded endpoint body.
+LiveView = tuple[MetricsSnapshot, list[WorkerView]]
 
 
-def _unescape(value: str) -> str:
-    return (
-        value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
-    )
+def _worker_views(entries: Any) -> "list[WorkerView]":
+    try:
+        views = [WorkerView(**entry) for entry in entries]
+    except TypeError as exc:  # not a list of mappings; missing/extra fields
+        raise ObservabilityError(f"malformed workers section: {exc}") from exc
+    for view in views:
+        for field, value in vars(view).items():
+            if not isinstance(value, (int, float)) and not (
+                value is None and field == "busy_chunk"
+            ):
+                raise ObservabilityError(
+                    f"malformed workers section: {field}={value!r}"
+                )
+    return views
 
 
-def _parse_value(text: str) -> float:
-    if text == "+Inf":
-        return math.inf
-    if text == "-Inf":
-        return -math.inf
-    return float(text)
+def parse_live_document(body: "str | bytes", source: str = "<body>") -> LiveView:
+    """Decode one endpoint body; raises :class:`ObservabilityError` only."""
+    try:
+        doc = json.loads(body)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ObservabilityError(f"{source} did not answer JSON: {exc}") from exc
+    snapshot = snapshot_from_document(doc, source)
+    return snapshot, _worker_views(doc.get("workers", []))
 
 
-class Exposition:
-    """Parsed scrape: ``{family: {sorted-label-tuple: value}}`` + types."""
-
-    def __init__(self) -> None:
-        self.samples: "dict[str, dict[tuple[tuple[str, str], ...], float]]" = {}
-        self.types: "dict[str, str]" = {}
-
-    def add(self, name: str, labels: "dict[str, str]", value: float) -> None:
-        key = tuple(sorted(labels.items()))
-        self.samples.setdefault(name, {})[key] = value
-
-    @property
-    def names(self) -> "set[str]":
-        return set(self.samples)
-
-    def value(self, name: str, **labels: str) -> "float | None":
-        """The sample with exactly these labels, or None."""
-        series = self.samples.get(name)
-        if series is None:
-            return None
-        return series.get(tuple(sorted((k, str(v)) for k, v in labels.items())))
-
-    def series(self, name: str) -> "list[tuple[dict[str, str], float]]":
-        """All ``(labels, value)`` samples of a family (may be empty)."""
-        return [
-            (dict(key), val)
-            for key, val in sorted(self.samples.get(name, {}).items())
-        ]
-
-    def histogram_quantile(self, name: str, q: float) -> float:
-        """q-quantile from a family's cumulative ``_bucket`` series.
-
-        Returns the smallest ``le`` whose cumulative count covers the
-        target rank (NaN on a missing/empty histogram) — the exposition
-        image of :meth:`Histogram.quantile`, minus the min/max clamp that
-        doesn't travel through Prometheus.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ObservabilityError(f"quantile must be in [0, 1], got {q}")
-        buckets = sorted(
-            (dict(key).get("le"), val)
-            for key, val in self.samples.get(name + "_bucket", {}).items()
-        )
-        parsed = sorted(
-            (_parse_value(le), cum) for le, cum in buckets if le is not None
-        )
-        if not parsed:
-            return math.nan
-        total = parsed[-1][1]
-        if total <= 0:
-            return math.nan
-        target = max(1, math.ceil(q * total))
-        finite_les = [le for le, _ in parsed if math.isfinite(le)]
-        for le, cum in parsed:
-            if cum >= target:
-                if math.isinf(le):
-                    return finite_les[-1] if finite_les else math.inf
-                return le
-        return parsed[-1][0]  # pragma: no cover - cumulative reaches total
-
-
-def parse_exposition(text: str) -> Exposition:
-    """Parse Prometheus 0.0.4 text; raises on a malformed sample line."""
-    out = Exposition()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                out.types[parts[2]] = parts[3]
-            continue
-        match = _SAMPLE_RE.match(line)
-        if match is None:
-            raise ObservabilityError(
-                f"malformed exposition line {lineno}: {raw!r}"
-            )
-        name, label_body, value_text = match.groups()
-        labels: dict[str, str] = {}
-        if label_body:
-            labels = {
-                key: _unescape(val)
-                for key, val in _LABEL_RE.findall(label_body)
-            }
-        try:
-            value = _parse_value(value_text)
-        except ValueError as exc:
-            raise ObservabilityError(
-                f"malformed sample value on line {lineno}: {raw!r}"
-            ) from exc
-        out.add(name, labels, value)
-    return out
-
-
-def fetch_exposition(url: str, timeout: float = 5.0) -> Exposition:
-    """GET + parse a scrape (raises ``OSError``/``URLError`` on transport)."""
+def fetch_live(url: str, timeout: float = 5.0) -> LiveView:
+    """GET + decode the live document (``OSError`` on transport failure)."""
     with urllib.request.urlopen(url, timeout=timeout) as resp:
-        return parse_exposition(resp.read().decode("utf-8"))
+        return parse_live_document(resp.read(), url)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -179,106 +92,90 @@ def _secs(value: "float | None") -> str:
     return f"{value:.2f}s"
 
 
-def _rate(
-    curr: Exposition, prev: "Exposition | None", elapsed: float, name: str
-) -> "float | None":
-    if prev is None or elapsed <= 0:
-        return None
-    now, before = curr.value(name), prev.value(name)
-    if now is None or before is None or now < before:
-        return None
-    return (now - before) / elapsed
-
-
-def _ratio(curr: Exposition, num: str, den: str) -> "float | None":
-    n, d = curr.value(num), curr.value(den)
-    if n is None or d is None or d == 0:
-        return None
-    return n / d
-
-
 def render_top(
-    curr: Exposition,
-    prev: "Exposition | None",
+    curr: MetricsSnapshot,
+    prev: "MetricsSnapshot | None",
     elapsed: float,
+    workers: "list[WorkerView]",
     *,
     source: str,
     clock_text: str,
 ) -> str:
-    """One dashboard frame from two successive scrapes (pure function)."""
+    """One dashboard frame from two successive snapshots (pure function)."""
+    delta: "MetricsSnapshot | None" = None
+    if prev is not None and elapsed > 0:
+        try:
+            delta = curr.delta_since(prev)
+        except ObservabilityError:
+            pass  # a counter shrank: the endpoint restarted, no previous frame
+
+    def rate(*names: str) -> "float | None":
+        if delta is None or not all(name in curr.counters for name in names):
+            return None
+        return sum(delta.counter(name) for name in names) / elapsed
+
+    candidates, seeded = curr.counter("seed.candidates"), curr.counter("seed.reads")
+    chunk_seconds = curr.histogram("mp.chunk_map_seconds")
     lines = [f"repro top - {source}  [{clock_text}]", ""]
-    reads = curr.value("pipeline_reads_total")
     lines.append(
         "pipeline   reads {}   reads/s {}   candidates/read {}   filtered {}".format(
-            _si(reads),
-            _si(_rate(curr, prev, elapsed, "pipeline_reads_total")),
-            (
-                "-"
-                if (cpr := _ratio(curr, "seed_candidates_total", "seed_reads_total"))
-                is None
-                else f"{cpr:.2f}"
-            ),
-            _si(curr.value("seed_filtered_total")),
+            _si(curr.counters.get("pipeline.reads")),
+            _si(rate("pipeline.reads")),
+            f"{candidates / seeded:.2f}" if seeded else "-",
+            _si(curr.counters.get("seed.filtered")),
         )
     )
-    cells_rate = _rate(curr, prev, elapsed, "phmm_forward_cells_total")
-    back_rate = _rate(curr, prev, elapsed, "phmm_backward_cells_total")
-    if cells_rate is not None and back_rate is not None:
-        cells_rate += back_rate
     lines.append(
         "phmm       DP cells/s {}   chunk p50/p90/p99 {} / {} / {}".format(
-            _si(cells_rate),
-            _secs(curr.histogram_quantile("mp_chunk_map_seconds", 0.5)),
-            _secs(curr.histogram_quantile("mp_chunk_map_seconds", 0.9)),
-            _secs(curr.histogram_quantile("mp_chunk_map_seconds", 0.99)),
+            _si(rate("phmm.forward_cells", "phmm.backward_cells")),
+            *(
+                _secs(curr.histogram_quantile("mp.chunk_map_seconds", q))
+                for q in (0.5, 0.9, 0.99)
+            ),
         )
     )
     lines.append(
         "chunks     ok {}   retries {}   timeouts {}   deaths {}   stalls {}".format(
-            _si(curr.value("mp_chunks_total")),
-            _si(curr.value("mp_chunk_retries_total") or 0),
-            _si(curr.value("mp_chunk_timeouts_total") or 0),
-            _si(curr.value("mp_worker_deaths_total") or 0),
-            _si(curr.value("mp_worker_stalls_total") or 0),
+            _si(None if chunk_seconds is None else chunk_seconds["count"]),
+            _si(curr.counter("mp.chunk_retries")),
+            _si(curr.counter("mp.chunk_timeouts")),
+            _si(curr.counter("mp.worker_deaths")),
+            _si(curr.counter("mp.worker_stalls")),
         )
     )
     lines.append(
         "telemetry  workers {}   deltas {}   fleet reads/s {}   fleet cells/s {}".format(
-            _si(curr.value("mp_workers")),
-            _si(curr.value("obs_telemetry_deltas_total")),
-            _si(curr.value("mp_reads_per_second")),
-            _si(curr.value("mp_dp_cells_per_second")),
+            len(workers),
+            _si(curr.counters.get("obs.telemetry_deltas")),
+            _si(sum(w.reads_per_second for w in workers)),
+            _si(sum(w.cells_per_second for w in workers)),
         )
     )
-    workers = curr.series("mp_worker_heartbeat_age_seconds")
+    lines.append("")
     if workers:
-        lines.append("")
         lines.append(
             f"{'worker':>8}  {'state':<16} {'beat':>8} {'reads/s':>9} {'cells/s':>9}"
         )
-        for labels, age in workers:
-            wid = labels.get("worker", "?")
-            busy = curr.value("mp_worker_busy", worker=wid)
-            busy_secs = curr.value("mp_worker_busy_seconds", worker=wid)
-            stalled = curr.value("mp_worker_stalled", worker=wid)
-            if stalled:
+        for w in workers:
+            if w.stalled:
                 state = "STALLED"
-            elif busy:
-                state = f"busy {_secs(busy_secs)}"
+            elif w.busy_chunk is not None:
+                state = f"busy {_secs(w.busy_seconds)}"
             else:
                 state = "idle"
             lines.append(
                 "{:>8}  {:<16} {:>8} {:>9} {:>9}".format(
-                    wid,
+                    w.pid,
                     state,
-                    _secs(age),
-                    _si(curr.value("mp_worker_reads_per_second", worker=wid)),
-                    _si(curr.value("mp_worker_dp_cells_per_second", worker=wid)),
+                    _secs(w.heartbeat_age_seconds),
+                    _si(w.reads_per_second),
+                    _si(w.cells_per_second),
                 )
             )
     else:
-        lines.append("")
         lines.append("(no workers publishing yet)")
+    if curr.spans:
+        lines += ["", "spans:", *format_span_tree(curr.spans)]
     return "\n".join(lines) + "\n"
 
 
@@ -289,21 +186,22 @@ def run_top(
     iterations: "int | None" = None,
     clear: "bool | None" = None,
     out: "IO[str] | None" = None,
-    fetch_fn: "Callable[[str], Exposition] | None" = None,
+    fetch_fn: "Callable[[str], LiveView] | None" = None,
 ) -> int:
-    """The ``repro top`` loop: scrape, render, repeat until interrupted.
+    """The ``repro top`` loop: fetch, render, repeat until interrupted.
 
     ``iterations=None`` runs until Ctrl-C.  With a finite iteration count
-    (``--once``) a failed scrape raises so the CLI exits non-zero; in the
-    endless mode it renders a waiting frame and keeps retrying.
+    (``--once``) an unreachable endpoint or a malformed body raises so the
+    CLI exits non-zero; in the endless mode either renders a waiting frame
+    and the loop keeps retrying.
     """
     if interval <= 0:
         raise ObservabilityError(f"interval must be > 0, got {interval}")
     stream: "IO[str]" = out if out is not None else sys.stdout
-    fetch = fetch_fn if fetch_fn is not None else fetch_exposition
+    fetch = fetch_fn if fetch_fn is not None else fetch_live
     if clear is None:
         clear = iterations is None and stream.isatty()
-    prev: "Exposition | None" = None
+    prev: "MetricsSnapshot | None" = None
     prev_at = 0.0
     n = 0
     try:
@@ -312,18 +210,17 @@ def run_top(
                 time.sleep(interval)
             now = time.monotonic()
             try:
-                curr = fetch(url)
-            except (OSError, urllib.error.URLError) as exc:
+                curr, workers = fetch(url)
+            except (OSError, ObservabilityError) as exc:
                 if iterations is not None:
-                    raise ObservabilityError(
-                        f"cannot scrape {url}: {exc}"
-                    ) from exc
+                    raise ObservabilityError(f"cannot read {url}: {exc}") from exc
                 frame = f"repro top - waiting for {url} ({exc})\n"
             else:
                 frame = render_top(
                     curr,
                     prev,
                     now - prev_at,
+                    workers,
                     source=url,
                     clock_text=time.strftime("%H:%M:%S"),
                 )

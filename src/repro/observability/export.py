@@ -28,12 +28,10 @@ Counter values are written as-is (ints stay ints); span ``seconds`` are
 floats; histogram bucket keys are stringified bucket indices (JSON objects
 cannot have int keys — the reader converts back); keys are emitted sorted
 at every level.  ``manifest`` (see :mod:`repro.observability.manifest`) is
-optional and descriptive only.
-
-Schema history: ``repro.metrics/v1`` lacked ``histograms`` and
-``manifest``.  v1 documents remain readable — :func:`read_metrics_json`
-accepts both tags and treats missing sections as empty — but new documents
-are always written as v2.
+optional and descriptive only.  The live telemetry endpoint serves this
+same document plus one more optional key, ``workers`` (per-worker live
+state, see :meth:`TelemetryAggregator.live_document`); files never carry it.
+:func:`snapshot_from_document` is the one schema check for both.
 """
 
 from __future__ import annotations
@@ -47,9 +45,6 @@ from repro.observability.snapshot import MetricsSnapshot
 
 #: Version tag of the JSON document; bump on breaking layout changes.
 SCHEMA = "repro.metrics/v2"
-
-#: The previous tag, still accepted by :func:`read_metrics_json`.
-SCHEMA_V1 = "repro.metrics/v1"
 
 #: Quantiles surfaced next to each histogram in the JSON and the report.
 _QUANTILES = ((0.5, "p50"), (0.9, "p90"), (0.99, "p99"))
@@ -118,41 +113,47 @@ def write_metrics_json(
         fh.write(to_json(snapshot, manifest))
 
 
-def read_metrics_json(path: str) -> MetricsSnapshot:
-    """Load a document written by :func:`write_metrics_json` (v1 or v2).
+def snapshot_from_document(data: Any, source: str) -> MetricsSnapshot:
+    """Schema-check a decoded document (a file's or the live endpoint's).
 
     The derived per-histogram quantile keys are recomputed from buckets on
     demand, so the round-trip stays lossless for the merge algebra.
     """
-    with open(path) as fh:
-        data = json.load(fh)
-    schema = data.get("schema")
-    if schema not in (SCHEMA, SCHEMA_V1):
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != SCHEMA:
         raise ObservabilityError(
-            f"unknown metrics schema {schema!r} in {path} "
-            f"(expected {SCHEMA!r} or {SCHEMA_V1!r})"
+            f"unknown metrics schema {schema!r} in {source} "
+            f"(expected {SCHEMA!r})"
         )
     return MetricsSnapshot.from_dict(data)
+
+
+def read_metrics_json(path: str) -> MetricsSnapshot:
+    """Load a document written by :func:`write_metrics_json`."""
+    with open(path) as fh:
+        return snapshot_from_document(json.load(fh), path)
 
 
 #: Counters grouped into dedicated report sections (satellite: fault-smoke
 #: CI logs should read as a story, not an alphabetical dump).
 _RECOVERY_PREFIX = "mp."
-_BANDING_KEYS = ("band_cell_fraction",)
+
+
+def format_span_tree(tree: "dict[str, dict]", depth: int = 1) -> "list[str]":
+    """One indented ``name  seconds  xcount`` line per span node."""
+    lines: list[str] = []
+    for name, node in tree.items():
+        lines.append(
+            f"{'  ' * depth}{name:<{max(24 - 2 * depth, 1)}}"
+            f"{node['seconds']:10.4f}s  x{node['count']}"
+        )
+        lines.extend(format_span_tree(node["children"], depth + 1))
+    return lines
 
 
 def format_metrics_report(snapshot: MetricsSnapshot) -> str:
     """Human-readable report: spans, recovery, banding, histograms, rest."""
     lines: list[str] = []
-
-    def walk(tree: "dict[str, dict]", depth: int) -> None:
-        for name in tree:
-            node = tree[name]
-            lines.append(
-                f"{'  ' * depth}{name:<{max(24 - 2 * depth, 1)}}"
-                f"{node['seconds']:10.4f}s  x{node['count']}"
-            )
-            walk(node["children"], depth + 1)
 
     def table(items: "dict[str, Any]") -> None:
         width = max(len(k) for k in items)
@@ -161,7 +162,7 @@ def format_metrics_report(snapshot: MetricsSnapshot) -> str:
 
     if snapshot.spans:
         lines.append("spans:")
-        walk(snapshot.spans, 1)
+        lines.extend(format_span_tree(snapshot.spans))
 
     recovery = {
         k: v for k, v in snapshot.counters.items() if k.startswith(_RECOVERY_PREFIX)
@@ -174,7 +175,7 @@ def format_metrics_report(snapshot: MetricsSnapshot) -> str:
         k: v
         for section in (snapshot.gauges, snapshot.counters)
         for k, v in section.items()
-        if k in _BANDING_KEYS or k.startswith("phmm.band_")
+        if k.startswith("phmm.band_")
     }
     if banding:
         lines.append("banding:")

@@ -190,11 +190,11 @@ class Histogram:
             hist.buckets = {
                 int(k): int(v) for k, v in dict(data.get("buckets", {})).items()
             }
-        except (TypeError, ValueError) as exc:
+            if hist.count:
+                hist.vmin = float(data.get("min", math.inf))
+                hist.vmax = float(data.get("max", -math.inf))
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ObservabilityError(f"malformed histogram dict: {exc}") from exc
-        if hist.count:
-            hist.vmin = float(data.get("min", math.inf))
-            hist.vmax = float(data.get("max", -math.inf))
         return hist
 
     def copy(self) -> "Histogram":

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ObservabilityError
 from repro.observability import trace
+from repro.observability.export import to_json_dict
 from repro.observability.registry import MetricsRegistry, global_registry
 from repro.observability.snapshot import MetricsSnapshot
 
@@ -182,7 +183,7 @@ class TelemetryAggregator:
     """Parent-side thread merging worker deltas into a live registry.
 
     The live registry is *separate* from the parent's authoritative one:
-    it exists only to be scraped (Prometheus endpoint, ``repro top``), so
+    it exists only to be read live (the endpoint, ``repro top``), so
     telemetry can never perturb the result path.  The only writes that
     reach the parent's normal registry chain are the watchdog's
     ``mp.worker_stall`` trace instants, which go wherever ``current()``
@@ -354,10 +355,23 @@ class TelemetryAggregator:
                     )
                 state.stalled = stalled
 
+    def count(self, name: str) -> None:
+        """Mirror one parent-side event (the dispatcher's recovery counters,
+        which no worker can report) into the live registry only."""
+        self._registry.inc(name)
+
     # -- reads ---------------------------------------------------------------
     def live_snapshot(self) -> MetricsSnapshot:
         """Frozen view of the live plane (cumulative worker deltas)."""
         return self._registry.snapshot()
+
+    def live_document(self) -> "dict[str, Any]":
+        """What the endpoint serves: the ``repro.metrics/v2`` document of
+        :meth:`live_snapshot` plus ``workers``, one mapping of the
+        :class:`WorkerView` fields per worker, sorted by pid."""
+        doc = to_json_dict(self.live_snapshot())
+        doc["workers"] = [asdict(view) for view in self.worker_views()]
+        return doc
 
     def worker_views(self) -> "list[WorkerView]":
         """Per-worker live state, sorted by pid (heartbeat ages as of now)."""

@@ -28,6 +28,7 @@ separately as Chrome trace JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Any
 
 from repro.errors import ObservabilityError
@@ -40,9 +41,39 @@ from repro.observability.histogram import (
 PATH_SEP = "/"
 
 
-def _check_span_node(node: dict) -> None:
-    if not {"seconds", "count", "children"} <= set(node):
-        raise ObservabilityError(f"malformed span node: {sorted(node)}")
+def _checked_span_tree(tree: Any) -> "dict[str, dict]":
+    """Validating copy of a span tree from outside (file, pipe, socket)."""
+    if not isinstance(tree, dict):
+        raise ObservabilityError("malformed span tree: children must be a mapping")
+    out: dict[str, dict] = {}
+    for name, node in tree.items():
+        if not (
+            isinstance(node, dict)
+            and isinstance(node.get("seconds"), Real)
+            and isinstance(node.get("count"), Integral)
+        ):
+            raise ObservabilityError(f"malformed span node {name!r}")
+        out[name] = {
+            "seconds": node["seconds"],
+            "count": node["count"],
+            "children": _checked_span_tree(node.get("children")),
+        }
+    return out
+
+
+def _section(data: Any, name: str) -> dict:
+    """One section of a document from outside; a mapping when present."""
+    values = data.get(name, {}) if isinstance(data, dict) else None
+    if not isinstance(values, dict):
+        raise ObservabilityError(f"malformed metrics section {name!r}")
+    return values
+
+
+def _numbers(data: Any, name: str) -> "dict[str, float]":
+    values = _section(data, name)
+    if not all(isinstance(v, Real) for v in values.values()):
+        raise ObservabilityError(f"metrics section {name!r} holds a non-number")
+    return dict(values)
 
 
 def _merge_span_trees(a: "dict[str, dict]", b: "dict[str, dict]") -> "dict[str, dict]":
@@ -269,14 +300,14 @@ class MetricsSnapshot:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsSnapshot":
-        spans = data.get("spans", {})
-        for node in spans.values():
-            _check_span_node(node)
+        """Inverse of :meth:`as_dict`.  The input may come from a file, a
+        worker pipe or a socket, so every section is validated: any defect
+        is an :class:`ObservabilityError`, never a ``KeyError`` later."""
         return cls(
-            counters=dict(data.get("counters", {})),
-            gauges=dict(data.get("gauges", {})),
-            spans=_copy_span_tree(spans),
-            histograms=_copy_histograms(data.get("histograms", {})),
+            counters=_numbers(data, "counters"),
+            gauges=_numbers(data, "gauges"),
+            spans=_checked_span_tree(_section(data, "spans")),
+            histograms=_copy_histograms(_section(data, "histograms")),
         )
 
 

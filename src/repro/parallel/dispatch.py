@@ -309,6 +309,13 @@ class ChunkDispatcher:
         )
         fallback_set: "set[int]" = set()
 
+        def count(name: str) -> None:
+            # The result-path registry, mirrored into the live plane: these
+            # are parent-side events no worker delta can carry.
+            reg.inc(name)
+            if self._telemetry is not None:
+                self._telemetry.count(name)
+
         def record_failure(cid: int, attempt: int, kind: str, detail: str) -> None:
             outcome.events.append(RecoveryEvent(cid, attempt, kind, detail))
             counter = {
@@ -324,7 +331,7 @@ class ChunkDispatcher:
                 "partial_reject": "mp.partial_reject",
             }.get(kind)
             if counter is not None:
-                reg.inc(f"{self._prefix}.{counter}")
+                count(f"{self._prefix}.{counter}")
             if instant is not None:
                 trace.instant(instant, chunk=cid, attempt=attempt, detail=detail)
             if attempt >= self._max_retries:
@@ -334,7 +341,7 @@ class ChunkDispatcher:
                 delay = self._backoff_base * (2.0**attempt)
                 pending.append((cid, attempt + 1, time.monotonic() + delay))
                 outcome.retries += 1
-                reg.inc(f"{self._prefix}.chunk_retries")
+                count(f"{self._prefix}.chunk_retries")
                 trace.instant("mp.chunk_retry", chunk=cid, attempt=attempt + 1)
                 trace.counter_sample(
                     f"{self._prefix}.chunk_retries", outcome.retries

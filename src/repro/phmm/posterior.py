@@ -17,11 +17,10 @@ position ``j``:
 * ``gap_mass[j]`` — the marginal probability that ``y_j`` is deleted from the
   read (the ``G_Y`` posterior summed over read positions).  This feeds the
   z-vector's gap channel.
-* ``ins_mass[j]`` — the marginal probability mass of read bases inserted
-  between ``y_j`` and ``y_{j+1}`` (``G_X`` posterior).  Reported for
-  completeness; the paper's gap channel is ambiguous between the two (its
-  formula writes ``x_i <> G_j`` but the calling semantics require deletion
-  evidence), and we default to deletions.  See DESIGN.md §2.
+  The paper's gap channel is ambiguous between deletion and insertion
+  (its formula writes ``x_i <> G_j`` but the calling semantics require
+  deletion evidence); we take deletions and never form the ``G_X``
+  (insertion) posterior.  See DESIGN.md §2.
 * ``occupancy[j]`` — total probability that the alignment covers ``y_j``
   (match + deletion).  1 in the interior of the aligned footprint, < 1 at
   the soft edges in semiglobal mode.
@@ -57,8 +56,6 @@ class PosteriorResult:
         ``(B, M, 4)`` per-window-position nucleotide mass.
     gap_mass:
         ``(B, M)`` deletion mass (genome base skipped by the read).
-    ins_mass:
-        ``(B, M)`` insertion mass attributed to the slot after each position.
     occupancy:
         ``(B, M)`` coverage probability per position.
     match_posterior:
@@ -70,7 +67,6 @@ class PosteriorResult:
 
     base_mass: np.ndarray
     gap_mass: np.ndarray
-    ins_mass: np.ndarray
     occupancy: np.ndarray
     match_posterior: np.ndarray
     loglik: np.ndarray
@@ -115,18 +111,14 @@ def posteriors_batch(
 
     postM_full = fwd.fM * bwd.bM * factor[:, :, None]
     postGY_full = fwd.fGY * bwd.bGY * factor[:, :, None]
-    postGX_full = fwd.fGX * bwd.bGX * factor[:, :, None]
     if dead.any():
         postM_full[dead] = 0.0
         postGY_full[dead] = 0.0
-        postGX_full[dead] = 0.0
 
     # Cell (i, j) for i = 1..N, j = 1..M.
     postM = postM_full[:, 1:, 1:]
-    # G_Y consumes y_j at any read row i = 0..N; G_X consumes x_i at any
-    # genome column j = 0..M (mass between y_j and y_{j+1}).
+    # G_Y consumes y_j at any read row i = 0..N.
     gap_mass = postGY_full[:, :, 1:].sum(axis=1)
-    ins_mass = postGX_full[:, 1:, 1:].sum(axis=1)
 
     # Split each match posterior over base hypotheses by the PWM row alone
     # (see module docstring for why the emission prior is *not* applied).
@@ -138,7 +130,6 @@ def posteriors_batch(
     return PosteriorResult(
         base_mass=base_mass,
         gap_mass=gap_mass,
-        ins_mass=ins_mass,
         occupancy=occupancy,
         match_posterior=postM,
         loglik=fwd.loglik.copy(),

@@ -116,7 +116,7 @@ class TelemetryConfig:
         Turn on the sideband: pool workers stream periodic metric deltas
         + heartbeats to a parent-side
         :class:`~repro.observability.livestream.TelemetryAggregator`, and
-        the Engine serves a Prometheus text-exposition endpoint over it.
+        the Engine serves its live ``repro.metrics/v2`` document over HTTP.
         SNP calls are byte-identical with telemetry on or off — the live
         registry is separate from the authoritative result-path metrics.
     interval:
@@ -130,7 +130,7 @@ class TelemetryConfig:
         early warning ahead of the per-chunk timeout kill.  Should sit
         well under ``parallel.chunk_timeout``.
     host, port:
-        Bind address for the Prometheus endpoint.  ``port=0`` (default)
+        Bind address for the HTTP endpoint.  ``port=0`` (default)
         picks an ephemeral port (read it from ``Engine.telemetry_url``);
         ``port=None`` disables the HTTP endpoint while keeping the
         in-process aggregator live (``repro top`` needs the endpoint).
@@ -215,8 +215,8 @@ class PipelineConfig:
         shape, per-chunk fault tolerance and chunk planning.
     telemetry:
         Live telemetry plane sub-config (:class:`TelemetryConfig`):
-        worker metric streaming, stall watchdog and the Prometheus
-        endpoint.  Off by default; never affects call results.
+        worker metric streaming, stall watchdog and the HTTP endpoint.
+        Off by default; never affects call results.
     """
 
     k: int = 10

@@ -102,11 +102,16 @@ class CallResult:
 
     @property
     def reads_per_second(self) -> float:
-        """Mapping throughput (reads / seed+align+accumulate seconds)."""
+        """Mapping throughput: reads per second of the parent's
+        ``map_parallel`` wall on a pool run (the stage leaves there are
+        worker-summed CPU seconds), else per seed+align+accumulate second."""
         totals = self.metrics.leaf_totals()
-        mapping = sum(
-            totals[k][0] for k in ("seed", "align", "accumulate") if k in totals
-        )
+        if "map_parallel" in totals:
+            mapping = totals["map_parallel"][0]
+        else:
+            mapping = sum(
+                totals[k][0] for k in ("seed", "align", "accumulate") if k in totals
+            )
         return self.stats.n_reads / mapping if mapping > 0 else 0.0
 
     def write_tsv(self, path: str) -> int:

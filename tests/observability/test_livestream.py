@@ -12,8 +12,10 @@ pipeline telemetry test.
 
 from __future__ import annotations
 
+import json
 import multiprocessing as mp
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -21,8 +23,10 @@ from repro.errors import ObservabilityError
 from repro.observability import (
     MetricsRegistry,
     TelemetryAggregator,
+    to_json_dict,
     use,
 )
+from repro.observability.dashboard import parse_live_document
 from repro.observability.histogram import subtract_histogram_dicts
 from repro.observability.livestream import (
     busy_state,
@@ -239,6 +243,41 @@ class TestAggregator:
         assert agg.live_snapshot().counter("obs.telemetry_decode_errors") == 1
         agg.close()
         send.close()
+
+    def test_nested_malformed_span_counts_decode_error(self):
+        # A defect below the top level must count as a decode error too,
+        # not escape from_dict as a KeyError and kill the drain thread.
+        agg = TelemetryAggregator(clock=_FakeClock())
+        recv, send = mp.Pipe(duplex=False)
+        agg.register(1, recv)
+        bad = {"a": {"seconds": 1.0, "count": 1, "children": {"b": {"count": 1}}}}
+        send.send((0, time.time(), None, {"spans": bad}))
+        agg.step()
+        assert agg.live_snapshot().counter("obs.telemetry_decode_errors") == 1
+        agg.close()
+        send.close()
+
+    def test_live_document_is_the_metrics_document_plus_workers(self):
+        agg = TelemetryAggregator(clock=_FakeClock())
+        pipes = [mp.Pipe(duplex=False) for _ in range(2)]
+        for pid, (recv, _) in zip((78, 77), pipes):
+            agg.register(pid, recv)
+        _send_delta(pipes[0][1], 0, reads=10, busy=(3, 0.5))
+        agg.step()
+        agg.count("mp.worker_deaths")
+        doc = agg.live_document()
+        assert doc["workers"] == [asdict(v) for v in agg.worker_views()]
+        assert [w["pid"] for w in doc["workers"]] == [77, 78]
+        assert doc["workers"][1]["busy_chunk"] == 3
+        assert doc.pop("workers") and doc == to_json_dict(agg.live_snapshot())
+        assert doc["counters"]["mp.worker_deaths"] == 1
+        # What the endpoint sends decodes back to the same snapshot.
+        snap, workers = parse_live_document(json.dumps(agg.live_document()))
+        assert snap == MetricsSnapshot.from_dict(agg.live_snapshot().as_dict())
+        assert workers == agg.worker_views()
+        agg.close()
+        for _, send in pipes:
+            send.close()
 
     def test_watchdog_flags_silent_worker_once(self):
         clock = _FakeClock()

@@ -5,10 +5,6 @@ exact document layout (key order, nesting, totals) for a synthetic,
 fully deterministic snapshot.  If you change the schema intentionally,
 bump :data:`repro.observability.export.SCHEMA` and regenerate the golden
 file (instructions in the assertion message).
-
-The previous-generation document (``repro.metrics/v1``, no histograms and
-no manifest) stays readable: ``metrics_golden_v1.json`` is the pre-bump
-golden file verbatim and must keep loading.
 """
 
 import json
@@ -19,7 +15,6 @@ import pytest
 from repro.errors import ObservabilityError
 from repro.observability import (
     SCHEMA,
-    SCHEMA_V1,
     MetricsRegistry,
     read_metrics_json,
     to_json,
@@ -28,7 +23,6 @@ from repro.observability import (
 )
 
 GOLDEN = pathlib.Path(__file__).parent.parent / "data" / "metrics_golden.json"
-GOLDEN_V1 = pathlib.Path(__file__).parent.parent / "data" / "metrics_golden_v1.json"
 
 
 def build_reference_snapshot():
@@ -99,13 +93,6 @@ class TestMetricsJsonSchema:
         path = tmp_path / "metrics.json"
         write_metrics_json(str(path), snap)
         assert read_metrics_json(str(path)) == snap
-
-    def test_v1_document_still_reads(self):
-        with open(GOLDEN_V1) as fh:
-            assert json.load(fh)["schema"] == SCHEMA_V1
-        snap = read_metrics_json(str(GOLDEN_V1))
-        assert snap.counters["pipeline.reads"] == 1000
-        assert snap.histograms == {}
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -76,6 +76,14 @@ class TestMultiprocessingBackend:
         )
         assert mp2.stats.n_reads == len(workload.reads)
 
+    def test_reads_per_second_is_per_parent_wall_second(self, workload):
+        # The stage leaves of a pool run are worker-summed CPU seconds;
+        # throughput divides by the parent's map_parallel wall instead.
+        mp2 = _run(workload, workload.reads)
+        wall = mp2.metrics.span_seconds("map_parallel")
+        assert wall > 0
+        assert mp2.reads_per_second * wall == pytest.approx(len(workload.reads))
+
     def test_zero_workers_rejected(self, workload):
         with pytest.raises(PipelineError):
             Engine(workload.reference, workers=0)

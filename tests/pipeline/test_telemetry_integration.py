@@ -9,6 +9,7 @@ telemetry pipe rides the same Process args as the command pipe).
 
 from __future__ import annotations
 
+import json
 import time
 import urllib.error
 import urllib.request
@@ -19,7 +20,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.workload import build_workload
 from repro.genome.reference import Reference
-from repro.observability import parse_exposition
+from repro.observability import render_top
+from repro.observability.dashboard import fetch_live
 from repro.pipeline.config import (
     ParallelConfig,
     PipelineConfig,
@@ -79,8 +81,8 @@ class TestEngineLifecycle:
         with _engine(workload, _config(True, interval=0.1)) as engine:
             url = engine.telemetry_url
             assert url is not None and url.endswith("/metrics")
-            with urllib.request.urlopen(url, timeout=5) as resp:
-                parse_exposition(resp.read().decode("utf-8"))
+            snap, workers = fetch_live(url)
+            assert snap.counters == {} and workers == []
 
     def test_port_none_keeps_aggregator_without_endpoint(self, workload):
         with _engine(workload, _config(True, port=None)) as engine:
@@ -102,34 +104,70 @@ class TestEngineLifecycle:
         engine.close()
 
 
+def _converged(url, result):
+    """Poll the endpoint until the workers' final deltas have landed."""
+    want = result.metrics.histogram("mp.chunk_map_seconds")["count"]
+    deadline = time.monotonic() + 10.0
+    while True:
+        snap, workers = fetch_live(url)
+        chunks = snap.histogram("mp.chunk_map_seconds") or {"count": 0}
+        if (
+            snap.counter("pipeline.reads") >= result.stats.n_reads
+            and chunks["count"] >= want
+        ) or time.monotonic() > deadline:
+            return snap, workers
+        time.sleep(0.05)
+
+
 class TestLiveScrapeDuringRun:
     def test_endpoint_updates_across_a_pool_run(self, workload):
-        """The scrape is live: before the run it shows no pipeline reads;
+        """The document is live: before the run it shows no pipeline reads;
         after the run (workers published their final deltas) it does, with
-        per-worker heartbeat series present — the CI smoke contract."""
+        both workers listed — the CI smoke contract."""
         with _engine(workload, _config(True, interval=0.05)) as engine:
             url = engine.telemetry_url
-
-            def scrape():
-                with urllib.request.urlopen(url, timeout=5) as resp:
-                    return parse_exposition(resp.read().decode("utf-8"))
-
-            before = scrape()
-            assert before.value("pipeline_reads_total") is None
-            engine.run(workload.reads)
-            deadline = time.monotonic() + 10.0
-            exp = scrape()
-            while (
-                time.monotonic() < deadline
-                and (exp.value("pipeline_reads_total") or 0) < len(workload.reads)
-            ):
-                time.sleep(0.05)
-                exp = scrape()
-            assert exp.value("pipeline_reads_total") == len(workload.reads)
-            workers = exp.series("mp_worker_heartbeat_age_seconds")
+            before, _ = fetch_live(url)
+            assert "pipeline.reads" not in before.counters
+            result = engine.run(workload.reads)
+            snap, workers = _converged(url, result)
+            assert snap.counter("pipeline.reads") == len(workload.reads)
             assert len(workers) == 2
-            assert exp.value("mp_workers") == 2
-            assert (exp.value("obs_telemetry_deltas_total") or 0) > 0
+            assert [w.pid for w in workers] == sorted(w.pid for w in workers)
+            assert snap.counter("obs.telemetry_deltas") > 0
+            # The nested span tree travels too, not just flat leaves.
+            assert snap.span_seconds("map_reads/align") > 0
+            with urllib.request.urlopen(url, timeout=5) as resp:
+                doc = json.loads(resp.read())
+            assert set(doc) == {
+                "schema", "counters", "gauges", "histograms", "spans",
+                "totals", "workers",
+            }
+
+    def test_recovery_counters_reach_the_live_document(self, workload):
+        """The dispatcher's parent-side recovery counters are mirrored into
+        the live plane, and ``repro top`` renders them."""
+        config = PipelineConfig(
+            parallel=ParallelConfig(
+                workers=2,
+                start_method="fork",
+                fault_spec="crash:chunk=0",
+                autotune_chunks=False,
+            ),
+            telemetry=TelemetryConfig(enabled=True, interval=0.05),
+        )
+        with _engine(workload, config) as engine:
+            result = engine.run(workload.reads)
+            assert result.metrics.counter("mp.worker_deaths") == 1
+            assert result.metrics.counter("mp.chunk_retries") == 1
+            snap, workers = _converged(engine.telemetry_url, result)
+            assert snap.counter("mp.worker_deaths") == 1
+            assert snap.counter("mp.chunk_retries") == 1
+            chunks = snap.histogram("mp.chunk_map_seconds")["count"]
+            assert chunks == result.metrics.histogram("mp.chunk_map_seconds")["count"]
+            frame = render_top(snap, None, 0.0, workers, source="s", clock_text="t")
+            assert (
+                f"chunks     ok {chunks}   retries 1   timeouts 0   deaths 1" in frame
+            )
 
 
 class TestByteIdentity:

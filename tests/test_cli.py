@@ -168,11 +168,11 @@ class TestSimulateCallEvaluate:
 
 class TestTelemetryCli:
     def test_top_once_renders_a_frame(self, capsys):
-        from repro.observability import MetricsRegistry, PrometheusEndpoint, to_prometheus
+        from repro.observability import MetricsRegistry, TelemetryEndpoint, to_json
 
         reg = MetricsRegistry()
         reg.inc("pipeline.reads", 123)
-        endpoint = PrometheusEndpoint(lambda: to_prometheus(reg.snapshot()))
+        endpoint = TelemetryEndpoint(lambda: to_json(reg.snapshot()))
         url = endpoint.start()
         try:
             rc = main(["top", url, "--once", "--interval", "0.05"])
@@ -184,15 +184,28 @@ class TestTelemetryCli:
         assert "reads 123" in out
 
     def test_top_accepts_host_port_shorthand(self, capsys):
-        from repro.observability import PrometheusEndpoint
+        from repro.observability import MetricsSnapshot, TelemetryEndpoint, to_json
 
-        endpoint = PrometheusEndpoint(lambda: "")
+        endpoint = TelemetryEndpoint(lambda: to_json(MetricsSnapshot.empty()))
         endpoint.start()
         try:
             rc = main(["top", f"127.0.0.1:{endpoint.port}", "--once"])
         finally:
             endpoint.close()
         assert rc == 0
+
+    def test_top_malformed_body_exits_2(self, capsys):
+        from repro.observability import TelemetryEndpoint
+
+        endpoint = TelemetryEndpoint(lambda: "# TYPE pipeline_reads_total counter\n")
+        url = endpoint.start()
+        try:
+            rc = main(["top", url, "--iterations", "2", "--interval", "0.05"])
+        finally:
+            endpoint.close()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error" in err and "JSON" in err and "Traceback" not in err
 
     def test_top_unreachable_endpoint_exits_2(self, capsys):
         rc = main(["top", "http://127.0.0.1:1/metrics", "--once"])
@@ -222,4 +235,25 @@ class TestTelemetryCli:
         assert rc == 0
         captured = capsys.readouterr()
         assert "telemetry: http://127.0.0.1:" in captured.err
+        assert "--workers > 1" not in captured.err
         assert out.exists()
+
+    def test_call_with_telemetry_and_one_worker_says_it_stays_empty(
+        self, tmp_path, capsys
+    ):
+        ref = tmp_path / "ref.fa"
+        reads = tmp_path / "reads.fq"
+        main([
+            "simulate", "--scale", "tiny", "--seed", "11",
+            "--reference", str(ref), "--reads", str(reads),
+            "--truth", str(tmp_path / "t.tsv"),
+        ])
+        capsys.readouterr()
+        rc = main([
+            "call", str(ref), str(reads), "-o", str(tmp_path / "snps.tsv"),
+            "--telemetry",
+        ])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "telemetry: http://127.0.0.1:" in err
+        assert "--workers > 1" in err
