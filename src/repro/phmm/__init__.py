@@ -1,32 +1,17 @@
 """Pair-Hidden-Markov-Model core: the paper's primary contribution.
 
-Layout
-------
-``model``
-    :class:`PHMMParams` — transition/emission parameterisation.
-``pwm``
-    Position-weight matrices from read qualities (the paper's "probabilistic
-    extension" that makes emissions quality-aware).
-``forward_backward``
-    Batched, row-vectorised, scaled forward/backward dynamic programmes —
-    the one kernel pair; an optional band restricts each row's columns.
-``banded``
-    Band geometry (:class:`BandSpec`, a diagonal band around a candidate's
-    seed diagonal) and the posterior band-edge audit that drives the
-    adaptive unbanded escape hatch.
-``reference_impl``
-    Slow, loop-based log-space implementation used as the numerical oracle in
-    tests (never in the pipeline).
-``posterior``
-    Marginal alignment posteriors and the per-genome-position nucleotide
-    contribution vectors ``z``.
-``viterbi``
-    Max-product single-best alignment (baseline/ablation only).
-``alignment``
-    High-level API: align one read or a batch of (read, window) pairs.
-``scoring``
-    Posterior mapping-score normalisation across candidate locations
-    (the GNUMAP multiread treatment).
+``model``             :class:`PHMMParams` — transition/emission parameterisation.
+``pwm``               Position-weight matrices from read qualities.
+``forward_backward``  The one kernel pair: lane-major, scaled forward/backward
+                      row sweeps; an optional band restricts each row.
+``banded``            Band geometry (:class:`BandSpec`) and the band-edge audit.
+``posterior``         Marginal alignment posteriors and the z vectors.
+``alignment``         High-level API: align one read or a batch of pairs.
+``scoring``           Mapping-score normalisation across candidate locations.
+``training``          EM fit of the gap transitions.
+``viterbi``           Max-product single-best alignment (baseline/ablation only).
+``reference_impl``    Slow loop-based oracle for the tests (never in the pipeline).
+``sanitize``          Opt-in runtime checks of the numerical invariants.
 """
 
 from repro.phmm.model import PHMMParams

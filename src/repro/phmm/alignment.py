@@ -5,6 +5,12 @@ read length N and window length M are stacked and pushed through one
 forward/backward pass.  Windows clipped by genome edges are padded with ``N``
 codes (uniform emission) and a validity mask marks pad columns so their
 posterior mass is never accumulated into the genome.
+
+A batch runs *streamed*, in equal lane tiles of bounded width: per tile the
+forward state is stored once, the backward recursion runs on a two-row ring
+and each row is deposited into the tile's z the moment it exists.  Backward
+and posterior tensors are never materialised, and per-pair cost and peak
+memory do not depend on the batch size (DESIGN §12).
 """
 
 from __future__ import annotations
@@ -18,14 +24,25 @@ from repro.errors import AlignmentError
 from repro.genome.alphabet import N as CODE_N
 from repro.observability import current as metrics
 from repro.phmm import sanitize
-from repro.phmm.banded import BandSpec, band_edge_mass
+from repro.phmm.banded import BandSpec
 from repro.phmm.forward_backward import (
-    backward_batch,
+    ST_GY,
+    ST_M,
+    as_lanes,
+    backward_rows,
+    charge_pass,
+    check_pairs,
+    check_shape,
     emissions_batch,
-    forward_batch,
+    forward_lanes,
 )
 from repro.phmm.model import PHMMParams
-from repro.phmm.posterior import posteriors_batch, z_vectors
+from repro.phmm.posterior import RowDeposit, z_vectors
+
+#: Widest lane tile, from the sweep in EXPERIMENTS.md ("Lane-tile width"): the
+#: per-pair cost of the full kernels is flat over 86-171 lanes, where a row
+#: step's working set sits in L2, and rises either side of it.
+_LANE_TILE = 192
 
 
 def _check_kernel(kernel: str, dtype: str) -> None:
@@ -39,15 +56,9 @@ def _check_kernel(kernel: str, dtype: str) -> None:
 
 @dataclass
 class AlignmentOutcome:
-    """Result of aligning a batch of (read, window) pairs.
-
-    Attributes
-    ----------
-    z:
-        ``(B, M, 5)`` per-pair z contributions in channel order (A,C,G,T,gap).
-    loglik:
-        ``(B,)`` total alignment log-likelihoods (the mapping scores).
-    """
+    """Result of aligning a batch of (read, window) pairs: ``z`` is the
+    ``(B, M, 5)`` per-pair z contributions in channel order (A,C,G,T,gap),
+    ``loglik`` the ``(B,)`` total alignment log-likelihoods (mapping scores)."""
 
     z: np.ndarray
     loglik: np.ndarray
@@ -80,6 +91,69 @@ def build_windows(
     return windows, valid
 
 
+def _check_batch(
+    pwms: np.ndarray,
+    windows: np.ndarray,
+    valid: np.ndarray | None,
+    mode: str,
+    edge_policy: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Everything that can be wrong with a batch, before any side effect."""
+    pwms, windows = check_pairs(pwms, windows)
+    check_shape(pwms.shape[1], windows.shape[1], mode, None)
+    if edge_policy not in ("mass", "paper"):
+        raise AlignmentError(f"unknown edge_policy {edge_policy!r}")
+    if valid is not None:
+        valid = np.asarray(valid, dtype=bool)
+        if valid.shape != windows.shape:
+            raise AlignmentError(f"valid mask shape {valid.shape} != windows shape {windows.shape}")
+    return pwms, windows, valid
+
+
+def _align_streamed(
+    pwms: np.ndarray,
+    windows: np.ndarray,
+    params: PHMMParams,
+    mode: str,
+    edge_policy: str,
+    band: BandSpec | None,
+    want_edge: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """``(z, loglik, band-edge mass)`` of a validated batch, counted as
+    ``forward_batch`` + ``backward_batch`` count it (a tile is not a batch)."""
+    B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
+    charge_pass("forward", B, N, M, band)
+    charge_pass("backward", B, N, M, band)
+    z = np.empty((B, M, 5))
+    loglik = np.empty(B)
+    edge = np.empty(B) if want_edge else None
+    # Equal tiles: one pair over the width is two halves, not a straggler.
+    n_tiles = max(1, -(-B // _LANE_TILE))
+    step = max(1, -(-B // n_tiles))
+    for start in range(0, B, step):
+        tile = slice(start, start + step)
+        pstar = emissions_batch(pwms[tile], windows[tile], params)
+        if sanitize.enabled():
+            sanitize.check_emissions(pstar)
+        pl = as_lanes(pstar)
+        fwd = forward_lanes(pl, params, mode, band)
+        deposit = RowDeposit(
+            pwms[tile], fwd, band if want_edge else None, occupancy=edge_policy == "paper"
+        )
+        ring = np.zeros((2, 3, M + 1, pl.shape[2]))
+        scale = np.zeros((N + 1, pl.shape[2]))
+        for i, lo, hi, row in backward_rows(pl, params, mode, band, ring, scale):
+            if sanitize.enabled():
+                one_row = [state.T[:, None, :] for state in row]
+                sanitize.check_pass("backward", one_row, scale[i][:, None], band, row=i)
+            deposit.add_row(i, lo, hi, row[ST_M], row[ST_GY], scale[i])
+        z[tile] = z_vectors(deposit.result(), edge_policy=edge_policy)
+        loglik[tile] = fwd.loglik
+        if edge is not None:
+            edge[tile] = deposit.edge_mass()
+    return z, loglik, edge
+
+
 def align_batch(
     pwms: np.ndarray,
     windows: np.ndarray,
@@ -92,45 +166,25 @@ def align_batch(
 ) -> AlignmentOutcome:
     """Align a batch of equal-shape (PWM, window) pairs.
 
-    Parameters
-    ----------
-    pwms:
-        ``(B, N, 4)`` read PWMs.
-    windows:
-        ``(B, M)`` window codes.
-    valid:
-        Optional ``(B, M)`` bool mask; z mass on False columns is zeroed
-        (used for genome-edge pad columns).
-    kernel, dtype:
-        Single-valued (``"rowsweep"``, ``"float64"``); see
-        :func:`_check_kernel`.
+    ``pwms`` are ``(B, N, 4)`` read PWMs, ``windows`` ``(B, M)`` window codes;
+    z mass on False columns of the optional ``(B, M)`` bool mask ``valid`` is
+    zeroed (genome-edge pad columns).  ``kernel``/``dtype`` are single-valued
+    (``"rowsweep"``, ``"float64"``); see :func:`_check_kernel`.
     """
     _check_kernel(kernel, dtype)
-    pwms = np.asarray(pwms, dtype=np.float64)
-    windows = np.asarray(windows)
+    pwms, windows, valid = _check_batch(pwms, windows, valid, mode, edge_policy)
     # Per-pair DP work distribution (full kernels fill every N*M cell).
     if pwms.shape[0]:
         metrics().observe(
             "phmm.pair_cells", float(pwms.shape[1] * windows.shape[1]),
             count=int(pwms.shape[0]),
         )
-    pstar = emissions_batch(pwms, windows, params)
-    if sanitize.enabled():
-        sanitize.check_emissions(pstar)
-    fwd = forward_batch(pstar, params, mode=mode)
-    bwd = backward_batch(pstar, params, mode=mode)
-    post = posteriors_batch(pstar, pwms, windows, fwd, bwd, params)
-    z = z_vectors(post, edge_policy=edge_policy)
+    z, loglik, _ = _align_streamed(pwms, windows, params, mode, edge_policy, None)
     if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != windows.shape:
-            raise AlignmentError(
-                f"valid mask shape {valid.shape} != windows shape {windows.shape}"
-            )
-        z = z * valid[:, :, None]
+        z *= valid[:, :, None]
     if sanitize.enabled():
         sanitize.check_z(z, valid)
-    return AlignmentOutcome(z=z, loglik=fwd.loglik)
+    return AlignmentOutcome(z=z, loglik=loglik)
 
 
 def align_batch_banded(
@@ -172,21 +226,11 @@ def align_batch_banded(
     ``kernel``/``dtype`` are single-valued; see :func:`_check_kernel`.
     """
     _check_kernel(kernel, dtype)
-    pwms = np.asarray(pwms, dtype=np.float64)
-    windows = np.asarray(windows)
+    pwms, windows, valid = _check_batch(pwms, windows, valid, mode, edge_policy)
     centers = np.asarray(centers, dtype=np.int64)
-    if pwms.ndim != 3:
-        raise AlignmentError(f"pwms must be (B, N, 4), got {pwms.shape}")
-    B, N = pwms.shape[0], pwms.shape[1]
-    if windows.ndim != 2 or windows.shape[0] != B:
-        raise AlignmentError(
-            f"windows must be (B, M) matching pwms batch, got {windows.shape}"
-        )
-    M = windows.shape[1]
+    B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
     if centers.shape != (B,):
-        raise AlignmentError(
-            f"centers must be ({B},) matching the batch, got {centers.shape}"
-        )
+        raise AlignmentError(f"centers must be ({B},) matching the batch, got {centers.shape}")
     if band_w < 1:
         raise AlignmentError(f"band_w must be >= 1, got {band_w}")
     if not 0.0 <= tolerance < 1.0:
@@ -194,15 +238,7 @@ def align_batch_banded(
     if groups is not None:
         groups = np.asarray(groups, dtype=np.int64)
         if groups.shape != (B,):
-            raise AlignmentError(
-                f"groups must be ({B},) matching the batch, got {groups.shape}"
-            )
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != windows.shape:
-            raise AlignmentError(
-                f"valid mask shape {valid.shape} != windows shape {windows.shape}"
-            )
+            raise AlignmentError(f"groups must be ({B},) matching the batch, got {groups.shape}")
 
     z = np.empty((B, M, 5))
     loglik = np.empty(B)
@@ -222,23 +258,13 @@ def align_batch_banded(
             loglik[sel] = -np.inf
             escaped[sel] = adaptive
             continue
-        sub_pwms = pwms[sel]
-        sub_windows = windows[sel]
-        pstar = emissions_batch(sub_pwms, sub_windows, params)
-        if sanitize.enabled():
-            sanitize.check_emissions(pstar)
-        metrics().observe(
-            "phmm.pair_cells", float(band.n_cells()), count=int(sel.size)
+        metrics().observe("phmm.pair_cells", float(band.n_cells()), count=int(sel.size))
+        z[sel], loglik[sel], edge = _align_streamed(
+            pwms[sel], windows[sel], params, mode, edge_policy, band, want_edge=adaptive
         )
-        fwd = forward_batch(pstar, params, mode=mode, band=band)
-        bwd = backward_batch(pstar, params, mode=mode, band=band)
-        post = posteriors_batch(pstar, sub_pwms, sub_windows, fwd, bwd, params)
-        if adaptive:
-            edge = band_edge_mass(post.match_posterior, band)
+        if edge is not None:
             metrics().observe_array("phmm.band_edge_mass", edge)
-            escaped[sel] = (edge > tolerance) | ~np.isfinite(fwd.loglik)
-        z[sel] = z_vectors(post, edge_policy=edge_policy)
-        loglik[sel] = fwd.loglik
+            escaped[sel] = (edge > tolerance) | ~np.isfinite(loglik[sel])
 
     if groups is not None and escape_min_ratio > 0.0 and escaped.any():
         best = np.full(int(groups.max()) + 1, -np.inf)
@@ -259,7 +285,7 @@ def align_batch_banded(
         loglik[esc] = full.loglik
 
     if valid is not None:
-        z = z * valid[:, :, None]
+        z *= valid[:, :, None]
     if sanitize.enabled():
         sanitize.check_z(z, valid)
     return AlignmentOutcome(z=z, loglik=loglik)

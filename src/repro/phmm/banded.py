@@ -20,16 +20,12 @@ pipeline every window is cut at ``candidate.start - pad``, so ``center`` is
 
 Escape hatch
 ------------
-Banding is a bet that the alignment stays near the seed diagonal.  The bet is
-audited, not trusted: :func:`band_edge_mass` measures the posterior
-probability mass sitting on the *interior* band-edge cells (edges created by
-the band, not by the matrix boundary).  A well-centred alignment leaves
-essentially zero mass there (reaching the edge costs ``~q^band_w``); an
-alignment squeezed against the edge — a long indel, a mis-centred seed —
-lights it up.  :func:`repro.phmm.alignment.align_batch_banded` re-runs such
-pairs unbanded when ``band_mode="adaptive"`` (counted under
-``phmm.band_escapes``), so calls stay faithful where the band assumption
-breaks.
+Banding is a bet that the alignment stays near the seed diagonal, and the bet
+is audited: :func:`band_edge_mass` measures the posterior mass on the
+*interior* band-edge cells (edges the band created, not the matrix boundary).
+A well-centred alignment leaves essentially none there (reaching the edge
+costs ``~q^band_w``); a long indel or a mis-centred seed lights it up, and
+:func:`repro.phmm.alignment.align_batch_banded` re-runs such pairs unbanded.
 """
 
 from __future__ import annotations
@@ -96,12 +92,20 @@ class BandSpec:
         Returns ``(lo_edge, hi_edge)`` with ``-1`` standing for "this side is
         clipped by the matrix boundary, not by the band" — mass at a matrix
         boundary is legitimate alignment geometry, only mass pressed against
-        a band-created edge signals that the band is too narrow.
+        a band-created edge signals that the band is too narrow.  A row the
+        band has left the matrix on has no cells, hence no edges.
         """
         lo, hi = self.row_bounds(i)
+        if lo > hi:
+            return -1, -1
         lo_edge = lo if lo > 0 and lo == i + self.center - self.width else -1
         hi_edge = hi if hi < self.m and hi == i + self.center + self.width else -1
         return lo_edge, hi_edge
+
+    def edge_columns(self, i: int) -> list[int]:
+        """DP columns ``j >= 1`` of row ``i``'s interior band-edge cells, low
+        edge first."""
+        return [c for c in dict.fromkeys(self.interior_edges(i)) if c >= 1]
 
     def n_cells(self) -> int:
         """DP cells inside the band (one state set per cell), rows ``1..n``."""
@@ -124,10 +128,9 @@ def band_edge_mass(match_posterior: np.ndarray, band: BandSpec) -> np.ndarray:
 
     ``match_posterior`` is the ``(B, N, M)`` cell-posterior array from
     :class:`~repro.phmm.posterior.PosteriorResult` (row ``i-1``/col ``j-1``
-    hold cell ``(i, j)``).  The return value is the summed match posterior on
-    band-created edge cells divided by the read length — the fraction of the
-    alignment that runs along the band boundary.  Matrix-boundary columns
-    are never counted (mass there is legitimate edge-of-window geometry).
+    hold cell ``(i, j)``).  Returns the summed match posterior on band-created
+    edge cells over the read length — the fraction of the alignment running
+    along the band boundary; matrix-boundary columns never count.
     """
     match_posterior = np.asarray(match_posterior)
     if match_posterior.ndim != 3:
@@ -141,9 +144,6 @@ def band_edge_mass(match_posterior: np.ndarray, band: BandSpec) -> np.ndarray:
         )
     edge = np.zeros(B)
     for i in range(1, N + 1):
-        lo_edge, hi_edge = band.interior_edges(i)
-        if lo_edge >= 1:
-            edge += match_posterior[:, i - 1, lo_edge - 1]
-        if hi_edge >= 1 and hi_edge != lo_edge:
-            edge += match_posterior[:, i - 1, hi_edge - 1]
+        for j in band.edge_columns(i):
+            edge += match_posterior[:, i - 1, j - 1]
     return edge / float(N)

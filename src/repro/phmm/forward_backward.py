@@ -1,16 +1,17 @@
-"""Batched, scaled forward/backward dynamic programmes.
+"""Batched, scaled forward/backward dynamic programmes, lane-major.
 
-This is the hot path of the whole system, engineered per the HPC guides:
+This is the hot path of the whole system (DESIGN §5):
 
-* **Batch-first**: a batch of ``B`` (read, window) pairs is processed in
-  ``(B, N+1, M+1)`` arrays; every DP step is a whole-row NumPy operation over
-  the batch, so Python-level loop overhead is paid ``N`` times per batch
-  instead of ``N*M`` times per alignment.
+* **The pair is the lane.**  Emissions are stored ``(N, M, B)`` and DP state
+  ``(N+1, 3, M+1, B)`` — batch innermost — so a DP row of all ``B`` pairs,
+  full or banded, is one contiguous block and every ``j``-shifted operand a
+  contiguous sub-block of it.  A row step is a dozen whole-block NumPy calls
+  into scratch allocated once per pass.  Results keep their public
+  ``(B, ., .)`` shapes as strided views of that storage.
 * **In-row recurrences as IIR filters**: ``f_GY(i, j)`` depends on
   ``f_GY(i, j-1)`` within the same row — a first-order linear recurrence —
-  which :func:`scipy.signal.lfilter` evaluates at C speed along the last
-  axis (the backward ``b_GY`` recurrence runs the same filter on the
-  reversed row).
+  which :func:`scipy.signal.lfilter` evaluates at C speed down axis 0 of the
+  row block (``b_GY`` runs the same filter on the reversed row).
 * **Per-row scaling** keeps values in float64 range; cumulative log scales
   are carried alongside so likelihoods and posteriors are exact.
 
@@ -35,19 +36,23 @@ Two boundary modes:
     The paper's literal initialisation: ``f_M(0,0) = 1``, all other border
     cells zero, terminate at ``(N, M)`` with unit end weight on every state.
 
-Both kernels take an optional :class:`~repro.phmm.banded.BandSpec`: row ``i``
-is then filled only on its in-band columns and cells outside the band keep
-their zeros, which the in-band recurrences read back as "no path enters from
-outside the band".  ``band=None`` is the band whose every row spans
-``[0, M]`` — the same code, bit for bit.  Counters: a full fill charges its
-``B*N*M`` cells per pass to ``phmm.cells_full``, a banded fill charges the
-actually-computed ``B*band.n_cells()`` to ``phmm.cells_banded``; either way
-the pass also charges ``phmm.forward_cells``/``phmm.backward_cells``.
+An optional :class:`~repro.phmm.banded.BandSpec` makes row ``i`` the sub-block
+of its in-band columns; cells outside keep their zeros, which the in-band
+recurrences read back as "no path enters from outside the band".
+``band=None`` is the band whose every row spans ``[0, M]`` — the same code,
+bit for bit.  A full pass charges its ``B*N*M`` cells to ``phmm.cells_full``,
+a banded one its ``B*band.n_cells()`` to ``phmm.cells_banded``; either also
+charges ``phmm.forward_cells``/``phmm.backward_cells``.
+
+The backward recursion exists once, as the row generator
+:func:`backward_rows`: :func:`backward_batch` drives it into a full tensor,
+:mod:`repro.phmm.alignment` onto a two-row ring (DESIGN §12).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.signal import lfilter
@@ -60,48 +65,55 @@ from repro.phmm.model import PHMMParams
 
 _MODES = ("semiglobal", "global")
 _TINY = 1e-300
+_LOG_TINY = float(np.log(_TINY))
+#: State axis of the lane-major DP tensors.
+ST_M, ST_GX, ST_GY = 0, 1, 2
 
 
-def emissions_batch(
-    pwms: np.ndarray, windows: np.ndarray, params: PHMMParams
-) -> np.ndarray:
-    """Quality-aware match emissions ``p*`` for a batch.
-
-    Parameters
-    ----------
-    pwms:
-        ``(B, N, 4)`` read PWMs.
-    windows:
-        ``(B, M)`` genome window codes (``uint8``, N = 4 allowed).
-    params:
-        Model parameters (supplies the ``p[k, y]`` table).
-
-    Returns
-    -------
-    ``(B, N, M)`` array with ``p*[b, i, j] = sum_k pwm[b,i,k] p[k, window[b,j]]``.
-    """
+def check_pairs(pwms: np.ndarray, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a batch of (PWM, window) pairs; returns them as arrays."""
     pwms = np.asarray(pwms, dtype=np.float64)
     windows = np.asarray(windows)
     if pwms.ndim != 3 or pwms.shape[2] != 4:
         raise AlignmentError(f"pwms must be (B, N, 4), got {pwms.shape}")
     if windows.ndim != 2 or windows.shape[0] != pwms.shape[0]:
-        raise AlignmentError(
-            f"windows must be (B, M) matching pwms batch, got {windows.shape}"
-        )
-    if windows.size and windows.max() > 4:
+        raise AlignmentError(f"windows must be (B, M) matching pwms batch, got {windows.shape}")
+    if windows.size and (windows.min() < 0 or windows.max() > 4):
         raise AlignmentError("window codes must be in [0, 4]")
-    # p[k, window[b, j]] -> (4, B, M); contract over k.
-    emis_cols = params.emission[:, windows]
-    return np.einsum("bik,kbj->bij", pwms, emis_cols, optimize=True)
+    return pwms, windows
+
+
+def emissions_batch(pwms: np.ndarray, windows: np.ndarray, params: PHMMParams) -> np.ndarray:
+    """Quality-aware match emissions ``p*`` for a batch.
+
+    ``pwms`` are ``(B, N, 4)`` read PWMs, ``windows`` ``(B, M)`` genome window
+    codes (N = 4 allowed), ``params`` supplies the ``p[k, y]`` table.  Returns
+    ``p*[b, i, j] = sum_k pwm[b,i,k] p[k, window[b,j]]`` as a ``(B, N, M)``
+    view of ``(N, M, B)`` storage, the layout the kernels consume.
+    """
+    pwms, windows = check_pairs(pwms, windows)
+    # p[k, window[b, j]] as (B, 4, M): one (N, 4) @ (4, M) product per pair.
+    pstar = np.matmul(pwms, params.emission[:, windows].transpose(1, 0, 2))
+    lanes = np.empty(pstar.shape[1:] + pstar.shape[:1])
+    view = lanes.transpose(2, 0, 1)
+    np.copyto(view, pstar)
+    return view
+
+
+def as_lanes(pstar: np.ndarray) -> np.ndarray:
+    """``(B, N, M)`` emissions as contiguous ``(N, M, B)`` (no copy when they
+    come from :func:`emissions_batch`)."""
+    return np.ascontiguousarray(np.asarray(pstar, dtype=np.float64).transpose(1, 2, 0))
 
 
 @dataclass
 class ForwardResult:
     """Scaled forward matrices plus log scales and total log-likelihood.
 
-    ``fM/fGX/fGY`` are ``(B, N+1, M+1)`` *scaled* values: the true forward
-    probability is ``fM[b, i, j] * exp(log_scale[b, i])``.  ``loglik`` is the
-    per-pair total alignment log-likelihood under the chosen mode.
+    ``fM/fGX/fGY`` are ``(B, N+1, M+1)`` *scaled* values (strided views of the
+    lane-major state): the true forward probability is
+    ``fM[b, i, j] * exp(log_scale[b, i])``.  ``loglik`` is the per-pair total
+    alignment log-likelihood under the chosen mode.
     """
 
     fM: np.ndarray
@@ -123,37 +135,184 @@ class BackwardResult:
     mode: str
 
 
-def _check_mode(mode: str) -> None:
+def check_shape(N: int, M: int, mode: str, band: BandSpec | None) -> None:
+    """Reject an unknown mode, an empty DP matrix or a band cut for another."""
     if mode not in _MODES:
         raise AlignmentError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def _check_inputs(
-    pstar: np.ndarray, mode: str, band: BandSpec | None
-) -> tuple[int, int, int]:
-    _check_mode(mode)
-    if pstar.ndim != 3:
-        raise AlignmentError(f"pstar must be (B, N, M), got {pstar.shape}")
-    B, N, M = pstar.shape
     if N == 0 or M == 0:
         raise AlignmentError("empty read or window")
     if band is not None and (band.n, band.m) != (N, M):
-        raise AlignmentError(
-            f"band is for ({band.n}, {band.m}), batch is ({N}, {M})"
-        )
-    return B, N, M
+        raise AlignmentError(f"band is for ({band.n}, {band.m}), batch is ({N}, {M})")
 
 
-def _charge_cells(B: int, N: int, M: int, band: BandSpec | None) -> int:
-    """DP cells one pass over the batch computes, charged to
-    ``phmm.cells_full`` (no band) or ``phmm.cells_banded``."""
-    if band is None:
-        n_cells = B * N * M
-        metrics().inc("phmm.cells_full", n_cells)
+def _check_inputs(pstar: np.ndarray, mode: str, band: BandSpec | None) -> np.ndarray:
+    if np.ndim(pstar) != 3:
+        raise AlignmentError(f"pstar must be (B, N, M), got {np.shape(pstar)}")
+    check_shape(np.shape(pstar)[1], np.shape(pstar)[2], mode, band)
+    return as_lanes(pstar)
+
+
+def charge_pass(kind: str, B: int, N: int, M: int, band: BandSpec | None) -> None:
+    """Count one ``kind`` (``"forward"``/``"backward"``) pass over a batch:
+    its DP cells go to ``phmm.<kind>_cells`` and to ``phmm.cells_full`` (no
+    band) or ``phmm.cells_banded``; a forward pass also counts the batch."""
+    reg = metrics()
+    if kind == "forward":
+        reg.inc("phmm.batches")
+        reg.inc("phmm.pairs", B)
+    n_cells = B * (N * M if band is None else band.n_cells())
+    reg.inc("phmm.cells_full" if band is None else "phmm.cells_banded", n_cells)
+    reg.inc("phmm.forward_cells" if kind == "forward" else "phmm.backward_cells", n_cells)
+
+
+def _views(state: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(B, N+1, M+1)`` views of the three states, ``(B, N+1)`` of the scales."""
+    return (*(state[:, s].transpose(2, 0, 1) for s in (ST_M, ST_GX, ST_GY)), log_scale.T)
+
+
+class _Sweep:
+    """Constants, band geometry and scratch shared by the row steps of one
+    pass over lane-major emissions ``pl`` of shape ``(N, M, B)``."""
+
+    def __init__(self, pl: np.ndarray, params: PHMMParams, mode: str, band: BandSpec | None):
+        self.pl, self.mode, self.band = pl, mode, band
+        self.N, self.M, B = pl.shape
+        self.q, self.TMM, self.TGM = params.q, params.T_MM, params.T_GM
+        self.TMG, self.TGG = params.T_MG, params.T_GG
+        self.gy_b = np.array([1.0])
+        self.gy_a = np.array([1.0, -self.q * self.TGG])
+        self.sa, self.sb, self.sc = np.empty((3, self.M + 1, B))
+
+    def bounds(self, i: int) -> tuple[int, int]:
+        return (0, self.M) if self.band is None else self.band.row_bounds(i)
+
+    @staticmethod
+    def rescale(block: np.ndarray, ls_from: np.ndarray, ls_to: np.ndarray) -> None:
+        """Divide the row's in-band block by its per-pair maximum (all three
+        states share one scale so the recursion stays exact); a zero row
+        means the alignment has probability zero."""
+        s = np.maximum(block.max(axis=(0, 1)), _TINY)
+        block /= s
+        np.add(ls_from, np.log(s, out=s), out=ls_to)
+
+    def forward_row(self, i: int, lo: int, hi: int, prev: np.ndarray, row: np.ndarray) -> None:
+        """Fill unscaled in-band row ``i >= 1`` from scaled row ``i-1``."""
+        jlo = max(lo, 1)  # M/GY cells exist only for j >= 1
+        n = hi - jlo + 1
+        if n > 0:
+            a, b = self.sa[:n], self.sb[:n]
+            np.multiply(prev[ST_M, jlo - 1 : hi], self.TMM, out=a)
+            np.add(prev[ST_GX, jlo - 1 : hi], prev[ST_GY, jlo - 1 : hi], out=b)
+            b *= self.TGM
+            a += b
+            np.multiply(self.pl[i - 1, jlo - 1 : hi], a, out=row[ST_M, jlo : hi + 1])
+        gx, a = row[ST_GX, lo : hi + 1], self.sa[: hi - lo + 1]
+        np.multiply(prev[ST_M, lo : hi + 1], self.TMG, out=gx)
+        np.multiply(prev[ST_GX, lo : hi + 1], self.TGG, out=a)
+        gx += a
+        gx *= self.q
+        if n > 0:
+            # First-order in-row recurrence, zero-initialised at the row's
+            # left edge (f_GY(i, jlo-1) is out of band or column 0, hence 0).
+            drive = np.multiply(row[ST_M, jlo - 1 : hi], self.q * self.TMG, out=self.sa[:n])
+            row[ST_GY, jlo : hi + 1] = lfilter(self.gy_b, self.gy_a, drive, axis=0)
+
+    def backward_last_row(self, row: np.ndarray) -> None:
+        """Initialise row ``N`` (already scaled: its log scale is 0)."""
+        M, q = self.M, self.q
+        lo, hi = self.bounds(self.N)
+        if lo > hi:
+            return
+        if self.mode == "semiglobal":
+            # bGY stays 0 at i = N: once the read is consumed, paths that keep
+            # eating genome bases through G_Y are redundant with ending earlier.
+            row[ST_M, lo : hi + 1] = 1.0
+            row[ST_GX, lo : hi + 1] = 1.0
+            return
+        # Paper-literal: b_M(N,M) = b_GX(N,M) = b_GY(N,M) = 1, all other
+        # far-border cells zero; the row-N G_Y chain b_GY(N, j) = q T_GG
+        # b_GY(N, j+1) (trailing genome bases) is in the recursion's domain,
+        # M at (N, j < M) finishes only by entering it, a band truncates it.
+        if lo <= M <= hi:
+            row[:, M] = 1.0
+        mhi = min(hi, M - 1)
+        for j in range(mhi, lo - 1, -1):
+            row[ST_GY, j] = q * self.TGG * row[ST_GY, j + 1]
+        if lo <= mhi:
+            row[ST_M, lo : mhi + 1] = q * self.TMG * row[ST_GY, lo + 1 : mhi + 2]
+
+    def backward_row(self, i: int, lo: int, hi: int, nxt: np.ndarray, row: np.ndarray) -> None:
+        """Fill unscaled in-band row ``i < N`` from scaled row ``i+1``."""
+        n = hi - lo + 1
+        # d[j] = p*(i+1, j+1) * b_M(i+1, j+1) for j = lo..hi (zero at j = M).
+        d, gd, t = self.sa[:n], self.sb[:n], self.sc[:n]
+        nd = min(hi, self.M - 1) - lo + 1
+        if nd > 0:
+            np.multiply(self.pl[i, lo : lo + nd], nxt[ST_M, lo + 1 : lo + nd + 1], out=d[:nd])
+        d[max(nd, 0) :] = 0.0
+        np.multiply(d, self.TGM, out=gd)
+        gy = row[ST_GY, lo : hi + 1]
+        if i > 0:
+            # b_GY row i: reversed first-order recurrence driven by T_GM * d,
+            # zero-initialised at the row's right edge (b_GY(i, hi+1) is out
+            # of band or past column M, hence 0).
+            gy[...] = lfilter(self.gy_b, self.gy_a, gd[::-1], axis=0)[::-1]
+        else:
+            # Row 0 keeps b_GY = 0 and drops the M -> G_Y term: f_GY(0, j) = 0
+            # (genome bases before the first read base belong to the start
+            # distribution, not to gap states), so paths entering G_Y before
+            # any read base must not count.
+            gy[...] = 0.0
+        # t[j] = b_GX(i+1, j) + b_GY(i, j+1), the latter zero past the edge.
+        np.copyto(t, nxt[ST_GX, lo : hi + 1])
+        t[:-1] += gy[1:]
+        t *= self.q * self.TMG
+        bm = row[ST_M, lo : hi + 1]
+        np.multiply(d, self.TMM, out=bm)
+        bm += t
+        np.multiply(nxt[ST_GX, lo : hi + 1], self.q * self.TGG, out=t)
+        np.add(gd, t, out=row[ST_GX, lo : hi + 1])
+
+
+def forward_lanes(
+    pl: np.ndarray, params: PHMMParams, mode: str, band: BandSpec | None
+) -> ForwardResult:
+    """The forward pass over validated lane-major emissions ``(N, M, B)``
+    (no counters: callers charge per batch, not per lane tile)."""
+    sweep = _Sweep(pl, params, mode, band)
+    N, M, B = pl.shape
+    state = np.zeros((N + 1, 3, M + 1, B))
+    log_scale = np.zeros((N + 1, B))
+    lo, hi = sweep.bounds(0)
+    if mode == "semiglobal":
+        # Free genome prefix: the read may begin at any in-band column.
+        if lo <= hi:
+            state[0, ST_M, lo : hi + 1] = 1.0
+    elif lo <= 0 <= hi:
+        # Paper-literal global borders: f_M(0,0) = 1, every other cell zero.
+        state[0, ST_M, 0] = 1.0
+    for i in range(1, N + 1):
+        lo, hi = sweep.bounds(i)
+        if lo > hi:
+            # Band slid off the matrix: nothing reachable from here on.
+            log_scale[i] = log_scale[i - 1] + _LOG_TINY
+            continue
+        sweep.forward_row(i, lo, hi, state[i - 1], state[i])
+        sweep.rescale(state[i, :, lo : hi + 1], log_scale[i - 1], log_scale[i])
+    last = state[N]
+    if mode == "semiglobal":
+        # Summed along a contiguous j axis: NumPy's pairwise summation, which
+        # a sum down the lane-major rows would not use.
+        total = np.ascontiguousarray(last[ST_M].T).sum(axis=1)
+        total += np.ascontiguousarray(last[ST_GX].T).sum(axis=1)
     else:
-        n_cells = B * band.n_cells()
-        metrics().inc("phmm.cells_banded", n_cells)
-    return n_cells
+        total = last[ST_M, M] + last[ST_GX, M] + last[ST_GY, M]
+    with np.errstate(divide="ignore"):
+        loglik = np.log(np.maximum(total, 0.0)) + log_scale[N]
+    fM, fGX, fGY, ls = _views(state, log_scale)
+    if sanitize.enabled():
+        sanitize.check_pass("forward", (fM, fGX, fGY), ls, band, loglik=loglik)
+    return ForwardResult(fM=fM, fGX=fGX, fGY=fGY, log_scale=ls, loglik=loglik, mode=mode)
 
 
 def forward_batch(
@@ -170,87 +329,48 @@ def forward_batch(
     full ``(B, N+1, M+1)`` shape with exact zeros outside the band, so
     downstream posterior extraction is unchanged.
     """
-    pstar = np.asarray(pstar, dtype=np.float64)
-    B, N, M = _check_inputs(pstar, mode, band)
-    reg = metrics()
-    reg.inc("phmm.batches")
-    reg.inc("phmm.pairs", B)
-    reg.inc("phmm.forward_cells", _charge_cells(B, N, M, band))
-    q, TMM, TMG, TGM, TGG = params.q, params.T_MM, params.T_MG, params.T_GM, params.T_GG
+    pl = _check_inputs(pstar, mode, band)
+    N, M, B = pl.shape
+    charge_pass("forward", B, N, M, band)
+    return forward_lanes(pl, params, mode, band)
 
-    fM = np.zeros((B, N + 1, M + 1))
-    fGX = np.zeros((B, N + 1, M + 1))
-    fGY = np.zeros((B, N + 1, M + 1))
-    log_scale = np.zeros((B, N + 1))
 
-    lo0, hi0 = (0, M) if band is None else band.row_bounds(0)
-    if mode == "semiglobal":
-        # Free genome prefix: the read may begin at any in-band column of
-        # row 0.
-        if lo0 <= hi0:
-            fM[:, 0, lo0 : hi0 + 1] = 1.0
-    elif lo0 <= 0 <= hi0:
-        # Paper-literal global borders: f_M(0,0) = 1, every other border cell
-        # zero (the paper's initialisation step verbatim).
-        fM[:, 0, 0] = 1.0
+def backward_rows(
+    pl: np.ndarray,
+    params: PHMMParams,
+    mode: str,
+    band: BandSpec | None,
+    store: np.ndarray,
+    log_scale: np.ndarray,
+) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """The backward pass over lane-major emissions, one row at a time.
 
-    gy_filt_b = np.array([1.0])
-    gy_filt_a = np.array([1.0, -q * TGG])
-    log_tiny = np.log(_TINY)
-
-    for i in range(1, N + 1):
-        lo, hi = (0, M) if band is None else band.row_bounds(i)
-        if lo > hi:
-            # Band slid off the matrix: nothing reachable from here on.
-            log_scale[:, i] = log_scale[:, i - 1] + log_tiny
-            continue
-        jlo = max(lo, 1)  # M/GY cells exist only for j >= 1
-        prevM = fM[:, i - 1, :]
-        prevGX = fGX[:, i - 1, :]
-        prevGY = fGY[:, i - 1, :]
-        rowM = fM[:, i, :]
-        if jlo <= hi:
-            p_row = pstar[:, i - 1, jlo - 1 : hi]  # p*(i, j), j = jlo..hi
-            rowM[:, jlo : hi + 1] = p_row * (
-                TMM * prevM[:, jlo - 1 : hi]
-                + TGM * (prevGX[:, jlo - 1 : hi] + prevGY[:, jlo - 1 : hi])
-            )
-        fGX[:, i, lo : hi + 1] = q * (
-            TMG * prevM[:, lo : hi + 1] + TGG * prevGX[:, lo : hi + 1]
-        )
-        if jlo <= hi:
-            # First-order in-row recurrence, zero-initialised at the row's
-            # left edge (f_GY(i, jlo-1) is out of band or column 0, hence 0).
-            drive = q * TMG * rowM[:, jlo - 1 : hi]
-            fGY[:, i, jlo : hi + 1] = lfilter(gy_filt_b, gy_filt_a, drive, axis=-1)
-        # Rescale the row (all three states share one scale so the recursion
-        # stays exact); a zero row means the alignment has probability zero.
-        s = np.maximum(
-            np.maximum(
-                rowM[:, lo : hi + 1].max(axis=1), fGX[:, i, lo : hi + 1].max(axis=1)
-            ),
-            fGY[:, i, lo : hi + 1].max(axis=1),
-        )
-        s = np.maximum(s, _TINY)
-        fM[:, i, lo : hi + 1] /= s[:, None]
-        fGX[:, i, lo : hi + 1] /= s[:, None]
-        fGY[:, i, lo : hi + 1] /= s[:, None]
-        log_scale[:, i] = log_scale[:, i - 1] + np.log(s)
-
-    if mode == "semiglobal":
-        total = fM[:, N, :].sum(axis=1) + fGX[:, N, :].sum(axis=1)
-    else:
-        total = fM[:, N, M] + fGX[:, N, M] + fGY[:, N, M]
-    with np.errstate(divide="ignore"):
-        loglik = np.log(np.maximum(total, 0.0)) + log_scale[:, N]
-    result = ForwardResult(
-        fM=fM, fGX=fGX, fGY=fGY, log_scale=log_scale, loglik=loglik, mode=mode
-    )
-    if sanitize.enabled():
-        sanitize.check_forward(result)
-        if band is not None:
-            sanitize.check_band(fM, fGX, fGY, band=band, kind="forward")
-    return result
+    Yields ``(i, lo, hi, row)`` for ``i = N..0``: ``row`` is the scaled
+    ``(3, M+1, B)`` state of DP row ``i`` — exact zeros outside its in-band
+    columns ``lo..hi`` (``lo > hi``: the band is off the matrix) — held in
+    ``store[i % len(store)]``, with ``log_scale[i]`` filled in.  ``store``
+    must start zeroed; ``len(store) == N+1`` materialises the pass, ``2`` is
+    the smallest ring the recursion can run on.
+    """
+    sweep = _Sweep(pl, params, mode, band)
+    N, depth = sweep.N, store.shape[0]
+    spans: list[tuple[int, int]] = [(0, -1)] * depth  # columns a slot holds
+    for i in range(N, -1, -1):
+        lo, hi = sweep.bounds(i)
+        row = store[i % depth]
+        # A reused ring slot keeps row i+depth: bands only move left as i
+        # falls, so what this row will not overwrite lies right of hi.
+        plo, phi = spans[i % depth]
+        row[:, max(plo, hi + 1) : phi + 1] = 0.0
+        spans[i % depth] = (lo, hi) if lo <= hi else (0, -1)
+        if i == N:
+            sweep.backward_last_row(row)
+        elif lo > hi:
+            log_scale[i] = log_scale[i + 1] + _LOG_TINY
+        else:
+            sweep.backward_row(i, lo, hi, store[(i + 1) % depth], row)
+            sweep.rescale(row[:, lo : hi + 1], log_scale[i + 1], log_scale[i])
+        yield i, lo, hi, row
 
 
 def backward_batch(
@@ -260,110 +380,14 @@ def backward_batch(
     band: BandSpec | None = None,
 ) -> BackwardResult:
     """Run the scaled backward algorithm over a batch (same conventions)."""
-    pstar = np.asarray(pstar, dtype=np.float64)
-    B, N, M = _check_inputs(pstar, mode, band)
-    metrics().inc("phmm.backward_cells", _charge_cells(B, N, M, band))
-    q, TMM, TMG, TGM, TGG = params.q, params.T_MM, params.T_MG, params.T_GM, params.T_GG
-
-    bM = np.zeros((B, N + 1, M + 1))
-    bGX = np.zeros((B, N + 1, M + 1))
-    bGY = np.zeros((B, N + 1, M + 1))
-    log_scale = np.zeros((B, N + 1))
-
-    loN, hiN = (0, M) if band is None else band.row_bounds(N)
-    if mode == "semiglobal":
-        if loN <= hiN:
-            bM[:, N, loN : hiN + 1] = 1.0
-            bGX[:, N, loN : hiN + 1] = 1.0
-        # bGY stays 0 at i = N: once the read is consumed, paths that keep
-        # eating genome bases through G_Y are redundant with ending earlier.
-    else:
-        # Paper-literal: b_M(N,M) = b_GX(N,M) = b_GY(N,M) = 1, all other
-        # far-border cells zero.  Note paths that still have trailing genome
-        # bases to consume at i = N get weight zero under this convention,
-        # exactly as in the paper's initialisation.
-        if loN <= M <= hiN:
-            bM[:, N, M] = 1.0
-            bGX[:, N, M] = 1.0
-            bGY[:, N, M] = 1.0
-        # The row-N G_Y chain (consuming trailing genome bases) is part of
-        # the paper's recursion domain: b_GY(N, j) = q T_GG b_GY(N, j+1),
-        # and M at (N, j < M) can finish only by entering that chain; a band
-        # truncates the chain at its left edge.
-        mhi = min(hiN, M - 1)
-        for j in range(mhi, loN - 1, -1):
-            bGY[:, N, j] = q * TGG * bGY[:, N, j + 1]
-        if loN <= mhi:
-            bM[:, N, loN : mhi + 1] = q * TMG * bGY[:, N, loN + 1 : mhi + 2]
-
-    gy_filt_b = np.array([1.0])
-    gy_filt_a = np.array([1.0, -q * TGG])
-    log_tiny = np.log(_TINY)
-
-    for i in range(N - 1, -1, -1):
-        lo, hi = (0, M) if band is None else band.row_bounds(i)
-        if lo > hi:
-            log_scale[:, i] = log_scale[:, i + 1] + log_tiny
-            continue
-        L = hi - lo + 1
-        nextM = bM[:, i + 1, :]
-        nextGX = bGX[:, i + 1, :]
-        # d[j] = p*(i+1, j+1) * b_M(i+1, j+1) for j = lo..hi (zero at j = M).
-        d = np.zeros((B, L))
-        dhi = min(hi, M - 1)
-        if lo <= dhi:
-            d[:, : dhi - lo + 1] = pstar[:, i, lo : dhi + 1] * nextM[:, lo + 1 : dhi + 2]
-        if i > 0:
-            # b_GY row i: reversed first-order recurrence driven by T_GM * d,
-            # zero-initialised at the row's right edge (b_GY(i, hi+1) is out
-            # of band or past column M, hence 0).
-            drive = (TGM * d)[:, ::-1]
-            bGY[:, i, lo : hi + 1] = lfilter(gy_filt_b, gy_filt_a, drive, axis=-1)[
-                :, ::-1
-            ]
-        # Row 0 keeps b_GY = 0 and drops the M -> G_Y term: the forward start
-        # convention has f_GY(0, j) = 0 (genome bases before the first read
-        # base are consumed by the start distribution, not by gap states), so
-        # paths entering G_Y before consuming any read base must not count.
-        # gy_next[j] = b_GY(i, j+1), zero past the row's right edge.
-        gy_next = np.zeros((B, L))
-        gy_next[:, : L - 1] = bGY[:, i, lo + 1 : hi + 1]
-        bM[:, i, lo : hi + 1] = TMM * d + q * TMG * (nextGX[:, lo : hi + 1] + gy_next)
-        bGX[:, i, lo : hi + 1] = TGM * d + q * TGG * nextGX[:, lo : hi + 1]
-        t = np.maximum(
-            np.maximum(
-                bM[:, i, lo : hi + 1].max(axis=1), bGX[:, i, lo : hi + 1].max(axis=1)
-            ),
-            bGY[:, i, lo : hi + 1].max(axis=1),
-        )
-        t = np.maximum(t, _TINY)
-        bM[:, i, lo : hi + 1] /= t[:, None]
-        bGX[:, i, lo : hi + 1] /= t[:, None]
-        bGY[:, i, lo : hi + 1] /= t[:, None]
-        log_scale[:, i] = log_scale[:, i + 1] + np.log(t)
-
-    result = BackwardResult(bM=bM, bGX=bGX, bGY=bGY, log_scale=log_scale, mode=mode)
+    pl = _check_inputs(pstar, mode, band)
+    N, M, B = pl.shape
+    charge_pass("backward", B, N, M, band)
+    state = np.zeros((N + 1, 3, M + 1, B))
+    log_scale = np.zeros((N + 1, B))
+    for _ in backward_rows(pl, params, mode, band, state, log_scale):
+        pass
+    bM, bGX, bGY, ls = _views(state, log_scale)
     if sanitize.enabled():
-        sanitize.check_backward(result)
-        if band is not None:
-            sanitize.check_band(bM, bGX, bGY, band=band, kind="backward")
-    return result
-
-
-def backward_loglik(fwd_pstar: np.ndarray, bwd: BackwardResult, mode: str) -> np.ndarray:
-    """Total log-likelihood recomputed from the backward matrices.
-
-    In semiglobal mode every path starts in ``M`` at some ``(0, j)`` with unit
-    weight, so ``L = sum_j b_M(0, j)``; in global mode paths start at
-    ``(0, 0)`` in ``M`` (or run through the leading-gap chain, which the
-    backward matrices already account for), so ``L = b_M(0, 0) + b_GY-chain``
-    — with the paper's zero-border initialisation simply ``b_M(0, 0)``.
-    Used by tests as a consistency oracle against the forward likelihood.
-    """
-    _check_mode(mode)
-    with np.errstate(divide="ignore"):
-        if mode == "semiglobal":
-            total = bwd.bM[:, 0, :].sum(axis=1)
-        else:
-            total = bwd.bM[:, 0, 0]
-        return np.log(np.maximum(total, 0.0)) + bwd.log_scale[:, 0]
+        sanitize.check_pass("backward", (bM, bGX, bGY), ls, band)
+    return BackwardResult(bM=bM, bGX=bGX, bGY=bGY, log_scale=ls, mode=mode)

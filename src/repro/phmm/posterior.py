@@ -30,6 +30,10 @@ The per-read z-vector of the paper is then
 ``edge_policy="mass"`` (raw marginal mass, conserving total probability), or
 the paper-literal ``edge_policy="paper"`` which normalises by occupancy where
 occupancy exceeds a floor.
+
+:class:`RowDeposit` is the only posterior arithmetic there is:
+:func:`posteriors_batch` feeds it the rows of a materialised backward pass,
+:mod:`repro.phmm.alignment` each row of a streamed one (DESIGN §12).
 """
 
 from __future__ import annotations
@@ -39,10 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import AlignmentError
-from repro.phmm.forward_backward import (
-    BackwardResult,
-    ForwardResult,
-)
+from repro.phmm.banded import BandSpec
+from repro.phmm.forward_backward import BackwardResult, ForwardResult
 from repro.phmm.model import PHMMParams
 
 
@@ -61,15 +63,108 @@ class PosteriorResult:
     match_posterior:
         ``(B, N, M)`` cell posteriors ``P(x_i <> y_j)`` (kept for ablation
         and visualisation; row ``i-1``/col ``j-1`` store cell ``(i, j)``).
+        A streamed alignment leaves it, and an unread occupancy, ``None``.
     loglik:
-        ``(B,)`` total alignment log-likelihood (copied from the forward).
+        ``(B,)`` total alignment log-likelihood (the forward's own array).
     """
 
     base_mass: np.ndarray
     gap_mass: np.ndarray
-    occupancy: np.ndarray
-    match_posterior: np.ndarray
+    occupancy: np.ndarray | None
+    match_posterior: np.ndarray | None
     loglik: np.ndarray
+
+
+class RowDeposit:
+    """Posterior accumulators of one batch, fed one backward row at a time.
+
+    Lane-major like the kernels: ``z`` is ``(5, M, B)`` in channel order
+    (A,C,G,T,gap).  Rows arrive in descending order, each with its in-band
+    column range, and only those columns are touched (the products are exact
+    zeros elsewhere).  ``occupancy``/``match`` switch on the outputs no
+    default caller reads; ``band`` keeps the cells :meth:`edge_mass` sums.
+    """
+
+    def __init__(
+        self,
+        pwms: np.ndarray,
+        fwd: ForwardResult,
+        band: BandSpec | None = None,
+        occupancy: bool = False,
+        match: bool = False,
+    ) -> None:
+        B, N, M = fwd.fM.shape[0], fwd.fM.shape[1] - 1, fwd.fM.shape[2] - 1
+        self.pwms = np.ascontiguousarray(pwms.transpose(1, 2, 0))  # (N, 4, B)
+        self.fM, self.fGY = fwd.fM.transpose(1, 2, 0), fwd.fGY.transpose(1, 2, 0)
+        self.f_scale = fwd.log_scale.T
+        # Dead pairs (loglik = -inf) get factor 0, hence all-zero masses.
+        self.alive = np.isfinite(fwd.loglik)
+        self.loglik = np.where(self.alive, fwd.loglik, 0.0)
+        self.result_loglik = fwd.loglik
+        self.z = np.zeros((5, M, B))
+        self.occ = np.zeros((M, B)) if occupancy else None
+        self.match = np.zeros((N, M, B)) if match else None
+        self.band = band
+        self.edge_cells: list[np.ndarray] = []
+        self.factor = np.empty(B)
+        self.pm, self.pg = np.empty((2, M, B))
+        self.split = np.empty((4, M, B))
+
+    def add_row(
+        self, i: int, lo: int, hi: int, bM: np.ndarray, bGY: np.ndarray, b_scale: np.ndarray
+    ) -> None:
+        """Deposit DP row ``i``: ``bM``/``bGY`` are its scaled ``(M+1, B)``
+        backward rows, ``b_scale`` its ``(B,)`` backward log scale."""
+        jlo = max(lo, 1)  # M/GY cells exist only for j >= 1
+        n = hi - jlo + 1
+        if n <= 0:
+            return
+        # true(f*b)(i, .) = stored(f*b) * exp(g_i), g_i = fwd_scale_i +
+        # bwd_scale_i - loglik: ~0 on the probable path, >> 0 on rows
+        # impossible to occupy, whose stored products underflow to 0 — hence
+        # the clip; the product is what matters and stays finite.
+        g = np.add(self.f_scale[i], b_scale, out=self.factor)
+        g -= self.loglik
+        np.exp(np.minimum(g, 700.0, out=g), out=g)
+        g *= self.alive
+        cols = slice(jlo - 1, hi)  # window column of cell (i, j) is j - 1
+        # G_Y consumes y_j at any read row i = 0..N.
+        pg = np.multiply(self.fGY[i, jlo : hi + 1], bGY[jlo : hi + 1], out=self.pg[:n])
+        pg *= g
+        self.z[4, cols] += pg
+        if i == 0:
+            return
+        pm = np.multiply(self.fM[i, jlo : hi + 1], bM[jlo : hi + 1], out=self.pm[:n])
+        pm *= g
+        # Split over base hypotheses by the PWM row alone (module docstring).
+        split = np.multiply(pm, self.pwms[i - 1][:, None, :], out=self.split[:, :n])
+        self.z[:4, cols] += split
+        if self.occ is not None:
+            self.occ[cols] += pm
+        if self.match is not None:
+            self.match[i - 1, cols] = pm
+        if self.band is not None:
+            self.edge_cells += [
+                pm[c - jlo].copy() for c in reversed(self.band.edge_columns(i))
+            ]
+
+    def edge_mass(self) -> np.ndarray:
+        """:func:`~repro.phmm.banded.band_edge_mass` of the deposited rows,
+        summed in that function's (ascending) order."""
+        edge = np.zeros(self.z.shape[2])
+        for cell in reversed(self.edge_cells):
+            edge += cell
+        return edge / float(self.pwms.shape[0])
+
+    def result(self) -> PosteriorResult:
+        gap = self.z[4]
+        return PosteriorResult(
+            base_mass=self.z[:4].transpose(2, 1, 0),
+            gap_mass=gap.T,
+            occupancy=None if self.occ is None else (self.occ + gap).T,
+            match_posterior=None if self.match is None else self.match.transpose(2, 0, 1),
+            loglik=self.result_loglik,
+        )
 
 
 def posteriors_batch(
@@ -84,56 +179,19 @@ def posteriors_batch(
 
     All inputs must come from the same batch; ``pstar`` is the emission array
     both passes consumed.  Pairs whose likelihood underflowed to zero
-    (``loglik == -inf``) get all-zero masses.  ``windows`` and ``params``
-    are part of the stable signature but unused by the default
-    z-decomposition (which splits by the PWM alone — see the module
-    docstring).
+    (``loglik == -inf``) get all-zero masses.  ``windows`` and ``params`` are
+    part of the stable signature but unused: z splits by the PWM alone.
     """
     if fwd.mode != bwd.mode:
-        raise AlignmentError(
-            f"forward mode {fwd.mode!r} != backward mode {bwd.mode!r}"
-        )
-    pstar = np.asarray(pstar, dtype=np.float64)
-    B, N, M = pstar.shape
+        raise AlignmentError(f"forward mode {fwd.mode!r} != backward mode {bwd.mode!r}")
+    B, N, M = np.shape(pstar)
     if fwd.fM.shape != (B, N + 1, M + 1):
         raise AlignmentError("forward result does not match pstar shape")
-
-    # Per-row reconstruction factor: true(f*b)(i, .) = stored(f*b) * exp(g_i)
-    # with g_i = fwd_scale_i + bwd_scale_i - loglik.  Rows on the probable
-    # path have g ~ 0; dead pairs (loglik = -inf) are zeroed explicitly.
-    dead = ~np.isfinite(fwd.loglik)
-    safe_loglik = np.where(dead, 0.0, fwd.loglik)
-    g = fwd.log_scale + bwd.log_scale - safe_loglik[:, None]  # (B, N+1)
-    # Clip the exponent: rows numerically impossible to occupy can have
-    # g >> 0 while the stored products underflow to 0; the product is what
-    # matters and stays finite.
-    factor = np.exp(np.minimum(g, 700.0))
-
-    postM_full = fwd.fM * bwd.bM * factor[:, :, None]
-    postGY_full = fwd.fGY * bwd.bGY * factor[:, :, None]
-    if dead.any():
-        postM_full[dead] = 0.0
-        postGY_full[dead] = 0.0
-
-    # Cell (i, j) for i = 1..N, j = 1..M.
-    postM = postM_full[:, 1:, 1:]
-    # G_Y consumes y_j at any read row i = 0..N.
-    gap_mass = postGY_full[:, :, 1:].sum(axis=1)
-
-    # Split each match posterior over base hypotheses by the PWM row alone
-    # (see module docstring for why the emission prior is *not* applied).
-    base_mass = np.einsum(
-        "bij,bik->bjk", postM, np.asarray(pwms, dtype=np.float64), optimize=True
-    )
-
-    occupancy = postM.sum(axis=1) + gap_mass
-    return PosteriorResult(
-        base_mass=base_mass,
-        gap_mass=gap_mass,
-        occupancy=occupancy,
-        match_posterior=postM,
-        loglik=fwd.loglik.copy(),
-    )
+    deposit = RowDeposit(np.asarray(pwms, dtype=np.float64), fwd, occupancy=True, match=True)
+    bM, bGY = bwd.bM.transpose(1, 2, 0), bwd.bGY.transpose(1, 2, 0)
+    for i in range(N, -1, -1):
+        deposit.add_row(i, 0, M, bM[i], bGY[i], bwd.log_scale[:, i])
+    return deposit.result()
 
 
 def z_vectors(
@@ -158,6 +216,8 @@ def z_vectors(
     if not 0.0 < occupancy_floor <= 1.0:
         raise AlignmentError("occupancy_floor must be in (0, 1]")
     occ = post.occupancy
+    if occ is None:
+        raise AlignmentError("these posteriors were computed without occupancy")
     keep = occ >= occupancy_floor
     with np.errstate(divide="ignore", invalid="ignore"):
         normed = np.where(keep[:, :, None], z / np.maximum(occ, 1e-12)[:, :, None], 0.0)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, NoReturn
+from typing import TYPE_CHECKING, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from repro.observability.spans import current_path
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.phmm.banded import BandSpec
-    from repro.phmm.forward_backward import BackwardResult, ForwardResult
 
 #: Tolerance for "sums to at most 1" style checks; scaled-probability
 #: arithmetic accumulates rounding at ~1e-12 per chain, far below this.
@@ -116,23 +115,26 @@ def check_emissions(pstar: np.ndarray) -> None:
         _fail("emissions", f"pstar exceeds 1: {_describe_bad(pstar, bad)}")
 
 
-def check_forward(result: "ForwardResult") -> None:
-    """Scaled forward matrices finite/non-negative; loglik finite or -inf."""
-    for name in ("fM", "fGX", "fGY"):
-        arr = getattr(result, name)
-        check_finite("forward", name, arr)
-        check_non_negative("forward", name, arr)
-    check_finite("forward", "log_scale", result.log_scale)
-    check_finite("forward", "loglik", result.loglik, allow_neg_inf=True)
-
-
-def check_backward(result: "BackwardResult") -> None:
-    """Scaled backward matrices finite/non-negative; log scales finite."""
-    for name in ("bM", "bGX", "bGY"):
-        arr = getattr(result, name)
-        check_finite("backward", name, arr)
-        check_non_negative("backward", name, arr)
-    check_finite("backward", "log_scale", result.log_scale)
+def check_pass(
+    kind: str,
+    states: "Sequence[np.ndarray]",
+    log_scale: np.ndarray,
+    band: "BandSpec | None" = None,
+    row: "int | None" = None,
+    loglik: "np.ndarray | None" = None,
+) -> None:
+    """One ``kind`` (``"forward"``/``"backward"``) pass: scaled ``(M, GX, GY)``
+    matrices finite and non-negative, log scales finite, ``loglik`` finite or
+    ``-inf``, exact zeros outside ``band``.  With ``row`` the arrays hold that
+    one DP row, ``(B, 1, M+1)``: a streamed pass checks rows as they appear."""
+    for name, arr in zip(("M", "GX", "GY"), states):
+        check_finite(kind, kind[0] + name, arr)
+        check_non_negative(kind, kind[0] + name, arr)
+    check_finite(kind, "log_scale", log_scale)
+    if loglik is not None:
+        check_finite(kind, "loglik", loglik, allow_neg_inf=True)
+    if band is not None:
+        check_band(*states, band=band, kind=kind, row=row)
 
 
 def check_z(z: np.ndarray, valid: "np.ndarray | None" = None) -> None:
@@ -162,15 +164,18 @@ def check_band(
     sGY: np.ndarray,
     band: "BandSpec",
     kind: str = "forward",
+    row: "int | None" = None,
 ) -> None:
     """Band mass conservation: banded DP matrices are exactly zero outside
-    the band.
+    the band (``row``: as in :func:`check_pass`).
 
     The banded kernels *never write* outside the band, so any non-zero mass
     there means an index-arithmetic bug leaked probability across the band
     boundary — the invariant the escape-hatch accounting rests on.
     """
     outside = band.outside_mask()[None, :, :]
+    if row is not None:
+        outside = outside[:, row : row + 1]
     for name, arr in (("M", sM), ("GX", sGX), ("GY", sGY)):
         arr = np.asarray(arr)
         bad = (arr != 0.0) & outside

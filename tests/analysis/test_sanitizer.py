@@ -176,6 +176,67 @@ class TestKernelHooks:
         assert "align" in exc_info.value.span_path
 
 
+    def test_streamed_backward_corruption_attributed_to_stage(
+        self, workload, monkeypatch
+    ):
+        """The pipeline never materialises the backward pass: a NaN planted
+        in one streamed row is caught on that row, before it is deposited,
+        and attributed to ``map_reads/align``."""
+        import repro.phmm.forward_backward as fb
+
+        real_lfilter = fb.lfilter
+
+        def poisoned_lfilter(b, a, x, axis=-1):
+            out = real_lfilter(b, a, x, axis=axis)
+            if x.strides[0] < 0 and out.size:  # the backward pass filters reversed rows
+                out = out.copy()
+                out.flat[0] = np.nan
+            return out
+
+        monkeypatch.setattr(fb, "lfilter", poisoned_lfilter)
+        pipe = GnumapSnp(workload.reference, PipelineConfig())
+        with sanitize.sanitized():
+            with pytest.raises(SanitizerError) as exc_info:
+                pipe.map_reads(workload.reads)
+        assert exc_info.value.check == "backward"
+        assert exc_info.value.span_path[-2:] == ("map_reads", "align")
+
+    def test_band_check_sees_every_streamed_backward_row(self, monkeypatch):
+        from repro.phmm.alignment import align_batch_banded
+
+        seen = []
+        real_check_band = sanitize.check_band
+
+        def spy(sM, sGX, sGY, band, kind="forward", row=None):
+            seen.append((kind, row, sM.shape))
+            real_check_band(sM, sGX, sGY, band, kind=kind, row=row)
+
+        monkeypatch.setattr(sanitize, "check_band", spy)
+        rng = np.random.default_rng(6)
+        pwms = rng.dirichlet(np.ones(4), size=(3, 6))
+        windows = rng.integers(0, 4, (3, 10)).astype(np.uint8)
+        with sanitize.sanitized():
+            align_batch_banded(
+                pwms, windows, self.PARAMS, np.full(3, 2), band_w=2, adaptive=False
+            )
+        assert ("forward", None, (3, 7, 11)) in seen
+        assert [row for kind, row, _ in seen if kind == "backward"] == list(
+            range(6, -1, -1)
+        )
+        assert {shape for kind, _, shape in seen if kind == "backward"} == {(3, 1, 11)}
+
+    def test_leaked_mass_in_a_streamed_row_is_caught(self):
+        """One-row form of check_band: row ``i`` of the band, not row 0."""
+        from repro.phmm.banded import BandSpec
+
+        band = BandSpec(n=3, m=5, center=2, width=1)  # row 2 spans columns 3..5
+        row = np.zeros((1, 1, 6))
+        row[0, 0, 3:6] = 0.5
+        sanitize.check_band(row, row, row, band, kind="backward", row=2)
+        with pytest.raises(SanitizerError, match="band_backward"):
+            sanitize.check_band(row, row, row, band, kind="backward", row=0)
+
+
 class TestAccumulatorHooks:
     def test_corrupted_add_raises_when_enabled(self):
         acc = DenseAccumulator(8)

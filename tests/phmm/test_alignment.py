@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AlignmentError
+from repro.observability import scope
 from repro.genome.alphabet import N as CODE_N
 from repro.phmm.alignment import (
     align_batch,
@@ -96,6 +97,27 @@ class TestAlignBatch:
                 PARAMS,
                 valid=np.ones((1, 99), dtype=bool),
             )
+
+    @pytest.mark.parametrize(
+        "pwms, windows, valid",
+        [
+            (np.full((3, 4), 0.25), np.zeros(5, dtype=np.uint8), None),
+            (np.full((2, 3, 4), 0.25), np.zeros((3, 5), dtype=np.uint8), None),
+            (np.full((2, 3, 4), 0.25), np.full((2, 5), 7, dtype=np.uint8), None),
+            (np.full((2, 3, 4), 0.25), np.zeros((2, 5), dtype=np.uint8), np.ones((2, 4))),
+        ],
+        ids=["unbatched", "batch-mismatch", "code-7", "valid-shape"],
+    )
+    def test_malformed_batch_is_a_typed_error_without_side_effects(
+        self, pwms, windows, valid
+    ):
+        """Rejected up front: no IndexError from an unvalidated shape, and
+        nothing observed into ``phmm.pair_cells`` for a batch never aligned."""
+        with scope() as reg:
+            with pytest.raises(AlignmentError):
+                align_batch(pwms, windows, PARAMS, valid=valid)
+            snap = reg.snapshot()
+        assert snap.histograms == {} and snap.counters == {}
 
     def test_equivalent_pairs_equal_outputs(self):
         rng = np.random.default_rng(3)

@@ -252,6 +252,21 @@ class TestEscapeHatch:
         assert ungated == 2
         assert gated < ungated
 
+    def test_band_leaving_the_matrix_escapes(self):
+        """A band whose upper rows lie right of the last window column: the
+        banded pairs are dead and go to the full kernels (the edge audit
+        used to index past the matrix and raise IndexError instead)."""
+        rng = np.random.default_rng(13)
+        pwms, windows = random_batch(rng, b=2)  # 8 x 14
+        band = BandSpec(n=8, m=14, center=10, width=2)
+        assert 0 < band.n_cells() and band.row_bounds(8)[0] > 14
+        full = align_batch(pwms, windows, PARAMS)
+        with scope() as reg:
+            out = align_batch_banded(pwms, windows, PARAMS, np.full(2, 10), band_w=2)
+            assert reg.snapshot().counters["phmm.band_escapes"] == 2
+        assert np.array_equal(out.loglik, full.loglik)
+        assert np.array_equal(out.z, full.z)
+
     def test_edge_mass_small_for_wide_band(self):
         rng = np.random.default_rng(11)
         pwms, windows = random_batch(rng, b=2)
@@ -500,6 +515,19 @@ class TestValidation:
                     groups=np.zeros(5, dtype=np.int64),
                     escape_min_ratio=0.5,
                 )
+
+    def test_negative_window_code_rejected(self):
+        """A signed -1 would index the N column, -3 would be scored as G."""
+        rng = np.random.default_rng(0)
+        pwms, windows = random_batch(rng, b=2)
+        signed = windows.astype(np.int64)
+        signed[1, 4] = -3
+        with scope() as reg:
+            with pytest.raises(AlignmentError, match="window codes"):
+                align_batch_banded(
+                    pwms, signed, PARAMS, np.full(2, 3, dtype=np.int64), band_w=3
+                )
+            assert reg.snapshot().histograms == {}
 
     def test_bad_valid_shape_rejected_before_the_fill(self):
         rng = np.random.default_rng(0)

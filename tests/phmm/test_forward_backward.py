@@ -12,7 +12,6 @@ import pytest
 from repro.errors import AlignmentError
 from repro.phmm.forward_backward import (
     backward_batch,
-    backward_loglik,
     emissions_batch,
     forward_batch,
 )
@@ -24,6 +23,7 @@ from repro.phmm.reference_impl import (
     forward_naive,
     loglik_bruteforce,
 )
+from tests.phmm.parent_kernels import backward_loglik
 
 PARAMS = PHMMParams()
 MODES = ("semiglobal", "global")
@@ -63,6 +63,14 @@ class TestEmissions:
                 np.ones((1, 3, 4)), np.full((1, 5), 9, dtype=np.int64), PARAMS
             )
 
+    @pytest.mark.parametrize("code", (-1, -3, -5, 5))
+    def test_codes_outside_the_alphabet_rejected(self, code):
+        """Negative codes used to wrap around the emission table."""
+        windows = np.zeros((1, 5), dtype=np.int8)
+        windows[0, 2] = code
+        with pytest.raises(AlignmentError, match="window codes"):
+            emissions_batch(np.full((1, 3, 4), 0.25), windows, PARAMS)
+
 
 @pytest.mark.parametrize("mode", MODES)
 class TestLikelihoodConsistency:
@@ -95,7 +103,7 @@ class TestLikelihoodConsistency:
             pstar = emissions_batch(pwm[None], window[None], PARAMS)
             fwd = forward_batch(pstar, PARAMS, mode=mode)
             bwd = backward_batch(pstar, PARAMS, mode=mode)
-            assert np.isclose(backward_loglik(pstar, bwd, mode)[0], fwd.loglik[0])
+            assert np.isclose(backward_loglik(bwd, mode)[0], fwd.loglik[0])
 
     def test_backward_matches_naive(self, mode):
         rng = np.random.default_rng(4)

@@ -8,7 +8,14 @@ the per-row scaling (``f * exp(log_scale)``), in both boundary modes,
 including the degenerate shapes N = 1, M = 1 and the empty batch B = 0.
 The metrics counters are asserted alongside, tying the observability layer
 to the same B*N*M geometry the numerics are verified over.
+
+The lane-major kernels are additionally pinned, bit for bit, to the frozen
+batch-major kernels they replaced (:mod:`tests.phmm.parent_kernels`), and
+the streamed ``align_batch*`` drivers to the materialising public calls the
+ledger's replay unrolls.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,13 +24,16 @@ from hypothesis import strategies as st
 
 from repro.errors import AlignmentError
 from repro.observability import scope
-from repro.phmm.alignment import align_batch
+from repro.phmm import alignment
+from repro.phmm.alignment import align_batch, align_batch_banded
+from repro.phmm.banded import BandSpec, band_edge_mass
 from repro.phmm.forward_backward import (
     backward_batch,
     emissions_batch,
     forward_batch,
 )
 from repro.phmm.model import PHMMParams
+from repro.phmm.posterior import posteriors_batch, z_vectors
 from repro.phmm.pwm import pwm_from_codes
 from repro.phmm.reference_impl import (
     backward_naive,
@@ -31,7 +41,10 @@ from repro.phmm.reference_impl import (
     forward_naive,
 )
 
+from tests.phmm import parent_kernels
+
 MODES = ("semiglobal", "global")
+TILE = alignment._LANE_TILE
 
 
 @st.composite
@@ -95,12 +108,16 @@ EDGE_CASES = (
 )
 
 
-def edge_examples(test):
+def edge_examples(test=None, **extra):
     """Pin every edge case, in both modes, as an explicit example."""
-    for case in EDGE_CASES:
-        for mode in MODES:
-            test = example(case=case, params=PHMMParams(), mode=mode)(test)
-    return test
+
+    def pin(test):
+        for case in EDGE_CASES:
+            for mode in MODES:
+                test = example(case=case, params=PHMMParams(), mode=mode, **extra)(test)
+        return test
+
+    return pin if test is None else pin(test)
 
 
 def unscale(scaled: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
@@ -168,19 +185,167 @@ def test_emissions_match_naive_per_pair(case):
         )
 
 
+def _solo_band(band, n, m):
+    return None if band is None else BandSpec(n=n, m=m, center=band[0], width=band[1])
+
+
 @settings(max_examples=30, deadline=None)
-@given(case=batch_case(), params=params_strategy(), mode=st.sampled_from(MODES))
-@edge_examples
-def test_batching_is_not_load_bearing(case, params, mode):
-    """Each pair's result is identical whether aligned in a batch or alone."""
+@given(
+    case=batch_case(),
+    params=params_strategy(),
+    mode=st.sampled_from(MODES),
+    band=st.one_of(st.none(), st.tuples(st.integers(-2, 6), st.integers(1, 3))),
+)
+@edge_examples(band=None)
+@edge_examples(band=(1, 1))
+def test_batching_is_not_load_bearing(case, params, mode, band):
+    """Each pair's result — forward matrices and the evidence the streamed
+    drivers deposit — is identical whether aligned in a batch or alone, and
+    wherever the lane-tile boundaries fall."""
     pwms, windows = case
+    B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
+    band = _solo_band(band, N, M)
     pstar = emissions_batch(pwms, windows, params)
-    batched = forward_batch(pstar, params, mode=mode)
-    for b in range(pwms.shape[0]):
-        solo = forward_batch(pstar[b : b + 1], params, mode=mode)
+    batched = forward_batch(pstar, params, mode=mode, band=band)
+    with mock.patch.object(alignment, "_LANE_TILE", 2):
+        tiled = alignment._align_streamed(
+            pwms, windows, params, mode, "mass", band, want_edge=band is not None
+        )
+    for b in range(B):
+        solo = forward_batch(pstar[b : b + 1], params, mode=mode, band=band)
         np.testing.assert_array_equal(batched.fM[b], solo.fM[0])
         np.testing.assert_array_equal(batched.log_scale[b], solo.log_scale[0])
         np.testing.assert_array_equal(batched.loglik[b], solo.loglik[0])
+        alone = alignment._align_streamed(
+            pwms[b : b + 1], windows[b : b + 1], params, mode, "mass", band,
+            want_edge=band is not None,
+        )
+        for got, want in zip(tiled, alone):  # z, loglik, band-edge mass
+            if want is not None:
+                np.testing.assert_array_equal(got[b], want[0])
+
+
+def _bands(n, m):
+    """No band, a covering band, a narrow one, and bands that leave the
+    matrix on the left (low rows) and on the right (high rows)."""
+    return {
+        "none": None,
+        "covering": BandSpec(n=n, m=m, center=m // 2, width=n + m),
+        "narrow": BandSpec(n=n, m=m, center=min(1, m - 1), width=1),
+        "off_left": BandSpec(n=n, m=m, center=-n, width=2),
+        "off_right": BandSpec(n=n, m=m, center=m, width=2),
+    }
+
+
+def _random_case(b, n, m, seed):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 4, (b, n)).astype(np.uint8)
+    pwms = np.stack([pwm_from_codes(c, rng.uniform(0.0, 0.5, n)) for c in codes])
+    return pwms, rng.integers(0, 5, (b, m)).astype(np.uint8)
+
+
+#: EDGE_CASES are B = 2; the two random cases span a lane-tile boundary.
+ORACLE_CASES = EDGE_CASES + (_random_case(5, 12, 17, 1), _random_case(TILE + 3, 7, 9, 2))
+
+
+@pytest.mark.parametrize("band_kind", ("none", "covering", "narrow", "off_left", "off_right"))
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_lane_major_kernels_reproduce_parent_bitwise(case, mode, band_kind):
+    """Every array the batch-major parent kernels produced, bit for bit; z —
+    whose row reduction now runs in descending order — within 1e-12."""
+    pwms, windows = ORACLE_CASES[case]
+    params = PHMMParams()
+    n, m = pwms.shape[1], windows.shape[1]
+    band = _bands(n, m)[band_kind]
+
+    want_pstar = parent_kernels.emissions(pwms, windows, params)
+    want_f = parent_kernels.forward(want_pstar, params, mode, band)
+    want_b = parent_kernels.backward(want_pstar, params, mode, band)
+    want_p = parent_kernels.posteriors(want_pstar, pwms, want_f, want_b)
+
+    pstar = emissions_batch(pwms, windows, params)
+    fwd = forward_batch(pstar, params, mode=mode, band=band)
+    bwd = backward_batch(pstar, params, mode=mode, band=band)
+    post = posteriors_batch(pstar, pwms, windows, fwd, bwd, params)
+
+    np.testing.assert_array_equal(pstar, want_pstar)
+    for name in ("fM", "fGX", "fGY", "log_scale", "loglik"):
+        np.testing.assert_array_equal(getattr(fwd, name), want_f[name], err_msg=name)
+    for name in ("bM", "bGX", "bGY", "log_scale"):
+        np.testing.assert_array_equal(getattr(bwd, name), want_b[name], err_msg=name)
+    np.testing.assert_array_equal(post.match_posterior, want_p["match_posterior"])
+    want_z = np.concatenate(
+        [want_p["base_mass"], want_p["gap_mass"][:, :, None]], axis=2
+    )
+    np.testing.assert_allclose(z_vectors(post), want_z, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(post.occupancy, want_p["occupancy"], rtol=0, atol=1e-12)
+    if band is not None:
+        np.testing.assert_array_equal(
+            band_edge_mass(post.match_posterior, band),
+            parent_kernels.band_edge(want_p["match_posterior"], band),
+        )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("b", (1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3))
+def test_streamed_alignment_equals_unrolled_public_calls(b, mode):
+    """The ledger replay's contract: ``align_batch`` deposits exactly what
+    ``emissions -> forward -> backward -> posteriors -> z_vectors`` and
+    ``* valid`` give, and ``align_batch_banded`` the same per bucket —
+    whatever the batch size is against the lane tile."""
+    pwms, windows = _random_case(b, 6, 10, seed=b)
+    params = PHMMParams()
+    valid = np.ones(windows.shape, dtype=bool)
+    valid[::2, :3] = False
+    for band in (None, BandSpec(n=6, m=10, center=2, width=2)):
+        pstar = emissions_batch(pwms, windows, params)
+        fwd = forward_batch(pstar, params, mode=mode, band=band)
+        bwd = backward_batch(pstar, params, mode=mode, band=band)
+        post = posteriors_batch(pstar, pwms, windows, fwd, bwd, params)
+        want_z = z_vectors(post, edge_policy="mass") * valid[:, :, None]
+        if band is None:
+            got = align_batch(pwms, windows, params, mode=mode, valid=valid)
+        else:
+            got = align_batch_banded(
+                pwms, windows, params, np.full(b, band.center), band.width,
+                adaptive=False, mode=mode, valid=valid,
+            )
+        np.testing.assert_array_equal(got.z, want_z)
+        np.testing.assert_array_equal(got.loglik, fwd.loglik)
+        # ... and the band-edge audit reads the same cells in the same order.
+        if band is not None:
+            edge = alignment._align_streamed(
+                pwms, windows, params, mode, "mass", band, want_edge=True
+            )[2]
+            np.testing.assert_array_equal(
+                edge, band_edge_mass(post.match_posterior, band)
+            )
+
+
+def test_streamed_paper_policy_equals_unrolled():
+    """``edge_policy="paper"`` is the one streamed caller of occupancy."""
+    pwms, windows = _random_case(TILE + 2, 6, 10, seed=3)
+    params = PHMMParams()
+    pstar = emissions_batch(pwms, windows, params)
+    fwd = forward_batch(pstar, params)
+    bwd = backward_batch(pstar, params)
+    post = posteriors_batch(pstar, pwms, windows, fwd, bwd, params)
+    got = align_batch(pwms, windows, params, edge_policy="paper")
+    np.testing.assert_array_equal(got.z, z_vectors(post, edge_policy="paper"))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dead_pairs_deposit_nothing_when_streamed(mode):
+    """A band that leaves the matrix before the last read row kills the
+    pair (``loglik = -inf``); its streamed z is exactly zero, not NaN."""
+    pwms, windows = _random_case(3, 8, 14, seed=4)
+    out = align_batch_banded(
+        pwms, windows, PHMMParams(), np.full(3, 10), band_w=2,
+        adaptive=False, mode=mode,
+    )
+    assert np.all(np.isneginf(out.loglik))
+    assert np.all(out.z == 0.0)
 
 
 class TestDegenerateShapes:
