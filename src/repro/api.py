@@ -16,6 +16,8 @@ With ``workers > 1`` the engine owns a **persistent shared-memory worker
 pool** (:class:`repro.parallel.pool.PersistentPool`): workers spawn once,
 the genome and index are published as shared-memory segments the workers
 map zero-copy, and every ``run``/``map_reads`` call reuses the warm fleet.
+Workers return per-read evidence and the engine's process owns the only
+accumulator, so calls are byte-identical at any worker count.
 The context manager (or an explicit ``close()``) releases the workers and
 unlinks the segments; an engine used without ``with`` still cleans up
 through an atexit crash net, but deterministic teardown is the idiom.
@@ -211,16 +213,21 @@ class Engine:
             self._pool = None
             self._pool_flags = None
 
-    def _map_over_pool(
-        self, reads: "list[Read]"
+    def _map(
+        self, reads: "list[Read]", accumulator: "Accumulator | None" = None
     ) -> "tuple[Accumulator, MappingStats]":
-        """Map ``reads`` over the warm pool, (re)building it as needed.
+        """Steps A-C into ``accumulator`` (a fresh one when ``None``):
+        serially at ``workers == 1``, else over the warm pool, (re)building
+        it as needed.
 
         Sanitizer/tracing enable-state is captured by workers at spawn, so
         a flag flip since the pool was built recycles the fleet.  Called
         inside any tracing scope, so a freshly-built pool's workers see
         the final enable-state.
         """
+        if self._workers == 1:
+            return self._pipeline.map_reads(reads, accumulator)
+
         import repro.observability.trace as trace_mod
         from repro.phmm import sanitize
         from repro.pipeline.mp_backend import make_pool, map_reads_multiprocessing
@@ -233,11 +240,12 @@ class Engine:
                 self._pipeline, self._workers, telemetry=self._ensure_telemetry()
             )
             self._pool_flags = flags
-        acc, stats = map_reads_multiprocessing(self._pipeline, reads, self._pool)
+        acc, stats = map_reads_multiprocessing(
+            self._pipeline, reads, self._pool, accumulator
+        )
         if sanitize.enabled():
-            # Validate the cross-worker reduction before anyone consumes it:
-            # a partial corrupted in transit (or by a worker) must fail
-            # here, not as a bogus SNP downstream.
+            # Every chunk's evidence was validated on arrival; this checks
+            # what the deposits made of it before anyone consumes it.
             sanitize.check_accumulator(acc.snapshot(), where="accumulator.merge")
         return acc, stats
 
@@ -249,21 +257,15 @@ class Engine:
         Call repeatedly to accumulate evidence online; ``call()`` consumes
         whatever has been accumulated so far.  With engine ``workers > 1``
         the batch maps across the persistent pool's warm fleet through the
-        fault-tolerant dispatcher (crashes/hangs/corrupted partials are
-        retried, then degraded to a serial re-run — see
-        :mod:`repro.pipeline.mp_backend`); the merged partial folds into
-        the staged accumulator exactly as the serial path would.
+        fault-tolerant dispatcher (crashes, hangs and corrupted evidence
+        are retried, then degraded to a serial re-run — see
+        :mod:`repro.pipeline.mp_backend`) and the parent deposits the
+        workers' evidence straight into the staged accumulator: any split
+        of the reads over feeds and workers leaves the bytes one serial run
+        over all of them would.
         """
-        if self._accumulator is None:
-            self._accumulator = self._pipeline.new_accumulator()
         with scope() as reg:
-            if self._workers > 1:
-                part_acc, stats = self._map_over_pool(reads)
-                self._accumulator.merge(part_acc)
-            else:
-                _, stats = self._pipeline.map_reads(
-                    reads, accumulator=self._accumulator
-                )
+            self._accumulator, stats = self._map(reads, self._accumulator)
             self._metrics = self._metrics.merge(reg.snapshot_values())
         self._stats.merge(stats)
         return self._stats
@@ -288,10 +290,9 @@ class Engine:
         """Full pipeline over ``reads`` with a fresh accumulator.
 
         With engine ``workers > 1`` the mapping runs over the persistent
-        pool's warm fleet: the same call set as serial, numeric columns
-        within the tolerance :mod:`repro.pipeline.mp_backend` states, and
-        byte-identical between runs of the same chunking.  Does not touch
-        the engine's staged accumulator.
+        pool's warm fleet, with calls and accumulator byte-identical to the
+        serial run (:mod:`repro.pipeline.mp_backend`).  Does not touch the
+        engine's staged accumulator.
 
         ``trace`` enables flight-recorder tracing for this call and writes
         the resulting timeline to that path as Chrome trace-event JSON
@@ -300,10 +301,8 @@ class Engine:
         """
 
         def execute() -> CallResult:
-            if self._workers == 1:
-                return self._pipeline.run(reads)
             with scope() as reg:
-                acc, stats = self._map_over_pool(reads)
+                acc, stats = self._map(reads)
                 snps = self._pipeline.call_snps(acc)
                 return CallResult(snps, stats, acc, reg.snapshot_values())
 

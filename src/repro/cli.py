@@ -324,24 +324,20 @@ def _seeder_config(args: argparse.Namespace) -> "SeederConfig":
 
 
 def _add_parallel_args(p: argparse.ArgumentParser) -> None:
-    """The ``--parallel-*`` family (short spellings kept as aliases)."""
+    """Worker count and the per-chunk fault-tolerance flags."""
     g = p.add_argument_group(
         "parallel execution",
         "worker fleet and per-chunk fault tolerance",
     )
     g.add_argument(
-        "--parallel-workers",
         "--workers",
-        dest="workers",
         type=int,
         default=1,
         metavar="N",
         help="map reads across this many worker processes (default: 1)",
     )
     g.add_argument(
-        "--parallel-chunk-timeout",
         "--chunk-timeout",
-        dest="chunk_timeout",
         type=float,
         default=120.0,
         metavar="SECS",
@@ -349,19 +345,15 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         "this many seconds (default: 120)",
     )
     g.add_argument(
-        "--parallel-max-retries",
         "--max-retries",
-        dest="max_retries",
         type=int,
         default=2,
         metavar="N",
-        help="re-dispatch a failed chunk (crash/timeout/corrupt partial) up "
+        help="re-dispatch a failed chunk (crash/timeout/corrupt evidence) up "
         "to N times before re-running it serially in the parent (default: 2)",
     )
     g.add_argument(
-        "--parallel-fault-spec",
         "--fault-spec",
-        dest="fault_spec",
         default="",
         metavar="SPEC",
         help="inject deterministic worker faults for testing, e.g. "

@@ -22,7 +22,7 @@ from repro.parallel.partition import (
     partition_reads_contiguous,
     partition_reads_round_robin,
 )
-from repro.parallel.reduction import allreduce_accumulator, reduce_accumulator
+from repro.parallel.reduction import reduce_accumulator
 
 __all__ = [
     "LogGPModel",
@@ -34,6 +34,5 @@ __all__ = [
     "ClusterResult",
     "partition_reads_contiguous",
     "partition_reads_round_robin",
-    "allreduce_accumulator",
     "reduce_accumulator",
 ]

@@ -19,10 +19,10 @@ Spec grammar (``ConfigError`` on violation)::
 * ``hang`` — the worker sleeps ``secs`` (default far past any sane chunk
   timeout) before proceeding, simulating a wedged worker; the parent's
   per-chunk deadline fires and the worker is killed.
-* ``corrupt`` — the chunk computes normally but its partial-accumulator
-  buffers come home poisoned with ``NaN``; the parent's chunk-level
-  sanitizer validation (:func:`repro.phmm.sanitize.check_partial`) must
-  reject the partial before it can reach the merge.
+* ``corrupt`` — the chunk computes normally but its evidence comes home
+  poisoned with ``NaN``; the parent's chunk-level validation
+  (:func:`repro.phmm.sanitize.check_partial`, always on) must reject it
+  before it can reach the accumulator.
 
 Targeting: ``chunk=<int>`` pins a clause to one chunk id; otherwise the
 clause applies to every chunk with probability ``p`` (default 1), drawn
@@ -140,7 +140,7 @@ class FaultPlan:
             time.sleep(hang.secs)
 
     def corrupts(self, chunk_id: int, attempt: int) -> bool:
-        """Should this attempt's partial buffers be poisoned?"""
+        """Should this attempt's shipped evidence be poisoned?"""
         return self.clause_for(chunk_id, attempt, mode="corrupt") is not None
 
 
@@ -148,14 +148,12 @@ EMPTY_PLAN = FaultPlan()
 
 
 def corrupt_buffers(buffers: "dict[str, np.ndarray]") -> "dict[str, np.ndarray]":
-    """Poison a copy of partial-accumulator buffers with ``NaN``.
+    """Poison a copy of a worker's named result arrays with ``NaN``.
 
     The first floating-point buffer gets a ``NaN`` planted in its first
     element — exactly the class of in-transit corruption the parent's
-    pre-merge sanitizer check exists to catch.  Integer-only buffer sets
-    (discretised accumulators) are returned unchanged: there is no legal
-    ``NaN`` to plant, and inventing out-of-range codes would test the
-    decoder, not the merge guard.
+    pre-deposit check exists to catch.  Integer-only buffer sets are
+    returned unchanged: there is no legal ``NaN`` to plant.
     """
     out = dict(buffers)
     for name, arr in out.items():

@@ -51,15 +51,6 @@ def reduce_accumulator(comm: Comm, acc: Accumulator, root: int = 0) -> "Accumula
     return type(acc).from_buffers(acc.length, buffers)
 
 
-def allreduce_accumulator(comm: Comm, acc: Accumulator) -> Accumulator:
-    """Reduce-to-all: every rank receives the fully merged accumulator."""
-    _check(comm, acc)
-    buffers = comm.allreduce(
-        acc.to_buffers(), _merge_buffers(type(acc), acc.length)
-    )
-    return type(acc).from_buffers(acc.length, buffers)
-
-
 def _check(comm: Comm, acc: Accumulator) -> None:
     meta = comm.allgather((type(acc).__name__, acc.length))
     names = {m[0] for m in meta}

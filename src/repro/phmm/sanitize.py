@@ -10,8 +10,9 @@ correctness rests on, at the four places bad values can enter or propagate:
 * **z vectors** — per-position evidence must be finite, non-negative, and
   sum to at most 1 per window position (each read contributes at most one
   unit of mass per position),
-* **accumulators** — merged evidence (including partials shipped back from
-  multiprocessing workers) must stay finite and non-negative.
+* **accumulators** — accumulated evidence must stay finite and
+  non-negative (what pool workers ship home is checked by
+  :func:`check_partial` on every run, sanitizer on or off).
 
 Activation: the environment variable ``REPRO_SANITIZE=1`` (read at import),
 the CLI flag ``--sanitize``, or :func:`enable` /the :func:`sanitized`
@@ -196,12 +197,13 @@ def check_accumulator(evidence: np.ndarray, where: str = "accumulator") -> None:
 
 
 def check_partial(evidence: np.ndarray, chunk_id: int) -> None:
-    """Chunk-level validation of one worker's partial evidence before merge.
+    """Chunk-level validation of evidence a pool worker shipped home.
 
     Runs :func:`check_accumulator` with the failure attributed to the
-    producing chunk (``mp.chunk[<id>].partial``), so a corrupted partial is
-    rejected — and retried — *before* it can poison the cross-worker
-    reduction, rather than surfacing as a bogus SNP (or a late merge
-    failure with no attribution) downstream.
+    producing chunk (``mp.chunk[<id>].partial``), so corrupted evidence is
+    rejected — and retried — *before* it can reach the accumulator, rather
+    than surfacing as a bogus SNP (or a late failure with no attribution)
+    downstream.  The pool runs this on every chunk whether or not the
+    sanitizer is enabled.
     """
     check_accumulator(evidence, where=f"mp.chunk[{chunk_id}].partial")

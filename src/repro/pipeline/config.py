@@ -25,7 +25,13 @@ MP_START_METHODS = ("spawn", "fork", "forkserver")
 
 @dataclass
 class ParallelConfig:
-    """Parallel-execution knobs: fleet shape, fault tolerance, chunking.
+    """Parallel-execution knobs: fleet shape and fault tolerance.
+
+    None of them can change a call: workers ship per-read evidence and the
+    parent owns the only accumulator, so output is byte-identical to
+    ``workers=1`` whatever is set here (:mod:`repro.pipeline.mp_backend`).
+    How reads are cut into chunks is not a knob; see
+    :func:`repro.pipeline.mp_backend.chunk_count`.
 
     Attributes
     ----------
@@ -51,21 +57,11 @@ class ParallelConfig:
     backoff_base:
         Base of the exponential retry backoff: attempt ``a`` is requeued
         after ``backoff_base * 2**a`` seconds.
-    chunks_per_worker:
-        Static chunk granularity: reads are split into
-        ``workers * chunks_per_worker`` chunks (capped by the read
-        count), so a single recovery costs one chunk, not one worker's
-        whole share.  The autotuner treats this as its starting split.
     fault_spec:
         Deterministic fault-injection spec for the recovery paths (see
         :mod:`repro.parallel.faults` for the grammar).  Empty (default)
         defers to the ``REPRO_FAULTS`` environment variable; both empty
         means no injection.
-    autotune_chunks:
-        Let the pool plan chunk counts from the LogGP cost model plus the
-        live ``mp.chunk_map_seconds`` history instead of always using the
-        static ``chunks_per_worker`` split.  Chunking never affects call
-        results (per-read evidence is chunk-invariant), only latency.
     """
 
     workers: int = 1
@@ -73,9 +69,7 @@ class ParallelConfig:
     chunk_timeout: float = 120.0
     max_retries: int = 2
     backoff_base: float = 0.05
-    chunks_per_worker: int = 4
     fault_spec: str = ""
-    autotune_chunks: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -96,10 +90,6 @@ class ParallelConfig:
         if self.backoff_base < 0:
             raise ConfigError(
                 f"backoff_base must be >= 0, got {self.backoff_base}"
-            )
-        if self.chunks_per_worker < 1:
-            raise ConfigError(
-                f"chunks_per_worker must be >= 1, got {self.chunks_per_worker}"
             )
         # Fail fast on a malformed fault spec — at config time, in the
         # parent, not mid-run inside a worker.
@@ -212,7 +202,7 @@ class PipelineConfig:
         before the pair is re-run full-width.
     parallel:
         Parallel-execution sub-config (:class:`ParallelConfig`): fleet
-        shape, per-chunk fault tolerance and chunk planning.
+        shape and per-chunk fault tolerance.
     telemetry:
         Live telemetry plane sub-config (:class:`TelemetryConfig`):
         worker metric streaming, stall watchdog and the HTTP endpoint.

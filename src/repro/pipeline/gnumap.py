@@ -9,12 +9,15 @@ Step D: LRT per position; significant non-reference calls become SNPs.
 
 The driver is deliberately restartable at stage boundaries: ``map_reads``
 fills an accumulator (callable repeatedly — online accumulation), and
-``call_snps`` reads any accumulator.
+``call_snps`` reads any accumulator.  Steps A-B are also exposed on their
+own (``map_batches``, a generator of per-batch evidence) so that a pool
+worker can run them while the accumulator stays with the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from repro.observability.snapshot import MetricsSnapshot
 from repro.phmm import sanitize
 from repro.phmm.scoring import group_normalize
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.evidence import PairStack, align_pairs, deposit
+from repro.pipeline.evidence import PairEvidence, PairStack, align_pairs, deposit
 
 
 def _one_hot_best(logliks: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -166,65 +169,63 @@ class GnumapSnp:
         """Fresh accumulator of the configured memory mode."""
         return make_accumulator(self.config.accumulator, len(self.reference))
 
-    def map_reads(
-        self,
-        reads: "list[Read]",
-        accumulator: Accumulator | None = None,
-    ) -> tuple[Accumulator, MappingStats]:
-        """Align reads and accumulate evidence (steps A-C).
+    def accumulator_or_new(self, accumulator: "Accumulator | None") -> Accumulator:
+        """``accumulator`` once checked against this genome; a fresh one
+        for ``None``."""
+        if accumulator is None:
+            return self.new_accumulator()
+        if accumulator.length != len(self.reference):
+            raise PipelineError(
+                f"accumulator length {accumulator.length} != genome "
+                f"{len(self.reference)}"
+            )
+        return accumulator
 
-        Returns the (possibly supplied) accumulator and mapping counters.
+    def map_batches(
+        self, reads: "list[Read]", stats: MappingStats
+    ) -> "Iterator[tuple[PairEvidence, np.ndarray]]":
+        """Steps A-B: seed and align ``reads``; yield each Pair-HMM batch's
+        ``(evidence, weights)`` in read order.
+
+        Serial :meth:`map_reads` deposits them as they appear; a pool worker
+        collects its chunk's and ships them to the parent's accumulator
+        (:mod:`repro.pipeline.mp_backend`).  ``stats`` is filled as reads are
+        consumed and published to the current registry on exhaustion.
         """
         cfg = self.config
-        acc = accumulator if accumulator is not None else self.new_accumulator()
-        if acc.length != len(self.reference):
-            raise PipelineError(
-                f"accumulator length {acc.length} != genome {len(self.reference)}"
-            )
-        stats = MappingStats()
-        reg = current()
         stack = PairStack()
         read_len: int | None = None
-
-        def flush() -> None:
-            nonlocal stack
-            if not stack:
-                return
-            self._align_and_accumulate(stack, acc)
+        # Step A runs a block of reads at a time; step B then stacks them
+        # read by read, so Pair-HMM batches are cut where they always were.
+        for lo in range(0, len(reads), cfg.batch_size):
+            block = reads[lo : lo + cfg.batch_size]
+            with span("seed"):
+                seeded = self.seeder.candidates_batch(block)
+            for ridx, (read, candidates) in enumerate(zip(block, seeded), lo):
+                stats.n_reads += 1
+                if not candidates:
+                    stats.n_unmapped += 1
+                    continue
+                stats.n_mapped += 1
+                stats.n_pairs += len(candidates)
+                if stack and (len(read) != read_len or len(stack) >= cfg.batch_size):
+                    stats.n_batches += 1
+                    yield self._align(stack)
+                    stack = PairStack()
+                read_len = len(read)
+                stack.add_read(read, candidates, cfg, ridx)
+        if stack:
             stats.n_batches += 1
-            reg.gauge_max("pipeline.peak_accumulator_bytes", acc.nbytes())
-            stack = PairStack()
-
-        with span("map_reads"):
-            # Step A runs a block of reads at a time; steps B/C then stack
-            # them read by read, so Pair-HMM batches are cut where they
-            # always were.
-            for lo in range(0, len(reads), cfg.batch_size):
-                block = reads[lo : lo + cfg.batch_size]
-                with span("seed"):
-                    seeded = self.seeder.candidates_batch(block)
-                for ridx, (read, candidates) in enumerate(zip(block, seeded), lo):
-                    stats.n_reads += 1
-                    if not candidates:
-                        stats.n_unmapped += 1
-                        continue
-                    stats.n_mapped += 1
-                    stats.n_pairs += len(candidates)
-                    if read_len is not None and len(read) != read_len:
-                        flush()
-                    read_len = len(read)
-                    stack.add_read(read, candidates, cfg, ridx)
-                    if len(stack) >= cfg.batch_size:
-                        flush()
-            flush()
+            yield self._align(stack)
         if read_len is not None:
             # Band-aware work estimate: modelled DP-cell fraction per
             # pair at this read length (1.0 when banding is off).
-            reg.gauge_max("phmm.band_cell_fraction", cfg.band_cell_fraction(read_len))
+            current().gauge_max(
+                "phmm.band_cell_fraction", cfg.band_cell_fraction(read_len)
+            )
         stats.publish()
-        return acc, stats
 
-    def _align_and_accumulate(self, stack: PairStack, acc: Accumulator) -> None:
+    def _align(self, stack: PairStack) -> "tuple[PairEvidence, np.ndarray]":
         cfg = self.config
         with span("align"):
             evidence = align_pairs(self.reference.codes, stack, cfg)
@@ -237,8 +238,31 @@ class GnumapSnp:
             # Posterior mapping-weight distribution: how concentrated the
             # per-read z mass is across candidates (1.0 = unique mapping).
             current().observe_array("pipeline.mapping_weight", weights)
+        return evidence, weights
+
+    def accumulate(
+        self, acc: Accumulator, evidence: PairEvidence, weights: np.ndarray
+    ) -> None:
+        """Step C: deposit one batch's weighted evidence into ``acc``."""
         with span("accumulate"):
-            deposit(acc, evidence, weights, cfg)
+            deposit(acc, evidence, weights, self.config)
+        current().gauge_max("pipeline.peak_accumulator_bytes", acc.nbytes())
+
+    def map_reads(
+        self,
+        reads: "list[Read]",
+        accumulator: Accumulator | None = None,
+    ) -> tuple[Accumulator, MappingStats]:
+        """Align reads and accumulate evidence (steps A-C).
+
+        Returns the (possibly supplied) accumulator and mapping counters.
+        """
+        acc = self.accumulator_or_new(accumulator)
+        stats = MappingStats()
+        with span("map_reads"):
+            for evidence, weights in self.map_batches(reads, stats):
+                self.accumulate(acc, evidence, weights)
+        return acc, stats
 
     # -- stage D ---------------------------------------------------------------
     def call_snps(self, accumulator: Accumulator) -> list[SNPCall]:

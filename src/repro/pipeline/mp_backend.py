@@ -1,26 +1,26 @@
 """Real ``multiprocessing`` backend for the read-spread mode.
 
 The simulated cluster measures *modelled* speedup; this backend is the real
-thing for machines that have the cores: reads are chunked across worker
-processes, each maps against its own pipeline instance, partial accumulators
-come back in buffer form and are merged in the parent in chunk order.
-
-The serial-vs-pool contract is a tolerance, not an identity: two runs with
-the **same chunking** (same worker count, ``autotune_chunks=False``)
-produce byte-identical calls, whatever failed and was retried along the
-way; across worker counts the **call set** (position, ref, alt, zygosity)
-is identical and every numeric column agrees to a relative ``1e-3`` — the
-float32 NORM accumulator sums partials in chunk order, so a different
-chunking can move the last printed digit
+thing for machines that have the cores.  It is the serial program with a
+second executor: reads are chunked across worker processes, each worker
+runs :meth:`GnumapSnp.map_batches` (steps A-B) over its chunk and ships the
+per-batch ``(PairEvidence, weights)`` home, and the parent deposits them,
+in chunk order, into the **one** accumulator the caller owns — the same
+``Accumulator.add`` calls, in the same read order, as a serial run makes.
+No worker allocates, ships or merges an accumulator, so SNP calls and the
+accumulator are byte-identical to serial at any worker count and under all
+three memory modes
 (``tests/pipeline/test_mp_backend.py::TestSerialPoolContract``).
 
 Execution is **fault tolerant** (see :mod:`repro.parallel.dispatch`): chunks
-are dispatched asynchronously with a per-chunk timeout, worker deaths and
-remote errors are retried with exponential backoff, and a chunk that
-exhausts its retries is re-run serially in the parent — the run always
-completes, with byte-identical SNP calls, and every recovery is visible in
-the metrics (``mp.chunk_retries``, ``mp.chunk_timeouts``,
-``mp.worker_deaths``, ``mp.partial_rejects``, ``mp.serial_fallbacks``).
+are dispatched asynchronously with a per-chunk timeout, every chunk's
+evidence is validated in the parent before it is accepted, worker deaths,
+remote errors and rejected evidence are retried with exponential backoff,
+and a chunk that exhausts its retries is mapped serially in the parent at
+its place in the chunk order — the run always completes, with the same
+bytes, and every recovery is visible in the metrics
+(``mp.chunk_retries``, ``mp.chunk_timeouts``, ``mp.worker_deaths``,
+``mp.partial_rejects``, ``mp.serial_fallbacks``).
 Recovery paths are testable via deterministic fault injection
 (:mod:`repro.parallel.faults`; ``ParallelConfig.fault_spec`` or the
 ``REPRO_FAULTS`` environment variable).
@@ -34,11 +34,14 @@ one respawned after a crash — attaches zero-copy views in
 The start method is pinned explicitly (``ParallelConfig.start_method``,
 default ``"spawn"``) so span-stack and sanitizer-propagation semantics never
 depend on what a prior caller or the platform happened to set.
+
+Known limit: the parent holds one dispatch round's evidence (~3.8 kB per
+pair at 62 bp) until the round ends; depositing chunks as they arrive, in
+chunk order, would bound that by the in-flight window.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import time
 from typing import TYPE_CHECKING
@@ -62,6 +65,7 @@ from repro.parallel.pool import PersistentPool
 from repro.parallel.shm import attach_array
 from repro.phmm import sanitize
 from repro.pipeline.config import PipelineConfig
+from repro.pipeline.evidence import PairEvidence
 from repro.pipeline.gnumap import GnumapSnp, MappingStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,6 +74,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: One chunk's transportable payload: (codes, quals, names) per read.
 ChunkPayload = "tuple[list, list, list]"
+
+#: Chunks per worker in a dispatch round: one recovery costs a quarter of
+#: a worker's share, and a slow chunk leaves the others something to take.
+CHUNKS_PER_WORKER = 4
+#: Reads per chunk at most, whatever the input size: keeps one chunk's
+#: compute (~1 s at 2 k reads/s) well under ``chunk_timeout``, so a retry
+#: refunds a bounded slice of work, and bounds one result message.
+MAX_CHUNK_READS = 2048
 
 # Module-level worker state (initialised per process by the pool initializer;
 # avoids re-pickling the reference for every chunk).
@@ -139,7 +151,7 @@ def _init_pool_worker(
 
 def _map_chunk(
     payload: "tuple[list, list, list]", chunk_id: int = 0, attempt: int = 0
-) -> "tuple[dict, dict, MetricsSnapshot]":
+) -> "tuple[list[tuple[PairEvidence, np.ndarray]], dict, MetricsSnapshot]":
     codes_list, quals_list, names = payload
     pipe: GnumapSnp = _WORKER["pipe"]  # replint: disable=RPL301
     plan: "FaultPlan | None" = _WORKER.get("faults")  # replint: disable=RPL301
@@ -151,6 +163,7 @@ def _map_chunk(
         Read(name=n, codes=c, quals=q)
         for n, c, q in zip(names, codes_list, quals_list)
     ]
+    stats = MappingStats()
     # The scope isolates this chunk's metrics; the snapshot travels home by
     # pickle and the parent folds all workers into one coherent tree.
     # detached(): forked workers inherit the parent's open span path (spawned
@@ -162,13 +175,27 @@ def _map_chunk(
             reg.observe("mp.worker_attach_seconds", float(attach))
         trace.instant("mp.chunk_begin", chunk=chunk_id, attempt=attempt)
         started = time.perf_counter()
-        acc, stats = pipe.map_reads(reads)
+        with span("map_reads"):
+            batches = list(pipe.map_batches(reads, stats))
         reg.observe("mp.chunk_map_seconds", time.perf_counter() - started)
         snapshot = reg.snapshot()
-    buffers = acc.to_buffers()
-    if plan is not None and plan.corrupts(chunk_id, attempt):
-        buffers = corrupt_buffers(buffers)
-    return buffers, vars(stats), snapshot
+    if batches and plan is not None and plan.corrupts(chunk_id, attempt):
+        evidence, weights = batches[0]
+        # First float field is z: the NaN lands in the shipped evidence.
+        batches[0] = (PairEvidence(**corrupt_buffers(vars(evidence))), weights)
+    return batches, vars(stats), snapshot
+
+
+def _validate_chunk(
+    chunk_id: int,
+    result: "tuple[list[tuple[PairEvidence, np.ndarray]], dict, MetricsSnapshot]",
+) -> None:
+    """Parent-side check of one chunk's evidence before it is accepted:
+    evidence corrupted in a worker (or in transit) is rejected *here*,
+    attributed to its chunk, and retried — never deposited."""
+    for evidence, weights in result[0]:
+        sanitize.check_partial(evidence.z, chunk_id)
+        sanitize.check_partial(weights, chunk_id)
 
 
 def make_pool(
@@ -192,19 +219,6 @@ def make_pool(
     reference = pipe.reference
     plan = resolve_fault_plan(par.fault_spec)
     ctx = mp.get_context(par.start_method)
-    glen = len(reference)
-    acc_type = type(pipe.new_accumulator())
-
-    def validate_partial(
-        chunk_id: int, result: "tuple[dict, dict, MetricsSnapshot]"
-    ) -> None:
-        # Chunk-level validation before merge: a partial corrupted in a
-        # worker (or in transit) must be rejected *here*, attributed to its
-        # chunk, and retried — never merged into the evidence.
-        buffers, _, _ = result
-        part = acc_type.from_buffers(glen, buffers)
-        sanitize.check_partial(part.snapshot(), chunk_id)
-
     kmers, offsets, positions = pipe.index.csr_arrays()
     arrays = {
         "ref_codes": np.asarray(reference.codes),
@@ -235,41 +249,37 @@ def make_pool(
         timeout=par.chunk_timeout,
         max_retries=par.max_retries,
         backoff_base=par.backoff_base,
-        # validate= runs in the *parent* on returned partials; it is never
-        # pickled or shipped to a worker, so capturing locals here is safe.
-        validate=validate_partial if sanitize.enabled() else None,  # replint: disable=RPL802
-        chunks_per_worker=par.chunks_per_worker,
-        autotune=par.autotune_chunks,
+        validate=_validate_chunk,
         telemetry=telemetry,
     )
 
 
-def _payload_item_nbytes(payload: "tuple[list, list, list]") -> float:
-    """Mean transport bytes per read of one chunk payload (codes + quals)."""
-    codes_list, quals_list, _ = payload
-    if not codes_list:
-        return 0.0
-    total = sum(c.nbytes for c in codes_list) + sum(q.nbytes for q in quals_list)
-    return float(total) / len(codes_list)
+def chunk_count(n_reads: int, workers: int) -> int:
+    """Chunks in one dispatch round: ``workers * CHUNKS_PER_WORKER``, at
+    most one per read, and more when that would put over
+    ``MAX_CHUNK_READS`` reads in a chunk."""
+    static = min(n_reads, workers * CHUNKS_PER_WORKER)
+    return max(static, -(-n_reads // MAX_CHUNK_READS))
 
 
 def map_reads_multiprocessing(
     pipe: GnumapSnp,
     reads: "list[Read]",
     pool: PersistentPool,
+    accumulator: "Accumulator | None" = None,
 ) -> "tuple[Accumulator, MappingStats]":
-    """Map ``reads`` across ``pool``'s warm fleet with fault tolerance.
+    """:meth:`GnumapSnp.map_reads` over ``pool``'s warm fleet: same
+    arguments, same accumulator bytes, with fault tolerance.
 
-    The mapping core behind :meth:`~repro.api.Engine.run` and
-    :meth:`~repro.api.Engine.map_reads` (and through them the online
-    chunked feed): partitions the reads into chunks (the count comes from
-    the pool's planner), streams them over the pool's fault-tolerant
-    :class:`~repro.parallel.dispatch.ChunkDispatcher`, re-runs exhausted
-    chunks serially in the parent, and merges partials in chunk order so
-    the result is deterministic whatever failed along the way.  The
-    observed per-chunk cost is fed back to the planner afterwards;
-    chunking never changes the call set, only latency and the last float
-    digit (see the module docstring).
+    The mapping core behind :class:`~repro.api.Engine`'s verbs at
+    ``workers > 1`` (and through them the online chunked feed): partitions
+    the reads into :func:`chunk_count` contiguous chunks, streams them over
+    the pool's fault-tolerant
+    :class:`~repro.parallel.dispatch.ChunkDispatcher`, and deposits the
+    chunks' evidence into ``accumulator`` (a fresh one when ``None``) in
+    chunk order — a chunk whose retries ran out is mapped serially, into
+    the same accumulator, when its turn comes.  What failed along the way
+    and how the reads were chunked change latency, never a byte.
 
     Counters and spans land in the *current* observability registry.
     Fewer than two reads run serially with an explicit
@@ -284,9 +294,10 @@ def map_reads_multiprocessing(
     if len(reads) < 2:
         reg.inc("mp.serial_fallbacks")
         reg.gauge_max("mp.workers_effective", 1)
-        return pipe.map_reads(reads)
+        return pipe.map_reads(reads, accumulator)
 
-    n_chunks = pool.plan_chunks(len(reads))
+    acc = pipe.accumulator_or_new(accumulator)
+    n_chunks = chunk_count(len(reads), n_workers)
     slices = partition_reads_contiguous(len(reads), n_chunks)
     validate_partition(slices, len(reads))
     chunk_reads = [take(reads, sl) for sl in slices]
@@ -299,52 +310,36 @@ def map_reads_multiprocessing(
         for part in chunk_reads
     ]
 
-    glen = len(pipe.reference)
-    acc_type = type(pipe.new_accumulator())
-    merged: "Accumulator | None" = None
     total = MappingStats()
     with span("map_parallel"):
         outcome = pool.run(payloads)
 
-        # Merge in chunk order — deterministic regardless of completion
-        # order, retries, or which chunks degraded to the parent.
+        # Deposit in chunk order — the serial run's add() sequence, whatever
+        # the completion order, retries, or chunks degraded to the parent.
         worker_snaps = []
         for cid in range(n_chunks):
             if cid in outcome.results:
-                buffers, stats_dict, snapshot = outcome.results[cid]
-                part_acc = acc_type.from_buffers(glen, buffers)
+                batches, stats_dict, snapshot = outcome.results.pop(cid)
+                for evidence, weights in batches:
+                    pipe.accumulate(acc, evidence, weights)
                 part_stats = MappingStats(**stats_dict)
                 worker_snaps.append(snapshot)
             else:
-                # Retries exhausted: degrade gracefully — recompute this
-                # chunk serially in the parent so the run still completes
-                # with identical output.  Loud, never silent.
+                # Retries exhausted: degrade gracefully — map this chunk
+                # serially in the parent so the run still completes with
+                # identical output.  Loud, never silent.
                 trace.instant("mp.serial_fallback", chunk=cid)
                 with span("serial_fallback"):
                     started = time.perf_counter()
-                    part_acc, part_stats = pipe.map_reads(chunk_reads[cid])
+                    _, part_stats = pipe.map_reads(chunk_reads[cid], acc)
                     reg.observe(
                         "mp.chunk_map_seconds", time.perf_counter() - started
                     )
                 reg.inc("mp.serial_fallbacks")
-            if merged is None:
-                merged = part_acc
-            else:
-                merged.merge(part_acc)
             total.merge(part_stats)
         if worker_snaps:
             # One associative fold, then one coherent tree in this process.
-            worker_merged = merge_snapshots(*worker_snaps)
-            reg.absorb(worker_merged)
-            # Autotune feedback: the run's median chunk cost refines the
-            # next plan_chunks() call on this warm pool.
-            p50 = worker_merged.histogram_quantile("mp.chunk_map_seconds", 0.5)
-            if math.isfinite(p50):
-                pool.note_chunk_time(
-                    p50,
-                    len(reads) / n_chunks,
-                    _payload_item_nbytes(payloads[0]),
-                )
+            reg.absorb(merge_snapshots(*worker_snaps))
         reg.gauge_max("mp.workers", n_workers)
         # Effective parallelism: requested workers capped by chunk count
         # (n_workers > n_chunks leaves the surplus idle).
@@ -354,7 +349,4 @@ def map_reads_multiprocessing(
         # consumers reconcile wall time against cells actually charged.
         mean_len = int(round(sum(len(r) for r in reads) / len(reads)))
         reg.gauge_max("phmm.band_cell_fraction", config.band_cell_fraction(mean_len))
-
-    if merged is None:  # pragma: no cover - n_chunks >= 1 always
-        merged = pipe.new_accumulator()
-    return merged, total
+    return acc, total

@@ -15,10 +15,11 @@ separate post-processing pass over mapping output.
 
 The stream drives an :class:`~repro.api.Engine` (``map_reads`` per chunk,
 ``call`` for the LRT), so with ``workers > 1`` each fed chunk is mapped over
-the engine's persistent worker pool: worker crashes, hangs and corrupted
-partials are retried and, past the retry budget, re-run serially in the
-parent — a stream never dies to one bad chunk, and the recovery counters
-(``mp.*``) tell the story.
+the engine's persistent worker pool and deposited into the same staged
+accumulator, byte for byte what the serial stream leaves: worker crashes,
+hangs and corrupted evidence are retried and, past the retry budget, re-run
+serially in the parent — a stream never dies to one bad chunk, and the
+recovery counters (``mp.*``) tell the story.
 
 Calls converge: once coverage saturates, later chunks can only refine
 p-values.  ``history()`` exposes the call-count trajectory for convergence

@@ -26,9 +26,10 @@ the virtual clocks (used by the Fig. 4/5 reproductions).
 
 These drivers model the *paper's* cluster topology; the production
 multi-core path on one machine is :mod:`repro.pipeline.mp_backend` backed
-by the persistent shared-memory pool (:mod:`repro.parallel.pool`) — the
-read-spread design realised with zero-copy genome/index broadcast instead
-of per-rank replicas.
+by the persistent shared-memory pool (:mod:`repro.parallel.pool`) — reads
+spread over workers with zero-copy genome/index broadcast instead of
+per-rank replicas, and one parent-owned accumulator instead of the
+end-of-run reduction these drivers keep (DESIGN §14).
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from repro.pipeline.calibration import ComputeCalibration
 from repro.pipeline.config import PipelineConfig
 from repro.api import Engine
 from repro.pipeline.gnumap import GnumapSnp
+from repro.pipeline.mp_backend import chunk_count
 
 #: Counters that must not depend on how the work is partitioned.
 #: (pipeline.batches and phmm.batches legitimately differ with chunking.)
@@ -144,10 +145,8 @@ class TestSerialVsMultiprocessing:
         assert [c.pos for c in serial.snps] == [c.pos for c in parallel.snps]
         # The mp run reports the merged worker tree plus its own stages.
         assert p.span_count("map_parallel") == 1
-        # One map_reads span per dispatched chunk (chunks = workers x
-        # chunks-per-worker, capped by the read count).
-        n_chunks = min(len(reads), 3 * PipelineConfig().parallel.chunks_per_worker)
-        assert p.span_count("map_reads") == n_chunks
+        # One map_reads span per dispatched chunk.
+        assert p.span_count("map_reads") == chunk_count(len(reads), 3)
         assert p.span_seconds("map_reads/align") > 0
 
 

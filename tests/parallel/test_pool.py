@@ -1,10 +1,9 @@
 """Tests for the persistent shared-memory worker pool.
 
-Three layers: :func:`plan_chunks` (pure planning math), the
-:class:`PersistentPool` lifecycle (segment ownership, reuse, crash
-recovery, leak-free teardown — including a parent killed by
+Two layers: the :class:`PersistentPool` lifecycle (segment ownership,
+reuse, crash recovery, leak-free teardown — including a parent killed by
 KeyboardInterrupt), and byte-identity of a faulted pool run against a
-clean one of the same chunking.
+clean one.
 
 Pool tests pin the fork start method to keep spawns cheap; the dispatch
 semantics are start-method-agnostic (tests/pipeline/test_mp_backend.py).
@@ -21,7 +20,6 @@ import pytest
 from repro.errors import PipelineError
 from repro.experiments.workload import build_workload
 from repro.observability import scope
-from repro.parallel.pool import plan_chunks
 from repro.pipeline.config import ParallelConfig, PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
 from repro.pipeline.mp_backend import make_pool, map_reads_multiprocessing
@@ -38,9 +36,6 @@ def workload():
 
 def pool_config(**kwargs):
     kwargs.setdefault("start_method", "fork")
-    # Buffer comparisons need a pinned chunking: autotune only ever changes
-    # latency, but float merge order is chunking-dependent.
-    kwargs.setdefault("autotune_chunks", False)
     return PipelineConfig(parallel=ParallelConfig(**kwargs))
 
 
@@ -48,42 +43,6 @@ def segments_on_disk(names):
     if not SHM_DIR.is_dir():  # pragma: no cover - non-tmpfs platforms
         pytest.skip("/dev/shm not available")
     return [n for n in names if (SHM_DIR / n).exists()]
-
-
-class TestPlanChunks:
-    def test_no_history_returns_static_split(self):
-        assert plan_chunks(100, 2, 4) == 8
-        assert plan_chunks(3, 8, 4) == 3  # capped by the item count
-        assert plan_chunks(1, 2, 4) == 1
-
-    def test_slow_items_clamp_to_retry_budget(self):
-        # 10 s/item against a 120 s timeout: one item per chunk, so a
-        # retried chunk refunds a bounded slice of work.
-        assert plan_chunks(50, 2, 4, per_item_seconds=10.0) == 50
-
-    def test_cheap_items_amortise_dispatch_latency(self):
-        # 1 us items over a ~10 us pipe: chunks grow past the static split
-        # until overhead is ~1% of compute, floored at one chunk per worker.
-        assert plan_chunks(10_000, 16, 4, per_item_seconds=1e-6) == 16
-
-    def test_transport_bound_items_take_biggest_chunks(self):
-        # Bytes dominate compute: latency can't be amortised by growing
-        # chunks, so the plan floors at one chunk per worker.
-        n = plan_chunks(
-            10_000, 16, 4, per_item_seconds=1e-6, per_item_nbytes=1e6
-        )
-        assert n == 16
-
-    def test_deterministic(self):
-        a = plan_chunks(5_000, 4, 4, per_item_seconds=3e-4, per_item_nbytes=128.0)
-        b = plan_chunks(5_000, 4, 4, per_item_seconds=3e-4, per_item_nbytes=128.0)
-        assert a == b
-
-    def test_validation(self):
-        with pytest.raises(PipelineError):
-            plan_chunks(0, 2, 4)
-        with pytest.raises(PipelineError):
-            plan_chunks(10, 0, 4)
 
 
 class TestPoolLifecycle:
@@ -109,7 +68,7 @@ class TestPoolLifecycle:
         # Attach cost was measured in-worker and shipped home.
         hist = snap.histogram("mp.worker_attach_seconds")
         assert hist is not None and hist["count"] >= 1
-        # Same fleet, same chunking: identical partial merges.
+        # Same reads, same deposits.
         assert np.array_equal(first.snapshot(), second.snapshot())
         # close() unlinked every segment.
         assert segments_on_disk(pool.segment_names) == []
@@ -124,22 +83,6 @@ class TestPoolLifecycle:
             pool.run([])
         with pytest.raises(PipelineError):
             pool.start()
-
-    def test_autotune_feedback_accepts_only_sane_samples(self, workload):
-        pipe = GnumapSnp(
-            workload.reference, pool_config(autotune_chunks=True)
-        )
-        pool = make_pool(pipe, 2)
-        try:
-            assert pool.plan_chunks(100) == 8  # static until history arrives
-            pool.note_chunk_time(0.0, 10.0)      # ignored
-            pool.note_chunk_time(-1.0, 10.0)     # ignored
-            pool.note_chunk_time(float("nan"), 10.0)  # ignored
-            assert pool.plan_chunks(100) == 8
-            pool.note_chunk_time(10.0, 1.0)      # 10 s/item: retry clamp
-            assert pool.plan_chunks(100) == 100
-        finally:
-            pool.close()
 
 
 class TestPoolFaultRecovery:
@@ -168,7 +111,7 @@ class TestPoolFaultRecovery:
             # holds the original fleet plus the replacement.
             hist = snap.histogram("mp.worker_attach_seconds")
             assert hist is not None and hist["count"] >= 1
-            # Same chunking, same merge order: byte-identical evidence.
+            # The retried chunk's evidence lands where it always would.
             assert np.array_equal(clean.snapshot(), faulted.snapshot())
         finally:
             clean_pool.close()
@@ -227,7 +170,7 @@ class TestLongSeedPublication:
         from repro.index.seeding import SeederConfig
 
         cfg = PipelineConfig(
-            parallel=ParallelConfig(start_method="fork", autotune_chunks=False),
+            parallel=ParallelConfig(start_method="fork"),
             seeder=SeederConfig(seed_len=20, qgram_filter=True),
         )
         pipe = GnumapSnp(workload.reference, cfg)
@@ -243,11 +186,8 @@ class TestLongSeedPublication:
             parallel, _ = map_reads_multiprocessing(pipe, workload.reads, pool)
         finally:
             pool.close()
-        # Workers rebuilt the same long-seed index from shared views;
-        # chunked merges reorder float sums, so compare to kernel precision.
-        np.testing.assert_allclose(
-            parallel.snapshot(), serial.snapshot(), rtol=1e-5, atol=1e-8
-        )
+        # Workers rebuilt the same long-seed index from shared views.
+        assert np.array_equal(parallel.snapshot(), serial.snapshot())
 
     def test_plain_config_publishes_no_long_arrays(self, workload):
         pipe = GnumapSnp(workload.reference, pool_config())

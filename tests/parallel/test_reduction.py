@@ -7,7 +7,7 @@ from repro.errors import CommError
 from repro.memory.base import make_accumulator
 from repro.parallel.cluster import Cluster
 from repro.parallel.costmodel import LogGPModel
-from repro.parallel.reduction import allreduce_accumulator, reduce_accumulator
+from repro.parallel.reduction import reduce_accumulator
 
 MODES = ["NORM", "CHARDISC", "CENTDISC"]
 
@@ -34,17 +34,6 @@ class TestReduce:
         assert res.results[1] is None and res.results[2] is None
         # total evidence = 3 ranks x 50 contributions of unit mass
         assert res.results[0] == pytest.approx(150.0, rel=1e-3)
-
-    def test_allreduce_same_everywhere(self, mode):
-        def program(comm):
-            acc = make_accumulator(mode, 30)
-            fill(acc, seed=comm.rank + 10)
-            merged = allreduce_accumulator(comm, acc)
-            return merged.snapshot()
-
-        res = Cluster(4).run(program)
-        for other in res.results[1:]:
-            assert np.allclose(res.results[0], other)
 
 
 class TestReductionSemantics:

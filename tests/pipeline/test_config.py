@@ -98,9 +98,7 @@ class TestParallelConfig:
         assert par.start_method == "spawn"
         assert par.chunk_timeout == 120.0
         assert par.max_retries == 2
-        assert par.chunks_per_worker == 4
         assert par.fault_spec == ""
-        assert par.autotune_chunks
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -113,8 +111,6 @@ class TestParallelConfig:
             ParallelConfig(max_retries=-1)
         with pytest.raises(ConfigError):
             ParallelConfig(backoff_base=-0.1)
-        with pytest.raises(ConfigError):
-            ParallelConfig(chunks_per_worker=0)
         # A malformed fault spec fails at config time, not mid-run.
         with pytest.raises(ConfigError):
             ParallelConfig(fault_spec="segfault:chunk=0")

@@ -9,7 +9,6 @@ the worker spawns cheap on CI.
 """
 
 import io
-import math
 import multiprocessing as mp
 
 import numpy as np
@@ -23,7 +22,13 @@ from repro.observability import scope
 from repro.phmm import sanitize
 from repro.pipeline.config import ParallelConfig, PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
-from repro.pipeline.mp_backend import make_pool, map_reads_multiprocessing
+from repro.pipeline.mp_backend import (
+    CHUNKS_PER_WORKER,
+    MAX_CHUNK_READS,
+    chunk_count,
+    make_pool,
+    map_reads_multiprocessing,
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,11 +54,18 @@ def _tsv(result):
     return buf.getvalue()
 
 
-def _config(method="fork", **kwargs):
-    # Byte-identity assertions need a pinned chunking: autotune only changes
-    # latency, but float merge order is chunking-dependent.
-    kwargs.setdefault("autotune_chunks", False)
-    return PipelineConfig(parallel=ParallelConfig(start_method=method, **kwargs))
+def _assert_same_bytes(result, serial):
+    assert _tsv(result) == _tsv(serial)
+    assert np.array_equal(
+        result.accumulator.snapshot(), serial.accumulator.snapshot()
+    )
+
+
+def _config(method="fork", accumulator="NORM", **kwargs):
+    return PipelineConfig(
+        accumulator=accumulator,
+        parallel=ParallelConfig(start_method=method, **kwargs),
+    )
 
 
 def _run(workload, reads, config=None, n_workers=2):
@@ -68,12 +80,7 @@ class TestMultiprocessingBackend:
 
     def test_two_workers_match_serial(self, workload, serial_result):
         mp2 = _run(workload, workload.reads)
-        assert _calls(mp2) == _calls(serial_result)
-        assert np.allclose(
-            mp2.accumulator.snapshot(),
-            serial_result.accumulator.snapshot(),
-            atol=1e-3,
-        )
+        _assert_same_bytes(mp2, serial_result)
         assert mp2.stats.n_reads == len(workload.reads)
 
     def test_reads_per_second_is_per_parent_wall_second(self, workload):
@@ -99,6 +106,21 @@ class TestStartMethods:
             pytest.skip(f"{method} start method unavailable")
         result = _run(workload, workload.reads, _config(method))
         assert _calls(result) == _calls(serial_result)
+
+
+class TestChunkCount:
+    @pytest.mark.parametrize(
+        "n_reads, workers, expected",
+        [
+            (646, 2, 2 * CHUNKS_PER_WORKER),
+            (3, 8, 3),  # at most one chunk per read
+            # Past workers * CHUNKS_PER_WORKER * MAX_CHUNK_READS reads the
+            # per-chunk cap sets the count, not the fleet size.
+            (20 * MAX_CHUNK_READS + 1, 2, 21),
+        ],
+    )
+    def test_chunk_count(self, n_reads, workers, expected):
+        assert chunk_count(n_reads, workers) == expected
 
 
 class TestDegenerateLayouts:
@@ -132,8 +154,9 @@ class TestDegenerateLayouts:
 
 
 class TestFaultRecovery:
-    """Every recovery path over the pool: calls byte-identical to a clean
-    run of the same chunking, recovery counters exact."""
+    """Every recovery path over the pool: the faulted run deposits the same
+    evidence in the same order, so its bytes are the serial run's; recovery
+    counters exact."""
 
     method = "fork"
 
@@ -142,20 +165,8 @@ class TestFaultRecovery:
         if self.method not in mp.get_all_start_methods():
             pytest.skip(f"{self.method} start method unavailable")
 
-    @pytest.fixture(scope="class")
-    def clean(self, workload):
-        return _run(workload, workload.reads, _config(self.method))
-
-    def _assert_identical_to_clean(self, result, clean):
-        # A faulted run merges the same partials in the same order as a
-        # clean run of the same chunking.
-        assert _tsv(result) == _tsv(clean)
-        assert np.array_equal(
-            result.accumulator.snapshot(), clean.accumulator.snapshot()
-        )
-
     def test_crash_and_hang_recover_with_identical_output(
-        self, workload, serial_result, clean
+        self, workload, serial_result
     ):
         # The acceptance scenario: one crashed worker plus one hang past
         # the chunk deadline; the run completes, the calls match serial,
@@ -167,43 +178,40 @@ class TestFaultRecovery:
         )
         with scope() as reg:
             result = _run(workload, workload.reads, faulted)
-        assert _calls(result) == _calls(serial_result)
         snap = reg.snapshot()
         assert snap.counter("mp.worker_deaths") == 1
         assert snap.counter("mp.chunk_timeouts") == 1
         assert snap.counter("mp.chunk_retries") == 2
         assert snap.counter("mp.serial_fallbacks") == 0
-        self._assert_identical_to_clean(result, clean)
+        _assert_same_bytes(result, serial_result)
 
-    def test_corrupt_partial_is_rejected_and_retried(
-        self, workload, serial_result, clean
-    ):
-        faulted = _config(self.method, fault_spec="corrupt:chunk=0")
-        with sanitize.sanitized(True), scope() as reg:
-            result = _run(workload, workload.reads, faulted)
-        assert _calls(result) == _calls(serial_result)
-        snap = reg.snapshot()
-        assert snap.counter("mp.partial_rejects") == 1
-        assert snap.counter("mp.chunk_retries") == 1
-        # The poisoned partial never reached the merge.
-        assert np.isfinite(result.accumulator.snapshot()).all()
-        self._assert_identical_to_clean(result, clean)
+    def test_corrupt_partial_is_rejected_and_retried(self, workload):
+        # The NaN rides the shipped evidence, so it bites whatever the
+        # accumulator's own buffers hold.
+        for accumulator in ("NORM", "CHARDISC", "CENTDISC"):
+            faulted = _config(self.method, accumulator, fault_spec="corrupt:chunk=0")
+            serial = GnumapSnp(workload.reference, faulted).run(workload.reads)
+            with sanitize.sanitized(True), scope() as reg:
+                result = _run(workload, workload.reads, faulted)
+            snap = reg.snapshot()
+            assert snap.counter("mp.partial_rejects") == 1, accumulator
+            assert snap.counter("mp.chunk_retries") == 1, accumulator
+            # The poisoned evidence never reached the accumulator.
+            assert np.isfinite(result.accumulator.snapshot()).all(), accumulator
+            _assert_same_bytes(result, serial)
 
-    def test_corrupt_partial_ignored_without_sanitizer_validation(
-        self, workload
-    ):
-        # Without the sanitizer the pre-merge validation hook is off: the
-        # poison flows through — exactly why the CI fault smoke runs with
-        # validation on.  This pins the gating, not a desirable outcome.
+    def test_corrupt_partial_rejected_sanitizer_off(self, workload):
+        # Pre-deposit validation is not a debug mode: the parent checks
+        # every chunk's evidence whether or not the sanitizer is on.
         faulted = _config(self.method, fault_spec="corrupt:chunk=0")
         pipe = GnumapSnp(workload.reference, faulted)
         with sanitize.sanitized(False), scope() as reg, make_pool(pipe, 2) as pool:
-            merged, _ = map_reads_multiprocessing(pipe, workload.reads, pool)
-        assert reg.snapshot().counter("mp.partial_rejects") == 0
-        assert np.isnan(merged.snapshot()).any()
+            acc, _ = map_reads_multiprocessing(pipe, workload.reads, pool)
+        assert reg.snapshot().counter("mp.partial_rejects") == 1
+        assert np.isfinite(acc.snapshot()).all()
 
     def test_exhausted_retries_degrade_to_serial_fallback(
-        self, workload, serial_result, clean
+        self, workload, serial_result
     ):
         # A chunk that fails every attempt must complete serially in the
         # parent — the run never dies, the degradation is counted.
@@ -212,12 +220,11 @@ class TestFaultRecovery:
         )
         with scope() as reg:
             result = _run(workload, workload.reads, faulted)
-        assert _calls(result) == _calls(serial_result)
         snap = reg.snapshot()
         assert snap.counter("mp.serial_fallbacks") == 1
         assert snap.counter("mp.worker_deaths") == 2
         assert snap.counter("mp.chunk_retries") == 1
-        self._assert_identical_to_clean(result, clean)
+        _assert_same_bytes(result, serial_result)
 
     def test_env_var_activates_fault_plan(self, workload, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "crash:chunk=0")
@@ -234,31 +241,39 @@ class TestFaultRecoverySpawn(TestFaultRecovery):
 
 
 class TestSerialPoolContract:
-    """The stated serial-vs-pool contract (module docstring of
-    :mod:`repro.pipeline.mp_backend`): same chunking -> byte-identical
-    calls; across worker counts -> identical call set, numeric columns
-    within a relative 1e-3 (float32 NORM partials sum in chunk order)."""
+    """The one owner of the serial-vs-pool contract (module docstring of
+    :mod:`repro.pipeline.mp_backend`): workers return evidence and the
+    parent makes the serial run's ``Accumulator.add`` calls, so TSV bytes
+    and accumulator are identical to ``GnumapSnp.run`` at any worker count,
+    under every memory mode, however the reads were fed or what failed."""
 
-    REL_TOL = 1e-3
+    MODES = ["NORM", "CHARDISC", "CENTDISC"]
 
+    @pytest.mark.parametrize("accumulator", MODES)
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_same_chunking_identical_across_workers_within_tolerance(self, seed):
+    def test_pool_bytes_equal_serial(self, seed, accumulator):
         wl = build_workload(scale="tiny", seed=seed)
-        reads = wl.reads[:250]
-        serial = _run(wl, reads, _config(), n_workers=1)
-        first = _run(wl, reads, _config())
-        second = _run(wl, reads, _config())
+        reads = wl.reads[:150]
+        config = _config(accumulator=accumulator)
+        serial = GnumapSnp(wl.reference, config).run(reads)
+        for n_workers in (1, 2, 3):
+            _assert_same_bytes(_run(wl, reads, config, n_workers), serial)
 
-        assert _tsv(first) == _tsv(second)
+    @pytest.mark.parametrize("accumulator", MODES)
+    def test_staged_pool_equals_serial(self, workload, accumulator):
+        config = _config(accumulator=accumulator)
+        serial = GnumapSnp(workload.reference, config).run(workload.reads)
+        with Engine(workload.reference, config, workers=2) as engine:
+            engine.map_reads(workload.reads[:100])
+            engine.map_reads(workload.reads[100:])
+            staged = engine.call()
+        _assert_same_bytes(staged, serial)
 
-        def call_set(result):
-            return [
-                (s.pos, s.ref_name, s.alt_name, s.call.heterozygous)
-                for s in result.snps
-            ]
-
-        assert call_set(first) == call_set(serial)
-        for a, b in zip(first.snps, serial.snps):
-            for column in ("depth", "stat", "pvalue"):
-                x, y = getattr(a.call, column), getattr(b.call, column)
-                assert math.isclose(x, y, rel_tol=self.REL_TOL), (a.pos, column)
+    def test_faulted_pool_equals_serial(self, workload, serial_result):
+        faulted = _config(fault_spec="crash:chunk=0;corrupt:chunk=1")
+        with scope() as reg:
+            result = _run(workload, workload.reads, faulted)
+        snap = reg.snapshot()
+        assert snap.counter("mp.worker_deaths") == 1
+        assert snap.counter("mp.partial_rejects") == 1
+        _assert_same_bytes(result, serial_result)

@@ -18,8 +18,6 @@ def workload():
 
 
 def fork_config(**kwargs):
-    # Pinned chunking: evidence comparisons between streams are exact.
-    kwargs.setdefault("autotune_chunks", False)
     return PipelineConfig(parallel=ParallelConfig(start_method="fork", **kwargs))
 
 
@@ -37,8 +35,8 @@ class TestOnlineGnumap:
         assert {(s.pos, s.alt_name) for s in online.current_snps()} == {
             (s.pos, s.alt_name) for s in batch.snps
         }
-        assert np.allclose(
-            online.accumulator.snapshot(), batch.accumulator.snapshot(), atol=1e-3
+        assert np.array_equal(
+            online.accumulator.snapshot(), batch.accumulator.snapshot()
         )
         assert online.stats.n_reads == workload.n_reads
 
@@ -101,10 +99,8 @@ class TestOnlineParallelFeed:
         assert {(s.pos, s.alt_name) for s in parallel.current_snps()} == {
             (s.pos, s.alt_name) for s in serial.current_snps()
         }
-        assert np.allclose(
-            parallel.accumulator.snapshot(),
-            serial.accumulator.snapshot(),
-            atol=1e-3,
+        assert np.array_equal(
+            parallel.accumulator.snapshot(), serial.accumulator.snapshot()
         )
         assert parallel.stats.n_reads == serial.stats.n_reads == 200
 
@@ -123,11 +119,11 @@ class TestOnlineParallelFeed:
         )
 
     def test_flag_flip_between_feeds_recycles_the_fleet(self, workload):
-        # The parent's validate hook (and the workers' sanitizer state) are
-        # fixed when the fleet spawns.  Enabling the sanitizer mid-stream
-        # must reach the next feed: the corrupted partial is rejected and
-        # retried, never merged.  chunk=7 only exists in the second feed
-        # (4 reads -> 4 chunks, 120 reads -> 8), so the first stays clean.
+        # The workers' sanitizer state is fixed when the fleet spawns, so
+        # enabling the sanitizer mid-stream must reach the next feed as a
+        # fresh fleet.  The corrupted evidence is rejected and retried
+        # either way.  chunk=7 only exists in the second feed (4 reads ->
+        # 4 chunks, 120 reads -> 8), so the first stays clean.
         batches = [workload.reads[:4], workload.reads[4:124]]
         with OnlineGnumap(workload.reference, fork_config(), workers=2) as clean:
             for batch in batches:
@@ -137,8 +133,10 @@ class TestOnlineParallelFeed:
         ) as stream:
             with sanitize.sanitized(False):
                 stream.feed(batches[0])
+                first_fleet = stream.engine._pool
             with sanitize.sanitized(True), scope() as reg:
                 stream.feed(batches[1])
+                assert stream.engine._pool is not first_fleet
         assert reg.snapshot().counter("mp.partial_rejects") >= 1
         assert np.array_equal(
             stream.accumulator.snapshot(), clean.accumulator.snapshot()

@@ -151,7 +151,6 @@ class TestLiveScrapeDuringRun:
                 workers=2,
                 start_method="fork",
                 fault_spec="crash:chunk=0",
-                autotune_chunks=False,
             ),
             telemetry=TelemetryConfig(enabled=True, interval=0.05),
         )

@@ -51,11 +51,11 @@ class TestFaultInjectedTrace:
             pytest.skip("spawn start method unavailable")
         trace.enable()
         try:
-            # chunks = workers * chunks_per_worker = 4; chunk 3 crashes on
+            # chunks = workers * CHUNKS_PER_WORKER = 8; chunk 3 crashes on
             # attempt 0 only, so one death + one retry, deterministically.
             # The trace must carry >=2 worker lanes, i.e. the worker that
             # dies on chunk 3 must have sent an earlier chunk home.  A chunk
-            # takes ~60 ms while spawned workers come up as much as 200 ms
+            # takes ~30 ms while spawned workers come up as much as 200 ms
             # apart, so one worker could drain chunks 0-2 and the other die
             # on its first; stalling chunk 0 for a second (a hang well under
             # the chunk timeout is not a fault) keeps its worker out of the
@@ -64,7 +64,6 @@ class TestFaultInjectedTrace:
                 workload,
                 start_method="spawn",
                 fault_spec="hang:chunk=0,secs=1;crash:chunk=3",
-                chunks_per_worker=2,
                 backoff_base=0.01,
             )
         finally:

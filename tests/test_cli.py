@@ -229,7 +229,7 @@ class TestTelemetryCli:
         out = tmp_path / "snps.tsv"
         rc = main([
             "call", str(ref), str(reads), "-o", str(out),
-            "--parallel-workers", "2", "--telemetry",
+            "--workers", "2", "--telemetry",
             "--telemetry-interval", "0.1",
         ])
         assert rc == 0
