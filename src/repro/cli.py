@@ -135,9 +135,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
     config = PipelineConfig(
         k=args.k,
-        band_mode=args.band_mode,
-        band_w=args.band_width,
-        band_tolerance=args.band_tolerance,
         alignment_mode=args.alignment_mode,
         seeder=_seeder_config(args),
     )
@@ -284,17 +281,8 @@ def _add_alignment_args(p: argparse.ArgumentParser) -> None:
 def _add_seeding_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group(
         "seeding",
-        "candidate generation: SNAP-style long seeds and PEANUT-style "
-        "q-gram filtration (both off by default)",
-    )
-    g.add_argument(
-        "--seed-len",
-        type=int,
-        default=None,
-        metavar="L",
-        help="seed reads with overlapping L-mers (L > k, <= 31) against a "
-        "long-seed index table instead of k-mers; longer seeds sharply cut "
-        "spurious candidates (default: seed at k)",
+        "candidate generation: PEANUT-style q-gram filtration (off by "
+        "default); SNAP-style long seeds are --k 20",
     )
     g.add_argument(
         "--qgram-filter",
@@ -317,7 +305,6 @@ def _seeder_config(args: argparse.Namespace) -> "SeederConfig":
     from repro.index.seeding import SeederConfig
 
     return SeederConfig(
-        seed_len=args.seed_len,
         qgram_filter=args.qgram_filter,
         filter_threshold=args.filter_threshold,
     )
@@ -424,7 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_call.add_argument("reference", help="single-record reference FASTA")
     p_call.add_argument("reads", help="FASTQ reads")
     p_call.add_argument("-o", "--output", default="snps.tsv")
-    p_call.add_argument("--k", type=int, default=10)
+    p_call.add_argument("--k", type=int, default=10,
+                        help="index mer-size = seed width (default: 10; "
+                        "20 is SNAP-style long seeding)")
     p_call.add_argument("--accumulator", default="NORM",
                         choices=["NORM", "CHARDISC", "CENTDISC"])
     p_call.add_argument("--ploidy", type=int, default=1, choices=[1, 2])
@@ -450,10 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("reference", help="single-record reference FASTA")
     p_map.add_argument("reads", help="FASTQ reads")
     p_map.add_argument("-o", "--output", default="alignments.sam")
-    p_map.add_argument("--k", type=int, default=10)
+    p_map.add_argument("--k", type=int, default=10,
+                       help="index mer-size = seed width (default: 10; "
+                       "20 is SNAP-style long seeding)")
     p_map.add_argument("--max-secondary", type=int, default=4)
     _add_seeding_args(p_map)
-    _add_band_args(p_map)
     _add_alignment_args(p_map)
     _add_metrics_arg(p_map)
     _add_trace_arg(p_map)

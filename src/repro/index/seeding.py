@@ -8,15 +8,15 @@ queried.  Seeding works on a *block* of reads at a time
 (:meth:`Seeder.candidates_batch`): every stage is one NumPy pass over the
 block's concatenated sequences, keyed by ``(sequence, diagonal)``.
 
-Two upstream-pruning stages (both off by default) shrink the candidate
-list before any Pair-HMM runs:
+Two upstream-pruning choices shrink the candidate list before any
+Pair-HMM runs:
 
-* **Long overlapping seeds** (SNAP): with ``SeederConfig.seed_len`` set,
-  reads are seeded with every overlapping ``seed_len``-mer instead of
-  ``k``-mers.  A 20-mer has ~4\\ :sup:`10` times fewer chance genome hits
-  than a 10-mer, so spurious diagonals almost vanish, while the read's
-  many overlapping seed offsets preserve error tolerance (an error only
-  kills the ``seed_len`` seeds covering it).
+* **Long overlapping seeds** (SNAP): reads are seeded with every
+  overlapping ``k``-mer of the index they are given, so a wider index
+  (``k=20``) is long seeding.  A 20-mer has ~4\\ :sup:`10` times fewer
+  chance genome hits than a 10-mer, so spurious diagonals almost vanish,
+  while the read's many overlapping seed offsets preserve error tolerance
+  (an error only kills the seeds covering it).
 * **q-gram filtration** (PEANUT / QUASAR): with ``qgram_filter`` on, each
   surviving cluster is scored by how many of the read's distinct q-grams
   occur in the implied reference window.  The q-gram lemma says a true
@@ -100,10 +100,11 @@ class SeederConfig:
         Query every ``step``-th read seed (1 = all; larger is faster and
         mimics spaced sampling).
     seed_len:
-        Seed width to query with, SNAP-style.  ``None`` (default) seeds at
-        the index's base ``k``; setting it requires the
-        :class:`~repro.index.hashindex.GenomeIndex` to have been built
-        with the same ``seed_len`` (the long-seed CSR table).
+        Index-build width override: ``None`` (default) indexes at
+        ``PipelineConfig.k``, a value indexes at that width instead —
+        ``seed_len=20`` and ``k=20`` are the same run.  The frozen ledger's
+        spelling (:func:`repro.index.hashindex.table_width` is its one
+        reader); a :class:`Seeder` queries at whatever width its index has.
     qgram_filter:
         Enable the PEANUT-style q-gram filtration pass on clustered
         candidates (default off — seeding is then byte-identical to the
@@ -238,13 +239,6 @@ class Seeder:
     def __init__(self, index: GenomeIndex, config: SeederConfig | None = None) -> None:
         self.index = index
         self.config = config or SeederConfig()
-        want = self.config.seed_len
-        if want is not None and index.seed_len != want:
-            raise IndexError_(
-                f"SeederConfig.seed_len={want} but the index was built with "
-                f"seed_len={index.seed_len}; build the GenomeIndex with "
-                f"seed_len={want} (or clear the config knob)"
-            )
         self._ref_qgrams: "np.ndarray | None" = None
 
     def _reference_qgrams(self) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 This machine has one CPU core and no MPI, so the paper's cluster experiments
 run on a *simulated* cluster (see DESIGN.md §2): rank programs execute as
-real concurrent threads against :class:`~repro.parallel.comm.ThreadComm`
+real concurrent threads against :class:`~repro.parallel.comm.Comm`
 (real message passing, real reductions, real data), while a per-rank
 :class:`~repro.parallel.clock.VirtualClock` advances by a calibrated LogGP
 cost model for compute and communication.  Speedup figures read the virtual
@@ -16,12 +16,9 @@ verbatim.
 
 from repro.parallel.costmodel import LogGPModel, payload_nbytes
 from repro.parallel.clock import VirtualClock
-from repro.parallel.comm import Comm, ThreadComm
+from repro.parallel.comm import Comm
 from repro.parallel.cluster import Cluster, ClusterResult
-from repro.parallel.partition import (
-    partition_reads_contiguous,
-    partition_reads_round_robin,
-)
+from repro.parallel.partition import partition_reads_contiguous
 from repro.parallel.reduction import reduce_accumulator
 
 __all__ = [
@@ -29,10 +26,8 @@ __all__ = [
     "payload_nbytes",
     "VirtualClock",
     "Comm",
-    "ThreadComm",
     "Cluster",
     "ClusterResult",
     "partition_reads_contiguous",
-    "partition_reads_round_robin",
     "reduce_accumulator",
 ]

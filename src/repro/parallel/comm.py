@@ -301,10 +301,6 @@ class Comm:
         return Comm(order.index(self.rank), shared, clock=self.clock)
 
 
-#: Backwards-compatible alias: the thread-backed communicator class.
-ThreadComm = Comm
-
-
 def make_world(
     n_ranks: int,
     cost_model: LogGPModel | None = None,

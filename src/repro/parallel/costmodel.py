@@ -115,5 +115,5 @@ class LogGPModel:
         return self.allreduce_time(n_ranks, 0)
 
 
-#: Cost model that charges nothing — ThreadComm without simulation.
+#: Cost model that charges nothing — a ``Comm`` world without simulation.
 FREE = LogGPModel(latency=0.0, byte_time=0.0)

@@ -28,16 +28,6 @@ def partition_reads_contiguous(n_items: int, n_ranks: int) -> list[range]:
     return [range(int(bounds[r]), int(bounds[r + 1])) for r in range(n_ranks)]
 
 
-def partition_reads_round_robin(n_items: int, n_ranks: int) -> list[range]:
-    """Strided slices ``rank, rank + n_ranks, ...`` (load-balances any
-    position-correlated cost structure in the read stream)."""
-    if n_ranks <= 0:
-        raise PartitionError(f"n_ranks must be positive, got {n_ranks}")
-    if n_items < 0:
-        raise PartitionError(f"n_items must be non-negative, got {n_items}")
-    return [range(r, n_items, n_ranks) for r in range(n_ranks)]
-
-
 def take(items: Sequence[T], slice_range: range) -> list[T]:
     """Materialise a partition slice of a sequence."""
     return [items[i] for i in slice_range]

@@ -154,10 +154,10 @@ class PipelineConfig:
     Attributes
     ----------
     k:
-        Index mer-size (paper default 10).  With ``seeder.seed_len`` set,
-        the index additionally carries a long-seed table at that width and
-        seeding queries it instead (SNAP-style; see
-        :class:`repro.index.seeding.SeederConfig`).
+        Index mer-size, and so the width of the seeds reads are queried
+        with (paper default 10; ``k=20`` is SNAP-style long seeding).  The
+        index is one table: ``seeder.seed_len``, where set, replaces ``k``
+        as its width (:func:`repro.index.hashindex.table_width`).
     pad:
         Genome bases added on each side of a candidate window so the
         semi-global PHMM can slide and open edge gaps.
@@ -260,12 +260,6 @@ class PipelineConfig:
         if not 0.0 <= self.band_tolerance < 1.0:
             raise ConfigError(
                 f"band_tolerance must be in [0, 1), got {self.band_tolerance}"
-            )
-        if self.seeder.seed_len is not None and self.seeder.seed_len <= self.k:
-            raise ConfigError(
-                f"seeder.seed_len={self.seeder.seed_len} must exceed k={self.k}: "
-                "the long-seed table is only worth building wider than the "
-                "base index (drop --seed-len to seed at k)"
             )
 
     @property

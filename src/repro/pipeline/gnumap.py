@@ -26,7 +26,7 @@ from repro.calling.records import SNPCall, write_snp_calls
 from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
-from repro.index.hashindex import GenomeIndex
+from repro.index.hashindex import GenomeIndex, table_width
 from repro.index.seeding import Seeder
 from repro.memory.base import Accumulator, make_accumulator
 from repro.observability import current, scope, span
@@ -137,15 +137,12 @@ class GnumapSnp:
         cfg = self.config
         if index is not None:
             # Pre-built index (e.g. attached zero-copy from shared memory by
-            # a pool worker); must describe the same genome and mer-size.
-            if index.k != cfg.k:
+            # a pool worker); must describe the same genome and seed width.
+            want = table_width(cfg.k, cfg.seeder.seed_len)
+            if index.seed_width != want:
                 raise PipelineError(
-                    f"supplied index has k={index.k}, config wants k={cfg.k}"
-                )
-            if index.seed_len != cfg.seeder.seed_len:
-                raise PipelineError(
-                    f"supplied index has seed_len={index.seed_len}, config "
-                    f"wants seed_len={cfg.seeder.seed_len}"
+                    f"supplied index has seed width {index.seed_width}, "
+                    f"config wants {want}"
                 )
             if index.reference is not reference and len(index.reference) != len(
                 reference

@@ -26,7 +26,7 @@ Recovery paths are testable via deterministic fault injection
 ``REPRO_FAULTS`` environment variable).
 
 Workers are provisioned one way (:func:`make_pool`): the parent publishes
-genome codes and index CSR arrays as shared-memory segments once per
+genome codes and the index's arrays as shared-memory segments once per
 :class:`repro.parallel.pool.PersistentPool`, and every worker — including
 one respawned after a crash — attaches zero-copy views in
 :func:`_init_pool_worker` (``mp.worker_attach_seconds`` measures the cost).
@@ -92,19 +92,19 @@ def _init_pool_worker(
     specs: "dict[str, SharedArraySpec]",
     ref_name: str,
     config: PipelineConfig,
+    index_scalars: "dict[str, int | None]",
     sanitize_on: bool = False,
     fault_plan: "FaultPlan | None" = None,
     trace_on: bool = False,
-    n_masked_kmers: int = 0,
-    n_masked_long_kmers: int = 0,
 ) -> None:
     """Attach-mode initializer for :class:`PersistentPool` workers.
 
     The worker gets the publication map and wraps zero-copy read-only
-    views over the parent's shared segments — genome codes plus the index
-    CSR triple — then rehydrates the pipeline around them without any
-    index rebuild.  A respawned worker runs this again: re-attaching costs
-    an ``mmap``, which is what makes crash recovery cheap.
+    views over the parent's shared segments — genome codes plus whatever
+    arrays :meth:`GenomeIndex.shared_state` published — then rehydrates the
+    pipeline around them without any index rebuild.  A respawned worker
+    runs this again: re-attaching costs an ``mmap``, which is what makes
+    crash recovery cheap.
     """
     if sanitize_on:
         sanitize.enable()
@@ -118,23 +118,9 @@ def _init_pool_worker(
         view, shm = attach_array(spec)
         views[key] = view
         handles.append(shm)
-    reference = Reference(views["ref_codes"], name=ref_name, copy=False)
-    index = GenomeIndex.from_arrays(
-        reference,
-        config.k,
-        views["index_kmers"],
-        views["index_offsets"],
-        views["index_positions"],
-        max_positions_per_kmer=config.max_index_positions_per_kmer,
-        n_masked_kmers=n_masked_kmers,
-        # The long-seed table rides the same publication map when the
-        # parent's index carries one (seed_len configured).
-        seed_len=config.seeder.seed_len,
-        long_kmers=views.get("index_long_kmers"),
-        long_offsets=views.get("index_long_offsets"),
-        long_positions=views.get("index_long_positions"),
-        n_masked_long_kmers=n_masked_long_kmers,
-    )
+    reference = Reference(views.pop("ref_codes"), name=ref_name, copy=False)
+    # Every other segment is the index's; only hashindex.py knows which.
+    index = GenomeIndex.from_arrays(reference, **views, **index_scalars)
     pipe = GnumapSnp(reference, config, index=index)
     # Sanctioned pool-initializer pattern: each worker process installs its
     # own pipeline once; no writes ever flow back to the parent.
@@ -205,7 +191,7 @@ def make_pool(
 ) -> PersistentPool:
     """Build a :class:`PersistentPool` for ``pipe``'s genome and config.
 
-    The genome codes and index CSR arrays are published as shared segments
+    The genome codes and the index's arrays are published as shared segments
     and workers run the attach-mode initializer.  The caller owns the
     pool: ``Engine`` keeps it for its lifetime and ``close()`` releases
     workers and segments.
@@ -219,32 +205,20 @@ def make_pool(
     reference = pipe.reference
     plan = resolve_fault_plan(par.fault_spec)
     ctx = mp.get_context(par.start_method)
-    kmers, offsets, positions = pipe.index.csr_arrays()
-    arrays = {
-        "ref_codes": np.asarray(reference.codes),
-        "index_kmers": kmers,
-        "index_offsets": offsets,
-        "index_positions": positions,
-    }
-    if pipe.index.seed_len is not None:
-        long_kmers, long_offsets, long_positions = pipe.index.long_csr_arrays()
-        arrays["index_long_kmers"] = long_kmers
-        arrays["index_long_offsets"] = long_offsets
-        arrays["index_long_positions"] = long_positions
+    index_arrays, index_scalars = pipe.index.shared_state()
     return PersistentPool(
         ctx,
         n_workers,
         _map_chunk,
-        arrays,
+        {"ref_codes": np.asarray(reference.codes), **index_arrays},
         initializer=_init_pool_worker,
         initargs=(
             reference.name,
             config,
+            index_scalars,
             sanitize.enabled(),
             plan if plan else None,
             trace.enabled(),
-            pipe.index.n_masked_kmers,
-            pipe.index.n_masked_long_kmers,
         ),
         timeout=par.chunk_timeout,
         max_retries=par.max_retries,

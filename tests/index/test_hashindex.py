@@ -7,11 +7,16 @@ from repro.errors import IndexError_
 from repro.genome.reference import Reference
 from repro.index.hashindex import GenomeIndex
 from repro.index.kmer import pack_kmer, rolling_kmers
+from repro.observability import MetricsRegistry, use
 from repro.simulate.genome_sim import GenomeSpec, simulate_genome
 
 
 def ref_from(seq: str) -> Reference:
     return Reference.from_string(seq)
+
+
+def hits_of(idx: GenomeIndex, packed_kmer: int) -> np.ndarray:
+    return idx.lookup_seeds_flat(np.array([packed_kmer]))[0]
 
 
 class TestConstruction:
@@ -49,28 +54,18 @@ class TestLookup:
         for pos in rng.integers(0, packed.size, 50):
             if not valid[pos]:
                 continue
-            hits = idx.lookup(int(packed[pos]))
-            assert pos in hits
+            assert pos in hits_of(idx, int(packed[pos]))
 
     def test_absent_kmer_empty(self):
         idx = GenomeIndex(ref_from("AAAAAAAA"), k=3)
         from repro.genome.alphabet import encode
-        assert idx.lookup(pack_kmer(encode("TTT"))).size == 0
+        assert hits_of(idx, pack_kmer(encode("TTT"))).size == 0
 
     def test_repeat_positions_all_reported(self):
         idx = GenomeIndex(ref_from("ACGTAACGTA"), k=5)
         from repro.genome.alphabet import encode
-        hits = idx.lookup(pack_kmer(encode("ACGTA")))
+        hits = hits_of(idx, pack_kmer(encode("ACGTA")))
         assert sorted(hits.tolist()) == [0, 5]
-
-    def test_lookup_many_matches_lookup(self):
-        ref, _ = simulate_genome(GenomeSpec(length=2000, n_repeats=0), seed=2)
-        idx = GenomeIndex(ref, k=8)
-        packed, _ = rolling_kmers(ref.codes, 8)
-        queries = packed[:20]
-        many = idx.lookup_many(queries)
-        for q, hits in zip(queries, many):
-            assert (hits == idx.lookup(int(q))).all()
 
 
 class TestQueryDtype:
@@ -81,14 +76,12 @@ class TestQueryDtype:
     def test_query_beyond_int32_table_finds_nothing(self):
         ref, _ = simulate_genome(GenomeSpec(length=2000, n_repeats=0), seed=3)
         idx = GenomeIndex(ref, k=10)
-        assert idx.csr_arrays()[0].dtype == np.int32
+        assert idx.shared_state()[0]["unique_kmers"].dtype == np.int32
         present = rolling_kmers(ref.codes, 10)[0][:8]
         # + 2**32 wraps back onto an indexed k-mer when narrowed to int32.
         for too_wide in (present + (1 << 32), present + (1 << 31), -present - 1):
-            hits, qidx = idx.lookup_flat(too_wide)
+            hits, qidx = idx.lookup_seeds_flat(too_wide)
             assert hits.size == 0 and qidx.size == 0
-            assert all(h.size == 0 for h in idx.lookup_many(too_wide))
-            assert idx.lookup(int(too_wide[0])).size == 0
         starts, counts = idx.locate_seeds(np.concatenate([present, present + (1 << 32)]))
         assert (counts[:8] > 0).all() and (counts[8:] == 0).all()
 
@@ -124,7 +117,7 @@ class TestRepeatMasking:
                 where.setdefault(int(packed[pos]), []).append(pos)
             kept = {kmer: ps for kmer, ps in where.items() if len(ps) <= cap}
             assert 0 < len(kept) < len(where), "masking must fire and spare some"
-            unique, offsets, positions = idx.csr_arrays()
+            unique, offsets, positions = idx.shared_state()[0].values()
             assert unique.tolist() == sorted(kept)
             assert positions.tolist() == [p for kmer in sorted(kept) for p in kept[kmer]]
             assert np.diff(offsets).tolist() == [len(kept[kmer]) for kmer in sorted(kept)]
@@ -134,43 +127,34 @@ class TestRepeatMasking:
         ref = ref_from("A" * 100 + "ACGTACGTCC")
         idx = GenomeIndex(ref, k=5, max_positions_per_kmer=10)
         from repro.genome.alphabet import encode
-        assert idx.lookup(pack_kmer(encode("AAAAA"))).size == 0
+        assert hits_of(idx, pack_kmer(encode("AAAAA"))).size == 0
         assert idx.n_masked_kmers >= 1
 
     def test_none_keeps_everything(self):
         ref = ref_from("A" * 50)
         idx = GenomeIndex(ref, k=5, max_positions_per_kmer=None)
         from repro.genome.alphabet import encode
-        assert idx.lookup(pack_kmer(encode("AAAAA"))).size == 46
+        assert hits_of(idx, pack_kmer(encode("AAAAA"))).size == 46
         assert idx.n_masked_kmers == 0
 
 
 class TestLongSeedTable:
+    """``seed_len=20`` is the one table built 20 wide — the ``k=20`` index."""
+
     def test_long_table_positions_findable(self):
         ref, _ = simulate_genome(GenomeSpec(length=3000, n_repeats=0), seed=5)
         idx = GenomeIndex(ref, k=10, seed_len=20)
-        assert idx.seed_width == 20 and idx.seed_len == 20
+        assert idx.seed_width == 20
         packed, valid = rolling_kmers(ref.codes, 20)
         queries = np.nonzero(valid)[0][:25]
         hits, qidx = idx.lookup_seeds_flat(packed[queries])
         for i, qp in enumerate(queries):
             assert qp in hits[qidx == i]
 
-    def test_no_long_table_falls_back_to_base(self):
-        ref, _ = simulate_genome(GenomeSpec(length=2000, n_repeats=0), seed=6)
-        idx = GenomeIndex(ref, k=10)
-        assert idx.seed_width == 10 and idx.seed_len is None
-        packed, _ = rolling_kmers(ref.codes, 10)
-        base = idx.lookup_flat(packed[:10])
-        seeds = idx.lookup_seeds_flat(packed[:10])
-        assert (base[0] == seeds[0]).all() and (base[1] == seeds[1]).all()
-        with pytest.raises(IndexError_):
-            idx.long_csr_arrays()
-
     def test_seed_len_validation(self):
         ref, _ = simulate_genome(GenomeSpec(length=2000, n_repeats=0), seed=6)
-        with pytest.raises(IndexError_):
-            GenomeIndex(ref, k=10, seed_len=10)  # must exceed k
+        assert GenomeIndex(ref, k=10).seed_width == 10
+        assert GenomeIndex(ref, k=10, seed_len=8).seed_width == 8  # an override
         with pytest.raises(IndexError_):
             GenomeIndex(ref, k=10, seed_len=32)  # past MAX_K
         with pytest.raises(IndexError_):
@@ -179,41 +163,46 @@ class TestLongSeedTable:
     def test_from_arrays_roundtrip_with_long_table(self):
         ref, _ = simulate_genome(GenomeSpec(length=2500, n_repeats=0), seed=7)
         built = GenomeIndex(ref, k=10, seed_len=20)
-        k1, o1, p1 = built.csr_arrays()
-        l1, lo1, lp1 = built.long_csr_arrays()
-        attached = GenomeIndex.from_arrays(
-            ref, 10, k1, o1, p1,
-            seed_len=20, long_kmers=l1, long_offsets=lo1, long_positions=lp1,
-        )
+        arrays, scalars = built.shared_state()
+        assert arrays["unique_kmers"].dtype == np.int64  # 40 bits per seed
+        attached = GenomeIndex.from_arrays(ref, **arrays, **scalars)
         packed, valid = rolling_kmers(ref.codes, 20)
         q = packed[np.nonzero(valid)[0][:30]]
         a = built.lookup_seeds_flat(q)
         b = attached.lookup_seeds_flat(q)
         assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
         assert attached.nbytes() == built.nbytes()
-
-    def test_from_arrays_incomplete_long_triple_rejected(self):
-        ref, _ = simulate_genome(GenomeSpec(length=2500, n_repeats=0), seed=7)
-        built = GenomeIndex(ref, k=10, seed_len=20)
-        k1, o1, p1 = built.csr_arrays()
-        l1, lo1, lp1 = built.long_csr_arrays()
+        assert attached.seed_width == 20
         with pytest.raises(IndexError_):
-            GenomeIndex.from_arrays(ref, 10, k1, o1, p1, seed_len=20,
-                                    long_kmers=l1, long_offsets=lo1)
-        with pytest.raises(IndexError_):
-            GenomeIndex.from_arrays(ref, 10, k1, o1, p1, long_kmers=l1,
-                                    long_offsets=lo1, long_positions=lp1)
+            GenomeIndex.from_arrays(
+                ref, **{**arrays, "offsets": arrays["offsets"][:-1]}, **scalars
+            )
 
-    def test_long_table_masks_repeats_too(self):
-        ref = ref_from("A" * 200 + "ACGTACGTCCGGATTACAGGAGTC")
-        idx = GenomeIndex(ref, k=5, seed_len=21, max_positions_per_kmer=10)
-        assert idx.n_masked_long_kmers >= 1
+    def test_masked_gauge_describes_the_queried_table(self):
+        """A 20-mer with more than 64 copies is masked from the table
+        seeding queries, and ``index.masked_kmers`` counts it and nothing
+        else: the gauges are the one table's, whichever way its width was
+        spelled.  (The C run holds 71 copies of its 10-mer but only 61 of
+        its 20-mer, so a 10-wide table would report 2.)"""
+        from repro.genome.alphabet import encode
 
-    def test_nbytes_includes_long_table(self):
-        ref, _ = simulate_genome(GenomeSpec(length=2000, n_repeats=0), seed=8)
-        base = GenomeIndex(ref, k=10).nbytes()
-        both = GenomeIndex(ref, k=10, seed_len=20).nbytes()
-        assert both > base
+        ref = ref_from("A" * 200 + "ACGTACGTCCGGATTACAGGAGTG" + "C" * 80 + "GTTA")
+        poly_a, poly_c = (np.array([pack_kmer(encode(b * 20))]) for b in "AC")
+        snapshots = []
+        for spelling in (dict(k=10, seed_len=20), dict(k=20)):
+            with use(MetricsRegistry()) as reg:
+                idx = GenomeIndex(ref, max_positions_per_kmer=64, **spelling)
+                snapshots.append(reg.snapshot().gauges)
+            assert idx.lookup_seeds_flat(poly_a)[0].size == 0
+            assert idx.lookup_seeds_flat(poly_c)[0].size == 61
+            assert idx.n_masked_kmers == 1
+        for gauges in snapshots:
+            assert gauges["index.masked_kmers"] == 1
+            assert gauges["index.kmers"] == idx.n_indexed_kmers
+            assert gauges["index.positions"] == idx.n_indexed_positions
+            assert gauges["index.bytes"] == idx.nbytes()
+            assert not any(name.startswith("index.long") for name in gauges)
+        assert snapshots[0] == snapshots[1]
 
 
 class TestFootprint:

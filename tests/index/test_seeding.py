@@ -263,15 +263,6 @@ class TestLongSeeds:
         assert 4000 not in long_starts
         assert 1000 in long_starts
 
-    def test_seeder_rejects_mismatched_seed_len(self):
-        ref = simulate_genome(GenomeSpec(length=5000), seed=8)[0]
-        index = GenomeIndex(ref, k=10)  # no long table
-        with pytest.raises(IndexError_):
-            Seeder(index, SeederConfig(seed_len=20))
-        index20 = GenomeIndex(ref, k=10, seed_len=20)
-        with pytest.raises(IndexError_):
-            Seeder(index20, SeederConfig(seed_len=25))
-
     def test_read_shorter_than_seed_len_unmapped(self):
         ref = simulate_genome(GenomeSpec(length=5000), seed=8)[0]
         seeder = Seeder(

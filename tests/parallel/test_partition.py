@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.errors import PartitionError
 from repro.parallel.partition import (
     partition_reads_contiguous,
-    partition_reads_round_robin,
     take,
     validate_partition,
 )
@@ -36,22 +35,6 @@ class TestContiguous:
             partition_reads_contiguous(-1, 2)
 
 
-class TestRoundRobin:
-    def test_tiles_exactly(self):
-        parts = partition_reads_round_robin(11, 4)
-        validate_partition(parts, 11)
-
-    def test_stride_pattern(self):
-        parts = partition_reads_round_robin(8, 3)
-        assert list(parts[0]) == [0, 3, 6]
-        assert list(parts[1]) == [1, 4, 7]
-        assert list(parts[2]) == [2, 5]
-
-    def test_validation(self):
-        with pytest.raises(PartitionError):
-            partition_reads_round_robin(5, 0)
-
-
 class TestHelpers:
     def test_take(self):
         items = list("abcdef")
@@ -74,8 +57,8 @@ class TestHelpers:
             validate_partition([range(-1, 4), range(4, 5)], 5)
 
     def test_validate_accepts_strided_tiling(self):
-        # Round-robin style strided ranges tile without materialising a
-        # contiguous block — the vectorised path must handle step > 1.
+        # Strided ranges tile without materialising a contiguous block —
+        # the vectorised path must handle step > 1.
         validate_partition([range(0, 10, 2), range(1, 10, 2)], 10)
 
     def test_validate_empty_ranges_ignored(self):
@@ -84,19 +67,12 @@ class TestHelpers:
     def test_validate_scales_to_large_counts(self):
         n = 500_000
         validate_partition(partition_reads_contiguous(n, 7), n)
-        validate_partition(partition_reads_round_robin(n, 7), n)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     n_items=st.integers(min_value=0, max_value=500),
     n_ranks=st.integers(min_value=1, max_value=40),
-    scheme=st.sampled_from(["contiguous", "round_robin"]),
 )
-def test_cover_disjoint_property(n_items, n_ranks, scheme):
-    fn = (
-        partition_reads_contiguous
-        if scheme == "contiguous"
-        else partition_reads_round_robin
-    )
-    validate_partition(fn(n_items, n_ranks), n_items)
+def test_cover_disjoint_property(n_items, n_ranks):
+    validate_partition(partition_reads_contiguous(n_items, n_ranks), n_items)

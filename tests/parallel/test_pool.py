@@ -167,32 +167,63 @@ class TestCrashNet:
 
 class TestLongSeedPublication:
     def test_long_index_arrays_round_trip_through_pool(self, workload):
+        """``seed_len=20`` and ``k=20`` are one run: the same one table
+        (int64 k-mers) built, published as genome + one triple, attached by
+        the workers — same bytes out, serial and pooled."""
+        import io
+
+        from repro.api import Engine
+        from repro.calling.records import write_snp_calls
         from repro.index.seeding import SeederConfig
 
-        cfg = PipelineConfig(
-            parallel=ParallelConfig(start_method="fork"),
-            seeder=SeederConfig(seed_len=20, qgram_filter=True),
-        )
-        pipe = GnumapSnp(workload.reference, cfg)
-        serial, _ = pipe.map_reads(workload.reads)
-        pool = make_pool(pipe, 2)
-        try:
-            published = set(pool._bundle.specs)
-            assert {
-                "index_long_kmers",
-                "index_long_offsets",
-                "index_long_positions",
-            } <= published
-            parallel, _ = map_reads_multiprocessing(pipe, workload.reads, pool)
-        finally:
-            pool.close()
-        # Workers rebuilt the same long-seed index from shared views.
-        assert np.array_equal(parallel.snapshot(), serial.snapshot())
+        def tsv(result):
+            buf = io.StringIO()
+            write_snp_calls(buf, result.snps)
+            return buf.getvalue()
+
+        par = ParallelConfig(start_method="fork")
+        spellings = {
+            "seed_len": PipelineConfig(
+                k=10, parallel=par,
+                seeder=SeederConfig(seed_len=20, qgram_filter=True),
+            ),
+            "k": PipelineConfig(
+                k=20, parallel=par, seeder=SeederConfig(qgram_filter=True)
+            ),
+        }
+        runs = {}
+        for workers in (1, 2):
+            for spelling, config in spellings.items():
+                with scope() as reg, Engine(
+                    workload.reference, config, workers=workers
+                ) as engine:
+                    result = engine.run(workload.reads)
+                    pool = engine._pool
+                    segments = None if pool is None else len(pool.segment_names)
+                snap = reg.snapshot()
+                seed_counters = {
+                    name: value for name, value in snap.counters.items()
+                    if name.startswith("seed.")
+                }
+                assert seed_counters["seed.candidates"] > 0
+                runs[spelling, workers] = (
+                    tsv(result), seed_counters, snap.gauges["index.bytes"],
+                    result.accumulator.snapshot(),
+                    (snap.gauges.get("mp.shm_bytes"), segments),
+                )
+        first = runs["seed_len", 1]
+        for run in runs.values():
+            assert run[:3] == first[:3]
+            assert np.array_equal(run[3], first[3])
+        # Genome + one triple, whichever way the width was spelled.
+        assert runs["seed_len", 2][4] == runs["k", 2][4]
+        assert runs["k", 2][4][1] == 4
 
     def test_plain_config_publishes_no_long_arrays(self, workload):
         pipe = GnumapSnp(workload.reference, pool_config())
         pool = make_pool(pipe, 2)
         try:
-            assert not any("long" in key for key in pool._bundle.specs)
+            # The default width too: genome + one triple.
+            assert len(pool.segment_names) == 4
         finally:
             pool.close()

@@ -129,19 +129,13 @@ class TestParallelConfig:
 
 
 class TestSeederKnobs:
-    def test_seed_len_must_exceed_k(self):
-        from repro.index.seeding import SeederConfig
-
-        with pytest.raises(ConfigError, match="seed_len"):
-            PipelineConfig(k=10, seeder=SeederConfig(seed_len=10))
-        with pytest.raises(ConfigError, match="seed_len"):
-            PipelineConfig(k=12, seeder=SeederConfig(seed_len=11))
-
     def test_valid_seed_len_accepted(self):
         from repro.index.seeding import SeederConfig
 
         cfg = PipelineConfig(k=10, seeder=SeederConfig(seed_len=20))
         assert cfg.seeder.seed_len == 20
+        # A width override, not a second table: nothing ties it to k.
+        assert PipelineConfig(k=12, seeder=SeederConfig(seed_len=11)).k == 12
 
     def test_filter_knobs_validated_at_source(self):
         from repro.errors import IndexError_

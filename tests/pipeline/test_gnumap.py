@@ -224,7 +224,7 @@ class TestSeedLenThreading:
             workload.reference,
             PipelineConfig(seeder=SeederConfig(seed_len=20)),
         )
-        assert pipe.index.seed_len == 20
+        assert pipe.index.seed_width == 20
         assert pipe.seeder.index is pipe.index
 
     def test_supplied_index_seed_len_mismatch_rejected(self, workload):
@@ -232,12 +232,19 @@ class TestSeedLenThreading:
         from repro.index.seeding import SeederConfig
 
         plain = GenomeIndex(workload.reference, k=10)
-        with pytest.raises(PipelineError):
-            GnumapSnp(
-                workload.reference,
-                PipelineConfig(seeder=SeederConfig(seed_len=20)),
-                index=plain,
-            )
+        for wants_20 in (
+            PipelineConfig(seeder=SeederConfig(seed_len=20)),
+            PipelineConfig(k=20),
+        ):
+            with pytest.raises(PipelineError, match="seed width"):
+                GnumapSnp(workload.reference, wants_20, index=plain)
+        # One comparison of widths: either spelling of 20 takes a 20-wide index.
+        wide = GenomeIndex(workload.reference, k=20)
+        assert GnumapSnp(
+            workload.reference,
+            PipelineConfig(seeder=SeederConfig(seed_len=20)),
+            index=wide,
+        ).index is wide
 
     def test_filtered_config_calls_match_default(self, workload, result):
         from repro.index.seeding import SeederConfig

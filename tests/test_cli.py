@@ -145,25 +145,23 @@ class TestSimulateCallEvaluate:
         out = tmp_path / "snps.tsv"
         rc = main([
             "call", str(ref), str(reads), "-o", str(out),
-            "--seed-len", "20", "--qgram-filter", "--filter-threshold", "0.6",
+            "--k", "20", "--qgram-filter", "--filter-threshold", "0.6",
         ])
         assert rc == 0
         assert out.exists()
 
-    def test_seed_len_not_exceeding_k_rejected(self, tmp_path, capsys):
-        ref = tmp_path / "ref.fa"
-        reads = tmp_path / "reads.fq"
-        main([
-            "simulate", "--scale", "tiny", "--seed", "11",
-            "--reference", str(ref), "--reads", str(reads),
-            "--truth", str(tmp_path / "t.tsv"),
-        ])
-        rc = main([
-            "call", str(ref), str(reads), "-o", str(tmp_path / "o.tsv"),
-            "--seed-len", "10",
-        ])
-        assert rc == 2
-        assert "seed_len" in capsys.readouterr().err
+    def test_removed_seed_len_and_map_band_flags_exit_2(self):
+        # --seed-len was --k under another name; map never banded anything.
+        for command, flag in (
+            ("call", ["--seed-len", "20"]),
+            ("map", ["--seed-len", "20"]),
+            ("map", ["--band-mode", "fixed"]),
+            ("map", ["--band-width", "5"]),
+            ("map", ["--band-tolerance", "1e-3"]),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "ref.fa", "reads.fq", *flag])
+            assert exc.value.code == 2
 
 
 class TestTelemetryCli:
