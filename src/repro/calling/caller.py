@@ -112,19 +112,11 @@ class SNPCaller:
     def __init__(self, config: CallerConfig | None = None) -> None:
         self.config = config or CallerConfig()
 
-    def base_calls(
-        self, z: np.ndarray, positions: np.ndarray | None = None
-    ) -> list[BaseCall]:
-        """LRT outcome for every position with depth >= ``min_depth``.
-
-        Parameters
-        ----------
-        z:
-            ``(P, 5)`` accumulated evidence.
-        positions:
-            Genome positions of the rows (default ``0..P-1``) — segments of a
-            distributed genome pass their global coordinates here.
-        """
+    def _lrt_columns(
+        self, z: np.ndarray, positions: np.ndarray | None
+    ) -> tuple[np.ndarray, ...]:
+        """The LRT outcome of every position with depth >= ``min_depth``: one
+        array per :class:`BaseCall` field, in field order."""
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != 5:
             raise CallingError(f"z must be (P, 5), got {z.shape}")
@@ -137,15 +129,14 @@ class SNPCaller:
                 raise CallingError("positions must match z rows")
 
         cfg = self.config
-        depth = z.sum(axis=1)
+        # sum(axis=1), channel by channel in its order: a reduction over
+        # five-element rows pays per row, and P is the genome.
+        depth = z[:, 0] + z[:, 1] + z[:, 2] + z[:, 3] + z[:, 4]
         eligible = depth >= cfg.min_depth
         reg = metrics()
         reg.inc("caller.positions_seen", P)
         reg.inc("caller.positions_tested", int(eligible.sum()))
-        if not eligible.any():
-            return []
         ze = z[eligible]
-        pos_e = positions[eligible]
         depth_e = depth[eligible]
 
         if cfg.ploidy == 1:
@@ -165,20 +156,26 @@ class SNPCaller:
         else:
             signif = benjamini_hochberg(pvals, cfg.fdr)
         top, second = top_channels(ze)
+        return positions[eligible], depth_e, top, second, stat, pvals, signif, het & signif
 
-        return [
-            BaseCall(
-                pos=int(pos_e[i]),
-                depth=float(depth_e[i]),
-                top_channel=int(top[i]),
-                second_channel=int(second[i]),
-                stat=float(stat[i]),
-                pvalue=float(pvals[i]),
-                significant=bool(signif[i]),
-                heterozygous=bool(het[i]) and bool(signif[i]),
-            )
-            for i in range(ze.shape[0])
-        ]
+    @staticmethod
+    def _records(columns: "tuple[np.ndarray, ...]") -> list[BaseCall]:
+        return [BaseCall(*row) for row in zip(*(c.tolist() for c in columns))]
+
+    def base_calls(
+        self, z: np.ndarray, positions: np.ndarray | None = None
+    ) -> list[BaseCall]:
+        """LRT outcome for every position with depth >= ``min_depth``.
+
+        Parameters
+        ----------
+        z:
+            ``(P, 5)`` accumulated evidence.
+        positions:
+            Genome positions of the rows (default ``0..P-1``) — segments of a
+            distributed genome pass their global coordinates here.
+        """
+        return self._records(self._lrt_columns(z, positions))
 
     def snps(
         self,
@@ -194,31 +191,30 @@ class SNPCaller:
         Reference N positions are never reported (no truth to differ from).
         ``regions`` (a :class:`~repro.genome.regions.RegionSet`) restricts
         calls to the given intervals — targeted panels / blacklists.
+        Records are built for the reported positions only.
         """
         reference_codes = np.asarray(reference_codes)
-        out: list[SNPCall] = []
-        for call in self.base_calls(z, positions):
-            if regions is not None and call.pos not in regions:
-                continue
-            if not call.significant:
-                continue
-            if call.pos >= reference_codes.size:
-                raise CallingError(
-                    f"call at {call.pos} beyond reference of "
-                    f"{reference_codes.size}"
-                )
-            ref = int(reference_codes[call.pos])
-            if ref == N:
-                continue
-            genotype = call.genotype
-            if GAP in genotype and not self.config.call_gaps:
-                continue
-            if self._differs(genotype, ref):
-                out.append(SNPCall(pos=call.pos, ref_base=ref, call=call))
+        columns = self._lrt_columns(z, positions)
+        pos, _, top, second, _, _, signif, het = columns
+        keep = signif if regions is None else signif & regions.contains_many(pos)
+        idx = np.flatnonzero(keep)
+        beyond = pos[idx] >= reference_codes.size
+        if beyond.any():
+            raise CallingError(
+                f"call at {int(pos[idx][beyond][0])} beyond reference of "
+                f"{reference_codes.size}"
+            )
+        ref = reference_codes[pos[idx]]
+        top, second, het = top[idx], second[idx], het[idx]
+        # Not homozygous-reference: a het genotype never is.
+        differs = (ref != N) & (het | (top != ref))
+        if not self.config.call_gaps:
+            differs &= ~((top == GAP) | (het & (second == GAP)))
+        idx, ref = idx[differs], ref[differs]
+        calls = self._records(tuple(c[idx] for c in columns))
+        out = [
+            SNPCall(pos=call.pos, ref_base=r, call=call)
+            for call, r in zip(calls, ref.tolist())
+        ]
         metrics().inc("caller.snps", len(out))
         return out
-
-    @staticmethod
-    def _differs(genotype: tuple[int, ...], ref: int) -> bool:
-        """True when the genotype is not homozygous-reference."""
-        return genotype != (ref,)

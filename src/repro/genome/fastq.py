@@ -23,6 +23,9 @@ from repro.genome.alphabet import decode, encode
 PHRED_OFFSET = 33
 #: Highest quality we emit / accept (Q41, Illumina ceiling).
 MAX_QUALITY = 41
+#: ``10**(-Q/10)`` by ``uint8`` Phred score: one value per score however
+#: many reads are converted at once.
+ERROR_PROBABILITY = np.power(10.0, -np.arange(256, dtype=np.float64) / 10.0)
 
 
 @dataclass
@@ -83,7 +86,7 @@ class Read:
 
     def error_probabilities(self) -> np.ndarray:
         """Per-base error probability ``10**(-Q/10)`` as float64."""
-        return np.power(10.0, -self.quals.astype(np.float64) / 10.0)
+        return ERROR_PROBABILITY[self.quals]
 
 
 def iter_fastq(path_or_file: "str | Path | TextIO") -> Iterator[Read]:
@@ -116,15 +119,15 @@ def iter_fastq(path_or_file: "str | Path | TextIO") -> Iterator[Read]:
                 raise FastqError(
                     f"record {name!r}: {len(seq)} bases vs {len(qual)} qualities"
                 )
-            quals = np.frombuffer(qual.encode("ascii"), dtype=np.uint8).astype(
-                np.int16
-            ) - PHRED_OFFSET
-            if quals.size and (quals.min() < 0 or quals.max() > MAX_QUALITY):
+            # The Q0 floor is checked here, where text becomes scores; the
+            # ceiling by Read, for every way a read is made.
+            quals = np.frombuffer(qual.encode("ascii"), dtype=np.uint8)
+            if quals.size and quals.min() < PHRED_OFFSET:
                 raise FastqError(
                     f"record {name!r}: quality characters outside "
                     f"[Q0, Q{MAX_QUALITY}]"
                 )
-            yield Read(name=name, codes=encode(seq), quals=quals.astype(np.uint8))
+            yield Read(name=name, codes=encode(seq), quals=quals - PHRED_OFFSET)
     finally:
         if owned:
             fh.close()

@@ -130,18 +130,27 @@ def _align_streamed(
     # Equal tiles: one pair over the width is two halves, not a straggler.
     n_tiles = max(1, -(-B // _LANE_TILE))
     step = max(1, -(-B // n_tiles))
+    lanes = 0  # width the workspace below was cut for
     for start in range(0, B, step):
         tile = slice(start, start + step)
         pstar = emissions_batch(pwms[tile], windows[tile], params)
         if sanitize.enabled():
             sanitize.check_emissions(pstar)
         pl = as_lanes(pstar)
-        fwd = forward_lanes(pl, params, mode, band)
-        deposit = RowDeposit(
-            pwms[tile], fwd, band if want_edge else None, occupancy=edge_policy == "paper"
-        )
-        ring = np.zeros((2, 3, M + 1, pl.shape[2]))
-        scale = np.zeros((N + 1, pl.shape[2]))
+        if pl.shape[2] != lanes:
+            # Once per call, and once more for a narrower last tile.
+            lanes = pl.shape[2]
+            f_state, f_scale = np.zeros((N + 1, 3, M + 1, lanes)), np.zeros((N + 1, lanes))
+            ring, scale = np.zeros((2, 3, M + 1, lanes)), np.zeros((N + 1, lanes))
+            deposit = RowDeposit(
+                N, M, lanes, band if want_edge else None, occupancy=edge_policy == "paper"
+            )
+        else:
+            # Equal tiles overwrite the forward state and both scale tables
+            # cell for cell; the ring holds rows a new pass must find zero.
+            ring.fill(0.0)
+        fwd = forward_lanes(pl, params, mode, band, f_state, f_scale)
+        deposit.begin(pwms[tile], fwd)
         for i, lo, hi, row in backward_rows(pl, params, mode, band, ring, scale):
             if sanitize.enabled():
                 one_row = [state.T[:, None, :] for state in row]

@@ -275,14 +275,22 @@ class _Sweep:
 
 
 def forward_lanes(
-    pl: np.ndarray, params: PHMMParams, mode: str, band: BandSpec | None
+    pl: np.ndarray,
+    params: PHMMParams,
+    mode: str,
+    band: BandSpec | None,
+    state: np.ndarray,
+    log_scale: np.ndarray,
 ) -> ForwardResult:
     """The forward pass over validated lane-major emissions ``(N, M, B)``
-    (no counters: callers charge per batch, not per lane tile)."""
+    (no counters: callers charge per batch, not per lane tile).
+
+    ``state`` ``(N+1, 3, M+1, B)`` and ``log_scale`` ``(N+1, B)`` must be
+    zeroed, or hold an earlier pass of this shape, mode and band: a pass
+    writes the same cells whatever the emissions, so they need no clearing.
+    """
     sweep = _Sweep(pl, params, mode, band)
     N, M, B = pl.shape
-    state = np.zeros((N + 1, 3, M + 1, B))
-    log_scale = np.zeros((N + 1, B))
     lo, hi = sweep.bounds(0)
     if mode == "semiglobal":
         # Free genome prefix: the read may begin at any in-band column.
@@ -332,7 +340,9 @@ def forward_batch(
     pl = _check_inputs(pstar, mode, band)
     N, M, B = pl.shape
     charge_pass("forward", B, N, M, band)
-    return forward_lanes(pl, params, mode, band)
+    return forward_lanes(
+        pl, params, mode, band, np.zeros((N + 1, 3, M + 1, B)), np.zeros((N + 1, B))
+    )
 
 
 def backward_rows(

@@ -83,32 +83,42 @@ class RowDeposit:
     column range, and only those columns are touched (the products are exact
     zeros elsewhere).  ``occupancy``/``match`` switch on the outputs no
     default caller reads; ``band`` keeps the cells :meth:`edge_mass` sums.
+    The buffers are cut once for ``(N, M, B)``; :meth:`begin` starts a batch
+    in them, so equal lane tiles share one deposit.
     """
 
     def __init__(
         self,
-        pwms: np.ndarray,
-        fwd: ForwardResult,
+        N: int,
+        M: int,
+        B: int,
         band: BandSpec | None = None,
         occupancy: bool = False,
         match: bool = False,
     ) -> None:
-        B, N, M = fwd.fM.shape[0], fwd.fM.shape[1] - 1, fwd.fM.shape[2] - 1
-        self.pwms = np.ascontiguousarray(pwms.transpose(1, 2, 0))  # (N, 4, B)
+        self.pwms = np.empty((N, 4, B))
+        self.z = np.empty((5, M, B))
+        self.occ = np.empty((M, B)) if occupancy else None
+        self.match = np.empty((N, M, B)) if match else None
+        self.band = band
+        self.factor = np.empty(B)
+        self.pm, self.pg = np.empty((2, M, B))
+        self.split = np.empty((4, M, B))
+
+    def begin(self, pwms: np.ndarray, fwd: ForwardResult) -> None:
+        """Start on a batch of the shape the buffers were cut for: its
+        ``(B, N, 4)`` PWMs and forward pass; the sums restart from zero."""
+        np.copyto(self.pwms, pwms.transpose(1, 2, 0))
         self.fM, self.fGY = fwd.fM.transpose(1, 2, 0), fwd.fGY.transpose(1, 2, 0)
         self.f_scale = fwd.log_scale.T
         # Dead pairs (loglik = -inf) get factor 0, hence all-zero masses.
         self.alive = np.isfinite(fwd.loglik)
         self.loglik = np.where(self.alive, fwd.loglik, 0.0)
         self.result_loglik = fwd.loglik
-        self.z = np.zeros((5, M, B))
-        self.occ = np.zeros((M, B)) if occupancy else None
-        self.match = np.zeros((N, M, B)) if match else None
-        self.band = band
+        for total in (self.z, self.occ, self.match):
+            if total is not None:
+                total.fill(0.0)
         self.edge_cells: list[np.ndarray] = []
-        self.factor = np.empty(B)
-        self.pm, self.pg = np.empty((2, M, B))
-        self.split = np.empty((4, M, B))
 
     def add_row(
         self, i: int, lo: int, hi: int, bM: np.ndarray, bGY: np.ndarray, b_scale: np.ndarray
@@ -187,7 +197,8 @@ def posteriors_batch(
     B, N, M = np.shape(pstar)
     if fwd.fM.shape != (B, N + 1, M + 1):
         raise AlignmentError("forward result does not match pstar shape")
-    deposit = RowDeposit(np.asarray(pwms, dtype=np.float64), fwd, occupancy=True, match=True)
+    deposit = RowDeposit(N, M, B, occupancy=True, match=True)
+    deposit.begin(np.asarray(pwms, dtype=np.float64), fwd)
     bM, bGY = bwd.bM.transpose(1, 2, 0), bwd.bGY.transpose(1, 2, 0)
     for i in range(N, -1, -1):
         deposit.add_row(i, 0, M, bM[i], bGY[i], bwd.log_scale[:, i])

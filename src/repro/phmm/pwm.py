@@ -25,24 +25,26 @@ def pwm_from_read(read: Read) -> np.ndarray:
 
 
 def pwm_from_codes(codes: np.ndarray, error_probs: np.ndarray) -> np.ndarray:
-    """PWM from raw codes and per-base error probabilities.
+    """PWMs from raw codes and per-base error probabilities.
 
-    Raises :class:`SequenceError` on shape mismatch, out-of-range
-    probabilities, or N bases (reads never contain N in this pipeline).
+    ``(..., N)`` codes and probabilities give ``(..., N, 4)``: one read, or a
+    block of equal-length reads at once.  Raises :class:`SequenceError` on
+    shape mismatch, probabilities outside ``[0, 1]`` (NaN included), or N
+    bases (reads never contain N in this pipeline).
     """
     codes = np.asarray(codes)
     errs = np.asarray(error_probs, dtype=np.float64)
-    if codes.shape != errs.shape or codes.ndim != 1:
-        raise SequenceError("codes and error_probs must be equal-length 1-D")
+    if codes.shape != errs.shape or codes.ndim < 1:
+        raise SequenceError("codes and error_probs must have one shape (..., N)")
     if codes.size == 0:
         raise SequenceError("cannot build a PWM for an empty read")
     if (codes > 3).any():
         raise SequenceError("reads must not contain N bases")
-    if (errs < 0).any() or (errs > 1).any():
+    if not ((errs >= 0) & (errs <= 1)).all():
         raise SequenceError("error probabilities must lie in [0, 1]")
-    n = codes.size
-    pwm = np.tile((errs / 3.0)[:, None], (1, 4))
-    pwm[np.arange(n), codes] = 1.0 - errs
+    pwm = np.empty(codes.shape + (4,))
+    pwm[...] = (errs / 3.0)[..., None]
+    pwm.reshape(-1, 4)[np.arange(codes.size), codes.ravel()] = (1.0 - errs).ravel()
     return pwm
 
 
@@ -52,12 +54,7 @@ def flat_pwm(codes: np.ndarray) -> np.ndarray:
     Used by the quality-awareness ablation — this is what a mapper that
     ignores quality scores effectively assumes.
     """
-    codes = np.asarray(codes)
-    if (codes > 3).any():
-        raise SequenceError("reads must not contain N bases")
-    pwm = np.zeros((codes.size, 4))
-    pwm[np.arange(codes.size), codes] = 1.0
-    return pwm
+    return pwm_from_codes(codes, np.zeros(np.shape(codes)))
 
 
 def reverse_complement_pwm(pwm: np.ndarray) -> np.ndarray:

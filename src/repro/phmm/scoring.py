@@ -74,14 +74,17 @@ def group_normalize(
         raise AlignmentError("logliks and group_ids must be equal-length 1-D")
     if logliks.size == 0:
         return np.zeros(0)
+    if not 0.0 <= min_ratio < 1.0:
+        raise AlignmentError(f"min_ratio must be in [0, 1), got {min_ratio}")
     change = np.nonzero(np.diff(group_ids) != 0)[0] + 1
-    starts = np.concatenate([[0], change, [logliks.size]])
-    seen: set = set()
-    out = np.zeros_like(logliks)
-    for a, b in zip(starts[:-1], starts[1:]):
-        gid = group_ids[a]
-        if gid in seen:
-            raise AlignmentError("group_ids must be contiguous per read")
-        seen.add(gid)
+    starts = np.concatenate([[0], change])
+    stops = np.concatenate([change, [logliks.size]])
+    if np.unique(group_ids[starts]).size != starts.size:
+        raise AlignmentError("group_ids must be contiguous per read")
+    # A read's only candidate weighs exactly 1.0, or 0.0 when impossible;
+    # the per-group arithmetic runs where there is something to share.
+    out = np.isfinite(logliks).astype(np.float64)
+    multi = stops - starts > 1
+    for a, b in zip(starts[multi].tolist(), stops[multi].tolist()):
         out[a:b] = normalize_location_weights(logliks[a:b], min_ratio=min_ratio)
     return out

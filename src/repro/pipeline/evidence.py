@@ -17,12 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import AlignmentError
-from repro.genome.fastq import Read
+from repro.genome.fastq import ERROR_PROBABILITY, Read
 from repro.index.seeding import CandidateRegion
 from repro.memory.base import Accumulator
 from repro.phmm.alignment import align_batch, align_batch_banded, build_windows
 from repro.phmm.forward_backward import emissions_batch
-from repro.phmm.pwm import flat_pwm, pwm_from_read, reverse_complement_pwm
+from repro.phmm.pwm import flat_pwm, pwm_from_codes
 from repro.phmm.viterbi import viterbi_align
 from repro.pipeline.config import PipelineConfig
 
@@ -31,14 +31,15 @@ class PairStack:
     """Equal-length (read, candidate) pairs awaiting one kernel call."""
 
     def __init__(self) -> None:
-        self.pwms: list[np.ndarray] = []
+        self.reads: list[Read] = []
+        self.rows: list[int] = []  # per pair: its read's index in ``reads``
         self.starts: list[int] = []
         self.strands: list[int] = []
         self.centers: list[int] = []
         self.groups: list[int] = []
 
     def __len__(self) -> int:
-        return len(self.pwms)
+        return len(self.starts)
 
     def add_read(
         self,
@@ -47,21 +48,11 @@ class PairStack:
         cfg: PipelineConfig,
         group: int,
     ) -> None:
-        """Append one pair per candidate; ``group`` ties them to their read.
-
-        The forward PWM is built once per read and its reverse complement at
-        most once, however many candidates share them.
-        """
-        pwm_fwd = pwm_from_read(read) if cfg.quality_aware else flat_pwm(read.codes)
-        pwm_rc: np.ndarray | None = None
+        """Append one pair per candidate; ``group`` ties them to their read."""
+        row = len(self.reads)
+        self.reads.append(read)
         for cand in candidates:
-            if cand.strand == 1:
-                pwm = pwm_fwd
-            else:
-                if pwm_rc is None:
-                    pwm_rc = reverse_complement_pwm(pwm_fwd)
-                pwm = pwm_rc
-            self.pwms.append(pwm)
+            self.rows.append(row)
             self.starts.append(cand.start)
             self.strands.append(cand.strand)
             # Window column the read's first base is expected at: windows
@@ -69,6 +60,22 @@ class PairStack:
             # pad unless the seeder clamped start.
             self.centers.append(cfg.pad + (cand.band_diagonal - cand.start))
             self.groups.append(group)
+
+    def pwms(self, quality_aware: bool) -> np.ndarray:
+        """The pairs' ``(B, N, 4)`` PWMs: the stack's reads converted as one
+        block, a row gathered per pair, reverse-strand pairs
+        reverse-complemented (both trailing axes flipped)."""
+        codes = np.stack([read.codes for read in self.reads])
+        if quality_aware:
+            block = pwm_from_codes(
+                codes, ERROR_PROBABILITY[np.stack([read.quals for read in self.reads])]
+            )
+        else:
+            block = flat_pwm(codes)
+        pwms = block[self.rows]
+        reverse = np.asarray(self.strands) != 1
+        pwms[reverse] = pwms[reverse, ::-1, ::-1]
+        return pwms
 
 
 @dataclass
@@ -94,7 +101,7 @@ def cut_windows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(pwms, starts, windows, valid)`` of a non-empty stack: each window
     spans its read plus ``cfg.pad`` columns either side."""
-    pwms = np.stack(stack.pwms)
+    pwms = stack.pwms(cfg.quality_aware)
     starts = np.asarray(stack.starts, dtype=np.int64)
     windows, valid = build_windows(
         genome_codes, starts - cfg.pad, pwms.shape[1] + 2 * cfg.pad

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.calling.caller as caller_module
 from repro.calling.caller import CallerConfig, SNPCaller
 from repro.calling.negative_multinomial import sample_alternative, sample_null
+from repro.calling.records import BaseCall, SNPCall
 from repro.errors import CallingError
 from repro.genome.alphabet import GAP, N, encode
+from repro.genome.regions import RegionSet
 
 
 def z_matrix(rows):
@@ -129,6 +135,138 @@ class TestSnps:
         z[4] = [20.0, 0.1, 0.1, 0.1, 0]
         snps = caller.snps(z, ref)
         assert any(s.pos == 4 for s in snps)
+
+
+def snps_by_loop(caller, z, reference_codes, positions=None, regions=None):
+    """The per-record filter ``snps`` was before it became one predicate over
+    the LRT arrays: every eligible position's ``BaseCall``, one at a time."""
+    reference_codes = np.asarray(reference_codes)
+    out = []
+    for call in caller.base_calls(z, positions):
+        if regions is not None and call.pos not in regions:
+            continue
+        if not call.significant:
+            continue
+        if call.pos >= reference_codes.size:
+            raise CallingError(f"call at {call.pos} beyond reference")
+        ref = int(reference_codes[call.pos])
+        if ref == N:
+            continue
+        genotype = call.genotype
+        if GAP in genotype and not caller.config.call_gaps:
+            continue
+        if genotype != (ref,):
+            out.append(SNPCall(pos=call.pos, ref_base=ref, call=call))
+    return out
+
+
+def mixed_evidence(rng, length):
+    """An accumulator with every kind of row the predicate must tell apart:
+    reference-dominant background, alternate-dominant SNPs, 50/50 hets (with
+    and without the reference allele, and with the gap), deletions,
+    undecided rows and rows below ``min_depth``; the reference carries N."""
+    ref = rng.integers(0, 4, length).astype(np.uint8)
+    ref[rng.random(length) < 0.1] = N
+    z = rng.uniform(0.0, 0.3, (length, 5))
+    kind = rng.integers(0, 8, length)
+    rows = np.arange(length)
+    depth = rng.uniform(6.0, 30.0, length)
+    safe_ref = np.minimum(ref, 3)
+    alt = (safe_ref + rng.integers(1, 4, length)) % 4
+    z[rows, safe_ref] += np.where(kind <= 1, depth, 0.0)           # background
+    z[rows, alt] += np.where(kind == 2, depth, 0.0)                # hom SNP
+    z[rows, safe_ref] += np.where(kind == 3, depth / 2, 0.0)       # ref/alt het
+    z[rows, alt] += np.where(kind == 3, depth / 2, 0.0)
+    z[rows, GAP] += np.where(kind == 4, depth, 0.0)                # deletion
+    z[rows, alt] += np.where(kind == 5, depth / 2, 0.0)            # alt/gap het
+    z[rows, GAP] += np.where(kind == 5, depth / 2, 0.0)
+    z[kind == 6] = rng.uniform(1.0, 2.0, (int((kind == 6).sum()), 5))  # undecided
+    z[kind == 7] *= 0.5                                            # below min_depth
+    return z, ref
+
+
+class TestSnpsAgainstPerRecordOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        ploidy=st.sampled_from([1, 2]),
+        method=st.sampled_from(["bonferroni", "fdr"]),
+        call_gaps=st.booleans(),
+        use_regions=st.booleans(),
+        segment=st.booleans(),
+    )
+    def test_snps_equal_filtered_base_calls(
+        self, seed, ploidy, method, call_gaps, use_regions, segment
+    ):
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(1, 400))
+        z, ref = mixed_evidence(rng, length)
+        caller = SNPCaller(CallerConfig(ploidy=ploidy, method=method, call_gaps=call_gaps))
+        regions = None
+        if use_regions:
+            cuts = np.sort(rng.integers(0, length + 1, 6))
+            regions = RegionSet(
+                [(int(a), int(b)) for a, b in zip(cuts[::2], cuts[1::2]) if b > a]
+            )
+        positions = None
+        if segment:
+            lo = int(rng.integers(0, length))
+            z, positions = z[lo:], np.arange(lo, length)
+        got = caller.snps(z, ref, positions, regions)
+        assert got == snps_by_loop(caller, z, ref, positions, regions)
+        assert all(type(s.ref_base) is int and type(s.pos) is int for s in got)
+
+    def test_depth_is_the_row_sum_bit_for_bit(self):
+        """Depth is summed channel by channel; it must be ``z.sum(axis=1)``."""
+        rng = np.random.default_rng(9)
+        z = rng.uniform(0.0, 40.0, (5000, 5))
+        z[::3] = z[::3].astype(np.float32)  # what a float32 accumulator hands over
+        calls = SNPCaller(CallerConfig(min_depth=0.0)).base_calls(z)
+        assert [c.depth for c in calls] == z.sum(axis=1).tolist()
+
+    @pytest.mark.parametrize("ploidy", [1, 2])
+    def test_nothing_eligible(self, ploidy):
+        caller = SNPCaller(CallerConfig(ploidy=ploidy, method="fdr"))
+        assert caller.snps(np.zeros((7, 5)), encode("ACGTACG")) == []
+        assert caller.base_calls(np.zeros((0, 5))) == []
+
+    def test_only_reportable_positions_must_lie_on_the_reference(self):
+        """An out-of-range position raises only where the old loop reached the
+        reference lookup: significant and inside ``regions``."""
+        caller = SNPCaller()
+        z = np.array([[15.0, 0, 0, 0, 0], [2.0, 2.0, 2.0, 2.0, 2.0], [15.0, 0, 0, 0, 0]])
+        ref = encode("CC")
+        positions = np.array([0, 50, 60])
+        with pytest.raises(CallingError, match="call at 60 beyond reference of 2"):
+            caller.snps(z, ref, positions)
+        inside = RegionSet([(0, 55)])
+        assert [s.pos for s in caller.snps(z, ref, positions, inside)] == [0]
+
+    def test_records_are_built_for_calls_not_for_the_genome(self, monkeypatch):
+        """100 kbp of well-covered reference-matching evidence with 5 planted
+        SNPs: ``snps`` constructs a ``BaseCall`` per SNP, ``base_calls`` one
+        per position."""
+        rng = np.random.default_rng(5)
+        length = 100_000
+        ref = rng.integers(0, 4, length).astype(np.uint8)
+        z = rng.uniform(0.0, 0.2, (length, 5))
+        z[np.arange(length), ref] += 12.0
+        planted = np.array([17, 20_000, 43_210, 77_777, 99_999])
+        z[planted] = 0.1
+        z[planted, (ref[planted] + 1) % 4] += 12.0
+
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return BaseCall(*args, **kwargs)
+
+        monkeypatch.setattr(caller_module, "BaseCall", counting)
+        snps = SNPCaller().snps(z, ref)
+        assert [s.pos for s in snps] == planted.tolist()
+        assert len(built) <= 2 * planted.size
+        built.clear()
+        assert len(SNPCaller().base_calls(z)) == length == len(built)
 
 
 class TestStatisticalBehaviour:

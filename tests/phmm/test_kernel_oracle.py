@@ -189,19 +189,31 @@ def _solo_band(band, n, m):
     return None if band is None else BandSpec(n=n, m=m, center=band[0], width=band[1])
 
 
+def _random_case(b, n, m, seed):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 4, (b, n)).astype(np.uint8)
+    pwms = np.stack([pwm_from_codes(c, rng.uniform(0.0, 0.5, n)) for c in codes])
+    return pwms, rng.integers(0, 5, (b, m)).astype(np.uint8)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
-    case=batch_case(),
+    case=batch_case(b_max=7),
     params=params_strategy(),
     mode=st.sampled_from(MODES),
     band=st.one_of(st.none(), st.tuples(st.integers(-2, 6), st.integers(1, 3))),
 )
 @edge_examples(band=None)
 @edge_examples(band=(1, 1))
+@example(case=_random_case(5, 6, 9, 11), params=PHMMParams(), mode="semiglobal", band=None)
+@example(case=_random_case(5, 6, 9, 12), params=PHMMParams(), mode="global", band=(2, 2))
+@example(case=_random_case(7, 4, 7, 13), params=PHMMParams(), mode="semiglobal", band=(1, 1))
 def test_batching_is_not_load_bearing(case, params, mode, band):
     """Each pair's result — forward matrices and the evidence the streamed
     drivers deposit — is identical whether aligned in a batch or alone, and
-    wherever the lane-tile boundaries fall."""
+    wherever the lane-tile boundaries fall: under the 2-lane tile here, 5 and
+    7 pairs are three and four tiles sharing one workspace, the last one
+    narrower and on its own."""
     pwms, windows = case
     B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
     band = _solo_band(band, N, M)
@@ -237,15 +249,13 @@ def _bands(n, m):
     }
 
 
-def _random_case(b, n, m, seed):
-    rng = np.random.default_rng(seed)
-    codes = rng.integers(0, 4, (b, n)).astype(np.uint8)
-    pwms = np.stack([pwm_from_codes(c, rng.uniform(0.0, 0.5, n)) for c in codes])
-    return pwms, rng.integers(0, 5, (b, m)).astype(np.uint8)
-
-
-#: EDGE_CASES are B = 2; the two random cases span a lane-tile boundary.
-ORACLE_CASES = EDGE_CASES + (_random_case(5, 12, 17, 1), _random_case(TILE + 3, 7, 9, 2))
+#: EDGE_CASES are B = 2; the random cases span lane-tile boundaries (under
+#: the test's 2-lane tile: 3, 4 and 98 tiles, the last a single pair).
+ORACLE_CASES = EDGE_CASES + (
+    _random_case(5, 12, 17, 1),
+    _random_case(TILE + 3, 7, 9, 2),
+    _random_case(7, 5, 8, 3),
+)
 
 
 @pytest.mark.parametrize("band_kind", ("none", "covering", "narrow", "off_left", "off_right"))
@@ -285,10 +295,20 @@ def test_lane_major_kernels_reproduce_parent_bitwise(case, mode, band_kind):
             band_edge_mass(post.match_posterior, band),
             parent_kernels.band_edge(want_p["match_posterior"], band),
         )
+    # The streamed driver, its tiles reusing one workspace, deposits the
+    # materialised result bit for bit.
+    with mock.patch.object(alignment, "_LANE_TILE", 2):
+        z, loglik, edge = alignment._align_streamed(
+            pwms, windows, params, mode, "mass", band, want_edge=band is not None
+        )
+    np.testing.assert_array_equal(z, z_vectors(post))
+    np.testing.assert_array_equal(loglik, want_f["loglik"])
+    if band is not None:
+        np.testing.assert_array_equal(edge, band_edge_mass(post.match_posterior, band))
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("b", (1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3))
+@pytest.mark.parametrize("b", (1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3, 2 * TILE + 5))
 def test_streamed_alignment_equals_unrolled_public_calls(b, mode):
     """The ledger replay's contract: ``align_batch`` deposits exactly what
     ``emissions -> forward -> backward -> posteriors -> z_vectors`` and

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AlignmentError
 from repro.phmm.scoring import group_normalize, normalize_location_weights
@@ -80,3 +82,59 @@ class TestGroupNormalize:
         w = group_normalize(logliks, groups)
         assert np.allclose(w[:4], normalize_location_weights(logliks[:4]))
         assert np.allclose(w[4:], normalize_location_weights(logliks[4:]))
+
+
+@st.composite
+def grouped_logliks(draw):
+    """Contiguous groups of 1-40 candidates (singletons common, as in the
+    pipeline; >= 8 members reaches NumPy's pairwise summation), with
+    ``-inf`` members and all-``-inf`` groups."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sizes = draw(
+        st.lists(
+            st.one_of(st.just(1), st.integers(min_value=1, max_value=40)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    logliks = rng.uniform(-60.0, -1.0, sum(sizes))
+    dead = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    logliks[rng.random(logliks.size) < dead] = -np.inf
+    ids = rng.permutation(len(sizes) + 5)[: len(sizes)]  # distinct, unsorted
+    return logliks, np.repeat(ids, sizes), sizes
+
+
+class TestGroupNormalizeAgainstPerGroupOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_logliks(), st.sampled_from([0.0, 1e-6, 1e-2, 0.5]))
+    def test_bitwise_equal_to_per_group_calls(self, case, min_ratio):
+        logliks, groups, sizes = case
+        want = np.concatenate(
+            [
+                normalize_location_weights(part, min_ratio=min_ratio)
+                for part in np.split(logliks, np.cumsum(sizes)[:-1])
+            ]
+        )
+        np.testing.assert_array_equal(
+            group_normalize(logliks, groups, min_ratio=min_ratio), want
+        )
+
+    def test_all_dead_large_group_and_nan(self):
+        logliks = np.array([-np.inf] * 9 + [np.nan] + [-3.0])
+        groups = np.array([4] * 9 + [2] + [7])
+        np.testing.assert_array_equal(
+            group_normalize(logliks, groups), np.array([0.0] * 10 + [1.0])
+        )
+
+    def test_validation_does_not_depend_on_group_sizes(self):
+        """All-singleton input never reaches the per-group call, which used
+        to be where ``min_ratio`` and contiguity were checked."""
+        singles = np.arange(4)
+        with pytest.raises(AlignmentError, match="min_ratio"):
+            group_normalize(np.zeros(4), singles, min_ratio=1.5)
+        with pytest.raises(AlignmentError, match="min_ratio"):
+            group_normalize(np.zeros(4), singles, min_ratio=-0.1)
+        with pytest.raises(AlignmentError, match="contiguous"):
+            group_normalize(np.zeros(4), np.array([0, 1, 2, 0]))
+        with pytest.raises(AlignmentError, match="contiguous"):
+            group_normalize(np.zeros(5), np.array([3, 3, 1, 3, 3]))
