@@ -169,14 +169,20 @@ class MetricsRegistry:
             self.parent.record_span(path, seconds, count)
 
     def absorb(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a worker/rank snapshot into this registry (and the tee)."""
+        """Fold a worker/rank snapshot into this registry (and the tee),
+        its span tree grafted under the calling thread's open span path."""
+        from repro.observability.spans import current_path  # imports us
+
+        spans = snapshot.spans
+        for name in reversed(current_path()):
+            spans = {name: {"seconds": 0.0, "count": 0, "children": spans}}
         with self._lock:
             for k, v in snapshot.counters.items():
                 self._counters[k] = self._counters.get(k, 0) + v
             for k, v in snapshot.gauges.items():
                 if k not in self._gauges or v > self._gauges[k]:
                     self._gauges[k] = v
-            self._spans = _merge_span_trees(self._spans, snapshot.spans)
+            self._spans = _merge_span_trees(self._spans, spans)
             for k, h in snapshot.histograms.items():
                 hist = self._histograms.get(k)
                 if hist is None:

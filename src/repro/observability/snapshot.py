@@ -285,7 +285,9 @@ class MetricsSnapshot:
         return totals
 
     def total_span_seconds(self) -> float:
-        """Sum of the top-level spans (children are nested inside them)."""
+        """Sum of the top-level spans (children are nested inside them; the
+        children of a pool run's ``map_parallel`` are worker-summed CPU
+        seconds, so they may exceed it — the roots stay within wall)."""
         return sum(node["seconds"] for node in self.spans.values())
 
     # -- plain-dict codec (JSON, explicit pickling) --------------------------

@@ -127,12 +127,12 @@ def _init_pool_worker(
     # Handles must stay alive as long as the views (closing unmaps the
     # buffer); the worker holds them for its lifetime and never unlinks —
     # the publishing parent owns unlink (see repro.parallel.shm).
-    _WORKER["pipe"] = pipe  # replint: disable=RPL301,RPL801
-    _WORKER["config"] = config  # replint: disable=RPL301,RPL801
-    _WORKER["faults"] = fault_plan  # replint: disable=RPL301,RPL801
-    _WORKER["shm_handles"] = handles  # replint: disable=RPL301,RPL801
+    _WORKER["pipe"] = pipe  # replint: disable=RPL301
+    _WORKER["config"] = config  # replint: disable=RPL301
+    _WORKER["faults"] = fault_plan  # replint: disable=RPL301
+    _WORKER["shm_handles"] = handles  # replint: disable=RPL301
     # One-shot attach cost; the next _map_chunk pops it into its snapshot.
-    _WORKER["attach_seconds"] = time.perf_counter() - started  # replint: disable=RPL301,RPL801
+    _WORKER["attach_seconds"] = time.perf_counter() - started  # replint: disable=RPL301
 
 
 def _map_chunk(
@@ -155,7 +155,7 @@ def _map_chunk(
     # detached(): forked workers inherit the parent's open span path (spawned
     # ones don't) — root the chunk's spans either way.
     with detached(), scope() as reg:
-        attach = _WORKER.pop("attach_seconds", None)  # replint: disable=RPL301,RPL801
+        attach = _WORKER.pop("attach_seconds", None)  # replint: disable=RPL301
         if attach is not None:
             # Ships home with this worker's first chunk snapshot.
             reg.observe("mp.worker_attach_seconds", float(attach))

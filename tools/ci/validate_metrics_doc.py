@@ -1,0 +1,46 @@
+"""Validate the ``repro.metrics/v2`` document of a pooled ``repro call``.
+
+    PYTHONPATH=src python tools/ci/validate_metrics_doc.py metrics.json
+
+Run from the directory the call ran in: the read count is checked against
+the FASTQ named by the manifest's recorded command line.  CI's
+``metrics-smoke`` job calls this after a ``--workers 2`` run.
+"""
+
+import json
+import sys
+
+from repro.observability import read_metrics_json
+
+
+def main(path: str) -> None:
+    with open(path) as fh:
+        doc = json.load(fh)
+    assert doc["schema"] == "repro.metrics/v2", doc["schema"]
+    assert set(doc) == {"schema", "counters", "gauges", "histograms",
+                        "spans", "totals", "manifest"}
+    assert doc["manifest"]["schema"] == "repro.manifest/v1"
+    assert doc["manifest"]["workers"] == 2
+    assert doc["histograms"]["mp.chunk_map_seconds"]["count"] > 0
+
+    snap = read_metrics_json(path)
+    with open(doc["manifest"]["argv"][2]) as fh:  # call <ref> <reads> ...
+        n_reads = sum(1 for _ in fh) // 4
+    assert snap.counters["pipeline.reads"] == n_reads
+    assert snap.counters["phmm.forward_cells"] > 0
+    assert snap.counters["index.builds"] == 1
+    # The CLI's parallel path is the persistent shared-memory pool: workers
+    # attach the published genome+index instead of rebuilding (hence
+    # index.builds == 1 above).
+    assert snap.gauges["mp.shm_bytes"] > 0
+    # Worker trees hang under the span that dispatched them, so the roots
+    # (what totals.span_seconds sums) count the mapping once.
+    assert "map_reads" not in snap.spans, sorted(snap.spans)
+    assert snap.span_seconds("map_parallel/map_reads") > 0
+    print(f"metrics smoke OK: {n_reads} reads, "
+          f"{snap.counters['phmm.forward_cells']:,} DP cells, "
+          f"{snap.total_span_seconds():.2f}s spanned")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])

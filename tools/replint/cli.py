@@ -8,25 +8,24 @@ from __future__ import annotations
 import argparse
 import sys
 import textwrap
-import time
 
 from replint import __version__
 from replint.config import load_config
 from replint.engine import iter_python_files, lint_paths
-from replint.findings import render_json, render_sarif, render_text
-from replint.rules import ALL_RULES, KNOWN_RULE_IDS, PROJECT_RULES
+from replint.findings import render_sarif, render_text
+from replint.rules import ALL_RULES, KNOWN_RULE_IDS
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="replint",
         description="repro's domain-specific static analyser "
-        "(numerical-domain, RNG, multiprocessing and exception hygiene; "
-        "per-file rules plus interprocedural project passes)",
+        "(numerical-domain, RNG, multiprocessing, exception and metric-name "
+        "hygiene; every rule sees one file)",
     )
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
-    parser.add_argument("--format", choices=["text", "json", "sarif"],
+    parser.add_argument("--format", choices=["text", "sarif"],
                         default="text",
                         help="output format (default: text; sarif for "
                         "GitHub code-scanning upload)")
@@ -34,15 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rule IDs to run (default: all)")
     parser.add_argument("--config", default=None, metavar="PYPROJECT",
                         help="pyproject.toml to read [tool.replint] from")
-    parser.add_argument("--no-project", action="store_true",
-                        help="skip the interprocedural project passes "
-                        "(symbol table / call graph / dataflow)")
     parser.add_argument("--audit-suppressions", action="store_true",
                         help="also report suppression comments that matched "
                         "no finding (RPL900)")
-    parser.add_argument("--stats", action="store_true",
-                        help="print files/findings/wall-seconds to stderr "
-                        "(machine-greppable: 'replint-stats: ...')")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     parser.add_argument("--version", action="version",
@@ -53,12 +46,10 @@ def build_parser() -> argparse.ArgumentParser:
 def list_rules() -> str:
     """Human-readable rule catalogue from the registry docstrings."""
     blocks = []
-    for rule in list(ALL_RULES) + list(PROJECT_RULES):
+    for rule in ALL_RULES:
         doc = textwrap.dedent(type(rule).__doc__ or "").strip()
-        scope = " (project pass)" if hasattr(rule, "check_project") else ""
         blocks.append(
-            f"{rule.rule_id} [{rule.rule_name}]{scope}\n"
-            f"{textwrap.indent(doc, '    ')}"
+            f"{rule.rule_id} [{rule.rule_name}]\n{textwrap.indent(doc, '    ')}"
         )
     return "\n\n".join(blocks)
 
@@ -85,35 +76,15 @@ def main(argv: "list[str] | None" = None) -> int:
             return 2
         config = type(config)(**{**vars(config), "select": ids})
 
-    files = iter_python_files(args.paths)
-    if not files:
+    if not iter_python_files(args.paths):
         print(f"replint: no Python files under {args.paths}", file=sys.stderr)
         return 2
 
-    started = time.perf_counter()
-    findings = lint_paths(
-        args.paths,
-        config,
-        project=not args.no_project,
-        audit=args.audit_suppressions,
-    )
-    elapsed = time.perf_counter() - started
-    n_checked = sum(1 for f in files if not config.is_excluded(f.as_posix()))
-    if args.stats:
-        # One stable line for CI to grep and budget against.
-        print(
-            f"replint-stats: files={n_checked} findings={len(findings)} "
-            f"seconds={elapsed:.2f} project={'off' if args.no_project else 'on'}",
-            file=sys.stderr,
-        )
-    if args.format == "json":
-        print(render_json(findings, n_checked, __version__))
-    elif args.format == "sarif":
+    findings = lint_paths(args.paths, config, audit=args.audit_suppressions)
+    if args.format == "sarif":
         print(render_sarif(findings, __version__))
-    else:
-        text = render_text(findings)
-        if text:
-            print(text)
+    elif findings:
+        print(render_text(findings))
     return 1 if findings else 0
 
 

@@ -1,13 +1,11 @@
-"""File walking, per-line suppressions, rule dispatch and project passes.
+"""One pass over one file: parse, run the rules, apply suppressions, audit.
 
-Per-file rules see one parsed file at a time (:func:`lint_source`); the
-project passes (:data:`replint.rules.PROJECT_RULES`) run once over the
-whole file set with a symbol table and call graph
-(:class:`replint.dataflow.ProjectContext`), which is what lets them follow
-a log-domain array or a worker-global mutation across module boundaries.
-Both kinds of finding honour the same per-line
-``# replint: disable=RPLxxx`` suppressions; ``audit=True`` additionally
-reports suppressions that matched nothing (RPL900).
+Every rule sees one parsed file (:class:`~replint.rules.base.FileContext`);
+nothing is shared between files, so linting a tree (:func:`lint_paths`) is
+linting each of its files (:func:`lint_file`) and sorting the result.
+Individual lines opt out with ``# replint: disable=RPLxxx`` comments;
+``audit=True`` additionally reports suppressions that matched nothing
+(RPL900).
 """
 
 from __future__ import annotations
@@ -16,12 +14,11 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from replint.config import ReplintConfig
 from replint.findings import Finding
-from replint.rules import ALL_RULES, PROJECT_RULES
+from replint.rules import ALL_RULES
 from replint.rules.base import FileContext, numpy_aliases
 
 _SUPPRESS_RE = re.compile(r"#\s*replint:\s*disable=([A-Za-z0-9_,\s]+)")
@@ -65,133 +62,83 @@ def _error_finding(path: str, line: int, col: int, message: str) -> Finding:
     )
 
 
-@dataclass
-class _LintedFile:
-    """One file's per-file results before suppression filtering."""
+def lint_source(
+    source: str,
+    path: str,
+    config: "ReplintConfig | None" = None,
+    *,
+    audit: bool = False,
+) -> list[Finding]:
+    """Lint one file's source text.
 
-    path: str
-    ctx: "FileContext | None"  # None when the file could not be parsed/read
-    findings: list[Finding] = field(default_factory=list)
-    suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
-
-
-def _lint_one(source: str, path: str, config: ReplintConfig) -> _LintedFile:
+    ``path`` is used for reporting and path-scoped configuration.  With
+    ``audit`` every suppression ID on a line where no such finding was
+    raised is itself reported (RPL900).
+    """
+    config = config or ReplintConfig()
     posix = Path(path).as_posix()
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        finding = _error_finding(
-            posix, exc.lineno or 1, (exc.offset or 1) - 1,
-            f"cannot parse file: {exc.msg}",
-        )
-        return _LintedFile(path=posix, ctx=None, findings=[finding])
+        return [
+            _error_finding(
+                posix, exc.lineno or 1, (exc.offset or 1) - 1,
+                f"cannot parse file: {exc.msg}",
+            )
+        ]
     ctx = FileContext(
         path=posix,
         tree=tree,
-        source=source,
         config=config,
         numpy_aliases=numpy_aliases(tree),
     )
-    out = _LintedFile(path=posix, ctx=ctx, suppressions=parse_suppressions(source))
+    suppressions = parse_suppressions(source)
+    used: set[tuple[int, str]] = set()
+    findings: list[Finding] = []
     for rule in ALL_RULES:
         if not config.rule_selected(rule.rule_id):
             continue
-        out.findings.extend(rule.check(ctx))
-    return out
-
-
-def _apply_suppressions(
-    files: "dict[str, _LintedFile]",
-    findings: "list[Finding]",
-    used: "dict[tuple[str, int], set[str]]",
-) -> list[Finding]:
-    kept: list[Finding] = []
-    for finding in findings:
-        linted = files.get(finding.path)
-        ids = (
-            linted.suppressions.get(finding.line, frozenset())
-            if linted is not None
-            else frozenset()
-        )
-        if "all" in ids or finding.rule_id in ids:
-            hit = "all" if "all" in ids and finding.rule_id not in ids else finding.rule_id
-            used.setdefault((finding.path, finding.line), set()).add(hit)
-            continue
-        kept.append(finding)
-    return kept
-
-
-def _audit_findings(
-    files: "dict[str, _LintedFile]", used: "dict[tuple[str, int], set[str]]"
-) -> list[Finding]:
-    """RPL900 for every suppression ID that matched no finding."""
-    out: list[Finding] = []
-    for linted in files.values():
-        for line, ids in sorted(linted.suppressions.items()):
-            for rid in sorted(ids):
-                if rid in used.get((linted.path, line), set()):
-                    continue
-                out.append(
-                    Finding(
-                        path=linted.path,
-                        line=line,
-                        col=0,
-                        rule_id="RPL900",
-                        rule_name="unused-suppression",
-                        message=(
-                            f"suppression {rid!r} on this line matched no "
-                            "finding — remove it (stale suppressions hide "
-                            "future regressions)"
-                        ),
-                    )
-                )
-    return out
-
-
-def _project_findings(
-    files: "dict[str, _LintedFile]", config: ReplintConfig
-) -> list[Finding]:
-    """Run the interprocedural passes over every successfully parsed file."""
-    contexts = [f.ctx for f in files.values() if f.ctx is not None]
-    if not contexts:
-        return []
-    from replint.dataflow import ProjectContext
-
-    project = ProjectContext.build(contexts, config)
-    findings: list[Finding] = []
-    for rule in PROJECT_RULES:
-        if not any(config.rule_selected(rid) for rid in rule.rule_ids):
-            continue
+        for finding in rule.check(ctx):
+            ids = suppressions.get(finding.line, frozenset())
+            hit = finding.rule_id if finding.rule_id in ids else "all"
+            if hit in ids:
+                used.add((finding.line, hit))
+            else:
+                findings.append(finding)
+    if audit:
         findings.extend(
-            f for f in rule.check_project(project) if config.rule_selected(f.rule_id)
+            Finding(
+                path=posix,
+                line=line,
+                col=0,
+                rule_id="RPL900",
+                rule_name="unused-suppression",
+                message=(
+                    f"suppression {rid!r} on this line matched no "
+                    "finding — remove it (stale suppressions hide "
+                    "future regressions)"
+                ),
+            )
+            for line, ids in suppressions.items()
+            for rid in ids
+            if (line, rid) not in used
         )
-    return findings
+    return sorted(findings)
 
 
-def lint_source(
-    source: str, path: str, config: "ReplintConfig | None" = None
+def lint_file(
+    path: "Path | str",
+    config: "ReplintConfig | None" = None,
+    *,
+    audit: bool = False,
 ) -> list[Finding]:
-    """Lint one file's source text with the per-file rules only.
-
-    ``path`` is used for reporting and path-scoped configuration.  The
-    interprocedural passes need the whole file set; use :func:`lint_paths`
-    or :func:`lint_files` for those.
-    """
-    config = config or ReplintConfig()
-    linted = _lint_one(source, path, config)
-    files = {linted.path: linted}
-    used: dict[tuple[str, int], set[str]] = {}
-    return sorted(_apply_suppressions(files, linted.findings, used))
-
-
-def lint_file(path: "Path | str", config: "ReplintConfig | None" = None) -> list[Finding]:
-    """Lint one file from disk (per-file rules only)."""
+    """Lint one file from disk; an unreadable file is an RPL000 finding."""
     p = Path(path)
     try:
         source = p.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return [_error_finding(p.as_posix(), 1, 0, f"cannot read file: {exc}")]
-    return lint_source(source, str(p), config)
+    return lint_source(source, str(p), config, audit=audit)
 
 
 def iter_python_files(paths: "list[str] | list[Path]") -> list[Path]:
@@ -206,61 +153,16 @@ def iter_python_files(paths: "list[str] | list[Path]") -> list[Path]:
     return sorted(out)
 
 
-def lint_files(
-    sources: "list[tuple[str, str]]",
-    config: "ReplintConfig | None" = None,
-    *,
-    project: bool = True,
-    audit: bool = False,
-) -> list[Finding]:
-    """Lint in-memory (path, source) pairs: per-file rules + project passes.
-
-    This is the core the CLI and :func:`lint_paths` share, and the easiest
-    way to exercise the interprocedural passes against synthetic multi-file
-    fixtures in tests.
-    """
-    config = config or ReplintConfig()
-    files: dict[str, _LintedFile] = {}
-    raw: list[Finding] = []
-    for path, source in sources:
-        linted = _lint_one(source, path, config)
-        files[linted.path] = linted
-        raw.extend(linted.findings)
-    if project:
-        raw.extend(_project_findings(files, config))
-    used: dict[tuple[str, int], set[str]] = {}
-    findings = _apply_suppressions(files, raw, used)
-    if audit:
-        findings.extend(_audit_findings(files, used))
-    return sorted(findings)
-
-
 def lint_paths(
     paths: "list[str] | list[Path]",
     config: "ReplintConfig | None" = None,
     *,
-    project: bool = True,
     audit: bool = False,
 ) -> list[Finding]:
-    """Lint every Python file under the given files/directories.
-
-    Per-file rules run on each file; with ``project=True`` (the default)
-    the interprocedural passes run once over the whole set.  Files that
-    cannot be read or decoded surface as RPL000 findings instead of
-    aborting the run.
-    """
+    """Lint every non-excluded Python file under the given files/directories."""
     config = config or ReplintConfig()
-    sources: list[tuple[str, str]] = []
-    unreadable: list[Finding] = []
+    findings: list[Finding] = []
     for path in iter_python_files(paths):
-        posix = path.as_posix()
-        if config.is_excluded(posix):
-            continue
-        try:
-            sources.append((str(path), path.read_text(encoding="utf-8")))
-        except (OSError, UnicodeDecodeError) as exc:
-            unreadable.append(
-                _error_finding(posix, 1, 0, f"cannot read file: {exc}")
-            )
-    findings = lint_files(sources, config, project=project, audit=audit)
-    return sorted(findings + unreadable)
+        if not config.is_excluded(path.as_posix()):
+            findings.extend(lint_file(path, config, audit=audit))
+    return sorted(findings)

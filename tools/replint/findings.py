@@ -1,9 +1,9 @@
-"""Finding record and the two output renderers (text and JSON)."""
+"""Finding record and the two output renderers (text and SARIF)."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -34,52 +34,33 @@ def render_text(findings: list[Finding]) -> str:
     return "\n".join(lines)
 
 
-def render_json(findings: list[Finding], files_checked: int, version: str) -> str:
-    """Machine-readable report (schema ``replint/v1``) for CI consumption."""
-    doc = {
-        "schema": "replint/v1",
-        "version": version,
-        "files_checked": files_checked,
-        "findings": [asdict(f) for f in findings],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def render_sarif(findings: list[Finding], version: str) -> str:
     """SARIF 2.1.0 document for GitHub code-scanning upload.
 
     One run, one driver (``replint``), rule metadata drawn from the rule
-    registries' docstrings so code-scanning annotations link to the same
+    registry's docstrings so code-scanning annotations link to the same
     catalogue ``--list-rules`` prints.
     """
     # Local import: replint.rules.base imports Finding from this module, so
     # a module-level import here would be circular.
-    from replint.rules import ALL_RULES, PROJECT_RULES
+    from replint.rules import ALL_RULES
 
-    catalogue: dict[str, dict] = {}
-    for rule in list(ALL_RULES) + list(PROJECT_RULES):
-        doc = (type(rule).__doc__ or "").strip().splitlines()
-        short = doc[0].strip() if doc else rule.rule_name
-        for rid in getattr(rule, "rule_ids", (rule.rule_id,)):
-            catalogue.setdefault(
-                rid,
-                {
-                    "id": rid,
-                    "name": rule.rule_name,
-                    "shortDescription": {"text": short},
-                    "defaultConfiguration": {"level": "warning"},
-                },
-            )
-    for rid, name, text in (
+    described = [
+        (r.rule_id, r.rule_name, (type(r).__doc__ or r.rule_name).strip().splitlines()[0])
+        for r in ALL_RULES
+    ] + [
         ("RPL000", "parse-error", "File could not be read or parsed."),
         ("RPL900", "unused-suppression", "Suppression comment matched no finding."),
-    ):
-        catalogue[rid] = {
+    ]
+    catalogue = [
+        {
             "id": rid,
             "name": name,
             "shortDescription": {"text": text},
             "defaultConfiguration": {"level": "warning"},
         }
+        for rid, name, text in sorted(described)
+    ]
     results = [
         {
             "ruleId": f.rule_id,
@@ -108,7 +89,7 @@ def render_sarif(findings: list[Finding], version: str) -> str:
                     "driver": {
                         "name": "replint",
                         "version": version,
-                        "rules": [catalogue[k] for k in sorted(catalogue)],
+                        "rules": catalogue,
                     }
                 },
                 "results": results,

@@ -24,7 +24,6 @@ class FileContext:
 
     path: str  # POSIX-style, as reported in findings
     tree: ast.Module
-    source: str
     config: ReplintConfig
     numpy_aliases: frozenset[str]  # names bound to the numpy module
 

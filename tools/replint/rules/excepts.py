@@ -6,8 +6,9 @@ type at API boundaries.  A bare ``except:`` or ``except Exception`` inside
 library code swallows programming errors (AttributeError from a typo,
 KeyboardInterrupt-adjacent cleanup bugs) and converts them into silent bad
 data — in a numerical pipeline that is the worst possible failure mode.
-Process/RPC boundaries that genuinely must catch everything are listed in
-the ``boundary_modules`` config or carry a per-line suppression.
+Process/RPC boundaries that genuinely must catch everything carry a
+per-line suppression with the justification beside it — there is no
+module-wide exemption.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ def _broad_name(node: "ast.expr | None") -> "str | None":
 
 
 class BroadExceptRule:
-    """RPL401: bare ``except:`` / ``except Exception`` outside sanctioned
-    boundaries.
+    """RPL401: bare ``except:`` / ``except Exception``.
 
     Catch the narrowest concrete exception set the block can actually
     produce, or a :class:`repro.errors.ReproError` subclass at API
@@ -47,8 +47,6 @@ class BroadExceptRule:
     rule_name = "broad-except"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if ctx.config.is_boundary_module(ctx.path):
-            return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue

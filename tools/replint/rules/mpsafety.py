@@ -1,235 +1,20 @@
-"""Multiprocessing shared-state safety (RPL801, RPL802, RPL803).
+"""``SharedMemory`` handle ownership (RPL803).
 
-ROADMAP item 2 replaces per-chunk pickling with a persistent
-shared-memory worker pool — exactly the change where cross-process state
-bugs breed.  These rules encode the three failure modes the dispatcher's
-design review keeps re-litigating:
-
-* **RPL801** (project): module-global mutation reachable from a *worker
-  entry point* through the call graph.  The per-file RPL301 only looks at
-  functions inside configured ``worker_modules``; this pass starts from
-  the functions actually handed to dispatch constructs (``ChunkDispatcher``,
-  ``Pool``, ``Process`` — ``dispatch_targets`` config) and follows calls
-  across modules, so a helper three hops away that caches into a module
-  dict is caught wherever it lives.
-* **RPL802** (project): unpicklable or fork-unsafe callables shipped
-  through a dispatch construct — lambdas, nested functions and bound
-  methods all fail under the pinned ``spawn`` start method (or capture a
-  whole ``self`` graph when they do pickle).
-* **RPL803** (per-file): a ``multiprocessing.shared_memory.SharedMemory``
-  handle whose ``close()``/``unlink()`` is not tied to an owning scope —
-  not used as a context manager, not closed in the creating function, not
-  returned and not stored on an owning object.  Leaked segments survive
-  the process and accumulate under ``/dev/shm`` until reboot.
+A ``multiprocessing.shared_memory.SharedMemory`` handle whose
+``close()``/``unlink()`` is not tied to an owning scope — not used as a
+context manager, not closed in the creating function, not returned and not
+stored on an owning object — leaks its segment past the process: it
+accumulates under ``/dev/shm`` until reboot.  ``repro.parallel.shm`` is the
+one module that creates segments; every handle there is owned.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from replint.findings import Finding
 from replint.rules.base import FileContext, dotted_name
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from replint.dataflow import ProjectContext
-
-#: Methods that mutate their receiver in place.
-_MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "appendleft",
-        "extend",
-        "extendleft",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popleft",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-        "sort",
-        "reverse",
-    }
-)
-
-
-def _target_names(target: ast.expr) -> Iterator[str]:
-    """Terminal names a (possibly nested) assignment target writes through."""
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, (ast.Subscript, ast.Attribute)):
-        base = target.value
-        while isinstance(base, (ast.Subscript, ast.Attribute)):
-            base = base.value
-        if isinstance(base, ast.Name):
-            yield base.id
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for elt in target.elts:
-            yield from _target_names(elt)
-
-
-def iter_global_mutations(
-    func: "ast.FunctionDef | ast.AsyncFunctionDef", mutables: "dict[str, int]"
-) -> Iterator["tuple[str, int, int, str]"]:
-    """(name, line, col, how) for each mutation of a module-level mutable."""
-    declared_global = {
-        n
-        for node in ast.walk(func)
-        if isinstance(node, ast.Global)
-        for n in node.names
-    }
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
-            targets = (
-                node.targets
-                if isinstance(node, ast.Assign)
-                else [node.target]
-                if isinstance(node, ast.AugAssign)
-                else node.targets
-            )
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    # Plain rebinding only touches the global when declared.
-                    if target.id in mutables and target.id in declared_global:
-                        yield target.id, node.lineno, node.col_offset, "rebinding"
-                    continue
-                for name in _target_names(target):
-                    if name in mutables:
-                        yield name, node.lineno, node.col_offset, "item/attribute write"
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr not in _MUTATING_METHODS:
-                continue
-            base = node.func.value
-            if isinstance(base, ast.Name) and base.id in mutables:
-                yield (
-                    base.id,
-                    node.lineno,
-                    node.col_offset,
-                    f".{node.func.attr}(...)",
-                )
-
-
-class WorkerGlobalMutationRule:
-    """RPL801 (project): module-global mutation reachable from a worker
-    entry point.
-
-    Worker processes each hold a private copy of module state: writes are
-    lost on spawn-per-task pools and racy everywhere else.  Pass state
-    through arguments or the sanctioned pool-initializer pattern (suppress
-    with a justification at the initializer).
-    """
-
-    rule_id = "RPL801"
-    rule_name = "worker-global-mutation"
-    rule_ids = ("RPL801",)
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        reachable = project.worker_reachable
-        roots = project.worker_roots
-        for qual, chain in sorted(reachable.items()):
-            fn = project.table.functions.get(qual)
-            if fn is None:
-                continue
-            mod = project.table.modules.get(fn.module)
-            if mod is None or not mod.mutable_globals:
-                continue
-            root = chain[0]
-            why = roots.get(root, "worker entry point")
-            via = " -> ".join(q.rsplit(".", 1)[-1] for q in chain)
-            for name, line, col, how in iter_global_mutations(
-                fn.node, mod.mutable_globals
-            ):
-                yield Finding(
-                    path=fn.path,
-                    line=line,
-                    col=col,
-                    rule_id=self.rule_id,
-                    rule_name=self.rule_name,
-                    message=(
-                        f"module-level mutable {name!r} mutated "
-                        f"({how}) in {fn.node.name}(), reachable in worker "
-                        f"processes via {via} ({why}) — per-process copies, "
-                        "writes are lost; pass state explicitly or suppress "
-                        "at the sanctioned initializer"
-                    ),
-                )
-
-
-class ForkUnsafeCaptureRule:
-    """RPL802 (project): lambda, nested function or bound method shipped
-    through a dispatch construct.
-
-    Under the pinned ``spawn`` start method these either fail to pickle
-    (lambdas, nested defs) or drag the whole bound object graph across the
-    process boundary (``self.method``).  Dispatch module-level functions
-    and pass state via ``initargs``.
-    """
-
-    rule_id = "RPL802"
-    rule_name = "fork-unsafe-capture"
-    rule_ids = ("RPL802",)
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        from replint.callgraph import dotted, iter_dispatch_calls
-
-        for mod, call in iter_dispatch_calls(project.table, project.config):
-            head = dotted(call.func) or "dispatch"
-            # Attribute loads on self are only a hazard when they denote a
-            # *method* (the bound object graph ships with it) — instance
-            # attributes holding module-level callables are the sanctioned
-            # pattern (ChunkDispatcher stores worker_fn exactly this way).
-            methods = {
-                local.rsplit(".", 1)[-1]
-                for local in mod.functions
-                if "." in local and "<locals>" not in local
-            }
-            args = list(call.args) + [kw.value for kw in call.keywords]
-            for arg in args:
-                for sub in ast.walk(arg):
-                    kind: "str | None" = None
-                    if isinstance(sub, ast.Lambda):
-                        kind = "lambda"
-                    elif isinstance(sub, ast.Attribute) and isinstance(
-                        sub.value, ast.Name
-                    ) and sub.value.id == "self" and sub.attr in methods:
-                        kind = f"bound method self.{sub.attr}"
-                    elif isinstance(sub, ast.Name):
-                        fn = project.table.resolve_function(mod.name, sub.id)
-                        if fn is not None and fn.nested:
-                            kind = f"nested function {sub.id}()"
-                        elif (
-                            fn is None
-                            and sub.id not in mod.imports
-                            and any(
-                                local.endswith(f"<locals>.{sub.id}")
-                                for local in mod.functions
-                            )
-                        ):
-                            # Nested defs are catalogued as
-                            # "outer.<locals>.inner", so a bare-name lookup
-                            # misses them; a name matching only a nested def
-                            # in this module is that def.
-                            kind = f"nested function {sub.id}()"
-                    if kind is None:
-                        continue
-                    yield Finding(
-                        path=mod.path,
-                        line=sub.lineno,
-                        col=sub.col_offset,
-                        rule_id=self.rule_id,
-                        rule_name=self.rule_name,
-                        message=(
-                            f"{kind} shipped through {head}() — not "
-                            "picklable under the pinned 'spawn' start "
-                            "method (or captures the whole object graph); "
-                            "dispatch a module-level function and pass "
-                            "state via initargs"
-                        ),
-                    )
 
 
 def _returned_names(value: ast.expr) -> Iterator[str]:
@@ -263,8 +48,7 @@ class SharedMemoryScopeRule:
     The creating scope must either use the handle as a context manager,
     call ``.close()``/``.unlink()`` on it, return it, or store it on an
     owning object (``self.attr = shm``) — otherwise the segment leaks past
-    the process (forward-looking guard for the ROADMAP item 2 shared-memory
-    pool).
+    the process.
     """
 
     rule_id = "RPL803"
@@ -365,16 +149,13 @@ class SharedMemoryScopeRule:
             )
 
     def _own_walk(self, scope: ast.AST) -> Iterator[ast.AST]:
-        """Walk a scope without descending into nested function defs."""
-        body = scope.body if hasattr(scope, "body") else []
-        stack: list[ast.AST] = list(body)
+        """Walk a scope without descending into the function defs inside it."""
+        stack: list[ast.AST] = [scope]
         while stack:
-            node = stack.pop()
-            yield node
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                stack.append(child)
+            for child in ast.iter_child_nodes(stack.pop()):
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield child
+                    stack.append(child)
 
     def _binding_of(self, call: ast.Call, nodes: list[ast.AST]) -> "str | None":
         """Name the handle is bound to; ``"__owned__"`` for self.attr = ...."""
