@@ -30,8 +30,8 @@ class Segment:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def contains(self, pos: int) -> bool:
-        return self.start <= pos < self.stop
+    def contains(self, pos: "int | np.ndarray") -> "bool | np.ndarray":  # elementwise
+        return (self.start <= pos) & (pos < self.stop)
 
 
 class Reference:

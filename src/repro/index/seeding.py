@@ -5,8 +5,9 @@ read would start at diagonal ``g - r``.  Hits are grouped by (strand,
 binned diagonal); a group with enough distinct supporting seeds becomes a
 :class:`CandidateRegion` handed to the Pair-HMM.  Both strands are always
 queried.  Seeding works on a *block* of reads at a time
-(:meth:`Seeder.candidates_batch`): every stage is one NumPy pass over the
-block's concatenated sequences, keyed by ``(sequence, diagonal)``.
+(:meth:`Seeder.seed`): every stage is one NumPy pass over the block's
+concatenated sequences, keyed by ``(sequence, diagonal)``, and the result is
+one :class:`SeedBlock` of parallel arrays.
 
 Two upstream-pruning choices shrink the candidate list before any
 Pair-HMM runs:
@@ -29,7 +30,7 @@ Pair-HMM runs:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,6 +82,39 @@ class CandidateRegion:
     def band_diagonal(self) -> int:
         """Seed diagonal to centre a band on (falls back to ``start``)."""
         return self.start if self.diagonal is None else self.diagonal
+
+
+@dataclass(frozen=True)
+class SeedBlock:
+    """The candidates of a block of reads as parallel int64 arrays.
+
+    One entry per candidate, grouped by read in block order and best first
+    within a read; ``read`` is the candidate's read's index in the block and
+    the other four are :class:`CandidateRegion`'s fields.  Indexing with a
+    slice, mask or index array selects candidates.
+    """
+
+    read: np.ndarray
+    start: np.ndarray
+    strand: np.ndarray
+    support: np.ndarray
+    diagonal: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.read.size)
+
+    def __getitem__(self, index: "slice | np.ndarray") -> "SeedBlock":
+        return SeedBlock(*(column[index] for column in vars(self).values()))
+
+    @staticmethod
+    def concat(blocks: "Sequence[SeedBlock]") -> "SeedBlock":
+        """``blocks`` end to end (their ``read`` indexes are the caller's)."""
+        columns = zip(*(vars(block).values() for block in blocks))
+        return SeedBlock(*(np.concatenate(column) for column in columns))
+
+
+#: The block of no reads.
+NO_CANDIDATES = SeedBlock(*(np.empty(0, dtype=np.int64),) * 5)
 
 
 @dataclass
@@ -261,24 +295,33 @@ class Seeder:
         return self.candidates_batch([read])[0]
 
     def candidates_batch(self, reads: "Sequence[Read]") -> "list[list[CandidateRegion]]":
-        """:meth:`candidates` of every read, seeded as one block.
+        """:meth:`candidates` of every read: :meth:`seed` as lists of objects."""
+        found = self.seed(reads)
+        fields = (found.start, found.strand, found.support, found.diagonal)
+        regions = [CandidateRegion(*row) for row in zip(*(f.tolist() for f in fields))]
+        bounds = np.cumsum(np.bincount(found.read, minlength=len(reads))).tolist()
+        return [regions[a:b] for a, b in zip([0, *bounds[:-1]], bounds)]
+
+    def seed(self, reads: "Sequence[Read]") -> SeedBlock:
+        """The candidates of every read, seeded as one block.
 
         Both strands of all reads are one concatenated code array; k-mer
         packing, index lookup, diagonal votes, clustering, q-gram filter,
         ordering and the ``max_candidates`` cut are each one NumPy pass
-        over it.  Lists and ``seed.*`` metrics do not depend on how reads
-        are divided into blocks.
+        over it.  Candidates and ``seed.*`` metrics do not depend on how
+        reads are divided into blocks.
         """
-        out: "list[list[CandidateRegion]]" = []
         # The filter's (sequence, q-gram) keys need 2*reads * 4**q < 2**63.
         most = len(reads)
         if self.config.qgram_filter:
             most = (1 << 62) >> (2 * self.config.qgram_q)
+        parts = [NO_CANDIDATES]
         for lo in range(0, len(reads), max(1, most)):
-            out.extend(self._seed_block(reads[lo : lo + most]))
-        return out
+            part = self._seed_block(reads[lo : lo + most])
+            parts.append(replace(part, read=part.read + lo))
+        return SeedBlock.concat(parts)
 
-    def _seed_block(self, reads: "Sequence[Read]") -> "list[list[CandidateRegion]]":
+    def _seed_block(self, reads: "Sequence[Read]") -> SeedBlock:
         cfg = self.config
         n = len(reads)
         width = self.index.seed_width
@@ -346,22 +389,17 @@ class Seeder:
         n_kept = np.minimum(n_found, cfg.max_candidates)
         rank = np.arange(order.size) - np.repeat(np.cumsum(n_found) - n_found, n_found)
         best = order[rank < cfg.max_candidates]
-        fields = (start, strand, support, diagonal)
-        regions = [
-            CandidateRegion(*row) for row in zip(*(f[best].tolist() for f in fields))
-        ]
-        bounds = np.cumsum(n_kept).tolist()
         reg = metrics()
         reg.inc("seed.reads", n)
         # Pre-truncation count: `seed.candidates` is what seeding *found*;
         # the max_candidates cap's effect is visible as candidates_dropped.
         reg.inc("seed.candidates", int(c_seq.size))
-        if len(regions) < c_seq.size:
-            reg.inc("seed.candidates_dropped", int(c_seq.size) - len(regions))
+        if best.size < c_seq.size:
+            reg.inc("seed.candidates_dropped", int(c_seq.size - best.size))
         per_read = np.bincount(n_kept)
         for kept in np.flatnonzero(per_read).tolist():
             reg.observe("seed.candidates_per_read", float(kept), int(per_read[kept]))
-        return [regions[a:b] for a, b in zip([0, *bounds[:-1]], bounds)]
+        return SeedBlock(read_of, start, strand, support, diagonal)[best]
 
     def _qgram_keep(
         self, codes: np.ndarray, seq_of: np.ndarray, lens: np.ndarray,

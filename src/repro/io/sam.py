@@ -20,20 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
 from repro.errors import PipelineError
 from repro.genome.alphabet import decode, reverse_complement
 from repro.genome.fastq import Read
-from repro.phmm.forward_backward import emissions_batch, forward_batch
-from repro.phmm.scoring import normalize_location_weights
+from repro.index.seeding import SeedBlock
+from repro.phmm.forward_backward import emissions_batch
 from repro.phmm.viterbi import viterbi_align
-from repro.pipeline.evidence import PairStack, cut_windows
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.pipeline.gnumap import GnumapSnp
+from repro.pipeline.evidence import PairStack, cut_windows, read_slices
+from repro.pipeline.gnumap import GnumapSnp, MappingStats
 
 
 @dataclass(frozen=True)
@@ -97,39 +95,42 @@ def collect_placements(
 
     ``pipeline`` is a :class:`~repro.pipeline.gnumap.GnumapSnp`; its
     configuration (quality awareness, pad, PHMM params, min_ratio) governs
-    the alignment, exactly as in the calling pipeline.
+    the alignment, exactly as in the calling pipeline: scores and weights
+    are its mapping loop's, and only the placements a read keeps (its
+    ``1 + max_secondary`` heaviest) are walked by Viterbi for a CIGAR.
     """
     if max_secondary < 0:
         raise PipelineError("max_secondary must be >= 0")
     cfg = pipeline.config
+    reads = list(reads)
     out: list[Placement] = []
-    for read in reads:
-        candidates = pipeline.seeder.candidates(read)
-        if not candidates:
+    for evidence in pipeline.map_batches(reads, MappingStats()):
+        weights = pipeline.weigh(evidence)
+        kept: list[int] = []  # pair index of every placement, heaviest first per read
+        primary = set()
+        for _, pairs in read_slices(evidence.groups):
+            order = pairs.start + np.argsort(-weights[pairs])[: 1 + max_secondary]
+            kept += order[weights[order] > 0].tolist()
+            primary.add(int(order[0]))
+        if not kept:
             continue
-        stack = PairStack()
-        stack.add_read(read, candidates, cfg, 0)
-        pwms, start_arr, windows, _ = cut_windows(
-            pipeline.reference.codes, stack, cfg
+        at = np.asarray(kept)
+        starts, strands = evidence.starts[at], evidence.strands[at]
+        # Windows and PWMs need read, start and strand only.
+        placed = SeedBlock(evidence.groups[at], starts, strands, np.ones_like(at), starts)
+        pwms, windows, _ = cut_windows(
+            pipeline.reference.codes, PairStack(reads, placed, cfg), cfg
         )
-        strands = stack.strands
-        n = len(read)
-        # Placement needs scores, not z: forward pass only.
         pstar = emissions_batch(pwms, windows, cfg.phmm)
-        fwd = forward_batch(pstar, cfg.phmm, mode=cfg.alignment_mode)
-        weights = normalize_location_weights(fwd.loglik, min_ratio=cfg.min_ratio)
-
-        order = np.argsort(-weights)[: 1 + max_secondary]
-        for rank, k in enumerate(order):
-            if weights[k] <= 0:
-                continue
-            path = viterbi_align(pstar[k], cfg.phmm, mode=cfg.alignment_mode)
+        for k, emissions in zip(kept, pstar):
+            path = viterbi_align(emissions, cfg.phmm, mode=cfg.alignment_mode)
             if not path.pairs:
                 continue
+            read = reads[evidence.groups[k]]
             # genome position of the first matched base
             first_i, first_j = path.pairs[0]
-            genome_pos = int(start_arr[k]) - cfg.pad + (first_j - 1)
-            if strands[k] == 1:
+            genome_pos = int(evidence.starts[k]) - cfg.pad + (first_j - 1)
+            if evidence.strands[k] == 1:
                 seq = read.sequence
                 qual = read.quality_string
             else:
@@ -139,13 +140,13 @@ def collect_placements(
                 Placement(
                     read_name=read.name,
                     pos=genome_pos,
-                    strand=strands[k],
+                    strand=int(evidence.strands[k]),
                     weight=float(weights[k]),
-                    loglik=float(fwd.loglik[k]),
-                    cigar=_cigar_from_pairs(path.pairs, n),
+                    loglik=float(evidence.loglik[k]),
+                    cigar=_cigar_from_pairs(path.pairs, len(read)),
                     seq=seq,
                     qual=qual,
-                    is_primary=rank == 0,
+                    is_primary=k in primary,
                 )
             )
     return out

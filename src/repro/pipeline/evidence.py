@@ -1,24 +1,22 @@
 """Steps B and C of Fig. 1, once: stack → align → deposit.
 
-Every driver — the serial pipeline, the genome-partitioned cluster
-program, the paired pipeline and the SAM writer — turns a read's seed
-candidates into (PWM, window) pairs, runs the configured Pair-HMM evidence
-kernel over them and scatter-adds weighted z mass into an accumulator.
-This module is the only place outside :mod:`repro.phmm` that names the
-kernels and their banding knobs; the drivers keep only what differs between
-them, which is how the per-pair weights are computed.
+A slice of seeded candidates becomes (PWM, window) pairs, the configured
+Pair-HMM evidence kernel runs over them, and weighted z mass is
+scatter-added into an accumulator.  This module is the only place outside
+:mod:`repro.phmm` that names the kernels and their banding knobs; the
+drivers keep only what differs between them: the per-pair weights.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import AlignmentError
 from repro.genome.fastq import ERROR_PROBABILITY, Read
-from repro.index.seeding import CandidateRegion
+from repro.index.seeding import SeedBlock
 from repro.memory.base import Accumulator
 from repro.phmm.alignment import align_batch, align_batch_banded, build_windows
 from repro.phmm.forward_backward import emissions_batch
@@ -28,38 +26,18 @@ from repro.pipeline.config import PipelineConfig
 
 
 class PairStack:
-    """Equal-length (read, candidate) pairs awaiting one kernel call."""
+    """Equal-length (read, candidate) pairs awaiting one kernel call, cut
+    from a slice of seeded candidates whose ``read`` indexes ``reads``."""
 
-    def __init__(self) -> None:
-        self.reads: list[Read] = []
-        self.rows: list[int] = []  # per pair: its read's index in ``reads``
-        self.starts: list[int] = []
-        self.strands: list[int] = []
-        self.centers: list[int] = []
-        self.groups: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.starts)
-
-    def add_read(
-        self,
-        read: Read,
-        candidates: "Sequence[CandidateRegion]",
-        cfg: PipelineConfig,
-        group: int,
-    ) -> None:
-        """Append one pair per candidate; ``group`` ties them to their read."""
-        row = len(self.reads)
-        self.reads.append(read)
-        for cand in candidates:
-            self.rows.append(row)
-            self.starts.append(cand.start)
-            self.strands.append(cand.strand)
-            # Window column the read's first base is expected at: windows
-            # are cut at start - pad, so the seed diagonal lands on column
-            # pad unless the seeder clamped start.
-            self.centers.append(cfg.pad + (cand.band_diagonal - cand.start))
-            self.groups.append(group)
+    def __init__(self, reads: "Sequence[Read]", seeded: SeedBlock, cfg: PipelineConfig) -> None:
+        # Each read is converted to a PWM once; ``rows``: a pair's among them.
+        used, self.rows = np.unique(seeded.read, return_inverse=True)
+        self.reads = [reads[i] for i in used.tolist()]
+        self.seeded = seeded
+        # Window column the read's first base is expected at: windows are
+        # cut at start - pad, so the seed diagonal lands on column pad
+        # unless the seeder clamped start.
+        self.centers = cfg.pad + (seeded.diagonal - seeded.start)
 
     def pwms(self, quality_aware: bool) -> np.ndarray:
         """The pairs' ``(B, N, 4)`` PWMs: the stack's reads converted as one
@@ -73,7 +51,7 @@ class PairStack:
         else:
             block = flat_pwm(codes)
         pwms = block[self.rows]
-        reverse = np.asarray(self.strands) != 1
+        reverse = self.seeded.strand != 1
         pwms[reverse] = pwms[reverse, ::-1, ::-1]
         return pwms
 
@@ -82,39 +60,45 @@ class PairStack:
 class PairEvidence:
     """Per-pair kernel output, ready to be weighted and deposited.
 
-    ``z`` is ``(B, width, 5)``, ``cols`` the genome position of every window
-    column, ``valid`` False on columns past a genome edge; ``starts``,
-    ``strands`` and ``groups`` are the stack's per-pair lists as arrays.
+    ``z`` is ``(B, width, 5)`` over each pair's window, which begins
+    ``cfg.pad`` columns before ``starts``; ``starts``, ``strands`` and
+    ``groups`` (the pair's read) are the stack's per-pair arrays.
     """
 
     z: np.ndarray
     loglik: np.ndarray
-    cols: np.ndarray
-    valid: np.ndarray
     starts: np.ndarray
     strands: np.ndarray
     groups: np.ndarray
 
+    def __getitem__(self, index: "slice | np.ndarray") -> "PairEvidence":
+        return PairEvidence(*(column[index] for column in vars(self).values()))
+
+
+def read_slices(groups: np.ndarray) -> "Iterator[tuple[int, slice]]":
+    """Each read of a batch's ``groups`` and the slice its pairs occupy."""
+    first = np.flatnonzero(np.diff(groups, prepend=-1)).tolist()
+    for a, b in zip(first, [*first[1:], groups.size]):
+        yield int(groups[a]), slice(a, b)
+
 
 def cut_windows(
     genome_codes: np.ndarray, stack: PairStack, cfg: PipelineConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(pwms, starts, windows, valid)`` of a non-empty stack: each window
-    spans its read plus ``cfg.pad`` columns either side."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pwms, windows, valid)`` of a non-empty stack: each window spans
+    its read plus ``cfg.pad`` columns either side."""
     pwms = stack.pwms(cfg.quality_aware)
-    starts = np.asarray(stack.starts, dtype=np.int64)
     windows, valid = build_windows(
-        genome_codes, starts - cfg.pad, pwms.shape[1] + 2 * cfg.pad
+        genome_codes, stack.seeded.start - cfg.pad, pwms.shape[1] + 2 * cfg.pad
     )
-    return pwms, starts, windows, valid
+    return pwms, windows, valid
 
 
 def align_pairs(
     genome_codes: np.ndarray, stack: PairStack, cfg: PipelineConfig
 ) -> PairEvidence:
     """Cut the stack's windows and run the configured evidence kernel."""
-    pwms, starts, windows, valid = cut_windows(genome_codes, stack, cfg)
-    groups = np.asarray(stack.groups, dtype=np.int64)
+    pwms, windows, valid = cut_windows(genome_codes, stack, cfg)
     if cfg.posterior_mode == "viterbi":
         z, loglik = _viterbi_evidence(pwms, windows, valid, cfg)
     else:
@@ -123,14 +107,14 @@ def align_pairs(
                 pwms,
                 windows,
                 cfg.phmm,
-                np.asarray(stack.centers, dtype=np.int64),
+                stack.centers,
                 cfg.band_w,
                 tolerance=cfg.band_tolerance,
                 adaptive=cfg.band_mode == "adaptive",
                 mode=cfg.alignment_mode,
                 edge_policy=cfg.edge_policy,
                 valid=valid,
-                groups=groups,
+                groups=stack.seeded.read,
                 escape_min_ratio=cfg.min_ratio,
             )
         else:
@@ -143,16 +127,7 @@ def align_pairs(
                 valid=valid,
             )
         z, loglik = outcome.z, outcome.loglik
-    cols = (starts - cfg.pad)[:, None] + np.arange(windows.shape[1])[None, :]
-    return PairEvidence(
-        z=z,
-        loglik=loglik,
-        cols=cols,
-        valid=valid,
-        starts=starts,
-        strands=np.asarray(stack.strands),
-        groups=groups,
-    )
+    return PairEvidence(z, loglik, stack.seeded.start, stack.seeded.strand, stack.seeded.read)
 
 
 def _viterbi_evidence(
@@ -187,11 +162,11 @@ def deposit(
 ) -> None:
     """Add each pair's z, scaled by its weight, at its genome columns."""
     zw = evidence.z * weights[:, None, None]
-    live = evidence.valid & (weights[:, None] > 0)
+    cols = (evidence.starts - cfg.pad)[:, None] + np.arange(zw.shape[1])[None, :]
+    live = (cols >= 0) & (cols < acc.length) & (weights[:, None] > 0)
     if cfg.accumulator.upper() == "NORM":
         # Dense accumulation is linear: one flattened scatter-add.
-        mask = live.ravel()
-        acc.add(evidence.cols.ravel()[mask], zw.reshape(-1, 5)[mask])
+        acc.add(cols[live], zw[live])
     else:
         # Discretised modes quantise per add(); keep per-pair calls so the
         # online-requantisation dynamics stay per-read, as the paper
@@ -199,4 +174,4 @@ def deposit(
         for b in range(zw.shape[0]):
             m = live[b]
             if m.any():
-                acc.add(evidence.cols[b][m], zw[b][m])
+                acc.add(cols[b][m], zw[b][m])

@@ -10,13 +10,14 @@ Step D: LRT per position; significant non-reference calls become SNPs.
 The driver is deliberately restartable at stage boundaries: ``map_reads``
 fills an accumulator (callable repeatedly — online accumulation), and
 ``call_snps`` reads any accumulator.  Steps A-B are also exposed on their
-own (``map_batches``, a generator of per-batch evidence) so that a pool
-worker can run them while the accumulator stays with the caller.
+own (``map_batches``, a generator of per-batch evidence): the one loop every
+driver consumes — a pool worker runs it while the accumulator stays with the
+caller; the paired pipeline and the SAM writer weight its evidence their way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -27,14 +28,14 @@ from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.index.hashindex import GenomeIndex, table_width
-from repro.index.seeding import Seeder
+from repro.index.seeding import NO_CANDIDATES, SeedBlock, Seeder
 from repro.memory.base import Accumulator, make_accumulator
 from repro.observability import current, scope, span
 from repro.observability.snapshot import MetricsSnapshot
 from repro.phmm import sanitize
 from repro.phmm.scoring import group_normalize
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.evidence import PairEvidence, PairStack, align_pairs, deposit
+from repro.pipeline.evidence import PairEvidence, PairStack, align_pairs, deposit, read_slices
 
 
 def _one_hot_best(logliks: np.ndarray, groups: np.ndarray) -> np.ndarray:
@@ -42,14 +43,9 @@ def _one_hot_best(logliks: np.ndarray, groups: np.ndarray) -> np.ndarray:
     first), used by the single-alignment ablation.  Reads whose candidates
     all failed (-inf) get zero weight everywhere."""
     weights = np.zeros_like(logliks)
-    if logliks.size == 0:
-        return weights
-    change = np.nonzero(np.diff(groups) != 0)[0] + 1
-    starts = np.concatenate([[0], change, [logliks.size]])
-    for a, b in zip(starts[:-1], starts[1:]):
-        segment = logliks[a:b]
-        if np.isfinite(segment).any():
-            weights[a + int(np.argmax(segment))] = 1.0
+    for _, at in read_slices(groups):
+        if np.isfinite(logliks[at]).any():
+            weights[at.start + int(np.argmax(logliks[at]))] = 1.0
     return weights
 
 
@@ -64,14 +60,12 @@ class MappingStats:
     n_batches: int = 0
 
     def merge(self, other: "MappingStats") -> None:
-        self.n_reads += other.n_reads
-        self.n_mapped += other.n_mapped
-        self.n_unmapped += other.n_unmapped
-        self.n_pairs += other.n_pairs
-        self.n_batches += other.n_batches
+        for name, count in vars(other).items():
+            setattr(self, name, getattr(self, name) + count)
 
     def publish(self) -> None:
-        """Add these counts to the current registry's ``pipeline.*`` counters."""
+        """Add these counts (one call's, not a running total) to the current
+        registry's ``pipeline.*`` counters."""
         reg = current()
         reg.inc("pipeline.reads", self.n_reads)
         reg.inc("pipeline.reads_mapped", self.n_mapped)
@@ -162,15 +156,11 @@ class GnumapSnp:
         self.caller = SNPCaller(cfg.caller)
 
     # -- stage B + C ---------------------------------------------------------
-    def new_accumulator(self) -> Accumulator:
-        """Fresh accumulator of the configured memory mode."""
-        return make_accumulator(self.config.accumulator, len(self.reference))
-
     def accumulator_or_new(self, accumulator: "Accumulator | None") -> Accumulator:
         """``accumulator`` once checked against this genome; a fresh one
         for ``None``."""
         if accumulator is None:
-            return self.new_accumulator()
+            return make_accumulator(self.config.accumulator, len(self.reference))
         if accumulator.length != len(self.reference):
             raise PipelineError(
                 f"accumulator length {accumulator.length} != genome "
@@ -180,62 +170,67 @@ class GnumapSnp:
 
     def map_batches(
         self, reads: "list[Read]", stats: MappingStats
-    ) -> "Iterator[tuple[PairEvidence, np.ndarray]]":
+    ) -> "Iterator[PairEvidence]":
         """Steps A-B: seed and align ``reads``; yield each Pair-HMM batch's
-        ``(evidence, weights)`` in read order.
+        evidence in read order, ``groups`` indexing ``reads``.
 
-        Serial :meth:`map_reads` deposits them as they appear; a pool worker
-        collects its chunk's and ships them to the parent's accumulator
-        (:mod:`repro.pipeline.mp_backend`).  ``stats`` is filled as reads are
-        consumed and published to the current registry on exhaustion.
+        The one loop that turns reads into evidence: every driver consumes
+        it and differs only in how it weights the pairs (:meth:`weigh`, the
+        paired insert-size softmax, SAM's per-read ranking).  ``stats``
+        gains this call's counts, which are also published to the current
+        registry on exhaustion.
         """
         cfg = self.config
-        stack = PairStack()
-        read_len: int | None = None
-        # Step A runs a block of reads at a time; step B then stacks them
-        # read by read, so Pair-HMM batches are cut where they always were.
+        added = MappingStats(n_reads=len(reads))
+        # Step A runs a block of reads at a time; step B cuts kernel calls
+        # from the seeded pairs, carrying the stack still open (`held`, of
+        # `read_len`-long reads) into the next block.
+        held, read_len = NO_CANDIDATES, None
         for lo in range(0, len(reads), cfg.batch_size):
             block = reads[lo : lo + cfg.batch_size]
             with span("seed"):
-                seeded = self.seeder.candidates_batch(block)
-            for ridx, (read, candidates) in enumerate(zip(block, seeded), lo):
-                stats.n_reads += 1
-                if not candidates:
-                    stats.n_unmapped += 1
+                seeded = self.seeder.seed(block)
+            per_read = np.bincount(seeded.read, minlength=len(block)).tolist()
+            added.n_unmapped += per_read.count(0)
+            added.n_pairs += len(seeded)
+            a, b = 0, len(held)  # the open stack is held[a:b]
+            held = SeedBlock.concat((held, replace(seeded, read=seeded.read + lo)))
+            for read, n_pairs in zip(block, per_read):
+                if not n_pairs:
                     continue
-                stats.n_mapped += 1
-                stats.n_pairs += len(candidates)
-                if stack and (len(read) != read_len or len(stack) >= cfg.batch_size):
-                    stats.n_batches += 1
-                    yield self._align(stack)
-                    stack = PairStack()
+                if b > a and (len(read) != read_len or b - a >= cfg.batch_size):
+                    added.n_batches += 1
+                    yield self._align(reads, held[a:b])
+                    a = b
                 read_len = len(read)
-                stack.add_read(read, candidates, cfg, ridx)
-        if stack:
-            stats.n_batches += 1
-            yield self._align(stack)
-        if read_len is not None:
+                b += n_pairs
+            held = held[a:]
+        if len(held):
+            added.n_batches += 1
+            yield self._align(reads, held)
             # Band-aware work estimate: modelled DP-cell fraction per
             # pair at this read length (1.0 when banding is off).
-            current().gauge_max(
-                "phmm.band_cell_fraction", cfg.band_cell_fraction(read_len)
-            )
-        stats.publish()
+            current().gauge_max("phmm.band_cell_fraction", cfg.band_cell_fraction(read_len))
+        added.n_mapped = added.n_reads - added.n_unmapped
+        stats.merge(added)
+        added.publish()
 
-    def _align(self, stack: PairStack) -> "tuple[PairEvidence, np.ndarray]":
-        cfg = self.config
+    def _align(self, reads: "list[Read]", seeded: SeedBlock) -> PairEvidence:
         with span("align"):
-            evidence = align_pairs(self.reference.codes, stack, cfg)
-            if cfg.posterior_mode == "viterbi":
-                weights = _one_hot_best(evidence.loglik, evidence.groups)
-            else:
-                weights = group_normalize(
-                    evidence.loglik, evidence.groups, min_ratio=cfg.min_ratio
-                )
-            # Posterior mapping-weight distribution: how concentrated the
-            # per-read z mass is across candidates (1.0 = unique mapping).
-            current().observe_array("pipeline.mapping_weight", weights)
-        return evidence, weights
+            return align_pairs(
+                self.reference.codes, PairStack(reads, seeded, self.config), self.config
+            )
+
+    def weigh(self, evidence: PairEvidence) -> np.ndarray:
+        """Per-pair mapping weights of one batch: each read's z mass shared
+        over its candidates by posterior (one-hot on the best under
+        ``posterior_mode="viterbi"``)."""
+        with span("align"):
+            if self.config.posterior_mode == "viterbi":
+                return _one_hot_best(evidence.loglik, evidence.groups)
+            return group_normalize(
+                evidence.loglik, evidence.groups, min_ratio=self.config.min_ratio
+            )
 
     def accumulate(
         self, acc: Accumulator, evidence: PairEvidence, weights: np.ndarray
@@ -243,7 +238,11 @@ class GnumapSnp:
         """Step C: deposit one batch's weighted evidence into ``acc``."""
         with span("accumulate"):
             deposit(acc, evidence, weights, self.config)
-        current().gauge_max("pipeline.peak_accumulator_bytes", acc.nbytes())
+        reg = current()
+        # Posterior mapping-weight distribution: how concentrated the
+        # per-read z mass is across candidates (1.0 = unique mapping).
+        reg.observe_array("pipeline.mapping_weight", weights)
+        reg.gauge_max("pipeline.peak_accumulator_bytes", acc.nbytes())
 
     def map_reads(
         self,
@@ -257,8 +256,8 @@ class GnumapSnp:
         acc = self.accumulator_or_new(accumulator)
         stats = MappingStats()
         with span("map_reads"):
-            for evidence, weights in self.map_batches(reads, stats):
-                self.accumulate(acc, evidence, weights)
+            for evidence in self.map_batches(reads, stats):
+                self.accumulate(acc, evidence, self.weigh(evidence))
         return acc, stats
 
     # -- stage D ---------------------------------------------------------------

@@ -3,9 +3,9 @@
 The simulated cluster measures *modelled* speedup; this backend is the real
 thing for machines that have the cores.  It is the serial program with a
 second executor: reads are chunked across worker processes, each worker
-runs :meth:`GnumapSnp.map_batches` (steps A-B) over its chunk and ships the
-per-batch ``(PairEvidence, weights)`` home, and the parent deposits them,
-in chunk order, into the **one** accumulator the caller owns — the same
+runs :meth:`GnumapSnp.map_batches` (steps A-B) over its chunk, weighs each
+batch and ships the ``(PairEvidence, weights)`` home, and the parent deposits
+them, in chunk order, into the **one** accumulator the caller owns — the same
 ``Accumulator.add`` calls, in the same read order, as a serial run makes.
 No worker allocates, ships or merges an accumulator, so SNP calls and the
 accumulator are byte-identical to serial at any worker count and under all
@@ -35,7 +35,7 @@ The start method is pinned explicitly (``ParallelConfig.start_method``,
 default ``"spawn"``) so span-stack and sanitizer-propagation semantics never
 depend on what a prior caller or the platform happened to set.
 
-Known limit: the parent holds one dispatch round's evidence (~3.8 kB per
+Known limit: the parent holds one dispatch round's evidence (~3.2 kB per
 pair at 62 bp) until the round ends; depositing chunks as they arrive, in
 chunk order, would bound that by the in-flight window.
 """
@@ -162,7 +162,7 @@ def _map_chunk(
         trace.instant("mp.chunk_begin", chunk=chunk_id, attempt=attempt)
         started = time.perf_counter()
         with span("map_reads"):
-            batches = list(pipe.map_batches(reads, stats))
+            batches = [(ev, pipe.weigh(ev)) for ev in pipe.map_batches(reads, stats)]
         reg.observe("mp.chunk_map_seconds", time.perf_counter() - started)
         snapshot = reg.snapshot()
     if batches and plan is not None and plan.corrupts(chunk_id, attempt):
@@ -261,7 +261,6 @@ def map_reads_multiprocessing(
     metrics consumers can always distinguish "ran serial" from "parallel
     with no overhead".
     """
-    config = pipe.config
     n_workers = pool.n_workers
     reg = current()
 
@@ -318,9 +317,4 @@ def map_reads_multiprocessing(
         # Effective parallelism: requested workers capped by chunk count
         # (n_workers > n_chunks leaves the surplus idle).
         reg.gauge_max("mp.workers_effective", min(n_workers, n_chunks))
-        # Band-aware work estimate: the modelled fraction of full DP cells
-        # each worker fills per pair (1.0 with banding off) — lets metrics
-        # consumers reconcile wall time against cells actually charged.
-        mean_len = int(round(sum(len(r) for r in reads) / len(reads)))
-        reg.gauge_max("phmm.band_cell_fraction", config.band_cell_fraction(mean_len))
     return acc, total

@@ -28,12 +28,11 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
-from repro.index.seeding import CandidateRegion
 from repro.memory.base import Accumulator
 from repro.observability import scope, span
 from repro.phmm.scoring import normalize_location_weights
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.evidence import PairEvidence, PairStack, align_pairs, deposit
+from repro.pipeline.evidence import PairEvidence, read_slices
 from repro.pipeline.gnumap import CallResult, GnumapSnp, MappingStats
 from repro.simulate.paired import ReadPair
 
@@ -79,30 +78,15 @@ class PairedGnumap:
         self.paired = paired or PairedConfig()
 
     @property
-    def reference(self) -> Reference:
-        return self.pipeline.reference
-
-    @property
     def config(self) -> PipelineConfig:
         return self.pipeline.config
 
-    # -- per-mate alignment ----------------------------------------------------
-    def _align_mate(
-        self, read: Read, candidates: "list[CandidateRegion]"
-    ) -> "PairEvidence | None":
-        """One mate's candidates through the shared step B core."""
-        if not candidates:
-            return None
-        with span("align"):
-            stack = PairStack()
-            stack.add_read(read, candidates, self.config, 0)
-            return align_pairs(self.reference.codes, stack, self.config)
-
     # -- pairing ---------------------------------------------------------------
     def _pair_weights(
-        self, m1: PairEvidence, m2: PairEvidence, read_len: int
+        self, m1: PairEvidence, m2: PairEvidence, len1: int, len2: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Marginal per-candidate weights from the joint placement softmax."""
+        """Marginal per-candidate weights from the joint placement softmax
+        over one fragment's mates, ``len1`` and ``len2`` bases long."""
         p = self.paired
         l1 = m1.loglik[:, None]  # (n1, 1)
         l2 = m2.loglik[None, :]  # (1, n2)
@@ -110,11 +94,12 @@ class PairedGnumap:
         s2 = m2.strands[None, :]
         pos1 = m1.starts[:, None].astype(np.float64)
         pos2 = m2.starts[None, :].astype(np.float64)
-        # FR orientation: the forward mate lies 5' of the reverse mate.
-        insert_fwd1 = pos2 + read_len - pos1  # valid when s1=+1, s2=-1
-        insert_fwd2 = pos1 + read_len - pos2  # valid when s1=-1, s2=+1
+        # FR orientation: the forward mate lies 5' of the reverse mate, and
+        # the fragment ends where the *reverse* mate does.
+        insert_fwd1 = pos2 + len2 - pos1  # valid when s1=+1, s2=-1
+        insert_fwd2 = pos1 + len1 - pos2  # valid when s1=-1, s2=+1
         insert = np.where(s1 == 1, insert_fwd1, insert_fwd2)
-        proper = (s1 != s2) & (insert >= 2 * read_len)
+        proper = (s1 != s2) & (insert >= len1 + len2)
         # Every placement hypothesis explains BOTH mates' data: concordant
         # combinations earn the insert density, improper ones (same strand,
         # negative or absurd insert — i.e. a chimera or mis-seed) pay the
@@ -125,14 +110,37 @@ class PairedGnumap:
         joint = l1 + l2 + np.where(
             proper, p.insert_logpdf(insert), p.discordant_logpenalty
         )
-        ceiling = np.max(joint) if joint.size else -np.inf
+        ceiling = np.max(joint)
         if not np.isfinite(ceiling):
-            return np.zeros(m1.loglik.size), np.zeros(m2.loglik.size)
+            return np.zeros(l1.size), np.zeros(l2.size)
         ej = np.exp(np.clip(joint - ceiling, -745.0, 0.0))
         total = ej.sum()
         w1 = ej.sum(axis=1) / total
         w2 = ej.sum(axis=0) / total
         return w1, w2
+
+    def _block_weights(
+        self, reads: "list[Read]", batches: "list[PairEvidence]"
+    ) -> "list[np.ndarray]":
+        """Each batch's per-pair weights; mates of fragment ``f`` are reads
+        ``2f`` and ``2f + 1`` of the block, in whichever batches."""
+        weights = [np.empty(evidence.loglik.size) for evidence in batches]
+        mates = {}  # read -> (its evidence, its slice of the weights)
+        for evidence, share in zip(batches, weights):
+            for read, at in read_slices(evidence.groups):
+                mates[read] = evidence[at], share[at]
+        for read, (mate, share) in mates.items():
+            other, other_share = mates.get(read ^ 1, (None, None))
+            if other is None:
+                # one mate unmapped: the other degrades to single-end
+                share[:] = normalize_location_weights(
+                    mate.loglik, min_ratio=self.config.min_ratio
+                )
+            elif read % 2 == 0:
+                share[:], other_share[:] = self._pair_weights(
+                    mate, other, len(reads[read]), len(reads[read ^ 1])
+                )
+        return weights
 
     # -- public API --------------------------------------------------------------
     def map_pairs(
@@ -140,43 +148,28 @@ class PairedGnumap:
         pairs: "list[ReadPair]",
         accumulator: Accumulator | None = None,
     ) -> tuple[Accumulator, MappingStats]:
-        """Align read pairs with joint insert-aware weighting (steps A-C)."""
-        cfg = self.config
-        acc = (
-            accumulator
-            if accumulator is not None
-            else self.pipeline.new_accumulator()
-        )
-        stats = MappingStats()
+        """Align read pairs with joint insert-aware weighting (steps A-C).
 
+        Both mates of a block of fragments go through the pipeline's one
+        mapping loop; a full stack or a length change can cut between two
+        mates, so a block is weighted once all its evidence is back.
+        """
+        pipe = self.pipeline
+        acc = pipe.accumulator_or_new(accumulator)
+        stats = MappingStats()
+        per_block = max(1, self.config.batch_size // 2)
         with span("map_reads"):
-            for pair in pairs:
-                stats.n_reads += 2
-                both = (pair.read1, pair.read2)
-                with span("seed"):
-                    seeded = self.pipeline.seeder.candidates_batch(both)
-                aligned = [self._align_mate(r, c) for r, c in zip(both, seeded)]
-                mates = [m for m in aligned if m is not None]
-                stats.n_mapped += len(mates)
-                stats.n_unmapped += 2 - len(mates)
-                if not mates:
-                    continue
-                with span("accumulate"):
-                    if len(mates) == 2:
-                        weights = list(
-                            self._pair_weights(mates[0], mates[1], len(pair.read1))
-                        )
-                    else:
-                        # one mate unmapped: the other degrades to single-end
-                        weights = [
-                            normalize_location_weights(
-                                mates[0].loglik, min_ratio=cfg.min_ratio
-                            )
-                        ]
-                    for mate, w in zip(mates, weights):
-                        deposit(acc, mate, w, cfg)
-                        stats.n_pairs += mate.loglik.size
-        stats.publish()
+            for lo in range(0, len(pairs), per_block):
+                reads = [
+                    mate
+                    for pair in pairs[lo : lo + per_block]
+                    for mate in (pair.read1, pair.read2)
+                ]
+                batches = list(pipe.map_batches(reads, stats))
+                with span("align"):
+                    weights = self._block_weights(reads, batches)
+                for evidence, share in zip(batches, weights):
+                    pipe.accumulate(acc, evidence, share)
         return acc, stats
 
     def run(self, pairs: "list[ReadPair]") -> CallResult:

@@ -34,7 +34,7 @@ end-of-run reduction these drivers keep (DESIGN §14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -256,32 +256,30 @@ def _process_read_batch(
         raise PipelineError(
             "memory-spread driver requires equal-length reads per batch"
         )
-    stack = PairStack()
-    mine = np.flatnonzero(read_mask).tolist()
-    seeded = seeder.candidates_batch([batch[b] for b in mine])
-    for b, candidates in zip(mine, seeded):
-        owned = [c for c in candidates if seg.contains(ext_start + c.start)]
-        if owned:
-            stack.add_read(batch[b], owned, config, b)
+    mine = np.flatnonzero(read_mask)
+    seeded = seeder.seed([batch[b] for b in mine.tolist()])
+    # This rank aligns the candidates its group owns: those starting in
+    # the core segment.
+    owned = seeded[seg.contains(ext_start + seeded.start)]
+    owned = replace(owned, read=mine[owned.read])
 
     if calibration:
         comm.account_compute(
             calibration.mapping_seconds(
                 int(read_mask.sum()),
-                len(stack),
+                len(owned),
                 cell_fraction=config.band_cell_fraction(_mean_read_len(batch)),
             )
         )
 
-    evidence = align_pairs(local_ref.codes, stack, config) if stack else None
-
     # Global per-read normalisation: allreduce (logsumexp, max) across ranks.
     local_lse = np.full(len(batch), -np.inf)
     local_max = np.full(len(batch), -np.inf)
-    if evidence is not None:
-        for g, ll in zip(stack.groups, evidence.loglik):
-            local_lse[g] = np.logaddexp(local_lse[g], ll)
-            local_max[g] = max(local_max[g], ll)
+    evidence = None
+    if len(owned):
+        evidence = align_pairs(local_ref.codes, PairStack(batch, owned, config), config)
+        np.logaddexp.at(local_lse, evidence.groups, evidence.loglik)
+        np.maximum.at(local_max, evidence.groups, evidence.loglik)
     packed = np.stack([local_lse, local_max])
     with span("allreduce_normalise"):
         global_packed = comm.allreduce(
@@ -296,7 +294,7 @@ def _process_read_batch(
     stats.n_reads += len(batch)
     stats.n_mapped += n_mapped
     stats.n_unmapped += len(batch) - n_mapped
-    stats.n_pairs += len(stack)
+    stats.n_pairs += len(owned)
 
     if evidence is None:
         return

@@ -51,10 +51,10 @@ LIVE = [
     (  # the mapping loop swallowing whatever a batch raises
         "RPL401",
         "src/repro/pipeline/gnumap.py",
-        "            yield self._align(stack)\n        if read_len is not None:",
-        "            try:\n                yield self._align(stack)\n"
-        "            except Exception:\n                pass\n"
-        "        if read_len is not None:",
+        "                    yield self._align(reads, held[a:b])\n",
+        "                    try:\n"
+        "                        yield self._align(reads, held[a:b])\n"
+        "                    except Exception:\n                        pass\n",
     ),
     (  # a counter outside the subsystem.metric grammar
         "RPL601",

@@ -70,7 +70,7 @@ class TestEndToEnd:
 
 class TestStages:
     def test_accumulator_reuse_is_online(self, pipeline, workload):
-        acc = pipeline.new_accumulator()
+        acc = pipeline.accumulator_or_new(None)
         half = workload.n_reads // 2
         pipeline.map_reads(workload.reads[:half], accumulator=acc)
         first_total = acc.total_depth().sum()
@@ -78,7 +78,7 @@ class TestStages:
         assert acc.total_depth().sum() > first_total
 
     def test_split_mapping_equals_single_run(self, pipeline, workload, result):
-        acc = pipeline.new_accumulator()
+        acc = pipeline.accumulator_or_new(None)
         third = workload.n_reads // 3
         pipeline.map_reads(workload.reads[:third], accumulator=acc)
         pipeline.map_reads(workload.reads[third:], accumulator=acc)
