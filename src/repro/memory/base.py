@@ -7,8 +7,10 @@ memory-spread mode).  The contract:
 * :meth:`add` scatters a batch of z contributions (positions may repeat
   within a batch; contributions to the same position are combined in real
   space before any discretisation, so one quantisation cycle happens per
-  ``add`` call per position — the online-discretisation granularity the
-  paper analyses),
+  ``add`` call per position).  A position's new state depends only on its
+  old state and its own contributions, never on what shares the call:
+  ``deposit`` keeps the paper's one cycle per pair per position by giving
+  each call a position at most once,
 * :meth:`snapshot` reconstructs the dense ``(P, 5)`` float64 evidence for
   the calling stage,
 * :meth:`merge` folds another accumulator's state in (the MPI reduction),
@@ -33,6 +35,9 @@ class Accumulator(ABC):
 
     #: Registry name, e.g. "NORM"; set by subclasses.
     name: str = "?"
+    #: True when ``add`` never quantises, so any split of a batch into calls
+    #: leaves the same state; ``deposit`` picks its schedule from this.
+    linear: bool = False
 
     def __init__(self, length: int) -> None:
         if length <= 0:

@@ -44,6 +44,9 @@ from repro.errors import AccumulatorError
 from repro.memory.base import Accumulator
 
 _K = 256
+#: Rows per GEMM in ``nearest`` (its distance matrix stays in L2) and the gap
+#: under which the GEMM's argmin is not trusted (its error is ~1e-15).
+_BLOCK, _TIE = 128, 1e-12
 #: Simplex grid resolution used to enumerate candidate centroids.
 _GRID = 8
 
@@ -139,15 +142,31 @@ class CentroidCodebook:
         return book
 
     def nearest(self, fractions: np.ndarray) -> np.ndarray:
-        """Nearest centroid index per ``(U, 5)`` fraction row (Euclidean)."""
-        f = np.asarray(fractions, dtype=np.float64)
-        if f.ndim == 1:
-            f = f[None, :]
+        """Nearest centroid index per ``(U, 5)`` simplex row (Euclidean).
+
+        A row's answer is the argmin of a fixed-order five-term sum, whatever
+        shares the call: the GEMM, whose low bits move with the row count,
+        decides only rows whose best two distances lie further apart than
+        its error.  Rows are walked in L2-sized blocks.
+        """
+        f = np.atleast_2d(np.asarray(fractions, dtype=np.float64))
         if f.shape[1] != 5:
             raise AccumulatorError(f"fractions must be (U, 5), got {f.shape}")
         # exclude the empty slot 0 from matching: occupied states only
-        d = self._sq_norms[None, 1:] - 2.0 * (f @ self.centroids[1:].T)
-        return (d.argmin(axis=1) + 1).astype(np.uint8)
+        cents, norms = self.centroids[1:], self._sq_norms[1:]
+        out = np.empty(f.shape[0], dtype=np.uint8)
+        for a in range(0, f.shape[0], _BLOCK):
+            rows = f[a : a + _BLOCK]
+            d = norms - 2.0 * (rows @ cents.T)
+            best, each = d.argmin(axis=1), np.arange(rows.shape[0])
+            lowest = d[each, best]
+            d[each, best] = np.inf
+            tied = np.flatnonzero(d.min(axis=1) - lowest <= _TIE)
+            if tied.size:
+                dot = sum(rows[tied, ch, None] * cents[:, ch] for ch in range(5))
+                best[tied] = (norms - 2.0 * dot).argmin(axis=1)
+            out[a : a + _BLOCK] = best + 1
+        return out
 
     def reduce_table(self) -> np.ndarray:
         """Equal-weight merge LUT: ``table[i, j]`` = nearest((c_i + c_j) / 2).

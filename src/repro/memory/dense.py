@@ -17,6 +17,7 @@ class DenseAccumulator(Accumulator):
     """``(length, 5)`` float32 evidence matrix with scatter-add updates."""
 
     name = "NORM"
+    linear = True
 
     def __init__(self, length: int) -> None:
         super().__init__(length)

@@ -5,8 +5,9 @@ thing for machines that have the cores.  It is the serial program with a
 second executor: reads are chunked across worker processes, each worker
 runs :meth:`GnumapSnp.map_batches` (steps A-B) over its chunk, weighs each
 batch and ships the ``(PairEvidence, weights)`` home, and the parent deposits
-them, in chunk order, into the **one** accumulator the caller owns — the same
-``Accumulator.add`` calls, in the same read order, as a serial run makes.
+them, in chunk order, into the **one** accumulator the caller owns — every
+position receives the contributions a serial run gives it, in the same read
+order (:func:`repro.pipeline.evidence.deposit`; batch boundaries may differ).
 No worker allocates, ships or merges an accumulator, so SNP calls and the
 accumulator are byte-identical to serial at any worker count and under all
 three memory modes
@@ -287,7 +288,7 @@ def map_reads_multiprocessing(
     with span("map_parallel"):
         outcome = pool.run(payloads)
 
-        # Deposit in chunk order — the serial run's add() sequence, whatever
+        # Deposit in chunk order — the serial run's read order, whatever
         # the completion order, retries, or chunks degraded to the parent.
         worker_snaps = []
         for cid in range(n_chunks):

@@ -23,7 +23,7 @@ from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.index.hashindex import GenomeIndex
 from repro.index.kmer import rolling_kmers
-from repro.index.seeding import CandidateRegion, Seeder, SeederConfig
+from repro.index.seeding import CandidateRegion, Seeder, SeederConfig, _sorted_distinct
 from repro.observability import current as metrics
 from repro.observability import scope
 
@@ -504,3 +504,36 @@ def test_key_headroom_is_checked_with_a_typed_error():
     index.reference = _Vast()
     with pytest.raises(IndexError_, match="overflows"):
         Seeder(index).candidates_batch([_read(np.asarray(_GENOME.codes[:62]))] * 2)
+
+
+def test_qgram_keep_matches_the_np_unique_spelling(monkeypatch):
+    """The filter's sort + neighbour-mask de-duplication decides as
+    ``np.unique`` does, on a decoy-style block: a small target followed by a
+    long decoy with planted repeats, so most clusters are spurious."""
+    import repro.index.seeding as seeding
+
+    rng = np.random.default_rng(24)
+    codes = rng.integers(0, 4, 60_000).astype(np.uint8)
+    for src, dst in rng.integers(4000, 59_000, (8, 2)):
+        codes[dst : dst + 400] = codes[src : src + 400]
+    seeder = Seeder(
+        GenomeIndex(Reference(codes, name="decoy"), k=10),
+        SeederConfig(qgram_filter=True),
+    )
+    reads = [
+        _read(codes[p : p + READ_LEN] if p % 3 else rng.integers(0, 4, READ_LEN))
+        for p in rng.integers(0, 4000 - READ_LEN, 200).tolist()
+    ]
+    calls = []
+    keep_fn = seeder._qgram_keep
+    monkeypatch.setattr(
+        seeder, "_qgram_keep", lambda *a: calls.append(a) or keep_fn(*a)
+    )
+    seeder.seed(reads)
+    (args,) = calls
+    fast = keep_fn(*args)
+    monkeypatch.setattr(seeding, "_sorted_distinct", np.unique)
+    np.testing.assert_array_equal(fast, keep_fn(*args))
+    assert 0 < np.count_nonzero(fast) < fast.size
+    for keys in (args[3], np.empty(0, np.int64), rng.integers(0, 5, 40)):
+        np.testing.assert_array_equal(_sorted_distinct(keys.copy()), np.unique(keys))

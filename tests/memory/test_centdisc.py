@@ -47,6 +47,27 @@ class TestCodebook:
         idx = cb.nearest(cb.centroids[1:])
         assert (idx == np.arange(1, 256)).all()
 
+    def test_nearest_answers_per_row_whatever_shares_the_call(self):
+        """A row's centroid is the same alone and among thousands of rows:
+        the centroid-pair midpoints sit on exact ties, where the GEMM's
+        row-count-dependent low bits would otherwise decide."""
+        cb = default_codebook()
+        i, j = np.triu_indices(255, 1)
+        midpoints = (cb.centroids[1 + i] + cb.centroids[1 + j]) / 2.0
+        random = np.random.default_rng(24).dirichlet(np.full(5, 0.3), 100_000)
+        for rows in (midpoints, random):
+            together = cb.nearest(rows)
+            alone = np.array([cb.nearest(rows[r : r + 1])[0] for r in range(len(rows))])
+            np.testing.assert_array_equal(together, alone)
+
+    def test_nearest_is_the_nearest(self):
+        cb = default_codebook()
+        rows = np.random.default_rng(5).dirichlet(np.full(5, 0.5), 2000)
+        d = ((rows[:, None, :] - cb.centroids[None, 1:, :]) ** 2).sum(axis=2)
+        got = d[np.arange(len(rows)), cb.nearest(rows).astype(int) - 1]
+        np.testing.assert_allclose(got, d.min(axis=1), rtol=0, atol=1e-12)
+        assert cb.nearest(rows[0]).shape == (1,)
+
     def test_nearest_shape_validation(self):
         with pytest.raises(AccumulatorError):
             default_codebook().nearest(np.zeros((2, 4)))

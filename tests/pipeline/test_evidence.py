@@ -1,7 +1,9 @@
 """``PairStack``: the array-built stack and its block-built PWMs against the
-per-read oracle; ``deposit`` forming its own columns."""
+per-read oracle; ``deposit`` forming its own columns and regrouping a
+batch's per-pair adds into conflict-free rounds, against the per-pair loop."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,3 +100,130 @@ def test_deposit_forms_columns_from_starts():
     want[0 : lo[0] + width] += 1.0
     want[lo[1] : lo[1] + width] += 2.0
     np.testing.assert_array_equal(acc.snapshot()[:, 0], want)
+
+
+# -- deposit in rounds == the per-pair loop -----------------------------------
+
+KINDS = ["NORM", "CHARDISC", "CENTDISC", "CENTDISC_WEIGHTED"]
+
+
+def deposit_by_loop(acc, evidence, weights, cfg):
+    """The per-pair loop ``deposit`` ran for quantising accumulators before
+    it regrouped a batch into rounds: one ``add`` per pair, in pair order."""
+    zw = evidence.z * weights[:, None, None]
+    cols = (evidence.starts - cfg.pad)[:, None] + np.arange(zw.shape[1])[None, :]
+    live = (cols >= 0) & (cols < acc.length) & (weights[:, None] > 0)
+    for b in range(zw.shape[0]):
+        m = live[b]
+        if m.any():
+            acc.add(cols[b][m], zw[b][m])
+
+
+def _evidence(z, starts):
+    n = len(starts)
+    return PairEvidence(
+        z, np.zeros(n), np.asarray(starts, dtype=np.int64), np.ones(n, np.int64),
+        np.arange(n),
+    )
+
+
+def _assert_same_buffers(got, want):
+    assert got.to_buffers().keys() == want.to_buffers().keys()
+    for key, value in want.to_buffers().items():
+        np.testing.assert_array_equal(got.to_buffers()[key], value, err_msg=key)
+
+
+def _recorded_adds(acc):
+    """Make ``acc`` record the positions of every ``add`` it is given."""
+    calls, add = [], acc.add
+
+    def recording(positions, z):
+        calls.append(np.array(positions))
+        add(positions, z)
+
+    acc.add = recording
+    return calls
+
+
+@st.composite
+def deposit_batches(draw):
+    """A genome length and 1-3 batches of weighted pairs: starts drawn from a
+    few values (duplicates, heavy overlap) reaching past both genome edges,
+    z with zero cells, weights zero, negative zero, underflowing and plain."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    cfg = PipelineConfig()
+    length = draw(st.integers(min_value=1, max_value=90))
+    width = draw(st.integers(min_value=1, max_value=12)) + 2 * cfg.pad
+    batches = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        n = draw(st.integers(min_value=1, max_value=14))
+        spots = rng.integers(-width - 2, length + cfg.pad + 2, draw(st.integers(1, 4)))
+        z = rng.dirichlet(np.full(5, 0.4), (n, width)) * rng.random((n, width, 1))
+        z[rng.random((n, width)) < 0.2] = 0.0
+        weights = rng.choice([0.0, -0.0, 5e-324, 1e-3, 0.25, 1.0], n) * rng.choice(
+            [1.0, rng.random()], n
+        )
+        if draw(st.booleans()):
+            weights[:] = 0.0
+        batches.append((_evidence(z, rng.choice(spots, n)), weights))
+    return length, batches
+
+
+@settings(max_examples=120, deadline=None)
+@given(deposit_batches(), st.sampled_from(KINDS))
+def test_deposit_equals_per_pair_loop(case, kind):
+    """Whatever the accumulator, ``deposit`` leaves the bytes the per-pair
+    loop leaves — under a config that names another accumulator."""
+    length, batches = case
+    cfg = PipelineConfig()
+    got, want = make_accumulator(kind, length), make_accumulator(kind, length)
+    for evidence, weights in batches:
+        deposit(got, evidence, weights, cfg)
+        deposit_by_loop(want, evidence, weights, cfg)
+    _assert_same_buffers(got, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_deposit_adds_once_per_round_not_per_pair(kind):
+    """A quantising accumulator sees as many ``add`` calls as the batch's
+    deepest live column holds cells, each naming a position at most once;
+    a linear one sees one call."""
+    cfg = PipelineConfig()
+    rng = np.random.default_rng(24)
+    width = 6 + 2 * cfg.pad
+    starts = np.array([-30, 3, 3, 5, 9, 9, 9, 20, 41, 200])
+    weights = np.array([1.0, 1.0, 0.5, 0.0, 1.0, 0.2, 1.0, 1.0, 1.0, 1.0])
+    z = rng.dirichlet(np.ones(5), (starts.size, width))
+    acc = make_accumulator(kind, 50)
+    calls = _recorded_adds(acc)
+    deposit(acc, _evidence(z, starts), weights, cfg)
+    cols = (starts - cfg.pad)[:, None] + np.arange(width)
+    live = (cols >= 0) & (cols < 50) & (weights[:, None] > 0)
+    depth = np.bincount(cols[live]).max()
+    assert 1 < depth < np.count_nonzero(live.any(axis=1))
+    assert len(calls) == (1 if acc.linear else depth)
+    assert sum(c.size for c in calls) == np.count_nonzero(live)
+    if not acc.linear:
+        assert all(np.unique(c).size == c.size for c in calls)
+        # Round sizes shrink: round k holds the columns at least k+1 deep.
+        assert [c.size for c in calls] == sorted((c.size for c in calls), reverse=True)
+    calls.clear()
+    deposit(acc, _evidence(z, starts), np.zeros(starts.size), cfg)
+    assert len(calls) == (1 if acc.linear else 0)
+
+
+def test_deposit_schedule_follows_the_accumulator_not_the_config():
+    """Reads mapped into a handed-in CHARDISC accumulator under a default
+    (NORM) config end in the state a CHARDISC-configured run reaches."""
+    from repro.experiments.workload import build_workload
+    from repro.pipeline.gnumap import GnumapSnp
+
+    wl = build_workload(scale="tiny", seed=24)
+    reads, n = wl.reads[:120], len(wl.reference)
+    handed, _ = GnumapSnp(wl.reference, PipelineConfig()).map_reads(
+        reads, make_accumulator("CHARDISC", n)
+    )
+    configured, _ = GnumapSnp(
+        wl.reference, PipelineConfig(accumulator="CHARDISC")
+    ).map_reads(reads)
+    _assert_same_buffers(handed, configured)

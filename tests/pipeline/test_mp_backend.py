@@ -59,6 +59,10 @@ def _assert_same_bytes(result, serial):
     assert np.array_equal(
         result.accumulator.snapshot(), serial.accumulator.snapshot()
     )
+    for key, value in serial.accumulator.to_buffers().items():
+        np.testing.assert_array_equal(
+            result.accumulator.to_buffers()[key], value, err_msg=key
+        )
 
 
 def _config(method="fork", accumulator="NORM", **kwargs):
@@ -243,8 +247,9 @@ class TestFaultRecoverySpawn(TestFaultRecovery):
 class TestSerialPoolContract:
     """The one owner of the serial-vs-pool contract (module docstring of
     :mod:`repro.pipeline.mp_backend`): workers return evidence and the
-    parent makes the serial run's ``Accumulator.add`` calls, so TSV bytes
-    and accumulator are identical to ``GnumapSnp.run`` at any worker count,
+    parent gives every position the serial run's contributions in the
+    serial run's order, so TSV bytes and accumulator are identical to
+    ``GnumapSnp.run`` at any worker count,
     under every memory mode, however the reads were fed or what failed."""
 
     MODES = ["NORM", "CHARDISC", "CENTDISC"]
@@ -258,6 +263,24 @@ class TestSerialPoolContract:
         serial = GnumapSnp(wl.reference, config).run(reads)
         for n_workers in (1, 2, 3):
             _assert_same_bytes(_run(wl, reads, config, n_workers), serial)
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_pool_buffers_equal_serial_across_batch_boundaries(
+        self, workload, n_workers
+    ):
+        """CHARDISC's state is the per-position order of its contributions,
+        not the batches they arrive in: the pool parent cuts its deposits at
+        other reads than the serial run and leaves the same buffers."""
+        config = PipelineConfig(
+            accumulator="CHARDISC",
+            batch_size=100,
+            parallel=ParallelConfig(start_method="fork"),
+        )
+        serial = GnumapSnp(workload.reference, config).run(workload.reads)
+        pooled = _run(workload, workload.reads, config, n_workers)
+        assert pooled.stats.n_batches != serial.stats.n_batches
+        assert pooled.stats.n_pairs == serial.stats.n_pairs
+        _assert_same_bytes(pooled, serial)
 
     @pytest.mark.parametrize("accumulator", MODES)
     def test_staged_pool_equals_serial(self, workload, accumulator):
