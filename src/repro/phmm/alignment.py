@@ -39,10 +39,11 @@ from repro.phmm.forward_backward import (
 from repro.phmm.model import PHMMParams
 from repro.phmm.posterior import RowDeposit, z_vectors
 
-#: Widest lane tile, from the sweep in EXPERIMENTS.md ("Lane-tile width"): the
-#: per-pair cost of the full kernels is flat over 86-171 lanes, where a row
-#: step's working set sits in L2, and rises either side of it.
-_LANE_TILE = 192
+#: Widest lane tile, from the sweep in EXPERIMENTS.md ("Lane-tile width"): on
+#: 62 x 78 pairs the full kernels are 6-10% and the banded ones 21-24% fewer
+#: µs/pair at 256 lanes than at 171, and the full ones lose 15-20% again on
+#: one untiled 512-lane block.
+_LANE_TILE = 256
 
 
 def _check_kernel(kernel: str, dtype: str) -> None:
@@ -133,22 +134,24 @@ def _align_streamed(
     lanes = 0  # width the workspace below was cut for
     for start in range(0, B, step):
         tile = slice(start, start + step)
-        pstar = emissions_batch(pwms[tile], windows[tile], params)
-        if sanitize.enabled():
-            sanitize.check_emissions(pstar)
-        pl = as_lanes(pstar)
-        if pl.shape[2] != lanes:
+        if min(step, B - start) != lanes:
             # Once per call, and once more for a narrower last tile.
-            lanes = pl.shape[2]
+            lanes = min(step, B - start)
+            emissions = np.empty((N, M, lanes))
             f_state, f_scale = np.zeros((N + 1, 3, M + 1, lanes)), np.zeros((N + 1, lanes))
             ring, scale = np.zeros((2, 3, M + 1, lanes)), np.zeros((N + 1, lanes))
             deposit = RowDeposit(
                 N, M, lanes, band if want_edge else None, occupancy=edge_policy == "paper"
             )
         else:
-            # Equal tiles overwrite the forward state and both scale tables
-            # cell for cell; the ring holds rows a new pass must find zero.
+            # Equal tiles overwrite the emissions, the forward state and both
+            # scale tables cell for cell; the ring holds rows a new pass must
+            # find zero.
             ring.fill(0.0)
+        pstar = emissions_batch(pwms[tile], windows[tile], params, emissions)
+        if sanitize.enabled():
+            sanitize.check_emissions(pstar)
+        pl = as_lanes(pstar)
         fwd = forward_lanes(pl, params, mode, band, f_state, f_scale)
         deposit.begin(pwms[tile], fwd)
         for i, lo, hi, row in backward_rows(pl, params, mode, band, ring, scale):

@@ -8,12 +8,22 @@ This is the hot path of the whole system (DESIGN §5):
   contiguous sub-block of it.  A row step is a dozen whole-block NumPy calls
   into scratch allocated once per pass.  Results keep their public
   ``(B, ., .)`` shapes as strided views of that storage.
-* **In-row recurrences as IIR filters**: ``f_GY(i, j)`` depends on
-  ``f_GY(i, j-1)`` within the same row — a first-order linear recurrence —
-  which :func:`scipy.signal.lfilter` evaluates at C speed down axis 0 of the
-  row block (``b_GY`` runs the same filter on the reversed row).
-* **Per-row scaling** keeps values in float64 range; cumulative log scales
-  are carried alongside so likelihoods and posteriors are exact.
+* **In-row recurrences as doubling scans**: ``f_GY(i, j)`` depends on
+  ``f_GY(i, j-1)`` within the same row — a first-order linear recurrence
+  ``y[j] = x[j] + c y[j-1]``, ``c = q T_GG`` — which :meth:`_Sweep.scan`
+  solves in place in ``ceil(log2 n)`` whole-block steps
+  ``y[s:] += c^s * y[:-s]``, ``s = 1, 2, 4, ...`` (``b_GY`` runs the
+  mirrored scan ``y[:-s] += c^s * y[s:]``).
+* **Power-of-two row scales** keep values in float64 range: each row is
+  multiplied by ``2^-e``, ``2^e`` the power of two at its per-pair maximum
+  (``frexp``), which changes exponents only, and ``e ln 2`` is added to the
+  cumulative log scale carried alongside, so likelihoods and posteriors are
+  exact.
+
+Both are elementwise per lane, so a pair's bits never depend on which other
+pairs share its tile.  The batch-major kernels these replaced (a first-order
+IIR filter per row, rows divided by their maximum; frozen in
+``tests/phmm/parent_kernels.py``) agree with them to ``1e-12`` (DESIGN §5).
 
 Recursions (Durbin et al. 1998 ch. 4; see the note in
 :mod:`repro.phmm.model` about the paper's forward-recursion typo)::
@@ -55,7 +65,6 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.errors import AlignmentError
 from repro.observability import current as metrics
@@ -66,6 +75,9 @@ from repro.phmm.model import PHMMParams
 _MODES = ("semiglobal", "global")
 _TINY = 1e-300
 _LOG_TINY = float(np.log(_TINY))
+_LN2 = float(np.log(2.0))
+#: Pairs per batch-major emission product before it is copied into lanes.
+_EMIT_PAIRS = 32
 #: State axis of the lane-major DP tensors.
 ST_M, ST_GX, ST_GY = 0, 1, 2
 
@@ -83,20 +95,30 @@ def check_pairs(pwms: np.ndarray, windows: np.ndarray) -> tuple[np.ndarray, np.n
     return pwms, windows
 
 
-def emissions_batch(pwms: np.ndarray, windows: np.ndarray, params: PHMMParams) -> np.ndarray:
+def emissions_batch(
+    pwms: np.ndarray,
+    windows: np.ndarray,
+    params: PHMMParams,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Quality-aware match emissions ``p*`` for a batch.
 
     ``pwms`` are ``(B, N, 4)`` read PWMs, ``windows`` ``(B, M)`` genome window
     codes (N = 4 allowed), ``params`` supplies the ``p[k, y]`` table.  Returns
     ``p*[b, i, j] = sum_k pwm[b,i,k] p[k, window[b,j]]`` as a ``(B, N, M)``
-    view of ``(N, M, B)`` storage, the layout the kernels consume.
+    view of ``(N, M, B)`` storage, the layout the kernels consume: ``out``
+    when given, else a new array.
     """
     pwms, windows = check_pairs(pwms, windows)
-    # p[k, window[b, j]] as (B, 4, M): one (N, 4) @ (4, M) product per pair.
-    pstar = np.matmul(pwms, params.emission[:, windows].transpose(1, 0, 2))
-    lanes = np.empty(pstar.shape[1:] + pstar.shape[:1])
+    B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
+    lanes = np.empty((N, M, B)) if out is None else out
     view = lanes.transpose(2, 0, 1)
-    np.copyto(view, pstar)
+    # p[k, window[b, j]] as (b, 4, M): one (N, 4) @ (4, M) product per pair,
+    # a few pairs at a time so the batch-major product stays small.
+    for a in range(0, B, _EMIT_PAIRS):
+        b = slice(a, a + _EMIT_PAIRS)
+        emission = params.emission[:, windows[b]].transpose(1, 0, 2)
+        np.copyto(view[b], np.matmul(pwms[b], emission))
     return view
 
 
@@ -179,8 +201,12 @@ class _Sweep:
         self.N, self.M, B = pl.shape
         self.q, self.TMM, self.TGM = params.q, params.T_MM, params.T_GM
         self.TMG, self.TGG = params.T_MG, params.T_GG
-        self.gy_b = np.array([1.0])
-        self.gy_a = np.array([1.0, -self.q * self.TGG])
+        # Doubling-scan shifts 1, 2, 4, ... <= M and their coefficients
+        # (q T_GG)^shift, each the square of the one before.
+        self.shifts = [1 << k for k in range(self.M.bit_length())]
+        self.powers = [self.q * self.TGG]
+        for _ in self.shifts[1:]:
+            self.powers.append(self.powers[-1] * self.powers[-1])
         self.sa, self.sb, self.sc = np.empty((3, self.M + 1, B))
 
     def bounds(self, i: int) -> tuple[int, int]:
@@ -188,12 +214,29 @@ class _Sweep:
 
     @staticmethod
     def rescale(block: np.ndarray, ls_from: np.ndarray, ls_to: np.ndarray) -> None:
-        """Divide the row's in-band block by its per-pair maximum (all three
-        states share one scale so the recursion stays exact); a zero row
+        """Scale the row's in-band block by ``2^-e``, ``2^e`` the power of two
+        at its per-pair maximum (exact: only exponents change); all three
+        states share one scale so the recursion stays exact, and a zero row
         means the alignment has probability zero."""
-        s = np.maximum(block.max(axis=(0, 1)), _TINY)
-        block /= s
-        np.add(ls_from, np.log(s, out=s), out=ls_to)
+        _, e = np.frexp(np.maximum(block.max(axis=(0, 1)), _TINY))
+        block *= np.ldexp(1.0, -e)
+        np.add(ls_from, e * _LN2, out=ls_to)
+
+    def scan(self, y: np.ndarray, tmp: np.ndarray, reverse: bool = False) -> None:
+        """Solve ``y[j] = x[j] + q T_GG y[j-1]`` down axis 0 in place (``y``
+        holds ``x`` on entry; ``reverse``: ``y[j+1]``), zero past the edge.
+
+        Step ``s`` adds ``(q T_GG)^s`` times the values ``s`` rows back
+        (``tmp`` holds the product), so after it every row sums the ``2s``
+        terms that reach it: ``ceil(log2 n)`` whole-block steps for ``n``
+        rows.  Elementwise per lane, so a lane's bits do not depend on its
+        neighbours."""
+        n = len(y)
+        for s, c in zip(self.shifts, self.powers):
+            if s >= n:
+                break
+            src, dst = (y[s:], y[: n - s]) if reverse else (y[: n - s], y[s:])
+            np.add(dst, np.multiply(src, c, out=tmp[: n - s]), out=dst)
 
     def forward_row(self, i: int, lo: int, hi: int, prev: np.ndarray, row: np.ndarray) -> None:
         """Fill unscaled in-band row ``i >= 1`` from scaled row ``i-1``."""
@@ -214,8 +257,9 @@ class _Sweep:
         if n > 0:
             # First-order in-row recurrence, zero-initialised at the row's
             # left edge (f_GY(i, jlo-1) is out of band or column 0, hence 0).
-            drive = np.multiply(row[ST_M, jlo - 1 : hi], self.q * self.TMG, out=self.sa[:n])
-            row[ST_GY, jlo : hi + 1] = lfilter(self.gy_b, self.gy_a, drive, axis=0)
+            gy = row[ST_GY, jlo : hi + 1]
+            np.multiply(row[ST_M, jlo - 1 : hi], self.q * self.TMG, out=gy)
+            self.scan(gy, self.sa)
 
     def backward_last_row(self, row: np.ndarray) -> None:
         """Initialise row ``N`` (already scaled: its log scale is 0)."""
@@ -256,7 +300,8 @@ class _Sweep:
             # b_GY row i: reversed first-order recurrence driven by T_GM * d,
             # zero-initialised at the row's right edge (b_GY(i, hi+1) is out
             # of band or past column M, hence 0).
-            gy[...] = lfilter(self.gy_b, self.gy_a, gd[::-1], axis=0)[::-1]
+            np.copyto(gy, gd)
+            self.scan(gy, t, reverse=True)
         else:
             # Row 0 keeps b_GY = 0 and drops the M -> G_Y term: f_GY(0, j) = 0
             # (genome bases before the first read base belong to the start

@@ -138,16 +138,13 @@ class TestKernelHooks:
         """Seeded fault: the kernel returns a NaN-poisoned matrix."""
         import repro.phmm.forward_backward as fb
 
-        real_lfilter = fb.lfilter
+        real_scan = fb._Sweep.scan
 
-        def poisoned_lfilter(*args, **kwargs):
-            out = real_lfilter(*args, **kwargs)
-            if isinstance(out, np.ndarray) and out.size:
-                out = out.copy()
-                out.flat[0] = np.nan
-            return out
+        def poisoned_scan(sweep, y, tmp, reverse=False):
+            real_scan(sweep, y, tmp, reverse)
+            y[0, 0] = np.nan
 
-        monkeypatch.setattr(fb, "lfilter", poisoned_lfilter)
+        monkeypatch.setattr(fb._Sweep, "scan", poisoned_scan)
         pstar = self._pstar()
         # Default mode: the corruption flows through silently.
         result = forward_batch(pstar, self.PARAMS)
@@ -161,8 +158,8 @@ class TestKernelHooks:
         """A poisoned emission kernel fails inside map_reads/align."""
         import repro.phmm.alignment as alignment
 
-        def poisoned_emissions(pwms, windows, params):
-            out = emissions_batch(pwms, windows, params)
+        def poisoned_emissions(pwms, windows, params, out=None):
+            out = emissions_batch(pwms, windows, params, out)
             out = out.copy()
             out.flat[0] = np.nan
             return out
@@ -184,16 +181,14 @@ class TestKernelHooks:
         and attributed to ``map_reads/align``."""
         import repro.phmm.forward_backward as fb
 
-        real_lfilter = fb.lfilter
+        real_scan = fb._Sweep.scan
 
-        def poisoned_lfilter(b, a, x, axis=-1):
-            out = real_lfilter(b, a, x, axis=axis)
-            if x.strides[0] < 0 and out.size:  # the backward pass filters reversed rows
-                out = out.copy()
-                out.flat[0] = np.nan
-            return out
+        def poisoned_scan(sweep, y, tmp, reverse=False):
+            real_scan(sweep, y, tmp, reverse)
+            if reverse:  # the backward pass scans its rows right to left
+                y[0, 0] = np.nan
 
-        monkeypatch.setattr(fb, "lfilter", poisoned_lfilter)
+        monkeypatch.setattr(fb._Sweep, "scan", poisoned_scan)
         pipe = GnumapSnp(workload.reference, PipelineConfig())
         with sanitize.sanitized():
             with pytest.raises(SanitizerError) as exc_info:
