@@ -71,6 +71,9 @@ class RegionSet:
     def contains_many(self, positions: np.ndarray) -> np.ndarray:
         """Vectorised membership test."""
         positions = np.asarray(positions, dtype=np.int64)
+        if not self._regions:
+            # No stop to index below: nothing is inside an empty set.
+            return np.zeros(positions.shape, dtype=bool)
         idx = np.searchsorted(self._starts, positions, side="right") - 1
         ok = idx >= 0
         safe = np.maximum(idx, 0)

@@ -406,7 +406,13 @@ class ChunkDispatcher:
                     )
 
                 ready_conns = _conn_wait(
-                    [s.conn for s in live], timeout=self._wait_time(live, now)
+                    [s.conn for s in live],
+                    timeout=_wait_time(
+                        now,
+                        [s.deadline for s in live if s.chunk is not None],
+                        [task[2] for task in pending],
+                        idle=any(s.ready and s.chunk is None for s in live),
+                    ),
                 )
                 for slot in live:
                     if slot.conn not in ready_conns:
@@ -476,10 +482,14 @@ class ChunkDispatcher:
                     slots[idx] = None
         return outcome
 
-    def _wait_time(self, live: "list[_Slot]", now: float) -> float:
-        """Poll timeout: wake for the nearest deadline, capped at the tick."""
-        wait = _TICK
-        for slot in live:
-            if slot.chunk is not None:
-                wait = min(wait, max(0.0, slot.deadline - now))
-        return wait
+
+def _wait_time(
+    now: float, deadlines: "list[float]", not_before: "list[float]", idle: bool
+) -> float:
+    """Poll timeout of the dispatch loop, capped at the tick: wake for the
+    nearest in-flight deadline and, while a ready worker is ``idle``, for the
+    earliest pending retry's backoff.  Pending work with no idle worker does
+    not shorten the wait: it is due at once, so a zero timeout would spin
+    the parent until a worker answers."""
+    wakes = deadlines + not_before if idle else deadlines
+    return min([_TICK, *(max(0.0, t - now) for t in wakes)])

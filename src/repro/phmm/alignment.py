@@ -42,8 +42,9 @@ from repro.phmm.posterior import RowDeposit, z_vectors
 #: Widest lane tile, from the sweep in EXPERIMENTS.md ("Lane-tile width"): on
 #: 62 x 78 pairs the full kernels are 6-10% and the banded ones 21-24% fewer
 #: µs/pair at 256 lanes than at 171, and the full ones lose 15-20% again on
-#: one untiled 512-lane block.
-_LANE_TILE = 256
+#: one untiled 512-lane block.  The pool sizes its chunks from it too
+#: (:func:`repro.pipeline.mp_backend.chunk_count`).
+LANE_TILE = 256
 
 
 def _check_kernel(kernel: str, dtype: str) -> None:
@@ -129,8 +130,14 @@ def _align_streamed(
     loglik = np.empty(B)
     edge = np.empty(B) if want_edge else None
     # Equal tiles: one pair over the width is two halves, not a straggler.
-    n_tiles = max(1, -(-B // _LANE_TILE))
+    n_tiles = max(1, -(-B // LANE_TILE))
     step = max(1, -(-B // n_tiles))
+    if B:
+        # Lanes per tile: `B // step` full tiles and at most one narrower.
+        reg = metrics()
+        reg.observe("phmm.tile_lanes", float(step), count=B // step)
+        if B % step:
+            reg.observe("phmm.tile_lanes", float(B % step))
     lanes = 0  # width the workspace below was cut for
     for start in range(0, B, step):
         tile = slice(start, start + step)

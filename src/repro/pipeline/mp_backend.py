@@ -65,6 +65,7 @@ from repro.parallel.partition import (
 from repro.parallel.pool import PersistentPool
 from repro.parallel.shm import attach_array
 from repro.phmm import sanitize
+from repro.phmm.alignment import LANE_TILE
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.evidence import PairEvidence
 from repro.pipeline.gnumap import GnumapSnp, MappingStats
@@ -76,8 +77,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: One chunk's transportable payload: (codes, quals, names) per read.
 ChunkPayload = "tuple[list, list, list]"
 
-#: Chunks per worker in a dispatch round: one recovery costs a quarter of
-#: a worker's share, and a slow chunk leaves the others something to take.
+#: Most chunks per worker in a dispatch round, once a chunk can still fill a
+#: lane tile: from ``workers * CHUNKS_PER_WORKER * LANE_TILE`` reads (2,048
+#: at two workers) one recovery costs a quarter of a worker's share and a
+#: slow chunk leaves the others something to take; below that a recovery
+#: recomputes up to a whole share.
 CHUNKS_PER_WORKER = 4
 #: Reads per chunk at most, whatever the input size: keeps one chunk's
 #: compute (~1 s at 2 k reads/s) well under ``chunk_timeout``, so a retry
@@ -230,11 +234,14 @@ def make_pool(
 
 
 def chunk_count(n_reads: int, workers: int) -> int:
-    """Chunks in one dispatch round: ``workers * CHUNKS_PER_WORKER``, at
+    """Chunks in one dispatch round: ``workers * clamp(n_reads // (workers *
+    LANE_TILE), 1, CHUNKS_PER_WORKER)``, so a chunk holds a lane tile's worth
+    of reads and a worker's kernel calls run tiles as wide as serial's; at
     most one per read, and more when that would put over
     ``MAX_CHUNK_READS`` reads in a chunk."""
-    static = min(n_reads, workers * CHUNKS_PER_WORKER)
-    return max(static, -(-n_reads // MAX_CHUNK_READS))
+    per_worker = min(max(n_reads // (workers * LANE_TILE), 1), CHUNKS_PER_WORKER)
+    tiled = min(n_reads, workers * per_worker)
+    return max(tiled, -(-n_reads // MAX_CHUNK_READS))
 
 
 def map_reads_multiprocessing(

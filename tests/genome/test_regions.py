@@ -45,6 +45,14 @@ class TestRegionSet:
         scalar = np.array([int(p) in rs for p in positions])
         assert (vec == scalar).all()
 
+    def test_empty_set_contains_nothing(self):
+        # A header-only BED reads as an empty set; membership must say no,
+        # not index a stop that does not exist.
+        rs = RegionSet([])
+        assert 0 not in rs
+        assert rs.contains_many(np.array([0, 1])).tolist() == [False, False]
+        assert rs.contains_many(np.array([], dtype=np.int64)).shape == (0,)
+
     def test_mask(self):
         rs = RegionSet([(2, 4)])
         assert rs.mask(6).tolist() == [False, False, True, True, False, False]

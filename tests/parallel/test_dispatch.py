@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.observability import scope
-from repro.parallel.dispatch import ChunkDispatcher
+from repro.parallel.dispatch import _TICK, ChunkDispatcher, _wait_time
 
 pytestmark = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -150,6 +150,24 @@ class TestRecovery:
         kinds = {e.kind for e in outcome.events}
         assert "init_error" in kinds
         assert "no_workers" in kinds
+
+
+class TestWaitTime:
+    """The parent's poll timeout: a requeued chunk must not sit out a whole
+    tick beside an idle worker, and due work must not spin the parent."""
+
+    def test_idle_worker_wakes_at_the_retry_backoff(self):
+        assert _wait_time(10.0, [], [10.01], idle=True) == pytest.approx(0.01)
+
+    def test_due_work_without_an_idle_worker_keeps_the_tick(self):
+        # Fresh chunks are due at 0.0; with every worker busy they must not
+        # turn the wait into a 0 ms spin.
+        assert _wait_time(10.0, [], [0.0, 0.0, 10.01], idle=False) == _TICK
+
+    def test_in_flight_deadlines_alone_are_unchanged(self):
+        assert _wait_time(10.0, [10.05, 30.0], [], idle=False) == pytest.approx(0.05)
+        assert _wait_time(10.0, [30.0], [], idle=True) == _TICK
+        assert _wait_time(10.0, [9.0], [], idle=False) == 0.0
 
 
 class TestCounterPrefix:

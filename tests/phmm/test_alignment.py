@@ -1,11 +1,14 @@
 """Tests for the high-level alignment API (windows, batching, masking)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.errors import AlignmentError
 from repro.observability import scope
 from repro.genome.alphabet import N as CODE_N
+from repro.phmm import alignment
 from repro.phmm.alignment import (
     align_batch,
     align_batch_banded,
@@ -118,6 +121,23 @@ class TestAlignBatch:
                 align_batch(pwms, windows, PARAMS, valid=valid)
             snap = reg.snapshot()
         assert snap.histograms == {} and snap.counters == {}
+
+    @pytest.mark.parametrize(
+        "n_pairs, tile, widths",
+        [(5, 2, {2.0: 2, 1.0: 1}), (6, 4, {3.0: 2}), (3, 256, {3.0: 1})],
+    )
+    def test_tile_lanes_counts_tiles_by_width(self, n_pairs, tile, widths):
+        """One observation per tile width per call, weighted by tiles of it:
+        equal tiles first, then a narrower last one."""
+        rng = np.random.default_rng(5)
+        pwms = np.stack([pwm_from_codes(rng.integers(0, 4, 6), np.full(6, 0.02))] * n_pairs)
+        windows = rng.integers(0, 4, (n_pairs, 9)).astype(np.uint8)
+        with scope() as reg, mock.patch.object(alignment, "LANE_TILE", tile):
+            align_batch(pwms, windows, PARAMS)
+            hist = reg.snapshot().histogram("phmm.tile_lanes")
+        assert hist["count"] == sum(widths.values())
+        assert hist["sum"] == sum(w * n for w, n in widths.items())
+        assert (hist["min"], hist["max"]) == (min(widths), max(widths))
 
     def test_equivalent_pairs_equal_outputs(self):
         rng = np.random.default_rng(3)

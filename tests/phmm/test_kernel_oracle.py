@@ -47,13 +47,13 @@ from tests.phmm import parent_kernels
 
 MODES = ("semiglobal", "global")
 #: The lane tile the streamed-driver tests cut their batches around (patched
-#: in as ``_LANE_TILE``): bits do not depend on it
+#: in as ``LANE_TILE``): bits do not depend on it
 #: (``test_a_pairs_bits_do_not_depend_on_its_tile``), tile boundaries do.
 TILE = 192
 
 
 def with_tile(test):
-    return mock.patch.object(alignment, "_LANE_TILE", TILE)(test)
+    return mock.patch.object(alignment, "LANE_TILE", TILE)(test)
 
 
 @st.composite
@@ -228,7 +228,7 @@ def test_batching_is_not_load_bearing(case, params, mode, band):
     band = _solo_band(band, N, M)
     pstar = emissions_batch(pwms, windows, params)
     batched = forward_batch(pstar, params, mode=mode, band=band)
-    with mock.patch.object(alignment, "_LANE_TILE", 2):
+    with mock.patch.object(alignment, "LANE_TILE", 2):
         tiled = alignment._align_streamed(
             pwms, windows, params, mode, "mass", band, want_edge=band is not None
         )
@@ -350,7 +350,7 @@ def test_lane_major_kernels_reproduce_parent_bitwise(case, mode, band_kind):
         )
     # The streamed driver, its tiles reusing one workspace, deposits the
     # materialised result bit for bit.
-    with mock.patch.object(alignment, "_LANE_TILE", 2):
+    with mock.patch.object(alignment, "LANE_TILE", 2):
         z, loglik, edge = alignment._align_streamed(
             pwms, windows, params, mode, "mass", band, want_edge=band is not None
         )
@@ -392,7 +392,7 @@ def test_a_pairs_bits_do_not_depend_on_its_tile(n, m, seed, where):
                 at = int(where * (width - 1))
                 # Pair 0 at lane ``at`` among ``width - 1`` others.
                 order = np.roll(np.arange(width), at)
-                with mock.patch.object(alignment, "_LANE_TILE", width):
+                with mock.patch.object(alignment, "LANE_TILE", width):
                     tiled = alignment._align_streamed(
                         pwms[order], windows[order], params, mode, "mass", band,
                         want_edge=edge,

@@ -13,13 +13,17 @@ import multiprocessing as mp
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Engine
 from repro.calling.records import write_snp_calls
 from repro.errors import PipelineError
 from repro.experiments.workload import build_workload
 from repro.observability import scope
+from repro.parallel.partition import partition_reads_contiguous
 from repro.phmm import sanitize
+from repro.phmm.alignment import LANE_TILE
 from repro.pipeline.config import ParallelConfig, PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
 from repro.pipeline.mp_backend import (
@@ -95,6 +99,15 @@ class TestMultiprocessingBackend:
         assert wall > 0
         assert mp2.reads_per_second * wall == pytest.approx(len(workload.reads))
 
+    def test_worker_tiles_ship_home(self, workload):
+        # 250 reads make two 125-read chunks: each worker's call is one
+        # tile, as wide as its chunk's pairs.
+        with scope() as reg:
+            mp2 = _run(workload, workload.reads)
+        hist = reg.snapshot().histogram("phmm.tile_lanes")
+        assert hist["count"] == chunk_count(len(workload.reads), 2)
+        assert hist["sum"] == mp2.stats.n_pairs
+
     def test_zero_workers_rejected(self, workload):
         with pytest.raises(PipelineError):
             Engine(workload.reference, workers=0)
@@ -116,7 +129,10 @@ class TestChunkCount:
     @pytest.mark.parametrize(
         "n_reads, workers, expected",
         [
-            (646, 2, 2 * CHUNKS_PER_WORKER),
+            (646, 2, 2),  # the ledger's round: one 323-read chunk a worker
+            (1000, 2, 2),
+            (1936, 2, 6),  # `tiny`
+            (5000, 2, 2 * CHUNKS_PER_WORKER),
             (3, 8, 3),  # at most one chunk per read
             # Past workers * CHUNKS_PER_WORKER * MAX_CHUNK_READS reads the
             # per-chunk cap sets the count, not the fleet size.
@@ -125,6 +141,22 @@ class TestChunkCount:
     )
     def test_chunk_count(self, n_reads, workers, expected):
         assert chunk_count(n_reads, workers) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_reads=st.integers(min_value=1, max_value=50_000),
+        workers=st.integers(min_value=1, max_value=8),
+    )
+    def test_chunks_fill_tiles_within_the_caps(self, n_reads, workers):
+        count = chunk_count(n_reads, workers)
+        sizes = [len(part) for part in partition_reads_contiguous(n_reads, count)]
+        assert 1 <= count <= n_reads
+        assert max(sizes) <= MAX_CHUNK_READS
+        cap_binds = -(-n_reads // MAX_CHUNK_READS) > workers * CHUNKS_PER_WORKER
+        if workers <= n_reads and not cap_binds:
+            assert count % workers == 0
+        if n_reads >= workers * LANE_TILE:
+            assert min(sizes) >= LANE_TILE
 
 
 class TestDegenerateLayouts:
@@ -271,14 +303,17 @@ class TestSerialPoolContract:
         """CHARDISC's state is the per-position order of its contributions,
         not the batches they arrive in: the pool parent cuts its deposits at
         other reads than the serial run and leaves the same buffers."""
+        # A batch wider than the whole run: serial deposits it in one call,
+        # the pool parent once per chunk.
         config = PipelineConfig(
             accumulator="CHARDISC",
-            batch_size=100,
+            batch_size=10 * len(workload.reads),
             parallel=ParallelConfig(start_method="fork"),
         )
         serial = GnumapSnp(workload.reference, config).run(workload.reads)
         pooled = _run(workload, workload.reads, config, n_workers)
-        assert pooled.stats.n_batches != serial.stats.n_batches
+        assert serial.stats.n_batches == 1
+        assert pooled.stats.n_batches == chunk_count(len(workload.reads), n_workers)
         assert pooled.stats.n_pairs == serial.stats.n_pairs
         _assert_same_bytes(pooled, serial)
 

@@ -7,8 +7,10 @@ from repro.errors import PipelineError
 from repro.experiments.workload import build_workload
 from repro.observability import scope
 from repro.phmm import sanitize
+from repro.phmm.alignment import LANE_TILE
 from repro.pipeline.config import ParallelConfig, PipelineConfig, TelemetryConfig
 from repro.pipeline.gnumap import GnumapSnp
+from repro.pipeline.mp_backend import chunk_count
 from repro.pipeline.online import OnlineGnumap
 
 
@@ -122,22 +124,25 @@ class TestOnlineParallelFeed:
         # The workers' sanitizer state is fixed when the fleet spawns, so
         # enabling the sanitizer mid-stream must reach the next feed as a
         # fresh fleet.  The corrupted evidence is rejected and retried
-        # either way.  chunk=7 only exists in the second feed (4 reads ->
-        # 4 chunks, 120 reads -> 8), so the first stays clean.
-        batches = [workload.reads[:4], workload.reads[4:124]]
+        # either way.  The faulted chunk is the second feed's last, which
+        # the first feed does not reach, so the first stays clean.
+        batches = [workload.reads[:4], workload.reads[4 : 4 + 2 * 2 * LANE_TILE]]
+        last = chunk_count(len(batches[1]), 2) - 1
+        assert last >= chunk_count(len(batches[0]), 2)
         with OnlineGnumap(workload.reference, fork_config(), workers=2) as clean:
             for batch in batches:
                 clean.feed(batch)
         with OnlineGnumap(
-            workload.reference, fork_config(fault_spec="corrupt:chunk=7"), workers=2
+            workload.reference, fork_config(fault_spec=f"corrupt:chunk={last}"), workers=2
         ) as stream:
-            with sanitize.sanitized(False):
+            with sanitize.sanitized(False), scope() as first:
                 stream.feed(batches[0])
                 first_fleet = stream.engine._pool
             with sanitize.sanitized(True), scope() as reg:
                 stream.feed(batches[1])
                 assert stream.engine._pool is not first_fleet
-        assert reg.snapshot().counter("mp.partial_rejects") >= 1
+        assert first.snapshot().counter("mp.partial_rejects") == 0
+        assert reg.snapshot().counter("mp.partial_rejects") == 1
         assert np.array_equal(
             stream.accumulator.snapshot(), clean.accumulator.snapshot()
         )

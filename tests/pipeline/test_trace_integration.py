@@ -19,6 +19,7 @@ from repro.observability import scope, to_chrome_trace
 from repro.pipeline.config import ParallelConfig, PipelineConfig
 from repro.api import Engine
 from repro.pipeline.gnumap import GnumapSnp
+from repro.pipeline.mp_backend import chunk_count
 
 
 @pytest.fixture(scope="module")
@@ -37,31 +38,39 @@ def traced():
         trace.disable()
 
 
-def run_traced(workload, **parallel_kwargs):
+def run_traced(workload, reads=None, **parallel_kwargs):
     config = PipelineConfig(parallel=ParallelConfig(**parallel_kwargs))
     with scope() as reg, Engine(workload.reference, config, workers=2) as engine:
-        result = engine.run(workload.reads)
+        result = engine.run(workload.reads if reads is None else reads)
         return result, reg.snapshot()
 
 
 class TestFaultInjectedTrace:
     @pytest.fixture(scope="class")
-    def crash_run(self, workload):
+    def crash_reads(self):
+        # Enough reads for four tile-filling chunks at two workers.
+        reads = build_workload(scale="tiny", seed=31).reads[:1100]
+        assert chunk_count(len(reads), 2) == 4
+        return reads
+
+    @pytest.fixture(scope="class")
+    def crash_run(self, workload, crash_reads):
         if "spawn" not in mp.get_all_start_methods():  # pragma: no cover
             pytest.skip("spawn start method unavailable")
         trace.enable()
         try:
-            # chunks = workers * CHUNKS_PER_WORKER = 8; chunk 3 crashes on
-            # attempt 0 only, so one death + one retry, deterministically.
+            # Four chunks; chunk 3 crashes on attempt 0 only, so one death +
+            # one retry, deterministically.
             # The trace must carry >=2 worker lanes, i.e. the worker that
             # dies on chunk 3 must have sent an earlier chunk home.  A chunk
-            # takes ~30 ms while spawned workers come up as much as 200 ms
+            # takes ~100 ms while spawned workers come up as much as 200 ms
             # apart, so one worker could drain chunks 0-2 and the other die
             # on its first; stalling chunk 0 for a second (a hang well under
             # the chunk timeout is not a fault) keeps its worker out of the
             # way until the other is up and has chunks home.
             return run_traced(
                 workload,
+                crash_reads,
                 start_method="spawn",
                 fault_spec="hang:chunk=0,secs=1;crash:chunk=3",
                 backoff_base=0.01,
@@ -107,11 +116,9 @@ class TestFaultInjectedTrace:
         names = {ev["name"] for ev in doc["traceEvents"]}
         assert {"mp.worker_death", "mp.chunk_retry", "map_reads"} <= names
 
-    def test_faulted_run_output_matches_serial(self, crash_run, workload):
+    def test_faulted_run_output_matches_serial(self, crash_run, workload, crash_reads):
         result, _ = crash_run
-        serial = GnumapSnp(workload.reference, PipelineConfig()).run(
-            workload.reads
-        )
+        serial = GnumapSnp(workload.reference, PipelineConfig()).run(crash_reads)
         assert {(s.pos, s.alt_name) for s in result.snps} == {
             (s.pos, s.alt_name) for s in serial.snps
         }

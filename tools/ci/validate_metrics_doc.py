@@ -37,8 +37,15 @@ def main(path: str) -> None:
     # (what totals.span_seconds sums) count the mapping once.
     assert "map_reads" not in snap.spans, sorted(snap.spans)
     assert snap.span_seconds("map_parallel/map_reads") > 0
+    # Workers ship their tiles home.  On CI's `tiny` input (1,936 reads, six
+    # chunks) a worker's tile is 193-205 lanes; a plan that cuts chunks below
+    # a lane tile's reads narrows it (eight 242-read chunks: 141-159).
+    assert snap.histogram("phmm.tile_lanes") is not None
+    lanes = snap.histogram_quantile("phmm.tile_lanes", 0.5)
+    assert lanes >= 160, f"median tile is {lanes:.0f} lanes, want >= 160"
     print(f"metrics smoke OK: {n_reads} reads, "
           f"{snap.counters['phmm.forward_cells']:,} DP cells, "
+          f"median tile {lanes:.0f} lanes, "
           f"{snap.total_span_seconds():.2f}s spanned")
 
 
