@@ -74,7 +74,6 @@ def _cmd_call(args: argparse.Namespace) -> int:
         band_mode=args.band_mode,
         band_w=args.band_width,
         band_tolerance=args.band_tolerance,
-        alignment_mode=args.alignment_mode,
         parallel=ParallelConfig(
             workers=args.workers,
             chunk_timeout=args.chunk_timeout,
@@ -133,11 +132,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     from repro.io.sam import collect_placements, write_sam
     from repro.pipeline.config import PipelineConfig
 
-    config = PipelineConfig(
-        k=args.k,
-        alignment_mode=args.alignment_mode,
-        seeder=_seeder_config(args),
-    )
+    config = PipelineConfig(k=args.k, seeder=_seeder_config(args))
     args._config = config
     engine = Engine.from_fasta(args.reference, config)
     reads = read_fastq(args.reads)
@@ -245,10 +240,10 @@ def _add_band_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--band-mode",
         default="off",
-        choices=["off", "fixed", "adaptive"],
-        help="banded Pair-HMM fills around each candidate's seed diagonal: "
-        "'fixed' trusts the band, 'adaptive' re-runs the full kernels for "
-        "pairs whose posterior mass leaks past the band edge (default: off)",
+        choices=["off", "adaptive"],
+        help="banded Pair-HMM fills around each candidate's seed diagonal; "
+        "'adaptive' re-runs the full kernels for pairs whose posterior mass "
+        "leaks past the band edge (default: off)",
     )
     p.add_argument(
         "--band-width",
@@ -264,17 +259,6 @@ def _add_band_args(p: argparse.ArgumentParser) -> None:
         metavar="TOL",
         help="band-edge posterior mass per read base that triggers the "
         "adaptive full-kernel escape (default: 1e-4)",
-    )
-
-
-def _add_alignment_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--alignment-mode",
-        default="semiglobal",
-        choices=["semiglobal", "global"],
-        help="PHMM boundary conditions: 'semiglobal' (default; reads may "
-        "slide with free edge gaps) or 'global' (paper-literal, end-to-end "
-        "paths)",
     )
 
 
@@ -429,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_call.add_argument("-v", "--verbose", action="store_true")
     _add_seeding_args(p_call)
     _add_band_args(p_call)
-    _add_alignment_args(p_call)
     _add_metrics_arg(p_call)
     _add_trace_arg(p_call)
     _add_sanitize_arg(p_call)
@@ -444,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "20 is SNAP-style long seeding)")
     p_map.add_argument("--max-secondary", type=int, default=4)
     _add_seeding_args(p_map)
-    _add_alignment_args(p_map)
     _add_metrics_arg(p_map)
     _add_trace_arg(p_map)
     _add_sanitize_arg(p_map)

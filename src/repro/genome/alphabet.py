@@ -57,9 +57,12 @@ def encode(seq: str) -> np.ndarray:
     """Encode a nucleotide string to a ``uint8`` code array.
 
     Accepts upper- or lower-case ``ACGTN``.  Raises :class:`SequenceError` on
-    any other character, naming the first offender and its position.
+    any other character, non-ASCII included, naming the first offender and
+    its position.
     """
-    raw = np.frombuffer(seq.encode("ascii", errors="strict"), dtype=np.uint8)
+    # A non-ASCII character becomes one '?', which maps to 255 like any
+    # other invalid one, so positions stay those of ``seq``.
+    raw = np.frombuffer(seq.encode("ascii", errors="replace"), dtype=np.uint8)
     codes = _CHAR_TO_CODE[raw]
     bad = np.nonzero(codes == 255)[0]
     if bad.size:

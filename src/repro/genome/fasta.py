@@ -14,21 +14,34 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from repro.errors import FastaError
+from repro.errors import FastaError, SequenceError
 from repro.genome.alphabet import decode, encode
 
 
 def _open_text(path_or_file: "str | Path | TextIO", mode: str) -> "tuple[TextIO, bool]":
     if isinstance(path_or_file, (str, Path)):
-        return open(path_or_file, mode), True
+        # An undecodable byte becomes a lone surrogate, which the alphabet
+        # rejects as a typed error instead of a decoding traceback.
+        errors = "surrogateescape" if mode == "r" else None
+        return open(path_or_file, mode, errors=errors), True
     return path_or_file, False
+
+
+def _encode_record(name: str, chunks: "list[str]") -> np.ndarray:
+    if not chunks:
+        raise FastaError(f"record {name!r} has no sequence")
+    try:
+        return encode("".join(chunks))
+    except SequenceError as exc:
+        raise SequenceError(f"record {name!r}: {exc}") from None
 
 
 def iter_fasta(path_or_file: "str | Path | TextIO") -> Iterator[tuple[str, np.ndarray]]:
     """Yield ``(name, codes)`` for each record in a FASTA file.
 
     ``name`` is the header text up to the first whitespace.  Sequence lines
-    are concatenated and encoded to ``uint8`` codes.
+    are concatenated and encoded to ``uint8`` codes; an invalid base raises
+    :class:`SequenceError` naming the record and its position there.
     """
     fh, owned = _open_text(path_or_file, "r")
     try:
@@ -42,12 +55,12 @@ def iter_fasta(path_or_file: "str | Path | TextIO") -> Iterator[tuple[str, np.nd
                 continue
             if line.startswith(">"):
                 if name is not None:
-                    if not chunks:
-                        raise FastaError(f"record {name!r} has no sequence")
-                    yield name, encode("".join(chunks))
+                    yield name, _encode_record(name, chunks)
                 name = line[1:].split()[0] if len(line) > 1 else ""
                 if not name:
                     raise FastaError(f"empty FASTA header at line {lineno}")
+                if not name.isascii():
+                    raise FastaError(f"record name {name!r} at line {lineno} is not ASCII")
                 chunks = []
             else:
                 if name is None:
@@ -56,9 +69,7 @@ def iter_fasta(path_or_file: "str | Path | TextIO") -> Iterator[tuple[str, np.nd
                     )
                 chunks.append(line)
         if name is not None:
-            if not chunks:
-                raise FastaError(f"record {name!r} has no sequence")
-            yield name, encode("".join(chunks))
+            yield name, _encode_record(name, chunks)
         elif lineno == 0:
             raise FastaError("empty FASTA input")
     finally:

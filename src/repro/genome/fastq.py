@@ -10,13 +10,13 @@ probabilities via ``p_err = 10**(-Q/10)``; the PWM layer turns those into the
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
 
 import numpy as np
 
-from repro.errors import FastqError
+from repro.errors import FastqError, SequenceError
 from repro.genome.alphabet import decode, encode
 
 #: Sanger/Illumina-1.8 Phred offset.
@@ -93,24 +93,29 @@ def iter_fastq(path_or_file: "str | Path | TextIO") -> Iterator[Read]:
     """Yield :class:`Read` records from a FASTQ stream.
 
     Strict four-line records; a truncated trailing record raises
-    :class:`FastqError` (failure injection tests rely on this).
+    :class:`FastqError` (failure injection tests rely on this).  Lines may
+    end in ``\n`` or ``\r\n``.  Bytes the text layer cannot decode reach the
+    checks below as lone surrogates, so every non-ASCII name, base or quality
+    character is a typed error naming its record.
     """
     owned = isinstance(path_or_file, (str, Path))
-    fh = open(path_or_file) if owned else path_or_file
+    fh = open(path_or_file, errors="surrogateescape") if owned else path_or_file
     try:
         while True:
             header = fh.readline()
             if not header:
                 return
-            header = header.rstrip("\n")
+            header = header.rstrip("\r\n")
             if not header.startswith("@"):
                 raise FastqError(f"expected '@' header, got {header[:30]!r}")
             name = header[1:].split()[0] if len(header) > 1 else ""
             if not name:
                 raise FastqError("empty FASTQ read name")
-            seq = fh.readline().rstrip("\n")
-            plus = fh.readline().rstrip("\n")
-            qual = fh.readline().rstrip("\n")
+            if not name.isascii():
+                raise FastqError(f"read name {name!r} is not ASCII")
+            seq = fh.readline().rstrip("\r\n")
+            plus = fh.readline().rstrip("\r\n")
+            qual = fh.readline().rstrip("\r\n")
             if not qual and not plus:
                 raise FastqError(f"truncated FASTQ record {name!r}")
             if not plus.startswith("+"):
@@ -121,13 +126,23 @@ def iter_fastq(path_or_file: "str | Path | TextIO") -> Iterator[Read]:
                 )
             # The Q0 floor is checked here, where text becomes scores; the
             # ceiling by Read, for every way a read is made.
-            quals = np.frombuffer(qual.encode("ascii"), dtype=np.uint8)
+            try:
+                quals = np.frombuffer(qual.encode("ascii"), dtype=np.uint8)
+            except UnicodeEncodeError as exc:
+                raise FastqError(
+                    f"record {name!r}: quality character {qual[exc.start]!r} "
+                    f"at position {exc.start} is not Phred+33"
+                ) from None
             if quals.size and quals.min() < PHRED_OFFSET:
                 raise FastqError(
                     f"record {name!r}: quality characters outside "
                     f"[Q0, Q{MAX_QUALITY}]"
                 )
-            yield Read(name=name, codes=encode(seq), quals=quals - PHRED_OFFSET)
+            try:
+                codes = encode(seq)
+            except SequenceError as exc:
+                raise SequenceError(f"record {name!r}: {exc}") from None
+            yield Read(name=name, codes=codes, quals=quals - PHRED_OFFSET)
     finally:
         if owned:
             fh.close()

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -130,9 +131,6 @@ class SeederConfig:
         diagonal are merged into it (absorbs indels).
     max_candidates:
         Keep at most this many candidates per read, best-supported first.
-    step:
-        Query every ``step``-th read seed (1 = all; larger is faster and
-        mimics spaced sampling).
     seed_len:
         Index-build width override: ``None`` (default) indexes at
         ``PipelineConfig.k``, a value indexes at that width instead —
@@ -156,11 +154,12 @@ class SeederConfig:
     min_support: int = 2
     diagonal_slack: int = 3
     max_candidates: int = 16
-    step: int = 1
     seed_len: "int | None" = None
     qgram_filter: bool = False
     qgram_q: int = 5
     filter_threshold: float = 0.5
+    # Not a field: ledger/replay.py is the sole reader of this constant.
+    step: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.min_support < 1:
@@ -169,8 +168,6 @@ class SeederConfig:
             raise IndexError_("diagonal_slack must be >= 0")
         if self.max_candidates < 1:
             raise IndexError_("max_candidates must be >= 1")
-        if self.step < 1:
-            raise IndexError_("step must be >= 1")
         if self.seed_len is not None and not 2 <= self.seed_len <= MAX_K:
             raise IndexError_(
                 f"seed_len must be in [2, {MAX_K}], got {self.seed_len}"
@@ -353,10 +350,8 @@ class Seeder:
             )
 
         packed, valid = rolling_kmers(codes, width)
-        # A window is a seed only inside one sequence, N-free, on the step.
+        # A window is a seed only inside one sequence and N-free.
         valid &= seq_of[: packed.size] == seq_of[width - 1 :]
-        if cfg.step > 1:
-            valid &= offset_of[: packed.size] % cfg.step == 0
         at = np.flatnonzero(valid)
         q_seq, q_off = seq_of[at], offset_of[at]
         starts, counts = self.index.locate_seeds(packed[at])

@@ -18,7 +18,7 @@ read-groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -123,7 +123,7 @@ def collect_placements(
         )
         pstar = emissions_batch(pwms, windows, cfg.phmm)
         for k, emissions in zip(kept, pstar):
-            path = viterbi_align(emissions, cfg.phmm, mode=cfg.alignment_mode)
+            path = viterbi_align(emissions, cfg.phmm)
             if not path.pairs:
                 continue
             read = reads[evidence.groups[k]]

@@ -57,6 +57,8 @@ __all__ = [
 #: Counters whose per-interval rates feed the per-worker EWMAs.
 _READS_COUNTER = "pipeline.reads"
 _CELLS_COUNTERS = ("phmm.forward_cells", "phmm.backward_cells")
+#: Weight of the newest sample in the per-worker rate EWMAs.
+_EWMA_ALPHA = 0.5
 
 # -- worker side -------------------------------------------------------------
 
@@ -199,7 +201,6 @@ class TelemetryAggregator:
         interval: float = 1.0,
         stall_after: float = 5.0,
         *,
-        ewma_alpha: float = 0.5,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if interval <= 0:
@@ -208,13 +209,8 @@ class TelemetryAggregator:
             raise ObservabilityError(
                 f"stall_after must be > 0, got {stall_after}"
             )
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ObservabilityError(
-                f"ewma_alpha must be in (0, 1], got {ewma_alpha}"
-            )
         self._interval = float(interval)
         self._stall_after = float(stall_after)
-        self._alpha = float(ewma_alpha)
         self._clock = clock
         self._tick = min(0.2, self._interval)
         self._registry = MetricsRegistry()
@@ -329,7 +325,7 @@ class TelemetryAggregator:
     def _ewma(self, prev: float, sample: float, first: bool) -> float:
         if first:
             return sample
-        return self._alpha * sample + (1.0 - self._alpha) * prev
+        return _EWMA_ALPHA * sample + (1.0 - _EWMA_ALPHA) * prev
 
     def _watchdog(self) -> None:
         now = self._clock()

@@ -1,4 +1,4 @@
-"""High-level alignment API: one read, or a batch of (read, window) pairs.
+"""High-level alignment API: a batch of (read, window) pairs.
 
 The pipeline aligns in batches: all (read, candidate-window) pairs of equal
 read length N and window length M are stacked and pushed through one
@@ -28,6 +28,7 @@ from repro.phmm.banded import BandSpec
 from repro.phmm.forward_backward import (
     ST_GY,
     ST_M,
+    _check_kernel,
     as_lanes,
     backward_rows,
     charge_pass,
@@ -45,15 +46,6 @@ from repro.phmm.posterior import RowDeposit, z_vectors
 #: one untiled 512-lane block.  The pool sizes its chunks from it too
 #: (:func:`repro.pipeline.mp_backend.chunk_count`).
 LANE_TILE = 256
-
-
-def _check_kernel(kernel: str, dtype: str) -> None:
-    # ledger/replay.py is the sole reader of the kernel=/dtype= keywords; they
-    # go when the ledger stops passing them.
-    if (kernel, dtype) != ("rowsweep", "float64"):
-        raise AlignmentError(
-            f"the only kernel is ('rowsweep', 'float64'), got {(kernel, dtype)!r}"
-        )
 
 
 @dataclass
@@ -97,12 +89,11 @@ def _check_batch(
     pwms: np.ndarray,
     windows: np.ndarray,
     valid: np.ndarray | None,
-    mode: str,
     edge_policy: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Everything that can be wrong with a batch, before any side effect."""
     pwms, windows = check_pairs(pwms, windows)
-    check_shape(pwms.shape[1], windows.shape[1], mode, None)
+    check_shape(pwms.shape[1], windows.shape[1], None)
     if edge_policy not in ("mass", "paper"):
         raise AlignmentError(f"unknown edge_policy {edge_policy!r}")
     if valid is not None:
@@ -116,7 +107,6 @@ def _align_streamed(
     pwms: np.ndarray,
     windows: np.ndarray,
     params: PHMMParams,
-    mode: str,
     edge_policy: str,
     band: BandSpec | None,
     want_edge: bool = False,
@@ -159,9 +149,9 @@ def _align_streamed(
         if sanitize.enabled():
             sanitize.check_emissions(pstar)
         pl = as_lanes(pstar)
-        fwd = forward_lanes(pl, params, mode, band, f_state, f_scale)
+        fwd = forward_lanes(pl, params, band, f_state, f_scale)
         deposit.begin(pwms[tile], fwd)
-        for i, lo, hi, row in backward_rows(pl, params, mode, band, ring, scale):
+        for i, lo, hi, row in backward_rows(pl, params, band, ring, scale):
             if sanitize.enabled():
                 one_row = [state.T[:, None, :] for state in row]
                 sanitize.check_pass("backward", one_row, scale[i][:, None], band, row=i)
@@ -187,18 +177,19 @@ def align_batch(
 
     ``pwms`` are ``(B, N, 4)`` read PWMs, ``windows`` ``(B, M)`` window codes;
     z mass on False columns of the optional ``(B, M)`` bool mask ``valid`` is
-    zeroed (genome-edge pad columns).  ``kernel``/``dtype`` are single-valued
-    (``"rowsweep"``, ``"float64"``); see :func:`_check_kernel`.
+    zeroed (genome-edge pad columns).  ``mode``/``kernel``/``dtype`` are
+    single-valued (``"semiglobal"``, ``"rowsweep"``, ``"float64"``); see
+    :func:`~repro.phmm.forward_backward._check_kernel`.
     """
-    _check_kernel(kernel, dtype)
-    pwms, windows, valid = _check_batch(pwms, windows, valid, mode, edge_policy)
+    _check_kernel(mode, kernel, dtype)
+    pwms, windows, valid = _check_batch(pwms, windows, valid, edge_policy)
     # Per-pair DP work distribution (full kernels fill every N*M cell).
     if pwms.shape[0]:
         metrics().observe(
             "phmm.pair_cells", float(pwms.shape[1] * windows.shape[1]),
             count=int(pwms.shape[0]),
         )
-    z, loglik, _ = _align_streamed(pwms, windows, params, mode, edge_policy, None)
+    z, loglik, _ = _align_streamed(pwms, windows, params, edge_policy, None)
     if valid is not None:
         z *= valid[:, :, None]
     if sanitize.enabled():
@@ -231,8 +222,8 @@ def align_batch_banded(
     whose posterior band-edge mass exceeds ``tolerance`` — or whose banded
     likelihood collapsed to ``-inf`` — is re-run through the full kernels
     (counted under ``phmm.band_escapes``), so evidence stays faithful where
-    the band assumption breaks.  ``adaptive=False`` (band_mode="fixed")
-    trusts the band unconditionally.
+    the band assumption breaks.  ``adaptive=False`` trusts the band
+    unconditionally, which isolates the banded fill.
 
     ``groups``/``escape_min_ratio`` prune pointless escapes: when the per-pair
     read grouping is supplied, a pair only escapes if its banded likelihood is
@@ -242,10 +233,10 @@ def align_batch_banded(
     *best* banded likelihood is ``-inf`` escape wholesale: the band saw
     nothing, so the full kernels arbitrate.
 
-    ``kernel``/``dtype`` are single-valued; see :func:`_check_kernel`.
+    ``mode``/``kernel``/``dtype`` are single-valued, as in :func:`align_batch`.
     """
-    _check_kernel(kernel, dtype)
-    pwms, windows, valid = _check_batch(pwms, windows, valid, mode, edge_policy)
+    _check_kernel(mode, kernel, dtype)
+    pwms, windows, valid = _check_batch(pwms, windows, valid, edge_policy)
     centers = np.asarray(centers, dtype=np.int64)
     B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
     if centers.shape != (B,):
@@ -279,7 +270,7 @@ def align_batch_banded(
             continue
         metrics().observe("phmm.pair_cells", float(band.n_cells()), count=int(sel.size))
         z[sel], loglik[sel], edge = _align_streamed(
-            pwms[sel], windows[sel], params, mode, edge_policy, band, want_edge=adaptive
+            pwms[sel], windows[sel], params, edge_policy, band, want_edge=adaptive
         )
         if edge is not None:
             metrics().observe_array("phmm.band_edge_mass", edge)
@@ -297,9 +288,7 @@ def align_batch_banded(
     if esc.size:
         metrics().inc("phmm.band_escapes", int(esc.size))
         trace.instant("phmm.band_escape", pairs=int(esc.size))
-        full = align_batch(
-            pwms[esc], windows[esc], params, mode=mode, edge_policy=edge_policy
-        )
+        full = align_batch(pwms[esc], windows[esc], params, edge_policy=edge_policy)
         z[esc] = full.z
         loglik[esc] = full.loglik
 
@@ -309,22 +298,3 @@ def align_batch_banded(
         sanitize.check_z(z, valid)
     return AlignmentOutcome(z=z, loglik=loglik)
 
-
-def align_read(
-    pwm: np.ndarray,
-    window: np.ndarray,
-    params: PHMMParams,
-    mode: str = "semiglobal",
-    edge_policy: str = "mass",
-) -> AlignmentOutcome:
-    """Convenience single-pair wrapper around :func:`align_batch`.
-
-    Returns the same batched structure with ``B = 1``.
-    """
-    pwm = np.asarray(pwm, dtype=np.float64)
-    window = np.asarray(window)
-    if pwm.ndim != 2:
-        raise AlignmentError(f"pwm must be (N, 4), got {pwm.shape}")
-    if window.ndim != 1:
-        raise AlignmentError(f"window must be 1-D, got {window.shape}")
-    return align_batch(pwm[None], window[None], params, mode=mode, edge_policy=edge_policy)

@@ -21,8 +21,9 @@ pipeline every window is cut at ``candidate.start - pad``, so ``center`` is
 Escape hatch
 ------------
 Banding is a bet that the alignment stays near the seed diagonal, and the bet
-is audited: :func:`band_edge_mass` measures the posterior mass on the
-*interior* band-edge cells (edges the band created, not the matrix boundary).
+is audited: :meth:`~repro.phmm.posterior.RowDeposit.edge_mass` measures the
+posterior mass on the *interior* band-edge cells (edges the band created, not
+the matrix boundary).
 A well-centred alignment leaves essentially none there (reaching the edge
 costs ``~q^band_w``); a long indel or a mis-centred seed lights it up, and
 :func:`repro.phmm.alignment.align_batch_banded` re-runs such pairs unbanded.
@@ -122,28 +123,3 @@ class BandSpec:
         cols = np.arange(self.m + 1)[None, :]
         return np.abs(cols - rows - self.center) > self.width
 
-
-def band_edge_mass(match_posterior: np.ndarray, band: BandSpec) -> np.ndarray:
-    """Posterior mass pressed against the band's interior edges, per pair.
-
-    ``match_posterior`` is the ``(B, N, M)`` cell-posterior array from
-    :class:`~repro.phmm.posterior.PosteriorResult` (row ``i-1``/col ``j-1``
-    hold cell ``(i, j)``).  Returns the summed match posterior on band-created
-    edge cells over the read length — the fraction of the alignment running
-    along the band boundary; matrix-boundary columns never count.
-    """
-    match_posterior = np.asarray(match_posterior)
-    if match_posterior.ndim != 3:
-        raise AlignmentError(
-            f"match_posterior must be (B, N, M), got {match_posterior.shape}"
-        )
-    B, N, M = match_posterior.shape
-    if (band.n, band.m) != (N, M):
-        raise AlignmentError(
-            f"band is for ({band.n}, {band.m}), posterior is ({N}, {M})"
-        )
-    edge = np.zeros(B)
-    for i in range(1, N + 1):
-        for j in band.edge_columns(i):
-            edge += match_posterior[:, i - 1, j - 1]
-    return edge / float(N)

@@ -36,15 +36,11 @@ Recursions (Durbin et al. 1998 ch. 4; see the note in
     b_GX(i,j) = p*(i+1,j+1) T_GM b_M(i+1,j+1) + q T_GG b_GX(i+1,j)
     b_GY(i,j) = p*(i+1,j+1) T_GM b_M(i+1,j+1) + q T_GG b_GY(i,j+1)
 
-Two boundary modes:
-
-``"semiglobal"`` (pipeline default)
-    The read must be fully aligned but may land anywhere inside the window:
-    ``f_M(0, j) = 1`` for every ``j`` (free genome prefix) and the likelihood
-    sums ``f_M(N, j) + f_GX(N, j)`` over all ``j`` (free genome suffix).
-``"global"``
-    The paper's literal initialisation: ``f_M(0,0) = 1``, all other border
-    cells zero, terminate at ``(N, M)`` with unit end weight on every state.
+One boundary convention, semiglobal: the read must be fully aligned but may
+land anywhere inside the window, so ``f_M(0, j) = 1`` for every ``j`` (free
+genome prefix) and the likelihood sums ``f_M(N, j) + f_GX(N, j)`` over all
+``j`` (free genome suffix).  ``mode=`` survives on the public passes only as
+a pin (:func:`_check_kernel`).
 
 An optional :class:`~repro.phmm.banded.BandSpec` makes row ``i`` the sub-block
 of its in-band columns; cells outside keep their zeros, which the in-band
@@ -72,7 +68,6 @@ from repro.phmm import sanitize
 from repro.phmm.banded import BandSpec
 from repro.phmm.model import PHMMParams
 
-_MODES = ("semiglobal", "global")
 _TINY = 1e-300
 _LOG_TINY = float(np.log(_TINY))
 _LN2 = float(np.log(2.0))
@@ -80,6 +75,18 @@ _LN2 = float(np.log(2.0))
 _EMIT_PAIRS = 32
 #: State axis of the lane-major DP tensors.
 ST_M, ST_GX, ST_GY = 0, 1, 2
+
+
+def _check_kernel(
+    mode: str = "semiglobal", kernel: str = "rowsweep", dtype: str = "float64"
+) -> None:
+    # ledger/replay.py is the sole reader of the mode=/kernel=/dtype=
+    # keywords; they go when the ledger stops passing them.
+    if (mode, kernel, dtype) != ("semiglobal", "rowsweep", "float64"):
+        raise AlignmentError(
+            "the only kernel is ('semiglobal', 'rowsweep', 'float64'), "
+            f"got {(mode, kernel, dtype)!r}"
+        )
 
 
 def check_pairs(pwms: np.ndarray, windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +142,7 @@ class ForwardResult:
     ``fM/fGX/fGY`` are ``(B, N+1, M+1)`` *scaled* values (strided views of the
     lane-major state): the true forward probability is
     ``fM[b, i, j] * exp(log_scale[b, i])``.  ``loglik`` is the per-pair total
-    alignment log-likelihood under the chosen mode.
+    alignment log-likelihood.
     """
 
     fM: np.ndarray
@@ -143,7 +150,6 @@ class ForwardResult:
     fGY: np.ndarray
     log_scale: np.ndarray
     loglik: np.ndarray
-    mode: str
 
 
 @dataclass
@@ -154,13 +160,10 @@ class BackwardResult:
     bGX: np.ndarray
     bGY: np.ndarray
     log_scale: np.ndarray
-    mode: str
 
 
-def check_shape(N: int, M: int, mode: str, band: BandSpec | None) -> None:
-    """Reject an unknown mode, an empty DP matrix or a band cut for another."""
-    if mode not in _MODES:
-        raise AlignmentError(f"mode must be one of {_MODES}, got {mode!r}")
+def check_shape(N: int, M: int, band: BandSpec | None) -> None:
+    """Reject an empty DP matrix or a band cut for another."""
     if N == 0 or M == 0:
         raise AlignmentError("empty read or window")
     if band is not None and (band.n, band.m) != (N, M):
@@ -168,9 +171,10 @@ def check_shape(N: int, M: int, mode: str, band: BandSpec | None) -> None:
 
 
 def _check_inputs(pstar: np.ndarray, mode: str, band: BandSpec | None) -> np.ndarray:
+    _check_kernel(mode)
     if np.ndim(pstar) != 3:
         raise AlignmentError(f"pstar must be (B, N, M), got {np.shape(pstar)}")
-    check_shape(np.shape(pstar)[1], np.shape(pstar)[2], mode, band)
+    check_shape(np.shape(pstar)[1], np.shape(pstar)[2], band)
     return as_lanes(pstar)
 
 
@@ -196,8 +200,8 @@ class _Sweep:
     """Constants, band geometry and scratch shared by the row steps of one
     pass over lane-major emissions ``pl`` of shape ``(N, M, B)``."""
 
-    def __init__(self, pl: np.ndarray, params: PHMMParams, mode: str, band: BandSpec | None):
-        self.pl, self.mode, self.band = pl, mode, band
+    def __init__(self, pl: np.ndarray, params: PHMMParams, band: BandSpec | None):
+        self.pl, self.band = pl, band
         self.N, self.M, B = pl.shape
         self.q, self.TMM, self.TGM = params.q, params.T_MM, params.T_GM
         self.TMG, self.TGG = params.T_MG, params.T_GG
@@ -262,28 +266,14 @@ class _Sweep:
             self.scan(gy, self.sa)
 
     def backward_last_row(self, row: np.ndarray) -> None:
-        """Initialise row ``N`` (already scaled: its log scale is 0)."""
-        M, q = self.M, self.q
+        """Initialise row ``N`` (already scaled: its log scale is 0).
+
+        bGY stays 0 at i = N: once the read is consumed, paths that keep
+        eating genome bases through G_Y are redundant with ending earlier."""
         lo, hi = self.bounds(self.N)
-        if lo > hi:
-            return
-        if self.mode == "semiglobal":
-            # bGY stays 0 at i = N: once the read is consumed, paths that keep
-            # eating genome bases through G_Y are redundant with ending earlier.
+        if lo <= hi:
             row[ST_M, lo : hi + 1] = 1.0
             row[ST_GX, lo : hi + 1] = 1.0
-            return
-        # Paper-literal: b_M(N,M) = b_GX(N,M) = b_GY(N,M) = 1, all other
-        # far-border cells zero; the row-N G_Y chain b_GY(N, j) = q T_GG
-        # b_GY(N, j+1) (trailing genome bases) is in the recursion's domain,
-        # M at (N, j < M) finishes only by entering it, a band truncates it.
-        if lo <= M <= hi:
-            row[:, M] = 1.0
-        mhi = min(hi, M - 1)
-        for j in range(mhi, lo - 1, -1):
-            row[ST_GY, j] = q * self.TGG * row[ST_GY, j + 1]
-        if lo <= mhi:
-            row[ST_M, lo : mhi + 1] = q * self.TMG * row[ST_GY, lo + 1 : mhi + 2]
 
     def backward_row(self, i: int, lo: int, hi: int, nxt: np.ndarray, row: np.ndarray) -> None:
         """Fill unscaled in-band row ``i < N`` from scaled row ``i+1``."""
@@ -322,7 +312,6 @@ class _Sweep:
 def forward_lanes(
     pl: np.ndarray,
     params: PHMMParams,
-    mode: str,
     band: BandSpec | None,
     state: np.ndarray,
     log_scale: np.ndarray,
@@ -331,19 +320,15 @@ def forward_lanes(
     (no counters: callers charge per batch, not per lane tile).
 
     ``state`` ``(N+1, 3, M+1, B)`` and ``log_scale`` ``(N+1, B)`` must be
-    zeroed, or hold an earlier pass of this shape, mode and band: a pass
-    writes the same cells whatever the emissions, so they need no clearing.
+    zeroed, or hold an earlier pass of this shape and band: a pass writes
+    the same cells whatever the emissions, so they need no clearing.
     """
-    sweep = _Sweep(pl, params, mode, band)
-    N, M, B = pl.shape
+    sweep = _Sweep(pl, params, band)
+    N = sweep.N
     lo, hi = sweep.bounds(0)
-    if mode == "semiglobal":
-        # Free genome prefix: the read may begin at any in-band column.
-        if lo <= hi:
-            state[0, ST_M, lo : hi + 1] = 1.0
-    elif lo <= 0 <= hi:
-        # Paper-literal global borders: f_M(0,0) = 1, every other cell zero.
-        state[0, ST_M, 0] = 1.0
+    # Free genome prefix: the read may begin at any in-band column.
+    if lo <= hi:
+        state[0, ST_M, lo : hi + 1] = 1.0
     for i in range(1, N + 1):
         lo, hi = sweep.bounds(i)
         if lo > hi:
@@ -353,19 +338,16 @@ def forward_lanes(
         sweep.forward_row(i, lo, hi, state[i - 1], state[i])
         sweep.rescale(state[i, :, lo : hi + 1], log_scale[i - 1], log_scale[i])
     last = state[N]
-    if mode == "semiglobal":
-        # Summed along a contiguous j axis: NumPy's pairwise summation, which
-        # a sum down the lane-major rows would not use.
-        total = np.ascontiguousarray(last[ST_M].T).sum(axis=1)
-        total += np.ascontiguousarray(last[ST_GX].T).sum(axis=1)
-    else:
-        total = last[ST_M, M] + last[ST_GX, M] + last[ST_GY, M]
+    # Free genome suffix, summed along a contiguous j axis: NumPy's pairwise
+    # summation, which a sum down the lane-major rows would not use.
+    total = np.ascontiguousarray(last[ST_M].T).sum(axis=1)
+    total += np.ascontiguousarray(last[ST_GX].T).sum(axis=1)
     with np.errstate(divide="ignore"):
         loglik = np.log(np.maximum(total, 0.0)) + log_scale[N]
     fM, fGX, fGY, ls = _views(state, log_scale)
     if sanitize.enabled():
         sanitize.check_pass("forward", (fM, fGX, fGY), ls, band, loglik=loglik)
-    return ForwardResult(fM=fM, fGX=fGX, fGY=fGY, log_scale=ls, loglik=loglik, mode=mode)
+    return ForwardResult(fM=fM, fGX=fGX, fGY=fGY, log_scale=ls, loglik=loglik)
 
 
 def forward_batch(
@@ -380,20 +362,20 @@ def forward_batch(
     :func:`emissions_batch`.  ``band`` restricts every DP row to its in-band
     columns (``None``: every row spans ``[0, M]``); all matrices keep their
     full ``(B, N+1, M+1)`` shape with exact zeros outside the band, so
-    downstream posterior extraction is unchanged.
+    downstream posterior extraction is unchanged.  ``mode`` is pinned to
+    ``"semiglobal"`` (:func:`_check_kernel`).
     """
     pl = _check_inputs(pstar, mode, band)
     N, M, B = pl.shape
     charge_pass("forward", B, N, M, band)
     return forward_lanes(
-        pl, params, mode, band, np.zeros((N + 1, 3, M + 1, B)), np.zeros((N + 1, B))
+        pl, params, band, np.zeros((N + 1, 3, M + 1, B)), np.zeros((N + 1, B))
     )
 
 
 def backward_rows(
     pl: np.ndarray,
     params: PHMMParams,
-    mode: str,
     band: BandSpec | None,
     store: np.ndarray,
     log_scale: np.ndarray,
@@ -407,7 +389,7 @@ def backward_rows(
     must start zeroed; ``len(store) == N+1`` materialises the pass, ``2`` is
     the smallest ring the recursion can run on.
     """
-    sweep = _Sweep(pl, params, mode, band)
+    sweep = _Sweep(pl, params, band)
     N, depth = sweep.N, store.shape[0]
     spans: list[tuple[int, int]] = [(0, -1)] * depth  # columns a slot holds
     for i in range(N, -1, -1):
@@ -440,9 +422,9 @@ def backward_batch(
     charge_pass("backward", B, N, M, band)
     state = np.zeros((N + 1, 3, M + 1, B))
     log_scale = np.zeros((N + 1, B))
-    for _ in backward_rows(pl, params, mode, band, state, log_scale):
+    for _ in backward_rows(pl, params, band, state, log_scale):
         pass
     bM, bGX, bGY, ls = _views(state, log_scale)
     if sanitize.enabled():
         sanitize.check_pass("backward", (bM, bGX, bGY), ls, band)
-    return BackwardResult(bM=bM, bGX=bGX, bGY=bGY, log_scale=ls, mode=mode)
+    return BackwardResult(bM=bM, bGX=bGX, bGY=bGY, log_scale=ls)

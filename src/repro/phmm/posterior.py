@@ -23,7 +23,7 @@ position ``j``:
   (insertion) posterior.  See DESIGN.md §2.
 * ``occupancy[j]`` — total probability that the alignment covers ``y_j``
   (match + deletion).  1 in the interior of the aligned footprint, < 1 at
-  the soft edges in semiglobal mode.
+  the soft edges, where the free genome prefix and suffix begin.
 
 The per-read z-vector of the paper is then
 ``z_k(j) = base_mass[j, k]`` and ``z_gap(j) = gap_mass[j]`` under the default
@@ -159,8 +159,9 @@ class RowDeposit:
             ]
 
     def edge_mass(self) -> np.ndarray:
-        """:func:`~repro.phmm.banded.band_edge_mass` of the deposited rows,
-        summed in that function's (ascending) order."""
+        """Per pair, the match posterior on the band's interior edge cells
+        (:meth:`~repro.phmm.banded.BandSpec.edge_columns`) over the read
+        length, summed in ascending row order."""
         edge = np.zeros(self.z.shape[2])
         for cell in reversed(self.edge_cells):
             edge += cell
@@ -192,8 +193,6 @@ def posteriors_batch(
     (``loglik == -inf``) get all-zero masses.  ``windows`` and ``params`` are
     part of the stable signature but unused: z splits by the PWM alone.
     """
-    if fwd.mode != bwd.mode:
-        raise AlignmentError(f"forward mode {fwd.mode!r} != backward mode {bwd.mode!r}")
     B, N, M = np.shape(pstar)
     if fwd.fM.shape != (B, N + 1, M + 1):
         raise AlignmentError("forward result does not match pstar shape")

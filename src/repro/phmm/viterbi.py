@@ -1,10 +1,12 @@
 """Log-space Viterbi (single best alignment) with backtrace.
 
-The pipeline never uses this — the whole point of the paper is marginalising
-over alignments — but the ablation benchmarks need a "single most plausible
-alignment" comparator (what MAQ-style callers effectively do), and tests use
-the Viterbi path as a sanity anchor (the best path's probability must never
-exceed the total likelihood).
+Calling marginalises over alignments — the whole point of the paper — so
+the default path never runs this.  Two callers do: the
+``posterior_mode="viterbi"`` ablation (evidence from the single most
+plausible alignment, what MAQ-style callers effectively do) and ``repro
+map``, which walks the placements it writes for their CIGARs.  Tests also
+use the Viterbi path as a sanity anchor (the best path's probability must
+never exceed the total likelihood).
 """
 
 from __future__ import annotations
@@ -36,12 +38,9 @@ class ViterbiResult:
     end_j: int
 
 
-def viterbi_align(
-    pstar: np.ndarray, params: PHMMParams, mode: str = "semiglobal"
-) -> ViterbiResult:
-    """Single-pair Viterbi alignment over a precomputed emission matrix."""
-    if mode not in ("semiglobal", "global"):
-        raise AlignmentError(f"unknown mode {mode!r}")
+def viterbi_align(pstar: np.ndarray, params: PHMMParams) -> ViterbiResult:
+    """Single-pair semiglobal Viterbi alignment over a precomputed emission
+    matrix: free genome prefix and suffix, as in the forward pass."""
     pstar = np.asarray(pstar, dtype=np.float64)
     if pstar.ndim != 2:
         raise AlignmentError(f"pstar must be (N, M), got {pstar.shape}")
@@ -54,10 +53,7 @@ def viterbi_align(
 
     v = np.full((3, N + 1, M + 1), _NEG)
     back = np.zeros((3, N + 1, M + 1), dtype=np.int8)
-    if mode == "semiglobal":
-        v[_M, 0, :] = 0.0
-    else:
-        v[_M, 0, 0] = 0.0
+    v[_M, 0, :] = 0.0
 
     for i in range(1, N + 1):
         # Match: from any state at (i-1, j-1).
@@ -88,17 +84,12 @@ def viterbi_align(
                 v[_GY, i, j] = lq + from_g
                 back[_GY, i, j] = _GY
 
-    if mode == "semiglobal":
-        endM = int(np.argmax(v[_M, N, :]))
-        endX = int(np.argmax(v[_GX, N, :]))
-        if v[_M, N, endM] >= v[_GX, N, endX]:
-            state, j, score = _M, endM, float(v[_M, N, endM])
-        else:
-            state, j, score = _GX, endX, float(v[_GX, N, endX])
+    endM = int(np.argmax(v[_M, N, :]))
+    endX = int(np.argmax(v[_GX, N, :]))
+    if v[_M, N, endM] >= v[_GX, N, endX]:
+        state, j, score = _M, endM, float(v[_M, N, endM])
     else:
-        state = int(np.argmax(v[:, N, M]))
-        j = M
-        score = float(v[state, N, M])
+        state, j, score = _GX, endX, float(v[_GX, N, endX])
     if not np.isfinite(score):
         raise AlignmentError("no viable alignment path")
 
@@ -116,8 +107,6 @@ def viterbi_align(
         else:
             j -= 1
         state = prev
-        if mode == "semiglobal" and i == 0:
-            break
     pairs.reverse()
     start_j = pairs[0][1] if pairs else j
     return ViterbiResult(score=score, pairs=pairs, start_j=start_j, end_j=end_j)

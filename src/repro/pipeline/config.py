@@ -176,22 +176,18 @@ class PipelineConfig:
     quality_aware:
         When False, PWMs collapse to the called base (ablation of the
         paper's quality extension).
-    alignment_mode:
-        "semiglobal" (default) or "global" (paper-literal boundary
-        conditions; requires exact-footprint windows, only sensible with
-        pad = 0).
     posterior_mode:
         "marginal" (default — the paper's forward-backward z-vectors over
         *all* alignments and locations) or "viterbi" (ablation: evidence
         from the single best alignment at the single best location, the
         philosophy of conventional mappers).
     band_mode:
-        "off" (default — full O(N*M) fills), "fixed" (fill only a band of
-        half-width ``band_w`` around each candidate's seed diagonal,
-        unconditionally) or "adaptive" (banded, but pairs whose posterior
-        band-edge mass exceeds ``band_tolerance`` re-run unbanded — see
-        :mod:`repro.phmm.banded`).  Banding applies to the marginal
-        posterior path; the viterbi ablation always runs full matrices.
+        "off" (default — full O(N*M) fills) or "adaptive" (fill only a
+        band of half-width ``band_w`` around each candidate's seed
+        diagonal; pairs whose posterior band-edge mass exceeds
+        ``band_tolerance`` re-run unbanded — see :mod:`repro.phmm.banded`).
+        Banding applies to the marginal posterior path; the viterbi
+        ablation always runs full matrices.
     band_w:
         Band half-width in window columns; a row covers ``2*band_w + 1``
         columns.  Must comfortably exceed the seeder's ``diagonal_slack``
@@ -216,12 +212,12 @@ class PipelineConfig:
     edge_policy: str = "mass"
     min_ratio: float = 1e-4
     quality_aware: bool = True
-    alignment_mode: str = "semiglobal"
     posterior_mode: str = "marginal"
     band_mode: str = "off"
     band_w: int = 10
     band_tolerance: float = 1e-4
-    # Not fields: ledger/replay.py is the sole reader of these two constants.
+    # Not fields: ledger/replay.py is the sole reader of these three constants.
+    alignment_mode: ClassVar[str] = "semiglobal"
     phmm_kernel: ClassVar[str] = "rowsweep"
     phmm_dtype: ClassVar[str] = "float64"
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
@@ -246,14 +242,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown edge_policy {self.edge_policy!r}")
         if not 0.0 <= self.min_ratio < 1.0:
             raise ConfigError(f"min_ratio must be in [0, 1), got {self.min_ratio}")
-        if self.alignment_mode not in ("semiglobal", "global"):
-            raise ConfigError(f"unknown alignment_mode {self.alignment_mode!r}")
         if self.posterior_mode not in ("marginal", "viterbi"):
             raise ConfigError(f"unknown posterior_mode {self.posterior_mode!r}")
-        if self.band_mode not in ("off", "fixed", "adaptive"):
+        if self.band_mode not in ("off", "adaptive"):
             raise ConfigError(
-                f"band_mode must be 'off', 'fixed' or 'adaptive', "
-                f"got {self.band_mode!r}"
+                f"band_mode must be 'off' or 'adaptive', got {self.band_mode!r}"
             )
         if self.band_w < 1:
             raise ConfigError(f"band_w must be >= 1, got {self.band_w}")

@@ -110,8 +110,6 @@ def align_pairs(
                 stack.centers,
                 cfg.band_w,
                 tolerance=cfg.band_tolerance,
-                adaptive=cfg.band_mode == "adaptive",
-                mode=cfg.alignment_mode,
                 edge_policy=cfg.edge_policy,
                 valid=valid,
                 groups=stack.seeded.read,
@@ -119,12 +117,7 @@ def align_pairs(
             )
         else:
             outcome = align_batch(
-                pwms,
-                windows,
-                cfg.phmm,
-                mode=cfg.alignment_mode,
-                edge_policy=cfg.edge_policy,
-                valid=valid,
+                pwms, windows, cfg.phmm, edge_policy=cfg.edge_policy, valid=valid
             )
         z, loglik = outcome.z, outcome.loglik
     return PairEvidence(z, loglik, stack.seeded.start, stack.seeded.strand, stack.seeded.read)
@@ -142,7 +135,7 @@ def _viterbi_evidence(
     loglik = np.full(B, -np.inf)
     for b in range(B):
         try:
-            path = viterbi_align(pstar[b], cfg.phmm, mode=cfg.alignment_mode)
+            path = viterbi_align(pstar[b], cfg.phmm)
         except AlignmentError:
             continue
         loglik[b] = path.score

@@ -20,8 +20,8 @@ LIVE = [
     (  # double log of the forward pass's log-likelihood
         "RPL101",
         "src/repro/phmm/forward_backward.py",
-        "log_scale=ls, loglik=loglik, mode=mode)",
-        "log_scale=ls, loglik=np.log(loglik), mode=mode)",
+        "log_scale=ls, loglik=loglik)",
+        "log_scale=ls, loglik=np.log(loglik))",
     ),
     (  # linear scale added to a log total
         "RPL102",

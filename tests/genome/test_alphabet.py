@@ -37,6 +37,11 @@ class TestEncodeDecode:
         with pytest.raises(SequenceError, match="position 2"):
             encode("ACXGT")
 
+    def test_non_ascii_char_rejected_with_position(self):
+        # Not a UnicodeEncodeError; the position counts characters.
+        with pytest.raises(SequenceError, match="'É' at position 2"):
+            encode("ACÉTÉ")
+
     def test_decode_out_of_range_rejected(self):
         with pytest.raises(SequenceError):
             decode(np.array([0, 9], dtype=np.uint8))

@@ -76,6 +76,13 @@ class TestFastqIO:
         with pytest.raises(FastqError, match="outside"):
             read_fastq(io.StringIO("@r\nAC\n+\n  \n"))
 
+    def test_crlf_line_endings(self):
+        """As FASTA does: a ``\r`` is a line ending, not a Q-20 quality."""
+        reads = read_fastq(io.StringIO("@r1\r\nACGT\r\n+\r\nIIII\r\n"))
+        assert [r.name for r in reads] == ["r1"]
+        assert reads[0].sequence == "ACGT"
+        assert (reads[0].quals == 40).all()
+
     def test_empty_stream_ok(self):
         assert read_fastq(io.StringIO("")) == []
 

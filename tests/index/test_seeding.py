@@ -45,8 +45,6 @@ class TestSeederConfig:
             SeederConfig(diagonal_slack=-1)
         with pytest.raises(IndexError_):
             SeederConfig(max_candidates=0)
-        with pytest.raises(IndexError_):
-            SeederConfig(step=0)
 
 
 class TestCandidateRegion:
@@ -137,13 +135,6 @@ class TestDiagonalClustering:
         cands = [c for c in seeder.candidates(read) if c.strand == 1]
         near = [c for c in cands if abs(c.start - pos) <= 3]
         assert len(near) == 1
-
-    def test_step_reduces_support_but_finds(self):
-        ref, _, _ = make_setup(seed=6)
-        index = GenomeIndex(ref, k=10)
-        seeder = Seeder(index, SeederConfig(step=4))
-        cands = seeder.candidates(perfect_read(ref, 1000))
-        assert any(c.start == 1000 for c in cands)
 
     def test_candidates_sorted_by_support(self):
         ref, _, seeder = make_setup(length=20_000, seed=7, n_repeats=2)

@@ -75,8 +75,7 @@ class _PerReadSeeder:
         if packed.size == 0:
             return []
         cfg = self.config
-        offsets = np.arange(packed.size)[:: cfg.step]
-        offsets = offsets[valid[offsets]]
+        offsets = np.flatnonzero(valid)
         if offsets.size == 0:
             return []
         hit_pos, qidx = self.index.lookup_seeds_flat(packed[offsets])
@@ -353,20 +352,19 @@ def _seed_metrics(registry):
 @given(
     reads=st.lists(hostile_read(), max_size=12),
     seed_len=st.sampled_from([None, 20]),
-    step=st.sampled_from([1, 1, 2, 3]),
     qgram_filter=st.booleans(),
     max_candidates=st.sampled_from([1, 16]),
     min_support=st.sampled_from([1, 2]),
     split=st.integers(0, 12),
 )
 def test_block_seeding_equals_per_read_seeding(
-    reads, seed_len, step, qgram_filter, max_candidates, min_support, split
+    reads, seed_len, qgram_filter, max_candidates, min_support, split
 ):
     """``candidates_batch(reads)[i] == candidates_batch([reads[i]])[0]`` ==
     the frozen per-read oracle, with equal ``seed.*`` counters and
     ``seed.candidates_per_read`` histogram, however the block is split."""
     cfg = SeederConfig(
-        seed_len=seed_len, step=step, qgram_filter=qgram_filter,
+        seed_len=seed_len, qgram_filter=qgram_filter,
         max_candidates=max_candidates, min_support=min_support,
     )
     index = _BLOCK_INDEXES[seed_len]

@@ -209,8 +209,8 @@ class TestAggregator:
             TelemetryAggregator(interval=0.0)
         with pytest.raises(ObservabilityError):
             TelemetryAggregator(stall_after=-1.0)
-        with pytest.raises(ObservabilityError):
-            TelemetryAggregator(ewma_alpha=0.0)
+        with pytest.raises(TypeError):  # the EWMA weight is a constant
+            TelemetryAggregator(ewma_alpha=0.5)
 
     def test_ingest_folds_deltas_and_tracks_rates(self):
         clock = _FakeClock()

@@ -9,12 +9,7 @@ from repro.errors import AlignmentError
 from repro.observability import scope
 from repro.genome.alphabet import N as CODE_N
 from repro.phmm import alignment
-from repro.phmm.alignment import (
-    align_batch,
-    align_batch_banded,
-    align_read,
-    build_windows,
-)
+from repro.phmm.alignment import align_batch, align_batch_banded, build_windows
 from repro.phmm.model import PHMMParams
 from repro.phmm.pwm import pwm_from_codes
 
@@ -49,22 +44,6 @@ class TestBuildWindows:
             build_windows(genome, np.zeros((2, 2)), 3)
 
 
-class TestAlignRead:
-    def test_single_pair_shape(self):
-        rng = np.random.default_rng(0)
-        codes = rng.integers(0, 4, 10).astype(np.uint8)
-        pwm = pwm_from_codes(codes, np.full(10, 0.01))
-        out = align_read(pwm, codes, PARAMS)
-        assert out.z.shape == (1, 10, 5)
-        assert out.loglik.shape == (1,)
-
-    def test_validation(self):
-        with pytest.raises(AlignmentError):
-            align_read(np.ones((3, 4, 1)), np.zeros(5, dtype=np.uint8), PARAMS)
-        with pytest.raises(AlignmentError):
-            align_read(np.ones((3, 4)), np.zeros((5, 2), dtype=np.uint8), PARAMS)
-
-
 class TestAlignBatch:
     def test_valid_mask_zeroes_pad_columns(self):
         rng = np.random.default_rng(1)
@@ -88,6 +67,19 @@ class TestAlignBatch:
                 align_batch_banded(
                     pwm[None], codes[None], PARAMS, np.zeros(1), band_w=3, **bad
                 )
+
+    def test_global_mode_is_gone(self):
+        """The paper-literal global boundary convention was deleted; the
+        ``mode=`` keyword accepts only the semiglobal one."""
+        codes = np.arange(5, dtype=np.uint8) % 4
+        pwm = pwm_from_codes(codes, np.full(5, 0.01))
+        align_batch(pwm[None], codes[None], PARAMS, mode="semiglobal")
+        with pytest.raises(AlignmentError):
+            align_batch(pwm[None], codes[None], PARAMS, mode="global")
+        with pytest.raises(AlignmentError):
+            align_batch_banded(
+                pwm[None], codes[None], PARAMS, np.zeros(1), band_w=3, mode="global"
+            )
 
     def test_mask_shape_mismatch_rejected(self):
         rng = np.random.default_rng(2)

@@ -17,16 +17,17 @@ from repro.phmm.forward_backward import (
 )
 from repro.phmm.model import PHMMParams
 from repro.phmm.pwm import pwm_from_codes
-from repro.phmm.reference_impl import (
+from tests.phmm.parent_kernels import backward_loglik
+from tests.phmm.reference_impl import (
     backward_naive,
     emissions_naive,
     forward_naive,
     loglik_bruteforce,
 )
-from tests.phmm.parent_kernels import backward_loglik
 
 PARAMS = PHMMParams()
-MODES = ("semiglobal", "global")
+#: The kernels' one boundary convention (``mode=`` is a pinned keyword).
+MODES = ("semiglobal",)
 
 
 def random_case(rng, n_lo=2, n_hi=8, m_lo=2, m_hi=10):
@@ -80,7 +81,7 @@ class TestLikelihoodConsistency:
             pwm, window = random_case(rng)
             pstar = emissions_batch(pwm[None], window[None], PARAMS)
             fwd = forward_batch(pstar, PARAMS, mode=mode)
-            *_, like = forward_naive(pstar[0], PARAMS, mode=mode)
+            *_, like = forward_naive(pstar[0], PARAMS)
             assert np.isclose(fwd.loglik[0], np.log(like))
 
     def test_matches_bruteforce(self, mode):
@@ -93,7 +94,7 @@ class TestLikelihoodConsistency:
             checked += 1
             pstar = emissions_batch(pwm[None], window[None], PARAMS)
             fwd = forward_batch(pstar, PARAMS, mode=mode)
-            bf = loglik_bruteforce(pstar[0], PARAMS, mode=mode)
+            bf = loglik_bruteforce(pstar[0], PARAMS)
             assert np.isclose(fwd.loglik[0], bf, atol=1e-9)
 
     def test_backward_reproduces_likelihood(self, mode):
@@ -111,7 +112,7 @@ class TestLikelihoodConsistency:
             pwm, window = random_case(rng)
             pstar = emissions_batch(pwm[None], window[None], PARAMS)
             bwd = backward_batch(pstar, PARAMS, mode=mode)
-            bM, bGX, bGY = backward_naive(pstar[0], PARAMS, mode=mode)
+            bM, bGX, bGY = backward_naive(pstar[0], PARAMS)
             scale = np.exp(bwd.log_scale[0])[:, None]
             assert np.allclose(bM, bwd.bM[0] * scale, rtol=1e-8)
             assert np.allclose(bGX, bwd.bGX[0] * scale, rtol=1e-8)
@@ -172,10 +173,13 @@ class TestBatchSemantics:
         assert fwd.loglik[0] > fwd.loglik[1] + 50
 
     def test_mode_validation(self):
-        with pytest.raises(AlignmentError):
-            forward_batch(np.ones((1, 2, 2)), PARAMS, mode="local")
-        with pytest.raises(AlignmentError):
-            backward_batch(np.ones((1, 2, 2)), PARAMS, mode="x")
+        """``mode=`` is pinned to the semiglobal convention; the paper-literal
+        global one is gone."""
+        for mode in ("local", "global"):
+            with pytest.raises(AlignmentError):
+                forward_batch(np.ones((1, 2, 2)), PARAMS, mode=mode)
+            with pytest.raises(AlignmentError):
+                backward_batch(np.ones((1, 2, 2)), PARAMS, mode=mode)
 
     def test_empty_rejected(self):
         with pytest.raises(AlignmentError):

@@ -2,10 +2,10 @@
 
 :mod:`tests.phmm.test_properties` pins likelihoods for single pairs; this
 module pins the *batched* kernels (the pipeline's actual hot path) against
-:mod:`repro.phmm.reference_impl` cell-for-cell: every pair in a B > 1 batch
+:mod:`tests.phmm.reference_impl` cell-for-cell: every pair in a B > 1 batch
 must reproduce the naive unscaled forward/backward matrices after undoing
-the per-row scaling (``f * exp(log_scale)``), in both boundary modes,
-including the degenerate shapes N = 1, M = 1 and the empty batch B = 0.
+the per-row scaling (``f * exp(log_scale)``), including the degenerate
+shapes N = 1, M = 1 and the empty batch B = 0.
 The metrics counters are asserted alongside, tying the observability layer
 to the same B*N*M geometry the numerics are verified over.
 
@@ -28,7 +28,7 @@ from repro.errors import AlignmentError
 from repro.observability import scope
 from repro.phmm import alignment
 from repro.phmm.alignment import align_batch, align_batch_banded
-from repro.phmm.banded import BandSpec, band_edge_mass
+from repro.phmm.banded import BandSpec
 from repro.phmm.forward_backward import (
     backward_batch,
     emissions_batch,
@@ -37,15 +37,17 @@ from repro.phmm.forward_backward import (
 from repro.phmm.model import PHMMParams
 from repro.phmm.posterior import posteriors_batch, z_vectors
 from repro.phmm.pwm import pwm_from_codes
-from repro.phmm.reference_impl import (
+
+from tests.phmm import parent_kernels
+from tests.phmm.reference_impl import (
     backward_naive,
+    band_edge_mass,
     emissions_naive,
     forward_naive,
 )
 
-from tests.phmm import parent_kernels
-
-MODES = ("semiglobal", "global")
+#: The kernels' one boundary convention (``mode=`` is a pinned keyword).
+MODES = ("semiglobal",)
 #: The lane tile the streamed-driver tests cut their batches around (patched
 #: in as ``LANE_TILE``): bits do not depend on it
 #: (``test_a_pairs_bits_do_not_depend_on_its_tile``), tile boundaries do.
@@ -118,12 +120,11 @@ EDGE_CASES = (
 
 
 def edge_examples(test=None, **extra):
-    """Pin every edge case, in both modes, as an explicit example."""
+    """Pin every edge case as an explicit example."""
 
     def pin(test):
         for case in EDGE_CASES:
-            for mode in MODES:
-                test = example(case=case, params=PHMMParams(), mode=mode, **extra)(test)
+            test = example(case=case, params=PHMMParams(), **extra)(test)
         return test
 
     return pin if test is None else pin(test)
@@ -135,14 +136,14 @@ def unscale(scaled: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=batch_case(), params=params_strategy(), mode=st.sampled_from(MODES))
+@given(case=batch_case(), params=params_strategy())
 @edge_examples
-def test_forward_matrices_match_naive_per_pair(case, params, mode):
+def test_forward_matrices_match_naive_per_pair(case, params):
     pwms, windows = case
     B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
     with scope() as reg:
         pstar = emissions_batch(pwms, windows, params)
-        fwd = forward_batch(pstar, params, mode=mode)
+        fwd = forward_batch(pstar, params)
     snap = reg.snapshot()
     assert snap.counters["phmm.pairs"] == B
     assert snap.counters["phmm.forward_cells"] == B * N * M
@@ -151,7 +152,7 @@ def test_forward_matrices_match_naive_per_pair(case, params, mode):
     fGX = unscale(fwd.fGX, fwd.log_scale)
     fGY = unscale(fwd.fGY, fwd.log_scale)
     for b in range(B):
-        nM, nGX, nGY, like = forward_naive(pstar[b], params, mode=mode)
+        nM, nGX, nGY, like = forward_naive(pstar[b], params)
         np.testing.assert_allclose(fM[b], nM, rtol=1e-9, atol=1e-300)
         np.testing.assert_allclose(fGX[b], nGX, rtol=1e-9, atol=1e-300)
         np.testing.assert_allclose(fGY[b], nGY, rtol=1e-9, atol=1e-300)
@@ -162,21 +163,21 @@ def test_forward_matrices_match_naive_per_pair(case, params, mode):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=batch_case(), params=params_strategy(), mode=st.sampled_from(MODES))
+@given(case=batch_case(), params=params_strategy())
 @edge_examples
-def test_backward_matrices_match_naive_per_pair(case, params, mode):
+def test_backward_matrices_match_naive_per_pair(case, params):
     pwms, windows = case
     B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
     with scope() as reg:
         pstar = emissions_batch(pwms, windows, params)
-        bwd = backward_batch(pstar, params, mode=mode)
+        bwd = backward_batch(pstar, params)
     assert reg.snapshot().counters["phmm.backward_cells"] == B * N * M
 
     bM = unscale(bwd.bM, bwd.log_scale)
     bGX = unscale(bwd.bGX, bwd.log_scale)
     bGY = unscale(bwd.bGY, bwd.log_scale)
     for b in range(B):
-        nM, nGX, nGY = backward_naive(pstar[b], params, mode=mode)
+        nM, nGX, nGY = backward_naive(pstar[b], params)
         np.testing.assert_allclose(bM[b], nM, rtol=1e-9, atol=1e-300)
         np.testing.assert_allclose(bGX[b], nGX, rtol=1e-9, atol=1e-300)
         np.testing.assert_allclose(bGY[b], nGY, rtol=1e-9, atol=1e-300)
@@ -209,15 +210,14 @@ def _random_case(b, n, m, seed):
 @given(
     case=batch_case(b_max=7),
     params=params_strategy(),
-    mode=st.sampled_from(MODES),
     band=st.one_of(st.none(), st.tuples(st.integers(-2, 6), st.integers(1, 3))),
 )
 @edge_examples(band=None)
 @edge_examples(band=(1, 1))
-@example(case=_random_case(5, 6, 9, 11), params=PHMMParams(), mode="semiglobal", band=None)
-@example(case=_random_case(5, 6, 9, 12), params=PHMMParams(), mode="global", band=(2, 2))
-@example(case=_random_case(7, 4, 7, 13), params=PHMMParams(), mode="semiglobal", band=(1, 1))
-def test_batching_is_not_load_bearing(case, params, mode, band):
+@example(case=_random_case(5, 6, 9, 11), params=PHMMParams(), band=None)
+@example(case=_random_case(5, 6, 9, 12), params=PHMMParams(), band=(2, 2))
+@example(case=_random_case(7, 4, 7, 13), params=PHMMParams(), band=(1, 1))
+def test_batching_is_not_load_bearing(case, params, band):
     """Each pair's result — forward matrices and the evidence the streamed
     drivers deposit — is identical whether aligned in a batch or alone, and
     wherever the lane-tile boundaries fall: under the 2-lane tile here, 5 and
@@ -227,18 +227,18 @@ def test_batching_is_not_load_bearing(case, params, mode, band):
     B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
     band = _solo_band(band, N, M)
     pstar = emissions_batch(pwms, windows, params)
-    batched = forward_batch(pstar, params, mode=mode, band=band)
+    batched = forward_batch(pstar, params, band=band)
     with mock.patch.object(alignment, "LANE_TILE", 2):
         tiled = alignment._align_streamed(
-            pwms, windows, params, mode, "mass", band, want_edge=band is not None
+            pwms, windows, params, "mass", band, want_edge=band is not None
         )
     for b in range(B):
-        solo = forward_batch(pstar[b : b + 1], params, mode=mode, band=band)
+        solo = forward_batch(pstar[b : b + 1], params, band=band)
         np.testing.assert_array_equal(batched.fM[b], solo.fM[0])
         np.testing.assert_array_equal(batched.log_scale[b], solo.log_scale[0])
         np.testing.assert_array_equal(batched.loglik[b], solo.loglik[0])
         alone = alignment._align_streamed(
-            pwms[b : b + 1], windows[b : b + 1], params, mode, "mass", band,
+            pwms[b : b + 1], windows[b : b + 1], params, "mass", band,
             want_edge=band is not None,
         )
         for got, want in zip(tiled, alone):  # z, loglik, band-edge mass
@@ -352,7 +352,7 @@ def test_lane_major_kernels_reproduce_parent_bitwise(case, mode, band_kind):
     # materialised result bit for bit.
     with mock.patch.object(alignment, "LANE_TILE", 2):
         z, loglik, edge = alignment._align_streamed(
-            pwms, windows, params, mode, "mass", band, want_edge=band is not None
+            pwms, windows, params, "mass", band, want_edge=band is not None
         )
     np.testing.assert_array_equal(z, z_vectors(post))
     np.testing.assert_array_equal(loglik, fwd.loglik)
@@ -361,7 +361,7 @@ def test_lane_major_kernels_reproduce_parent_bitwise(case, mode, band_kind):
 
 
 #: Tile widths a pair's evidence must not notice: the smallest batches
-#: (``align_read``, a pool chunk's last batch), a ``pool2_warm`` batch, the
+#: (a single pair, a pool chunk's last batch), a ``pool2_warm`` batch, the
 #: tiles of a 512-pair batch under earlier tile constants, each constant and
 #: one past it.
 LANE_WIDTHS = (1, 2, 3, 4, 7, 97, 171, 192, 193, 256, 257)
@@ -378,28 +378,26 @@ LANE_WIDTHS = (1, 2, 3, 4, 7, 97, 171, 192, 193, 256, 257)
 def test_a_pairs_bits_do_not_depend_on_its_tile(n, m, seed, where):
     """The bitwise contract the pool == serial identity rests on: one pair's
     ``(z, loglik, band-edge mass)`` bytes are the same alone and at any
-    position of a tile of any width, full and banded, in both modes —
-    every kernel step is elementwise per lane."""
+    position of a tile of any width, full and banded — every kernel step is
+    elementwise per lane."""
     pwms, windows = _random_case(max(LANE_WIDTHS), n, m, seed)
     params = PHMMParams()
-    for mode in MODES:
-        for band in (None, BandSpec(n=n, m=m, center=min(1, m - 1), width=2)):
-            edge = band is not None
-            alone = alignment._align_streamed(
-                pwms[:1], windows[:1], params, mode, "mass", band, want_edge=edge
-            )
-            for width in LANE_WIDTHS:
-                at = int(where * (width - 1))
-                # Pair 0 at lane ``at`` among ``width - 1`` others.
-                order = np.roll(np.arange(width), at)
-                with mock.patch.object(alignment, "LANE_TILE", width):
-                    tiled = alignment._align_streamed(
-                        pwms[order], windows[order], params, mode, "mass", band,
-                        want_edge=edge,
-                    )
-                for got, want in zip(tiled, alone):
-                    if want is not None:
-                        assert got[at].tobytes() == want[0].tobytes(), (mode, band, width)
+    for band in (None, BandSpec(n=n, m=m, center=min(1, m - 1), width=2)):
+        edge = band is not None
+        alone = alignment._align_streamed(
+            pwms[:1], windows[:1], params, "mass", band, want_edge=edge
+        )
+        for width in LANE_WIDTHS:
+            at = int(where * (width - 1))
+            # Pair 0 at lane ``at`` among ``width - 1`` others.
+            order = np.roll(np.arange(width), at)
+            with mock.patch.object(alignment, "LANE_TILE", width):
+                tiled = alignment._align_streamed(
+                    pwms[order], windows[order], params, "mass", band, want_edge=edge
+                )
+            for got, want in zip(tiled, alone):
+                if want is not None:
+                    assert got[at].tobytes() == want[0].tobytes(), (band, width)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -432,7 +430,7 @@ def test_streamed_alignment_equals_unrolled_public_calls(b, mode):
         # ... and the band-edge audit reads the same cells in the same order.
         if band is not None:
             edge = alignment._align_streamed(
-                pwms, windows, params, mode, "mass", band, want_edge=True
+                pwms, windows, params, "mass", band, want_edge=True
             )[2]
             np.testing.assert_array_equal(
                 edge, band_edge_mass(post.match_posterior, band)
@@ -504,7 +502,7 @@ class TestDegenerateShapes:
         pstar = emissions_batch(pwms, windows, params)
         fwd = forward_batch(pstar, params, mode=mode)
         for b in range(3):
-            *_, like = forward_naive(pstar[b], params, mode=mode)
+            *_, like = forward_naive(pstar[b], params)
             assert np.isclose(np.exp(fwd.loglik[b]), like, rtol=1e-9)
 
     @pytest.mark.parametrize("bad", [(2, 0, 5), (2, 5, 0)])

@@ -12,10 +12,10 @@ from repro.phmm.pwm import pwm_from_codes
 PARAMS = PHMMParams()
 
 
-def compute_post(pwm, window, mode="semiglobal"):
+def compute_post(pwm, window):
     pstar = emissions_batch(pwm[None], window[None], PARAMS)
-    fwd = forward_batch(pstar, PARAMS, mode=mode)
-    bwd = backward_batch(pstar, PARAMS, mode=mode)
+    fwd = forward_batch(pstar, PARAMS)
+    bwd = backward_batch(pstar, PARAMS)
     return posteriors_batch(pstar, pwm[None], window[None], fwd, bwd, PARAMS)
 
 
@@ -47,15 +47,6 @@ class TestPosteriorInvariants:
         row_sums = post.match_posterior.sum(axis=2)
         assert (row_sums <= 1 + 1e-9).all()
 
-    def test_global_mode_full_occupancy(self):
-        # In global mode every path covers every window position.
-        rng = np.random.default_rng(3)
-        n = 10
-        codes = rng.integers(0, 4, n).astype(np.uint8)
-        pwm = pwm_from_codes(codes, np.full(n, 0.01))
-        post = compute_post(pwm, codes, mode="global")
-        assert np.allclose(post.occupancy[0], 1.0, atol=1e-9)
-
     def test_perfect_match_concentrates_mass(self):
         rng = np.random.default_rng(4)
         n = 20
@@ -79,13 +70,13 @@ class TestPosteriorInvariants:
         window = np.array([2], dtype=np.uint8)  # genome says G
 
         unsure = pwm_from_codes(np.array([0], dtype=np.uint8), np.array([0.75]))
-        post_u = compute_post(unsure, window, mode="global")
+        post_u = compute_post(unsure, window)
         assert np.allclose(
             post_u.base_mass[0, 0], post_u.base_mass[0, 0, 0], atol=1e-9
         )  # all four channels equal: a Q1 base says nothing
 
         confident = pwm_from_codes(np.array([0], dtype=np.uint8), np.array([0.01]))
-        post_c = compute_post(confident, window, mode="global")
+        post_c = compute_post(confident, window)
         # called A keeps its mass on A even though the genome says G
         assert post_c.base_mass[0, 0, 0] > 0.9 * post_c.occupancy[0, 0]
         assert post_c.base_mass[0, 0, 2] < 0.05 * post_c.occupancy[0, 0]
@@ -100,11 +91,10 @@ class TestPosteriorInvariants:
         emission[:, 4] = 0.25
         params = PHMMParams(emission=emission)
         pstar = emissions_batch(pwm[None], window[None], params)
-        # gap-only paths cannot consume both sequences in global mode without
-        # matches... they can via GX then GY chains, so force impossibility
-        # by checking only that masses stay finite and non-negative.
-        fwd = forward_batch(pstar, params, mode="semiglobal")
-        bwd = backward_batch(pstar, params, mode="semiglobal")
+        # Gap chains can still consume the read, so check only that the
+        # masses stay finite and non-negative.
+        fwd = forward_batch(pstar, params)
+        bwd = backward_batch(pstar, params)
         post = posteriors_batch(pstar, pwm[None], window[None], fwd, bwd, params)
         assert np.isfinite(post.base_mass).all()
         assert (post.base_mass >= 0).all()
@@ -146,12 +136,3 @@ class TestZVectors:
             z_vectors(post, edge_policy="bogus")
         with pytest.raises(AlignmentError):
             z_vectors(post, edge_policy="paper", occupancy_floor=0.0)
-
-    def test_mode_mismatch_rejected(self):
-        rng = np.random.default_rng(9)
-        pwm, window = random_pair(rng)
-        pstar = emissions_batch(pwm[None], window[None], PARAMS)
-        fwd = forward_batch(pstar, PARAMS, mode="semiglobal")
-        bwd = backward_batch(pstar, PARAMS, mode="global")
-        with pytest.raises(AlignmentError):
-            posteriors_batch(pstar, pwm[None], window[None], fwd, bwd, PARAMS)

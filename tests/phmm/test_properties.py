@@ -17,9 +17,9 @@ from repro.phmm.forward_backward import (
 from repro.phmm.model import PHMMParams
 from repro.phmm.posterior import posteriors_batch, z_vectors
 from repro.phmm.pwm import pwm_from_codes
-from repro.phmm.reference_impl import forward_naive
 from repro.phmm.viterbi import viterbi_align
 from tests.phmm.parent_kernels import backward_loglik
+from tests.phmm.reference_impl import forward_naive
 
 
 @st.composite
@@ -42,14 +42,13 @@ def params_strategy(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=phmm_case(), params=params_strategy(),
-       mode=st.sampled_from(["semiglobal", "global"]))
-def test_forward_backward_likelihoods_agree(case, params, mode):
+@given(case=phmm_case(), params=params_strategy())
+def test_forward_backward_likelihoods_agree(case, params):
     pwm, window = case
     pstar = emissions_batch(pwm[None], window[None], params)
-    fwd = forward_batch(pstar, params, mode=mode)
-    bwd = backward_batch(pstar, params, mode=mode)
-    bl = backward_loglik(bwd, mode)
+    fwd = forward_batch(pstar, params)
+    bwd = backward_batch(pstar, params)
+    bl = backward_loglik(bwd, "semiglobal")
     if np.isfinite(fwd.loglik[0]):
         assert np.isclose(bl[0], fwd.loglik[0], rtol=1e-9, atol=1e-9)
     else:
@@ -57,25 +56,25 @@ def test_forward_backward_likelihoods_agree(case, params, mode):
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=phmm_case(n_max=7, m_max=8), mode=st.sampled_from(["semiglobal", "global"]))
-def test_vectorised_matches_naive(case, mode):
+@given(case=phmm_case(n_max=7, m_max=8))
+def test_vectorised_matches_naive(case):
     pwm, window = case
     params = PHMMParams()
     pstar = emissions_batch(pwm[None], window[None], params)
-    fwd = forward_batch(pstar, params, mode=mode)
-    *_, like = forward_naive(pstar[0], params, mode=mode)
+    fwd = forward_batch(pstar, params)
+    *_, like = forward_naive(pstar[0], params)
     if like > 0:
         assert np.isclose(fwd.loglik[0], np.log(like))
 
 
 @settings(max_examples=30, deadline=None)
-@given(case=phmm_case(), mode=st.sampled_from(["semiglobal", "global"]))
-def test_posterior_masses_are_probabilities(case, mode):
+@given(case=phmm_case())
+def test_posterior_masses_are_probabilities(case):
     pwm, window = case
     params = PHMMParams()
     pstar = emissions_batch(pwm[None], window[None], params)
-    fwd = forward_batch(pstar, params, mode=mode)
-    bwd = backward_batch(pstar, params, mode=mode)
+    fwd = forward_batch(pstar, params)
+    bwd = backward_batch(pstar, params)
     post = posteriors_batch(pstar, pwm[None], window[None], fwd, bwd, params)
     assert (post.base_mass >= -1e-10).all()
     assert (post.gap_mass >= -1e-10).all()

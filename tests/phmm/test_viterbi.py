@@ -33,16 +33,15 @@ class TestViterbi:
 
     def test_score_never_exceeds_total_likelihood(self):
         rng = np.random.default_rng(1)
-        for mode in ("semiglobal", "global"):
-            for _ in range(6):
-                n, m = int(rng.integers(2, 10)), int(rng.integers(2, 12))
-                codes = rng.integers(0, 4, n).astype(np.uint8)
-                pwm = pwm_from_codes(codes, rng.uniform(0.001, 0.3, n))
-                window = rng.integers(0, 5, m).astype(np.uint8)
-                pstar = emis(pwm, window)
-                v = viterbi_align(pstar, PARAMS, mode=mode)
-                fwd = forward_batch(pstar[None], PARAMS, mode=mode)
-                assert v.score <= fwd.loglik[0] + 1e-9
+        for _ in range(12):
+            n, m = int(rng.integers(2, 10)), int(rng.integers(2, 12))
+            codes = rng.integers(0, 4, n).astype(np.uint8)
+            pwm = pwm_from_codes(codes, rng.uniform(0.001, 0.3, n))
+            window = rng.integers(0, 5, m).astype(np.uint8)
+            pstar = emis(pwm, window)
+            v = viterbi_align(pstar, PARAMS)
+            fwd = forward_batch(pstar[None], PARAMS)
+            assert v.score <= fwd.loglik[0] + 1e-9
 
     def test_deletion_recovered(self):
         # Window = read with 2 extra genome bases in the middle: the best
@@ -54,7 +53,7 @@ class TestViterbi:
             [codes[:10], rng.integers(0, 4, 2).astype(np.uint8), codes[10:]]
         )
         pwm = pwm_from_codes(codes, np.full(n, 0.001))
-        result = viterbi_align(emis(pwm, window), PARAMS, mode="global")
+        result = viterbi_align(emis(pwm, window), PARAMS)
         assert len(result.pairs) == n
         j_steps = np.diff([j for _, j in result.pairs])
         assert (j_steps >= 1).all()
@@ -69,19 +68,10 @@ class TestViterbi:
             [window[:10], rng.integers(0, 4, 2).astype(np.uint8), window[10:]]
         ).astype(np.uint8)
         pwm = pwm_from_codes(codes, np.full(codes.size, 0.001))
-        result = viterbi_align(emis(pwm, window), PARAMS, mode="global")
+        result = viterbi_align(emis(pwm, window), PARAMS)
         i_steps = np.diff([i for i, _ in result.pairs])
         assert i_steps.max() == 3
 
-    def test_global_ends_at_corner(self):
-        rng = np.random.default_rng(4)
-        codes = rng.integers(0, 4, 8).astype(np.uint8)
-        pwm = pwm_from_codes(codes, np.full(8, 0.01))
-        result = viterbi_align(emis(pwm, codes), PARAMS, mode="global")
-        assert result.end_j == 8
-
     def test_validation(self):
-        with pytest.raises(AlignmentError):
-            viterbi_align(np.ones((2, 2)), PARAMS, mode="bad")
         with pytest.raises(AlignmentError):
             viterbi_align(np.ones(3), PARAMS)

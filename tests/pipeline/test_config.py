@@ -32,12 +32,10 @@ class TestPipelineConfig:
             PipelineConfig(edge_policy="wat")
         with pytest.raises(ConfigError):
             PipelineConfig(min_ratio=1.0)
-        with pytest.raises(ConfigError):
-            PipelineConfig(alignment_mode="local")
 
     def test_kernel_keywords_are_a_type_error(self):
-        # One kernel family: the two selectors are read-only constants
-        # (kept for ledger/replay.py), not fields.
+        # One kernel family: the selectors are read-only constants (kept for
+        # ledger/replay.py), not fields.
         with pytest.raises(TypeError):
             PipelineConfig(phmm_kernel="rowsweep")
         with pytest.raises(TypeError):
@@ -45,8 +43,23 @@ class TestPipelineConfig:
         cfg = PipelineConfig()
         assert (cfg.phmm_kernel, cfg.phmm_dtype) == ("rowsweep", "float64")
         names = {f.name for f in dataclasses.fields(cfg)}
-        assert len(names) == 18
-        assert not names & {"phmm_kernel", "phmm_dtype"}
+        assert len(names) == 17
+        assert not names & {"phmm_kernel", "phmm_dtype", "alignment_mode"}
+
+    def test_deleted_knobs_are_gone(self):
+        """The global alignment mode, the fixed band and the seeder's step
+        were deleted; the ledger's pins read the one value left."""
+        from repro.index.seeding import SeederConfig
+
+        with pytest.raises(TypeError):
+            PipelineConfig(alignment_mode="global")
+        with pytest.raises(TypeError):
+            SeederConfig(step=2)
+        with pytest.raises(ConfigError):
+            PipelineConfig(band_mode="fixed")
+        assert PipelineConfig().alignment_mode == "semiglobal"
+        assert SeederConfig().step == 1
+        assert "step" not in {f.name for f in dataclasses.fields(SeederConfig)}
 
     def test_band_defaults_off(self):
         cfg = PipelineConfig()
@@ -71,12 +84,12 @@ class TestPipelineConfig:
         ).banding
 
     def test_band_cell_fraction(self):
-        cfg = PipelineConfig(band_mode="fixed", band_w=10)
+        cfg = PipelineConfig(band_mode="adaptive", band_w=10)
         # band of 21 diagonals over a (read_len + 2*pad)-wide window
         assert cfg.band_cell_fraction(62) == pytest.approx(21 / 78)
         # a band wider than the window means no savings, never > 1
         assert PipelineConfig(
-            band_mode="fixed", band_w=1000
+            band_mode="adaptive", band_w=1000
         ).band_cell_fraction(62) == 1.0
 
     def test_subconfigs_carried(self):

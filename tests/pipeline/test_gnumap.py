@@ -178,7 +178,7 @@ class TestEdgeCandidates:
         )
         return ref, left, right
 
-    @pytest.mark.parametrize("band_mode", ["off", "fixed", "adaptive"])
+    @pytest.mark.parametrize("band_mode", ["off", "adaptive"])
     def test_overhanging_reads_map_in_all_band_modes(self, edge_setup, band_mode):
         ref, left, right = edge_setup
         pipe = GnumapSnp(ref, PipelineConfig(band_mode=band_mode))
@@ -190,7 +190,7 @@ class TestEdgeCandidates:
         assert ev[:42].sum() > 0, "left-overhang evidence missing"
         assert ev[glen - 42 :].sum() > 0, "right-overhang evidence missing"
 
-    @pytest.mark.parametrize("band_mode", ["off", "fixed", "adaptive"])
+    @pytest.mark.parametrize("band_mode", ["off", "adaptive"])
     def test_overhang_with_filtration(self, edge_setup, band_mode):
         ref, left, right = edge_setup
         from repro.index.seeding import SeederConfig

@@ -138,7 +138,7 @@ class TestEngine:
 
 
 class TestBandedEngine:
-    @pytest.mark.parametrize("band_mode", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("band_mode", ["adaptive"])
     def test_banded_matches_full_calls(self, workload, band_mode):
         full = Engine(workload.reference, PipelineConfig()).run(workload.reads)
         banded = Engine(

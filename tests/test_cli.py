@@ -93,12 +93,23 @@ class TestSimulateCallEvaluate:
         reads.write_text("@r\nACGTACGTACGT\n+\nIIIIIIIIIIII\n")
         rc = main([
             "call", str(ref), str(reads), "-o", str(tmp_path / "o.tsv"),
-            "--band-mode", "fixed", "--band-width", "0",
+            "--band-mode", "adaptive", "--band-width", "0",
         ])
         assert rc == 2
         assert "band_w" in capsys.readouterr().err
         with pytest.raises(SystemExit):  # argparse rejects unknown modes
             main(["call", str(ref), str(reads), "--band-mode", "wat"])
+
+    def test_deleted_alignment_and_band_modes_exit_2(self):
+        # Neither the global alignment mode nor the fixed band exists.
+        for command, flag in (
+            ("call", ["--alignment-mode", "global"]),
+            ("call", ["--band-mode", "fixed"]),
+            ("map", ["--alignment-mode", "global"]),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "ref.fa", "reads.fq", *flag])
+            assert exc.value.code == 2
 
     def test_removed_kernel_flags_exit_2(self):
         for command in ("call", "map"):
@@ -162,6 +173,38 @@ class TestSimulateCallEvaluate:
             with pytest.raises(SystemExit) as exc:
                 main([command, "ref.fa", "reads.fq", *flag])
             assert exc.value.code == 2
+
+
+_REF = b">chr\nACGTACGTACGTACGT\n"
+_READS = b"@r1\nACGT\n+\nIIII\n"
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize(
+        "ref, reads, where",
+        [
+            (_REF, "@r1\nACÉT\n+\nIIII\n".encode(), "record 'r1': invalid nucleotide 'É' at position 2"),
+            (_REF, "@r1\nACGT\n+\nIIéI\n".encode(), "record 'r1': quality character 'é' at position 2"),
+            (_REF, b"@r1\nAC\xffT\n+\nIIII\n", "record 'r1': invalid nucleotide '\\udcff' at position 2"),
+            (_REF, b"@r1\nACGT\n+\nII\xffI\n", "record 'r1': quality character '\\udcff' at position 2"),
+            (_REF, b"@r\xff1\nACGT\n+\nIIII\n", "read name 'r\\udcff1' is not ASCII"),
+            (b">chr\nACGTAC\xffTACGT\n", _READS, "record 'chr': invalid nucleotide '\\udcff' at position 6"),
+        ],
+        ids=["base-non-ascii", "quality-non-ascii", "base-0xff", "quality-0xff", "name-0xff",
+             "reference-0xff"],
+    )
+    def test_non_ascii_input_is_a_typed_error(self, tmp_path, capsys, ref, reads, where):
+        """Not a UnicodeEncodeError/UnicodeDecodeError traceback: ``error:``
+        naming the record and the position, exit 2."""
+        (tmp_path / "ref.fa").write_bytes(ref)
+        (tmp_path / "reads.fq").write_bytes(reads)
+        rc = main([
+            "call", str(tmp_path / "ref.fa"), str(tmp_path / "reads.fq"),
+            "-o", str(tmp_path / "snps.tsv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err and "Traceback" not in err
 
 
 class TestTelemetryCli:

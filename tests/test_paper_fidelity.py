@@ -75,14 +75,16 @@ class TestSectionVI:
         """§VI step 2 backward: b_M(i,j) = p*(i+1,j+1) T_MM b_M(i+1,j+1)
         + q T_MG [b_X(i+1,j) + b_Y(i,j+1)] — transcribed literally and
         compared against the implementation on a random instance."""
+        from repro.phmm.forward_backward import backward_batch
         from repro.phmm.model import PHMMParams
-        from repro.phmm.reference_impl import backward_naive
 
         rng = np.random.default_rng(0)
         params = PHMMParams()
         N, M = 4, 5
         pstar = rng.uniform(0.01, 1.0, (N, M))
-        bM, bGX, bGY = backward_naive(pstar, params, mode="global")
+        bwd = backward_batch(pstar[None], params)
+        scale = np.exp(bwd.log_scale[0])[:, None]
+        bM, bGX, bGY = (b[0] * scale for b in (bwd.bM, bwd.bGX, bwd.bGY))
         q = params.q
 
         def p(i, j):  # p*(i+1, j+1), zero-padded

@@ -1,0 +1,223 @@
+"""Do this tree and a git ref make the same calls?  One declared matrix.
+
+    python tools/identity.py --ref 6283481            # 25 configs x 4 seeds
+    python tools/identity.py --ref origin/main --quick
+
+The ref is exported with ``git archive`` into a temporary directory (no
+worktree state is left in ``.git``).  For every seed, the ledger's input
+generator (``ledger/workloads.py``, which imports nothing from ``repro``)
+writes one input set, and one child process per (tree, seed) runs every
+configuration of the matrix against it with ``PYTHONPATH`` pointing at that
+tree's ``src``.  Each configuration reports the sha256 of
+
+* its call TSV, as ``CallResult.write_tsv`` writes it;
+* its accumulator's ``to_buffers()`` (``-`` for the simulated-cluster
+  programs, whose root returns calls only);
+* its ``seed.*``, ``phmm.pairs`` and ``caller.snps`` counters.
+
+The table has one row per (seed, configuration).  The exit status is 1 when
+any call TSV differs and 0 otherwise: accumulator and counter differences
+are printed but do not fail, because a kernel change may legitimately move
+quantising-accumulator bits without moving a call.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Any
+
+REPO = Path(__file__).resolve().parents[1]
+SEEDS = (31337, 2012, 7, 5150)
+QUICK_SEEDS = SEEDS[:2]
+#: The ledger's pinned child environment, less its allocator tuning.
+CHILD_ENVIRONMENT = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _matrix() -> "dict[str, dict[str, Any]]":
+    """Configuration name -> how to run it.  Keys: ``ref`` (input file),
+    ``config`` / ``seeder`` (``PipelineConfig`` / ``SeederConfig`` keywords),
+    ``workers`` (``Engine``), ``run`` (``engine``, ``paired``,
+    ``read_spread`` or ``memory_spread``) and ``ranks`` (cluster size)."""
+    m: "dict[str, dict[str, Any]]" = {
+        # The four ledger workloads, spelled as ledger/child.py spells them.
+        "phmm_full": {},
+        "pool2_warm": {"workers": 2},
+        "seed_heavy": {
+            "ref": "ref_decoy.fa",
+            "seeder": {"qgram_filter": True},
+            "config": {"band_mode": "adaptive"},
+        },
+        "fast_chardisc": {
+            "seeder": {"seed_len": 20, "qgram_filter": True},
+            "config": {"band_mode": "adaptive", "accumulator": "CHARDISC"},
+        },
+    }
+    for acc in ("CHARDISC", "CENTDISC", "CENTDISC_WEIGHTED"):
+        m[acc] = {"config": {"accumulator": acc}}
+        m[f"{acc}/adaptive"] = {"config": {"accumulator": acc, "band_mode": "adaptive"}}
+        m[f"{acc}/w2"] = {"config": {"accumulator": acc}, "workers": 2}
+        m[f"{acc}/w3"] = {"config": {"accumulator": acc}, "workers": 3}
+    m["viterbi"] = {"config": {"posterior_mode": "viterbi"}}
+    m["edge_paper"] = {"config": {"edge_policy": "paper"}}
+    m["paired/CHARDISC"] = {"config": {"accumulator": "CHARDISC"}, "run": "paired"}
+    for run in ("read_spread", "memory_spread"):
+        for ranks in (1, 2, 4):
+            m[f"{run}/P{ranks}"] = {
+                "config": {"accumulator": "CHARDISC"}, "run": run, "ranks": ranks,
+            }
+    return m
+
+
+MATRIX = _matrix()
+QUICK = ("phmm_full", "pool2_warm", "seed_heavy", "fast_chardisc", "CHARDISC/w3", "CENTDISC/w3")
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_config(inputs: Path, name: str) -> "dict[str, str]":
+    """One configuration on one input set, in the tree ``repro`` comes from."""
+    from repro.api import Engine
+    from repro.calling.records import write_snp_calls
+    from repro.genome.fasta import read_fasta
+    from repro.genome.fastq import read_fastq
+    from repro.genome.reference import Reference
+    from repro.index.seeding import SeederConfig
+    from repro.observability import scope
+    from repro.pipeline.config import PipelineConfig
+
+    spec = MATRIX[name]
+    config = PipelineConfig(
+        seeder=SeederConfig(**spec.get("seeder", {})), **spec.get("config", {})
+    )
+    ref_path = inputs / spec.get("ref", "ref.fa")
+    reads = read_fastq(str(inputs / "reads.fq"))
+    out = inputs / "calls.tsv"
+    acc = None
+    with scope() as registry:
+        run = spec.get("run", "engine")
+        if run == "engine":
+            with Engine.from_fasta(str(ref_path), config, workers=spec.get("workers", 1)) as e:
+                result = e.run(reads)
+            result.write_tsv(str(out))
+            acc = result.accumulator
+        else:
+            ((ref_name, codes),) = read_fasta(str(ref_path)).items()
+            reference = Reference(codes, name=ref_name)
+            if run == "paired":
+                from repro.pipeline.paired import PairedGnumap
+                from repro.simulate.paired import ReadPair
+
+                pairs = [ReadPair(a, b, 0, 0) for a, b in zip(reads[::2], reads[1::2])]
+                result = PairedGnumap(reference, config).run(pairs)
+                result.write_tsv(str(out))
+                acc = result.accumulator
+            else:
+                from repro.parallel.cluster import Cluster
+                from repro.pipeline import parallel_driver
+
+                program = getattr(parallel_driver, f"run_{run}")
+                res = Cluster(spec["ranks"]).run(program, reference, reads, config)
+                write_snp_calls(str(out), res.results[0].snps)
+        counters = {
+            k: v
+            for k, v in registry.snapshot().counters.items()
+            if k.startswith("seed.") or k in ("phmm.pairs", "caller.snps")
+        }
+    digest = "-"
+    if acc is not None:
+        h = hashlib.sha256()
+        for key, array in sorted(acc.to_buffers().items()):
+            h.update(f"{key}:{array.dtype.str}:{array.shape}".encode())
+            h.update(array.tobytes())
+        digest = h.hexdigest()
+    return {
+        "tsv": _sha(out.read_bytes()),
+        "acc": digest,
+        "counters": _sha(json.dumps(counters, sort_keys=True).encode()),
+    }
+
+
+def _child(inputs: Path, names: "list[str]") -> None:
+    json.dump({name: run_config(inputs, name) for name in names}, sys.stdout)
+
+
+def _run_tree(src: Path, inputs: Path, names: "list[str]") -> "dict[str, dict[str, str]]":
+    env = {**os.environ, **CHILD_ENVIRONMENT, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--child", str(inputs), *names],
+        env=env, check=True, stdout=subprocess.PIPE, text=True,
+    )
+    results: "dict[str, dict[str, str]]" = json.loads(proc.stdout)
+    return results
+
+
+def _export(ref: str, into: Path) -> Path:
+    """``git archive`` of ``ref`` unpacked into ``into``; returns its ``src``."""
+    archive, tree = into / "ref.tar", into / "tree"
+    tree.mkdir()
+    subprocess.run(["git", "-C", str(REPO), "archive", "-o", str(archive), ref], check=True)
+    subprocess.run(["tar", "-xf", str(archive), "-C", str(tree)], check=True)
+    return tree / "src"
+
+
+def compare(ref: str, seeds: "tuple[int, ...]", names: "list[str]") -> int:
+    sys.path.insert(0, str(REPO / "ledger"))
+    from workloads import generate
+
+    kinds = ("tsv", "acc", "counters")
+    equal = {kind: 0 for kind in kinds}
+    total = {kind: 0 for kind in kinds}
+    width = max(map(len, names))
+    with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
+        ref_src = _export(ref, Path(tmp))
+        print(f"{'seed':>6}  {'config':<{width}}" + "".join(f"  {k:<17}" for k in kinds))
+        for seed in seeds:
+            inputs = Path(tmp) / f"inputs-{seed}"
+            generate(inputs, seed)
+            theirs = _run_tree(ref_src, inputs, names)
+            ours = _run_tree(REPO / "src", inputs, names)
+            for name in names:
+                cells = []
+                for kind in kinds:
+                    a, b = theirs[name][kind], ours[name][kind]
+                    if a == "-" and b == "-":
+                        cells.append(f"{'-':<17}")
+                        continue
+                    total[kind] += 1
+                    equal[kind] += a == b
+                    cells.append(f"= {b[:15]}" if a == b else f"DIFF {a[:6]}/{b[:6]}")
+                print(f"{seed:>6}  {name:<{width}}" + "".join(f"  {c:<17}" for c in cells))
+    print(", ".join(f"{k} {equal[k]}/{total[k]} equal" for k in kinds))
+    return 0 if equal["tsv"] == total["tsv"] else 1
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--ref", help="git ref to compare this tree against")
+    parser.add_argument(
+        "--quick", action="store_true",
+        help=f"seeds {QUICK_SEEDS} and configs {', '.join(QUICK)} only",
+    )
+    parser.add_argument("--child", metavar="INPUTS", help=argparse.SUPPRESS)
+    args, names = parser.parse_known_args(argv)
+    if args.child:
+        _child(Path(args.child), names)
+        return 0
+    if not args.ref or names:
+        parser.error("usage: identity.py --ref REF [--quick]")
+    if args.quick:
+        return compare(args.ref, QUICK_SEEDS, list(QUICK))
+    return compare(args.ref, SEEDS, list(MATRIX))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
