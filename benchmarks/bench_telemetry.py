@@ -18,7 +18,7 @@ from conftest import record
 from repro.api import Engine
 from repro.pipeline.config import PipelineConfig, TelemetryConfig
 
-#: Publisher interval: fast enough that several deltas land inside the
+#: Publisher interval: fast enough that several heartbeats land inside the
 #: measured call, slow enough to be realistic.
 TELEMETRY_INTERVAL = 0.25
 
@@ -47,15 +47,15 @@ def test_telemetry_overhead(scaling_workload):
     telem_calls, telem_wall, live = _warm_run(wl, telem_config)
 
     assert telem_calls == plain_calls, "telemetry changed the SNP output"
-    deltas = int(live.counter("obs.telemetry_deltas"))
-    assert deltas > 0, "telemetry lane ran but no deltas arrived"
+    beats = int(live.counter("obs.telemetry_deltas"))
+    assert beats > 0, "telemetry lane ran but no heartbeats arrived"
     assert int(live.counter("obs.telemetry_decode_errors")) == 0
     overhead_pct = 100.0 * (telem_wall - plain_wall) / plain_wall
     cpu_count = os.cpu_count() or 1
     record(
         "Telemetry overhead",
         f"warm workers=2: {plain_wall:.2f}s plain, {telem_wall:.2f}s with the "
-        f"plane live ({deltas} deltas at {TELEMETRY_INTERVAL}s) -> "
+        f"plane live ({beats} heartbeats at {TELEMETRY_INTERVAL}s) -> "
         f"{overhead_pct:+.2f}% (<2% budget) | {cpu_count} cpu",
     )
     if cpu_count >= 2:

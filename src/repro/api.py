@@ -164,9 +164,7 @@ class Engine:
         if self._telemetry is None:
             from repro.observability.livestream import TelemetryAggregator
 
-            self._telemetry = TelemetryAggregator(
-                interval=cfg.interval, stall_after=cfg.stall_after
-            )
+            self._telemetry = TelemetryAggregator(interval=cfg.interval)
             self._telemetry.start()
         if self._endpoint is None and cfg.port is not None:
             import json

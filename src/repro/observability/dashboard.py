@@ -9,8 +9,8 @@ Split into three testable layers:
   defect is an :class:`ObservabilityError` (also what the CI smoke job
   runs against a live endpoint);
 * :func:`render_top` — a pure function from two successive snapshots to
-  one dashboard frame (rates from ``curr.delta_since(prev)``, quantiles
-  from ``MetricsSnapshot.histogram_quantile``);
+  one dashboard frame (rates are counter differences over the elapsed
+  time, quantiles from ``MetricsSnapshot.histogram_quantile``);
 * :func:`run_top` — the fetch/render/sleep loop behind the CLI command,
   with injectable fetcher and output stream so tests can drive it without
   sockets or a TTY.
@@ -102,17 +102,14 @@ def render_top(
     clock_text: str,
 ) -> str:
     """One dashboard frame from two successive snapshots (pure function)."""
-    delta: "MetricsSnapshot | None" = None
-    if prev is not None and elapsed > 0:
-        try:
-            delta = curr.delta_since(prev)
-        except ObservabilityError:
-            pass  # a counter shrank: the endpoint restarted, no previous frame
 
     def rate(*names: str) -> "float | None":
-        if delta is None or not all(name in curr.counters for name in names):
+        if prev is None or elapsed <= 0 or not all(n in curr.counters for n in names):
             return None
-        return sum(delta.counter(name) for name in names) / elapsed
+        diffs = [curr.counter(n) - prev.counter(n) for n in names]
+        if min(diffs) < 0:
+            return None  # a counter shrank: the endpoint restarted
+        return sum(diffs) / elapsed
 
     candidates, seeded = curr.counter("seed.candidates"), curr.counter("seed.reads")
     chunk_seconds = curr.histogram("mp.chunk_map_seconds")

@@ -13,9 +13,11 @@ fold through the same machinery as every other metric.
 Bucket scheme: bucket ``i`` covers ``(GROWTH**(i-1), GROWTH**i]`` with
 ``GROWTH = 2**0.25`` (four buckets per doubling, ~19% relative width — the
 resolution of the reported p50/p90/p99 quantiles).  Values ``<= 0`` land in
-the dedicated :data:`ZERO_BUCKET`.  Because the grid is fixed, no bucket
-boundaries ever need to be negotiated or transported: a histogram is just a
-sparse ``{bucket_index: count}`` dict plus four scalars.
+the dedicated :data:`ZERO_BUCKET`; a value that is not a finite number is
+recorded as 0.0, so every field of the JSON form stays finite.  Scalars and
+arrays share one bucketing path, :meth:`Histogram.record`.  Because the grid
+is fixed, no bucket boundaries ever need to be negotiated or transported: a
+histogram is just a sparse ``{bucket: count}`` dict plus four scalars.
 """
 
 from __future__ import annotations
@@ -31,11 +33,8 @@ __all__ = [
     "GROWTH",
     "ZERO_BUCKET",
     "Histogram",
-    "bucket_index",
-    "bucket_lower",
     "bucket_upper",
     "merge_histogram_dicts",
-    "subtract_histogram_dicts",
 ]
 
 #: Geometric bucket growth factor (4 buckets per doubling).
@@ -52,17 +51,15 @@ ZERO_BUCKET: int = -(2**31)
 _SNAP: float = 1e-9
 
 
-def bucket_index(value: float) -> int:
-    """The bucket a value lands in: ``GROWTH**(i-1) < value <= GROWTH**i``."""
-    if value <= 0.0 or math.isnan(value):
-        return ZERO_BUCKET
-    if math.isinf(value):
-        return 2**30
-    raw = math.log(value) / _LOG_GROWTH
-    snapped = round(raw)
-    if abs(raw - snapped) <= _SNAP * max(1.0, abs(raw)):
-        return int(snapped)
-    return int(math.ceil(raw))
+def _bucket_indices(values: np.ndarray) -> np.ndarray:
+    """The bucket of each finite value: ``GROWTH**(i-1) < value <= GROWTH**i``,
+    or :data:`ZERO_BUCKET` for values ``<= 0``."""
+    positive = values > 0.0
+    raw = np.log(np.where(positive, values, 1.0)) / _LOG_GROWTH
+    snapped = np.rint(raw)
+    on_boundary = np.abs(raw - snapped) <= _SNAP * np.maximum(1.0, np.abs(raw))
+    idx = np.where(on_boundary, snapped, np.ceil(raw)).astype(np.int64)
+    return np.where(positive, idx, ZERO_BUCKET)
 
 
 def bucket_upper(index: int) -> float:
@@ -73,21 +70,6 @@ def bucket_upper(index: int) -> float:
         return GROWTH**index
     except OverflowError:  # pragma: no cover - astronomically large index
         return math.inf
-
-
-def bucket_lower(index: int) -> float:
-    """Exclusive lower bound of bucket ``index`` (0.0 for the zero bucket)."""
-    if index == ZERO_BUCKET:
-        return 0.0
-    return bucket_upper(index - 1)
-
-
-def _bucket_indices_array(values: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`bucket_index` (identical snap semantics)."""
-    raw = np.log(values) / _LOG_GROWTH
-    snapped = np.round(raw)
-    on_boundary = np.abs(raw - snapped) <= _SNAP * np.maximum(1.0, np.abs(raw))
-    return np.where(on_boundary, snapped, np.ceil(raw)).astype(np.int64)
 
 
 class Histogram:
@@ -107,36 +89,22 @@ class Histogram:
         self.buckets: dict[int, int] = {}
 
     # -- writes --------------------------------------------------------------
-    def record(self, value: float, count: int = 1) -> None:
-        """Record ``value`` ``count`` times (one bucket update, not a loop)."""
+    def record(
+        self, values: "float | np.ndarray | Iterable[float]", count: int = 1
+    ) -> None:
+        """Record every element of ``values`` (a scalar is one element)
+        ``count`` times; a non-finite value is recorded as 0.0."""
         if count < 1:
             raise ObservabilityError(f"histogram count must be >= 1, got {count}")
-        value = float(value)
-        idx = bucket_index(value)
-        self.buckets[idx] = self.buckets.get(idx, 0) + count
-        self.count += count
-        self.total += value * count
-        if value < self.vmin:
-            self.vmin = value
-        if value > self.vmax:
-            self.vmax = value
-
-    def record_array(self, values: "np.ndarray | Iterable[float]") -> None:
-        """Record every element of ``values`` (vectorised bucketing)."""
         arr = np.asarray(values, dtype=np.float64).ravel()
         if arr.size == 0:
             return
-        finite = arr[np.isfinite(arr)]
-        nonpos = int(arr.size - finite.size + np.count_nonzero(finite <= 0))
-        pos = finite[finite > 0]
-        if nonpos:
-            self.buckets[ZERO_BUCKET] = self.buckets.get(ZERO_BUCKET, 0) + nonpos
-        if pos.size:
-            idxs, counts = np.unique(_bucket_indices_array(pos), return_counts=True)
-            for idx, cnt in zip(idxs.tolist(), counts.tolist()):
-                self.buckets[idx] = self.buckets.get(idx, 0) + cnt
-        self.count += int(arr.size)
-        self.total += float(arr.sum())
+        arr = np.where(np.isfinite(arr), arr, 0.0)
+        idxs, counts = np.unique(_bucket_indices(arr), return_counts=True)
+        for idx, cnt in zip(idxs.tolist(), counts.tolist()):
+            self.buckets[idx] = self.buckets.get(idx, 0) + cnt * count
+        self.count += int(arr.size) * count
+        self.total += float(arr.sum()) * count
         self.vmin = min(self.vmin, float(arr.min()))
         self.vmax = max(self.vmax, float(arr.max()))
 
@@ -195,12 +163,14 @@ class Histogram:
                 hist.vmax = float(data.get("max", -math.inf))
         except (AttributeError, TypeError, ValueError) as exc:
             raise ObservabilityError(f"malformed histogram dict: {exc}") from exc
+        if any(v < 0 for v in hist.buckets.values()) or (
+            sum(hist.buckets.values()) != hist.count
+        ):
+            raise ObservabilityError(
+                "malformed histogram dict: bucket counts must be >= 0 and "
+                f"sum to count={hist.count}"
+            )
         return hist
-
-    def copy(self) -> "Histogram":
-        out = Histogram()
-        out.merge(self)
-        return out
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Histogram):
@@ -226,45 +196,3 @@ def merge_histogram_dicts(
     ha = Histogram.from_dict(a)
     ha.merge(Histogram.from_dict(b))
     return ha.as_dict()
-
-
-def subtract_histogram_dicts(
-    curr: "Mapping[str, Any]", prev: "Mapping[str, Any]"
-) -> "dict[str, Any]":
-    """``curr - prev`` for two cumulative views of the *same* histogram.
-
-    The inverse of :func:`merge_histogram_dicts` on the bucket/count side:
-    ``merge(prev, subtract(curr, prev))`` reproduces ``curr`` exactly for
-    bucket counts and ``count`` (``sum`` up to float addition order).  Used
-    by the live-telemetry publisher to ship only the observations recorded
-    since the previous heartbeat.  ``min``/``max`` cannot be recovered for
-    the interval, so the delta carries ``curr``'s run-cumulative extrema —
-    still merge-correct, since extrema combine by min/max.
-
-    Raises if ``prev`` is not a prefix of ``curr`` (a bucket shrank), which
-    would mean the two dicts are not successive views of one histogram.
-    """
-    hc = Histogram.from_dict(curr)
-    hp = Histogram.from_dict(prev)
-    out = Histogram()
-    for idx, cnt in hc.buckets.items():
-        diff = cnt - hp.buckets.get(idx, 0)
-        if diff < 0:
-            raise ObservabilityError(
-                f"histogram delta bucket {idx} shrank ({cnt} < prev); "
-                "subtract_histogram_dicts needs successive cumulative views"
-            )
-        if diff:
-            out.buckets[idx] = diff
-    if hp.count > hc.count or any(i not in hc.buckets for i in hp.buckets):
-        raise ObservabilityError(
-            "histogram delta: prev is not a prefix of curr"
-        )
-    out.count = hc.count - hp.count
-    out.total = hc.total - hp.total
-    if out.count:
-        out.vmin = hc.vmin
-        out.vmax = hc.vmax
-    else:
-        out.total = 0.0
-    return out.as_dict()

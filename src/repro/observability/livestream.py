@@ -1,31 +1,35 @@
-"""Live telemetry plane: worker delta publishers + the parent aggregator.
+"""Live telemetry plane: worker snapshot publishers + the parent aggregator.
 
 Everything the pipeline measures today rides home *after* a chunk
 completes — a multi-minute pool run is a black box until it finishes.
 This module adds the in-flight view without touching the result path:
 
 * **Worker side** — :func:`start_publisher` runs a daemon thread that
-  snapshots the worker's process-global registry every ``interval``
-  seconds (chunk instrumentation tees there via ``scope()``), subtracts
-  the previous snapshot with :meth:`MetricsSnapshot.delta_since`, and
-  ships the delta over a dedicated telemetry pipe.  Heartbeats are sent
-  even when idle, so liveness and progress travel on the same channel.
+  ships the worker's whole cumulative process-global registry (chunk
+  instrumentation tees there via ``scope()``) over a dedicated telemetry
+  pipe every ``interval`` seconds.  The worker clears that registry once,
+  right before the publisher starts, so state a forked worker inherited
+  from its parent never travels.  Heartbeats are sent even when idle, so
+  liveness and progress travel on the same channel.
   :func:`mark_busy` / :func:`mark_idle` bracket chunk execution so each
   heartbeat can say *what* the worker is doing and for how long.
 * **Parent side** — :class:`TelemetryAggregator` drains those pipes on
-  its own thread, folds the deltas into a **separate live registry**
-  (never the parent's authoritative one — the result path stays
-  byte-identical with telemetry on or off), tracks per-worker heartbeat
-  ages and reads/s / DP-cells/s EWMAs, and runs a stall watchdog that
-  flags a worker *before* the dispatcher's per-chunk timeout fires:
+  its own thread and keeps each worker's latest snapshot; the live view
+  merges them with the aggregator's own registry (never the parent's
+  authoritative one — the result path stays byte-identical with telemetry
+  on or off).  It tracks per-worker heartbeat ages and reads/s /
+  DP-cells/s EWMAs, and runs a stall watchdog that flags a worker
+  *before* the dispatcher's per-chunk timeout fires:
   ``mp.worker_stalls`` counter + ``mp.worker_stall`` trace instant on
   the rising edge, ``mp.worker_heartbeat_age_seconds_max`` high-water
   gauge continuously.
 
-The wire format is ``(seq, wall_ts, busy, delta_as_dict)`` — plain
+The wire format is ``(seq, wall_ts, busy, snapshot_as_dict)`` — plain
 picklable data, no classes, so a version-skewed reader fails loudly in
-``MetricsSnapshot.from_dict`` instead of unpickling garbage.  Deltas
-never carry trace events (those ride home with chunk results).
+``MetricsSnapshot.from_dict`` instead of unpickling garbage.  A whole
+snapshot is ~1-2 KB pickled, so shipping it every interval costs less
+than any subtraction scheme would save.  Snapshots never carry trace
+events (those ride home with chunk results).
 """
 
 from __future__ import annotations
@@ -39,12 +43,13 @@ from repro.errors import ObservabilityError
 from repro.observability import trace
 from repro.observability.export import to_json_dict
 from repro.observability.registry import MetricsRegistry, global_registry
-from repro.observability.snapshot import MetricsSnapshot
+from repro.observability.snapshot import MetricsSnapshot, merge_snapshots
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
 __all__ = [
+    "STALL_AFTER",
     "TelemetryAggregator",
     "WorkerView",
     "busy_state",
@@ -59,6 +64,10 @@ _READS_COUNTER = "pipeline.reads"
 _CELLS_COUNTERS = ("phmm.forward_cells", "phmm.backward_cells")
 #: Weight of the newest sample in the per-worker rate EWMAs.
 _EWMA_ALPHA = 0.5
+#: Watchdog threshold in seconds: a worker whose heartbeat age *or*
+#: in-chunk busy time exceeds this is flagged stalled — early warning well
+#: ahead of the dispatcher's per-chunk timeout kill.
+STALL_AFTER = 5.0
 
 # -- worker side -------------------------------------------------------------
 
@@ -95,32 +104,20 @@ def publish_loop(
     registry: "MetricsRegistry | None" = None,
     stop: "threading.Event | None" = None,
 ) -> None:
-    """Ship metric deltas + heartbeats over ``conn`` until it breaks.
+    """Ship the whole cumulative snapshot + a heartbeat over ``conn`` every
+    ``interval`` seconds until it breaks.
 
-    Runs in a daemon thread inside each pool worker (started right after
-    the worker's READY handshake).  Exits quietly when the parent closes
-    its end or the stop event is set.
+    Runs in a daemon thread inside each pool worker (started after init,
+    just before the worker's READY handshake).  Exits quietly when the
+    parent closes its end or the stop event is set.
     """
     reg = registry if registry is not None else global_registry()
     halt = stop if stop is not None else threading.Event()
-    # Baseline at publisher start, not empty: under the fork start method
-    # the worker inherits the parent's process-global registry (cumulative
-    # counters from earlier runs, parent-side gauges like ``mp.workers``),
-    # and none of that is this worker's activity — deltas must report only
-    # what happened here, after here began.
-    prev = reg.snapshot_values()
     seq = 0
     while not halt.wait(interval):
-        curr = reg.snapshot_values()
+        snapshot = reg.snapshot_values().as_dict()
         try:
-            delta = curr.delta_since(prev)
-        except ObservabilityError:
-            # The registry was cleared under us (tests do this); resync by
-            # shipping the full cumulative state as one delta.
-            delta = curr
-        prev = curr
-        try:
-            conn.send((seq, time.time(), busy_state(), delta.as_dict()))
+            conn.send((seq, time.time(), busy_state(), snapshot))
         except (OSError, ValueError, BrokenPipeError):
             return
         seq += 1
@@ -169,6 +166,7 @@ class _WorkerState:
         "reads_rate",
         "cells_rate",
         "stalled",
+        "latest",
     )
 
     def __init__(self, pid: int, now: float) -> None:
@@ -179,17 +177,23 @@ class _WorkerState:
         self.reads_rate = 0.0
         self.cells_rate = 0.0
         self.stalled = False
+        self.latest = MetricsSnapshot.empty()  # last cumulative snapshot
 
 
 class TelemetryAggregator:
-    """Parent-side thread merging worker deltas into a live registry.
+    """Parent-side thread holding each worker's latest snapshot.
 
-    The live registry is *separate* from the parent's authoritative one:
-    it exists only to be read live (the endpoint, ``repro top``), so
-    telemetry can never perturb the result path.  The only writes that
-    reach the parent's normal registry chain are the watchdog's
-    ``mp.worker_stall`` trace instants, which go wherever ``current()``
-    points (i.e. into the same flight recorder as every other event).
+    The live view is the merge of those snapshots with the aggregator's
+    own registry, which holds the parent-side counts (heartbeats, stalls,
+    decode errors, mirrored recovery counters), the heartbeat-age gauge
+    and the last snapshot of every worker whose pipe closed — a dead
+    worker's work stays counted.  All of it is *separate* from the
+    parent's authoritative registry: it exists only to be read live (the
+    endpoint, ``repro top``), so telemetry can never perturb the result
+    path.  The only writes that reach the parent's normal registry chain
+    are the watchdog's ``mp.worker_stall`` trace instants, which go
+    wherever ``current()`` points (i.e. into the same flight recorder as
+    every other event).
 
     ``step()`` is the whole engine — one pipe drain + one watchdog pass —
     so tests can drive the aggregator synchronously with an injected
@@ -199,18 +203,12 @@ class TelemetryAggregator:
     def __init__(
         self,
         interval: float = 1.0,
-        stall_after: float = 5.0,
         *,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if interval <= 0:
             raise ObservabilityError(f"telemetry interval must be > 0, got {interval}")
-        if stall_after <= 0:
-            raise ObservabilityError(
-                f"stall_after must be > 0, got {stall_after}"
-            )
         self._interval = float(interval)
-        self._stall_after = float(stall_after)
         self._clock = clock
         self._tick = min(0.2, self._interval)
         self._registry = MetricsRegistry()
@@ -223,10 +221,6 @@ class TelemetryAggregator:
     def interval(self) -> float:
         """Publisher heartbeat interval (workers read this at spawn)."""
         return self._interval
-
-    @property
-    def stall_after(self) -> float:
-        return self._stall_after
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -292,7 +286,9 @@ class TelemetryAggregator:
 
     def _forget(self, conn: "Connection") -> None:
         with self._lock:
-            self._states.pop(conn, None)
+            state = self._states.pop(conn, None)
+            if state is not None:
+                self._registry.absorb(state.latest)
         try:
             conn.close()
         except OSError:  # pragma: no cover - parent end already closed
@@ -300,19 +296,21 @@ class TelemetryAggregator:
 
     def _ingest(self, conn: "Connection", msg: Any) -> None:
         try:
-            seq, _wall_ts, busy, delta_dict = msg
-            delta = MetricsSnapshot.from_dict(delta_dict)
+            seq, _wall_ts, busy, snapshot_dict = msg
+            snapshot = MetricsSnapshot.from_dict(snapshot_dict)
         except (ObservabilityError, TypeError, ValueError):
             self._registry.inc("obs.telemetry_decode_errors")
             return
-        self._registry.absorb(delta)
         self._registry.inc("obs.telemetry_deltas")
-        reads = delta.counter(_READS_COUNTER)
-        cells = sum(delta.counter(name) for name in _CELLS_COUNTERS)
         with self._lock:
             state = self._states.get(conn)
             if state is None:
                 return
+            prev, state.latest = state.latest, snapshot
+            reads = snapshot.counter(_READS_COUNTER) - prev.counter(_READS_COUNTER)
+            cells = sum(
+                snapshot.counter(name) - prev.counter(name) for name in _CELLS_COUNTERS
+            )
             now = self._clock()
             first = state.seq < 0
             elapsed = max(self._interval if first else now - state.last_seen, 1e-6)
@@ -339,7 +337,7 @@ class TelemetryAggregator:
                 self._registry.gauge_max(
                     "mp.worker_heartbeat_age_seconds_max", age
                 )
-                stalled = age > self._stall_after or busy_secs > self._stall_after
+                stalled = age > STALL_AFTER or busy_secs > STALL_AFTER
                 if stalled and not state.stalled:
                     self._registry.inc("mp.worker_stalls")
                     trace.instant(
@@ -358,8 +356,11 @@ class TelemetryAggregator:
 
     # -- reads ---------------------------------------------------------------
     def live_snapshot(self) -> MetricsSnapshot:
-        """Frozen view of the live plane (cumulative worker deltas)."""
-        return self._registry.snapshot()
+        """Frozen view of the live plane: the aggregator's own registry
+        merged with every live worker's latest snapshot."""
+        with self._lock:
+            latest = [state.latest for state in self._states.values()]
+            return merge_snapshots(self._registry.snapshot(), *latest)
 
     def live_document(self) -> "dict[str, Any]":
         """What the endpoint serves: the ``repro.metrics/v2`` document of

@@ -96,27 +96,23 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float, count: int = 1) -> None:
         """Record ``value`` (``count`` times) into histogram ``name``."""
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = Histogram()
-            hist.record(value, count)
-        if self.parent is not None:
-            self.parent.observe(name, value, count)
+        self._observe(name, np.asarray(value, dtype=np.float64).ravel(), count)
 
     def observe_array(self, name: str, values: "np.ndarray | Any") -> None:
         """Record every element of ``values`` into histogram ``name``
         (vectorised; the cheap way to observe per-pair batch quantities)."""
-        values = np.asarray(values, dtype=np.float64)
+        self._observe(name, np.asarray(values, dtype=np.float64).ravel(), 1)
+
+    def _observe(self, name: str, values: np.ndarray, count: int) -> None:
         if values.size == 0:
             return
         with self._lock:
             hist = self._histograms.get(name)
             if hist is None:
                 hist = self._histograms[name] = Histogram()
-            hist.record_array(values)
+            hist.record(values, count)
         if self.parent is not None:
-            self.parent.observe_array(name, values)
+            self.parent._observe(name, values, count)
 
     def record_event(self, event: "tuple") -> None:
         """Append a flight-recorder event to the bounded ring buffer.

@@ -32,10 +32,7 @@ from numbers import Integral, Real
 from typing import Any
 
 from repro.errors import ObservabilityError
-from repro.observability.histogram import (
-    merge_histogram_dicts,
-    subtract_histogram_dicts,
-)
+from repro.observability.histogram import Histogram, merge_histogram_dicts
 
 #: Separator used by string span paths ("map_reads/align").
 PATH_SEP = "/"
@@ -95,37 +92,7 @@ def _merge_span_trees(a: "dict[str, dict]", b: "dict[str, dict]") -> "dict[str, 
 def _copy_histograms(histograms: "dict[str, Any]") -> "dict[str, dict]":
     """Deep-copy histogram dicts, normalising bucket keys to ints (JSON
     stringifies them; the round-trip must converge)."""
-    from repro.observability.histogram import Histogram
-
     return {name: Histogram.from_dict(d).as_dict() for name, d in histograms.items()}
-
-
-def _subtract_span_trees(
-    curr: "dict[str, dict]", prev: "dict[str, dict]"
-) -> "dict[str, dict]":
-    """``curr - prev`` for two cumulative views of one span tree.
-
-    Nodes whose interval is empty (no new count, no new seconds, no active
-    children) are dropped, so a quiescent tree subtracts to ``{}``.
-    Negative ``seconds`` from float noise clamp to zero.
-    """
-    out: dict[str, dict] = {}
-    for name, node in curr.items():
-        p = prev.get(name)
-        if p is None:
-            out[name] = _copy_span_tree({name: node})[name]
-            continue
-        children = _subtract_span_trees(node["children"], p["children"])
-        seconds = max(0.0, node["seconds"] - p["seconds"])
-        count = node["count"] - p["count"]
-        if count < 0:
-            raise ObservabilityError(
-                f"span delta: count of {name!r} shrank; "
-                "delta_since needs successive views of one registry"
-            )
-        if children or count > 0 or seconds > 0.0:
-            out[name] = {"seconds": seconds, "count": count, "children": children}
-    return out
 
 
 def _copy_span_tree(tree: "dict[str, dict]") -> "dict[str, dict]":
@@ -178,46 +145,6 @@ class MetricsSnapshot:
             events=self.events + other.events,
         )
 
-    def delta_since(self, prev: "MetricsSnapshot") -> "MetricsSnapshot":
-        """What changed between ``prev`` and ``self`` (two cumulative views
-        of the *same* registry, ``prev`` taken earlier).
-
-        The live-telemetry wire format: ``prev.merge(delta)`` reproduces
-        ``self`` for counters, span counts and histogram buckets exactly
-        (float sums up to addition order).  Gauges are high-water marks
-        merged by max, so the delta carries only gauges that are new or
-        changed since ``prev`` — an unchanged gauge contributes nothing to
-        the receiver, and a gauge a fork-inherited baseline already held
-        never travels at all.  Events never travel in deltas (they ride
-        home with chunk results); the delta's ``events`` is always empty.
-        """
-        counters: dict[str, float] = {}
-        for k, v in self.counters.items():
-            d = v - prev.counters.get(k, 0)
-            if d < 0:
-                raise ObservabilityError(
-                    f"counter delta: {k!r} shrank; delta_since needs "
-                    "successive views of one registry"
-                )
-            if d:
-                counters[k] = d
-        histograms: dict[str, dict] = {}
-        for k, h in self.histograms.items():
-            ph = prev.histograms.get(k)
-            d = subtract_histogram_dicts(h, ph) if ph is not None else dict(h)
-            if d["count"]:
-                histograms[k] = d
-        gauges = {
-            k: v for k, v in self.gauges.items() if prev.gauges.get(k) != v
-        }
-        return MetricsSnapshot(
-            counters=counters,
-            gauges=gauges,
-            spans=_subtract_span_trees(self.spans, prev.spans),
-            histograms=histograms,
-            events=(),
-        )
-
     # -- queries -------------------------------------------------------------
     def counter(self, name: str, default: float = 0.0) -> float:
         """Counter value, or ``default`` when the counter never fired.
@@ -234,8 +161,6 @@ class MetricsSnapshot:
 
     def histogram_quantile(self, name: str, q: float) -> float:
         """Approximate q-quantile of the named histogram (NaN if absent)."""
-        from repro.observability.histogram import Histogram
-
         data = self.histograms.get(name)
         if data is None:
             return float("nan")

@@ -49,7 +49,7 @@ from multiprocessing.connection import wait as _conn_wait
 from typing import TYPE_CHECKING, Any, Callable
 
 import repro.observability.trace as trace
-from repro.observability import current
+from repro.observability import current, global_registry
 from repro.observability import livestream
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,8 +103,9 @@ def _worker_main(
 ) -> None:
     """Worker process body: init once, then serve chunk tasks off the pipe.
 
-    With a ``telemetry_conn``, a daemon publisher thread streams metric
-    deltas + heartbeats over the sideband for the whole worker lifetime
+    With a ``telemetry_conn``, a daemon publisher thread streams the
+    worker's whole metrics snapshot + heartbeats over the sideband for the
+    whole worker lifetime
     (started only after a successful init, so an init failure stays a
     single loud message on the task pipe), and chunk execution is
     bracketed with busy markers so heartbeats can attribute in-flight
@@ -122,6 +123,7 @@ def _worker_main(
         return
     publishing = telemetry_conn is not None
     if publishing:
+        global_registry().clear()  # forked workers inherit the parent's state
         livestream.start_publisher(telemetry_conn, telemetry_interval)
     conn.send((_READY, -1, 0, None))
     while True:
@@ -311,7 +313,7 @@ class ChunkDispatcher:
 
         def count(name: str) -> None:
             # The result-path registry, mirrored into the live plane: these
-            # are parent-side events no worker delta can carry.
+            # are parent-side events no worker snapshot can carry.
             reg.inc(name)
             if self._telemetry is not None:
                 self._telemetry.count(name)

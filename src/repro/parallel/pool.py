@@ -63,7 +63,7 @@ class PersistentPool:
         Per-chunk fault-tolerance knobs, forwarded to the dispatcher.
     telemetry:
         Optional :class:`~repro.observability.livestream.TelemetryAggregator`;
-        when given, every spawned worker streams live metric deltas +
+        when given, every spawned worker streams live metric snapshots +
         heartbeats to it over a dedicated sideband pipe (the aggregator's
         lifetime is the caller's — usually the Engine's — concern).
     """

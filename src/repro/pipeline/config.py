@@ -103,8 +103,8 @@ class TelemetryConfig:
     Attributes
     ----------
     enabled:
-        Turn on the sideband: pool workers stream periodic metric deltas
-        + heartbeats to a parent-side
+        Turn on the sideband: pool workers stream periodic whole metric
+        snapshots + heartbeats to a parent-side
         :class:`~repro.observability.livestream.TelemetryAggregator`, and
         the Engine serves its live ``repro.metrics/v2`` document over HTTP.
         SNP calls are byte-identical with telemetry on or off — the live
@@ -113,12 +113,6 @@ class TelemetryConfig:
         Worker publish period in seconds (also the aggregator's drain
         cadence).  Smaller means fresher dashboards at slightly more
         sideband traffic.
-    stall_after:
-        Watchdog threshold in seconds: a worker whose heartbeat age *or*
-        in-chunk busy time exceeds this is flagged stalled
-        (``mp.worker_stalls`` + an ``mp.worker_stall`` trace instant) —
-        early warning ahead of the per-chunk timeout kill.  Should sit
-        well under ``parallel.chunk_timeout``.
     host, port:
         Bind address for the HTTP endpoint.  ``port=0`` (default)
         picks an ephemeral port (read it from ``Engine.telemetry_url``);
@@ -128,7 +122,6 @@ class TelemetryConfig:
 
     enabled: bool = False
     interval: float = 1.0
-    stall_after: float = 5.0
     host: str = "127.0.0.1"
     port: "int | None" = 0
 
@@ -136,10 +129,6 @@ class TelemetryConfig:
         if self.interval <= 0:
             raise ConfigError(
                 f"telemetry interval must be > 0, got {self.interval}"
-            )
-        if self.stall_after <= 0:
-            raise ConfigError(
-                f"telemetry stall_after must be > 0, got {self.stall_after}"
             )
         if self.port is not None and not 0 <= self.port <= 65535:
             raise ConfigError(

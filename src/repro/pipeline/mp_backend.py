@@ -202,7 +202,7 @@ def make_pool(
     workers and segments.
 
     ``telemetry`` (optional, the Engine wires it from ``TelemetryConfig``)
-    makes every pool worker stream live metric deltas and heartbeats to
+    makes every pool worker stream live metric snapshots and heartbeats to
     the given aggregator over a dedicated sideband pipe.
     """
     config = pipe.config

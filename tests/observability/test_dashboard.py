@@ -157,6 +157,12 @@ _HOSTILE = {
     ),
     "histogram-not-a-mapping": _doc(histograms={"h": 7}),
     "histogram-bad-buckets": _doc(histograms={"h": {"buckets": [1]}}),
+    "histogram-buckets-short-of-count": _doc(
+        histograms={"h": {"count": 3, "buckets": {}}}
+    ),
+    "histogram-negative-bucket": _doc(
+        histograms={"h": {"count": 0, "buckets": {"1": 2, "2": -2}}}
+    ),
     "workers-not-a-list": _doc(workers=5),
     "worker-missing-fields": _doc(workers=[{"pid": 1}]),
     "worker-extra-field": _doc(workers=[{**asdict(_BUSY), "x": 1}]),

@@ -1,11 +1,15 @@
 """Histogram metric: merge algebra, bucket boundaries, quantiles.
 
+Scalars and arrays share one bucketing path (``Histogram.record``), so the
+boundary tests read the bucket a value lands in off a recorded histogram.
+
 The merge algebra must be associative and commutative with the empty
 histogram as identity — it is what lets worker snapshots fold in any
 order.  Bucket counts, totals and extrema merge *exactly*; only ``sum``
 is compared approximately (float addition order).
 """
 
+import json
 import math
 
 import numpy as np
@@ -14,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ObservabilityError
+from repro.observability import MetricsRegistry, to_json
 from repro.observability.histogram import (
     GROWTH,
     ZERO_BUCKET,
     Histogram,
-    bucket_index,
-    bucket_lower,
     bucket_upper,
     merge_histogram_dicts,
 )
@@ -35,6 +38,12 @@ def build(vals):
     for v in vals:
         h.record(v)
     return h
+
+
+def bucket_index(value):
+    """The bucket ``Histogram.record`` puts ``value`` in."""
+    (idx,) = build([value]).buckets
+    return idx
 
 
 def assert_equivalent(a: Histogram, b: Histogram):
@@ -56,7 +65,7 @@ class TestBucketBoundaries:
             upper = bucket_upper(k)
             assert bucket_index(upper) == k
             assert bucket_index(upper * 1.001) == k + 1
-            assert bucket_index(bucket_lower(k) * 1.001) == k
+            assert bucket_index(bucket_upper(k - 1) * 1.001) == k
 
     def test_nonpositive_and_nan_go_to_zero_bucket(self):
         assert bucket_index(0.0) == ZERO_BUCKET
@@ -71,14 +80,30 @@ class TestBucketBoundaries:
     def test_value_always_within_its_bucket(self, v):
         idx = bucket_index(v)
         # Snap tolerance: the bounds hold up to ~1e-9 relative noise.
-        assert bucket_lower(idx) * (1 - 1e-9) <= v <= bucket_upper(idx) * (1 + 1e-9)
+        assert bucket_upper(idx - 1) * (1 - 1e-9) <= v <= bucket_upper(idx) * (1 + 1e-9)
 
     @given(value_lists)
     def test_vectorised_bucketing_matches_scalar(self, vals):
         h_scalar = build(vals)
         h_vec = Histogram()
-        h_vec.record_array(np.asarray(vals, dtype=np.float64))
+        h_vec.record(np.asarray(vals, dtype=np.float64))
         assert_equivalent(h_scalar, h_vec)
+
+    def test_observe_and_observe_array_agree_and_json_stays_finite(self):
+        xs = (-1.0, 0.0, 1e-300, 1.0, math.inf, -math.inf, math.nan)
+        scalar, vector = MetricsRegistry(), MetricsRegistry()
+        for i, x in enumerate(xs):
+            scalar.observe(f"h{i}", x)
+            vector.observe_array(f"h{i}", [x])
+        assert scalar.snapshot().histograms == vector.snapshot().histograms
+        for i in (4, 5, 6):  # non-finite values are recorded as 0.0
+            assert scalar.snapshot().histograms[f"h{i}"] == build([0.0]).as_dict()
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        doc = json.loads(to_json(scalar.snapshot()), parse_constant=reject)
+        assert doc["histograms"]["h6"]["p50"] == 0.0
 
 
 class TestMergeAlgebra:
@@ -158,8 +183,13 @@ class TestCodecAndValidation:
         assert Histogram.from_dict(d) == h
 
     def test_malformed_dict_rejected(self):
-        with pytest.raises(ObservabilityError, match="malformed histogram"):
-            Histogram.from_dict({"count": 1, "buckets": {"x.y": 1}})
+        for data in (
+            {"count": 1, "buckets": {"x.y": 1}},
+            {"count": 3, "buckets": {}},  # buckets do not sum to count
+            {"count": 0, "buckets": {"1": 2, "2": -2}},  # a negative bucket
+        ):
+            with pytest.raises(ObservabilityError, match="malformed histogram"):
+                Histogram.from_dict(data)
 
     def test_nonpositive_count_rejected(self):
         with pytest.raises(ObservabilityError):

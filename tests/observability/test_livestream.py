@@ -1,19 +1,20 @@
-"""Live telemetry plane: delta algebra, worker publisher, aggregator.
+"""Live telemetry plane: worker publisher and aggregator.
 
-The delta contract is the heart of the sideband: for any two successive
-cumulative snapshots ``prev`` then ``curr`` of one registry,
-``merge(prev, curr.delta_since(prev))`` must reconstruct ``curr`` for
-counters, histogram buckets and span counts — so the aggregator can fold
-per-interval deltas from many workers into one coherent live registry.
-The aggregator itself is driven synchronously here (``step()`` + an
-injected clock); the thread/pipe path is covered by the end-to-end
-pipeline telemetry test.
+Workers ship their whole cumulative snapshot every interval; the
+aggregator keeps the latest one per worker, merges them into the live
+view, and folds a dead worker's last snapshot into its own registry so its
+work stays counted.  The aggregator is driven synchronously here
+(``step()`` + an injected clock); the thread/pipe path, and the worker's
+one-time registry clear that keeps fork-inherited parent state out of the
+live view, are covered by the end-to-end pipeline telemetry test.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing as mp
+import sys
+import threading
 import time
 from dataclasses import asdict
 
@@ -27,12 +28,11 @@ from repro.observability import (
     use,
 )
 from repro.observability.dashboard import parse_live_document
-from repro.observability.histogram import subtract_histogram_dicts
 from repro.observability.livestream import (
+    STALL_AFTER,
     busy_state,
     mark_busy,
     mark_idle,
-    publish_loop,
     start_publisher,
 )
 from repro.observability.snapshot import MetricsSnapshot
@@ -47,72 +47,6 @@ def _registry_with_activity(reads: int = 100, cells: int = 5000) -> MetricsRegis
     return reg
 
 
-class TestDeltaAlgebra:
-    def test_merge_prev_delta_reconstructs_curr(self):
-        reg = _registry_with_activity()
-        prev = reg.snapshot_values()
-        reg.inc("pipeline.reads", 50)
-        reg.observe("mp.chunk_map_seconds", 0.5)
-        reg.observe("mp.chunk_map_seconds", 1.5)
-        with use(reg):
-            from repro.observability import span
-
-            with span("align"):
-                pass
-        curr = reg.snapshot_values()
-        delta = curr.delta_since(prev)
-        rebuilt = prev.merge(delta)
-        assert rebuilt.counter("pipeline.reads") == curr.counter("pipeline.reads")
-        assert rebuilt.histogram("mp.chunk_map_seconds")["count"] == (
-            curr.histogram("mp.chunk_map_seconds")["count"]
-        )
-        assert rebuilt.histogram("mp.chunk_map_seconds")["buckets"] == (
-            curr.histogram("mp.chunk_map_seconds")["buckets"]
-        )
-        assert rebuilt.span_count("align") == curr.span_count("align")
-
-    def test_delta_contains_only_the_increment(self):
-        reg = _registry_with_activity(reads=100)
-        prev = reg.snapshot_values()
-        reg.inc("pipeline.reads", 7)
-        delta = reg.snapshot_values().delta_since(prev)
-        assert delta.counter("pipeline.reads") == 7
-        # Unchanged counters vanish from the delta entirely.
-        assert "phmm.forward_cells" not in delta.counters
-
-    def test_delta_never_carries_events(self):
-        import repro.observability.trace as trace
-
-        reg = MetricsRegistry()
-        was = trace.enabled()
-        trace.enable()
-        try:
-            with use(reg):
-                trace.instant("obs.test_tick")
-            prev = MetricsSnapshot.empty()
-            delta = reg.snapshot_values().delta_since(prev)
-            assert delta.events == ()
-        finally:
-            if not was:
-                trace.disable()
-
-    def test_counter_shrink_raises(self):
-        reg = _registry_with_activity(reads=10)
-        bigger = reg.snapshot_values()
-        smaller_reg = _registry_with_activity(reads=3)
-        with pytest.raises(ObservabilityError):
-            smaller_reg.snapshot_values().delta_since(bigger)
-
-    def test_histogram_subtract_rejects_shrunk_buckets(self):
-        reg = MetricsRegistry()
-        reg.observe("mp.chunk_map_seconds", 1.0)
-        curr = reg.snapshot_values().histogram("mp.chunk_map_seconds")
-        prev = dict(curr)
-        prev["count"] = curr["count"] + 1
-        with pytest.raises(ObservabilityError):
-            subtract_histogram_dicts(curr, prev)
-
-
 class TestWorkerSide:
     def test_busy_markers_roundtrip(self):
         mark_idle()
@@ -123,32 +57,19 @@ class TestWorkerSide:
         mark_idle()
         assert busy_state() is None
 
-    def test_publisher_ships_deltas_over_a_real_pipe(self):
-        recv, send = mp.Pipe(duplex=False)
-        reg = _registry_with_activity(reads=40)
-        stop = start_publisher(send, 0.01, registry=reg)
+    def test_heartbeat_snapshot_skips_the_event_ring(self):
+        import repro.observability.trace as trace
+
+        reg = MetricsRegistry()
+        was = trace.enabled()
+        trace.enable()
         try:
-            assert recv.poll(5.0)
-            seq, wall_ts, busy, delta_dict = recv.recv()
-            assert seq == 0
-            assert abs(wall_ts - time.time()) < 60
-            # Activity from before the publisher started is baseline, not
-            # delta — a fork-inherited parent registry must not travel.
-            delta = MetricsSnapshot.from_dict(delta_dict)
-            assert delta.counter("pipeline.reads") == 0
-            assert "mp.shm_bytes" not in delta.gauges
-            reg.inc("pipeline.reads", 2)
-            deadline = time.monotonic() + 5.0
-            got = 0.0
-            while time.monotonic() < deadline and got != 2:
-                if recv.poll(0.1):
-                    _, _, _, d = recv.recv()
-                    got += MetricsSnapshot.from_dict(d).counter("pipeline.reads")
-            assert got == 2  # successive deltas carry only the increment
+            with use(reg):
+                trace.instant("obs.test_tick")
         finally:
-            stop.set()
-            recv.close()
-            send.close()
+            if not was:
+                trace.disable()
+        assert reg.snapshot().events and reg.snapshot_values().events == ()
 
     def test_publisher_exits_when_parent_closes_pipe(self):
         recv, send = mp.Pipe(duplex=False)
@@ -168,8 +89,11 @@ class TestWorkerSide:
         stop = start_publisher(send, 0.01, registry=reg)
         try:
             assert recv.poll(5.0)
-            recv.recv()  # cumulative 25
-            reg.clear()  # counters go backwards: delta would be negative
+            seq, wall_ts, busy, snapshot = recv.recv()
+            assert seq == 0 and abs(wall_ts - time.time()) < 60
+            # The whole cumulative registry travels, not an increment.
+            assert MetricsSnapshot.from_dict(snapshot).counter("pipeline.reads") == 25
+            reg.clear()  # counters go backwards: the next snapshot says so
             reg.inc("pipeline.reads", 4)
             deadline = time.monotonic() + 5.0
             resynced = False
@@ -179,7 +103,7 @@ class TestWorkerSide:
                     resynced = (
                         MetricsSnapshot.from_dict(d).counter("pipeline.reads") == 4
                     )
-            assert resynced, "publisher never shipped the full-state resync"
+            assert resynced, "publisher never shipped the cleared registry"
         finally:
             stop.set()
             recv.close()
@@ -194,7 +118,8 @@ class _FakeClock:
         return self.now
 
 
-def _send_delta(send, seq, reads=0, cells=0, busy=None):
+def _send_snapshot(send, seq, reads=0, cells=0, busy=None):
+    """One heartbeat carrying a worker's cumulative ``reads``/``cells``."""
     reg = MetricsRegistry()
     if reads:
         reg.inc("pipeline.reads", reads)
@@ -207,19 +132,19 @@ class TestAggregator:
     def test_validation(self):
         with pytest.raises(ObservabilityError):
             TelemetryAggregator(interval=0.0)
-        with pytest.raises(ObservabilityError):
-            TelemetryAggregator(stall_after=-1.0)
-        with pytest.raises(TypeError):  # the EWMA weight is a constant
-            TelemetryAggregator(ewma_alpha=0.5)
+        for constant in ("stall_after", "ewma_alpha"):  # module constants
+            with pytest.raises(TypeError):
+                TelemetryAggregator(**{constant: 0.5})
 
     def test_ingest_folds_deltas_and_tracks_rates(self):
         clock = _FakeClock()
-        agg = TelemetryAggregator(interval=1.0, stall_after=5.0, clock=clock)
+        agg = TelemetryAggregator(interval=1.0, clock=clock)
         recv, send = mp.Pipe(duplex=False)
         agg.register(4242, recv)
-        _send_delta(send, 0, reads=100, cells=2000, busy=(7, 0.4))
+        _send_snapshot(send, 0, reads=100, cells=2000, busy=(7, 0.4))
         agg.step()
-        _send_delta(send, 1, reads=50, cells=1000)
+        # Cumulative: the live view holds the latest snapshot, not a sum.
+        _send_snapshot(send, 1, reads=150, cells=3000)
         clock.now += 1.0
         agg.step()
         snap = agg.live_snapshot()
@@ -228,7 +153,8 @@ class TestAggregator:
         assert snap.counter("obs.telemetry_deltas") == 2
         (view,) = agg.worker_views()
         assert view.pid == 4242 and view.seq == 1
-        # First sample seeds the EWMA at 100/s; second folds in 50/s.
+        # First sample seeds the EWMA at 100/s; the second's counter
+        # difference folds in 50/s.
         assert view.reads_per_second == pytest.approx(75.0)
         assert not view.stalled
         agg.close()
@@ -262,7 +188,7 @@ class TestAggregator:
         pipes = [mp.Pipe(duplex=False) for _ in range(2)]
         for pid, (recv, _) in zip((78, 77), pipes):
             agg.register(pid, recv)
-        _send_delta(pipes[0][1], 0, reads=10, busy=(3, 0.5))
+        _send_snapshot(pipes[0][1], 0, reads=10, busy=(3, 0.5))
         agg.step()
         agg.count("mp.worker_deaths")
         doc = agg.live_document()
@@ -281,22 +207,22 @@ class TestAggregator:
 
     def test_watchdog_flags_silent_worker_once(self):
         clock = _FakeClock()
-        agg = TelemetryAggregator(interval=1.0, stall_after=5.0, clock=clock)
+        agg = TelemetryAggregator(interval=1.0, clock=clock)
         recv, send = mp.Pipe(duplex=False)
         agg.register(7, recv)
-        clock.now += 6.0  # no heartbeat for longer than stall_after
+        clock.now += STALL_AFTER + 1.0  # no heartbeat for longer than that
         agg.step()
         agg.step()  # still stalled: no re-increment on the held edge
         snap = agg.live_snapshot()
         assert snap.counter("mp.worker_stalls") == 1
-        assert snap.gauges["mp.worker_heartbeat_age_seconds_max"] >= 6.0
+        assert snap.gauges["mp.worker_heartbeat_age_seconds_max"] >= STALL_AFTER + 1.0
         (view,) = agg.worker_views()
         assert view.stalled
         # Recovery then a second silence re-arms the edge.
-        _send_delta(send, 0)
+        _send_snapshot(send, 0)
         agg.step()
         assert not agg.worker_views()[0].stalled
-        clock.now += 6.0
+        clock.now += STALL_AFTER + 1.0
         agg.step()
         assert agg.live_snapshot().counter("mp.worker_stalls") == 2
         agg.close()
@@ -304,12 +230,12 @@ class TestAggregator:
 
     def test_watchdog_flags_long_busy_chunk_despite_heartbeats(self):
         clock = _FakeClock()
-        agg = TelemetryAggregator(interval=1.0, stall_after=5.0, clock=clock)
+        agg = TelemetryAggregator(interval=1.0, clock=clock)
         recv, send = mp.Pipe(duplex=False)
         agg.register(9, recv)
         # Heartbeats keep arriving, but the same chunk has been running
-        # for longer than stall_after: busy-stall.
-        _send_delta(send, 0, busy=(3, 6.5))
+        # for longer than STALL_AFTER: busy-stall.
+        _send_snapshot(send, 0, busy=(3, STALL_AFTER + 1.5))
         agg.step()
         snap = agg.live_snapshot()
         assert snap.counter("mp.worker_stalls") == 1
@@ -327,13 +253,67 @@ class TestAggregator:
         assert agg.worker_views() == []
         agg.close()
 
+    def test_dead_workers_last_snapshot_stays_counted(self):
+        agg = TelemetryAggregator(clock=_FakeClock())
+        pipes = [mp.Pipe(duplex=False) for _ in range(2)]
+        for pid, (recv, _) in zip((1, 2), pipes):
+            agg.register(pid, recv)
+        _send_snapshot(pipes[0][1], 0, reads=30)
+        _send_snapshot(pipes[1][1], 0, reads=12)
+        agg.step()
+        pipes[0][1].close()  # worker 1 dies after its heartbeat
+        agg.step()
+        assert [v.pid for v in agg.worker_views()] == [2]
+        assert agg.live_snapshot().counter("pipeline.reads") == 42
+        _send_snapshot(pipes[1][1], 1, reads=20)
+        agg.step()
+        assert agg.live_snapshot().counter("pipeline.reads") == 50
+        agg.close()
+        pipes[1][1].close()
+
+    def test_live_view_never_loses_or_doubles_a_snapshot(self):
+        # The drain thread swaps snapshots and folds a dead worker's last
+        # one while another thread reads the live view; a read must never
+        # see a snapshot missing (count dips) or counted twice (count > 200).
+        agg = TelemetryAggregator(interval=0.01)
+        recv, send = mp.Pipe(duplex=False)
+        agg.register(3, recv)
+
+        def publish():
+            for seq in range(1, 201):
+                _send_snapshot(send, seq, reads=seq)
+                time.sleep(0.001)  # let the reader see every stage
+            send.close()  # the worker dies after its last heartbeat
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=publish)
+        try:
+            agg.start()
+            writer.start()
+            seen = 0
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                reads = agg.live_snapshot().counter("pipeline.reads")
+                assert seen <= reads <= 200
+                seen = reads
+                if reads == 200 and not agg.worker_views():
+                    break
+            writer.join(timeout=5.0)
+            assert not writer.is_alive()
+            assert agg.worker_views() == []
+            assert agg.live_snapshot().counter("pipeline.reads") == 200
+        finally:
+            sys.setswitchinterval(switch)
+            agg.close()
+
     def test_background_thread_drains_real_pipe(self):
-        agg = TelemetryAggregator(interval=0.05, stall_after=60.0)
+        agg = TelemetryAggregator(interval=0.05)
         recv, send = mp.Pipe(duplex=False)
         agg.register(11, recv)
         agg.start()
         try:
-            _send_delta(send, 0, reads=10)
+            _send_snapshot(send, 0, reads=10)
             deadline = time.monotonic() + 5.0
             while (
                 time.monotonic() < deadline

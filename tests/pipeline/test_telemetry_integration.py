@@ -20,7 +20,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.workload import build_workload
 from repro.genome.reference import Reference
-from repro.observability import render_top
+from repro.observability import global_registry, render_top
 from repro.observability.dashboard import fetch_live
 from repro.pipeline.config import (
     ParallelConfig,
@@ -57,13 +57,12 @@ class TestTelemetryConfig:
         cfg = PipelineConfig()
         assert not cfg.telemetry.enabled
         assert cfg.telemetry.interval == 1.0
-        assert cfg.telemetry.stall_after == 5.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             TelemetryConfig(interval=0.0)
-        with pytest.raises(ConfigError):
-            TelemetryConfig(stall_after=-1.0)
+        with pytest.raises(TypeError):  # the watchdog threshold is a constant
+            TelemetryConfig(stall_after=5.0)
         with pytest.raises(ConfigError):
             TelemetryConfig(port=70000)
         with pytest.raises(ConfigError):
@@ -105,7 +104,7 @@ class TestEngineLifecycle:
 
 
 def _converged(url, result):
-    """Poll the endpoint until the workers' final deltas have landed."""
+    """Poll the endpoint until the workers' final snapshots have landed."""
     want = result.metrics.histogram("mp.chunk_map_seconds")["count"]
     deadline = time.monotonic() + 10.0
     while True:
@@ -122,7 +121,7 @@ def _converged(url, result):
 class TestLiveScrapeDuringRun:
     def test_endpoint_updates_across_a_pool_run(self, workload):
         """The document is live: before the run it shows no pipeline reads;
-        after the run (workers published their final deltas) it does, with
+        after the run (workers published their final snapshots) it does, with
         both workers listed — the CI smoke contract."""
         with _engine(workload, _config(True, interval=0.05)) as engine:
             url = engine.telemetry_url
@@ -142,6 +141,25 @@ class TestLiveScrapeDuringRun:
                 "schema", "counters", "gauges", "histograms", "spans",
                 "totals", "workers",
             }
+
+    def test_fork_inherited_state_stays_out_of_the_live_view(self, workload):
+        """Forked workers inherit the parent's process-global registry; each
+        clears it before its publisher starts, so only its own work shows."""
+        parent = global_registry()
+        saved = parent.snapshot()
+        parent.inc("pipeline.reads", 1000)
+        parent.gauge_max("mp.workers", 99)
+        parent.inc("test.parent_only")
+        try:
+            with _engine(workload, _config(True, interval=0.05)) as engine:
+                result = engine.run(workload.reads)
+                snap, _ = _converged(engine.telemetry_url, result)
+        finally:
+            parent.clear()
+            parent.absorb(saved)
+        assert snap.counter("pipeline.reads") == len(workload.reads)
+        assert "mp.workers" not in snap.gauges
+        assert "test.parent_only" not in snap.counters
 
     def test_recovery_counters_reach_the_live_document(self, workload):
         """The dispatcher's parent-side recovery counters are mirrored into

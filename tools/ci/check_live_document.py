@@ -5,10 +5,12 @@
 Drives an ``Engine`` with telemetry on over the two-worker pool and GETs the
 endpoint while the pipeline runs: every body must decode as the
 ``repro.metrics/v2`` document (the reader ``repro top`` uses), and the live
-view must converge to two ``workers`` entries plus the full read count —
-the sideband streams in-flight state, not just a post-run summary.  A file
-with a ``__main__`` guard, not stdin: spawned workers re-import the main
-module.
+view must converge to two ``workers`` entries whose ``pipeline.reads``,
+``phmm.pairs`` and ``seed.candidates`` counters and ``mp.chunk_map_seconds``
+count *equal* the run's ``CallResult.metrics`` — workers ship whole
+snapshots, so on a fault-free run the live plane and the result path agree
+exactly.  A file with a ``__main__`` guard, not stdin: spawned workers
+re-import the main module.
 """
 
 import argparse
@@ -20,6 +22,18 @@ from repro.api import Engine
 from repro.genome.fastq import read_fastq
 from repro.observability.dashboard import parse_live_document
 from repro.pipeline.config import ParallelConfig, PipelineConfig, TelemetryConfig
+
+
+#: Counters the live view must report exactly as the result path does.
+COUNTERS = ("pipeline.reads", "phmm.pairs", "seed.candidates")
+
+
+def totals(snap) -> dict:
+    """The compared numbers of one snapshot (live or result path)."""
+    chunks = snap.histogram("mp.chunk_map_seconds") or {"count": 0}
+    out = {name: snap.counter(name) for name in COUNTERS}
+    out["mp.chunk_map_seconds count"] = chunks["count"]
+    return out
 
 
 def fetch(url: str) -> bytes:
@@ -54,25 +68,27 @@ def main() -> None:
 
         t = threading.Thread(target=poller)
         t.start()
-        engine.run(reads)
+        result = engine.run(reads)
         done.set()
         t.join()
+        want = totals(result.metrics)
+        assert want["pipeline.reads"] == len(reads), want
         deadline = time.monotonic() + 30
         while True:
             snap, workers = parse_live_document(fetch(url), url)
-            live_reads = snap.counter("pipeline.reads")
-            if len(workers) == 2 and live_reads == len(reads):
+            live = totals(snap)
+            if len(workers) == 2 and live == want:
                 break
             assert time.monotonic() < deadline, (
-                "live view never caught up: "
-                f"{len(workers)} workers, {live_reads} reads"
+                f"live view never caught up: {len(workers)} workers, "
+                f"live {live} != result path {want}"
             )
             time.sleep(0.2)
     assert mid_run, "no successful GET while the pipeline ran"
     for body in mid_run:
         parse_live_document(body)
     print(f"telemetry document OK: {len(mid_run)} mid-run bodies "
-          f"decoded, 2 workers, live reads == {len(reads)}")
+          f"decoded, 2 workers, live == result path: {want}")
 
 
 if __name__ == "__main__":
