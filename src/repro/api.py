@@ -255,7 +255,7 @@ class Engine:
         Call repeatedly to accumulate evidence online; ``call()`` consumes
         whatever has been accumulated so far.  With engine ``workers > 1``
         the batch maps across the persistent pool's warm fleet through the
-        fault-tolerant dispatcher (crashes, hangs and corrupted evidence
+        fault-tolerant event loop (crashes, hangs and corrupted evidence
         are retried, then degraded to a serial re-run — see
         :mod:`repro.pipeline.mp_backend`) and the parent deposits the
         workers' evidence straight into the staged accumulator: any split

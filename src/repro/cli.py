@@ -166,10 +166,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         header = fh.readline().rstrip("\n").split("\t")
         if not header or header[0] != "pos":
             raise ReproError(f"unexpected SNP TSV header in {args.calls}")
-        for line in fh:
-            line = line.rstrip("\n")
-            if line:
-                calls.append(_Row(pos=int(line.split("\t")[0])))
+        for lineno, line in enumerate(fh, start=2):
+            pos = line.rstrip("\n").split("\t")[0]
+            if not pos:
+                continue
+            try:
+                calls.append(_Row(pos=int(pos)))
+            except ValueError:
+                raise ReproError(
+                    f"{args.calls}: line {lineno}: bad pos {pos!r}"
+                ) from None
     counts = compare_to_truth(calls, truth)
     print(
         f"TP {counts.tp}  FP {counts.fp}  FN {counts.fn}  "
@@ -505,7 +511,8 @@ def main(argv: "list[str] | None" = None) -> int:
         trace_mod.enable()
     try:
         rc = args.func(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
+        # OSError: an input that cannot be opened; its message names the file.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "metrics_json", None):

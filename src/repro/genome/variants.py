@@ -25,6 +25,10 @@ from repro.genome.alphabet import (
 from repro.genome.reference import Reference
 from repro.util.rng import resolve_rng
 
+#: Base letter -> code, for parsing; a whole-string lookup, so "" or "AC"
+#: is not a base.
+_CODE_OF = {ch: code for code, ch in enumerate(CODE_TO_CHAR)}
+
 
 @dataclass(frozen=True)
 class Variant:
@@ -118,13 +122,20 @@ class VariantCatalog:
 
     @classmethod
     def read_tsv(cls, path_or_file: "str | Path | TextIO") -> "VariantCatalog":
-        """Parse the TSV produced by :meth:`write_tsv`."""
+        """Parse the TSV produced by :meth:`write_tsv`.
+
+        A malformed row is a :class:`VariantError` naming the file and the
+        line.
+        """
         owned = isinstance(path_or_file, (str, Path))
         fh = open(path_or_file) if owned else path_or_file
+        where = getattr(fh, "name", "variant TSV")
         try:
             header = fh.readline().rstrip("\n").split("\t")
             if header != ["pos", "ref", "alt", "genotype"]:
-                raise VariantError(f"unexpected variant TSV header {header!r}")
+                raise VariantError(
+                    f"{where}: unexpected variant TSV header {header!r}"
+                )
             out = []
             for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
@@ -132,16 +143,20 @@ class VariantCatalog:
                     continue
                 parts = line.split("\t")
                 if len(parts) != 4:
-                    raise VariantError(f"malformed variant line {lineno}")
+                    raise VariantError(f"{where}: malformed variant line {lineno}")
                 pos, ref, alt, gt = parts
-                out.append(
-                    Variant(
+                try:
+                    variant = Variant(
                         pos=int(pos),
-                        ref=CODE_TO_CHAR.index(ref),
-                        alt=CODE_TO_CHAR.index(alt),
+                        ref=_CODE_OF[ref],
+                        alt=_CODE_OF[alt],
                         genotype=gt,
                     )
-                )
+                except (ValueError, KeyError, VariantError) as exc:
+                    raise VariantError(
+                        f"{where}: line {lineno}: bad variant row {line!r}"
+                    ) from exc
+                out.append(variant)
             return cls(out)
         finally:
             if owned:

@@ -19,7 +19,7 @@ This module adds the in-flight view without touching the result path:
   authoritative one — the result path stays byte-identical with telemetry
   on or off).  It tracks per-worker heartbeat ages and reads/s /
   DP-cells/s EWMAs, and runs a stall watchdog that flags a worker
-  *before* the dispatcher's per-chunk timeout fires:
+  *before* the pool's per-chunk timeout fires:
   ``mp.worker_stalls`` counter + ``mp.worker_stall`` trace instant on
   the rising edge, ``mp.worker_heartbeat_age_seconds_max`` high-water
   gauge continuously.
@@ -66,13 +66,13 @@ _CELLS_COUNTERS = ("phmm.forward_cells", "phmm.backward_cells")
 _EWMA_ALPHA = 0.5
 #: Watchdog threshold in seconds: a worker whose heartbeat age *or*
 #: in-chunk busy time exceeds this is flagged stalled — early warning well
-#: ahead of the dispatcher's per-chunk timeout kill.
+#: ahead of the pool's per-chunk timeout kill.
 STALL_AFTER = 5.0
 
 # -- worker side -------------------------------------------------------------
 
 #: The chunk this process is currently executing: ``(chunk_id, started)``
-#: (``time.monotonic``), or None when idle.  Written by the dispatch loop,
+#: (``time.monotonic``), or None when idle.  Written by the worker loop,
 #: read by the publisher thread; a single tuple-or-None store is atomic
 #: under the GIL, so no lock is needed for this advisory state.
 _busy: "tuple[int, float] | None" = None
@@ -350,7 +350,7 @@ class TelemetryAggregator:
                 state.stalled = stalled
 
     def count(self, name: str) -> None:
-        """Mirror one parent-side event (the dispatcher's recovery counters,
+        """Mirror one parent-side event (the pool's recovery counters,
         which no worker can report) into the live registry only."""
         self._registry.inc(name)
 

@@ -1,7 +1,8 @@
 """Parallel substrate: an mpi4py-flavoured communicator with virtual time.
 
-This machine has one CPU core and no MPI, so the paper's cluster experiments
-run on a *simulated* cluster (see DESIGN.md §2): rank programs execute as
+The paper's cluster experiments need more cores than a workstation has, and
+MPI, so they run on a *simulated* cluster (see DESIGN.md §2): rank programs
+execute as
 real concurrent threads against :class:`~repro.parallel.comm.Comm`
 (real message passing, real reductions, real data), while a per-rank
 :class:`~repro.parallel.clock.VirtualClock` advances by a calibrated LogGP

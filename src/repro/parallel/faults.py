@@ -1,7 +1,7 @@
 """Deterministic fault injection for the fault-tolerant process backend.
 
 Genome-scale runs make worker failure the rule, not the exception; the
-recovery paths in :mod:`repro.parallel.dispatch` are only trustworthy if
+recovery paths in :mod:`repro.parallel.pool` are only trustworthy if
 they can be exercised on demand, deterministically, in CI.  This module
 provides that: a tiny spec grammar describing *which* chunk attempts fail
 and *how*, parsed once in the parent and shipped (picklable) to every
@@ -12,7 +12,7 @@ Spec grammar (``ConfigError`` on violation)::
     spec   := clause (";" clause)*
     clause := mode [":" key "=" value ("," key "=" value)*]
     mode   := "crash" | "hang" | "corrupt"
-    key    := "chunk" | "times" | "p" | "seed" | "secs"
+    key    := "chunk" | "times" | "secs"
 
 * ``crash`` — the worker process dies hard (``os._exit``), simulating a
   segfault or an OOM kill.  The parent sees the pipe close.
@@ -25,11 +25,9 @@ Spec grammar (``ConfigError`` on violation)::
   before it can reach the accumulator.
 
 Targeting: ``chunk=<int>`` pins a clause to one chunk id; otherwise the
-clause applies to every chunk with probability ``p`` (default 1), drawn
-from a seeded counter-based hash of ``(seed, chunk_id, attempt)`` so runs
-are bit-reproducible across processes and start methods.  ``times``
-(default 1) bounds how many *attempts* of a chunk fire the fault — the
-default makes every fault transient: attempt 0 fails, the retry succeeds.
+clause applies to every chunk.  ``times`` (default 1) bounds how many
+*attempts* of a chunk fire the fault — the default makes every fault
+transient: attempt 0 fails, the retry succeeds.
 
 Activation: ``ParallelConfig.fault_spec``, or the ``REPRO_FAULTS``
 environment variable when the config field is empty (see
@@ -60,29 +58,7 @@ __all__ = [
 CRASH_EXIT_CODE = 70
 
 _MODES = ("crash", "hang", "corrupt")
-_KEYS = ("chunk", "times", "p", "seed", "secs")
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _draw(seed: int, chunk_id: int, attempt: int) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` (splitmix64-style hash).
-
-    Counter-based rather than stateful so every process — parent, spawn
-    worker, fork worker, a retry on a different worker — agrees on whether
-    a probabilistic clause fires for a given ``(chunk, attempt)``.
-    """
-    x = (
-        seed * 0x9E3779B97F4A7C15
-        + (chunk_id + 1) * 0xBF58476D1CE4E5B9
-        + (attempt + 1) * 0x94D049BB133111EB
-    ) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return x / 2.0**64
+_KEYS = ("chunk", "times", "secs")
 
 
 @dataclass(frozen=True)
@@ -92,19 +68,13 @@ class FaultClause:
     mode: str
     chunk: "int | None" = None
     times: int = 1
-    p: float = 1.0
-    seed: int = 0
     secs: float = 3600.0
 
     def fires(self, chunk_id: int, attempt: int) -> bool:
         """Does this clause fire for attempt ``attempt`` of ``chunk_id``?"""
         if attempt >= self.times:
             return False
-        if self.chunk is not None:
-            return chunk_id == self.chunk
-        if self.p >= 1.0:
-            return True
-        return _draw(self.seed, chunk_id, attempt) < self.p
+        return self.chunk is None or chunk_id == self.chunk
 
 
 @dataclass(frozen=True)
@@ -184,7 +154,7 @@ def _parse_clause(text: str) -> FaultClause:
                     f"key=value with key in {list(_KEYS)}"
                 )
             try:
-                if key in ("chunk", "times", "seed"):
+                if key in ("chunk", "times"):
                     kwargs[key] = int(value)
                 else:
                     kwargs[key] = float(value)
@@ -196,16 +166,12 @@ def _parse_clause(text: str) -> FaultClause:
         mode=mode,
         chunk=int(kwargs["chunk"]) if "chunk" in kwargs else None,
         times=int(kwargs.get("times", 1)),
-        p=float(kwargs.get("p", 1.0)),
-        seed=int(kwargs.get("seed", 0)),
         secs=float(kwargs.get("secs", 3600.0)),
     )
     if clause.times < 1:
         raise ConfigError(f"fault times must be >= 1, got {clause.times}")
     if clause.chunk is not None and clause.chunk < 0:
         raise ConfigError(f"fault chunk must be >= 0, got {clause.chunk}")
-    if not 0.0 < clause.p <= 1.0:
-        raise ConfigError(f"fault p must be in (0, 1], got {clause.p}")
     if clause.secs <= 0:
         raise ConfigError(f"fault secs must be > 0, got {clause.secs}")
     return clause

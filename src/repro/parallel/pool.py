@@ -1,43 +1,193 @@
-"""Persistent shared-memory worker pool (ROADMAP item 2).
+"""Persistent shared-memory worker pool with per-chunk fault tolerance.
 
-:class:`PersistentPool` is the event-service execution substrate behind
-``Engine``'s parallel verbs: workers are spawned **once per pool
-lifetime**, the big read-only state (genome codes, index CSR arrays) is
-published as shared-memory segments (:mod:`repro.parallel.shm`) that
-workers map zero-copy, and successive ``run()`` calls stream chunks over
-the existing :class:`~repro.parallel.dispatch.ChunkDispatcher` duplex-pipe
-machinery — so PR 4's per-chunk timeout / retry / respawn /
-serial-fallback semantics and recovery counters survive unchanged.  A
-respawned worker re-attaches to the segments (an ``mmap``) instead of
-re-receiving the data.
+:class:`PersistentPool` is the execution substrate behind ``Engine``'s
+parallel verbs (the paper's read-spread mode, with the genome in shared
+memory for every process).  One object owns three things:
 
-Ownership: the pool owns both the worker fleet and the shared segments;
-``close()`` (or the context manager, or the atexit crash net) stops the
-workers and unlinks every segment.  Metrics: ``mp.shm_bytes`` gauge and
-the ``mp.shm_publish`` trace instant at publish; ``mp.pool_reuse`` counts
-warm reuses (in the dispatcher); ``mp.worker_attach_seconds`` is observed
-by the worker initializer and ships home with the first chunk snapshot.
+* **the shared segments** — the big read-only state (genome codes, index
+  CSR arrays) is published once through :mod:`repro.parallel.shm`, and
+  workers map it zero-copy; a respawned worker re-attaches (an ``mmap``)
+  instead of re-receiving the data;
+* **the worker fleet** — spawned by the first :meth:`~PersistentPool.run`
+  and reused by later ones (``mp.pool_reuse`` counts each warm reuse); only
+  dead or retired slots are respawned;
+* **the event loop** — each worker holds at most one chunk at a time over a
+  dedicated duplex pipe (at most ``n_workers`` chunks in flight, the rest
+  pending in the parent).
+
+Recovery, chunk by chunk:
+
+* **per-chunk timeout** — a deadline starts when a chunk is assigned to an
+  initialised (``ready``) worker; a worker past its deadline is killed and
+  respawned, and the chunk is retried (``mp.chunk_timeouts``);
+* **crash detection** — a worker death (segfault, OOM kill, ``os._exit``)
+  surfaces as the pipe closing; the chunk is retried on a fresh worker
+  (``mp.worker_deaths``), the dead slot respawned up to a respawn budget;
+* **remote errors** — an exception in ``worker_fn`` comes home as data and
+  is retried (``mp.chunk_errors``);
+* **validated partials** — an optional ``validate(chunk_id, result)`` hook
+  runs in the parent before a result is accepted; a rejection is just
+  another retryable failure (``mp.partial_rejects``);
+* **init failures** — a worker whose initializer raises is retired, not
+  respawned, since a respawn would fail the same way
+  (``mp.worker_init_errors``);
+* **bounded retries with exponential backoff** — every failure requeues the
+  chunk with ``attempt + 1`` after ``BACKOFF_BASE * 2**attempt`` seconds
+  (``mp.chunk_retries``), up to ``max_retries`` re-dispatches;
+* **graceful degradation** — :meth:`~PersistentPool.run` returns
+  ``{chunk_id: result}``; a missing id is a chunk that exhausted its
+  retries (or found no live worker), and the caller re-runs it serially.
+
+Every recovery is an ``mp.*`` counter (mirrored into the live telemetry
+plane) plus an ``mp.*`` trace instant with chunk attribution; there is no
+other record.
+
+Why not ``multiprocessing.Pool``: a hung ``Pool`` worker cannot be killed
+through the public API (its ``AsyncResult`` simply never resolves), and a
+dead worker's task is lost with no attribution.  ``concurrent.futures``
+surfaces worker death as ``BrokenProcessPool`` but poisons the whole
+executor.  Dedicated pipes give exact chunk attribution, targeted kills,
+and per-slot respawn.  Workers are deterministic: a killed worker can never
+deliver a late result (its pipe is closed at kill time), and retried chunks
+are pure recomputations, so a run with recoveries produces byte-identical
+output to a clean one.
+
+Ownership: ``close()`` (or the context manager, or the atexit crash net)
+stops the workers and unlinks every segment.
 """
 
 from __future__ import annotations
 
 import atexit
+import time
+from collections import deque
+from dataclasses import dataclass
+from multiprocessing.connection import wait as _conn_wait
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 import repro.observability.trace as trace
 from repro.errors import PipelineError
-from repro.observability import current
-from repro.parallel.dispatch import ChunkDispatcher, DispatchOutcome
+from repro.observability import current, global_registry, livestream
 from repro.parallel.shm import SharedArrayBundle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from multiprocessing.connection import Connection
     from multiprocessing.context import BaseContext
+    from multiprocessing.process import BaseProcess
 
     from repro.observability.livestream import TelemetryAggregator
 
 __all__ = ["PersistentPool"]
+
+#: Parent poll tick (seconds): the upper bound on deadline-check latency.
+_TICK = 0.2
+#: Base of the exponential retry backoff: attempt ``a`` of a failed chunk is
+#: requeued after ``BACKOFF_BASE * 2**a`` seconds.
+BACKOFF_BASE = 0.05
+
+#: Message tags on the worker pipe protocol.
+_TASK, _STOP = "task", "stop"
+_READY, _OK, _ERROR, _INIT_ERROR = "ready", "ok", "error", "init_error"
+
+#: Retryable failure kinds, each its (counter, trace instant).
+_TIMEOUT = ("mp.chunk_timeouts", "mp.chunk_timeout")
+_CRASH = ("mp.worker_deaths", "mp.worker_death")
+_REMOTE_ERROR = ("mp.chunk_errors", "mp.chunk_error")
+_REJECT = ("mp.partial_rejects", "mp.partial_reject")
+
+
+def _worker_main(
+    conn: "Connection",
+    worker_fn: "Callable[[Any, int, int], Any]",
+    initializer: "Callable[..., None] | None",
+    initargs: "tuple[Any, ...]",
+    telemetry_conn: "Connection | None" = None,
+    telemetry_interval: float = 1.0,
+) -> None:
+    """Worker process body: init once, then serve chunk tasks off the pipe.
+
+    With a ``telemetry_conn``, a daemon publisher thread streams the
+    worker's whole metrics snapshot + heartbeats over the sideband for the
+    whole worker lifetime
+    (started only after a successful init, so an init failure stays a
+    single loud message on the task pipe), and chunk execution is
+    bracketed with busy markers so heartbeats can attribute in-flight
+    work.  Telemetry is advisory: nothing on this path can change, delay,
+    or reorder the task-pipe protocol.
+    """
+    try:
+        if initializer is not None:
+            initializer(*initargs)
+    except BaseException as exc:  # noqa: BLE001  # replint: disable=RPL401 - process boundary: init failure must reach the parent as data, not a traceback on a dead pipe
+        try:
+            conn.send((_INIT_ERROR, -1, 0, f"{type(exc).__name__}: {exc}"))
+        finally:
+            conn.close()
+        return
+    publishing = telemetry_conn is not None
+    if publishing:
+        global_registry().clear()  # forked workers inherit the parent's state
+        livestream.start_publisher(telemetry_conn, telemetry_interval)
+    conn.send((_READY, -1, 0, None))
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):  # parent died or closed our pipe
+            break
+        if msg[0] == _STOP:
+            break
+        _, chunk_id, attempt, payload = msg
+        if publishing:
+            livestream.mark_busy(chunk_id)
+        try:
+            result = worker_fn(payload, chunk_id, attempt)
+        except BaseException as exc:  # noqa: BLE001  # replint: disable=RPL401 - process boundary: any failure becomes a typed message so the parent can retry with attribution
+            conn.send(
+                (_ERROR, chunk_id, attempt, f"{type(exc).__name__}: {exc}")
+            )
+        else:
+            conn.send((_OK, chunk_id, attempt, result))
+        finally:
+            if publishing:
+                livestream.mark_idle()
+    conn.close()
+
+
+@dataclass
+class _Slot:
+    """One worker slot: a process, its pipe, and its in-flight chunk."""
+
+    proc: "BaseProcess"
+    conn: "Connection"
+    ready: bool = False
+    chunk: "tuple[int, int] | None" = None  # (chunk_id, attempt)
+    deadline: float = 0.0
+
+
+def _kill(slot: _Slot) -> None:
+    """Hard-stop a worker and close its pipe (no late results possible)."""
+    try:
+        slot.conn.close()
+    except OSError:  # pragma: no cover - already closed
+        pass
+    if slot.proc.is_alive():
+        slot.proc.terminate()
+        slot.proc.join(timeout=2.0)
+        if slot.proc.is_alive():  # pragma: no cover - SIGTERM ignored
+            slot.proc.kill()
+            slot.proc.join(timeout=2.0)
+
+
+def _stop(slot: _Slot) -> None:
+    """Graceful stop for an idle worker; escalates to kill."""
+    try:
+        slot.conn.send((_STOP, -1, 0, None))
+    except (OSError, ValueError):  # already dead
+        pass
+    slot.proc.join(timeout=2.0)
+    _kill(slot)
 
 
 class PersistentPool:
@@ -49,9 +199,13 @@ class PersistentPool:
 
     Parameters
     ----------
-    ctx, n_workers, worker_fn:
-        As for :class:`ChunkDispatcher`; the fleet is spawned once and
-        reused across :meth:`run` calls.
+    ctx:
+        Multiprocessing context the workers are started from.
+    n_workers:
+        Fleet size; spawned by the first :meth:`run`, reused by later ones.
+    worker_fn:
+        ``worker_fn(payload, chunk_id, attempt)``, a module-level
+        (picklable) callable run in the workers.
     arrays:
         Read-only arrays to publish as shared-memory segments (genome
         codes, index CSR arrays, ...).
@@ -59,8 +213,14 @@ class PersistentPool:
         Worker one-time init.  The initializer receives the publication
         map (``dict[str, SharedArraySpec]``) as its **first** argument,
         followed by ``initargs``.
-    timeout, max_retries, backoff_base, validate:
-        Per-chunk fault-tolerance knobs, forwarded to the dispatcher.
+    timeout:
+        Per-chunk deadline in seconds, counted from dispatch to a ready
+        worker.
+    max_retries:
+        Re-dispatches per chunk after its first attempt.
+    validate:
+        Optional parent-side ``validate(chunk_id, result)``; raising rejects
+        the result as a retryable failure.
     telemetry:
         Optional :class:`~repro.observability.livestream.TelemetryAggregator`;
         when given, every spawned worker streams live metric snapshots +
@@ -79,39 +239,35 @@ class PersistentPool:
         initargs: "tuple[Any, ...]" = (),
         timeout: float = 120.0,
         max_retries: int = 2,
-        backoff_base: float = 0.05,
         validate: "Callable[[int, Any], None] | None" = None,
         telemetry: "TelemetryAggregator | None" = None,
     ) -> None:
         if n_workers < 1:
             raise PipelineError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
-        self._runs = 0
+        self._ctx = ctx
+        self._worker_fn = worker_fn
+        self._initializer = initializer
+        self._timeout = timeout
+        self._max_retries = max_retries
+        self._validate = validate
+        self._telemetry = telemetry
+        self._slots: "list[_Slot | None]" = []
+        self._closed = False
         self._bundle = SharedArrayBundle()
+        # The one crash net, armed before the first segment exists: a parent
+        # that never reaches close() (KeyboardInterrupt, fatal error) still
+        # stops the workers and unlinks every segment at exit.
+        atexit.register(self.close)
         for key, arr in arrays.items():
             self._bundle.publish(key, arr)
+        self._initargs = (self._bundle.specs, *initargs)
         current().gauge_max("mp.shm_bytes", self._bundle.nbytes)
         trace.instant(
             "mp.shm_publish",
             segments=len(arrays),
             nbytes=self._bundle.nbytes,
         )
-        self._dispatcher = ChunkDispatcher(
-            ctx,
-            n_workers,
-            worker_fn,
-            initializer=initializer,
-            initargs=(self._bundle.specs,) + tuple(initargs),
-            timeout=timeout,
-            max_retries=max_retries,
-            backoff_base=backoff_base,
-            validate=validate,
-            telemetry=telemetry,
-        )
-        self._closed = False
-        # Crash net: a parent that never reaches close() (KeyboardInterrupt,
-        # fatal error) still stops workers and unlinks segments at exit.
-        atexit.register(self.close)
 
     # -- lifecycle ------------------------------------------------------------
     @property
@@ -119,33 +275,50 @@ class PersistentPool:
         return self._closed
 
     @property
-    def runs(self) -> int:
-        """Completed :meth:`run` rounds (first one is the cold start)."""
-        return self._runs
-
-    @property
-    def shm_bytes(self) -> int:
-        """Bytes published to shared memory."""
-        return self._bundle.nbytes
-
-    @property
     def segment_names(self) -> "list[str]":
         """Owned shared-memory segment names (for leak checks/tests)."""
         return self._bundle.segment_names
 
-    def start(self) -> None:
-        """Eagerly spawn the fleet (otherwise the first ``run`` does it)."""
-        if self._closed:
-            raise PipelineError("PersistentPool is closed")
-        self._dispatcher.start()
+    def _spawn(self) -> _Slot:
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        tele_recv = tele_send = None
+        if self._telemetry is not None:
+            # Dedicated one-way sideband: the task-pipe protocol stays
+            # untouched, and telemetry backpressure can never delay results.
+            tele_recv, tele_send = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(
+                child_conn,
+                self._worker_fn,
+                self._initializer,
+                self._initargs,
+                tele_send,
+                0.0 if self._telemetry is None else self._telemetry.interval,
+            ),
+            daemon=True,
+        )
+        proc.start()
+        # The child holds its own handle; closing ours makes worker death
+        # observable as EOF on the parent end.
+        child_conn.close()
+        if self._telemetry is not None and tele_recv is not None:
+            if tele_send is not None:
+                tele_send.close()
+            self._telemetry.register(proc.pid, tele_recv)
+        return _Slot(proc=proc, conn=parent_conn)
 
-    def run(self, payloads: "list[Any]") -> DispatchOutcome:
-        """Dispatch one round of chunk payloads over the warm fleet."""
-        if self._closed:
-            raise PipelineError("PersistentPool is closed")
-        outcome = self._dispatcher.run(payloads)
-        self._runs += 1
-        return outcome
+    def _top_up(self) -> None:
+        """Spawn the fleet on first use; later, respawn only the slots
+        retired since the last run — a deterministic init failure retires
+        them again, which is the desired loud degradation, not a spin."""
+        if not self._slots:
+            self._slots = [self._spawn() for _ in range(self.n_workers)]
+            trace.instant("mp.pool_start", workers=self.n_workers)
+        else:
+            for idx, slot in enumerate(self._slots):
+                if slot is None:
+                    self._slots[idx] = self._spawn()
 
     def close(self) -> None:
         """Stop the workers and unlink every shared segment (idempotent)."""
@@ -153,7 +326,14 @@ class PersistentPool:
             return
         self._closed = True
         atexit.unregister(self.close)
-        self._dispatcher.close()
+        for slot in self._slots:
+            if slot is None:
+                continue
+            if slot.chunk is None:
+                _stop(slot)
+            else:  # pragma: no cover - close with work in flight
+                _kill(slot)
+        self._slots = []
         self._bundle.close()
 
     def __enter__(self) -> "PersistentPool":
@@ -161,3 +341,190 @@ class PersistentPool:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    # -- the event loop -------------------------------------------------------
+    def run(self, payloads: "list[Any]") -> "dict[int, Any]":
+        """Dispatch one round of chunk payloads over the warm fleet.
+
+        Returns ``{chunk_id: result}`` for every chunk a worker completed
+        and the parent accepted; a missing id exhausted its retries, and
+        the caller re-runs that chunk itself.
+        """
+        if self._closed:
+            raise PipelineError("PersistentPool is closed")
+        results: "dict[int, Any]" = {}
+        n_chunks = len(payloads)
+        if n_chunks == 0:
+            return results
+        reg = current()
+        if self._slots:
+            # Warm fleet: the whole point of the pool.  Loudly counted
+            # so tests can pin zero-respawn reuse.
+            reg.inc("mp.pool_reuse")
+            trace.instant("mp.pool_reuse", chunks=n_chunks)
+        self._top_up()
+        slots = self._slots
+        # Respawn budget: enough for every possible failure to get a fresh
+        # worker, finite so a deterministic init crash can't spin forever.
+        respawns_left = len(slots) + n_chunks * (self._max_retries + 1)
+        # (chunk_id, attempt, not-before time) — the retry/backoff queue.
+        pending: "deque[tuple[int, int, float]]" = deque(
+            (cid, 0, 0.0) for cid in range(n_chunks)
+        )
+        exhausted: "set[int]" = set()
+        retries = 0
+
+        def count(name: str) -> None:
+            # The result-path registry, mirrored into the live plane: these
+            # are parent-side events no worker snapshot can carry.
+            reg.inc(name)
+            if self._telemetry is not None:
+                self._telemetry.count(name)
+
+        def fail(
+            cid: int, attempt: int, kind: "tuple[str, str]", detail: str
+        ) -> None:
+            nonlocal retries
+            counter, instant = kind
+            count(counter)
+            trace.instant(instant, chunk=cid, attempt=attempt, detail=detail)
+            if attempt >= self._max_retries:
+                exhausted.add(cid)
+                return
+            delay = BACKOFF_BASE * (2.0**attempt)
+            pending.append((cid, attempt + 1, time.monotonic() + delay))
+            retries += 1
+            count("mp.chunk_retries")
+            trace.instant("mp.chunk_retry", chunk=cid, attempt=attempt + 1)
+            trace.counter_sample("mp.chunk_retries", retries)
+
+        def replace(idx: int) -> None:
+            nonlocal respawns_left
+            if respawns_left > 0:
+                respawns_left -= 1
+                slots[idx] = self._spawn()
+            else:  # pragma: no cover - runaway-failure backstop
+                slots[idx] = None
+
+        def pop_due(now: float) -> "tuple[int, int, float] | None":
+            for _ in range(len(pending)):
+                task = pending.popleft()
+                if task[2] <= now:
+                    return task
+                pending.append(task)
+            return None
+
+        try:
+            while len(results) + len(exhausted) < n_chunks:
+                live = [s for s in slots if s is not None]
+                if not live:
+                    # Every worker slot is gone (e.g. deterministic init
+                    # failure): the rest of the queue falls back to the caller.
+                    break
+                now = time.monotonic()
+                # Assign due work to ready, idle workers.
+                for slot in live:
+                    if not slot.ready or slot.chunk is not None:
+                        continue
+                    task = pop_due(now)
+                    if task is None:
+                        break
+                    cid, attempt, _ = task
+                    try:
+                        slot.conn.send((_TASK, cid, attempt, payloads[cid]))
+                    except (OSError, ValueError):
+                        # Died between polls; the EOF path below reaps it.
+                        pending.appendleft(task)
+                        continue
+                    slot.chunk = (cid, attempt)
+                    slot.deadline = now + self._timeout
+                    trace.instant(
+                        "mp.chunk_dispatch",
+                        chunk=cid,
+                        attempt=attempt,
+                        worker_pid=slot.proc.pid,
+                    )
+
+                ready_conns = _conn_wait(
+                    [s.conn for s in live],
+                    timeout=_wait_time(
+                        now,
+                        [s.deadline for s in live if s.chunk is not None],
+                        [task[2] for task in pending],
+                        idle=any(s.ready and s.chunk is None for s in live),
+                    ),
+                )
+                for slot in live:
+                    if slot.conn not in ready_conns:
+                        continue
+                    idx = slots.index(slot)
+                    try:
+                        tag, cid, attempt, data = slot.conn.recv()
+                    except (EOFError, OSError):
+                        # Worker death: pipe closed without a message.
+                        inflight = slot.chunk
+                        _kill(slot)
+                        replace(idx)
+                        if inflight is not None:
+                            fail(
+                                *inflight, _CRASH,
+                                f"worker died (exitcode={slot.proc.exitcode})",
+                            )
+                        continue
+                    if tag == _READY:
+                        slot.ready = True
+                    elif tag == _INIT_ERROR:
+                        # Deterministic: a respawn would fail identically,
+                        # so retire the slot instead of burning the budget.
+                        # No chunk is lost: a slot gets one only once ready.
+                        _kill(slot)
+                        slots[idx] = None
+                        count("mp.worker_init_errors")
+                        trace.instant("mp.worker_init_error", detail=str(data))
+                    elif tag == _OK:
+                        slot.chunk = None
+                        if self._validate is not None:
+                            try:
+                                self._validate(cid, data)
+                            except Exception as exc:  # noqa: BLE001  # replint: disable=RPL401 - validation boundary: any rejection is a retryable chunk failure, not a crash
+                                fail(cid, attempt, _REJECT, str(exc))
+                                continue
+                        results[cid] = data
+                    elif tag == _ERROR:
+                        slot.chunk = None
+                        fail(cid, attempt, _REMOTE_ERROR, str(data))
+
+                # Deadline sweep: kill and retry anything past its timeout.
+                now = time.monotonic()
+                for idx, slot in enumerate(slots):
+                    if slot is None or slot.chunk is None or now <= slot.deadline:
+                        continue
+                    cid, attempt = slot.chunk
+                    _kill(slot)
+                    replace(idx)
+                    fail(
+                        cid, attempt, _TIMEOUT,
+                        f"chunk {cid} exceeded {self._timeout}s deadline",
+                    )
+        finally:
+            # Keep idle workers warm for the next run; only a slot with
+            # work still in flight (abnormal exit) is killed — the next run
+            # respawns it, re-attaching instead of re-shipping.
+            for idx, slot in enumerate(slots):
+                if slot is not None and slot.chunk is not None:
+                    # pragma-free: exercised via KeyboardInterrupt tests
+                    _kill(slot)
+                    slots[idx] = None
+        return results
+
+
+def _wait_time(
+    now: float, deadlines: "list[float]", not_before: "list[float]", idle: bool
+) -> float:
+    """Poll timeout of the event loop, capped at the tick: wake for the
+    nearest in-flight deadline and, while a ready worker is ``idle``, for the
+    earliest pending retry's backoff.  Pending work with no idle worker does
+    not shorten the wait: it is due at once, so a zero timeout would spin
+    the parent until a worker answers."""
+    wakes = deadlines + not_before if idle else deadlines
+    return min([_TICK, *(max(0.0, t - now) for t in wakes)])

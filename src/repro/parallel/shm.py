@@ -13,9 +13,10 @@ Segment-ownership protocol (the RPL803 contract; DESIGN.md §14):
 
 * the **parent** creates segments through :class:`SharedArrayBundle`, which
   owns them: every handle is stored on the bundle, and ``close()`` closes
-  *and unlinks* each segment exactly once (idempotent).  The bundle also
-  registers itself with :mod:`atexit` so a parent interrupted mid-run
-  (``KeyboardInterrupt``) still unlinks on interpreter shutdown;
+  *and unlinks* each segment exactly once (idempotent).  The bundle's owner
+  (:class:`repro.parallel.pool.PersistentPool`) holds the crash net that
+  calls it when a parent interrupted mid-run (``KeyboardInterrupt``) never
+  reaches ``close()``;
 * **workers** attach via :func:`attach_array` and must keep the returned
   handle alive as long as the view (the buffer is only mapped while the
   handle is open) and only ever ``close()`` it — ``unlink`` is the
@@ -25,7 +26,6 @@ Segment-ownership protocol (the RPL803 contract; DESIGN.md §14):
 
 from __future__ import annotations
 
-import atexit
 import math
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -83,9 +83,6 @@ class SharedArrayBundle:
         self._segments: "dict[str, shared_memory.SharedMemory]" = {}
         self._specs: "dict[str, SharedArraySpec]" = {}
         self._closed = False
-        # Crash net: unlink on interpreter shutdown even if the owner never
-        # reached close() (e.g. KeyboardInterrupt in the parent mid-run).
-        atexit.register(self.close)
 
     def publish(self, key: str, array: np.ndarray) -> SharedArraySpec:
         """Copy ``array`` into a new shared segment; returns its spec."""
@@ -124,7 +121,6 @@ class SharedArrayBundle:
         if self._closed:
             return
         self._closed = True
-        atexit.unregister(self.close)
         for shm in self._segments.values():
             shm.close()
             try:
@@ -132,12 +128,6 @@ class SharedArrayBundle:
             except FileNotFoundError:  # pragma: no cover - already unlinked
                 pass
         self._segments.clear()
-
-    def __enter__(self) -> "SharedArrayBundle":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def attach_array(

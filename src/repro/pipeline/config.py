@@ -47,16 +47,14 @@ class ParallelConfig:
         sanitizer-propagation semantics never depend on what a prior
         caller or the platform set.
     chunk_timeout:
-        Per-chunk deadline in seconds for the fault-tolerant dispatcher; a
+        Per-chunk deadline in seconds for the fault-tolerant pool; a
         worker past it is killed and the chunk retried.  The deadline
         clock only starts once the worker has reported ready, so one-time
         worker init never eats into a chunk's budget.
     max_retries:
-        Re-dispatches per chunk after the first attempt; an exhausted
-        chunk degrades to a serial re-run in the parent.
-    backoff_base:
-        Base of the exponential retry backoff: attempt ``a`` is requeued
-        after ``backoff_base * 2**a`` seconds.
+        Re-dispatches per chunk after the first attempt, each after an
+        exponential backoff (``repro.parallel.pool.BACKOFF_BASE``); an
+        exhausted chunk degrades to a serial re-run in the parent.
     fault_spec:
         Deterministic fault-injection spec for the recovery paths (see
         :mod:`repro.parallel.faults` for the grammar).  Empty (default)
@@ -68,7 +66,6 @@ class ParallelConfig:
     start_method: str = "spawn"
     chunk_timeout: float = 120.0
     max_retries: int = 2
-    backoff_base: float = 0.05
     fault_spec: str = ""
 
     def __post_init__(self) -> None:
@@ -86,10 +83,6 @@ class ParallelConfig:
         if self.max_retries < 0:
             raise ConfigError(
                 f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base < 0:
-            raise ConfigError(
-                f"backoff_base must be >= 0, got {self.backoff_base}"
             )
         # Fail fast on a malformed fault spec — at config time, in the
         # parent, not mid-run inside a worker.

@@ -13,7 +13,7 @@ accumulator are byte-identical to serial at any worker count and under all
 three memory modes
 (``tests/pipeline/test_mp_backend.py::TestSerialPoolContract``).
 
-Execution is **fault tolerant** (see :mod:`repro.parallel.dispatch`): chunks
+Execution is **fault tolerant** (see :mod:`repro.parallel.pool`): chunks
 are dispatched asynchronously with a per-chunk timeout, every chunk's
 evidence is validated in the parent before it is accepted, worker deaths,
 remote errors and rejected evidence are retried with exponential backoff,
@@ -21,7 +21,8 @@ and a chunk that exhausts its retries is mapped serially in the parent at
 its place in the chunk order — the run always completes, with the same
 bytes, and every recovery is visible in the metrics
 (``mp.chunk_retries``, ``mp.chunk_timeouts``, ``mp.worker_deaths``,
-``mp.partial_rejects``, ``mp.serial_fallbacks``).
+``mp.chunk_errors``, ``mp.partial_rejects``, ``mp.worker_init_errors``,
+``mp.serial_fallbacks``).
 Recovery paths are testable via deterministic fault injection
 (:mod:`repro.parallel.faults`; ``ParallelConfig.fault_spec`` or the
 ``REPRO_FAULTS`` environment variable).
@@ -73,9 +74,6 @@ from repro.pipeline.gnumap import GnumapSnp, MappingStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.livestream import TelemetryAggregator
     from repro.parallel.shm import SharedArraySpec
-
-#: One chunk's transportable payload: (codes, quals, names) per read.
-ChunkPayload = "tuple[list, list, list]"
 
 #: Most chunks per worker in a dispatch round, once a chunk can still fill a
 #: lane tile: from ``workers * CHUNKS_PER_WORKER * LANE_TILE`` reads (2,048
@@ -227,7 +225,6 @@ def make_pool(
         ),
         timeout=par.chunk_timeout,
         max_retries=par.max_retries,
-        backoff_base=par.backoff_base,
         validate=_validate_chunk,
         telemetry=telemetry,
     )
@@ -256,11 +253,11 @@ def map_reads_multiprocessing(
     The mapping core behind :class:`~repro.api.Engine`'s verbs at
     ``workers > 1`` (and through them the online chunked feed): partitions
     the reads into :func:`chunk_count` contiguous chunks, streams them over
-    the pool's fault-tolerant
-    :class:`~repro.parallel.dispatch.ChunkDispatcher`, and deposits the
-    chunks' evidence into ``accumulator`` (a fresh one when ``None``) in
-    chunk order — a chunk whose retries ran out is mapped serially, into
-    the same accumulator, when its turn comes.  What failed along the way
+    the pool's fault-tolerant event loop, and deposits the chunks' evidence
+    into ``accumulator`` (a fresh one when ``None``) in chunk order — a
+    chunk missing from the pool's results ran out of retries and is mapped
+    serially, into the same accumulator, when its turn comes.  What failed
+    along the way
     and how the reads were chunked change latency, never a byte.
 
     Counters and spans land in the *current* observability registry.
@@ -293,14 +290,14 @@ def map_reads_multiprocessing(
 
     total = MappingStats()
     with span("map_parallel"):
-        outcome = pool.run(payloads)
+        results = pool.run(payloads)
 
         # Deposit in chunk order — the serial run's read order, whatever
         # the completion order, retries, or chunks degraded to the parent.
         worker_snaps = []
         for cid in range(n_chunks):
-            if cid in outcome.results:
-                batches, stats_dict, snapshot = outcome.results.pop(cid)
+            if cid in results:
+                batches, stats_dict, snapshot = results.pop(cid)
                 for evidence, weights in batches:
                     pipe.accumulate(acc, evidence, weights)
                 part_stats = MappingStats(**stats_dict)

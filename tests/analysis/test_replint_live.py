@@ -41,9 +41,9 @@ LIVE = [
         "    stats = MappingStats()\n",
         '    stats = MappingStats()\n    _WORKER["last_chunk"] = chunk_id\n',
     ),
-    (  # a module dict written from the dispatcher's worker loop
+    (  # a module dict written from the pool's worker loop
         "RPL301",
-        "src/repro/parallel/dispatch.py",
+        "src/repro/parallel/pool.py",
         "_TICK = 0.2\n",
         "_TICK = 0.2\n_SEEN: dict = {}\n\n\n"
         "def _remember(chunk_id):\n    _SEEN[chunk_id] = True\n",

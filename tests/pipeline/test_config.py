@@ -122,8 +122,6 @@ class TestParallelConfig:
             ParallelConfig(chunk_timeout=0.0)
         with pytest.raises(ConfigError):
             ParallelConfig(max_retries=-1)
-        with pytest.raises(ConfigError):
-            ParallelConfig(backoff_base=-0.1)
         # A malformed fault spec fails at config time, not mid-run.
         with pytest.raises(ConfigError):
             ParallelConfig(fault_spec="segfault:chunk=0")
@@ -139,6 +137,9 @@ class TestParallelConfig:
         # The 1.x flat spellings are gone, not silently accepted.
         with pytest.raises(TypeError):
             PipelineConfig(mp_chunk_timeout=1)
+        # The retry backoff is a constant of the pool, not a knob.
+        with pytest.raises(TypeError):
+            ParallelConfig(backoff_base=0.01)
 
 
 class TestSeederKnobs:

@@ -91,7 +91,7 @@ class TestOnlineParallelFeed:
             OnlineGnumap(workload.reference, workers=0)
 
     def test_parallel_feed_matches_serial_stream(self, workload):
-        # fork keeps the worker spawns cheap; the dispatcher itself is
+        # fork keeps the worker spawns cheap; the pool itself is
         # start-method-agnostic (tests/pipeline/test_mp_backend).
         serial = OnlineGnumap(workload.reference, PipelineConfig())
         with OnlineGnumap(workload.reference, fork_config(), workers=2) as parallel:

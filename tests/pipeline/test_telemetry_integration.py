@@ -162,7 +162,7 @@ class TestLiveScrapeDuringRun:
         assert "test.parent_only" not in snap.counters
 
     def test_recovery_counters_reach_the_live_document(self, workload):
-        """The dispatcher's parent-side recovery counters are mirrored into
+        """The pool's parent-side recovery counters are mirrored into
         the live plane, and ``repro top`` renders them."""
         config = PipelineConfig(
             parallel=ParallelConfig(

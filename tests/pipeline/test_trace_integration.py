@@ -73,7 +73,6 @@ class TestFaultInjectedTrace:
                 crash_reads,
                 start_method="spawn",
                 fault_spec="hang:chunk=0,secs=1;crash:chunk=3",
-                backoff_base=0.01,
             )
         finally:
             trace.disable()

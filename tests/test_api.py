@@ -19,6 +19,7 @@ from repro.api import CallResult, Engine
 from repro.errors import PipelineError
 from repro.experiments.workload import build_workload
 from repro.genome.fasta import write_fasta
+from repro.observability import scope
 from repro.pipeline.config import ParallelConfig, PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
 
@@ -177,13 +178,16 @@ class TestEngineLifecycle:
 
     def test_pool_reused_across_calls(self, workload):
         reads = workload.reads[:120]
-        with Engine(workload.reference, fork_config(), workers=2) as engine:
+        with scope() as reg, Engine(
+            workload.reference, fork_config(), workers=2
+        ) as engine:
             engine.run(reads)
             pool = engine._pool
             engine.run(reads)
             engine.map_reads(reads)
             assert engine._pool is pool
-            assert pool.runs == 3
+        # Three rounds on one fleet: the cold start, then two warm reuses.
+        assert reg.snapshot().counter("mp.pool_reuse") == 2
 
     def test_workers_resize_recycles_pool(self, workload):
         reads = workload.reads[:120]

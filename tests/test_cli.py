@@ -206,6 +206,53 @@ class TestHostileInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err and "Traceback" not in err
 
+    def test_missing_call_inputs_are_a_typed_error(self, tmp_path, capsys):
+        rc = main([
+            "call", str(tmp_path / "nope.fa"), str(tmp_path / "nope.fq"),
+            "-o", str(tmp_path / "snps.tsv"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("nope.fa" in err or "nope.fq" in err)
+
+    _TRUTH = "pos\tref\talt\tgenotype\n5\tA\tC\thom\n"
+
+    @pytest.mark.parametrize(
+        "calls, truth, where",
+        [
+            ("pos\tx\n5\t3\n", None, "missing.tsv"),
+            ("pos\tx\n1x\t3\n", _TRUTH, "calls.tsv: line 2: bad pos '1x'"),
+            ("pos\tx\n5\t3\n", "pos\tref\talt\tgenotype\nxx\tA\tC\thom\n",
+             "truth.tsv: line 2: bad variant row"),
+            ("pos\tx\n5\t3\n", "pos\tref\talt\tgenotype\n5\tA\tX\thom\n",
+             "truth.tsv: line 2: bad variant row"),
+        ],
+        ids=["missing-truth", "calls-bad-pos", "truth-bad-pos", "truth-bad-alt"],
+    )
+    def test_evaluate_bad_input_is_a_typed_error(
+        self, tmp_path, capsys, calls, truth, where
+    ):
+        """``error:`` naming the file (and the line of a bad row), exit 2 —
+        not a FileNotFoundError / ValueError traceback."""
+        (tmp_path / "calls.tsv").write_text(calls)
+        truth_path = tmp_path / ("missing.tsv" if truth is None else "truth.tsv")
+        if truth is not None:
+            truth_path.write_text(truth)
+        rc = main(["evaluate", str(tmp_path / "calls.tsv"), str(truth_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err
+
+    def test_probabilistic_fault_keys_are_rejected(self, tmp_path, capsys):
+        (tmp_path / "ref.fa").write_bytes(_REF)
+        (tmp_path / "reads.fq").write_bytes(_READS)
+        rc = main([
+            "call", str(tmp_path / "ref.fa"), str(tmp_path / "reads.fq"),
+            "-o", str(tmp_path / "snps.tsv"), "--fault-spec", "crash:p=0.5,seed=7",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTelemetryCli:
     def test_top_once_renders_a_frame(self, capsys):

@@ -1,6 +1,6 @@
 """Do this tree and a git ref make the same calls?  One declared matrix.
 
-    python tools/identity.py --ref 6283481            # 25 configs x 4 seeds
+    python tools/identity.py --ref 6283481            # 26 configs x 4 seeds
     python tools/identity.py --ref origin/main --quick
 
 The ref is exported with ``git archive`` into a temporary directory (no
@@ -43,12 +43,14 @@ CHILD_ENVIRONMENT = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_N
 def _matrix() -> "dict[str, dict[str, Any]]":
     """Configuration name -> how to run it.  Keys: ``ref`` (input file),
     ``config`` / ``seeder`` (``PipelineConfig`` / ``SeederConfig`` keywords),
-    ``workers`` (``Engine``), ``run`` (``engine``, ``paired``,
+    ``workers`` (``Engine``), ``fault_spec`` (``ParallelConfig``), ``run`` (``engine``, ``paired``,
     ``read_spread`` or ``memory_spread``) and ``ranks`` (cluster size)."""
     m: "dict[str, dict[str, Any]]" = {
         # The four ledger workloads, spelled as ledger/child.py spells them.
         "phmm_full": {},
         "pool2_warm": {"workers": 2},
+        # The pool's recovery path: a worker death, then a rejected partial.
+        "pool2/faulted": {"workers": 2, "fault_spec": "crash:chunk=0;corrupt:chunk=1"},
         "seed_heavy": {
             "ref": "ref_decoy.fa",
             "seeder": {"qgram_filter": True},
@@ -76,7 +78,10 @@ def _matrix() -> "dict[str, dict[str, Any]]":
 
 
 MATRIX = _matrix()
-QUICK = ("phmm_full", "pool2_warm", "seed_heavy", "fast_chardisc", "CHARDISC/w3", "CENTDISC/w3")
+QUICK = (
+    "phmm_full", "pool2_warm", "pool2/faulted", "seed_heavy", "fast_chardisc",
+    "CHARDISC/w3", "CENTDISC/w3",
+)
 
 
 def _sha(data: bytes) -> str:
@@ -92,11 +97,13 @@ def run_config(inputs: Path, name: str) -> "dict[str, str]":
     from repro.genome.reference import Reference
     from repro.index.seeding import SeederConfig
     from repro.observability import scope
-    from repro.pipeline.config import PipelineConfig
+    from repro.pipeline.config import ParallelConfig, PipelineConfig
 
     spec = MATRIX[name]
     config = PipelineConfig(
-        seeder=SeederConfig(**spec.get("seeder", {})), **spec.get("config", {})
+        seeder=SeederConfig(**spec.get("seeder", {})),
+        parallel=ParallelConfig(fault_spec=spec.get("fault_spec", "")),
+        **spec.get("config", {}),
     )
     ref_path = inputs / spec.get("ref", "ref.fa")
     reads = read_fastq(str(inputs / "reads.fq"))
