@@ -18,7 +18,6 @@ well above it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -37,9 +36,6 @@ from repro.calling.records import BaseCall, SNPCall
 from repro.errors import CallingError
 from repro.genome.alphabet import GAP, N
 from repro.observability import current as metrics
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.genome.regions import RegionSet
 
 
 @dataclass
@@ -75,9 +71,9 @@ class CallerConfig:
         grows with depth) masquerade as hets at high coverage.  True hets
         sit near 0.5.
     call_gaps:
-        When False (default), positions whose winning channel is the gap are
-        reported as deletions only if this flag is on; otherwise skipped
-        (the paper's tables count substitution SNPs).
+        When True, positions whose winning channel is the gap are reported
+        as deletions.  When False (default) they are skipped: the paper's
+        tables count substitution SNPs.
     """
 
     ploidy: int = 1
@@ -182,22 +178,18 @@ class SNPCaller:
         z: np.ndarray,
         reference_codes: np.ndarray,
         positions: np.ndarray | None = None,
-        regions: "RegionSet | None" = None,
     ) -> list[SNPCall]:
         """Significant calls that differ from the reference.
 
         ``reference_codes`` is indexed by genome position (the full genome
         array, also when ``z`` covers a segment via ``positions``).
         Reference N positions are never reported (no truth to differ from).
-        ``regions`` (a :class:`~repro.genome.regions.RegionSet`) restricts
-        calls to the given intervals — targeted panels / blacklists.
         Records are built for the reported positions only.
         """
         reference_codes = np.asarray(reference_codes)
         columns = self._lrt_columns(z, positions)
         pos, _, top, second, _, _, signif, het = columns
-        keep = signif if regions is None else signif & regions.contains_many(pos)
-        idx = np.flatnonzero(keep)
+        idx = np.flatnonzero(signif)
         beyond = pos[idx] >= reference_codes.size
         if beyond.any():
             raise CallingError(

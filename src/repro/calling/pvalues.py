@@ -35,12 +35,6 @@ def significance_threshold(alpha: float = 0.001, df: int = 1) -> float:
     return float(stats.chi2.ppf(1.0 - alpha / 5.0, df))
 
 
-def is_significant(stat: np.ndarray, alpha: float = 0.001, df: int = 1) -> np.ndarray:
-    """Vectorised Bonferroni-adjusted significance mask."""
-    stat = np.asarray(stat, dtype=np.float64)
-    return stat > significance_threshold(alpha, df)
-
-
 def benjamini_hochberg(pvalues: np.ndarray, fdr: float = 0.05) -> np.ndarray:
     """Benjamini–Hochberg step-up procedure.
 
@@ -66,25 +60,3 @@ def benjamini_hochberg(pvalues: np.ndarray, fdr: float = 0.05) -> np.ndarray:
         k = below[-1]
         mask[order[: k + 1]] = True
     return mask
-
-
-def bh_adjusted_pvalues(pvalues: np.ndarray) -> np.ndarray:
-    """BH-adjusted (monotone "q-value"-style) p-values.
-
-    ``benjamini_hochberg(p, fdr)`` is equivalent to
-    ``bh_adjusted_pvalues(p) <= fdr``; the adjusted values are convenient for
-    reporting.
-    """
-    p = np.asarray(pvalues, dtype=np.float64)
-    if p.ndim != 1:
-        raise CallingError(f"pvalues must be 1-D, got shape {p.shape}")
-    if p.size == 0:
-        return np.zeros(0)
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    ranked = p[order] * m / np.arange(1, m + 1)
-    # enforce monotonicity from the largest rank downwards
-    adjusted = np.minimum.accumulate(ranked[::-1])[::-1]
-    out = np.empty(m)
-    out[order] = np.minimum(adjusted, 1.0)
-    return out

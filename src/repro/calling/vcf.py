@@ -1,22 +1,20 @@
-"""Minimal VCF 4.2 output (and matching reader) for SNP calls.
+"""Minimal VCF 4.2 output for SNP calls.
 
 The paper's GNUMAP-SNP "prints this location to a file" in a bespoke
 format; downstream tooling today expects VCF.  This module writes the
 subset of VCF 4.2 the caller produces — single-nucleotide substitutions
-with genotype, depth, LRT statistic and p-value — and reads it back
-(round-trip tested).  Deletions (gap-channel calls) are skipped with a
-count returned, since representing them properly needs anchored REF/ALT
-strings the accumulator does not retain.
+with genotype, depth, LRT statistic and p-value.  Deletions (gap-channel
+calls) are skipped with a count returned, since representing them properly
+needs anchored REF/ALT strings the accumulator does not retain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from pathlib import Path
 from typing import Iterable, TextIO
 
 from repro.calling.records import BaseCall, SNPCall
-from repro.errors import CallingError
 from repro.genome.alphabet import CODE_TO_CHAR, GAP
 
 _HEADER_LINES = [
@@ -26,20 +24,6 @@ _HEADER_LINES = [
     '##INFO=<ID=LRT,Number=1,Type=Float,Description="-2 log lambda statistic">',
     '##FORMAT=<ID=GT,Number=1,Type=String,Description="Genotype">',
 ]
-
-
-@dataclass(frozen=True)
-class VcfRecord:
-    """One parsed VCF data line (the subset this library emits)."""
-
-    chrom: str
-    pos: int  # 0-based internally; VCF text is 1-based
-    ref: str
-    alt: str
-    qual: float
-    depth: float
-    stat: float
-    genotype: str
 
 
 def _genotype_string(call: BaseCall, ref_base: int) -> str:
@@ -79,8 +63,6 @@ def write_vcf(
             if not alts:  # pragma: no cover - caller never emits ref-only
                 skipped += 1
                 continue
-            import math
-
             qual = (
                 5000.0
                 if snp.call.pvalue <= 0
@@ -97,49 +79,3 @@ def write_vcf(
         if owned:
             fh.close()
     return written, skipped
-
-
-def read_vcf(path_or_file: "str | Path | TextIO") -> list[VcfRecord]:
-    """Parse the VCF subset written by :func:`write_vcf`."""
-    owned = isinstance(path_or_file, (str, Path))
-    fh = open(path_or_file) if owned else path_or_file
-    out: list[VcfRecord] = []
-    try:
-        saw_header = False
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("##"):
-                if lineno == 1 and "VCF" not in line:
-                    raise CallingError("missing ##fileformat header")
-                saw_header = True
-                continue
-            if line.startswith("#CHROM"):
-                saw_header = True
-                continue
-            if not saw_header:
-                raise CallingError(f"data before VCF header at line {lineno}")
-            fields = line.split("\t")
-            if len(fields) < 10:
-                raise CallingError(f"malformed VCF line {lineno}")
-            chrom, pos, _id, ref, alt, qual, _filt, info, _fmt, sample = fields[:10]
-            info_map = dict(
-                kv.split("=", 1) for kv in info.split(";") if "=" in kv
-            )
-            out.append(
-                VcfRecord(
-                    chrom=chrom,
-                    pos=int(pos) - 1,
-                    ref=ref,
-                    alt=alt,
-                    qual=float(qual),
-                    depth=float(info_map.get("DP", "nan")),
-                    stat=float(info_map.get("LRT", "nan")),
-                    genotype=sample,
-                )
-            )
-    finally:
-        if owned:
-            fh.close()
-    return out

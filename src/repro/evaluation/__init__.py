@@ -1,6 +1,5 @@
-"""Evaluation: truth-set comparison and statistical-calibration diagnostics."""
+"""Evaluation: truth-set comparison, ROC sweeps and the run report."""
 
-from repro.evaluation.calibration import alpha_sweep, is_conservative, qq_points
 from repro.evaluation.metrics import ConfusionCounts, compare_to_truth, roc_sweep
 from repro.evaluation.report import run_report
 
@@ -8,8 +7,5 @@ __all__ = [
     "ConfusionCounts",
     "compare_to_truth",
     "roc_sweep",
-    "alpha_sweep",
-    "qq_points",
-    "is_conservative",
     "run_report",
 ]

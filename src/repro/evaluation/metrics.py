@@ -93,7 +93,8 @@ def roc_sweep(
     ``scored_positions`` holds ``(pos, score)`` for every candidate call,
     higher score = more confident.  Returns an array of rows
     ``(threshold, tp, fp, precision, recall)`` as the threshold sweeps over
-    every distinct score (descending).
+    every distinct score (descending): candidates tied on a score enter
+    together, so each row is an operating point some threshold reaches.
     """
     if n_truth is None:
         n_truth = len(truth)
@@ -103,14 +104,17 @@ def roc_sweep(
     rows = []
     tp = fp = 0
     seen: set[int] = set()
-    for pos, score in items:
-        if pos in seen:
-            continue
-        seen.add(pos)
-        if pos in truth:
-            tp += 1
-        else:
-            fp += 1
+    for i, (pos, score) in enumerate(items):
+        if pos not in seen:
+            seen.add(pos)
+            if pos in truth:
+                tp += 1
+            else:
+                fp += 1
+        if i + 1 < len(items) and items[i + 1][1] == score:
+            continue  # the rest of this score's candidates enter first
+        if rows and tp + fp == rows[-1][1] + rows[-1][2]:
+            continue  # only repeated positions: no new operating point
         precision = tp / (tp + fp)
         recall = tp / n_truth
         rows.append((score, tp, fp, precision, recall))

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.baselines.maq import MaqConfig, MaqLikeCaller
-from repro.calling.lrt import lrt_statistic_monoploid, top_channels
 from repro.errors import ConfigError
 from repro.evaluation.metrics import roc_sweep
 from repro.experiments.workload import Workload, build_workload
-from repro.genome.alphabet import N as CODE_N
+from repro.genome.alphabet import GAP, N
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
 from repro.util.tables import format_table
@@ -49,25 +48,26 @@ class RocPoint:
 
 
 def gnumap_scored_positions(
-    wl: Workload, config: PipelineConfig | None = None, min_depth: float = 3.0
+    wl: Workload, config: PipelineConfig | None = None
 ) -> "list[tuple[int, float]]":
     """Candidate (position, LRT statistic) pairs for non-reference calls.
 
-    No significance cutoff is applied — the sweep supplies the thresholds.
+    The statistics are the configured caller's own
+    (:meth:`~repro.calling.caller.SNPCaller.base_calls`), so depth
+    eligibility and ploidy follow ``config.caller``.  A candidate is a
+    tested position whose winning channel is a base other than its non-N
+    reference.  No significance cutoff is applied — the sweep supplies the
+    thresholds.
     """
-    config = config or PipelineConfig()
-    pipe = GnumapSnp(wl.reference, config)
+    pipe = GnumapSnp(wl.reference, config or PipelineConfig())
     acc, _ = pipe.map_reads(wl.reads)
-    z = acc.snapshot()
-    depth = z.sum(axis=1)
-    eligible = np.nonzero(depth >= min_depth)[0]
-    stats = lrt_statistic_monoploid(z[eligible])
-    top, _second = top_channels(z[eligible])
-    ref = wl.reference.codes[eligible]
-    keep = (top != ref) & (ref != CODE_N) & (top != 4)
+    ref = wl.reference.codes
     return [
-        (int(pos), float(stat))
-        for pos, stat in zip(eligible[keep], stats[keep])
+        (call.pos, call.stat)
+        for call in pipe.caller.base_calls(acc.snapshot())
+        if call.top_channel != GAP
+        and ref[call.pos] != N
+        and call.top_channel != ref[call.pos]
     ]
 
 
@@ -116,15 +116,6 @@ def run(
                 )
             )
     return out
-
-
-def auc_like(points: "list[RocPoint]", series: str) -> float:
-    """Mean precision over the series' sampled operating points (a scalar
-    summary for cross-series comparison; not a true integral)."""
-    vals = [p.precision for p in points if p.series == series]
-    if not vals:
-        raise ConfigError(f"no points for series {series!r}")
-    return float(np.mean(vals))
 
 
 def format(points: "list[RocPoint]") -> str:

@@ -24,7 +24,6 @@ from repro.genome.alphabet import (
 from repro.genome.reference import Reference
 from repro.genome.fasta import read_fasta, write_fasta
 from repro.genome.fastq import Read, read_fastq, write_fastq
-from repro.genome.regions import Region, RegionSet
 from repro.genome.variants import (
     Variant,
     VariantCatalog,
@@ -56,6 +55,4 @@ __all__ = [
     "VariantCatalog",
     "apply_variants",
     "generate_snp_catalog",
-    "Region",
-    "RegionSet",
 ]

@@ -44,11 +44,6 @@ for _i, _ch in enumerate(CODE_TO_CHAR):
 # Complement in code space: A<->T, C<->G, N->N.
 _COMPLEMENT = np.array([T, G, C, A, N], dtype=np.uint8)
 
-#: Purine codes (A, G); the transition/transversion machinery uses these.
-PURINES: tuple[int, int] = (A, G)
-#: Pyrimidine codes (C, T).
-PYRIMIDINES: tuple[int, int] = (C, T)
-
 #: ``TRANSITION_OF[b]`` is the transition partner of base ``b`` (A<->G, C<->T).
 TRANSITION_OF = np.array([G, T, A, C], dtype=np.uint8)
 
@@ -104,20 +99,3 @@ def reverse_complement(codes: np.ndarray) -> np.ndarray:
 def reverse_complement_string(seq: str) -> str:
     """Reverse-complement a nucleotide string."""
     return decode(reverse_complement(encode(seq)))
-
-
-def is_transition(a: int, b: int) -> bool:
-    """True when ``a -> b`` is a transition (purine<->purine or pyr<->pyr).
-
-    A base is not a transition of itself.
-    """
-    if a == b:
-        return False
-    return (a in PURINES) == (b in PURINES)
-
-
-def is_transversion(a: int, b: int) -> bool:
-    """True when ``a -> b`` swaps purine/pyrimidine class."""
-    if a == b or a == N or b == N:
-        return False
-    return not is_transition(a, b)

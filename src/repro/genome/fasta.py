@@ -8,7 +8,6 @@ than silently producing odd records.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -110,10 +109,3 @@ def write_fasta(
     finally:
         if owned:
             fh.close()
-
-
-def fasta_string(records: dict[str, np.ndarray], width: int = 70) -> str:
-    """Render records to a FASTA-formatted string (round-trips with reader)."""
-    buf = io.StringIO()
-    write_fasta(buf, records, width=width)
-    return buf.getvalue()

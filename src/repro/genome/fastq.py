@@ -9,7 +9,6 @@ probabilities via ``p_err = 10**(-Q/10)``; the PWM layer turns those into the
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -163,10 +162,3 @@ def write_fastq(path_or_file: "str | Path | TextIO", reads: "list[Read]") -> Non
     finally:
         if owned:
             fh.close()
-
-
-def fastq_string(reads: "list[Read]") -> str:
-    """Render reads to a FASTQ string (round-trips with the reader)."""
-    buf = io.StringIO()
-    write_fastq(buf, reads)
-    return buf.getvalue()

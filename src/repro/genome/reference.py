@@ -103,20 +103,6 @@ class Reference:
             )
         return lo, self._codes[lo:hi]
 
-    def candidate_window(
-        self, hit_pos: int, read_len: int, pad: int
-    ) -> tuple[int, np.ndarray]:
-        """Window for aligning a read whose seed hit begins at ``hit_pos``.
-
-        The window spans the read footprint plus ``pad`` bases each side so
-        the semi-global PHMM can slide and open edge gaps.
-        """
-        if read_len <= 0:
-            raise SequenceError("read_len must be positive")
-        if pad < 0:
-            raise SequenceError("pad must be non-negative")
-        return self.window(hit_pos - pad, read_len + 2 * pad)
-
     def split(self, parts: int) -> list[Segment]:
         """Split the genome into ``parts`` contiguous near-equal segments.
 

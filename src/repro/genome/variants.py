@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -55,11 +55,6 @@ class Variant:
         if self.genotype not in ("hom", "het"):
             raise VariantError(f"invalid genotype {self.genotype!r}")
 
-    @property
-    def is_transition(self) -> bool:
-        """True for purine<->purine / pyrimidine<->pyrimidine substitutions."""
-        return self.ref != N and int(TRANSITION_OF[self.ref]) == self.alt
-
 
 class VariantCatalog:
     """An ordered, position-unique collection of :class:`Variant`.
@@ -98,12 +93,6 @@ class VariantCatalog:
     def positions(self) -> np.ndarray:
         """Sorted variant positions as ``int64``."""
         return np.array([v.pos for v in self._variants], dtype=np.int64)
-
-    def transition_fraction(self) -> float:
-        """Fraction of variants that are transitions."""
-        if not self._variants:
-            return 0.0
-        return sum(v.is_transition for v in self._variants) / len(self._variants)
 
     def write_tsv(self, path_or_file: "str | Path | TextIO") -> None:
         """Write ``pos / ref / alt / genotype`` TSV with a header line."""

@@ -5,19 +5,10 @@ query the index with their own k-mers and the hit diagonals are clustered
 into candidate mapping regions for the Pair-HMM.
 """
 
-from repro.index.kmer import (
-    KmerCodec,
-    pack_kmer,
-    unpack_kmer,
-)
 from repro.index.hashindex import GenomeIndex
 from repro.index.seeding import CandidateRegion, Seeder, SeederConfig
 
 __all__ = [
-    "KmerCodec",
-    "pack_kmer",
-    "unpack_kmer",
-    "GenomeIndex",
     "GenomeIndex",
     "CandidateRegion",
     "Seeder",

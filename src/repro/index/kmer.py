@@ -21,30 +21,6 @@ def _check_k(k: int) -> None:
         raise IndexError_(f"k must be in [1, {MAX_K}], got {k}")
 
 
-def pack_kmer(codes: np.ndarray) -> int:
-    """Pack a length-k code array into an integer (first base most significant)."""
-    codes = np.asarray(codes)
-    _check_k(codes.size)
-    if (codes > 3).any():
-        raise IndexError_("cannot pack a k-mer containing N")
-    value = 0
-    for c in codes:
-        value = (value << 2) | int(c)
-    return value
-
-
-def unpack_kmer(value: int, k: int) -> np.ndarray:
-    """Inverse of :func:`pack_kmer`."""
-    _check_k(k)
-    if value < 0 or value >= (1 << (2 * k)):
-        raise IndexError_(f"packed value {value} out of range for k={k}")
-    out = np.empty(k, dtype=np.uint8)
-    for i in range(k - 1, -1, -1):
-        out[i] = value & 3
-        value >>= 2
-    return out
-
-
 def rolling_kmers(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """All packed k-mers of a sequence, vectorised.
 
@@ -68,25 +44,3 @@ def rolling_kmers(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n_windows = np.lib.stride_tricks.sliding_window_view(is_n, k)
     valid = ~n_windows.any(axis=1)
     return packed, valid
-
-
-class KmerCodec:
-    """Pack/unpack helper bound to a fixed k (object form of the functions)."""
-
-    def __init__(self, k: int) -> None:
-        _check_k(k)
-        self.k = k
-        self.n_kmers = 1 << (2 * k)
-
-    def pack(self, codes: np.ndarray) -> int:
-        if np.asarray(codes).size != self.k:
-            raise IndexError_(
-                f"expected a {self.k}-mer, got {np.asarray(codes).size} bases"
-            )
-        return pack_kmer(codes)
-
-    def unpack(self, value: int) -> np.ndarray:
-        return unpack_kmer(value, self.k)
-
-    def rolling(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return rolling_kmers(codes, self.k)

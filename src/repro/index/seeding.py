@@ -240,21 +240,6 @@ def _cluster_runs(
     return reps, totals
 
 
-def cluster_diagonals(
-    udiags: np.ndarray, votes: np.ndarray, slack: int
-) -> "list[tuple[int, int]]":
-    """Cluster one sequence's sorted unique diagonals (the one-sequence
-    form of :func:`_cluster_runs`, which seeding runs on a whole block).
-
-    Returns ``(representative_diagonal, total_votes)`` pairs, ascending;
-    each diagonal's votes go to exactly one cluster.
-    """
-    reps, totals = _cluster_runs(
-        np.asarray(udiags, dtype=np.int64), np.asarray(votes, dtype=np.int64), slack
-    )
-    return list(zip(reps.tolist(), totals.tolist()))
-
-
 def _split_run(
     d: np.ndarray, v: np.ndarray, slack: int, out: "list[tuple[int, int]]"
 ) -> None:

@@ -84,18 +84,6 @@ class FootprintModel:
         """Projected footprint in GB (decimal, as the paper reports)."""
         return self.total_bytes(optimization, genome_length) / 1e9
 
-    def per_rank_gb(
-        self, optimization: str, genome_length: int, n_ranks: int
-    ) -> float:
-        """Footprint per rank when the genome is spread over ``n_ranks``.
-
-        Memory-spread mode divides the genome+accumulator state evenly; the
-        read-spread mode replicates it (use ``n_ranks=1``).
-        """
-        if n_ranks <= 0:
-            raise AccumulatorError("n_ranks must be positive")
-        return self.total_gb(optimization, genome_length) / n_ranks
-
     @staticmethod
     def measure(
         accumulator: "Accumulator",

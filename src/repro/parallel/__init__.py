@@ -10,7 +10,7 @@ cost model for compute and communication.  Speedup figures read the virtual
 clocks; correctness tests compare parallel results bit-for-bit against
 serial execution.
 
-The ``Comm`` API mirrors mpi4py (``send/recv/bcast/scatter/gather/
+The ``Comm`` API mirrors mpi4py (``send/recv/bcast/gather/
 allgather/allreduce/barrier``) so the programs would port to real mpi4py
 verbatim.
 """

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.errors import CommError
 from repro.parallel.clock import VirtualClock
@@ -196,24 +196,6 @@ class Comm:
             return payload, max(clocks) + cost.bcast_time(size, nbytes)
 
         return self._rendezvous(obj if self.rank == root else None, action)
-
-    def scatter(self, values: "Sequence[Any] | None", root: int = 0) -> Any:
-        """Scatter one element per rank from ``root``'s sequence."""
-        self._check_root(root)
-        cost, size, rank = self.shared.cost, self.size, self.rank
-        if self.rank == root:
-            if values is None or len(values) != size:
-                raise CommError(
-                    f"root must scatter exactly {size} values"
-                )
-
-        def action(slots: "list[Any]", clocks: "list[float]") -> "tuple[Any, float]":
-            seq = slots[root]
-            per = max(payload_nbytes(v) for v in seq)
-            return list(seq), max(clocks) + cost.scatter_time(size, per)
-
-        result = self._rendezvous(values if self.rank == root else None, action)
-        return result[rank]
 
     def gather(self, obj: Any, root: int = 0) -> "list[Any] | None":
         """Gather one element per rank to ``root`` (None elsewhere)."""

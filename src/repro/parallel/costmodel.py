@@ -100,10 +100,6 @@ class LogGPModel:
             total += self.p2p_time(nbytes_each * (2**r))
         return total
 
-    def scatter_time(self, n_ranks: int, nbytes_each: int) -> float:
-        """Reverse of gather."""
-        return self.gather_time(n_ranks, nbytes_each)
-
     def allgather_time(self, n_ranks: int, nbytes_each: int) -> float:
         """Gather + broadcast of the concatenated payload."""
         return self.gather_time(n_ranks, nbytes_each) + self.bcast_time(

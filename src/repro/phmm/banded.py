@@ -78,15 +78,6 @@ class BandSpec:
         hi = min(self.m, i + self.center + self.width)
         return lo, hi
 
-    def covers_matrix(self) -> bool:
-        """True when every row's band spans all columns ``0..m`` (the fill is
-        then bit-identical to ``band=None``)."""
-        for i in (0, self.n):
-            lo, hi = self.row_bounds(i)
-            if lo > 0 or hi < self.m:
-                return False
-        return True
-
     def interior_edges(self, i: int) -> tuple[int, int]:
         """Band-edge columns of row ``i`` that are *interior* to the matrix.
 

@@ -29,8 +29,6 @@ import numpy as np
 
 from repro.errors import ModelError
 
-_TOL = 1e-9
-
 
 def default_emission(match: float = 0.97) -> np.ndarray:
     """Build the 4x5 ``p[k, y]`` table from a single match probability.
@@ -115,23 +113,3 @@ class PHMMParams:
     def T_GM(self) -> float:
         """G -> M: ``1 - gap_extend``."""
         return 1.0 - self.gap_extend
-
-    def transition_matrix(self) -> np.ndarray:
-        """3x3 row-stochastic matrix over states ordered (M, G_X, G_Y).
-
-        Gap-to-opposite-gap transitions are disallowed (standard pair-HMM
-        structure), so each gap row is (T_GM, T_GG, 0) / (T_GM, 0, T_GG).
-        """
-        return np.array(
-            [
-                [self.T_MM, self.T_MG, self.T_MG],
-                [self.T_GM, self.T_GG, 0.0],
-                [self.T_GM, 0.0, self.T_GG],
-            ]
-        )
-
-    def validate_stochastic(self) -> None:
-        """Raise :class:`ModelError` unless every transition row sums to 1."""
-        rows = self.transition_matrix().sum(axis=1)
-        if not np.allclose(rows, 1.0, atol=_TOL):
-            raise ModelError(f"transition rows must sum to 1, got {rows}")

@@ -69,15 +69,3 @@ def reverse_complement_pwm(pwm: np.ndarray) -> np.ndarray:
         raise SequenceError(f"PWM must be (N, 4), got {pwm.shape}")
     # complement permutation over columns A,C,G,T -> T,G,C,A
     return pwm[::-1, [3, 2, 1, 0]].copy()
-
-
-def validate_pwm(pwm: np.ndarray, atol: float = 1e-8) -> None:
-    """Raise :class:`SequenceError` unless each row is a distribution."""
-    pwm = np.asarray(pwm)
-    if pwm.ndim != 2 or pwm.shape[1] != 4:
-        raise SequenceError(f"PWM must be (N, 4), got {pwm.shape}")
-    if (pwm < -atol).any():
-        raise SequenceError("PWM has negative entries")
-    sums = pwm.sum(axis=1)
-    if not np.allclose(sums, 1.0, atol=1e-6):
-        raise SequenceError("PWM rows must sum to 1")

@@ -9,7 +9,7 @@ weighting that distinguishes GNUMAP-SNP from single-best-hit callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

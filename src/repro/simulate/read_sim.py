@@ -227,10 +227,3 @@ class ReadSimulator:
                 continue
             emitted += 1
             yield read
-
-
-def expected_coverage(n_reads: int, read_length: int, genome_length: int) -> float:
-    """Mean per-base coverage implied by a read set."""
-    if genome_length <= 0:
-        raise ConfigError("genome_length must be positive")
-    return n_reads * read_length / genome_length

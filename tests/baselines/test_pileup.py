@@ -1,6 +1,5 @@
 """Tests for the naive pileup baseline."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.pileup import PileupCaller

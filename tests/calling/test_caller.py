@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.calling.caller as caller_module
 from repro.calling.caller import CallerConfig, SNPCaller
-from repro.calling.negative_multinomial import sample_alternative, sample_null
 from repro.calling.records import BaseCall, SNPCall
 from repro.errors import CallingError
 from repro.genome.alphabet import GAP, N, encode
-from repro.genome.regions import RegionSet
+from tests.calling.negative_multinomial import sample_alternative, sample_null
 
 
 def z_matrix(rows):
@@ -137,14 +136,12 @@ class TestSnps:
         assert any(s.pos == 4 for s in snps)
 
 
-def snps_by_loop(caller, z, reference_codes, positions=None, regions=None):
+def snps_by_loop(caller, z, reference_codes, positions=None):
     """The per-record filter ``snps`` was before it became one predicate over
     the LRT arrays: every eligible position's ``BaseCall``, one at a time."""
     reference_codes = np.asarray(reference_codes)
     out = []
     for call in caller.base_calls(z, positions):
-        if regions is not None and call.pos not in regions:
-            continue
         if not call.significant:
             continue
         if call.pos >= reference_codes.size:
@@ -192,34 +189,19 @@ class TestSnpsAgainstPerRecordOracle:
         ploidy=st.sampled_from([1, 2]),
         method=st.sampled_from(["bonferroni", "fdr"]),
         call_gaps=st.booleans(),
-        use_regions=st.booleans(),
         segment=st.booleans(),
     )
-    # Its cuts give no non-empty interval: an empty RegionSet, which once
-    # raised IndexError in contains_many instead of returning no calls.
-    @example(
-        seed=1893, ploidy=1, method="bonferroni", call_gaps=False,
-        use_regions=True, segment=False,
-    )
-    def test_snps_equal_filtered_base_calls(
-        self, seed, ploidy, method, call_gaps, use_regions, segment
-    ):
+    def test_snps_equal_filtered_base_calls(self, seed, ploidy, method, call_gaps, segment):
         rng = np.random.default_rng(seed)
         length = int(rng.integers(1, 400))
         z, ref = mixed_evidence(rng, length)
         caller = SNPCaller(CallerConfig(ploidy=ploidy, method=method, call_gaps=call_gaps))
-        regions = None
-        if use_regions:
-            cuts = np.sort(rng.integers(0, length + 1, 6))
-            regions = RegionSet(
-                [(int(a), int(b)) for a, b in zip(cuts[::2], cuts[1::2]) if b > a]
-            )
         positions = None
         if segment:
             lo = int(rng.integers(0, length))
             z, positions = z[lo:], np.arange(lo, length)
-        got = caller.snps(z, ref, positions, regions)
-        assert got == snps_by_loop(caller, z, ref, positions, regions)
+        got = caller.snps(z, ref, positions)
+        assert got == snps_by_loop(caller, z, ref, positions)
         assert all(type(s.ref_base) is int and type(s.pos) is int for s in got)
 
     def test_depth_is_the_row_sum_bit_for_bit(self):
@@ -238,15 +220,14 @@ class TestSnpsAgainstPerRecordOracle:
 
     def test_only_reportable_positions_must_lie_on_the_reference(self):
         """An out-of-range position raises only where the old loop reached the
-        reference lookup: significant and inside ``regions``."""
+        reference lookup: at a significant position."""
         caller = SNPCaller()
         z = np.array([[15.0, 0, 0, 0, 0], [2.0, 2.0, 2.0, 2.0, 2.0], [15.0, 0, 0, 0, 0]])
         ref = encode("CC")
         positions = np.array([0, 50, 60])
         with pytest.raises(CallingError, match="call at 60 beyond reference of 2"):
             caller.snps(z, ref, positions)
-        inside = RegionSet([(0, 55)])
-        assert [s.pos for s in caller.snps(z, ref, positions, inside)] == [0]
+        assert [s.pos for s in caller.snps(z[:2], ref, positions[:2])] == [0]
 
     def test_records_are_built_for_calls_not_for_the_genome(self, monkeypatch):
         """100 kbp of well-covered reference-matching evidence with 5 planted

@@ -1,16 +1,17 @@
-"""Tests for the continuous negative-multinomial helpers."""
+"""Tests for the continuous negative-multinomial test helpers (samplers,
+kernel log-likelihood and the paper's monoploid MLE oracle)."""
 
 import numpy as np
 import pytest
 
-from repro.calling.negative_multinomial import (
+from repro.errors import CallingError
+from tests.calling.negative_multinomial import (
     loglik,
     mle_monoploid,
     sample_alternative,
     sample_heterozygous,
     sample_null,
 )
-from repro.errors import CallingError
 
 
 class TestLoglik:

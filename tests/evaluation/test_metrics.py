@@ -70,6 +70,16 @@ class TestRocSweep:
         assert (tps[1:] >= tps[:-1]).all()
         assert rows[-1, 4] == pytest.approx(1.0)
 
+    def test_tied_scores_make_one_operating_point(self):
+        """A threshold admits every candidate of a score at once: ties give
+        one row, whatever order they arrive in."""
+        rows = roc_sweep([(1, 5.0), (2, 5.0)], catalog())
+        assert rows.tolist() == [[5.0, 0.0, 2.0, 0.0, 0.0]]
+        scored = [(10, 5.0), (99, 5.0), (20, 3.0)]
+        rows = roc_sweep(scored, catalog())
+        assert rows.tolist() == roc_sweep(scored[::-1], catalog()).tolist()
+        assert rows[:, :3].tolist() == [[5.0, 1.0, 1.0], [3.0, 2.0, 1.0]]
+
     def test_duplicate_positions_counted_once(self):
         rows = roc_sweep([(10, 5.0), (10, 4.0)], catalog())
         assert rows.shape[0] == 1

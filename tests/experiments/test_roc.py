@@ -1,10 +1,15 @@
 """Tests for the ROC threshold-sweep experiment."""
 
+import numpy as np
 import pytest
 
+from repro.calling.caller import CallerConfig
 from repro.errors import ConfigError
 from repro.experiments import roc
 from repro.experiments.workload import build_workload
+from repro.genome.alphabet import GAP, N
+from repro.pipeline.config import PipelineConfig
+from repro.pipeline.gnumap import GnumapSnp
 
 
 @pytest.fixture(scope="module")
@@ -28,9 +33,31 @@ class TestScoredPositions:
         t_scores = [s for p, s in scored.items() if p in truth]
         bg_scores = [s for p, s in scored.items() if p not in truth]
         if t_scores and bg_scores:
-            import numpy as np
-
             assert np.median(t_scores) > np.median(bg_scores)
+
+    def test_default_config_scores_the_non_reference_base_calls(self, workload):
+        pipe = GnumapSnp(workload.reference, PipelineConfig())
+        acc, _ = pipe.map_reads(workload.reads)
+        ref = workload.reference.codes
+        expected = [
+            (call.pos, call.stat)
+            for call in pipe.caller.base_calls(acc.snapshot())
+            if ref[call.pos] != N and call.top_channel not in (ref[call.pos], GAP)
+        ]
+        assert expected
+        assert roc.gnumap_scored_positions(workload) == expected
+
+    def test_caller_min_depth_is_honoured(self):
+        """Depth eligibility is ``CallerConfig.min_depth``, not a constant of
+        the sweep: on this workload a fixed 3.0 would admit candidates at
+        depths 5.5-9.2."""
+        wl = build_workload(scale="tiny", seed=2012)
+        config = PipelineConfig(caller=CallerConfig(min_depth=10.0))
+        scored = roc.gnumap_scored_positions(wl, config)
+        acc, _ = GnumapSnp(wl.reference, config).map_reads(wl.reads)
+        depth = acc.snapshot().sum(axis=1)
+        assert scored
+        assert all(depth[pos] >= 10.0 for pos, _ in scored)
 
     def test_maq_scores(self, workload):
         scored = roc.maq_scored_positions(workload)
@@ -53,13 +80,6 @@ class TestRun:
         for series in {p.series for p in points}:
             recs = [p.recall for p in points if p.series == series]
             assert all(b >= a for a, b in zip(recs, recs[1:]))
-
-    def test_auc_like(self, workload):
-        points = roc.run(workload=workload, n_points=4)
-        series = next(iter({p.series for p in points}))
-        assert 0 <= roc.auc_like(points, series) <= 1
-        with pytest.raises(ConfigError):
-            roc.auc_like(points, "nope")
 
     def test_validation(self, workload):
         with pytest.raises(ConfigError):

@@ -1,6 +1,5 @@
 """Tests for the shared experiment workload builder."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigError

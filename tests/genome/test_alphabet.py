@@ -15,12 +15,11 @@ from repro.genome.alphabet import (
     T,
     decode,
     encode,
-    is_transition,
-    is_transversion,
     is_valid_codes,
     reverse_complement,
     reverse_complement_string,
 )
+from tests.genome.tstv import is_transition, is_transversion
 
 dna = st.text(alphabet="ACGTN", min_size=0, max_size=200)
 dna_nonempty = st.text(alphabet="ACGTN", min_size=1, max_size=200)

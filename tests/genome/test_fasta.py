@@ -2,14 +2,19 @@
 
 import io
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import FastaError
 from repro.genome.alphabet import encode
-from repro.genome.fasta import fasta_string, iter_fasta, read_fasta, write_fasta
+from repro.genome.fasta import iter_fasta, read_fasta, write_fasta
+
+
+def fasta_string(records, width=70):
+    buf = io.StringIO()
+    write_fasta(buf, records, width=width)
+    return buf.getvalue()
 
 
 def roundtrip(records, width=70):

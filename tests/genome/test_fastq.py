@@ -12,10 +12,15 @@ from repro.genome.alphabet import encode
 from repro.genome.fastq import (
     MAX_QUALITY,
     Read,
-    fastq_string,
     read_fastq,
     write_fastq,
 )
+
+
+def fastq_string(reads):
+    buf = io.StringIO()
+    write_fastq(buf, reads)
+    return buf.getvalue()
 
 
 def mk_read(name="r", seq="ACGT", quals=(30, 30, 30, 30)):

@@ -65,17 +65,6 @@ class TestWindow:
         with pytest.raises(SequenceError):
             self.ref.window(0, 0)
 
-    def test_candidate_window(self):
-        start, codes = self.ref.candidate_window(hit_pos=4, read_len=3, pad=2)
-        assert start == 2
-        assert codes.size == 7
-
-    def test_candidate_window_validation(self):
-        with pytest.raises(SequenceError):
-            self.ref.candidate_window(0, 0, 1)
-        with pytest.raises(SequenceError):
-            self.ref.candidate_window(0, 3, -1)
-
 
 class TestSplit:
     def test_covers_exactly(self):

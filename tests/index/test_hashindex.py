@@ -6,13 +6,18 @@ import pytest
 from repro.errors import IndexError_
 from repro.genome.reference import Reference
 from repro.index.hashindex import GenomeIndex
-from repro.index.kmer import pack_kmer, rolling_kmers
+from repro.index.kmer import rolling_kmers
 from repro.observability import MetricsRegistry, use
 from repro.simulate.genome_sim import GenomeSpec, simulate_genome
 
 
 def ref_from(seq: str) -> Reference:
     return Reference.from_string(seq)
+
+
+def pack_kmer(codes: np.ndarray) -> int:
+    packed, _ = rolling_kmers(codes, codes.size)
+    return int(packed[0])
 
 
 def hits_of(idx: GenomeIndex, packed_kmer: int) -> np.ndarray:

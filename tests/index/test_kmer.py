@@ -1,46 +1,41 @@
 """Tests for 2-bit k-mer packing."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import IndexError_
 from repro.genome.alphabet import encode
-from repro.index.kmer import MAX_K, KmerCodec, pack_kmer, rolling_kmers, unpack_kmer
+from repro.index.kmer import MAX_K, rolling_kmers
+
+
+def pack_kmer(codes):
+    """Scalar oracle: an ACGT k-mer read as a base-4 number, first base most
+    significant."""
+    return int("".join(str(int(c)) for c in codes), 4)
+
+
+def packed(seq):
+    """The production packing of one whole k-mer."""
+    values, valid = rolling_kmers(encode(seq), len(seq))
+    assert valid.all()
+    return int(values[0])
 
 
 class TestPackUnpack:
     def test_known_values(self):
-        assert pack_kmer(encode("A")) == 0
-        assert pack_kmer(encode("T")) == 3
-        assert pack_kmer(encode("AC")) == 1
-        assert pack_kmer(encode("CA")) == 4
-        assert pack_kmer(encode("TTTT")) == 255
-
-    def test_unpack_inverse(self):
-        assert unpack_kmer(4, 2).tolist() == [1, 0]
-
-    @given(st.text(alphabet="ACGT", min_size=1, max_size=MAX_K))
-    def test_round_trip(self, seq):
-        codes = encode(seq)
-        assert (unpack_kmer(pack_kmer(codes), len(seq)) == codes).all()
-
-    def test_n_rejected(self):
-        with pytest.raises(IndexError_):
-            pack_kmer(encode("ACN"))
+        assert packed("A") == 0
+        assert packed("T") == 3
+        assert packed("AC") == 1
+        assert packed("CA") == 4
+        assert packed("TTTT") == 255
+        assert packed("T" * MAX_K) == 4**MAX_K - 1
 
     def test_k_limits(self):
         with pytest.raises(IndexError_):
-            pack_kmer(encode("A" * (MAX_K + 1)))
+            rolling_kmers(encode("A" * (MAX_K + 1)), MAX_K + 1)
         with pytest.raises(IndexError_):
-            unpack_kmer(0, 0)
-
-    def test_unpack_range_check(self):
-        with pytest.raises(IndexError_):
-            unpack_kmer(16, 2)  # 2-mers only reach 15
-        with pytest.raises(IndexError_):
-            unpack_kmer(-1, 2)
+            rolling_kmers(encode("A"), 0)
 
 
 class TestRollingKmers:
@@ -76,18 +71,3 @@ class TestRollingKmers:
                 assert valid[i]
                 assert packed[i] == pack_kmer(window)
 
-
-class TestKmerCodec:
-    def test_bound_k(self):
-        codec = KmerCodec(4)
-        assert codec.n_kmers == 256
-        codes = encode("ACGT")
-        assert codec.unpack(codec.pack(codes)).tolist() == codes.tolist()
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(IndexError_):
-            KmerCodec(3).pack(encode("ACGT"))
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(IndexError_):
-            KmerCodec(0)

@@ -12,10 +12,19 @@ from repro.index.seeding import (
     CandidateRegion,
     Seeder,
     SeederConfig,
-    cluster_diagonals,
+    _cluster_runs,
 )
 from repro.observability import scope
 from repro.simulate.genome_sim import GenomeSpec, simulate_genome
+
+
+def cluster_diagonals(udiags, votes, slack):
+    """One sequence's sorted unique diagonals through the block clustering
+    seeding runs: ``(representative, total_votes)`` pairs, ascending."""
+    reps, totals = _cluster_runs(
+        np.asarray(udiags, dtype=np.int64), np.asarray(votes, dtype=np.int64), slack
+    )
+    return list(zip(reps.tolist(), totals.tolist()))
 
 
 def make_setup(length=5000, seed=0, n_repeats=0, **idx_kw):

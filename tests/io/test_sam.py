@@ -9,7 +9,7 @@ from repro.errors import PipelineError
 from repro.experiments.workload import build_workload
 from repro.genome.alphabet import decode, reverse_complement
 from repro.genome.fastq import Read
-from repro.io.sam import Placement, _cigar_from_pairs, _mapq, collect_placements, write_sam
+from repro.io.sam import _cigar_from_pairs, _mapq, collect_placements, write_sam
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
 

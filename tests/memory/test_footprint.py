@@ -29,11 +29,6 @@ class TestProjection:
             2 * model.total_gb("NORM", CHRX_LENGTH)
         )
 
-    def test_per_rank_division(self):
-        model = FootprintModel()
-        total = model.total_gb("NORM", HUMAN_LENGTH)
-        assert model.per_rank_gb("NORM", HUMAN_LENGTH, 30) == pytest.approx(total / 30)
-
     def test_case_insensitive(self):
         model = FootprintModel()
         assert model.bytes_per_base("chardisc") == model.bytes_per_base("CHARDISC")
@@ -44,8 +39,6 @@ class TestProjection:
             model.bytes_per_base("BOGUS")
         with pytest.raises(AccumulatorError):
             model.total_bytes("NORM", 0)
-        with pytest.raises(AccumulatorError):
-            model.per_rank_gb("NORM", 100, 0)
 
 
 class TestMeasure:

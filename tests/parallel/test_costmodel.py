@@ -47,7 +47,6 @@ class TestLogGPModel:
         m = LogGPModel(latency=0.0, byte_time=1e-9)
         # rounds with payload 1x, 2x, 4x -> total 7x
         assert m.gather_time(8, 1000) == pytest.approx(7e-6)
-        assert m.scatter_time(8, 1000) == m.gather_time(8, 1000)
 
     def test_allgather_includes_bcast(self):
         m = LogGPModel()

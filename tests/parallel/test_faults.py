@@ -7,7 +7,6 @@ from repro.errors import ConfigError
 from repro.parallel.faults import (
     EMPTY_PLAN,
     FaultClause,
-    FaultPlan,
     corrupt_buffers,
     parse_fault_spec,
     resolve_fault_plan,

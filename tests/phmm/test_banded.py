@@ -66,13 +66,13 @@ class TestBandSpec:
         assert band.row_bounds(5) == (3, 7)
         wide = BandSpec(n=5, m=10, center=5, width=50)
         assert wide.row_bounds(0) == (0, 10)
-        assert wide.covers_matrix()
+        assert not wide.outside_mask().any()
 
     def test_band_can_slide_off_matrix(self):
         band = BandSpec(n=10, m=6, center=5, width=1)
         lo, hi = band.row_bounds(10)
         assert lo > hi  # empty row: band left the matrix
-        assert not band.covers_matrix()
+        assert band.outside_mask().any()
 
     def test_n_cells_matches_mask(self):
         band = BandSpec(n=7, m=11, center=3, width=2)
@@ -97,7 +97,7 @@ class TestExactness:
         n, m = pwms.shape[1], windows.shape[1]
         pstar = emissions_batch(pwms, windows, PARAMS)
         band = BandSpec(n=n, m=m, center=m // 2, width=n + m)
-        assert band.covers_matrix()
+        assert not band.outside_mask().any()
         fwd_b = forward_batch(pstar, PARAMS, mode=mode, band=band)
         fwd_f = forward_batch(pstar, PARAMS, mode=mode)
         assert np.array_equal(fwd_b.loglik, fwd_f.loglik)

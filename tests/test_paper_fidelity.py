@@ -24,7 +24,7 @@ class TestSectionVI:
         """§V-C: 'suppose that 14, 1, 3, and 2 of the reads align an A, C,
         G, and T ... z = (14, 1, 3, 2, 0)' with MLEs p(5) = z(5)/n and
         p(4) = (n - z(5))/4n."""
-        from repro.calling.negative_multinomial import mle_monoploid
+        from tests.calling.negative_multinomial import mle_monoploid
 
         z = np.array([[14.0, 1.0, 3.0, 2.0, 0.0]])
         p_top, p_rest = mle_monoploid(z)

@@ -1,6 +1,6 @@
 """Do this tree and a git ref make the same calls?  One declared matrix.
 
-    python tools/identity.py --ref 6283481            # 26 configs x 4 seeds
+    python tools/identity.py --ref 6283481            # 28 configs x 4 seeds
     python tools/identity.py --ref origin/main --quick
 
 The ref is exported with ``git archive`` into a temporary directory (no
@@ -10,7 +10,8 @@ writes one input set, and one child process per (tree, seed) runs every
 configuration of the matrix against it with ``PYTHONPATH`` pointing at that
 tree's ``src``.  Each configuration reports the sha256 of
 
-* its call TSV, as ``CallResult.write_tsv`` writes it;
+* its call TSV, as ``CallResult.write_tsv`` writes it (for the ``roc`` run,
+  the ROC sweep's scored ``(pos, stat)`` candidates, one per line);
 * its accumulator's ``to_buffers()`` (``-`` for the simulated-cluster
   programs, whose root returns calls only);
 * its ``seed.*``, ``phmm.pairs`` and ``caller.snps`` counters.
@@ -43,7 +44,8 @@ CHILD_ENVIRONMENT = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_N
 def _matrix() -> "dict[str, dict[str, Any]]":
     """Configuration name -> how to run it.  Keys: ``ref`` (input file),
     ``config`` / ``seeder`` (``PipelineConfig`` / ``SeederConfig`` keywords),
-    ``workers`` (``Engine``), ``fault_spec`` (``ParallelConfig``), ``run`` (``engine``, ``paired``,
+    ``workers`` (``Engine``), ``fault_spec`` (``ParallelConfig``), ``telemetry``
+    (``TelemetryConfig`` keywords), ``run`` (``engine``, ``paired``, ``roc``,
     ``read_spread`` or ``memory_spread``) and ``ranks`` (cluster size)."""
     m: "dict[str, dict[str, Any]]" = {
         # The four ledger workloads, spelled as ledger/child.py spells them.
@@ -51,6 +53,11 @@ def _matrix() -> "dict[str, dict[str, Any]]":
         "pool2_warm": {"workers": 2},
         # The pool's recovery path: a worker death, then a rejected partial.
         "pool2/faulted": {"workers": 2, "fault_spec": "crash:chunk=0;corrupt:chunk=1"},
+        # The pool with the live plane on, without its HTTP endpoint.
+        "pool2/telemetry": {
+            "workers": 2,
+            "telemetry": {"enabled": True, "interval": 0.05, "port": None},
+        },
         "seed_heavy": {
             "ref": "ref_decoy.fa",
             "seeder": {"qgram_filter": True},
@@ -69,6 +76,8 @@ def _matrix() -> "dict[str, dict[str, Any]]":
     m["viterbi"] = {"config": {"posterior_mode": "viterbi"}}
     m["edge_paper"] = {"config": {"edge_policy": "paper"}}
     m["paired/CHARDISC"] = {"config": {"accumulator": "CHARDISC"}, "run": "paired"}
+    # The ROC sweep's candidate scores (experiments/roc.py).
+    m["roc"] = {"run": "roc"}
     for run in ("read_spread", "memory_spread"):
         for ranks in (1, 2, 4):
             m[f"{run}/P{ranks}"] = {
@@ -79,8 +88,8 @@ def _matrix() -> "dict[str, dict[str, Any]]":
 
 MATRIX = _matrix()
 QUICK = (
-    "phmm_full", "pool2_warm", "pool2/faulted", "seed_heavy", "fast_chardisc",
-    "CHARDISC/w3", "CENTDISC/w3",
+    "phmm_full", "pool2_warm", "pool2/faulted", "pool2/telemetry", "seed_heavy",
+    "fast_chardisc", "CHARDISC/w3", "CENTDISC/w3", "roc",
 )
 
 
@@ -97,12 +106,13 @@ def run_config(inputs: Path, name: str) -> "dict[str, str]":
     from repro.genome.reference import Reference
     from repro.index.seeding import SeederConfig
     from repro.observability import scope
-    from repro.pipeline.config import ParallelConfig, PipelineConfig
+    from repro.pipeline.config import ParallelConfig, PipelineConfig, TelemetryConfig
 
     spec = MATRIX[name]
     config = PipelineConfig(
         seeder=SeederConfig(**spec.get("seeder", {})),
         parallel=ParallelConfig(fault_spec=spec.get("fault_spec", "")),
+        telemetry=TelemetryConfig(**spec.get("telemetry", {})),
         **spec.get("config", {}),
     )
     ref_path = inputs / spec.get("ref", "ref.fa")
@@ -119,7 +129,15 @@ def run_config(inputs: Path, name: str) -> "dict[str, str]":
         else:
             ((ref_name, codes),) = read_fasta(str(ref_path)).items()
             reference = Reference(codes, name=ref_name)
-            if run == "paired":
+            if run == "roc":
+                from types import SimpleNamespace
+
+                from repro.experiments import roc
+
+                wl = SimpleNamespace(reference=reference, reads=reads)
+                scored = roc.gnumap_scored_positions(wl, config)
+                out.write_text("".join(f"{pos}\t{stat!r}\n" for pos, stat in scored))
+            elif run == "paired":
                 from repro.pipeline.paired import PairedGnumap
                 from repro.simulate.paired import ReadPair
 
