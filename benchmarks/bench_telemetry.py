@@ -1,8 +1,9 @@
 """Live-telemetry cost at pipeline scale (DESIGN.md §16).
 
-The sideband publisher + aggregator is off by default and costs nothing
-then; when enabled it must stay under 2% of the warm two-worker wall time
-and must not change a call.  Every other pipeline-scale number lives in
+The live plane (worker heartbeats on the task pipe, fed to the parent's
+aggregator by the pool's event loop) is off by default and costs one
+uncontended lock per chunk then; when enabled it must stay under 2% of the
+warm two-worker wall time and must not change a call.  Every other pipeline-scale number lives in
 the ledger (``ledger/run.py``); this budget has no workload there, so it
 is asserted here, where parallel hardware exists (``cpu_count >= 2``).
 """
@@ -37,8 +38,8 @@ def _warm_run(wl, config):
 def test_telemetry_overhead(scaling_workload):
     wl = scaling_workload
     config = PipelineConfig()
-    # No HTTP endpoint (port=None): the lane prices the sideband itself,
-    # not socket churn.
+    # No HTTP endpoint (port=None): the lane prices the heartbeats
+    # themselves, not socket churn.
     telem_config = replace(
         config,
         telemetry=TelemetryConfig(enabled=True, interval=TELEMETRY_INTERVAL, port=None),

@@ -155,8 +155,8 @@ class Engine:
         """The live aggregator (plus endpoint), building them on demand.
 
         Returns ``None`` when ``config.telemetry.enabled`` is off — the
-        telemetry plane then costs nothing: no thread, no socket, no
-        sideband pipes, and workers skip the publisher entirely.
+        telemetry plane then costs nothing: no socket, no heartbeats, and
+        workers start no publisher thread.
         """
         cfg = self.config.telemetry
         if not cfg.enabled:
@@ -165,7 +165,6 @@ class Engine:
             from repro.observability.livestream import TelemetryAggregator
 
             self._telemetry = TelemetryAggregator(interval=cfg.interval)
-            self._telemetry.start()
         if self._endpoint is None and cfg.port is not None:
             import json
 
@@ -181,23 +180,22 @@ class Engine:
         return self._telemetry
 
     def close(self) -> None:
-        """Release the worker pool, shared-memory segments and telemetry.
+        """Release the worker pool, its shared-memory segments and the
+        telemetry endpoint, and drop the aggregator (it owns no thread or
+        pipe, so there is nothing else to stop).
 
         Idempotent, and the engine stays usable afterwards — the next
         parallel call simply builds a fresh pool (and, with telemetry
         enabled, a fresh aggregator/endpoint).  Serial state (accumulator,
         index) is untouched; use :meth:`reset` for that.
         """
-        # Pool first so workers stop publishing before the aggregator and
-        # endpoint go away; endpoint before aggregator so no scrape races
-        # a closing aggregator.
+        # Pool first, so the reaped workers' last snapshots land in the
+        # aggregator; then the endpoint that serves it.
         self._teardown_pool()
         if self._endpoint is not None:
             self._endpoint.close()
             self._endpoint = None
-        if self._telemetry is not None:
-            self._telemetry.close()
-            self._telemetry = None
+        self._telemetry = None
 
     def __enter__(self) -> "Engine":
         return self

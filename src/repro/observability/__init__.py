@@ -32,11 +32,7 @@ from repro.observability.export import (
     write_metrics_json,
 )
 from repro.observability.histogram import Histogram
-from repro.observability.livestream import (
-    TelemetryAggregator,
-    WorkerView,
-    start_publisher,
-)
+from repro.observability.livestream import TelemetryAggregator, WorkerView
 from repro.observability.manifest import MANIFEST_SCHEMA, run_manifest
 from repro.observability.registry import (
     MetricsRegistry,
@@ -69,7 +65,6 @@ __all__ = [
     "run_top",
     "scope",
     "span",
-    "start_publisher",
     "to_chrome_trace",
     "to_json",
     "to_json_dict",

@@ -203,9 +203,9 @@ class MetricsRegistry:
     def snapshot_values(self) -> MetricsSnapshot:
         """Like :meth:`snapshot` but without copying the event ring.
 
-        The live-telemetry publisher snapshots the worker registry every
-        heartbeat; skipping the (potentially 64Ki-entry) event copy keeps
-        that loop cheap.  Trace events still ride home with chunk results.
+        A pool worker snapshots its registry for every telemetry heartbeat;
+        skipping the (potentially 64Ki-entry) event copy keeps that cheap.
+        Trace events still ride home with chunk results.
         """
         return self._snapshot(include_events=False)
 

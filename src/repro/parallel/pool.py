@@ -11,9 +11,10 @@ memory for every process).  One object owns three things:
 * **the worker fleet** — spawned by the first :meth:`~PersistentPool.run`
   and reused by later ones (``mp.pool_reuse`` counts each warm reuse); only
   dead or retired slots are respawned;
-* **the event loop** — each worker holds at most one chunk at a time over a
-  dedicated duplex pipe (at most ``n_workers`` chunks in flight, the rest
-  pending in the parent).
+* **the event loop** — each worker holds at most one chunk at a time over
+  its one duplex pipe (at most ``n_workers`` chunks in flight, the rest
+  pending in the parent).  With a telemetry aggregator, the same pipe
+  carries the worker's ``_BEAT`` snapshots, which the loop hands to it.
 
 Recovery, chunk by chunk:
 
@@ -59,6 +60,7 @@ stops the workers and unlinks every segment.
 from __future__ import annotations
 
 import atexit
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -69,7 +71,7 @@ import numpy as np
 
 import repro.observability.trace as trace
 from repro.errors import PipelineError
-from repro.observability import current, global_registry, livestream
+from repro.observability import current, global_registry
 from repro.parallel.shm import SharedArrayBundle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,6 +92,7 @@ BACKOFF_BASE = 0.05
 #: Message tags on the worker pipe protocol.
 _TASK, _STOP = "task", "stop"
 _READY, _OK, _ERROR, _INIT_ERROR = "ready", "ok", "error", "init_error"
+_BEAT = "beat"
 
 #: Retryable failure kinds, each its (counter, trace instant).
 _TIMEOUT = ("mp.chunk_timeouts", "mp.chunk_timeout")
@@ -103,19 +106,15 @@ def _worker_main(
     worker_fn: "Callable[[Any, int, int], Any]",
     initializer: "Callable[..., None] | None",
     initargs: "tuple[Any, ...]",
-    telemetry_conn: "Connection | None" = None,
-    telemetry_interval: float = 1.0,
+    telemetry_interval: float = 0.0,
 ) -> None:
     """Worker process body: init once, then serve chunk tasks off the pipe.
 
-    With a ``telemetry_conn``, a daemon publisher thread streams the
-    worker's whole metrics snapshot + heartbeats over the sideband for the
-    whole worker lifetime
-    (started only after a successful init, so an init failure stays a
-    single loud message on the task pipe), and chunk execution is
-    bracketed with busy markers so heartbeats can attribute in-flight
-    work.  Telemetry is advisory: nothing on this path can change, delay,
-    or reorder the task-pipe protocol.
+    With a non-zero ``telemetry_interval``, a daemon thread sends the
+    worker's whole metrics snapshot as a ``_BEAT`` every interval while a
+    chunk is in flight, and the loop sends one more right before each
+    chunk's reply, so the parent reads a chunk's work before its result.
+    One lock serialises every send, so a beat never splits a reply.
     """
     try:
         if initializer is not None:
@@ -126,10 +125,15 @@ def _worker_main(
         finally:
             conn.close()
         return
-    publishing = telemetry_conn is not None
-    if publishing:
+    lock, in_flight = threading.Lock(), threading.Event()
+    if telemetry_interval:
         global_registry().clear()  # forked workers inherit the parent's state
-        livestream.start_publisher(telemetry_conn, telemetry_interval)
+        threading.Thread(
+            target=_heartbeats,
+            args=(conn, lock, in_flight, telemetry_interval),
+            name="repro-telemetry-publisher",
+            daemon=True,
+        ).start()
     conn.send((_READY, -1, 0, None))
     while True:
         try:
@@ -139,20 +143,42 @@ def _worker_main(
         if msg[0] == _STOP:
             break
         _, chunk_id, attempt, payload = msg
-        if publishing:
-            livestream.mark_busy(chunk_id)
+        in_flight.set()
         try:
-            result = worker_fn(payload, chunk_id, attempt)
+            reply = (_OK, chunk_id, attempt, worker_fn(payload, chunk_id, attempt))
         except BaseException as exc:  # noqa: BLE001  # replint: disable=RPL401 - process boundary: any failure becomes a typed message so the parent can retry with attribution
-            conn.send(
-                (_ERROR, chunk_id, attempt, f"{type(exc).__name__}: {exc}")
-            )
-        else:
-            conn.send((_OK, chunk_id, attempt, result))
-        finally:
-            if publishing:
-                livestream.mark_idle()
+            reply = (_ERROR, chunk_id, attempt, f"{type(exc).__name__}: {exc}")
+        with lock:
+            in_flight.clear()
+            if telemetry_interval:
+                conn.send(_beat())
+            conn.send(reply)
     conn.close()
+
+
+def _beat() -> "tuple[str, int, int, dict[str, Any]]":
+    return (_BEAT, -1, 0, global_registry().snapshot_values().as_dict())
+
+
+def _heartbeats(
+    conn: "Connection",
+    lock: threading.Lock,
+    in_flight: threading.Event,
+    interval: float,
+) -> None:
+    """Publisher thread: a ``_BEAT`` every ``interval`` while a chunk is in
+    flight.  An idle worker sends nothing, so a fleet parked between runs
+    never fills a pipe nobody drains."""
+    while True:
+        in_flight.wait()
+        time.sleep(interval)
+        with lock:
+            if not in_flight.is_set():
+                continue
+            try:
+                conn.send(_beat())
+            except (OSError, ValueError):  # parent closed our pipe
+                return
 
 
 @dataclass
@@ -161,33 +187,10 @@ class _Slot:
 
     proc: "BaseProcess"
     conn: "Connection"
+    pid: int
     ready: bool = False
     chunk: "tuple[int, int] | None" = None  # (chunk_id, attempt)
     deadline: float = 0.0
-
-
-def _kill(slot: _Slot) -> None:
-    """Hard-stop a worker and close its pipe (no late results possible)."""
-    try:
-        slot.conn.close()
-    except OSError:  # pragma: no cover - already closed
-        pass
-    if slot.proc.is_alive():
-        slot.proc.terminate()
-        slot.proc.join(timeout=2.0)
-        if slot.proc.is_alive():  # pragma: no cover - SIGTERM ignored
-            slot.proc.kill()
-            slot.proc.join(timeout=2.0)
-
-
-def _stop(slot: _Slot) -> None:
-    """Graceful stop for an idle worker; escalates to kill."""
-    try:
-        slot.conn.send((_STOP, -1, 0, None))
-    except (OSError, ValueError):  # already dead
-        pass
-    slot.proc.join(timeout=2.0)
-    _kill(slot)
 
 
 class PersistentPool:
@@ -223,9 +226,10 @@ class PersistentPool:
         the result as a retryable failure.
     telemetry:
         Optional :class:`~repro.observability.livestream.TelemetryAggregator`;
-        when given, every spawned worker streams live metric snapshots +
-        heartbeats to it over a dedicated sideband pipe (the aggregator's
-        lifetime is the caller's — usually the Engine's — concern).
+        when given, every spawned worker sends live metric snapshots as
+        ``_BEAT`` messages on its task pipe, and the event loop feeds them,
+        its dispatches and its reaps to the aggregator (whose lifetime is
+        the caller's — usually the Engine's — concern).
     """
 
     def __init__(
@@ -280,12 +284,7 @@ class PersistentPool:
         return self._bundle.segment_names
 
     def _spawn(self) -> _Slot:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        tele_recv = tele_send = None
-        if self._telemetry is not None:
-            # Dedicated one-way sideband: the task-pipe protocol stays
-            # untouched, and telemetry backpressure can never delay results.
-            tele_recv, tele_send = self._ctx.Pipe(duplex=False)
+        parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
             args=(
@@ -293,7 +292,6 @@ class PersistentPool:
                 self._worker_fn,
                 self._initializer,
                 self._initargs,
-                tele_send,
                 0.0 if self._telemetry is None else self._telemetry.interval,
             ),
             daemon=True,
@@ -302,11 +300,33 @@ class PersistentPool:
         # The child holds its own handle; closing ours makes worker death
         # observable as EOF on the parent end.
         child_conn.close()
-        if self._telemetry is not None and tele_recv is not None:
-            if tele_send is not None:
-                tele_send.close()
-            self._telemetry.register(proc.pid, tele_recv)
-        return _Slot(proc=proc, conn=parent_conn)
+        slot = _Slot(proc=proc, conn=parent_conn, pid=proc.pid or 0)
+        if self._telemetry is not None:
+            self._telemetry.register(slot.pid)
+        return slot
+
+    def _reap(self, slot: _Slot, graceful: bool = False) -> None:
+        """Stop a worker — asking first when ``graceful``, then killing —
+        and close its pipe (no late results possible); the live view keeps
+        its last snapshot."""
+        if graceful:
+            try:
+                slot.conn.send((_STOP, -1, 0, None))
+            except (OSError, ValueError):  # already dead
+                pass
+            slot.proc.join(timeout=2.0)
+        try:
+            slot.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        if slot.proc.is_alive():
+            slot.proc.terminate()
+            slot.proc.join(timeout=2.0)
+            if slot.proc.is_alive():  # pragma: no cover - SIGTERM ignored
+                slot.proc.kill()
+                slot.proc.join(timeout=2.0)
+        if self._telemetry is not None:
+            self._telemetry.forget(slot.pid)
 
     def _top_up(self) -> None:
         """Spawn the fleet on first use; later, respawn only the slots
@@ -327,12 +347,8 @@ class PersistentPool:
         self._closed = True
         atexit.unregister(self.close)
         for slot in self._slots:
-            if slot is None:
-                continue
-            if slot.chunk is None:
-                _stop(slot)
-            else:  # pragma: no cover - close with work in flight
-                _kill(slot)
+            if slot is not None:
+                self._reap(slot, graceful=slot.chunk is None)
         self._slots = []
         self._bundle.close()
 
@@ -373,13 +389,14 @@ class PersistentPool:
         )
         exhausted: "set[int]" = set()
         retries = 0
+        tele = self._telemetry
 
         def count(name: str) -> None:
             # The result-path registry, mirrored into the live plane: these
             # are parent-side events no worker snapshot can carry.
             reg.inc(name)
-            if self._telemetry is not None:
-                self._telemetry.count(name)
+            if tele is not None:
+                tele.count(name)
 
         def fail(
             cid: int, attempt: int, kind: "tuple[str, str]", detail: str
@@ -438,11 +455,13 @@ class PersistentPool:
                         continue
                     slot.chunk = (cid, attempt)
                     slot.deadline = now + self._timeout
+                    if tele is not None:
+                        tele.busy(slot.pid, cid)
                     trace.instant(
                         "mp.chunk_dispatch",
                         chunk=cid,
                         attempt=attempt,
-                        worker_pid=slot.proc.pid,
+                        worker_pid=slot.pid,
                     )
 
                 ready_conns = _conn_wait(
@@ -463,7 +482,7 @@ class PersistentPool:
                     except (EOFError, OSError):
                         # Worker death: pipe closed without a message.
                         inflight = slot.chunk
-                        _kill(slot)
+                        self._reap(slot)
                         replace(idx)
                         if inflight is not None:
                             fail(
@@ -471,18 +490,25 @@ class PersistentPool:
                                 f"worker died (exitcode={slot.proc.exitcode})",
                             )
                         continue
-                    if tag == _READY:
+                    if tag == _BEAT and tele is not None:
+                        tele.ingest(slot.pid, data)
+                    elif tag == _READY:
                         slot.ready = True
                     elif tag == _INIT_ERROR:
                         # Deterministic: a respawn would fail identically,
                         # so retire the slot instead of burning the budget.
                         # No chunk is lost: a slot gets one only once ready.
-                        _kill(slot)
+                        self._reap(slot)
                         slots[idx] = None
                         count("mp.worker_init_errors")
                         trace.instant("mp.worker_init_error", detail=str(data))
-                    elif tag == _OK:
+                    elif tag in (_OK, _ERROR):
                         slot.chunk = None
+                        if tele is not None:
+                            tele.busy(slot.pid, None)
+                        if tag == _ERROR:
+                            fail(cid, attempt, _REMOTE_ERROR, str(data))
+                            continue
                         if self._validate is not None:
                             try:
                                 self._validate(cid, data)
@@ -490,17 +516,17 @@ class PersistentPool:
                                 fail(cid, attempt, _REJECT, str(exc))
                                 continue
                         results[cid] = data
-                    elif tag == _ERROR:
-                        slot.chunk = None
-                        fail(cid, attempt, _REMOTE_ERROR, str(data))
 
-                # Deadline sweep: kill and retry anything past its timeout.
+                # Deadline sweep: kill and retry anything past its timeout;
+                # the stall watchdog flags the slow ones well before that.
+                if tele is not None:
+                    tele.watchdog()
                 now = time.monotonic()
                 for idx, slot in enumerate(slots):
                     if slot is None or slot.chunk is None or now <= slot.deadline:
                         continue
                     cid, attempt = slot.chunk
-                    _kill(slot)
+                    self._reap(slot)
                     replace(idx)
                     fail(
                         cid, attempt, _TIMEOUT,
@@ -513,7 +539,7 @@ class PersistentPool:
             for idx, slot in enumerate(slots):
                 if slot is not None and slot.chunk is not None:
                     # pragma-free: exercised via KeyboardInterrupt tests
-                    _kill(slot)
+                    self._reap(slot)
                     slots[idx] = None
         return results
 

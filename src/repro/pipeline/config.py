@@ -96,16 +96,17 @@ class TelemetryConfig:
     Attributes
     ----------
     enabled:
-        Turn on the sideband: pool workers stream periodic whole metric
-        snapshots + heartbeats to a parent-side
+        Turn on the live plane: pool workers send their whole metric
+        snapshot as heartbeats on their task pipes, the pool's event loop
+        feeds them to a parent-side
         :class:`~repro.observability.livestream.TelemetryAggregator`, and
         the Engine serves its live ``repro.metrics/v2`` document over HTTP.
         SNP calls are byte-identical with telemetry on or off — the live
         registry is separate from the authoritative result-path metrics.
     interval:
-        Worker publish period in seconds (also the aggregator's drain
-        cadence).  Smaller means fresher dashboards at slightly more
-        sideband traffic.
+        Worker publish period in seconds while a chunk is in flight; each
+        chunk also sends one final snapshot with its result.  Smaller
+        means fresher dashboards at slightly more pipe traffic.
     host, port:
         Bind address for the HTTP endpoint.  ``port=0`` (default)
         picks an ephemeral port (read it from ``Engine.telemetry_url``);

@@ -200,8 +200,8 @@ def make_pool(
     workers and segments.
 
     ``telemetry`` (optional, the Engine wires it from ``TelemetryConfig``)
-    makes every pool worker stream live metric snapshots and heartbeats to
-    the given aggregator over a dedicated sideband pipe.
+    makes every pool worker send live metric snapshots on its task pipe,
+    which the pool's event loop hands to the given aggregator.
     """
     config = pipe.config
     par = config.parallel

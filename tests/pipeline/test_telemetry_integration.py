@@ -3,14 +3,13 @@ byte-identity contract (SNP calls and accumulator state are identical with
 telemetry on or off — the live plane never touches the result path).
 
 Fork start method keeps the repeated worker spawns cheap, matching the
-rest of the mp test suite; the sideband is start-method-agnostic (the
-telemetry pipe rides the same Process args as the command pipe).
+rest of the mp test suite; heartbeats are start-method-agnostic (they ride
+each worker's one task pipe).
 """
 
 from __future__ import annotations
 
 import json
-import time
 import urllib.error
 import urllib.request
 
@@ -22,6 +21,7 @@ from repro.experiments.workload import build_workload
 from repro.genome.reference import Reference
 from repro.observability import global_registry, render_top
 from repro.observability.dashboard import fetch_live
+from repro.observability.livestream import STALL_AFTER
 from repro.pipeline.config import (
     ParallelConfig,
     PipelineConfig,
@@ -103,32 +103,34 @@ class TestEngineLifecycle:
         engine.close()
 
 
-def _converged(url, result):
-    """Poll the endpoint until the workers' final snapshots have landed."""
-    want = result.metrics.histogram("mp.chunk_map_seconds")["count"]
-    deadline = time.monotonic() + 10.0
-    while True:
-        snap, workers = fetch_live(url)
-        chunks = snap.histogram("mp.chunk_map_seconds") or {"count": 0}
-        if (
-            snap.counter("pipeline.reads") >= result.stats.n_reads
-            and chunks["count"] >= want
-        ) or time.monotonic() > deadline:
-            return snap, workers
-        time.sleep(0.05)
+def _totals(snap):
+    """The numbers the live view must share with the result path."""
+    chunks = snap.histogram("mp.chunk_map_seconds") or {"count": 0}
+    counts = {n: snap.counter(n) for n in ("pipeline.reads", "phmm.pairs", "seed.candidates")}
+    return {**counts, "chunks": chunks["count"]}
 
 
 class TestLiveScrapeDuringRun:
+    def test_live_view_is_complete_when_run_returns(self, workload):
+        """Each chunk's reply follows its worker's final heartbeat, so the
+        live view holds every finished chunk the moment ``run()`` returns —
+        even when the interval is longer than the whole run."""
+        with _engine(workload, _config(True, interval=1.0, port=None)) as engine:
+            result = engine.run(workload.reads)
+            live = engine.telemetry.live_snapshot()
+        assert _totals(result.metrics)["pipeline.reads"] == len(workload.reads)
+        assert _totals(live) == _totals(result.metrics)
+
     def test_endpoint_updates_across_a_pool_run(self, workload):
         """The document is live: before the run it shows no pipeline reads;
-        after the run (workers published their final snapshots) it does, with
-        both workers listed — the CI smoke contract."""
+        after the run it does, with both workers listed — the CI smoke
+        contract."""
         with _engine(workload, _config(True, interval=0.05)) as engine:
             url = engine.telemetry_url
             before, _ = fetch_live(url)
             assert "pipeline.reads" not in before.counters
-            result = engine.run(workload.reads)
-            snap, workers = _converged(url, result)
+            engine.run(workload.reads)
+            snap, workers = fetch_live(url)
             assert snap.counter("pipeline.reads") == len(workload.reads)
             assert len(workers) == 2
             assert [w.pid for w in workers] == sorted(w.pid for w in workers)
@@ -152,8 +154,8 @@ class TestLiveScrapeDuringRun:
         parent.inc("test.parent_only")
         try:
             with _engine(workload, _config(True, interval=0.05)) as engine:
-                result = engine.run(workload.reads)
-                snap, _ = _converged(engine.telemetry_url, result)
+                engine.run(workload.reads)
+                snap, _ = fetch_live(engine.telemetry_url)
         finally:
             parent.clear()
             parent.absorb(saved)
@@ -176,7 +178,7 @@ class TestLiveScrapeDuringRun:
             result = engine.run(workload.reads)
             assert result.metrics.counter("mp.worker_deaths") == 1
             assert result.metrics.counter("mp.chunk_retries") == 1
-            snap, workers = _converged(engine.telemetry_url, result)
+            snap, workers = fetch_live(engine.telemetry_url)
             assert snap.counter("mp.worker_deaths") == 1
             assert snap.counter("mp.chunk_retries") == 1
             chunks = snap.histogram("mp.chunk_map_seconds")["count"]
@@ -185,6 +187,28 @@ class TestLiveScrapeDuringRun:
             assert (
                 f"chunks     ok {chunks}   retries 1   timeouts 0   deaths 1" in frame
             )
+
+    def test_watchdog_flags_a_hung_chunk_before_its_timeout(self, workload):
+        """A chunk that sleeps past ``STALL_AFTER`` (but not the chunk
+        timeout) is flagged once by the loop's watchdog and still completes
+        with the same calls."""
+        hang = STALL_AFTER + 1.0
+        config = PipelineConfig(
+            parallel=ParallelConfig(
+                workers=2, start_method="fork", fault_spec=f"hang:chunk=0,secs={hang:g}"
+            ),
+            telemetry=TelemetryConfig(enabled=True, interval=0.5, port=None),
+        )
+        with _engine(workload, config) as engine:
+            hung = engine.run(workload.reads)
+            counters = engine.telemetry.live_document()["counters"]
+        assert counters["mp.worker_stalls"] == 1
+        assert counters.get("mp.chunk_timeouts", 0) == 0
+        with _engine(workload, _config(False)) as engine:
+            clean = engine.run(workload.reads)
+        assert [(s.pos, s.alt_name, s.call.pvalue) for s in hung.snps] == [
+            (s.pos, s.alt_name, s.call.pvalue) for s in clean.snps
+        ]
 
 
 class TestByteIdentity:

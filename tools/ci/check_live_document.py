@@ -4,13 +4,14 @@
 
 Drives an ``Engine`` with telemetry on over the two-worker pool and GETs the
 endpoint while the pipeline runs: every body must decode as the
-``repro.metrics/v2`` document (the reader ``repro top`` uses), and the live
-view must converge to two ``workers`` entries whose ``pipeline.reads``,
+``repro.metrics/v2`` document (the reader ``repro top`` uses).  The first GET
+after ``run()`` returns must list two ``workers`` whose ``pipeline.reads``,
 ``phmm.pairs`` and ``seed.candidates`` counters and ``mp.chunk_map_seconds``
-count *equal* the run's ``CallResult.metrics`` — workers ship whole
-snapshots, so on a fault-free run the live plane and the result path agree
-exactly.  A file with a ``__main__`` guard, not stdin: spawned workers
-re-import the main module.
+count *equal* the run's ``CallResult.metrics`` — each chunk's reply follows
+its worker's final whole snapshot on the same pipe, so on a fault-free run
+the live plane and the result path agree exactly, with no waiting.  A file
+with a ``__main__`` guard, not stdin: spawned workers re-import the main
+module.
 """
 
 import argparse
@@ -71,19 +72,13 @@ def main() -> None:
         result = engine.run(reads)
         done.set()
         t.join()
-        want = totals(result.metrics)
+        snap, workers = parse_live_document(fetch(url), url)
+        want, live = totals(result.metrics), totals(snap)
         assert want["pipeline.reads"] == len(reads), want
-        deadline = time.monotonic() + 30
-        while True:
-            snap, workers = parse_live_document(fetch(url), url)
-            live = totals(snap)
-            if len(workers) == 2 and live == want:
-                break
-            assert time.monotonic() < deadline, (
-                f"live view never caught up: {len(workers)} workers, "
-                f"live {live} != result path {want}"
-            )
-            time.sleep(0.2)
+        assert len(workers) == 2 and live == want, (
+            f"live view incomplete when run() returned: {len(workers)} "
+            f"workers, live {live} != result path {want}"
+        )
     assert mid_run, "no successful GET while the pipeline ran"
     for body in mid_run:
         parse_live_document(body)

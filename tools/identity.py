@@ -1,6 +1,6 @@
 """Do this tree and a git ref make the same calls?  One declared matrix.
 
-    python tools/identity.py --ref 6283481            # 28 configs x 4 seeds
+    python tools/identity.py --ref 6283481            # 29 configs x 4 seeds
     python tools/identity.py --ref origin/main --quick
 
 The ref is exported with ``git archive`` into a temporary directory (no
@@ -45,8 +45,9 @@ def _matrix() -> "dict[str, dict[str, Any]]":
     """Configuration name -> how to run it.  Keys: ``ref`` (input file),
     ``config`` / ``seeder`` (``PipelineConfig`` / ``SeederConfig`` keywords),
     ``workers`` (``Engine``), ``fault_spec`` (``ParallelConfig``), ``telemetry``
-    (``TelemetryConfig`` keywords), ``run`` (``engine``, ``paired``, ``roc``,
-    ``read_spread`` or ``memory_spread``) and ``ranks`` (cluster size)."""
+    (``TelemetryConfig`` keywords), ``run`` (``engine``, ``online``,
+    ``paired``, ``roc``, ``read_spread`` or ``memory_spread``) and ``ranks``
+    (cluster size)."""
     m: "dict[str, dict[str, Any]]" = {
         # The four ledger workloads, spelled as ledger/child.py spells them.
         "phmm_full": {},
@@ -57,6 +58,13 @@ def _matrix() -> "dict[str, dict[str, Any]]":
         "pool2/telemetry": {
             "workers": 2,
             "telemetry": {"enabled": True, "interval": 0.05, "port": None},
+        },
+        # The stream over the same warm pool, telemetry on: three feeds, so
+        # the fleet idles between runs.
+        "online/pool2": {
+            "workers": 2,
+            "telemetry": {"enabled": True, "interval": 0.05, "port": None},
+            "run": "online",
         },
         "seed_heavy": {
             "ref": "ref_decoy.fa",
@@ -88,8 +96,8 @@ def _matrix() -> "dict[str, dict[str, Any]]":
 
 MATRIX = _matrix()
 QUICK = (
-    "phmm_full", "pool2_warm", "pool2/faulted", "pool2/telemetry", "seed_heavy",
-    "fast_chardisc", "CHARDISC/w3", "CENTDISC/w3", "roc",
+    "phmm_full", "pool2_warm", "pool2/faulted", "pool2/telemetry", "online/pool2",
+    "seed_heavy", "fast_chardisc", "CHARDISC/w3", "CENTDISC/w3", "roc",
 )
 
 
@@ -129,7 +137,16 @@ def run_config(inputs: Path, name: str) -> "dict[str, str]":
         else:
             ((ref_name, codes),) = read_fasta(str(ref_path)).items()
             reference = Reference(codes, name=ref_name)
-            if run == "roc":
+            if run == "online":
+                from repro.pipeline.online import OnlineGnumap
+
+                third = -(-len(reads) // 3)
+                with OnlineGnumap(reference, config, workers=spec["workers"]) as stream:
+                    for start in range(0, len(reads), third):
+                        stream.feed(reads[start:start + third])
+                    write_snp_calls(str(out), stream.current_snps())
+                acc = stream.accumulator
+            elif run == "roc":
                 from types import SimpleNamespace
 
                 from repro.experiments import roc
