@@ -282,47 +282,15 @@ class Engine:
         self._metrics = MetricsSnapshot.empty()
 
     # -- one-shot verb ----------------------------------------------------------
-    def run(self, reads: "list[Read]", trace: "str | None" = None) -> CallResult:
+    def run(self, reads: "list[Read]") -> CallResult:
         """Full pipeline over ``reads`` with a fresh accumulator.
 
         With engine ``workers > 1`` the mapping runs over the persistent
         pool's warm fleet, with calls and accumulator byte-identical to the
         serial run (:mod:`repro.pipeline.mp_backend`).  Does not touch the
         engine's staged accumulator.
-
-        ``trace`` enables flight-recorder tracing for this call and writes
-        the resulting timeline to that path as Chrome trace-event JSON
-        (openable in ``chrome://tracing`` or https://ui.perfetto.dev), with
-        a run manifest embedded under ``otherData``.
         """
-
-        def execute() -> CallResult:
-            with scope() as reg:
-                acc, stats = self._map(reads)
-                snps = self._pipeline.call_snps(acc)
-                return CallResult(snps, stats, acc, reg.snapshot_values())
-
-        if trace is None:
-            return execute()
-
-        import repro.observability.trace as trace_mod
-        from repro.observability import write_chrome_trace
-        from repro.observability.manifest import run_manifest
-
-        was_enabled = trace_mod.enabled()
-        trace_mod.enable()
-        try:
-            with scope() as reg:
-                result = execute()
-                snapshot = reg.snapshot()
-        finally:
-            if not was_enabled:
-                trace_mod.disable()
-        write_chrome_trace(
-            trace,
-            snapshot,
-            manifest=run_manifest(
-                config=self.config, workers=self._workers, command="Engine.run"
-            ),
-        )
-        return result
+        with scope() as reg:
+            acc, stats = self._map(reads)
+            snps = self._pipeline.call_snps(acc)
+            return CallResult(snps, stats, acc, reg.snapshot_values())

@@ -40,6 +40,7 @@ from repro.genome.alphabet import reverse_complement
 from repro.genome.fastq import Read
 from repro.index.hashindex import GenomeIndex, gather_runs
 from repro.index.kmer import MAX_K, rolling_kmers
+from repro.observability import Laps
 from repro.observability import current as metrics
 
 
@@ -180,6 +181,12 @@ class SeederConfig:
             )
 
 
+#: The child spans :meth:`Seeder.seed` records under the open span (``seed``
+#: in the pipeline), once per block: k-mer packing and index lookup, diagonal
+#: clustering, the q-gram filter (zero seconds when it is off), and ordering
+#: with the ``max_candidates`` cut and the ``seed.*`` metrics.
+LAYERS = ("lookup", "cluster", "filter", "rank")
+
 #: Most seed hits (or, in the filter, reference q-gram rows) one pass
 #: materialises, at ~100 bytes of transients each; a block holding more is
 #: worked through in slices.  Cache-sized slices are also the fastest.
@@ -311,6 +318,7 @@ class Seeder:
         return SeedBlock.concat(parts)
 
     def _seed_block(self, reads: "Sequence[Read]") -> SeedBlock:
+        laps = Laps(*LAYERS)
         cfg = self.config
         n = len(reads)
         width = self.index.seed_width
@@ -340,6 +348,7 @@ class Seeder:
         at = np.flatnonzero(valid)
         q_seq, q_off = seq_of[at], offset_of[at]
         starts, counts = self.index.locate_seeds(packed[at])
+        laps.lap("lookup")
 
         # Hits are distinct (offset, position) pairs, so a diagonal's votes
         # are simply its hits: one sort + count per slice of sequences.
@@ -348,6 +357,7 @@ class Seeder:
         for a, b in _budget_slices(per_seq, _PASS_BUDGET):
             qa, qb = np.searchsorted(q_seq, (a, b))
             hit_pos, qidx = self.index.seed_hits(starts[qa:qb], counts[qa:qb])
+            laps.lap("lookup")
             if hit_pos.size == 0:
                 continue
             qidx += qa
@@ -358,11 +368,14 @@ class Seeder:
             reps, totals = _cluster_runs(keys, votes, cfg.diagonal_slack)
             keep = totals >= cfg.min_support
             found.append(np.stack((reps[keep], totals[keep])))
+            laps.lap("cluster")
         c_key, support = np.concatenate(found, axis=1) if found else np.empty((2, 0), np.int64)
         c_seq, diagonal = c_key // span, c_key % span - shift
+        laps.lap("cluster")
         if cfg.qgram_filter and c_key.size:
             keep = self._qgram_keep(codes, seq_of, lens, c_seq, diagonal)
             c_seq, diagonal, support = c_seq[keep], diagonal[keep], support[keep]
+        laps.lap("filter")
 
         reverse = c_seq >= n
         read_of = np.where(reverse, 2 * n - 1 - c_seq, c_seq)
@@ -386,7 +399,10 @@ class Seeder:
         per_read = np.bincount(n_kept)
         for kept in np.flatnonzero(per_read).tolist():
             reg.observe("seed.candidates_per_read", float(kept), int(per_read[kept]))
-        return SeedBlock(read_of, start, strand, support, diagonal)[best]
+        block = SeedBlock(read_of, start, strand, support, diagonal)[best]
+        laps.lap("rank")
+        laps.record()
+        return block
 
     def _qgram_keep(
         self, codes: np.ndarray, seq_of: np.ndarray, lens: np.ndarray,

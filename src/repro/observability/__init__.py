@@ -42,12 +42,13 @@ from repro.observability.registry import (
     use,
 )
 from repro.observability.snapshot import MetricsSnapshot, merge_snapshots
-from repro.observability.spans import current_path, detached, span
+from repro.observability.spans import Laps, current_path, detached, span
 
 __all__ = [
     "MANIFEST_SCHEMA",
     "SCHEMA",
     "Histogram",
+    "Laps",
     "MetricsRegistry",
     "MetricsSnapshot",
     "TelemetryAggregator",

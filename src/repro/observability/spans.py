@@ -76,3 +76,31 @@ def span(name: str) -> "Iterator[None]":
         if tracing:
             _trace.span_end(name)
         current().record_span(path, elapsed)
+
+
+class Laps:
+    """The layers of one call, timed as child spans of the open span.
+
+    A call whose layers interleave (per tile, per row) reads the clock at
+    each layer boundary: :meth:`lap` charges the time since the previous
+    boundary (or construction) to ``name``, one of the declared ``names``.
+    :meth:`record` then accounts each layer once, ``count`` times, at
+    ``current_path() + (name,)`` — so every declared layer is in the tree,
+    at zero seconds if it never ran, and no trace events are emitted.
+    """
+
+    __slots__ = ("seconds", "_last")
+
+    def __init__(self, *names: str) -> None:
+        self.seconds = dict.fromkeys(names, 0.0)
+        self._last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.seconds[name] += now - self._last
+        self._last = now
+
+    def record(self, count: int = 1) -> None:
+        path, registry = current_path(), current()
+        for name, seconds in self.seconds.items():
+            registry.record_span(path + (name,), seconds, count)

@@ -29,10 +29,10 @@ enabled-mode memory: the newest :func:`capacity` events are kept per
 registry and drops are surfaced as the ``obs.trace_dropped`` counter, never
 silently.
 
-Activation: :func:`enable` (the CLI's ``--trace`` / ``Engine.run(trace=)``
-call it), or the ``REPRO_TRACE`` environment variable — which spawn/fork
-workers inherit, while programmatic enablement is propagated explicitly
-through worker initializers.
+Activation: :func:`enable` (the CLI's ``--trace`` calls it), or the
+``REPRO_TRACE`` environment variable — which spawn/fork workers inherit,
+while programmatic enablement is propagated explicitly through worker
+initializers.
 
 Timestamps are wall-clock microseconds (``time.time_ns() // 1000``) so
 lanes from different processes share one timebase.

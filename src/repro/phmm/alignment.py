@@ -22,6 +22,7 @@ import numpy as np
 import repro.observability.trace as trace
 from repro.errors import AlignmentError
 from repro.genome.alphabet import N as CODE_N
+from repro.observability import Laps
 from repro.observability import current as metrics
 from repro.phmm import sanitize
 from repro.phmm.banded import BandSpec
@@ -46,6 +47,12 @@ from repro.phmm.posterior import RowDeposit, z_vectors
 #: one untiled 512-lane block.  The pool sizes its chunks from it too
 #: (:func:`repro.pipeline.mp_backend.chunk_count`).
 LANE_TILE = 256
+
+#: The child spans a kernel call records under the open span (``align`` in
+#: the pipeline): per-call workspace cuts and ring resets, the emission
+#: table, the forward pass, the backward rows, their deposit
+#: (:class:`~repro.phmm.posterior.RowDeposit`) and the z reduction.
+LAYERS = ("workspace", "emissions", "forward", "backward", "posterior", "zvec")
 
 
 @dataclass
@@ -112,7 +119,9 @@ def _align_streamed(
     want_edge: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``(z, loglik, band-edge mass)`` of a validated batch, counted as
-    ``forward_batch`` + ``backward_batch`` count it (a tile is not a batch)."""
+    ``forward_batch`` + ``backward_batch`` count it (a tile is not a batch),
+    its layers timed per tile as children of the open span (:data:`LAYERS`)."""
+    laps = Laps(*LAYERS)
     B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
     charge_pass("forward", B, N, M, band)
     charge_pass("backward", B, N, M, band)
@@ -129,7 +138,8 @@ def _align_streamed(
         if B % step:
             reg.observe("phmm.tile_lanes", float(B % step))
     lanes = 0  # width the workspace below was cut for
-    for start in range(0, B, step):
+    tiles = range(0, B, step)
+    for start in tiles:
         tile = slice(start, start + step)
         if min(step, B - start) != lanes:
             # Once per call, and once more for a narrower last tile.
@@ -145,21 +155,29 @@ def _align_streamed(
             # scale tables cell for cell; the ring holds rows a new pass must
             # find zero.
             ring.fill(0.0)
+        laps.lap("workspace")
         pstar = emissions_batch(pwms[tile], windows[tile], params, emissions)
         if sanitize.enabled():
             sanitize.check_emissions(pstar)
         pl = as_lanes(pstar)
+        laps.lap("emissions")
         fwd = forward_lanes(pl, params, band, f_state, f_scale)
+        laps.lap("forward")
         deposit.begin(pwms[tile], fwd)
+        laps.lap("posterior")
         for i, lo, hi, row in backward_rows(pl, params, band, ring, scale):
             if sanitize.enabled():
                 one_row = [state.T[:, None, :] for state in row]
                 sanitize.check_pass("backward", one_row, scale[i][:, None], band, row=i)
+            laps.lap("backward")
             deposit.add_row(i, lo, hi, row[ST_M], row[ST_GY], scale[i])
+            laps.lap("posterior")
         z[tile] = z_vectors(deposit.result(), edge_policy=edge_policy)
         loglik[tile] = fwd.loglik
         if edge is not None:
             edge[tile] = deposit.edge_mass()
+        laps.lap("zvec")
+    laps.record(count=len(tiles))
     return z, loglik, edge
 
 

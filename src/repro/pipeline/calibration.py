@@ -36,7 +36,7 @@ class ComputeCalibration:
     seconds_per_seed:
         Seeding cost per read (index queries + diagonal clustering).
     seconds_per_pair:
-        Alignment + accumulation cost per (read, candidate) pair.
+        Alignment, weighting and accumulation cost per (read, candidate) pair.
     pairs_per_read:
         Mean candidate count per read in the calibration sample (used when a
         caller only knows read counts).
@@ -44,12 +44,6 @@ class ComputeCalibration:
         Index-construction cost per genome base.
     seconds_per_called_position:
         LRT cost per genome position.
-    cell_fraction:
-        Fraction of full DP cells the *measured* configuration filled per
-        pair (1.0 for full kernels, ``(2*band_w+1)/width`` for banded runs —
-        see :meth:`repro.pipeline.config.PipelineConfig.band_cell_fraction`).
-        Lets :meth:`mapping_seconds` rescale the per-pair cost when a run is
-        charged at a different band setting than it was calibrated with.
     """
 
     seconds_per_seed: float
@@ -57,7 +51,6 @@ class ComputeCalibration:
     pairs_per_read: float
     seconds_per_index_base: float
     seconds_per_called_position: float
-    cell_fraction: float = 1.0
 
     def __post_init__(self) -> None:
         for name in (
@@ -69,41 +62,18 @@ class ComputeCalibration:
         ):
             if getattr(self, name) < 0:
                 raise PipelineError(f"{name} must be non-negative")
-        if not 0.0 < self.cell_fraction <= 1.0:
-            raise PipelineError(
-                f"cell_fraction must be in (0, 1], got {self.cell_fraction}"
-            )
 
     @property
     def seconds_per_read(self) -> float:
         """End-to-end mapping cost per read at the calibrated candidate rate."""
         return self.seconds_per_seed + self.pairs_per_read * self.seconds_per_pair
 
-    def mapping_seconds(
-        self,
-        n_reads: int,
-        n_pairs: int | None = None,
-        cell_fraction: float = 1.0,
-    ) -> float:
-        """Compute charge for seeding ``n_reads`` and aligning ``n_pairs``.
-
-        ``cell_fraction`` is the DP-cell fraction of the run being charged
-        (see :meth:`repro.pipeline.config.PipelineConfig.band_cell_fraction`);
-        the per-pair cost is rescaled relative to the fraction this
-        calibration was *measured* at, so virtual clocks charge band-aware
-        work estimates without double-counting when calibration and run share
-        the same band settings.
-        """
+    def mapping_seconds(self, n_reads: int, n_pairs: int | None = None) -> float:
+        """Compute charge for seeding ``n_reads`` and aligning ``n_pairs``,
+        at the configuration this calibration was measured with."""
         if n_pairs is None:
             n_pairs = int(round(n_reads * self.pairs_per_read))
-        if not 0.0 < cell_fraction <= 1.0:
-            raise PipelineError(
-                f"cell_fraction must be in (0, 1], got {cell_fraction}"
-            )
-        return (
-            n_reads * self.seconds_per_seed
-            + n_pairs * self.seconds_per_pair * (cell_fraction / self.cell_fraction)
-        )
+        return n_reads * self.seconds_per_seed + n_pairs * self.seconds_per_pair
 
     def index_seconds(self, genome_length: int) -> float:
         return genome_length * self.seconds_per_index_base
@@ -139,16 +109,11 @@ class ComputeCalibration:
         def seconds(name: str) -> float:
             return stages.get(name, (0.0, 0))[0]
 
-        n_pairs = max(stats.n_pairs, 1)
-        mean_read_len = int(round(sum(len(r) for r in reads) / len(reads)))
-        measured_fraction = (
-            config.band_cell_fraction(mean_read_len) if config is not None else 1.0
-        )
+        pair_seconds = seconds("align") + seconds("weigh") + seconds("accumulate")
         return cls(
             seconds_per_seed=seconds("seed") / max(stats.n_reads, 1),
-            seconds_per_pair=(seconds("align") + seconds("accumulate")) / n_pairs,
+            seconds_per_pair=pair_seconds / max(stats.n_pairs, 1),
             pairs_per_read=stats.n_pairs / max(stats.n_reads, 1),
             seconds_per_index_base=t_index / len(reference),
             seconds_per_called_position=seconds("call") / len(reference),
-            cell_fraction=measured_fraction,
         )

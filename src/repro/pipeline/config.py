@@ -242,15 +242,3 @@ class PipelineConfig:
     def banding(self) -> bool:
         """Whether the marginal alignment path runs banded kernels."""
         return self.band_mode != "off" and self.posterior_mode == "marginal"
-
-    def band_cell_fraction(self, read_len: int) -> float:
-        """Modelled fraction of full DP cells a banded fill computes.
-
-        Used by the cost model / virtual clocks to charge band-aware compute:
-        a band covers at most ``2*band_w + 1`` of the ``read_len + 2*pad``
-        window columns per row.  Returns 1.0 when banding is off.
-        """
-        if not self.banding or read_len <= 0:
-            return 1.0
-        width = read_len + 2 * self.pad
-        return min(1.0, (2 * self.band_w + 1) / width)

@@ -18,6 +18,7 @@ from repro.errors import AlignmentError
 from repro.genome.fastq import ERROR_PROBABILITY, Read
 from repro.index.seeding import SeedBlock
 from repro.memory.base import Accumulator
+from repro.observability import span
 from repro.phmm.alignment import align_batch, align_batch_banded, build_windows
 from repro.phmm.forward_backward import emissions_batch
 from repro.phmm.pwm import flat_pwm, pwm_from_codes
@@ -87,10 +88,12 @@ def cut_windows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(pwms, windows, valid)`` of a non-empty stack: each window spans
     its read plus ``cfg.pad`` columns either side."""
-    pwms = stack.pwms(cfg.quality_aware)
-    windows, valid = build_windows(
-        genome_codes, stack.seeded.start - cfg.pad, pwms.shape[1] + 2 * cfg.pad
-    )
+    with span("pwm"):
+        pwms = stack.pwms(cfg.quality_aware)
+    with span("windows"):
+        windows, valid = build_windows(
+            genome_codes, stack.seeded.start - cfg.pad, pwms.shape[1] + 2 * cfg.pad
+        )
     return pwms, windows, valid
 
 

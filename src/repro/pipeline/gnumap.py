@@ -99,16 +99,11 @@ class CallResult:
 
     @property
     def reads_per_second(self) -> float:
-        """Mapping throughput: reads per second of the parent's
-        ``map_parallel`` wall on a pool run (the stage leaves there are
-        worker-summed CPU seconds), else per seed+align+accumulate second."""
+        """Mapping throughput: reads per second of the span that holds the
+        mapping — the parent's ``map_parallel`` wall on a pool run (the
+        spans under it are worker-summed CPU seconds), else ``map_reads``."""
         totals = self.metrics.leaf_totals()
-        if "map_parallel" in totals:
-            mapping = totals["map_parallel"][0]
-        else:
-            mapping = sum(
-                totals[k][0] for k in ("seed", "align", "accumulate") if k in totals
-            )
+        mapping = totals.get("map_parallel", totals.get("map_reads", (0.0, 0)))[0]
         return self.stats.n_reads / mapping if mapping > 0 else 0.0
 
     def write_tsv(self, path: str) -> int:
@@ -208,9 +203,6 @@ class GnumapSnp:
         if len(held):
             added.n_batches += 1
             yield self._align(reads, held)
-            # Band-aware work estimate: modelled DP-cell fraction per
-            # pair at this read length (1.0 when banding is off).
-            current().gauge_max("phmm.band_cell_fraction", cfg.band_cell_fraction(read_len))
         added.n_mapped = added.n_reads - added.n_unmapped
         stats.merge(added)
         added.publish()
@@ -225,7 +217,7 @@ class GnumapSnp:
         """Per-pair mapping weights of one batch: each read's z mass shared
         over its candidates by posterior (one-hot on the best under
         ``posterior_mode="viterbi"``)."""
-        with span("align"):
+        with span("weigh"):
             if self.config.posterior_mode == "viterbi":
                 return _one_hot_best(evidence.loglik, evidence.groups)
             return group_normalize(

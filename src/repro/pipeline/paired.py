@@ -166,7 +166,7 @@ class PairedGnumap:
                     for mate in (pair.read1, pair.read2)
                 ]
                 batches = list(pipe.map_batches(reads, stats))
-                with span("align"):
+                with span("weigh"):
                     weights = self._block_weights(reads, batches)
                 for evidence, share in zip(batches, weights):
                     pipe.accumulate(acc, evidence, share)

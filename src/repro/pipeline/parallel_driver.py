@@ -68,13 +68,6 @@ class ParallelRunResult:
     stats: "MappingStats | None"
 
 
-def _mean_read_len(reads: "list[Read]") -> int:
-    """Mean read length for band-aware work estimates (0 when empty)."""
-    if not reads:
-        return 0
-    return int(round(sum(len(r) for r in reads) / len(reads)))
-
-
 def run_read_spread(
     comm: Comm,
     reference: Reference,
@@ -97,13 +90,7 @@ def run_read_spread(
     local_reads = take(reads, slices[comm.rank])
     acc, stats = pipe.map_reads(local_reads)
     if calibration:
-        comm.account_compute(
-            calibration.mapping_seconds(
-                stats.n_reads,
-                stats.n_pairs,
-                cell_fraction=config.band_cell_fraction(_mean_read_len(local_reads)),
-            )
-        )
+        comm.account_compute(calibration.mapping_seconds(stats.n_reads, stats.n_pairs))
 
     with span("reduce"):
         merged = reduce_accumulator(comm, acc, root=0)
@@ -264,13 +251,7 @@ def _process_read_batch(
     owned = replace(owned, read=mine[owned.read])
 
     if calibration:
-        comm.account_compute(
-            calibration.mapping_seconds(
-                int(read_mask.sum()),
-                len(owned),
-                cell_fraction=config.band_cell_fraction(_mean_read_len(batch)),
-            )
-        )
+        comm.account_compute(calibration.mapping_seconds(int(read_mask.sum()), len(owned)))
 
     # Global per-read normalisation: allreduce (logsumexp, max) across ranks.
     local_lse = np.full(len(batch), -np.inf)

@@ -28,6 +28,13 @@ from repro.api import Engine
 from repro.pipeline.gnumap import GnumapSnp
 from repro.pipeline.mp_backend import chunk_count
 
+#: Child spans of `align` (window cutting, then the kernel's layers) and of
+#: `seed`.
+ALIGN_LAYERS = (
+    "pwm", "windows", "workspace", "emissions", "forward", "backward", "posterior", "zvec",
+)
+SEED_LAYERS = ("lookup", "cluster", "filter", "rank")
+
 #: Counters that must not depend on how the work is partitioned.
 #: (pipeline.batches and phmm.batches legitimately differ with chunking.)
 INVARIANT_COUNTERS = (
@@ -83,7 +90,7 @@ class TestSerialInvariants:
         # Span tree shape and time accounting.
         assert snap.span_count("map_reads") == 1
         children = snap.span_node("map_reads")["children"]
-        assert {"seed", "align", "accumulate"} <= set(children)
+        assert {"seed", "align", "weigh", "accumulate"} <= set(children)
         child_sum = sum(node["seconds"] for node in children.values())
         assert child_sum <= snap.span_seconds("map_reads") + 1e-9
         assert snap.total_span_seconds() <= wall + 1e-9
@@ -94,11 +101,13 @@ class TestSerialInvariants:
         assert not result.metrics.events
 
         # Step A runs a block of `batch_size` reads per `seed` span; the
-        # span's *total* is still all of seeding, which is what throughput
-        # and the calibration read.
+        # span's *total* is still all of seeding, which is what the
+        # calibration reads.
         totals = result.metrics.leaf_totals()
         assert totals["seed"][1] == math.ceil(len(reads) / PipelineConfig().batch_size)
-        mapping = sum(totals[stage][0] for stage in ("seed", "align", "accumulate"))
+        # Throughput divides by the span that holds the whole mapping, so
+        # the weighting and the glue between stages count too.
+        mapping = result.metrics.span_seconds("map_reads")
         assert result.reads_per_second == len(reads) / mapping
 
     def test_calibration_reads_the_seed_span_total(self, workload, reads, monkeypatch):
@@ -114,6 +123,10 @@ class TestSerialInvariants:
         seed_seconds, seed_spans = seen[-1]["seed"]
         assert seed_spans == 1  # 60 reads, one block
         assert calibration.seconds_per_seed == seed_seconds / 60
+        # A pair costs its kernel call, its weighting and its deposit.
+        pair_seconds = sum(seen[-1][name][0] for name in ("align", "weigh", "accumulate"))
+        n_pairs = calibration.pairs_per_read * 60
+        assert calibration.seconds_per_pair * n_pairs == pytest.approx(pair_seconds)
 
     def test_cells_match_batch_geometry(self, workload, reads):
         with scope() as reg:
@@ -125,6 +138,37 @@ class TestSerialInvariants:
         expected = stats.n_pairs * read_len * width
         assert snap.counters["phmm.forward_cells"] == expected
         assert snap.counters["phmm.backward_cells"] == expected
+
+
+def assert_children_within_parents(tree):
+    for node in tree.values():
+        child_sum = sum(c["seconds"] for c in node["children"].values())
+        assert child_sum <= node["seconds"] + 1e-9
+        assert_children_within_parents(node["children"])
+
+
+class TestLayerSpans:
+    """The engine times its own layers as child spans of the stage that
+    runs them."""
+
+    def test_seed_and_align_hold_their_layers(self):
+        wl = build_workload(scale="tiny", seed=7)
+        result = Engine(wl.reference).run(wl.reads)
+        m = result.metrics
+        # One `align` span per kernel batch: the weighting is its own span.
+        assert m.span_count("map_reads/align") == m.counter("pipeline.batches")
+        assert m.span_node("map_reads/weigh") is not None
+        align = m.span_node("map_reads/align")["children"]
+        assert set(ALIGN_LAYERS) <= set(align)
+        # A kernel call records its layers once per lane tile it ran, and
+        # every batch runs at least one.
+        assert m.span_count("map_reads/align/forward") >= m.counter("pipeline.batches")
+        seed = m.span_node("map_reads/seed")["children"]
+        assert set(SEED_LAYERS) <= set(seed)
+        for name in ("forward", "backward", "posterior"):
+            assert align[name]["seconds"] > 0, name
+        assert seed["lookup"]["seconds"] > 0
+        assert_children_within_parents(m.spans)
 
 
 class TestSerialVsMultiprocessing:
@@ -206,13 +250,4 @@ class TestCliMetricsJson:
         # span total and every tree totals its children.
         for doc in (doc1, doc4):
             assert doc["totals"]["span_seconds"] > 0
-
-            def check(tree):
-                for node in tree.values():
-                    child_sum = sum(
-                        c["seconds"] for c in node["children"].values()
-                    )
-                    assert child_sum <= node["seconds"] + 1e-9
-                    check(node["children"])
-
-            check(doc["spans"])
+            assert_children_within_parents(doc["spans"])

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.observability import MetricsRegistry, current_path, detached, span, use
+from repro.observability import Laps, MetricsRegistry, current_path, detached, span, use
 
 
 class TestSpanNesting:
@@ -53,6 +53,25 @@ class TestSpanNesting:
                     assert current_path() == ("a", "b")
                 assert current_path() == ("a",)
             assert current_path() == ()
+
+
+class TestLaps:
+    def test_laps_are_children_of_the_open_span(self):
+        reg = MetricsRegistry()
+        with use(reg):
+            with span("stage"):
+                laps = Laps("first", "never")
+                laps.lap("first")
+                laps.lap("first")
+                laps.record(count=3)
+                with pytest.raises(KeyError):
+                    laps.lap("undeclared")
+        snap = reg.snapshot()
+        assert snap.span_count("stage/first") == 3
+        # A declared layer that never ran is in the tree, at zero seconds.
+        assert snap.span_count("stage/never") == 3
+        assert snap.span_seconds("stage/never") == 0.0
+        assert snap.span_seconds("stage/first") <= snap.span_seconds("stage")
 
 
 class TestDetached:

@@ -65,7 +65,6 @@ class TestPipelineConfig:
         cfg = PipelineConfig()
         assert cfg.band_mode == "off"
         assert not cfg.banding
-        assert cfg.band_cell_fraction(62) == 1.0
 
     def test_band_validation(self):
         with pytest.raises(ConfigError):
@@ -82,15 +81,6 @@ class TestPipelineConfig:
         assert not PipelineConfig(
             band_mode="adaptive", posterior_mode="viterbi"
         ).banding
-
-    def test_band_cell_fraction(self):
-        cfg = PipelineConfig(band_mode="adaptive", band_w=10)
-        # band of 21 diagonals over a (read_len + 2*pad)-wide window
-        assert cfg.band_cell_fraction(62) == pytest.approx(21 / 78)
-        # a band wider than the window means no savings, never > 1
-        assert PipelineConfig(
-            band_mode="adaptive", band_w=1000
-        ).band_cell_fraction(62) == 1.0
 
     def test_subconfigs_carried(self):
         from repro.calling.caller import CallerConfig

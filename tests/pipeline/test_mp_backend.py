@@ -33,6 +33,7 @@ from repro.pipeline.mp_backend import (
     make_pool,
     map_reads_multiprocessing,
 )
+from tests.observability.test_pipeline_metrics import ALIGN_LAYERS, SEED_LAYERS
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,11 @@ class TestMultiprocessingBackend:
         hist = reg.snapshot().histogram("phmm.tile_lanes")
         assert hist["count"] == chunk_count(len(workload.reads), 2)
         assert hist["sum"] == mp2.stats.n_pairs
+        # So do their layer spans, under the span that dispatched them.
+        worker = mp2.metrics.span_node("map_parallel/map_reads")["children"]
+        assert set(ALIGN_LAYERS) <= set(worker["align"]["children"])
+        assert set(SEED_LAYERS) <= set(worker["seed"]["children"])
+        assert "weigh" in worker
 
     def test_zero_workers_rejected(self, workload):
         with pytest.raises(PipelineError):

@@ -261,7 +261,7 @@ class TestRepeatDisambiguation:
     def test_run_is_measured_by_the_pipeline_spans(self, repeat_case):
         *_, result = repeat_case
         stages = result.metrics.span_node("map_reads")["children"]
-        assert {"seed", "align", "accumulate"} <= set(stages)
+        assert {"seed", "align", "weigh", "accumulate"} <= set(stages)
         assert result.metrics.counter("pipeline.reads") == result.stats.n_reads
         assert result.metrics.counter("pipeline.pairs") == result.stats.n_pairs
         assert result.metrics.counter("pipeline.batches") == result.stats.n_batches > 0

@@ -37,6 +37,10 @@ def main(path: str) -> None:
     # (what totals.span_seconds sums) count the mapping once.
     assert "map_reads" not in snap.spans, sorted(snap.spans)
     assert snap.span_seconds("map_parallel/map_reads") > 0
+    # Workers time their own layers, and the layers ship home with the tree.
+    for layer in ("map_reads/align/forward", "map_reads/seed/lookup"):
+        seconds = snap.span_seconds(f"map_parallel/{layer}")
+        assert seconds > 0, f"map_parallel/{layer} is {seconds}"
     # Workers ship their tiles home.  On CI's `tiny` input (1,936 reads, six
     # chunks) a worker's tile is 193-205 lanes; a plan that cuts chunks below
     # a lane tile's reads narrows it (eight 242-read chunks: 141-159).
