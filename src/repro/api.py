@@ -29,8 +29,8 @@ ingest), then call once::
     engine.map_reads(batch_b)        # same accumulator keeps filling
     result = engine.call()
 
-Worker count is engine state: the constructor ``workers=`` kwarg, the
-``workers`` property, or ``config.parallel.workers``.
+Worker count is the constructor's ``workers=`` keyword (the CLI passes
+``--workers`` to it); the ``workers`` property reads it back.
 """
 
 from __future__ import annotations
@@ -62,12 +62,11 @@ class Engine:
     staged across calls; ``run`` is stateless (fresh accumulator per call)
     and is the right verb for one-shot batch work.
 
-    With ``workers > 1`` (constructor kwarg, the ``workers`` property, or
-    ``config.parallel.workers``) the engine also owns a persistent
-    shared-memory worker pool, created lazily on the first parallel call
-    and reused until ``close()``/``__exit__`` — or until the worker count
-    or process-wide sanitizer/tracing flags change, which recycles the
-    fleet so workers never run with stale one-time init state.
+    With ``workers > 1`` the engine also owns a persistent shared-memory
+    worker pool, created lazily on the first parallel call and reused until
+    ``close()``/``__exit__`` — or until the process-wide sanitizer/tracing
+    flags change, which recycles the fleet so workers never run with stale
+    one-time init state.
     """
 
     def __init__(
@@ -75,11 +74,9 @@ class Engine:
         reference: Reference,
         config: PipelineConfig | None = None,
         *,
-        workers: "int | None" = None,
+        workers: int = 1,
     ):
         self.config = config or PipelineConfig()
-        if workers is None:
-            workers = self.config.parallel.workers
         if workers < 1:
             raise PipelineError(f"workers must be >= 1, got {workers}")
         self._workers = workers
@@ -101,7 +98,7 @@ class Engine:
         path: str,
         config: PipelineConfig | None = None,
         *,
-        workers: "int | None" = None,
+        workers: int = 1,
     ) -> "Engine":
         """Build an engine from a single-record reference FASTA file."""
         from repro.genome.fasta import read_fasta
@@ -126,17 +123,8 @@ class Engine:
     # -- resource lifecycle -----------------------------------------------------
     @property
     def workers(self) -> int:
-        """Worker-process count used by ``map_reads``/``run`` (engine state)."""
+        """Worker-process count used by ``map_reads``/``run``."""
         return self._workers
-
-    @workers.setter
-    def workers(self, value: int) -> None:
-        if value < 1:
-            raise PipelineError(f"workers must be >= 1, got {value}")
-        if value != self._workers:
-            # The fleet is sized at spawn; a resize needs a fresh pool.
-            self._teardown_pool()
-        self._workers = value
 
     @property
     def telemetry(self) -> "TelemetryAggregator | None":

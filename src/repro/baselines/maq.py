@@ -21,7 +21,7 @@ comparison isolates the alignment/calling philosophy, not the seed finding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.genome.alphabet import reverse_complement
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.index.hashindex import GenomeIndex
-from repro.index.seeding import Seeder, SeederConfig
+from repro.index.seeding import Seeder
 from repro.util.rng import resolve_rng
 
 
@@ -46,36 +46,35 @@ class MaqSNP:
     depth: int
 
 
+#: Index mer-size the baseline seeds with (GNUMAP-SNP's default ``k``).
+K = 10
+#: Discard alignments whose summed mismatch quality exceeds this (MAQ's
+#: ``-e``, default 70).
+MAX_MISMATCH_SUM = 70
+#: Reads mapping with quality below this are dropped (MAQ default 0, but SNP
+#: calling conventionally filters at ~10; the paper's critique is precisely
+#: that such reads vanish).
+MIN_MAPPING_QUALITY = 10
+#: Minimum covering reads to attempt a call.
+MIN_DEPTH = 3
+#: Per-base quality cap in the consensus model (MAQ caps correlated errors
+#: similarly).
+MAX_QUALITY = 30
+
+
 @dataclass
 class MaqConfig:
-    """Baseline knobs (defaults shadow MAQ's).
+    """Baseline knobs (the fixed ones, shadowing MAQ's defaults, are the
+    module constants above).
 
     Attributes
     ----------
-    max_mismatch_sum:
-        Discard alignments whose summed mismatch quality exceeds this
-        (MAQ's ``-e``, default 70).
-    min_mapping_quality:
-        Reads mapping with quality below this are dropped (MAQ default 0,
-        but SNP calling conventionally filters at ~10; the paper's critique
-        is precisely that such reads vanish).
     snp_quality_cutoff:
         Phred-scaled consensus-vs-reference likelihood ratio required to
         report a SNP (an *ad hoc* fixed cutoff — the paper's point).
-    min_depth:
-        Minimum covering reads to attempt a call.
-    max_quality:
-        Per-base quality cap in the consensus model (MAQ caps correlated
-        errors similarly).
     """
 
-    k: int = 10
-    max_mismatch_sum: int = 70
-    min_mapping_quality: int = 10
     snp_quality_cutoff: float = 20.0
-    min_depth: int = 3
-    max_quality: int = 30
-    seeder: SeederConfig = field(default_factory=SeederConfig)
 
 
 class MaqLikeCaller:
@@ -89,8 +88,8 @@ class MaqLikeCaller:
     ) -> None:
         self.reference = reference
         self.config = config or MaqConfig()
-        self.index = GenomeIndex(reference, k=self.config.k)
-        self.seeder = Seeder(self.index, self.config.seeder)
+        self.index = GenomeIndex(reference, k=K)
+        self.seeder = Seeder(self.index)
         self._rng = resolve_rng(seed)
         # Per-position per-base accumulated log-likelihood terms plus depth.
         self._loglik = np.zeros((len(reference), 4))
@@ -115,7 +114,6 @@ class MaqLikeCaller:
         Returns None for unmapped or filtered reads.  Ties are broken
         randomly (the multiread behaviour the paper criticises).
         """
-        cfg = self.config
         rc_codes = reverse_complement(read.codes)
         rc_quals = read.quals[::-1]
         placements: list[tuple[int, int, int]] = []  # (score, start, strand)
@@ -124,7 +122,7 @@ class MaqLikeCaller:
                 (read.codes, read.quals) if cand.strand == 1 else (rc_codes, rc_quals)
             )
             score = self._ungapped_score(codes, quals, cand.start)
-            if score is not None and score <= cfg.max_mismatch_sum:
+            if score is not None and score <= MAX_MISMATCH_SUM:
                 placements.append((score, cand.start, cand.strand))
         if not placements:
             return None
@@ -147,7 +145,7 @@ class MaqLikeCaller:
             self.n_discarded += 1
             return False
         start, strand, _score, mapq = placed
-        if mapq < self.config.min_mapping_quality:
+        if mapq < MIN_MAPPING_QUALITY:
             self.n_discarded += 1
             return False
         codes = read.codes if strand == 1 else reverse_complement(read.codes)
@@ -159,7 +157,7 @@ class MaqLikeCaller:
     def _pileup(self, start: int, codes: np.ndarray, quals: np.ndarray) -> None:
         n = codes.size
         positions = np.arange(start, start + n)
-        q = np.minimum(quals, self.config.max_quality).astype(np.float64)
+        q = np.minimum(quals, MAX_QUALITY).astype(np.float64)
         err = np.power(10.0, -q / 10.0)
         # log P(obs | true=b): (1 - e) when b == obs else e/3.
         terms = np.tile(np.log(err / 3.0)[:, None], (1, 4))
@@ -170,9 +168,8 @@ class MaqLikeCaller:
     # -- calling ---------------------------------------------------------------
     def call_snps(self) -> list[MaqSNP]:
         """Consensus calls that differ from the reference above the cutoff."""
-        cfg = self.config
         ref = self.reference.codes
-        eligible = np.nonzero(self._depth >= cfg.min_depth)[0]
+        eligible = np.nonzero(self._depth >= MIN_DEPTH)[0]
         out: list[MaqSNP] = []
         for pos in eligible:
             r = int(ref[pos])
@@ -184,7 +181,7 @@ class MaqLikeCaller:
                 continue
             # Phred-scaled margin of the best base over the reference base.
             quality = 10.0 * (ll[best] - ll[r]) / np.log(10.0)
-            if quality >= cfg.snp_quality_cutoff:
+            if quality >= self.config.snp_quality_cutoff:
                 out.append(
                     MaqSNP(
                         pos=int(pos),

@@ -4,7 +4,7 @@ The floor baseline for the ablation study — no quality weighting, no
 probabilistic placement, no statistical test.  Reads are placed at their
 single best ungapped location (reusing the MAQ-like mapper) and each base
 votes once; a SNP is called when a non-reference base holds at least
-``min_fraction`` of at least ``min_depth`` votes.
+:data:`MIN_FRACTION` of at least :data:`MIN_DEPTH` votes.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.baselines.maq import MaqConfig, MaqLikeCaller
-from repro.errors import PipelineError
+from repro.baselines.maq import MIN_DEPTH, MaqConfig, MaqLikeCaller
 from repro.genome.alphabet import N as CODE_N
 from repro.genome.alphabet import reverse_complement
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
+
+#: Share of the votes the non-reference winner needs.
+MIN_FRACTION = 0.75
 
 
 @dataclass(frozen=True)
@@ -35,20 +37,8 @@ class PileupSNP:
 class PileupCaller:
     """Counts-only caller on top of single-best-hit placement."""
 
-    def __init__(
-        self,
-        reference: Reference,
-        min_depth: int = 3,
-        min_fraction: float = 0.75,
-        seed: int = 0,
-    ) -> None:
-        if min_depth < 1:
-            raise PipelineError("min_depth must be >= 1")
-        if not 0.5 < min_fraction <= 1.0:
-            raise PipelineError("min_fraction must be in (0.5, 1]")
+    def __init__(self, reference: Reference, seed: int = 0) -> None:
         self.reference = reference
-        self.min_depth = min_depth
-        self.min_fraction = min_fraction
         self._mapper = MaqLikeCaller(reference, MaqConfig(), seed=seed)
         self._counts = np.zeros((len(reference), 4), dtype=np.int32)
 
@@ -64,7 +54,7 @@ class PileupCaller:
 
     def call_snps(self) -> list[PileupSNP]:
         depth = self._counts.sum(axis=1)
-        eligible = np.nonzero(depth >= self.min_depth)[0]
+        eligible = np.nonzero(depth >= MIN_DEPTH)[0]
         ref = self.reference.codes
         out: list[PileupSNP] = []
         for pos in eligible:
@@ -75,7 +65,7 @@ class PileupCaller:
             best = int(votes.argmax())
             if best == r:
                 continue
-            if votes[best] >= self.min_fraction * depth[pos]:
+            if votes[best] >= MIN_FRACTION * depth[pos]:
                 out.append(
                     PileupSNP(
                         pos=int(pos),

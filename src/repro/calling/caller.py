@@ -8,11 +8,13 @@ caller:
 2. applies the configured cutoff — the paper's Bonferroni ``alpha/5``
    chi-square quantile, or BH FDR control over all tested positions,
 3. calls the base/genotype at significant positions, and
-4. reports positions whose call differs from the reference as SNPs.
+4. reports positions whose call differs from the reference as substitution
+   SNPs (a gap winner is never reported: the paper's tables count
+   substitutions).
 
-Positions below ``min_depth`` are never called (there is not enough evidence
-for the asymptotic test to mean anything; the paper's 5-20-read regime is
-well above it).
+Positions below :data:`MIN_DEPTH` are never called (there is not enough
+evidence for the asymptotic test to mean anything; the paper's 5-20-read
+regime is well above it).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.calling.lrt import (
-    DEFAULT_HET_MARGIN,
     lrt_statistic_diploid,
     lrt_statistic_monoploid,
     top_channels,
@@ -36,6 +37,14 @@ from repro.calling.records import BaseCall, SNPCall
 from repro.errors import CallingError
 from repro.genome.alphabet import GAP, N
 from repro.observability import current as metrics
+
+#: Minimum accumulated evidence ``n`` to attempt a call.
+MIN_DEPTH = 3.0
+#: A heterozygous genotype additionally requires the second allele to hold at
+#: least this fraction of the position's evidence; the fixed chi-square
+#: margin alone lets clustered sequencing errors (whose mass grows with
+#: depth) masquerade as hets at high coverage.  True hets sit near 0.5.
+MIN_HET_FRACTION = 0.15
 
 
 @dataclass
@@ -58,32 +67,12 @@ class CallerConfig:
         (Benjamini–Hochberg at level ``fdr``).
     fdr:
         FDR level when ``method == "fdr"``.
-    min_depth:
-        Minimum accumulated evidence ``n`` to attempt a call.
-    het_margin:
-        Threshold for the nested het-vs-hom LRT deciding the genotype (see
-        :func:`~repro.calling.lrt.lrt_statistic_diploid`).  ``None``
-        (default) uses that function's calibrated default.
-    min_het_fraction:
-        A heterozygous genotype additionally requires the second allele to
-        hold at least this fraction of the position's evidence; the fixed
-        chi-square margin alone lets clustered sequencing errors (whose mass
-        grows with depth) masquerade as hets at high coverage.  True hets
-        sit near 0.5.
-    call_gaps:
-        When True, positions whose winning channel is the gap are reported
-        as deletions.  When False (default) they are skipped: the paper's
-        tables count substitution SNPs.
     """
 
     ploidy: int = 1
     alpha: float = 0.01
     method: str = "bonferroni"
     fdr: float = 0.05
-    min_depth: float = 3.0
-    het_margin: float | None = None
-    min_het_fraction: float = 0.15
-    call_gaps: bool = False
 
     def __post_init__(self) -> None:
         if self.ploidy not in (1, 2):
@@ -94,12 +83,6 @@ class CallerConfig:
             raise CallingError(f"unknown method {self.method!r}")
         if not 0.0 < self.fdr < 1.0:
             raise CallingError(f"fdr must be in (0, 1), got {self.fdr}")
-        if self.min_depth < 0:
-            raise CallingError("min_depth must be non-negative")
-        if self.het_margin is not None and self.het_margin < 0:
-            raise CallingError("het_margin must be non-negative")
-        if not 0.0 <= self.min_het_fraction <= 0.5:
-            raise CallingError("min_het_fraction must be in [0, 0.5]")
 
 
 class SNPCaller:
@@ -111,7 +94,7 @@ class SNPCaller:
     def _lrt_columns(
         self, z: np.ndarray, positions: np.ndarray | None
     ) -> tuple[np.ndarray, ...]:
-        """The LRT outcome of every position with depth >= ``min_depth``: one
+        """The LRT outcome of every position with depth >= :data:`MIN_DEPTH`: one
         array per :class:`BaseCall` field, in field order."""
         z = np.asarray(z, dtype=np.float64)
         if z.ndim != 2 or z.shape[1] != 5:
@@ -128,7 +111,7 @@ class SNPCaller:
         # sum(axis=1), channel by channel in its order: a reduction over
         # five-element rows pays per row, and P is the genome.
         depth = z[:, 0] + z[:, 1] + z[:, 2] + z[:, 3] + z[:, 4]
-        eligible = depth >= cfg.min_depth
+        eligible = depth >= MIN_DEPTH
         reg = metrics()
         reg.inc("caller.positions_seen", P)
         reg.inc("caller.positions_tested", int(eligible.sum()))
@@ -139,13 +122,9 @@ class SNPCaller:
             stat = lrt_statistic_monoploid(ze)
             het = np.zeros(stat.size, dtype=bool)
         else:
-            margin = (
-                cfg.het_margin if cfg.het_margin is not None else DEFAULT_HET_MARGIN
-            )
-            stat, het = lrt_statistic_diploid(ze, het_margin=margin)
-            if cfg.min_het_fraction > 0:
-                second_mass = np.sort(ze, axis=1)[:, -2]
-                het &= second_mass >= cfg.min_het_fraction * depth_e
+            stat, het = lrt_statistic_diploid(ze)
+            second_mass = np.sort(ze, axis=1)[:, -2]
+            het &= second_mass >= MIN_HET_FRACTION * depth_e
         pvals = chi2_pvalue(stat)
         if cfg.method == "bonferroni":
             signif = stat > significance_threshold(cfg.alpha)
@@ -161,7 +140,7 @@ class SNPCaller:
     def base_calls(
         self, z: np.ndarray, positions: np.ndarray | None = None
     ) -> list[BaseCall]:
-        """LRT outcome for every position with depth >= ``min_depth``.
+        """LRT outcome for every position with depth >= :data:`MIN_DEPTH`.
 
         Parameters
         ----------
@@ -198,10 +177,10 @@ class SNPCaller:
             )
         ref = reference_codes[pos[idx]]
         top, second, het = top[idx], second[idx], het[idx]
-        # Not homozygous-reference: a het genotype never is.
+        # Not homozygous-reference (a het genotype never is), and no gap
+        # among the called alleles.
         differs = (ref != N) & (het | (top != ref))
-        if not self.config.call_gaps:
-            differs &= ~((top == GAP) | (het & (second == GAP)))
+        differs &= ~((top == GAP) | (het & (second == GAP)))
         idx, ref = idx[differs], ref[differs]
         calls = self._records(tuple(c[idx] for c in columns))
         out = [

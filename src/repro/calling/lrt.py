@@ -74,15 +74,13 @@ def lrt_statistic_monoploid(z: np.ndarray) -> np.ndarray:
     return np.where(n > 0, np.maximum(stat, 0.0), 0.0)
 
 
-#: Default het-vs-hom margin: the chi^2_1 quantile at p = 0.01.  Calibrated
-#: against simulated 12x data, homozygous-background margins stay below ~5
-#: while true 50/50 heterozygotes reach 7-25 — see tests/calling/test_lrt.py.
-DEFAULT_HET_MARGIN = 6.63
+#: Het-vs-hom margin: the chi^2_1 quantile at p = 0.01.  Calibrated against
+#: simulated 12x data, homozygous-background margins stay below ~5 while true
+#: 50/50 heterozygotes reach 7-25 — see tests/calling/test_lrt.py.
+HET_MARGIN = 6.63
 
 
-def lrt_statistic_diploid(
-    z: np.ndarray, het_margin: float = DEFAULT_HET_MARGIN
-) -> tuple[np.ndarray, np.ndarray]:
+def lrt_statistic_diploid(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diploid ``-2 log lambda`` plus which alternative won.
 
     Returns ``(stat, het)``.  The heterozygous alternative *nests* the
@@ -90,14 +88,12 @@ def lrt_statistic_diploid(
     lower; declaring ``het`` on a bare likelihood comparison would flag
     nearly every homozygous site on ordinary sequencing noise.  The genotype
     decision is therefore itself a nested LRT: ``het[p]`` is True only when
-    ``2 * (logL_het - logL_hom) > het_margin``, i.e. the extra allele is
-    significant in its own right.  The default margin is
-    :data:`DEFAULT_HET_MARGIN` (chi^2_1 at p = 0.01): a true 50/50 het at
-    depth >= ~7 clears it, a noisy second channel does not.  The returned
-    *statistic* uses the unpenalised maximum, exactly as the paper's lambda.
+    ``2 * (logL_het - logL_hom) > HET_MARGIN``, i.e. the extra allele is
+    significant in its own right.  :data:`HET_MARGIN` is chi^2_1 at
+    p = 0.01: a true 50/50 het at depth >= ~7 clears it, a noisy second
+    channel does not.  The returned *statistic* uses the unpenalised
+    maximum, exactly as the paper's lambda.
     """
-    if het_margin < 0:
-        raise CallingError(f"het_margin must be non-negative, got {het_margin}")
     z = _validate_z(z)
     n = z.sum(axis=1)
     order = np.sort(z, axis=1)
@@ -118,7 +114,7 @@ def lrt_statistic_diploid(
         - rest2 * np.log(3.0)
         - np.where(n > 0, n * np.log(np.maximum(n, 1e-300)), 0.0)
     )
-    het = 2.0 * (logL_het - logL_hom) > het_margin
+    het = 2.0 * (logL_het - logL_hom) > HET_MARGIN
     logL1 = np.maximum(logL_hom, logL_het)
     stat = 2.0 * (logL1 - n * _LOG02)
     return np.where(n > 0, np.maximum(stat, 0.0), 0.0), het

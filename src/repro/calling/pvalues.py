@@ -16,23 +16,23 @@ from scipy import stats
 from repro.errors import CallingError
 
 
-def chi2_pvalue(stat: np.ndarray, df: int = 1) -> np.ndarray:
-    """Upper-tail chi-square p-value of an LRT statistic (vectorised)."""
+def chi2_pvalue(stat: np.ndarray) -> np.ndarray:
+    """Upper-tail chi^2_1 p-value of an LRT statistic (vectorised)."""
     stat = np.asarray(stat, dtype=np.float64)
     if (stat < -1e-9).any():
         raise CallingError("LRT statistics must be non-negative")
-    return stats.chi2.sf(np.maximum(stat, 0.0), df)
+    return stats.chi2.sf(np.maximum(stat, 0.0), 1)
 
 
-def significance_threshold(alpha: float = 0.001, df: int = 1) -> float:
-    """The paper's critical value: chi^2_df quantile at ``1 - alpha/5``.
+def significance_threshold(alpha: float = 0.001) -> float:
+    """The paper's critical value: chi^2_1 quantile at ``1 - alpha/5``.
 
     A position is significant when its statistic exceeds this value —
     equivalently when its p-value is below ``alpha/5``.
     """
     if not 0.0 < alpha < 1.0:
         raise CallingError(f"alpha must be in (0, 1), got {alpha}")
-    return float(stats.chi2.ppf(1.0 - alpha / 5.0, df))
+    return float(stats.chi2.ppf(1.0 - alpha / 5.0, 1))
 
 
 def benjamini_hochberg(pvalues: np.ndarray, fdr: float = 0.05) -> np.ndarray:

@@ -75,7 +75,6 @@ def _cmd_call(args: argparse.Namespace) -> int:
         band_w=args.band_width,
         band_tolerance=args.band_tolerance,
         parallel=ParallelConfig(
-            workers=args.workers,
             chunk_timeout=args.chunk_timeout,
             max_retries=args.max_retries,
             fault_spec=args.fault_spec,
@@ -91,7 +90,7 @@ def _cmd_call(args: argparse.Namespace) -> int:
     )
     args._config = config
     reads = read_fastq(args.reads)
-    with Engine.from_fasta(args.reference, config) as engine:
+    with Engine.from_fasta(args.reference, config, workers=args.workers) as engine:
         if engine.telemetry_url is not None:
             print(f"telemetry: {engine.telemetry_url}", file=sys.stderr)
             if engine.workers == 1:
@@ -238,7 +237,7 @@ def _add_trace_arg(p: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="enable flight-recorder tracing and write the run's timeline "
         "as Chrome trace-event JSON (open in chrome://tracing or "
-        "ui.perfetto.dev; equivalent activation: REPRO_TRACE=1)",
+        "ui.perfetto.dev)",
     )
 
 
@@ -334,8 +333,7 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         default="",
         metavar="SPEC",
         help="inject deterministic worker faults for testing, e.g. "
-        "'crash:chunk=0;hang:chunk=1' (modes: crash/hang/corrupt; "
-        "equivalent to REPRO_FAULTS)",
+        "'crash:chunk=0;hang:chunk=1' (modes: crash/hang/corrupt)",
     )
 
 
@@ -374,8 +372,7 @@ def _add_sanitize_arg(p: argparse.ArgumentParser) -> None:
         "--sanitize",
         action="store_true",
         help="enable the runtime numerical sanitizer (NaN/Inf/negative-mass/"
-        "normalisation checks in the PHMM kernels and accumulators; "
-        "equivalent to REPRO_SANITIZE=1)",
+        "normalisation checks in the PHMM kernels and accumulators)",
     )
 
 

@@ -74,7 +74,7 @@ class ObservabilityError(ReproError):
 
 
 class SanitizerError(ReproError):
-    """A numerical invariant tripped under ``REPRO_SANITIZE`` debug mode.
+    """A numerical invariant tripped under the ``--sanitize`` debug mode.
 
     Carries the failed check's name, a human-readable detail string, and the
     open observability span path at the moment of failure so the defect can

@@ -13,13 +13,16 @@ import numpy as np
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ReproError
 from repro.evaluation.metrics import compare_to_truth
 from repro.genome.variants import VariantCatalog
+from repro.observability.export import format_span_tree
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.genome.reference import Reference
     from repro.pipeline.gnumap import CallResult
+
+#: SNP table rows rendered before the rest are summarised as "(N more)".
+MAX_SNP_ROWS = 50
 
 
 def _coverage_histogram(depth: np.ndarray, n_bins: int = 10, width: int = 40) -> str:
@@ -43,8 +46,6 @@ def run_report(
     result: "CallResult",
     reference: "Reference",
     truth: "VariantCatalog | None" = None,
-    title: str = "GNUMAP-SNP run report",
-    max_snp_rows: int = 50,
 ) -> str:
     """Render a pipeline run as a markdown document.
 
@@ -52,11 +53,9 @@ def run_report(
     ``reference`` the :class:`~repro.genome.reference.Reference` it ran
     against; ``truth`` an optional catalog for accuracy scoring.
     """
-    if max_snp_rows < 1:
-        raise ReproError("max_snp_rows must be >= 1")
     stats = result.stats
     depth = result.accumulator.total_depth()
-    lines: list[str] = [f"# {title}", ""]
+    lines: list[str] = ["# GNUMAP-SNP run report", ""]
 
     lines += [
         "## Summary",
@@ -73,15 +72,13 @@ def run_report(
         "",
     ]
 
-    stages = result.metrics.leaf_totals()
-    if stages:
-        # Span names nest (map_reads holds seed/align/accumulate), so the
-        # total is the top-level spans, not the column sum.
-        lines += ["## Stage timing", "", "| stage | seconds |", "|---|---|"]
-        for name, (sec, _) in stages.items():
-            lines.append(f"| {name} | {sec:.2f} |")
+    spans = result.metrics.spans
+    if spans:
+        # The span tree as `-v` prints it: layers nest under their stage,
+        # so the total is the top-level spans'.
         total = result.metrics.total_span_seconds()
-        lines += [f"| **total** | **{total:.2f}** |", ""]
+        lines += ["## Stage timing", "", "```", *format_span_tree(spans), "```",
+                  f"total: {total:.2f} s", ""]
 
     lines += ["## Coverage", "", "```", _coverage_histogram(depth), "```", ""]
 
@@ -91,14 +88,14 @@ def run_report(
             "| pos | ref | alt | depth | stat | p-value |",
             "|---|---|---|---|---|---|",
         ]
-        for snp in result.snps[:max_snp_rows]:
+        for snp in result.snps[:MAX_SNP_ROWS]:
             lines.append(
                 f"| {snp.pos} | {snp.ref_name} | {snp.alt_name} | "
                 f"{snp.call.depth:.1f} | {snp.call.stat:.1f} | "
                 f"{snp.call.pvalue:.2e} |"
             )
-        if len(result.snps) > max_snp_rows:
-            lines.append(f"| ... | | | | | ({len(result.snps) - max_snp_rows} more) |")
+        if len(result.snps) > MAX_SNP_ROWS:
+            lines.append(f"| ... | | | | | ({len(result.snps) - MAX_SNP_ROWS} more) |")
     else:
         lines.append("No SNPs called.")
     lines.append("")

@@ -52,14 +52,11 @@ def run(
     seed: int = 2012,
     ranks: "tuple[int, ...]" = DEFAULT_RANKS,
     workload: Workload | None = None,
-    include_hybrid: bool = False,
-    hybrid_groups: int = 2,
 ) -> list[Fig4Point]:
     """Regenerate both Fig. 4 series (plus the perfect-linear reference).
 
-    ``include_hybrid`` adds a third series beyond the paper: the two-level
-    mode (memory-spread across ``hybrid_groups`` node groups, read-spread
-    within) at every rank count divisible by the group count.
+    The two-level hybrid beyond the paper (memory-spread across node
+    groups, read-spread within) is ``examples/parallel_scaling.py``.
     """
     if not ranks or any(r < 1 for r in ranks):
         raise ConfigError(f"invalid rank list {ranks}")
@@ -69,28 +66,18 @@ def run(
     calibration = ComputeCalibration.measure(wl.reference, calib_sample, config)
     cost = LogGPModel()
 
-    # (series name, program, extra program arguments after the calibration)
-    modes: list[tuple[str, Any, tuple[int, ...]]] = [
-        ("read-spread", run_read_spread, ()),
-        ("memory-spread", run_memory_spread, ()),
+    modes: "list[tuple[str, Any]]" = [
+        ("read-spread", run_read_spread),
+        ("memory-spread", run_memory_spread),
     ]
-    if include_hybrid:
-        modes.append(
-            (f"hybrid (G={hybrid_groups})", run_memory_spread, (hybrid_groups,))
-        )
-
     points: list[Fig4Point] = []
     base_rate: dict[str, float] = {}
-    for mode, program, extra in modes:
+    for mode, program in modes:
         for p in ranks:
             if mode == "memory-spread" and p > len(wl.reference):
                 continue
-            if mode.startswith("hybrid") and p % hybrid_groups != 0:
-                continue
             cluster = Cluster(p, cost)
-            res = cluster.run(
-                program, wl.reference, wl.reads, config, calibration, *extra
-            )
+            res = cluster.run(program, wl.reference, wl.reads, config, calibration)
             rate = len(wl.reads) / res.makespan
             if mode not in base_rate:
                 base_rate[mode] = rate / p

@@ -65,7 +65,6 @@ def build_workload(
     ploidy: int = 1,
     het_fraction: float = 0.0,
     read_length: int = 62,
-    with_repeats: bool = True,
     coverage_override: float | None = None,
     error_model: IlluminaErrorModel | None = None,
     n_systematic_sites: int = 0,
@@ -86,7 +85,7 @@ def build_workload(
         if coverage_override <= 0:
             raise ConfigError("coverage_override must be positive")
         coverage = coverage_override
-    n_repeats = max(2, length // 15_000) if with_repeats else 0
+    n_repeats = max(2, length // 15_000)
     genome_spec = GenomeSpec(
         length=length,
         n_repeats=n_repeats,

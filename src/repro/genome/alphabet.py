@@ -79,13 +79,12 @@ def decode(codes: np.ndarray) -> str:
     return "".join(CODE_TO_CHAR[int(c)] for c in codes)
 
 
-def is_valid_codes(codes: np.ndarray, allow_n: bool = True) -> bool:
-    """True when every element is a legal base code."""
+def is_valid_codes(codes: np.ndarray) -> bool:
+    """True when every element is a legal base code (N included)."""
     codes = np.asarray(codes)
     if codes.size == 0:
         return True
-    hi = N if allow_n else T
-    return bool((codes >= 0).all() and (codes <= hi).all())
+    return bool((codes >= 0).all() and (codes <= N).all())
 
 
 def reverse_complement(codes: np.ndarray) -> np.ndarray:

@@ -30,7 +30,7 @@ Pair-HMM runs:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -119,19 +119,23 @@ class SeedBlock:
 NO_CANDIDATES = SeedBlock(*(np.empty(0, dtype=np.int64),) * 5)
 
 
+#: Minimum distinct seed hits on a diagonal cluster to emit a candidate.
+MIN_SUPPORT = 2
+#: Most candidates kept per read, best-supported first.
+MAX_CANDIDATES = 16
+#: q-gram width of the filtration pass.
+QGRAM_Q = 5
+
+
 @dataclass
 class SeederConfig:
     """Seeding knobs.
 
     Attributes
     ----------
-    min_support:
-        Minimum distinct seed hits on a diagonal cluster to emit a candidate.
     diagonal_slack:
         Hits within this many bases of the cluster's representative
         diagonal are merged into it (absorbs indels).
-    max_candidates:
-        Keep at most this many candidates per read, best-supported first.
     seed_len:
         Index-build width override: ``None`` (default) indexes at
         ``PipelineConfig.k``, a value indexes at that width instead —
@@ -139,11 +143,9 @@ class SeederConfig:
         spelling (:func:`repro.index.hashindex.table_width` is its one
         reader); a :class:`Seeder` queries at whatever width its index has.
     qgram_filter:
-        Enable the PEANUT-style q-gram filtration pass on clustered
-        candidates (default off — seeding is then byte-identical to the
-        historical behaviour).
-    qgram_q:
-        q-gram width for filtration.
+        Enable the PEANUT-style q-gram filtration pass (:data:`QGRAM_Q`-grams)
+        on clustered candidates (default off — seeding is then
+        byte-identical to the historical behaviour).
     filter_threshold:
         Fraction of the read's distinct q-grams that must occur in the
         candidate's reference window for it to survive.  The default 0.5
@@ -152,29 +154,20 @@ class SeederConfig:
         substitutions), while random windows share only ~5-10%.
     """
 
-    min_support: int = 2
     diagonal_slack: int = 3
-    max_candidates: int = 16
     seed_len: "int | None" = None
     qgram_filter: bool = False
-    qgram_q: int = 5
     filter_threshold: float = 0.5
     # Not a field: ledger/replay.py is the sole reader of this constant.
     step: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        if self.min_support < 1:
-            raise IndexError_("min_support must be >= 1")
         if self.diagonal_slack < 0:
             raise IndexError_("diagonal_slack must be >= 0")
-        if self.max_candidates < 1:
-            raise IndexError_("max_candidates must be >= 1")
         if self.seed_len is not None and not 2 <= self.seed_len <= MAX_K:
             raise IndexError_(
                 f"seed_len must be in [2, {MAX_K}], got {self.seed_len}"
             )
-        if not 1 <= self.qgram_q <= MAX_K:
-            raise IndexError_(f"qgram_q must be in [1, {MAX_K}], got {self.qgram_q}")
         if not 0.0 <= self.filter_threshold <= 1.0:
             raise IndexError_(
                 f"filter_threshold must be in [0, 1], got {self.filter_threshold}"
@@ -184,7 +177,7 @@ class SeederConfig:
 #: The child spans :meth:`Seeder.seed` records under the open span (``seed``
 #: in the pipeline), once per block: k-mer packing and index lookup, diagonal
 #: clustering, the q-gram filter (zero seconds when it is off), and ordering
-#: with the ``max_candidates`` cut and the ``seed.*`` metrics.
+#: with the :data:`MAX_CANDIDATES` cut and the ``seed.*`` metrics.
 LAYERS = ("lookup", "cluster", "filter", "rank")
 
 #: Most seed hits (or, in the filter, reference q-gram rows) one pass
@@ -279,7 +272,7 @@ class Seeder:
         window ``ref[lo:hi]`` are exactly rows ``lo .. hi - q`` of this table.
         """
         if self._ref_qgrams is None:
-            packed, valid = rolling_kmers(self.index.reference.codes, self.config.qgram_q)
+            packed, valid = rolling_kmers(self.index.reference.codes, QGRAM_Q)
             self._ref_qgrams = np.where(valid, packed, -1)
         return self._ref_qgrams
 
@@ -303,21 +296,12 @@ class Seeder:
 
         Both strands of all reads are one concatenated code array; k-mer
         packing, index lookup, diagonal votes, clustering, q-gram filter,
-        ordering and the ``max_candidates`` cut are each one NumPy pass
+        ordering and the :data:`MAX_CANDIDATES` cut are each one NumPy pass
         over it.  Candidates and ``seed.*`` metrics do not depend on how
         reads are divided into blocks.
         """
-        # The filter's (sequence, q-gram) keys need 2*reads * 4**q < 2**63.
-        most = len(reads)
-        if self.config.qgram_filter:
-            most = (1 << 62) >> (2 * self.config.qgram_q)
-        parts = [NO_CANDIDATES]
-        for lo in range(0, len(reads), max(1, most)):
-            part = self._seed_block(reads[lo : lo + most])
-            parts.append(replace(part, read=part.read + lo))
-        return SeedBlock.concat(parts)
-
-    def _seed_block(self, reads: "Sequence[Read]") -> SeedBlock:
+        if not reads:
+            return NO_CANDIDATES
         laps = Laps(*LAYERS)
         cfg = self.config
         n = len(reads)
@@ -366,7 +350,7 @@ class Seeder:
                 return_counts=True,
             )
             reps, totals = _cluster_runs(keys, votes, cfg.diagonal_slack)
-            keep = totals >= cfg.min_support
+            keep = totals >= MIN_SUPPORT
             found.append(np.stack((reps[keep], totals[keep])))
             laps.lap("cluster")
         c_key, support = np.concatenate(found, axis=1) if found else np.empty((2, 0), np.int64)
@@ -386,13 +370,13 @@ class Seeder:
         start = np.clip(diagonal, 1 - lens[c_seq], glen - 1)
         order = np.lexsort((diagonal, strand, start, -support, read_of))
         n_found = np.bincount(read_of, minlength=n)
-        n_kept = np.minimum(n_found, cfg.max_candidates)
+        n_kept = np.minimum(n_found, MAX_CANDIDATES)
         rank = np.arange(order.size) - np.repeat(np.cumsum(n_found) - n_found, n_found)
-        best = order[rank < cfg.max_candidates]
+        best = order[rank < MAX_CANDIDATES]
         reg = metrics()
         reg.inc("seed.reads", n)
         # Pre-truncation count: `seed.candidates` is what seeding *found*;
-        # the max_candidates cap's effect is visible as candidates_dropped.
+        # the MAX_CANDIDATES cap's effect is visible as candidates_dropped.
         reg.inc("seed.candidates", int(c_seq.size))
         if best.size < c_seq.size:
             reg.inc("seed.candidates_dropped", int(c_seq.size - best.size))
@@ -420,7 +404,7 @@ class Seeder:
         window's matches.
         """
         cfg = self.config
-        q = cfg.qgram_q
+        q = QGRAM_Q
         glen = len(self.index.reference)
         packed, valid = rolling_kmers(codes, q)
         valid &= seq_of[: packed.size] == seq_of[q - 1 :]

@@ -204,16 +204,11 @@ class CentroidAccumulator(Accumulator):
 
     name = "CENTDISC"
 
-    def __init__(
-        self,
-        length: int,
-        codebook: CentroidCodebook | None = None,
-        update_mode: str = "lut",
-    ) -> None:
+    def __init__(self, length: int, update_mode: str = "lut") -> None:
         super().__init__(length)
         if update_mode not in ("lut", "weighted"):
             raise AccumulatorError(f"unknown update_mode {update_mode!r}")
-        self.codebook = codebook or default_codebook()
+        self.codebook = default_codebook()
         self.update_mode = update_mode
         self._total = np.zeros(length, dtype=np.float32)
         self._idx = np.zeros(length, dtype=np.uint8)  # 0 = empty state
@@ -254,30 +249,25 @@ class CentroidAccumulator(Accumulator):
             * self._total.astype(np.float64)[:, None]
         )
 
-    def merge(self, other: "Accumulator", use_lut: bool = True) -> None:
+    def merge(self, other: "Accumulator") -> None:
         """Fold another centroid accumulator in.
 
-        With ``use_lut`` (default) positions whose totals are within a factor
-        of two use the equal-weight LUT (the paper's fast path); the rest are
-        merged exactly in real space and re-quantised.
+        Positions whose totals are within a factor of two use the
+        equal-weight LUT (the paper's fast path); the rest are merged
+        exactly in real space and re-quantised.
         """
         self._check_merge(other)
-        if other.codebook is not self.codebook:  # type: ignore[attr-defined]
-            raise AccumulatorError("cannot merge accumulators with different codebooks")
         o_total = other._total.astype(np.float64)  # type: ignore[attr-defined]
         o_idx = other._idx  # type: ignore[attr-defined]
         s_total = self._total.astype(np.float64)
         new_totals = s_total + o_total
 
-        if use_lut:
-            ratio = np.where(
-                np.minimum(s_total, o_total) > 0,
-                np.maximum(s_total, o_total) / np.maximum(np.minimum(s_total, o_total), 1e-30),
-                np.inf,
-            )
-            lut_ok = (ratio <= 2.0) | (s_total == 0) | (o_total == 0)
-        else:
-            lut_ok = np.zeros(self.length, dtype=bool)
+        ratio = np.where(
+            np.minimum(s_total, o_total) > 0,
+            np.maximum(s_total, o_total) / np.maximum(np.minimum(s_total, o_total), 1e-30),
+            np.inf,
+        )
+        lut_ok = (ratio <= 2.0) | (s_total == 0) | (o_total == 0)
 
         new_idx = self._idx.copy()
         if lut_ok.any():

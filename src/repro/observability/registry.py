@@ -35,27 +35,8 @@ from repro.observability.snapshot import (
     _merge_span_trees,
 )
 
-#: Default flight-recorder ring-buffer bound (events kept per registry).
-DEFAULT_EVENT_CAPACITY = 65536
-
-_event_capacity: int = DEFAULT_EVENT_CAPACITY
-
-
-def set_event_capacity(capacity: int) -> None:
-    """Bound the per-registry event ring buffer (newest events win).
-
-    Applies to ring buffers created after the call; existing registries
-    keep their bound.
-    """
-    global _event_capacity
-    if capacity < 1:
-        raise ObservabilityError(f"event capacity must be >= 1, got {capacity}")
-    _event_capacity = capacity
-
-
-def event_capacity() -> int:
-    """The current ring-buffer bound for new registries."""
-    return _event_capacity
+#: Flight-recorder ring-buffer bound (events kept per registry, newest win).
+EVENT_CAPACITY = 65536
 
 
 class MetricsRegistry:
@@ -117,12 +98,12 @@ class MetricsRegistry:
     def record_event(self, event: "tuple") -> None:
         """Append a flight-recorder event to the bounded ring buffer.
 
-        The newest :func:`event_capacity` events are kept; drops surface as
+        The newest :data:`EVENT_CAPACITY` events are kept; drops surface as
         the ``obs.trace_dropped`` counter in snapshots, never silently.
         """
         with self._lock:
             if self._events is None:
-                self._events = deque(maxlen=_event_capacity)
+                self._events = deque(maxlen=EVENT_CAPACITY)
             if (
                 self._events.maxlen is not None
                 and len(self._events) == self._events.maxlen
@@ -186,7 +167,7 @@ class MetricsRegistry:
                 hist.merge(Histogram.from_dict(h))
             if snapshot.events:
                 if self._events is None:
-                    self._events = deque(maxlen=_event_capacity)
+                    self._events = deque(maxlen=EVENT_CAPACITY)
                 maxlen = self._events.maxlen or 0
                 overflow = len(self._events) + len(snapshot.events) - maxlen
                 if overflow > 0:

@@ -25,14 +25,14 @@ Overhead contract: with tracing **disabled** (the default) every hook is a
 module-flag check and an immediate return — no clock read, no allocation
 beyond the caller's kwargs — budgeted well under 2% of pipeline wall time
 (pinned by ``tests/observability/test_trace.py``).  The ring buffer bounds
-enabled-mode memory: the newest :func:`capacity` events are kept per
+enabled-mode memory: the newest
+:data:`~repro.observability.registry.EVENT_CAPACITY` events are kept per
 registry and drops are surfaced as the ``obs.trace_dropped`` counter, never
 silently.
 
-Activation: :func:`enable` (the CLI's ``--trace`` calls it), or the
-``REPRO_TRACE`` environment variable — which spawn/fork workers inherit,
-while programmatic enablement is propagated explicitly through worker
-initializers.
+Activation: :func:`enable` (the CLI's ``--trace`` calls it).  Pool workers
+get the parent's switch as an initializer argument, never from the
+environment.
 
 Timestamps are wall-clock microseconds (``time.time_ns() // 1000``) so
 lanes from different processes share one timebase.
@@ -67,7 +67,7 @@ __all__ = [
 #: "C"); ``args`` is a small JSON-able dict or None.
 TraceEvent = "tuple[int, str, str, int, str, int, str, dict[str, Any] | None]"
 
-_enabled: bool = bool(os.environ.get("REPRO_TRACE", "").strip())
+_enabled: bool = False
 _process_label: str = "main"
 _thread_local = threading.local()
 
@@ -77,15 +77,9 @@ def enabled() -> bool:
     return _enabled
 
 
-def enable(capacity: "int | None" = None) -> None:
-    """Turn on event recording (optionally resizing the ring buffer).
-
-    ``capacity`` bounds how many of the newest events each registry keeps
-    (see :func:`repro.observability.registry.set_event_capacity`).
-    """
+def enable() -> None:
+    """Turn on event recording."""
     global _enabled
-    if capacity is not None:
-        _registry.set_event_capacity(capacity)
     _enabled = True
 
 

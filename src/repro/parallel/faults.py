@@ -29,10 +29,8 @@ clause applies to every chunk.  ``times`` (default 1) bounds how many
 *attempts* of a chunk fire the fault — the default makes every fault
 transient: attempt 0 fails, the retry succeeds.
 
-Activation: ``ParallelConfig.fault_spec``, or the ``REPRO_FAULTS``
-environment variable when the config field is empty (see
-:func:`resolve_fault_plan`).  An empty spec parses to the falsy
-:data:`EMPTY_PLAN`, whose hooks are no-ops.
+Activation: ``ParallelConfig.fault_spec`` (the CLI's ``--fault-spec``).  An
+empty spec parses to the falsy :data:`EMPTY_PLAN`, whose hooks are no-ops.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ __all__ = [
     "FaultPlan",
     "corrupt_buffers",
     "parse_fault_spec",
-    "resolve_fault_plan",
 ]
 
 #: Exit code a ``crash`` clause kills the worker with (visible in logs).
@@ -188,9 +185,3 @@ def parse_fault_spec(spec: str) -> FaultPlan:
     if not clauses:
         return EMPTY_PLAN
     return FaultPlan(clauses=clauses)
-
-
-def resolve_fault_plan(config_spec: str = "") -> FaultPlan:
-    """The active plan: the config's spec, else ``REPRO_FAULTS``, else none."""
-    text = config_spec.strip() or os.environ.get("REPRO_FAULTS", "").strip()
-    return parse_fault_spec(text)

@@ -204,31 +204,29 @@ def posteriors_batch(
     return deposit.result()
 
 
-def z_vectors(
-    post: PosteriorResult,
-    edge_policy: str = "mass",
-    occupancy_floor: float = 0.5,
-) -> np.ndarray:
+#: ``edge_policy="paper"`` zeroes window positions whose occupancy is below
+#: this floor, so that barely grazed positions are not inflated to full weight.
+OCCUPANCY_FLOOR = 0.5
+
+
+def z_vectors(post: PosteriorResult, edge_policy: str = "mass") -> np.ndarray:
     """Per-read z contributions ``(B, M, 5)`` in channel order (A,C,G,T,gap).
 
     ``edge_policy="mass"`` (default) returns raw marginal masses — each
     position contributes at most 1 in total and partially covered soft edges
     contribute proportionally less.  ``edge_policy="paper"`` divides by
-    occupancy (the paper's explicit formula) wherever occupancy exceeds
-    ``occupancy_floor``, zeroing positions below the floor so that barely
-    grazed positions are not inflated to full weight.
+    occupancy (the paper's explicit formula) wherever occupancy reaches
+    :data:`OCCUPANCY_FLOOR`, and zeroes the positions below it.
     """
     if edge_policy not in ("mass", "paper"):
         raise AlignmentError(f"unknown edge_policy {edge_policy!r}")
     z = np.concatenate([post.base_mass, post.gap_mass[:, :, None]], axis=2)
     if edge_policy == "mass":
         return z
-    if not 0.0 < occupancy_floor <= 1.0:
-        raise AlignmentError("occupancy_floor must be in (0, 1]")
     occ = post.occupancy
     if occ is None:
         raise AlignmentError("these posteriors were computed without occupancy")
-    keep = occ >= occupancy_floor
+    keep = occ >= OCCUPANCY_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         normed = np.where(keep[:, :, None], z / np.maximum(occ, 1e-12)[:, :, None], 0.0)
     return normed

@@ -14,10 +14,11 @@ correctness rests on, at the four places bad values can enter or propagate:
   non-negative (what pool workers ship home is checked by
   :func:`check_partial` on every run, sanitizer on or off).
 
-Activation: the environment variable ``REPRO_SANITIZE=1`` (read at import),
-the CLI flag ``--sanitize``, or :func:`enable` /the :func:`sanitized`
-context manager programmatically.  When off — the default — every hook is a
-single module-level boolean test, so the kernels pay no measurable cost.
+Activation: the CLI flag ``--sanitize``, or :func:`enable` / the
+:func:`sanitized` context manager programmatically; pool workers get the
+parent's switch as an initializer argument, never from the environment.
+When off — the default — every hook is a single module-level boolean test,
+so the kernels pay no measurable cost.
 
 Failures raise :class:`repro.errors.SanitizerError` carrying the failed
 check's name and the open observability span path (e.g.
@@ -27,7 +28,6 @@ stage that produced it rather than the stage that crashed on it.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, NoReturn, Sequence
 
@@ -43,9 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: arithmetic accumulates rounding at ~1e-12 per chain, far below this.
 SUM_TOLERANCE = 1e-6
 
-_active: bool = os.environ.get("REPRO_SANITIZE", "").strip().lower() not in (
-    "", "0", "false", "off", "no",
-)
+_active: bool = False
 
 
 def enabled() -> bool:

@@ -5,7 +5,8 @@ described declaratively.  Sub-configurations (seeder, caller, parallel
 execution) reuse their own dataclasses.
 
 Parallel-execution knobs live in :class:`ParallelConfig` under
-``PipelineConfig.parallel``.
+``PipelineConfig.parallel``; the worker count is not a config field but
+``Engine(workers=)``.
 """
 
 from __future__ import annotations
@@ -25,22 +26,17 @@ MP_START_METHODS = ("spawn", "fork", "forkserver")
 
 @dataclass
 class ParallelConfig:
-    """Parallel-execution knobs: fleet shape and fault tolerance.
+    """Parallel-execution knobs: start method and fault tolerance.
 
     None of them can change a call: workers ship per-read evidence and the
-    parent owns the only accumulator, so output is byte-identical to
-    ``workers=1`` whatever is set here (:mod:`repro.pipeline.mp_backend`).
-    How reads are cut into chunks is not a knob; see
+    parent owns the only accumulator, so output is byte-identical to a
+    serial run whatever is set here (:mod:`repro.pipeline.mp_backend`).
+    The worker count is not here: it is ``Engine(workers=)``.  How reads are
+    cut into chunks is not a knob; see
     :func:`repro.pipeline.mp_backend.chunk_count`.
 
     Attributes
     ----------
-    workers:
-        Default worker-process count for ``Engine``/CLI runs; 1 means
-        serial execution (no pool, no fleet).  More than 1 maps reads over
-        a persistent fleet (:class:`repro.parallel.pool.PersistentPool`)
-        that attaches the genome and index from shared memory;
-        ``Engine.close()`` (or the context manager) tears it down.
     start_method:
         Multiprocessing start method for the real process backend, pinned
         explicitly (``"spawn"`` default) so span-stack and
@@ -58,19 +54,15 @@ class ParallelConfig:
     fault_spec:
         Deterministic fault-injection spec for the recovery paths (see
         :mod:`repro.parallel.faults` for the grammar).  Empty (default)
-        defers to the ``REPRO_FAULTS`` environment variable; both empty
         means no injection.
     """
 
-    workers: int = 1
     start_method: str = "spawn"
     chunk_timeout: float = 120.0
     max_retries: int = 2
     fault_spec: str = ""
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.start_method not in MP_START_METHODS:
             raise ConfigError(
                 f"start_method must be one of {list(MP_START_METHODS)}, "
@@ -180,8 +172,8 @@ class PipelineConfig:
         read's posterior match mass allowed on band-created edge cells
         before the pair is re-run full-width.
     parallel:
-        Parallel-execution sub-config (:class:`ParallelConfig`): fleet
-        shape and per-chunk fault tolerance.
+        Parallel-execution sub-config (:class:`ParallelConfig`): start
+        method and per-chunk fault tolerance.
     telemetry:
         Live telemetry plane sub-config (:class:`TelemetryConfig`):
         worker metric streaming, stall watchdog and the HTTP endpoint.

@@ -24,8 +24,8 @@ bytes, and every recovery is visible in the metrics
 ``mp.chunk_errors``, ``mp.partial_rejects``, ``mp.worker_init_errors``,
 ``mp.serial_fallbacks``).
 Recovery paths are testable via deterministic fault injection
-(:mod:`repro.parallel.faults`; ``ParallelConfig.fault_spec`` or the
-``REPRO_FAULTS`` environment variable).
+(:mod:`repro.parallel.faults`; ``ParallelConfig.fault_spec``, the CLI's
+``--fault-spec``).
 
 Workers are provisioned one way (:func:`make_pool`): the parent publishes
 genome codes and the index's arrays as shared-memory segments once per
@@ -57,12 +57,8 @@ from repro.index.hashindex import GenomeIndex
 from repro.memory.base import Accumulator
 from repro.observability import current, detached, merge_snapshots, scope, span
 from repro.observability.snapshot import MetricsSnapshot
-from repro.parallel.faults import FaultPlan, corrupt_buffers, resolve_fault_plan
-from repro.parallel.partition import (
-    partition_reads_contiguous,
-    take,
-    validate_partition,
-)
+from repro.parallel.faults import FaultPlan, corrupt_buffers, parse_fault_spec
+from repro.parallel.partition import partition_reads_contiguous
 from repro.parallel.pool import PersistentPool
 from repro.parallel.shm import attach_array
 from repro.phmm import sanitize
@@ -96,9 +92,9 @@ def _init_pool_worker(
     ref_name: str,
     config: PipelineConfig,
     index_scalars: "dict[str, int | None]",
-    sanitize_on: bool = False,
-    fault_plan: "FaultPlan | None" = None,
-    trace_on: bool = False,
+    sanitize_on: bool,
+    fault_plan: "FaultPlan | None",
+    trace_on: bool,
 ) -> None:
     """Attach-mode initializer for :class:`PersistentPool` workers.
 
@@ -108,11 +104,14 @@ def _init_pool_worker(
     pipeline around them without any index rebuild.  A respawned worker
     runs this again: re-attaching costs an ``mmap``, which is what makes
     crash recovery cheap.
+
+    The parent's sanitizer, fault and tracing switches arrive as arguments
+    and are the worker's only source for them: each is set either way, so
+    neither the environment nor a forked copy of the parent's module state
+    can disagree with the parent.
     """
-    if sanitize_on:
-        sanitize.enable()
-    if trace_on:
-        trace.enable()
+    (sanitize.enable if sanitize_on else sanitize.disable)()
+    (trace.enable if trace_on else trace.disable)()
     trace.set_process_label("worker")
     started = time.perf_counter()
     views = {}
@@ -206,7 +205,7 @@ def make_pool(
     config = pipe.config
     par = config.parallel
     reference = pipe.reference
-    plan = resolve_fault_plan(par.fault_spec)
+    plan = parse_fault_spec(par.fault_spec)
     ctx = mp.get_context(par.start_method)
     index_arrays, index_scalars = pipe.index.shared_state()
     return PersistentPool(
@@ -276,9 +275,10 @@ def map_reads_multiprocessing(
 
     acc = pipe.accumulator_or_new(accumulator)
     n_chunks = chunk_count(len(reads), n_workers)
-    slices = partition_reads_contiguous(len(reads), n_chunks)
-    validate_partition(slices, len(reads))
-    chunk_reads = [take(reads, sl) for sl in slices]
+    chunk_reads = [
+        reads[part.start : part.stop]
+        for part in partition_reads_contiguous(len(reads), n_chunks)
+    ]
     payloads = [
         (
             [r.codes for r in part],

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from repro.calling.caller import MIN_DEPTH
 from repro.calling.records import SNPCall
 from repro.errors import PipelineError
 from repro.genome.fastq import Read
@@ -67,8 +68,7 @@ class ChunkReport:
 class OnlineGnumap:
     """Streaming wrapper over an :class:`~repro.api.Engine`'s staged verbs.
 
-    With ``workers > 1`` (explicit, or via ``config.parallel.workers``) the
-    engine lazily builds its persistent shared-memory pool on the first fed
+    With ``workers > 1`` the engine lazily builds its persistent shared-memory pool on the first fed
     chunk and reuses the warm fleet for every subsequent chunk; ``close()``
     (or the context manager) releases it.  A long-lived stream is exactly
     the workload the persistent pool exists for: spawn and genome-broadcast
@@ -82,7 +82,7 @@ class OnlineGnumap:
         self,
         reference: Reference,
         config: PipelineConfig | None = None,
-        workers: "int | None" = None,
+        workers: int = 1,
     ) -> None:
         # Imported here: repro.api imports this package on its way up.
         from repro.api import Engine
@@ -165,6 +165,6 @@ class OnlineGnumap:
             "median": float(np.median(depth)),
             "max": float(depth.max()),
             "positions_above_min_depth": int(
-                (depth >= self.engine.config.caller.min_depth).sum()
+                (depth >= MIN_DEPTH).sum()
             ),
         }

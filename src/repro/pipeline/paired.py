@@ -37,24 +37,23 @@ from repro.pipeline.gnumap import CallResult, GnumapSnp, MappingStats
 from repro.simulate.paired import ReadPair
 
 
+#: Log-prior of an improperly paired (or singleton) placement relative to a
+#: concordant one at the modal insert — roughly log of the
+#: chimera/discordance rate.
+DISCORDANT_LOGPENALTY = -8.0
+
+
 @dataclass
 class PairedConfig:
-    """Pairing model on top of :class:`PipelineConfig`.
-
-    ``discordant_logpenalty`` is the log-prior of an improperly paired (or
-    singleton) placement relative to a concordant one at the modal insert —
-    roughly log of the chimera/discordance rate.
-    """
+    """Pairing model on top of :class:`PipelineConfig`: the library's
+    Gaussian insert-size distribution."""
 
     insert_mean: float = 300.0
     insert_sd: float = 30.0
-    discordant_logpenalty: float = -8.0
 
     def __post_init__(self) -> None:
         if self.insert_mean <= 0 or self.insert_sd <= 0:
             raise PipelineError("insert model parameters must be positive")
-        if self.discordant_logpenalty > 0:
-            raise PipelineError("discordant_logpenalty must be <= 0")
 
     def insert_logpdf(self, insert: np.ndarray) -> np.ndarray:
         """Gaussian log-density of observed insert sizes."""
@@ -108,7 +107,7 @@ class PairedGnumap:
         # hypotheses belong here (a singleton that ignored the partner's
         # likelihood would compare hypotheses over different data).
         joint = l1 + l2 + np.where(
-            proper, p.insert_logpdf(insert), p.discordant_logpenalty
+            proper, p.insert_logpdf(insert), DISCORDANT_LOGPENALTY
         )
         ceiling = np.max(joint)
         if not np.isfinite(ceiling):

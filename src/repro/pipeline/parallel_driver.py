@@ -48,16 +48,17 @@ from repro.index.seeding import Seeder
 from repro.memory.base import Accumulator, make_accumulator
 from repro.observability import span
 from repro.parallel.comm import Comm
-from repro.parallel.partition import (
-    partition_reads_contiguous,
-    take,
-    validate_partition,
-)
+from repro.parallel.partition import partition_reads_contiguous
 from repro.parallel.reduction import reduce_accumulator
 from repro.pipeline.calibration import ComputeCalibration
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.evidence import PairStack, align_pairs, deposit
 from repro.pipeline.gnumap import GnumapSnp, MappingStats
+
+
+#: Reads per memory-spread round: each round ends in one global allreduce
+#: of the per-read likelihood totals.
+READ_BATCH = 256
 
 
 @dataclass
@@ -81,13 +82,8 @@ def run_read_spread(
     if calibration:
         comm.account_compute(calibration.index_seconds(len(reference)))
 
-    slices = partition_reads_contiguous(len(reads), comm.size)
-    if comm.rank == 0:
-        # Cover+disjoint guard (vectorised, cheap at genome scale): a
-        # partitioner regression must fail loudly before any rank maps a
-        # read it doesn't own — or silently drops one nobody owns.
-        validate_partition(slices, len(reads))
-    local_reads = take(reads, slices[comm.rank])
+    mine = partition_reads_contiguous(len(reads), comm.size)[comm.rank]
+    local_reads = reads[mine.start : mine.stop]
     acc, stats = pipe.map_reads(local_reads)
     if calibration:
         comm.account_compute(calibration.mapping_seconds(stats.n_reads, stats.n_pairs))
@@ -114,7 +110,6 @@ def run_memory_spread(
     config: PipelineConfig | None = None,
     calibration: ComputeCalibration | None = None,
     n_groups: int | None = None,
-    read_batch: int = 256,
 ) -> ParallelRunResult:
     """Genome-partitioned SPMD program (call via ``Cluster.run``).
 
@@ -140,8 +135,6 @@ def run_memory_spread(
         raise PipelineError(
             f"world size {comm.size} not divisible by n_groups {n_groups}"
         )
-    if read_batch < 1:
-        raise PipelineError("read_batch must be >= 1")
     if config.posterior_mode != "marginal":
         # One-hot-best needs every candidate of a read in one place; here
         # they are spread over the ranks that own their segments.
@@ -177,8 +170,8 @@ def run_memory_spread(
 
     acc = make_accumulator(config.accumulator, len(local_ref))
     stats = MappingStats()
-    for batch_lo in range(0, len(reads), read_batch):
-        batch = reads[batch_lo : batch_lo + read_batch]
+    for batch_lo in range(0, len(reads), READ_BATCH):
+        batch = reads[batch_lo : batch_lo + READ_BATCH]
         _process_read_batch(
             comm, batch, (np.arange(len(batch)) % rpg) == subcomm.rank, seeder,
             local_ref, acc, seg, ext_start, config, stats, calibration,

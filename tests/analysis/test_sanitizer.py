@@ -7,8 +7,14 @@ corruption into a :class:`repro.errors.SanitizerError` naming the check and
 the pipeline stage.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.errors import ReproError, SanitizerError
 from repro.experiments.workload import build_workload
@@ -41,8 +47,22 @@ def workload():
 
 class TestActivation:
     def test_off_by_default(self):
-        # REPRO_SANITIZE is not set in the test environment.
         assert not sanitize.enabled()
+
+    def test_environment_does_not_switch_it_on(self):
+        """The switch is ``--sanitize`` / :func:`sanitize.enable`; a spawned
+        child whose environment has ``REPRO_SANITIZE=1`` still starts off."""
+        env = {
+            **os.environ,
+            "REPRO_SANITIZE": "1",
+            "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+        }
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.phmm import sanitize; print(sanitize.enabled())"],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_enable_disable(self):
         sanitize.enable()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.maq import MaqConfig, MaqLikeCaller
+from repro.baselines.maq import MIN_DEPTH, MaqConfig, MaqLikeCaller
 from repro.evaluation.metrics import compare_to_truth
 from repro.experiments.workload import build_workload
 from repro.genome.alphabet import reverse_complement
@@ -55,11 +55,10 @@ class TestMapping:
 
     def test_high_mismatch_sum_filtered(self, workload):
         ref = workload.reference
-        config = MaqConfig(max_mismatch_sum=50)
         read = perfect_read(ref, 1000)
         for i in (3, 9):
-            read.codes[i] = (read.codes[i] + 1) % 4  # 80 quality sum
-        mapper = MaqLikeCaller(ref, config, seed=0)
+            read.codes[i] = (read.codes[i] + 1) % 4  # 80 > MAX_MISMATCH_SUM
+        mapper = MaqLikeCaller(ref, seed=0)
         assert mapper.map_read(read) is None
 
     def test_multiread_gets_zero_mapq_and_random_placement(self):
@@ -118,6 +117,6 @@ class TestCalling:
         assert {s.pos for s in strict} <= {s.pos for s in loose}
 
     def test_min_depth_respected(self, workload):
-        caller = MaqLikeCaller(workload.reference, MaqConfig(min_depth=3), seed=0)
+        caller = MaqLikeCaller(workload.reference, seed=0)
         for snp in caller.run(workload.reads):
-            assert snp.depth >= 3
+            assert snp.depth >= MIN_DEPTH

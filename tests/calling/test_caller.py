@@ -28,13 +28,11 @@ class TestCallerConfig:
             CallerConfig(method="bogus")
         with pytest.raises(CallingError):
             CallerConfig(fdr=1.0)
-        with pytest.raises(CallingError):
-            CallerConfig(min_depth=-1)
 
 
 class TestBaseCalls:
     def test_strong_signal_significant(self):
-        caller = SNPCaller(CallerConfig(alpha=0.001, min_depth=3))
+        caller = SNPCaller(CallerConfig(alpha=0.001))
         z = z_matrix([[12.0, 0.1, 0.1, 0.1, 0]])
         calls = caller.base_calls(z)
         assert len(calls) == 1
@@ -42,8 +40,8 @@ class TestBaseCalls:
         assert calls[0].top_channel == 0
 
     def test_below_min_depth_skipped(self):
-        caller = SNPCaller(CallerConfig(min_depth=5))
-        z = z_matrix([[3.0, 0, 0, 0, 0]])
+        caller = SNPCaller()
+        z = z_matrix([[caller_module.MIN_DEPTH - 0.5, 0, 0, 0, 0]])
         assert caller.base_calls(z) == []
 
     def test_uniform_background_not_significant(self):
@@ -101,15 +99,14 @@ class TestSnps:
         assert caller.snps(z, ref) == []
 
     def test_gap_calls_suppressed_by_default(self):
+        """A significant gap winner is no substitution SNP: never reported."""
         caller = SNPCaller()
         ref = encode("AAAA")
         z = np.zeros((4, 5))
         z[0] = [0.1, 0.1, 0.1, 0.1, 15.0]  # deletion evidence
+        (call,) = caller.base_calls(z[:1])
+        assert call.significant and call.top_channel == GAP
         assert caller.snps(z, ref) == []
-        permissive = SNPCaller(CallerConfig(call_gaps=True))
-        snps = permissive.snps(z, ref)
-        assert len(snps) == 1
-        assert GAP in snps[0].call.genotype
 
     def test_het_with_ref_allele_is_snp(self):
         caller = SNPCaller(CallerConfig(ploidy=2))
@@ -150,7 +147,7 @@ def snps_by_loop(caller, z, reference_codes, positions=None):
         if ref == N:
             continue
         genotype = call.genotype
-        if GAP in genotype and not caller.config.call_gaps:
+        if GAP in genotype:
             continue
         if genotype != (ref,):
             out.append(SNPCall(pos=call.pos, ref_base=ref, call=call))
@@ -161,7 +158,7 @@ def mixed_evidence(rng, length):
     """An accumulator with every kind of row the predicate must tell apart:
     reference-dominant background, alternate-dominant SNPs, 50/50 hets (with
     and without the reference allele, and with the gap), deletions,
-    undecided rows and rows below ``min_depth``; the reference carries N."""
+    undecided rows and rows below ``MIN_DEPTH``; the reference carries N."""
     ref = rng.integers(0, 4, length).astype(np.uint8)
     ref[rng.random(length) < 0.1] = N
     z = rng.uniform(0.0, 0.3, (length, 5))
@@ -188,14 +185,13 @@ class TestSnpsAgainstPerRecordOracle:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         ploidy=st.sampled_from([1, 2]),
         method=st.sampled_from(["bonferroni", "fdr"]),
-        call_gaps=st.booleans(),
         segment=st.booleans(),
     )
-    def test_snps_equal_filtered_base_calls(self, seed, ploidy, method, call_gaps, segment):
+    def test_snps_equal_filtered_base_calls(self, seed, ploidy, method, segment):
         rng = np.random.default_rng(seed)
         length = int(rng.integers(1, 400))
         z, ref = mixed_evidence(rng, length)
-        caller = SNPCaller(CallerConfig(ploidy=ploidy, method=method, call_gaps=call_gaps))
+        caller = SNPCaller(CallerConfig(ploidy=ploidy, method=method))
         positions = None
         if segment:
             lo = int(rng.integers(0, length))
@@ -209,8 +205,9 @@ class TestSnpsAgainstPerRecordOracle:
         rng = np.random.default_rng(9)
         z = rng.uniform(0.0, 40.0, (5000, 5))
         z[::3] = z[::3].astype(np.float32)  # what a float32 accumulator hands over
-        calls = SNPCaller(CallerConfig(min_depth=0.0)).base_calls(z)
-        assert [c.depth for c in calls] == z.sum(axis=1).tolist()
+        calls = SNPCaller().base_calls(z)
+        depth = z.sum(axis=1)
+        assert [c.depth for c in calls] == depth[depth >= caller_module.MIN_DEPTH].tolist()
 
     @pytest.mark.parametrize("ploidy", [1, 2])
     def test_nothing_eligible(self, ploidy):

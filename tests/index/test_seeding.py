@@ -9,6 +9,7 @@ from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.index.hashindex import GenomeIndex
 from repro.index.seeding import (
+    MAX_CANDIDATES,
     CandidateRegion,
     Seeder,
     SeederConfig,
@@ -25,6 +26,16 @@ def cluster_diagonals(udiags, votes, slack):
         np.asarray(udiags, dtype=np.int64), np.asarray(votes, dtype=np.int64), slack
     )
     return list(zip(reps.tolist(), totals.tolist()))
+
+
+def many_copies_genome():
+    """A random 20 kbp genome whose bases 100..180 recur in
+    ``MAX_CANDIDATES + 4`` further non-overlapping copies."""
+    codes = np.random.default_rng(4).integers(0, 4, 20_000).astype(np.uint8)
+    for copy in range(MAX_CANDIDATES + 4):
+        at = 1000 + 900 * copy
+        codes[at : at + 80] = codes[100:180]
+    return Reference(codes, name="copies")
 
 
 def make_setup(length=5000, seed=0, n_repeats=0, **idx_kw):
@@ -49,11 +60,7 @@ def perfect_read(ref, pos, length=62, name="r"):
 class TestSeederConfig:
     def test_validation(self):
         with pytest.raises(IndexError_):
-            SeederConfig(min_support=0)
-        with pytest.raises(IndexError_):
             SeederConfig(diagonal_slack=-1)
-        with pytest.raises(IndexError_):
-            SeederConfig(max_candidates=0)
 
 
 class TestCandidateRegion:
@@ -125,11 +132,9 @@ class TestRepeats:
         assert rep.copy_start + 50 in starts
 
     def test_max_candidates_cap(self):
-        ref, _, _ = make_setup(length=20_000, seed=4, n_repeats=1)
-        index = GenomeIndex(ref, k=10)
-        seeder = Seeder(index, SeederConfig(max_candidates=1))
-        cands = seeder.candidates(perfect_read(ref, 100))
-        assert len(cands) <= 1
+        ref = many_copies_genome()
+        cands = Seeder(GenomeIndex(ref, k=10)).candidates(perfect_read(ref, 100))
+        assert len(cands) == MAX_CANDIDATES
 
 
 class TestDiagonalClustering:
@@ -193,7 +198,7 @@ class TestBoundedClustering:
         ref = chained_hit_genome(read.codes, k=k, diag_step=slack,
                                  n_pieces=n_pieces)
         index = GenomeIndex(ref, k=k, max_positions_per_kmer=4)
-        seeder = Seeder(index, SeederConfig(min_support=1, diagonal_slack=slack))
+        seeder = Seeder(index, SeederConfig(diagonal_slack=slack))
         fwd = [c for c in seeder.candidates(read) if c.strand == 1]
         assert fwd, "chain hits vanished entirely"
         assert max(c.support for c in fwd) <= 2, (
@@ -252,11 +257,8 @@ class TestLongSeeds:
         codes[4000:4012] = codes[1000:1012]
         ref2 = Reference(codes, name="planted")
         read = perfect_read(ref2, 1000)
-        base = Seeder(GenomeIndex(ref2, k=10), SeederConfig(min_support=1))
-        longs = Seeder(
-            GenomeIndex(ref2, k=10, seed_len=20),
-            SeederConfig(min_support=1, seed_len=20),
-        )
+        base = Seeder(GenomeIndex(ref2, k=10))
+        longs = Seeder(GenomeIndex(ref2, k=10, seed_len=20), SeederConfig(seed_len=20))
         base_starts = {c.start for c in base.candidates(read)}
         long_starts = {c.start for c in longs.candidates(read)}
         assert 4000 in base_starts
@@ -296,11 +298,8 @@ class TestQgramFilter:
         codes[4000:4013] = codes[1000:1013]
         ref2 = Reference(codes, name="planted")
         read = perfect_read(ref2, 1000)
-        unfiltered = Seeder(GenomeIndex(ref2, k=10), SeederConfig(min_support=1))
-        filtered = Seeder(
-            GenomeIndex(ref2, k=10),
-            SeederConfig(min_support=1, qgram_filter=True),
-        )
+        unfiltered = Seeder(GenomeIndex(ref2, k=10))
+        filtered = Seeder(GenomeIndex(ref2, k=10), SeederConfig(qgram_filter=True))
         assert 4000 in {c.start for c in unfiltered.candidates(read)}
         f_starts = {c.start for c in filtered.candidates(read)}
         assert 4000 not in f_starts
@@ -312,10 +311,7 @@ class TestQgramFilter:
         codes[4000:4013] = codes[1000:1013]
         ref2 = Reference(codes, name="planted")
         read = perfect_read(ref2, 1000)
-        seeder = Seeder(
-            GenomeIndex(ref2, k=10),
-            SeederConfig(min_support=1, qgram_filter=True),
-        )
+        seeder = Seeder(GenomeIndex(ref2, k=10), SeederConfig(qgram_filter=True))
         with scope() as reg:
             seeder.candidates(read)
             assert reg.snapshot().counters.get("seed.filtered", 0) >= 1
@@ -323,10 +319,10 @@ class TestQgramFilter:
     def test_threshold_zero_keeps_everything(self):
         ref = simulate_genome(GenomeSpec(length=5000), seed=13)[0]
         read = perfect_read(ref, 700)
-        plain = Seeder(GenomeIndex(ref, k=10), SeederConfig(min_support=1))
+        plain = Seeder(GenomeIndex(ref, k=10))
         loose = Seeder(
             GenomeIndex(ref, k=10),
-            SeederConfig(min_support=1, qgram_filter=True, filter_threshold=0.0),
+            SeederConfig(qgram_filter=True, filter_threshold=0.0),
         )
         assert [
             (c.start, c.strand, c.support) for c in plain.candidates(read)
@@ -361,19 +357,17 @@ class TestQgramFilter:
 
 class TestSeedMetrics:
     def test_candidates_counted_pre_truncation(self):
-        # With a repeat-rich genome and max_candidates=1, seed.candidates
+        # With a segment in more copies than MAX_CANDIDATES, seed.candidates
         # must report everything found and candidates_dropped the excess.
-        ref, repeats, _ = make_setup(length=20_000, seed=4, n_repeats=1)
-        index = GenomeIndex(ref, k=10)
-        seeder = Seeder(index, SeederConfig(max_candidates=1))
-        read = perfect_read(ref, repeats[0].src_start + 50)
+        ref = many_copies_genome()
+        seeder = Seeder(GenomeIndex(ref, k=10))
         with scope() as reg:
-            cands = seeder.candidates(read)
+            cands = seeder.candidates(perfect_read(ref, 100))
             snap = reg.snapshot()
-        assert len(cands) == 1
+        assert len(cands) == MAX_CANDIDATES
         found = snap.counters["seed.candidates"]
-        assert found >= 2  # both repeat copies at least
-        assert snap.counters["seed.candidates_dropped"] == found - 1
+        assert found >= MAX_CANDIDATES + 4  # every copy
+        assert snap.counters["seed.candidates_dropped"] == found - MAX_CANDIDATES
 
     def test_candidates_per_read_histogram(self):
         ref, _, seeder = make_setup(seed=2)

@@ -23,7 +23,15 @@ from repro.genome.fastq import Read
 from repro.genome.reference import Reference
 from repro.index.hashindex import GenomeIndex
 from repro.index.kmer import rolling_kmers
-from repro.index.seeding import CandidateRegion, Seeder, SeederConfig, _sorted_distinct
+from repro.index.seeding import (
+    MAX_CANDIDATES,
+    MIN_SUPPORT,
+    QGRAM_Q,
+    CandidateRegion,
+    Seeder,
+    SeederConfig,
+    _sorted_distinct,
+)
 from repro.observability import current as metrics
 from repro.observability import scope
 
@@ -60,7 +68,7 @@ class _PerReadSeeder:
         out.extend(self._one_strand(reverse_complement(read.codes), strand=-1))
         out.sort(key=lambda c: (-c.support, c.start, c.strand))
         n_found = len(out)
-        out = out[: self.config.max_candidates]
+        out = out[:MAX_CANDIDATES]
         reg = metrics()
         reg.inc("seed.reads")
         reg.inc("seed.candidates", n_found)
@@ -90,7 +98,7 @@ class _PerReadSeeder:
         clusters.sort()
         m = int(codes.size)
         glen = len(self.index.reference)
-        survivors = [(rep, tv) for rep, tv in clusters if tv >= cfg.min_support]
+        survivors = [(rep, tv) for rep, tv in clusters if tv >= MIN_SUPPORT]
         if cfg.qgram_filter and survivors:
             survivors = self._qgram_filter(codes, survivors, glen)
         return [
@@ -127,7 +135,7 @@ class _PerReadSeeder:
 
     def _qgram_filter(self, codes, clusters, glen):
         cfg = self.config
-        q = cfg.qgram_q
+        q = QGRAM_Q
         m = int(codes.size)
         if m < q:
             return clusters
@@ -285,8 +293,7 @@ def test_vectorized_filter_matches_scalar_on_edge_overhangs():
 # -- block seeding == per-read seeding ----------------------------------------
 
 #: A second genome for the block property: a 150 bp segment occurs twice,
-#: so reads drawn from it carry several candidates and ``max_candidates=1``
-#: has something to cut.
+#: so reads drawn from it carry several candidates.
 _rng2 = np.random.default_rng(20260115)
 _REPEAT_CODES = _rng2.integers(0, 4, 3000).astype(np.uint8)
 _REPEAT_CODES[2000:2150] = _REPEAT_CODES[400:550]
@@ -305,7 +312,7 @@ def _read(codes, name="r"):
 @st.composite
 def hostile_read(draw):
     """One read of a mixed block: genome-derived of any length (including
-    shorter than the seed width and than ``qgram_q``), possibly
+    shorter than the seed width and than ``QGRAM_Q``), possibly
     reverse-complemented, substituted, N-ridden, all N, random, or hanging
     off either genome end."""
     glen = len(_REPEAT_GENOME)
@@ -353,20 +360,13 @@ def _seed_metrics(registry):
     reads=st.lists(hostile_read(), max_size=12),
     seed_len=st.sampled_from([None, 20]),
     qgram_filter=st.booleans(),
-    max_candidates=st.sampled_from([1, 16]),
-    min_support=st.sampled_from([1, 2]),
     split=st.integers(0, 12),
 )
-def test_block_seeding_equals_per_read_seeding(
-    reads, seed_len, qgram_filter, max_candidates, min_support, split
-):
+def test_block_seeding_equals_per_read_seeding(reads, seed_len, qgram_filter, split):
     """``candidates_batch(reads)[i] == candidates_batch([reads[i]])[0]`` ==
     the frozen per-read oracle, with equal ``seed.*`` counters and
     ``seed.candidates_per_read`` histogram, however the block is split."""
-    cfg = SeederConfig(
-        seed_len=seed_len, qgram_filter=qgram_filter,
-        max_candidates=max_candidates, min_support=min_support,
-    )
+    cfg = SeederConfig(seed_len=seed_len, qgram_filter=qgram_filter)
     index = _BLOCK_INDEXES[seed_len]
     seeder = Seeder(index, cfg)
     oracle = _PerReadSeeder(index, cfg)
@@ -419,26 +419,27 @@ def test_wide_run_fallback_inside_a_block():
     genome[150:350] = rng.integers(0, 4, 200)
     ref = Reference(genome, name="chain")
     index = GenomeIndex(ref, k=k, max_positions_per_kmer=4)
-    cfg = SeederConfig(min_support=1, diagonal_slack=slack)
+    cfg = SeederConfig(diagonal_slack=slack)
     seeder, oracle = Seeder(index, cfg), _PerReadSeeder(index, cfg)
     reads = [_read(genome[160:222]), _read(chain), _read(genome[250:312])]
     block = seeder.candidates_batch(reads)
     assert block == [oracle.candidates(read) for read in reads]
     forward = [c for c in block[1] if c.strand == 1]
-    assert sorted((c.diagonal, c.support) for c in forward) == [(0, 2), (6, 2), (12, 1)]
+    # (12, 1) is one vote short of MIN_SUPPORT.
+    assert sorted((c.diagonal, c.support) for c in forward) == [(0, 2), (6, 2)]
 
 
 def test_kmer_across_a_sequence_junction_is_not_a_seed():
-    """Two reads whose concatenation spells a genome 10-mer at the junction
-    (and a read whose end + its own reverse complement's start does) must
-    not hit it: windows never span concatenated sequences."""
+    """Two reads whose concatenation spells a genome 11-mer (two 10-mers,
+    enough votes for a candidate) at the junction must not hit it: windows
+    never span concatenated sequences."""
     k = 10
     codes = np.asarray(_GENOME.codes)
-    target = codes[1000 : 1000 + k]
+    target = codes[1000 : 1000 + k + 1]
     other = np.random.default_rng(5).integers(0, 4, 40).astype(np.uint8)
     a = _read(np.concatenate([other[:20], target[:5]]))
     b = _read(np.concatenate([target[5:], other[20:]]))
-    seeder = Seeder(_INDEX, SeederConfig(min_support=1))
+    seeder = Seeder(_INDEX)
     assert seeder.candidates_batch([a, b]) == [seeder.candidates(a), seeder.candidates(b)]
     for cands in seeder.candidates_batch([a, b]):
         assert all(c.diagonal not in (1000 - 20, 1000 - 5) for c in cands)
@@ -450,7 +451,7 @@ def test_block_is_worked_through_in_budget_slices(monkeypatch):
     import repro.index.seeding as seeding
 
     reads = [_read(_REPEAT_CODES[p : p + 62]) for p in range(380, 560, 9)]
-    cfg = SeederConfig(qgram_filter=True, min_support=1)
+    cfg = SeederConfig(qgram_filter=True)
     seeder = Seeder(_BLOCK_INDEXES[None], cfg)
     with scope() as whole_reg:
         whole = seeder.candidates_batch(reads)
@@ -480,15 +481,6 @@ def test_budget_slices_cover_in_order_and_stay_near_budget():
     assert all(sizes[lo:hi].sum() < 120 + sizes[lo:hi].max() for lo, hi in cut)
     assert _budget_slices(sizes, 10**9) == [(0, 200)]
     assert _budget_slices(sizes[:0], 120) == [(0, 0)]
-
-
-def test_wide_qgrams_shrink_the_block_instead_of_overflowing():
-    """(sequence, q-gram) keys are one int64: at ``qgram_q=31`` only one
-    read's two strands fit, so the block is seeded a read at a time."""
-    cfg = SeederConfig(qgram_filter=True, qgram_q=31)
-    seeder, oracle = Seeder(_INDEX, cfg), _PerReadSeeder(_INDEX, cfg)
-    reads = [_read(np.asarray(_GENOME.codes[p : p + 62])) for p in (10, 500, 2000)]
-    assert seeder.candidates_batch(reads) == [oracle.candidates(r) for r in reads]
 
 
 def test_key_headroom_is_checked_with_a_typed_error():

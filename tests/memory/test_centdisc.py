@@ -138,29 +138,21 @@ class TestCentroidAccumulator:
         assert err_cent > 3 * err_byte
 
     def test_merge_lut_vs_exact_close(self):
+        """``merge`` (the LUT where totals are within 2x, real-space
+        re-quantisation elsewhere) stays within quantisation noise of the
+        exact sum of the two snapshots."""
         rng = np.random.default_rng(2)
-        a1 = CentroidAccumulator(60)
-        b1 = CentroidAccumulator(60)
+        a = CentroidAccumulator(60)
+        b = CentroidAccumulator(60)
         pos = rng.integers(0, 60, 100)
         z = rng.dirichlet([5, 1, 1, 1, 0.2], 100)
-        a1.add(pos[:50], z[:50])
-        b1.add(pos[50:], z[50:])
-        a2 = CentroidAccumulator.from_buffers(60, a1.to_buffers())
-        b2 = CentroidAccumulator.from_buffers(60, b1.to_buffers())
-        a1.merge(b1, use_lut=True)
-        a2.merge(b2, use_lut=False)
-        assert np.allclose(
-            a1.snapshot().sum(axis=1), a2.snapshot().sum(axis=1), atol=1e-3
-        )
-        # the two merge paths agree to within quantisation noise
-        diff = np.abs(a1.snapshot() - a2.snapshot()).sum() / max(a2.snapshot().sum(), 1)
+        a.add(pos[:50], z[:50])
+        b.add(pos[50:], z[50:])
+        exact = a.snapshot() + b.snapshot()
+        a.merge(b)
+        assert np.allclose(a.snapshot().sum(axis=1), exact.sum(axis=1), atol=1e-3)
+        diff = np.abs(a.snapshot() - exact).sum() / max(exact.sum(), 1)
         assert diff < 0.4
-
-    def test_merge_different_codebooks_rejected(self):
-        a = CentroidAccumulator(5, codebook=CentroidCodebook())
-        b = CentroidAccumulator(5, codebook=CentroidCodebook())
-        with pytest.raises(AccumulatorError):
-            a.merge(b)
 
     def test_buffer_round_trip(self):
         rng = np.random.default_rng(3)

@@ -12,13 +12,8 @@ import time
 import pytest
 
 import repro.observability.trace as trace
-from repro.errors import ObservabilityError
 from repro.observability import MetricsRegistry, scope, span, use
-from repro.observability.registry import (
-    DEFAULT_EVENT_CAPACITY,
-    event_capacity,
-    set_event_capacity,
-)
+from repro.observability.registry import EVENT_CAPACITY
 
 
 @pytest.fixture(autouse=True)
@@ -26,12 +21,17 @@ def restore_trace_state():
     """Every test leaves the module-global trace state as it found it."""
     was_enabled = trace.enabled()
     label = trace.process_label()
-    capacity = event_capacity()
     yield
     (trace.enable if was_enabled else trace.disable)()
     trace.set_process_label(label)
     trace.set_thread_label(None)
-    set_event_capacity(capacity)
+
+
+def ticks(registry: MetricsRegistry, start: int, stop: int) -> None:
+    """Record ``obs.test_tick`` instants ``i = start .. stop - 1``."""
+    with use(registry):
+        for i in range(start, stop):
+            trace.instant("obs.test_tick", i=i)
 
 
 class TestEnablement:
@@ -51,14 +51,6 @@ class TestEnablement:
         assert trace.enabled()
         trace.disable()
         assert not trace.enabled()
-
-    def test_enable_with_capacity_resizes_ring(self):
-        trace.enable(capacity=17)
-        assert event_capacity() == 17
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ObservabilityError):
-            set_event_capacity(0)
 
     def test_disabled_overhead_is_negligible(self):
         """100k disabled instants well under 0.15s — the <2% pipeline
@@ -132,32 +124,28 @@ class TestEventsAndLanes:
 
 class TestRingBuffer:
     def test_default_capacity(self):
-        assert DEFAULT_EVENT_CAPACITY == 65536
+        assert EVENT_CAPACITY == 65536
 
     def test_newest_events_win_and_drops_are_counted(self):
-        trace.enable(capacity=5)
-        reg = MetricsRegistry()  # fresh ring at the new capacity
-        with use(reg):
-            for i in range(12):
-                trace.instant("obs.test_tick", i=i)
+        trace.enable()
+        reg = MetricsRegistry()
+        ticks(reg, 0, EVENT_CAPACITY + 7)
         snap = reg.snapshot()
-        assert len(snap.events) == 5
-        assert [ev[7]["i"] for ev in snap.events] == [7, 8, 9, 10, 11]
+        assert len(snap.events) == EVENT_CAPACITY
+        assert [ev[7]["i"] for ev in snap.events[-5:]] == [
+            EVENT_CAPACITY + 2 + i for i in range(5)
+        ]
         assert snap.counter("obs.trace_dropped") == 7
 
     def test_absorb_extends_ring_and_accounts_drops(self):
-        trace.enable(capacity=4)
+        trace.enable()
         worker = MetricsRegistry()
-        with use(worker):
-            for i in range(3):
-                trace.instant("obs.test_tick", i=i)
+        ticks(worker, 0, 3)
         parent = MetricsRegistry()
-        with use(parent):
-            for i in range(3, 6):
-                trace.instant("obs.test_tick", i=i)
+        ticks(parent, 3, EVENT_CAPACITY + 2)
         parent.absorb(worker.snapshot())
         snap = parent.snapshot()
-        assert len(snap.events) == 4
+        assert len(snap.events) == EVENT_CAPACITY
         assert snap.counter("obs.trace_dropped") == 2
 
     def test_default_capacity_overflow_bounds_memory_and_counts_drops(self):
@@ -168,16 +156,13 @@ class TestRingBuffer:
 
         from repro.observability import to_chrome_trace
 
-        trace.enable()  # default capacity
-        assert event_capacity() == DEFAULT_EVENT_CAPACITY
+        trace.enable()
         overflow = 2048
-        total = DEFAULT_EVENT_CAPACITY + overflow
-        reg = MetricsRegistry()  # fresh ring at the default capacity
-        with use(reg):
-            for i in range(total):
-                trace.instant("obs.test_tick", i=i)
+        total = EVENT_CAPACITY + overflow
+        reg = MetricsRegistry()
+        ticks(reg, 0, total)
         snap = reg.snapshot()
-        assert len(snap.events) == DEFAULT_EVENT_CAPACITY
+        assert len(snap.events) == EVENT_CAPACITY
         assert snap.counter("obs.trace_dropped") == overflow
         # Oldest events fell off the front; the newest survived intact.
         kept = [ev[7]["i"] for ev in snap.events]
@@ -185,17 +170,15 @@ class TestRingBuffer:
         assert kept[-1] == total - 1
         # The saturated ring still renders to well-formed Chrome trace JSON.
         doc = json.loads(json.dumps(to_chrome_trace(snap)))
-        ticks = [
+        exported = [
             ev for ev in doc["traceEvents"] if ev.get("name") == "obs.test_tick"
         ]
-        assert len(ticks) == DEFAULT_EVENT_CAPACITY
+        assert len(exported) == EVENT_CAPACITY
 
     def test_clear_resets_events_and_drop_count(self):
-        trace.enable(capacity=2)
+        trace.enable()
         reg = MetricsRegistry()
-        with use(reg):
-            for i in range(5):
-                trace.instant("obs.test_tick", i=i)
+        ticks(reg, 0, EVENT_CAPACITY + 3)
         reg.clear()
         snap = reg.snapshot()
         assert snap.events == ()

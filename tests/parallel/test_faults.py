@@ -9,7 +9,6 @@ from repro.parallel.faults import (
     FaultClause,
     corrupt_buffers,
     parse_fault_spec,
-    resolve_fault_plan,
 )
 
 
@@ -116,24 +115,3 @@ class TestCorruptBuffers:
         out = corrupt_buffers({"a": a, "b": b})
         assert np.isnan(out["a"]).sum() == 1
         assert not np.isnan(out["b"]).any()
-
-
-class TestResolve:
-    def test_config_spec_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "hang:chunk=9")
-        plan = resolve_fault_plan("crash:chunk=0")
-        assert plan.clauses[0].mode == "crash"
-
-    def test_env_used_when_config_empty(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "corrupt:chunk=2")
-        plan = resolve_fault_plan("")
-        assert plan.clauses[0].mode == "corrupt"
-
-    def test_env_spec_is_parsed_strictly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "crash:p=0.5,seed=7")
-        with pytest.raises(ConfigError):
-            resolve_fault_plan("")
-
-    def test_neither_means_no_plan(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        assert not resolve_fault_plan("")

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import AlignmentError
 from repro.phmm.forward_backward import backward_batch, emissions_batch, forward_batch
 from repro.phmm.model import PHMMParams
-from repro.phmm.posterior import posteriors_batch, z_vectors
+from repro.phmm.posterior import OCCUPANCY_FLOOR, posteriors_batch, z_vectors
 from repro.phmm.pwm import pwm_from_codes
 
 PARAMS = PHMMParams()
@@ -118,21 +118,21 @@ class TestZVectors:
             [rng.integers(0, 4, 4), codes, rng.integers(0, 4, 4)]
         ).astype(np.uint8)
         post = compute_post(pwm, window)
-        z = z_vectors(post, edge_policy="paper", occupancy_floor=0.5)
+        z = z_vectors(post, edge_policy="paper")
         interior = z[0, 6 : 4 + n - 2]
         assert np.allclose(interior.sum(axis=1), 1.0, atol=1e-6)
 
     def test_paper_policy_zeroes_below_floor(self):
         rng = np.random.default_rng(7)
         post = compute_post(*random_pair(rng))
-        z = z_vectors(post, edge_policy="paper", occupancy_floor=0.9999999)
-        low = post.occupancy[0] < 0.9999999
+        z = z_vectors(post, edge_policy="paper")
+        low = post.occupancy[0] < OCCUPANCY_FLOOR
         assert np.allclose(z[0][low], 0.0)
+        occ = post.occupancy[0][~low, None]
+        np.testing.assert_allclose(z[0][~low], z_vectors(post)[0][~low] / occ)
 
     def test_bad_policy_rejected(self):
         rng = np.random.default_rng(8)
         post = compute_post(*random_pair(rng))
         with pytest.raises(AlignmentError):
             z_vectors(post, edge_policy="bogus")
-        with pytest.raises(AlignmentError):
-            z_vectors(post, edge_policy="paper", occupancy_floor=0.0)

@@ -87,25 +87,22 @@ class TestPipelineConfig:
         from repro.index.seeding import SeederConfig
 
         cfg = PipelineConfig(
-            seeder=SeederConfig(min_support=3),
+            seeder=SeederConfig(diagonal_slack=5),
             caller=CallerConfig(alpha=0.01),
         )
-        assert cfg.seeder.min_support == 3
+        assert cfg.seeder.diagonal_slack == 5
         assert cfg.caller.alpha == 0.01
 
 
 class TestParallelConfig:
     def test_defaults(self):
         par = PipelineConfig().parallel
-        assert par.workers == 1
         assert par.start_method == "spawn"
         assert par.chunk_timeout == 120.0
         assert par.max_retries == 2
         assert par.fault_spec == ""
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            ParallelConfig(workers=0)
         with pytest.raises(ConfigError):
             ParallelConfig(start_method="thread")
         with pytest.raises(ConfigError):
@@ -118,9 +115,8 @@ class TestParallelConfig:
 
     def test_nested_carried(self):
         cfg = PipelineConfig(
-            parallel=ParallelConfig(workers=4, start_method="fork")
+            parallel=ParallelConfig(start_method="fork")
         )
-        assert cfg.parallel.workers == 4
         assert cfg.parallel.start_method == "fork"
 
     def test_flat_mp_kwarg_is_a_type_error(self):
@@ -147,5 +143,3 @@ class TestSeederKnobs:
 
         with pytest.raises(IndexError_):
             SeederConfig(filter_threshold=1.5)
-        with pytest.raises(IndexError_):
-            SeederConfig(qgram_q=0)

@@ -268,11 +268,14 @@ class TestFaultRecovery:
         assert snap.counter("mp.chunk_retries") == 1
         _assert_same_bytes(result, serial_result)
 
-    def test_env_var_activates_fault_plan(self, workload, monkeypatch):
+    def test_env_var_is_not_a_fault_plan(self, workload, monkeypatch):
+        """Faults are injected through ``fault_spec`` only: ``REPRO_FAULTS``
+        in the environment (which spawned and forked workers inherit) is
+        not read."""
         monkeypatch.setenv("REPRO_FAULTS", "crash:chunk=0")
         with scope() as reg:
             _run(workload, workload.reads, _config(self.method))
-        assert reg.snapshot().counter("mp.worker_deaths") == 1
+        assert reg.snapshot().counter("mp.worker_deaths") == 0
 
 
 class TestFaultRecoverySpawn(TestFaultRecovery):

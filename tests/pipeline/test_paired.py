@@ -14,7 +14,7 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.evidence import PairEvidence
 from repro.genome.fastq import Read
 from repro.memory.base import make_accumulator
-from repro.pipeline.paired import PairedConfig, PairedGnumap
+from repro.pipeline.paired import DISCORDANT_LOGPENALTY, PairedConfig, PairedGnumap
 from repro.simulate.paired import ReadPair
 from repro.simulate.error_model import IlluminaErrorModel
 from repro.simulate.genome_sim import GenomeSpec, simulate_genome
@@ -52,8 +52,6 @@ class TestPairedConfig:
     def test_validation(self):
         with pytest.raises(PipelineError):
             PairedConfig(insert_mean=0)
-        with pytest.raises(PipelineError):
-            PairedConfig(discordant_logpenalty=1.0)
 
     def test_insert_logpdf_peaks_at_mean(self):
         cfg = PairedConfig(insert_mean=300, insert_sd=30)
@@ -144,7 +142,7 @@ class TestUnequalMates:
         # mates: improper, pays the discordance prior)
         reverse = _mate([0.0, 0.0], [1062, 1061], -1)
         _, w2 = paired._pair_weights(forward, reverse, 62, 50)
-        want = np.exp([pcfg.insert_logpdf(np.array(112.0)), pcfg.discordant_logpenalty])
+        want = np.exp([pcfg.insert_logpdf(np.array(112.0)), DISCORDANT_LOGPENALTY])
         np.testing.assert_allclose(w2, want / want.sum(), rtol=1e-12)
 
     def test_trimmed_mates_map_whatever_the_kernel_calls_hold(self):

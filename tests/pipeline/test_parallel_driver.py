@@ -177,12 +177,12 @@ class TestEvidenceEquivalence:
         serial_acc, _ = serial.map_reads(workload.reads)
 
         def program(comm):
-            from repro.parallel.partition import partition_reads_contiguous, take
+            from repro.parallel.partition import partition_reads_contiguous
             from repro.parallel.reduction import reduce_accumulator
 
             pipe = GnumapSnp(workload.reference, config)
             sl = partition_reads_contiguous(len(workload.reads), comm.size)[comm.rank]
-            acc, _ = pipe.map_reads(take(workload.reads, sl))
+            acc, _ = pipe.map_reads(workload.reads[sl.start : sl.stop])
             return reduce_accumulator(comm, acc)
 
         res = Cluster(3).run(program)

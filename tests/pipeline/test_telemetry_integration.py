@@ -38,7 +38,7 @@ def workload():
 
 def _config(telemetry: bool, **tele_kwargs) -> PipelineConfig:
     return PipelineConfig(
-        parallel=ParallelConfig(workers=2, start_method="fork"),
+        parallel=ParallelConfig(start_method="fork"),
         telemetry=TelemetryConfig(enabled=telemetry, **tele_kwargs),
     )
 
@@ -49,6 +49,7 @@ def _engine(workload, config):
     return Engine(
         Reference(workload.reference.codes, name=workload.reference.name),
         config,
+        workers=2,
     )
 
 
@@ -167,11 +168,7 @@ class TestLiveScrapeDuringRun:
         """The pool's parent-side recovery counters are mirrored into
         the live plane, and ``repro top`` renders them."""
         config = PipelineConfig(
-            parallel=ParallelConfig(
-                workers=2,
-                start_method="fork",
-                fault_spec="crash:chunk=0",
-            ),
+            parallel=ParallelConfig(start_method="fork", fault_spec="crash:chunk=0"),
             telemetry=TelemetryConfig(enabled=True, interval=0.05),
         )
         with _engine(workload, config) as engine:
@@ -195,7 +192,7 @@ class TestLiveScrapeDuringRun:
         hang = STALL_AFTER + 1.0
         config = PipelineConfig(
             parallel=ParallelConfig(
-                workers=2, start_method="fork", fault_spec=f"hang:chunk=0,secs={hang:g}"
+                start_method="fork", fault_spec=f"hang:chunk=0,secs={hang:g}"
             ),
             telemetry=TelemetryConfig(enabled=True, interval=0.5, port=None),
         )

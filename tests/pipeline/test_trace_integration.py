@@ -137,3 +137,19 @@ class TestCleanParallelTrace:
         _, snap = run_traced(workload, start_method="fork")
         hist = snap.histogram("pipeline.mapping_weight")
         assert hist is not None and hist["count"] > 0
+
+
+class TestSwitchReachesWorkersOneWay:
+    def test_env_var_does_not_turn_worker_tracing_on(self, workload, monkeypatch):
+        """Tracing is ``--trace`` / ``trace.enable()``; the parent's switch
+        reaches workers as an initializer argument only.  With
+        ``REPRO_TRACE=1`` in the environment spawned workers inherit and the
+        parent's tracing off, no worker records an event."""
+        if "spawn" not in mp.get_all_start_methods():  # pragma: no cover
+            pytest.skip("spawn start method unavailable")
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        trace.disable()
+        result, snap = run_traced(workload, start_method="spawn")
+        assert result.stats.n_reads == len(workload.reads)
+        assert snap.span_count("map_parallel/map_reads") >= 1  # workers ran
+        assert [ev for ev in snap.events if ev[4] == "worker"] == []

@@ -15,6 +15,14 @@ def workload():
     return build_workload(scale="tiny", seed=606)
 
 
+@pytest.fixture(scope="module")
+def viterbi_result(workload):
+    """One Viterbi run of the whole workload, shared by the tests that read
+    its calls."""
+    config = PipelineConfig(posterior_mode="viterbi")
+    return GnumapSnp(workload.reference, config).run(workload.reads)
+
+
 class TestOneHotBest:
     def test_per_group_single_winner(self):
         logliks = np.array([-3.0, -1.0, -2.0, -9.0, -8.0])
@@ -31,10 +39,8 @@ class TestOneHotBest:
 
 
 class TestViterbiMode:
-    def test_runs_and_calls_snps(self, workload):
-        config = PipelineConfig(posterior_mode="viterbi")
-        result = GnumapSnp(workload.reference, config).run(workload.reads)
-        counts = compare_to_truth(result.snps, workload.catalog)
+    def test_runs_and_calls_snps(self, workload, viterbi_result):
+        counts = compare_to_truth(viterbi_result.snps, workload.catalog)
         assert counts.tp > 0
         assert counts.precision >= 0.7
 
@@ -49,7 +55,7 @@ class TestViterbiMode:
             sum(len(r) for r in workload.reads[:100]), rel=0.2
         )
 
-    def test_both_modes_competitive_on_clean_data(self, workload):
+    def test_both_modes_competitive_on_clean_data(self, workload, viterbi_result):
         """On clean, unambiguous data the two philosophies are both strong —
         Viterbi can even edge ahead because one-hot location weights keep
         full depth at one site while the marginal mode splits evidence over
@@ -57,11 +63,8 @@ class TestViterbiMode:
         mode's advantage is *robustness* in ambiguity, demonstrated by
         tests/test_integration.py::TestRepeatRegionSnp."""
         marginal = GnumapSnp(workload.reference, PipelineConfig()).run(workload.reads)
-        viterbi = GnumapSnp(
-            workload.reference, PipelineConfig(posterior_mode="viterbi")
-        ).run(workload.reads)
         cm = compare_to_truth(marginal.snps, workload.catalog)
-        cv = compare_to_truth(viterbi.snps, workload.catalog)
+        cv = compare_to_truth(viterbi_result.snps, workload.catalog)
         assert cm.f1 >= 0.7
         assert cv.f1 >= 0.7
 

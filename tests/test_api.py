@@ -92,19 +92,6 @@ class TestEngine:
         with pytest.raises(PipelineError):
             Engine(workload.reference, workers=0)
 
-    def test_workers_from_config(self, workload):
-        engine = Engine(
-            workload.reference,
-            PipelineConfig(parallel=ParallelConfig(workers=3)),
-        )
-        assert engine.workers == 3
-        # The explicit constructor kwarg wins over the config.
-        assert Engine(
-            workload.reference,
-            PipelineConfig(parallel=ParallelConfig(workers=3)),
-            workers=2,
-        ).workers == 2
-
     def test_staged_parallel_map_matches_staged_serial(self, workload):
         config = fork_config()
         serial = Engine(workload.reference, config)
@@ -188,19 +175,6 @@ class TestEngineLifecycle:
             assert engine._pool is pool
         # Three rounds on one fleet: the cold start, then two warm reuses.
         assert reg.snapshot().counter("mp.pool_reuse") == 2
-
-    def test_workers_resize_recycles_pool(self, workload):
-        reads = workload.reads[:120]
-        with Engine(workload.reference, fork_config(), workers=2) as engine:
-            engine.run(reads)
-            pool = engine._pool
-            engine.workers = 3
-            assert engine.workers == 3
-            assert pool.closed and engine._pool is None
-            engine.run(reads)
-            assert engine._pool is not None and engine._pool.n_workers == 3
-        with pytest.raises(PipelineError):
-            engine.workers = 0
 
     def test_per_call_workers_kwarg_is_a_type_error(self, workload):
         # Worker count is engine state; the 1.x per-call kwarg is gone.

@@ -22,7 +22,7 @@ import urllib.request
 from repro.api import Engine
 from repro.genome.fastq import read_fastq
 from repro.observability.dashboard import parse_live_document
-from repro.pipeline.config import ParallelConfig, PipelineConfig, TelemetryConfig
+from repro.pipeline.config import PipelineConfig, TelemetryConfig
 
 
 #: Counters the live view must report exactly as the result path does.
@@ -50,11 +50,10 @@ def main() -> None:
 
     reads = read_fastq(args.reads)
     config = PipelineConfig(
-        parallel=ParallelConfig(workers=2),
         telemetry=TelemetryConfig(enabled=True, interval=0.1, port=0),
     )
     mid_run = []
-    with Engine.from_fasta(args.reference, config) as engine:
+    with Engine.from_fasta(args.reference, config, workers=2) as engine:
         url = engine.telemetry_url
         assert url, "telemetry endpoint did not come up"
         done = threading.Event()
