@@ -26,7 +26,7 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/metrics":
             try:
                 body = type(self).collect().encode("utf-8")
-            except Exception as exc:  # noqa: BLE001  # replint: disable=RPL401 -- a failed collect must answer 500, never kill the server
+            except Exception as exc:  # noqa: BLE001 -- a failed collect must answer 500, never kill the server
                 self.send_error(500, explain=f"collect failed: {exc}")
                 return
             self.send_response(200)

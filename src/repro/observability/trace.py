@@ -142,8 +142,9 @@ def _event(ph: str, name: str, args: "dict[str, Any] | None") -> "tuple[int, str
 def instant(name: str, **args: Any) -> None:
     """Record a point event (``mp.chunk_retry``-style); no-op when disabled.
 
-    Names follow the ``subsystem.metric`` grammar (replint RPL601);
-    ``args`` must be small JSON-able scalars.
+    Names follow the ``subsystem.metric`` grammar, which
+    ``tests/observability/test_pipeline_metrics.py::TestMetricNames`` checks
+    on every name a run emits; ``args`` must be small JSON-able scalars.
     """
     if not _enabled:
         return

@@ -22,7 +22,7 @@ from repro.parallel.cluster import Cluster, ClusterResult
 from repro.parallel.partition import partition_reads_contiguous
 from repro.parallel.reduction import reduce_accumulator
 
-__all__ = [
+__all__ = (
     "LogGPModel",
     "payload_nbytes",
     "VirtualClock",
@@ -31,4 +31,4 @@ __all__ = [
     "ClusterResult",
     "partition_reads_contiguous",
     "reduce_accumulator",
-]
+)

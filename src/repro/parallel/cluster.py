@@ -77,7 +77,7 @@ class Cluster:
                     results[comm.rank] = program(comm, *args)
             # Sanctioned boundary: a failing rank must abort the world no
             # matter what it raised; the root cause is re-raised as CommError.
-            except BaseException as exc:  # noqa: BLE001  # replint: disable=RPL401
+            except BaseException as exc:  # noqa: BLE001
                 with lock:
                     errors.append((comm.rank, exc))
                 shared.abort()

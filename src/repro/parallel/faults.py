@@ -43,13 +43,13 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-__all__ = [
+__all__ = (
     "EMPTY_PLAN",
     "FaultClause",
     "FaultPlan",
     "corrupt_buffers",
     "parse_fault_spec",
-]
+)
 
 #: Exit code a ``crash`` clause kills the worker with (visible in logs).
 CRASH_EXIT_CODE = 70
@@ -176,12 +176,7 @@ def _parse_clause(text: str) -> FaultClause:
 
 def parse_fault_spec(spec: str) -> FaultPlan:
     """Parse a fault spec string; ``""`` yields the empty (no-op) plan."""
-    spec = spec.strip()
-    if not spec:
-        return EMPTY_PLAN
     clauses = tuple(
         _parse_clause(part) for part in spec.split(";") if part.strip()
     )
-    if not clauses:
-        return EMPTY_PLAN
-    return FaultPlan(clauses=clauses)
+    return FaultPlan(clauses=clauses) if clauses else EMPTY_PLAN

@@ -81,7 +81,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.observability.livestream import TelemetryAggregator
 
-__all__ = ["PersistentPool"]
+__all__ = ("PersistentPool",)
 
 #: Parent poll tick (seconds): the upper bound on deadline-check latency.
 _TICK = 0.2
@@ -103,12 +103,13 @@ _REJECT = ("mp.partial_rejects", "mp.partial_reject")
 
 def _worker_main(
     conn: "Connection",
-    worker_fn: "Callable[[Any, int, int], Any]",
-    initializer: "Callable[..., None] | None",
+    worker_fn: "Callable[[Any, Any, int, int], Any]",
+    initializer: "Callable[..., Any] | None",
     initargs: "tuple[Any, ...]",
     telemetry_interval: float = 0.0,
 ) -> None:
-    """Worker process body: init once, then serve chunk tasks off the pipe.
+    """Worker process body: init once, then serve chunk tasks off the pipe,
+    passing each ``worker_fn`` call the state the initializer returned.
 
     With a non-zero ``telemetry_interval``, a daemon thread sends the
     worker's whole metrics snapshot as a ``_BEAT`` every interval while a
@@ -117,9 +118,8 @@ def _worker_main(
     One lock serialises every send, so a beat never splits a reply.
     """
     try:
-        if initializer is not None:
-            initializer(*initargs)
-    except BaseException as exc:  # noqa: BLE001  # replint: disable=RPL401 - process boundary: init failure must reach the parent as data, not a traceback on a dead pipe
+        state = None if initializer is None else initializer(*initargs)
+    except BaseException as exc:  # noqa: BLE001 - process boundary: init failure must reach the parent as data, not a traceback on a dead pipe
         try:
             conn.send((_INIT_ERROR, -1, 0, f"{type(exc).__name__}: {exc}"))
         finally:
@@ -145,8 +145,8 @@ def _worker_main(
         _, chunk_id, attempt, payload = msg
         in_flight.set()
         try:
-            reply = (_OK, chunk_id, attempt, worker_fn(payload, chunk_id, attempt))
-        except BaseException as exc:  # noqa: BLE001  # replint: disable=RPL401 - process boundary: any failure becomes a typed message so the parent can retry with attribution
+            reply = (_OK, chunk_id, attempt, worker_fn(state, payload, chunk_id, attempt))
+        except BaseException as exc:  # noqa: BLE001 - process boundary: any failure becomes a typed message so the parent can retry with attribution
             reply = (_ERROR, chunk_id, attempt, f"{type(exc).__name__}: {exc}")
         with lock:
             in_flight.clear()
@@ -207,15 +207,16 @@ class PersistentPool:
     n_workers:
         Fleet size; spawned by the first :meth:`run`, reused by later ones.
     worker_fn:
-        ``worker_fn(payload, chunk_id, attempt)``, a module-level
-        (picklable) callable run in the workers.
+        ``worker_fn(state, payload, chunk_id, attempt)``, a module-level
+        (picklable) callable run in the workers; ``state`` is what the
+        worker's initializer returned (``None`` without one).
     arrays:
         Read-only arrays to publish as shared-memory segments (genome
         codes, index CSR arrays, ...).
     initializer, initargs:
         Worker one-time init.  The initializer receives the publication
         map (``dict[str, SharedArraySpec]``) as its **first** argument,
-        followed by ``initargs``.
+        followed by ``initargs``, and returns the worker's state.
     timeout:
         Per-chunk deadline in seconds, counted from dispatch to a ready
         worker.
@@ -236,10 +237,10 @@ class PersistentPool:
         self,
         ctx: "BaseContext",
         n_workers: int,
-        worker_fn: "Callable[[Any, int, int], Any]",
+        worker_fn: "Callable[[Any, Any, int, int], Any]",
         arrays: "dict[str, np.ndarray]",
         *,
-        initializer: "Callable[..., None] | None" = None,
+        initializer: "Callable[..., Any] | None" = None,
         initargs: "tuple[Any, ...]" = (),
         timeout: float = 120.0,
         max_retries: int = 2,
@@ -512,7 +513,7 @@ class PersistentPool:
                         if self._validate is not None:
                             try:
                                 self._validate(cid, data)
-                            except Exception as exc:  # noqa: BLE001  # replint: disable=RPL401 - validation boundary: any rejection is a retryable chunk failure, not a crash
+                            except Exception as exc:  # noqa: BLE001 - validation boundary: any rejection is a retryable chunk failure, not a crash
                                 fail(cid, attempt, _REJECT, str(exc))
                                 continue
                         results[cid] = data

@@ -9,7 +9,7 @@ zero-copy ``ndarray`` views over the same physical pages (the
 tiny :class:`SharedArraySpec` (name/shape/dtype) instead of re-receiving
 the data, so crash recovery costs an ``mmap``, not a genome pickle.
 
-Segment-ownership protocol (the RPL803 contract; DESIGN.md §14):
+Segment-ownership protocol (DESIGN.md §14; ``tests/parallel/test_pool.py``):
 
 * the **parent** creates segments through :class:`SharedArrayBundle`, which
   owns them: every handle is stored on the bundle, and ``close()`` closes
@@ -20,8 +20,8 @@ Segment-ownership protocol (the RPL803 contract; DESIGN.md §14):
 * **workers** attach via :func:`attach_array` and must keep the returned
   handle alive as long as the view (the buffer is only mapped while the
   handle is open) and only ever ``close()`` it — ``unlink`` is the
-  parent's alone.  Worker processes hold the handles for their lifetime;
-  process exit closes the mapping.
+  parent's alone.  Worker processes hold the handles in their worker
+  state for their lifetime; process exit closes the mapping.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import CommError
 
-__all__ = ["SharedArrayBundle", "SharedArraySpec", "attach_array"]
+__all__ = ("SharedArrayBundle", "SharedArraySpec", "attach_array")
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,6 +69,8 @@ from repro.pipeline.evidence import PairEvidence
 from repro.pipeline.gnumap import GnumapSnp, MappingStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from multiprocessing.shared_memory import SharedMemory
+
     from repro.observability.livestream import TelemetryAggregator
     from repro.parallel.shm import SharedArraySpec
 
@@ -82,9 +85,19 @@ CHUNKS_PER_WORKER = 4
 #: refunds a bounded slice of work, and bounds one result message.
 MAX_CHUNK_READS = 2048
 
-# Module-level worker state (initialised per process by the pool initializer;
-# avoids re-pickling the reference for every chunk).
-_WORKER: dict = {}
+
+@dataclass
+class _WorkerState:
+    """What :func:`_init_pool_worker` builds once per worker process (so the
+    reference is never re-pickled per chunk) and hands every :func:`_map_chunk`."""
+
+    pipe: GnumapSnp
+    faults: FaultPlan
+    # Alive as long as the views (closing unmaps the buffer); only the
+    # publishing parent unlinks (see repro.parallel.shm).
+    shm_handles: "list[SharedMemory]"
+    # One-shot attach cost: the first chunk ships it home and clears it.
+    attach_seconds: "float | None"
 
 
 def _init_pool_worker(
@@ -93,9 +106,9 @@ def _init_pool_worker(
     config: PipelineConfig,
     index_scalars: "dict[str, int | None]",
     sanitize_on: bool,
-    fault_plan: "FaultPlan | None",
+    fault_plan: FaultPlan,
     trace_on: bool,
-) -> None:
+) -> _WorkerState:
     """Attach-mode initializer for :class:`PersistentPool` workers.
 
     The worker gets the publication map and wraps zero-copy read-only
@@ -124,29 +137,17 @@ def _init_pool_worker(
     # Every other segment is the index's; only hashindex.py knows which.
     index = GenomeIndex.from_arrays(reference, **views, **index_scalars)
     pipe = GnumapSnp(reference, config, index=index)
-    # Sanctioned pool-initializer pattern: each worker process installs its
-    # own pipeline once; no writes ever flow back to the parent.
-    # Handles must stay alive as long as the views (closing unmaps the
-    # buffer); the worker holds them for its lifetime and never unlinks —
-    # the publishing parent owns unlink (see repro.parallel.shm).
-    _WORKER["pipe"] = pipe  # replint: disable=RPL301
-    _WORKER["config"] = config  # replint: disable=RPL301
-    _WORKER["faults"] = fault_plan  # replint: disable=RPL301
-    _WORKER["shm_handles"] = handles  # replint: disable=RPL301
-    # One-shot attach cost; the next _map_chunk pops it into its snapshot.
-    _WORKER["attach_seconds"] = time.perf_counter() - started  # replint: disable=RPL301
+    return _WorkerState(pipe, fault_plan, handles, time.perf_counter() - started)
 
 
 def _map_chunk(
-    payload: "tuple[list, list, list]", chunk_id: int = 0, attempt: int = 0
+    state: _WorkerState, payload: "tuple[list, list, list]", chunk_id: int, attempt: int
 ) -> "tuple[list[tuple[PairEvidence, np.ndarray]], dict, MetricsSnapshot]":
     codes_list, quals_list, names = payload
-    pipe: GnumapSnp = _WORKER["pipe"]  # replint: disable=RPL301
-    plan: "FaultPlan | None" = _WORKER.get("faults")  # replint: disable=RPL301
-    if plan is not None:
-        # Deterministic injection point: crash/hang before any work, keyed
-        # by (chunk, attempt) so retries of a transient fault succeed.
-        plan.inject_pre_compute(chunk_id, attempt)
+    pipe, plan = state.pipe, state.faults
+    # Deterministic injection point: crash/hang before any work, keyed by
+    # (chunk, attempt) so retries of a transient fault succeed.
+    plan.inject_pre_compute(chunk_id, attempt)
     reads = [
         Read(name=n, codes=c, quals=q)
         for n, c, q in zip(names, codes_list, quals_list)
@@ -157,17 +158,17 @@ def _map_chunk(
     # detached(): forked workers inherit the parent's open span path (spawned
     # ones don't) — root the chunk's spans either way.
     with detached(), scope() as reg:
-        attach = _WORKER.pop("attach_seconds", None)  # replint: disable=RPL301
-        if attach is not None:
+        if state.attach_seconds is not None:
             # Ships home with this worker's first chunk snapshot.
-            reg.observe("mp.worker_attach_seconds", float(attach))
+            reg.observe("mp.worker_attach_seconds", state.attach_seconds)
+            state.attach_seconds = None
         trace.instant("mp.chunk_begin", chunk=chunk_id, attempt=attempt)
         started = time.perf_counter()
         with span("map_reads"):
             batches = [(ev, pipe.weigh(ev)) for ev in pipe.map_batches(reads, stats)]
         reg.observe("mp.chunk_map_seconds", time.perf_counter() - started)
         snapshot = reg.snapshot()
-    if batches and plan is not None and plan.corrupts(chunk_id, attempt):
+    if batches and plan.corrupts(chunk_id, attempt):
         evidence, weights = batches[0]
         # First float field is z: the NaN lands in the shipped evidence.
         batches[0] = (PairEvidence(**corrupt_buffers(vars(evidence))), weights)
@@ -219,7 +220,7 @@ def make_pool(
             config,
             index_scalars,
             sanitize.enabled(),
-            plan if plan else None,
+            plan,
             trace.enabled(),
         ),
         timeout=par.chunk_timeout,

@@ -14,16 +14,18 @@ Three layers:
 
 import json
 import math
+import re
 import time
 
 import pytest
 
+import repro.observability.trace as trace
 from repro.cli import main
 from repro.experiments.workload import build_workload
 from repro.observability import MetricsRegistry, scope, use
 from repro.observability.snapshot import MetricsSnapshot
 from repro.pipeline.calibration import ComputeCalibration
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import ParallelConfig, PipelineConfig
 from repro.api import Engine
 from repro.pipeline.gnumap import GnumapSnp
 from repro.pipeline.mp_backend import chunk_count
@@ -197,6 +199,48 @@ class TestSerialVsMultiprocessing:
         assert p.span_count("map_parallel/map_reads") == chunk_count(len(reads), 3)
         assert p.span_seconds("map_parallel/map_reads/align") > 0
         assert p.total_span_seconds() <= wall + 1e-9
+
+
+#: The ``subsystem.metric`` naming grammar, and the subsystems a name may
+#: start with.
+METRIC_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
+METRIC_PREFIXES = (
+    "bench", "caller", "cluster", "index", "io", "memory",
+    "mp", "obs", "phmm", "pipeline", "seed",
+)
+
+
+class TestMetricNames:
+    def test_emitted_names_follow_the_grammar(self, workload, reads):
+        """Every name a run emits — counters, gauges, histograms and trace
+        instants, from the parent and from pool workers, including names
+        built at run time and the recovery paths' — is ``subsystem.metric``
+        with a known subsystem."""
+        faulted = PipelineConfig(
+            parallel=ParallelConfig(start_method="fork", fault_spec="crash:chunk=0")
+        )
+        trace.enable()
+        try:
+            with scope() as serial_reg:
+                Engine(workload.reference).run(reads)
+            with scope() as pool_reg, Engine(
+                workload.reference, faulted, workers=2
+            ) as engine:
+                engine.run(reads)
+        finally:
+            trace.disable()
+        names = set()
+        for snap in (serial_reg.snapshot(), pool_reg.snapshot()):
+            names |= set(snap.counters) | set(snap.gauges) | set(snap.histograms)
+            names |= {event[2] for event in snap.instants()}
+        # The crash and its retry ran, so their names were checked too.
+        assert {"mp.worker_deaths", "mp.worker_death", "mp.chunk_retry"} <= names
+        bad = sorted(
+            name
+            for name in names
+            if not METRIC_NAME.match(name) or name.split(".")[0] not in METRIC_PREFIXES
+        )
+        assert bad == []
 
 
 class TestCliMetricsJson:

@@ -26,29 +26,29 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _square(payload, chunk_id, attempt):
+def _square(state, payload, chunk_id, attempt):
     return payload * payload
 
 
-def _fail_chunk1_first_attempt(payload, chunk_id, attempt):
+def _fail_chunk1_first_attempt(state, payload, chunk_id, attempt):
     if chunk_id == 1 and attempt == 0:
         raise ValueError("transient boom")
     return payload
 
 
-def _crash_chunk0_first_attempt(payload, chunk_id, attempt):
+def _crash_chunk0_first_attempt(state, payload, chunk_id, attempt):
     if chunk_id == 0 and attempt == 0:
         os._exit(70)
     return payload
 
 
-def _hang_chunk0_first_attempt(payload, chunk_id, attempt):
+def _hang_chunk0_first_attempt(state, payload, chunk_id, attempt):
     if chunk_id == 0 and attempt == 0:
         time.sleep(30.0)
     return payload
 
 
-def _always_fail_chunk2(payload, chunk_id, attempt):
+def _always_fail_chunk2(state, payload, chunk_id, attempt):
     if chunk_id == 2:
         raise ValueError("persistent boom")
     return payload

@@ -100,6 +100,30 @@ class TestStages:
         assert acc.total_depth().sum() == 0
         assert pipeline.call_snps(acc) == []
 
+    def test_alignment_error_propagates_unchanged(self, pipeline, workload, monkeypatch):
+        """The mapping loop never swallows what a batch's alignment raises:
+        the first failing batch ends ``map_batches`` and ``run`` with the
+        same exception object."""
+        sentinel = RuntimeError("alignment failed")
+        calls = []
+
+        def fail(self, reads, seeded):
+            calls.append(len(seeded))
+            raise sentinel
+
+        monkeypatch.setattr(GnumapSnp, "_align", fail)
+        # Several blocks of reads: the first batch is cut inside the loop.
+        assert len(workload.reads) > 2 * PipelineConfig().batch_size
+        for run in (
+            lambda: list(pipeline.map_batches(workload.reads, MappingStats())),
+            lambda: pipeline.run(workload.reads),
+        ):
+            calls.clear()
+            with pytest.raises(RuntimeError) as raised:
+                run()
+            assert raised.value is sentinel
+            assert len(calls) == 1
+
     def test_unmappable_read_counted(self, pipeline):
         rng = np.random.default_rng(0)
         junk = Read(

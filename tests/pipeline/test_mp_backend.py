@@ -336,6 +336,15 @@ class TestSerialPoolContract:
             staged = engine.call()
         _assert_same_bytes(staged, serial)
 
+    def test_warm_pool_reruns_equal_serial(self, workload, serial_result):
+        """A worker carries nothing from one chunk to the next: the same
+        reads mapped three times over one warm fleet give serial bytes each
+        time.  Rounds after the first hand every worker the chunk it had in
+        the round before, so state a worker kept would show."""
+        with Engine(workload.reference, _config(), workers=2) as engine:
+            for _ in range(3):
+                _assert_same_bytes(engine.run(workload.reads), serial_result)
+
     def test_faulted_pool_equals_serial(self, workload, serial_result):
         faulted = _config(fault_spec="crash:chunk=0;corrupt:chunk=1")
         with scope() as reg:

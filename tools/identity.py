@@ -16,9 +16,12 @@ tree's ``src``.  Each configuration reports the sha256 of
   programs, whose root returns calls only);
 * its ``seed.*``, ``phmm.pairs`` and ``caller.snps`` counters.
 
-The table has one row per (seed, configuration).  The exit status is 1 when
-any call TSV differs and 0 otherwise: accumulator and counter differences
-are printed but do not fail, because a kernel change may legitimately move
+The table has one row per (seed, configuration).  Its last column compares
+a row that must equal a serial run (``TWINS``) with that run in this tree:
+call TSV and accumulator must both be equal.  The exit status is 1 when any
+call TSV differs from the ref's or any row differs from its twin, and 0
+otherwise: accumulator and counter differences against the ref are printed
+but do not fail, because a kernel change may legitimately move
 quantising-accumulator bits without moving a call.
 """
 
@@ -97,8 +100,25 @@ def _matrix() -> "dict[str, dict[str, Any]]":
 MATRIX = _matrix()
 QUICK = (
     "phmm_full", "pool2_warm", "pool2/faulted", "pool2/telemetry", "online/pool2",
-    "seed_heavy", "fast_chardisc", "CHARDISC/w3", "CENTDISC/w3", "roc",
+    "seed_heavy", "fast_chardisc", "CHARDISC", "CHARDISC/w3", "CENTDISC", "CENTDISC/w3",
+    "roc",
 )
+#: Row -> the serial row of the same tree it must equal.  The spread
+#: programs at P > 1 change NORM/CHARDISC float reduction order against
+#: serial (ROADMAP item 15), so they have no twin yet.
+TWINS = {
+    **{
+        name: "phmm_full"
+        for name in ("pool2_warm", "pool2/faulted", "pool2/telemetry", "online/pool2")
+    },
+    **{
+        f"{acc}/w{workers}": acc
+        for acc in ("CHARDISC", "CENTDISC", "CENTDISC_WEIGHTED")
+        for workers in (2, 3)
+    },
+    "read_spread/P1": "CHARDISC",
+    "memory_spread/P1": "CHARDISC",
+}
 
 
 def _sha(data: bytes) -> str:
@@ -211,17 +231,36 @@ def _export(ref: str, into: Path) -> Path:
     return tree / "src"
 
 
+def _twin_cell(ours: "dict[str, dict[str, str]]", name: str) -> "str | None":
+    """``name``'s twin column: ``None`` without a twin run, else ``= twin``
+    or the kinds that differ from it."""
+    twin = TWINS.get(name)
+    if twin not in ours:
+        return None
+    diff = [
+        kind
+        for kind in ("tsv", "acc")
+        if "-" not in (ours[name][kind], ours[twin][kind])
+        and ours[name][kind] != ours[twin][kind]
+    ]
+    return f"DIFF {'+'.join(diff)}" if diff else f"= {twin}"
+
+
 def compare(ref: str, seeds: "tuple[int, ...]", names: "list[str]") -> int:
     sys.path.insert(0, str(REPO / "ledger"))
     from workloads import generate
 
     kinds = ("tsv", "acc", "counters")
-    equal = {kind: 0 for kind in kinds}
-    total = {kind: 0 for kind in kinds}
+    equal = {kind: 0 for kind in (*kinds, "twin")}
+    total = {kind: 0 for kind in (*kinds, "twin")}
     width = max(map(len, names))
     with tempfile.TemporaryDirectory(prefix="identity-") as tmp:
         ref_src = _export(ref, Path(tmp))
-        print(f"{'seed':>6}  {'config':<{width}}" + "".join(f"  {k:<17}" for k in kinds))
+        print(
+            f"{'seed':>6}  {'config':<{width}}"
+            + "".join(f"  {k:<17}" for k in kinds)
+            + "  twin"
+        )
         for seed in seeds:
             inputs = Path(tmp) / f"inputs-{seed}"
             generate(inputs, seed)
@@ -237,9 +276,14 @@ def compare(ref: str, seeds: "tuple[int, ...]", names: "list[str]") -> int:
                     total[kind] += 1
                     equal[kind] += a == b
                     cells.append(f"= {b[:15]}" if a == b else f"DIFF {a[:6]}/{b[:6]}")
+                twin = _twin_cell(ours, name)
+                if twin is not None:
+                    total["twin"] += 1
+                    equal["twin"] += twin.startswith("=")
+                cells.append(twin or "-")
                 print(f"{seed:>6}  {name:<{width}}" + "".join(f"  {c:<17}" for c in cells))
-    print(", ".join(f"{k} {equal[k]}/{total[k]} equal" for k in kinds))
-    return 0 if equal["tsv"] == total["tsv"] else 1
+    print(", ".join(f"{k} {equal[k]}/{total[k]} equal" for k in equal))
+    return 0 if all(equal[k] == total[k] for k in ("tsv", "twin")) else 1
 
 
 def main(argv: "list[str] | None" = None) -> int:
