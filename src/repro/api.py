@@ -64,9 +64,8 @@ class Engine:
 
     With ``workers > 1`` the engine also owns a persistent shared-memory
     worker pool, created lazily on the first parallel call and reused until
-    ``close()``/``__exit__`` — or until the process-wide sanitizer/tracing
-    flags change, which recycles the fleet so workers never run with stale
-    one-time init state.
+    ``close()``/``__exit__``.  The process-wide sanitizer/tracing flags
+    ride each chunk, so a flip between runs reaches the same fleet.
     """
 
     def __init__(
@@ -85,7 +84,6 @@ class Engine:
         self._stats = MappingStats()
         self._metrics = MetricsSnapshot.empty()
         self._pool: "PersistentPool | None" = None
-        self._pool_flags: "tuple | None" = None
         self._telemetry: "TelemetryAggregator | None" = None
         self._endpoint: "TelemetryEndpoint | None" = None
         if self.config.telemetry.enabled:
@@ -195,7 +193,6 @@ class Engine:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-            self._pool_flags = None
 
     def _map(
         self, reads: "list[Read]", accumulator: "Accumulator | None" = None
@@ -204,26 +201,21 @@ class Engine:
         serially at ``workers == 1``, else over the warm pool, (re)building
         it as needed.
 
-        Sanitizer/tracing enable-state is captured by workers at spawn, so
-        a flag flip since the pool was built recycles the fleet.  Called
-        inside any tracing scope, so a freshly-built pool's workers see
-        the final enable-state.
+        The sanitizer and tracing switches ride each chunk, so one fleet
+        serves runs on either side of a flip.
         """
         if self._workers == 1:
             return self._pipeline.map_reads(reads, accumulator)
 
-        import repro.observability.trace as trace_mod
         from repro.phmm import sanitize
         from repro.pipeline.mp_backend import make_pool, map_reads_multiprocessing
 
-        flags = (sanitize.enabled(), trace_mod.enabled())
-        if self._pool is not None and (self._pool.closed or self._pool_flags != flags):
+        if self._pool is not None and self._pool.closed:
             self._teardown_pool()
         if self._pool is None:
             self._pool = make_pool(
                 self._pipeline, self._workers, telemetry=self._ensure_telemetry()
             )
-            self._pool_flags = flags
         acc, stats = map_reads_multiprocessing(
             self._pipeline, reads, self._pool, accumulator
         )

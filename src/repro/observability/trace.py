@@ -31,8 +31,7 @@ registry and drops are surfaced as the ``obs.trace_dropped`` counter, never
 silently.
 
 Activation: :func:`enable` (the CLI's ``--trace`` calls it).  Pool workers
-get the parent's switch as an initializer argument, never from the
-environment.
+get the parent's switch with each chunk, never from the environment.
 
 Timestamps are wall-clock microseconds (``time.time_ns() // 1000``) so
 lanes from different processes share one timebase.

@@ -15,8 +15,8 @@ from typing import Any, Callable
 
 from repro.errors import CommError
 from repro.observability import current as metrics_current
-from repro.observability import scope, span, use
-from repro.parallel.comm import Comm, make_world
+from repro.observability import span, use
+from repro.parallel.comm import Comm, WorldAborted, make_world
 from repro.parallel.costmodel import LogGPModel
 
 
@@ -30,14 +30,10 @@ class ClusterResult:
         Per-rank return values of the program.
     virtual_times:
         Per-rank virtual clocks at program exit (seconds of simulated time).
-    wall_time:
-        Real seconds the whole run took on this machine (all ranks share one
-        core, so this is roughly the *serial* cost).
     """
 
     results: list[Any]
     virtual_times: list[float]
-    wall_time: float
 
     @property
     def makespan(self) -> float:
@@ -82,36 +78,29 @@ class Cluster:
                     errors.append((comm.rank, exc))
                 shared.abort()
 
-        with scope() as reg:
-            with span("cluster_run"):
-                threads = [
-                    threading.Thread(
-                        target=runner, args=(comm,), name=f"rank-{comm.rank}"
-                    )
-                    for comm in world
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-            reg.inc("cluster.runs")
-            reg.gauge_max("cluster.ranks", self.n_ranks)
-        # Wall time sourced from the span, not a private perf_counter pair.
-        wall = reg.snapshot().leaf_totals()["cluster_run"][0]
+        with span("cluster_run"):
+            threads = [
+                threading.Thread(target=runner, args=(comm,), name=f"rank-{comm.rank}")
+                for comm in world
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        caller_registry.inc("cluster.runs")
+        caller_registry.gauge_max("cluster.ranks", self.n_ranks)
 
         if errors:
             # Aborting the world makes innocent ranks fail with secondary
-            # CommErrors ("collective aborted"); report the root cause —
-            # the lowest-ranked *non*-CommError if any rank has one — and
-            # append every rank's message for diagnosis.
-            primary = [e for e in errors if not isinstance(e[1], CommError)]
+            # WorldAborted errors; report the root cause — the lowest-ranked
+            # other error if any rank has one — and append every rank's
+            # message for diagnosis.
+            primary = [e for e in errors if not isinstance(e[1], WorldAborted)]
             rank, exc = sorted(primary or errors, key=lambda e: e[0])[0]
             detail = "; ".join(
                 f"rank {r}: {type(e).__name__}: {e}" for r, e in sorted(errors)
             )
             raise CommError(f"rank {rank} failed: {exc} [{detail}]") from exc
         return ClusterResult(
-            results=results,
-            virtual_times=[comm.clock.now for comm in world],
-            wall_time=wall,
+            results=results, virtual_times=[comm.now for comm in world]
         )

@@ -1,9 +1,12 @@
 """Thread-backed communicator with mpi4py semantics and virtual time.
 
 Rank programs run as real threads and exchange real data; every operation
-additionally advances the rank's :class:`VirtualClock` per the LogGP cost
-model, which is how the simulated cluster produces speedup numbers on a
-single-core machine.
+additionally advances the rank's virtual time (:attr:`Comm.now`) per the
+LogGP cost model, which is how the simulated cluster produces speedup
+numbers on a single-core machine.
+
+The protocol is the six calls the paper's two programs make: ``send``,
+``recv``, ``bcast``, ``gather``, ``reduce`` and ``allreduce``.
 
 Semantics notes
 ---------------
@@ -25,10 +28,13 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.errors import CommError
-from repro.parallel.clock import VirtualClock
 from repro.parallel.costmodel import FREE, LogGPModel, payload_nbytes
 
 _DEFAULT_TIMEOUT = 120.0
+
+
+class WorldAborted(CommError):
+    """A call that failed only because the world was aborted (a peer failed)."""
 
 
 class _Mailbox:
@@ -59,7 +65,7 @@ class _Mailbox:
         with self._cond:
             while True:
                 if self._aborted:
-                    raise CommError("communicator aborted while receiving")
+                    raise WorldAborted("communicator aborted while receiving")
                 found = _find()
                 if found is not None:
                     return found
@@ -107,14 +113,13 @@ class _SharedState:
 class Comm:
     """One rank's endpoint of the communicator (the mpi4py-like handle)."""
 
-    def __init__(
-        self, rank: int, shared: _SharedState, clock: VirtualClock | None = None
-    ) -> None:
+    def __init__(self, rank: int, shared: _SharedState) -> None:
         if not 0 <= rank < shared.n_ranks:
             raise CommError(f"rank {rank} out of range for size {shared.n_ranks}")
         self.rank = rank
         self.shared = shared
-        self.clock = clock if clock is not None else VirtualClock()
+        #: This rank's virtual time in seconds; it never moves backwards.
+        self.now = 0.0
 
     # -- introspection -----------------------------------------------------
     @property
@@ -123,7 +128,9 @@ class Comm:
 
     def account_compute(self, seconds: float) -> None:
         """Charge calibrated compute time to this rank's virtual clock."""
-        self.clock.account(seconds)
+        if seconds < 0:
+            raise CommError(f"cannot account negative time ({seconds})")
+        self.now += seconds
 
     # -- point-to-point ----------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
@@ -133,7 +140,7 @@ class Comm:
         if dest == self.rank:
             raise CommError("self-sends are not supported; restructure the program")
         nbytes = payload_nbytes(obj)
-        arrival = self.clock.now + self.shared.cost.p2p_time(nbytes)
+        arrival = self.now + self.shared.cost.p2p_time(nbytes)
         self.shared.mailboxes[dest].put(self.rank, tag, obj, arrival)
 
     def recv(self, source: int, tag: int = 0) -> Any:
@@ -143,7 +150,7 @@ class Comm:
         payload, arrival = self.shared.mailboxes[self.rank].get(
             source, tag, self.shared.timeout
         )
-        self.clock.advance_to(arrival)
+        self.now = max(self.now, arrival)
         return payload
 
     # -- collective plumbing -------------------------------------------------
@@ -162,29 +169,20 @@ class Comm:
         """
         sh = self.shared
         sh.slots[self.rank] = deposit
-        sh.clocks_in[self.rank] = self.clock.now
+        sh.clocks_in[self.rank] = self.now
         sh.pending_action = action
         try:
             sh.enter.wait(timeout=sh.timeout)
             result, completion = sh.collective_out
-            self.clock.advance_to(completion)
+            self.now = max(self.now, completion)
             sh.leave.wait(timeout=sh.timeout)
         except threading.BrokenBarrierError as exc:
-            raise CommError(
+            raise WorldAborted(
                 "collective aborted (peer failure or mismatched collectives)"
             ) from exc
         return result
 
     # -- collectives ---------------------------------------------------------
-    def barrier(self) -> None:
-        """Synchronise all ranks (virtual cost: empty allreduce)."""
-        cost = self.shared.cost
-
-        def action(slots: "list[Any]", clocks: "list[float]") -> "tuple[Any, float]":
-            return None, max(clocks) + cost.barrier_time(len(slots))
-
-        self._rendezvous(None, action)
-
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; returns it on every rank."""
         self._check_root(root)
@@ -208,16 +206,6 @@ class Comm:
 
         result = self._rendezvous(obj, action)
         return list(result) if self.rank == root else None
-
-    def allgather(self, obj: Any) -> list[Any]:
-        """Gather everyone's element to every rank."""
-        cost, size = self.shared.cost, self.size
-
-        def action(slots: "list[Any]", clocks: "list[float]") -> "tuple[Any, float]":
-            per = max(payload_nbytes(v) for v in slots)
-            return list(slots), max(clocks) + cost.allgather_time(size, per)
-
-        return list(self._rendezvous(obj, action))
 
     def reduce(
         self, obj: Any, op: Callable[[Any, Any], Any], root: int = 0
@@ -252,35 +240,6 @@ class Comm:
     def _check_root(self, root: int) -> None:
         if not 0 <= root < self.size:
             raise CommError(f"invalid root rank {root}")
-
-    # -- sub-communicators ---------------------------------------------------
-    def split(self, color: int, key: int | None = None) -> "Comm":
-        """MPI_Comm_split: partition the world into sub-communicators.
-
-        Ranks passing the same ``color`` form a new world; ranks are ordered
-        by ``key`` (default: parent rank).  The sub-communicator *shares the
-        parent's virtual clock* — time spent communicating in a subgroup is
-        time spent by that rank, on the same timeline.
-        """
-        if key is None:
-            key = self.rank
-
-        def action(slots: "list[Any]", clocks: "list[float]") -> "tuple[Any, float]":
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for c, k, r in slots:
-                groups.setdefault(c, []).append((k, r))
-            worlds = {}
-            for c, members in groups.items():
-                members.sort()
-                shared = _SharedState(
-                    len(members), self.shared.cost, self.shared.timeout
-                )
-                worlds[c] = (shared, [r for _k, r in members])
-            return worlds, max(clocks)
-
-        worlds = self._rendezvous((color, key, self.rank), action)
-        shared, order = worlds[color]
-        return Comm(order.index(self.rank), shared, clock=self.clock)
 
 
 def make_world(

@@ -36,10 +36,6 @@ def payload_nbytes(obj: object) -> int:
         isinstance(v, np.ndarray) for v in obj.values()
     ):
         return int(sum(v.nbytes for v in obj.values()))
-    if isinstance(obj, (list, tuple)) and obj and all(
-        isinstance(v, np.ndarray) for v in obj
-    ):
-        return int(sum(v.nbytes for v in obj))
     try:
         return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
     except (pickle.PicklingError, TypeError, AttributeError, RecursionError) as exc:
@@ -99,16 +95,6 @@ class LogGPModel:
         for r in range(rounds):
             total += self.p2p_time(nbytes_each * (2**r))
         return total
-
-    def allgather_time(self, n_ranks: int, nbytes_each: int) -> float:
-        """Gather + broadcast of the concatenated payload."""
-        return self.gather_time(n_ranks, nbytes_each) + self.bcast_time(
-            n_ranks, nbytes_each * n_ranks
-        )
-
-    def barrier_time(self, n_ranks: int) -> float:
-        """Empty-payload allreduce."""
-        return self.allreduce_time(n_ranks, 0)
 
 
 #: Cost model that charges nothing — a ``Comm`` world without simulation.

@@ -23,11 +23,23 @@ from repro.parallel.comm import Comm
 
 
 def _merge_buffers(
-    acc_type: "type[Accumulator]", length: int
+    acc_type: "type[Accumulator]", length: int, layout: "dict[str, tuple]"
 ) -> "Callable[[dict, dict], dict]":
-    """Binary reduction operator over accumulator buffer dicts."""
+    """Binary reduction operator over accumulator buffer dicts.
+
+    ``layout`` maps each buffer key to its array shape on the calling rank;
+    a buffer dict laid out otherwise came from a rank with another
+    accumulator type or length, and the reduction fails with
+    :class:`CommError` instead of merging it.
+    """
 
     def op(a: dict, b: dict) -> dict:
+        for buffers in (a, b):
+            if _layout(buffers) != layout:
+                raise CommError(
+                    "ranks disagree on accumulator type/length: buffer layout "
+                    f"{_layout(buffers)} against {layout}"
+                )
         left = acc_type.from_buffers(length, a)
         right = acc_type.from_buffers(length, b)
         left.merge(right)
@@ -36,26 +48,21 @@ def _merge_buffers(
     return op
 
 
+def _layout(buffers: dict) -> "dict[str, tuple]":
+    return {key: array.shape for key, array in buffers.items()}
+
+
 def reduce_accumulator(comm: Comm, acc: Accumulator, root: int = 0) -> "Accumulator | None":
     """Tree-reduce accumulators to ``root``; returns the merged one there.
 
     Non-root ranks return ``None``.  All ranks must pass same-type,
-    same-length accumulators.
+    same-length accumulators; the reduction raises :class:`CommError` when
+    their buffers are laid out differently.
     """
-    _check(comm, acc)
+    buffers = acc.to_buffers()
     buffers = comm.reduce(
-        acc.to_buffers(), _merge_buffers(type(acc), acc.length), root=root
+        buffers, _merge_buffers(type(acc), acc.length, _layout(buffers)), root=root
     )
     if comm.rank != root:
         return None
     return type(acc).from_buffers(acc.length, buffers)
-
-
-def _check(comm: Comm, acc: Accumulator) -> None:
-    meta = comm.allgather((type(acc).__name__, acc.length))
-    names = {m[0] for m in meta}
-    lengths = {m[1] for m in meta}
-    if len(names) != 1 or len(lengths) != 1:
-        raise CommError(
-            f"ranks disagree on accumulator type/length: {sorted(meta)}"
-        )

@@ -16,7 +16,7 @@ correctness rests on, at the four places bad values can enter or propagate:
 
 Activation: the CLI flag ``--sanitize``, or :func:`enable` / the
 :func:`sanitized` context manager programmatically; pool workers get the
-parent's switch as an initializer argument, never from the environment.
+parent's switch with each chunk, never from the environment.
 When off — the default — every hook is a single module-level boolean test,
 so the kernels pay no measurable cost.
 

@@ -105,9 +105,7 @@ def _init_pool_worker(
     ref_name: str,
     config: PipelineConfig,
     index_scalars: "dict[str, int | None]",
-    sanitize_on: bool,
     fault_plan: FaultPlan,
-    trace_on: bool,
 ) -> _WorkerState:
     """Attach-mode initializer for :class:`PersistentPool` workers.
 
@@ -118,13 +116,9 @@ def _init_pool_worker(
     runs this again: re-attaching costs an ``mmap``, which is what makes
     crash recovery cheap.
 
-    The parent's sanitizer, fault and tracing switches arrive as arguments
-    and are the worker's only source for them: each is set either way, so
-    neither the environment nor a forked copy of the parent's module state
-    can disagree with the parent.
+    The parent's fault plan arrives as an argument; its sanitizer and
+    tracing switches ride each chunk (:func:`_map_chunk`).
     """
-    (sanitize.enable if sanitize_on else sanitize.disable)()
-    (trace.enable if trace_on else trace.disable)()
     trace.set_process_label("worker")
     started = time.perf_counter()
     views = {}
@@ -141,9 +135,18 @@ def _init_pool_worker(
 
 
 def _map_chunk(
-    state: _WorkerState, payload: "tuple[list, list, list]", chunk_id: int, attempt: int
+    state: _WorkerState,
+    payload: "tuple[list, list, list, bool, bool]",
+    chunk_id: int,
+    attempt: int,
 ) -> "tuple[list[tuple[PairEvidence, np.ndarray]], dict, MetricsSnapshot]":
-    codes_list, quals_list, names = payload
+    codes_list, quals_list, names, sanitize_on, trace_on = payload
+    # The parent's sanitizer and tracing switches as of this run are the
+    # worker's only source for them: each is set either way, so neither the
+    # environment nor a forked copy of the parent's module state (nor an
+    # earlier run's switches) can disagree with the parent.
+    (sanitize.enable if sanitize_on else sanitize.disable)()
+    (trace.enable if trace_on else trace.disable)()
     pipe, plan = state.pipe, state.faults
     # Deterministic injection point: crash/hang before any work, keyed by
     # (chunk, attempt) so retries of a transient fault succeed.
@@ -215,14 +218,7 @@ def make_pool(
         _map_chunk,
         {"ref_codes": np.asarray(reference.codes), **index_arrays},
         initializer=_init_pool_worker,
-        initargs=(
-            reference.name,
-            config,
-            index_scalars,
-            sanitize.enabled(),
-            plan,
-            trace.enabled(),
-        ),
+        initargs=(reference.name, config, index_scalars, plan),
         timeout=par.chunk_timeout,
         max_retries=par.max_retries,
         validate=_validate_chunk,
@@ -280,12 +276,9 @@ def map_reads_multiprocessing(
         reads[part.start : part.stop]
         for part in partition_reads_contiguous(len(reads), n_chunks)
     ]
+    switches = (sanitize.enabled(), trace.enabled())
     payloads = [
-        (
-            [r.codes for r in part],
-            [r.quals for r in part],
-            [r.name for r in part],
-        )
+        ([r.codes for r in part], [r.quals for r in part], [r.name for r in part], *switches)
         for part in chunk_reads
     ]
 

@@ -13,12 +13,12 @@ Memory-spread (genome-partitioned)
     sub-index and aligns only candidates the group *owns* (candidate start
     inside the core segment), and per read-batch all ranks allreduce
     per-read likelihood totals so multiread weights are normalised
-    globally — the communication that spoils scaling.  Evidence reduces
-    within the group, and what its leader accumulated into the halo is
-    shipped to the owning neighbour group at the end.  One rank per group
-    (the default) is the paper's memory-spread mode, where every rank
-    seeds every read; fewer groups are its "distributed memory and/or
-    shared memory" hybrid.
+    globally — the communication that spoils scaling.  The group's leader
+    receives its members' evidence, one ordered send per member, and ships
+    what it accumulated into the halo to the owning neighbour group at the
+    end.  One rank per group (the default) is the paper's memory-spread
+    mode, where every rank seeds every read; fewer groups are its
+    "distributed memory and/or shared memory" hybrid.
 
 Both programs compute real results (used by the correctness tests against
 serial runs) while charging calibrated compute and modelled communication to
@@ -119,8 +119,8 @@ def run_memory_spread(
     ``n_groups=None`` means one rank per group — the paper's memory-spread
     mode, where every rank seeds every read; fewer groups give its
     "distributed memory and/or shared memory" hybrid.  Per-read score
-    normalisation is a global allreduce; genome state reduces within each
-    group and halos flow between neighbouring group leaders.
+    normalisation is a global allreduce; each group's genome state merges
+    at its leader, and halos flow between neighbouring group leaders.
 
     Only the root needs ``reads``; they are broadcast (a real, costed
     message) to every rank.  ``comm.size`` must be divisible by
@@ -144,7 +144,7 @@ def run_memory_spread(
         )
     rpg = comm.size // n_groups
     group = comm.rank // rpg
-    subcomm = comm.split(color=group)
+    leader = group * rpg
     reads = comm.bcast(reads, root=0)
     if reads is None:
         raise PipelineError("root must supply the reads")
@@ -173,25 +173,30 @@ def run_memory_spread(
     for batch_lo in range(0, len(reads), READ_BATCH):
         batch = reads[batch_lo : batch_lo + READ_BATCH]
         _process_read_batch(
-            comm, batch, (np.arange(len(batch)) % rpg) == subcomm.rank, seeder,
+            comm, batch, (np.arange(len(batch)) % rpg) == comm.rank % rpg, seeder,
             local_ref, acc, seg, ext_start, config, stats, calibration,
         )
 
-    # Genome state reduces within the group; only leaders keep going.
+    # Genome state merges at the group's leader, in rank order (the order
+    # Comm.reduce applies); only leaders keep going.
     with span("reduce"):
-        merged = reduce_accumulator(subcomm, acc, root=0)
+        if comm.rank != leader:
+            comm.send(acc.to_buffers(), dest=leader)
+        else:
+            for member in range(leader + 1, leader + rpg):
+                acc.merge(type(acc).from_buffers(acc.length, comm.recv(source=member)))
     gathered_stats = comm.gather(stats, root=0)
 
     local_snps: "list[SNPCall] | None" = None
-    if subcomm.rank == 0:
+    if comm.rank == leader:
         with span("halo_exchange"):
             _halo_exchange(
-                comm, merged, seg, ext_start,
+                comm, acc, seg, ext_start,
                 left=(group - 1) * rpg if group > 0 else None,
                 right=(group + 1) * rpg if group < n_groups - 1 else None,
             )
         # Per-segment calling on the core region, then gather to root.
-        z = merged.snapshot()[seg.start - ext_start : seg.stop - ext_start]
+        z = acc.snapshot()[seg.start - ext_start : seg.stop - ext_start]
         positions = np.arange(seg.start, seg.stop, dtype=np.int64)
         if calibration:
             comm.account_compute(calibration.calling_seconds(len(seg)))

@@ -12,7 +12,6 @@ class TestClusterRun:
         res = Cluster(4).run(lambda comm: comm.rank * 2)
         assert res.results == [0, 2, 4, 6]
         assert len(res.virtual_times) == 4
-        assert res.wall_time > 0
 
     def test_extra_args_forwarded(self):
         res = Cluster(2).run(lambda comm, a, b: a + b + comm.rank, 10, 20)
@@ -29,7 +28,7 @@ class TestClusterRun:
         def program(comm):
             if comm.rank == 1:
                 raise ValueError("boom")
-            comm.barrier()  # would hang forever without abort
+            comm.bcast(None)  # would hang forever without abort
 
         with pytest.raises(CommError, match="rank 1 failed"):
             Cluster(3, timeout=10.0).run(program)
@@ -53,5 +52,5 @@ class TestClusterRun:
         assert r2.results == [4, 4]
 
     def test_single_rank_world(self):
-        res = Cluster(1).run(lambda comm: comm.allgather(comm.rank))
+        res = Cluster(1).run(lambda comm: comm.gather(comm.rank))
         assert res.results == [[0]]

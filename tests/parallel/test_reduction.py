@@ -61,7 +61,7 @@ class TestReductionSemantics:
         def program(comm, mode):
             acc = make_accumulator(mode, 50_000)
             reduce_accumulator(comm, acc)
-            return comm.clock.now
+            return comm.now
 
         t_norm = Cluster(2, cost).run(program, "NORM").results[0]
         t_cent = Cluster(2, cost).run(program, "CENTDISC").results[0]

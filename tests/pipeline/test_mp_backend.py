@@ -25,7 +25,7 @@ from repro.parallel.partition import partition_reads_contiguous
 from repro.phmm import sanitize
 from repro.phmm.alignment import LANE_TILE
 from repro.pipeline.config import ParallelConfig, PipelineConfig
-from repro.pipeline.gnumap import GnumapSnp
+from repro.pipeline.gnumap import CallResult, GnumapSnp
 from repro.pipeline.mp_backend import (
     CHUNKS_PER_WORKER,
     MAX_CHUNK_READS,
@@ -353,3 +353,14 @@ class TestSerialPoolContract:
         assert snap.counter("mp.worker_deaths") == 1
         assert snap.counter("mp.partial_rejects") == 1
         _assert_same_bytes(result, serial_result)
+
+    def test_retry_on_the_worker_that_mapped_the_chunk(self, workload, serial_result):
+        """With one worker, the rejected chunk's retry always lands on the
+        worker that mapped it the first time, so state that worker kept from
+        the rejected attempt would show in the bytes."""
+        pipe = GnumapSnp(workload.reference, _config(fault_spec="corrupt:chunk=0"))
+        with scope() as reg, make_pool(pipe, 1) as pool:
+            acc, stats = map_reads_multiprocessing(pipe, workload.reads, pool)
+        assert reg.snapshot().counter("mp.partial_rejects") == 1
+        retried = CallResult(pipe.call_snps(acc), stats, acc, reg.snapshot_values())
+        _assert_same_bytes(retried, serial_result)

@@ -120,12 +120,12 @@ class TestOnlineParallelFeed:
             faulted.accumulator.snapshot(), clean.accumulator.snapshot()
         )
 
-    def test_flag_flip_between_feeds_recycles_the_fleet(self, workload):
-        # The workers' sanitizer state is fixed when the fleet spawns, so
-        # enabling the sanitizer mid-stream must reach the next feed as a
-        # fresh fleet.  The corrupted evidence is rejected and retried
-        # either way.  The faulted chunk is the second feed's last, which
-        # the first feed does not reach, so the first stays clean.
+    def test_flag_flip_between_feeds_keeps_the_fleet(self, workload):
+        # The sanitizer switch rides each chunk, so enabling it mid-stream
+        # reaches the next feed over the same fleet.  The corrupted
+        # evidence is rejected and retried either way.  The faulted chunk
+        # is the second feed's last, which the first feed does not reach,
+        # so the first stays clean.
         batches = [workload.reads[:4], workload.reads[4 : 4 + 2 * 2 * LANE_TILE]]
         last = chunk_count(len(batches[1]), 2) - 1
         assert last >= chunk_count(len(batches[0]), 2)
@@ -140,7 +140,7 @@ class TestOnlineParallelFeed:
                 first_fleet = stream.engine._pool
             with sanitize.sanitized(True), scope() as reg:
                 stream.feed(batches[1])
-                assert stream.engine._pool is not first_fleet
+                assert stream.engine._pool is first_fleet
         assert first.snapshot().counter("mp.partial_rejects") == 0
         assert reg.snapshot().counter("mp.partial_rejects") == 1
         assert np.array_equal(

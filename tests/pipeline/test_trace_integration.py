@@ -142,7 +142,7 @@ class TestCleanParallelTrace:
 class TestSwitchReachesWorkersOneWay:
     def test_env_var_does_not_turn_worker_tracing_on(self, workload, monkeypatch):
         """Tracing is ``--trace`` / ``trace.enable()``; the parent's switch
-        reaches workers as an initializer argument only.  With
+        reaches workers with each chunk only.  With
         ``REPRO_TRACE=1`` in the environment spawned workers inherit and the
         parent's tracing off, no worker records an event."""
         if "spawn" not in mp.get_all_start_methods():  # pragma: no cover

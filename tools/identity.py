@@ -1,6 +1,6 @@
 """Do this tree and a git ref make the same calls?  One declared matrix.
 
-    python tools/identity.py --ref 6283481            # 29 configs x 4 seeds
+    python tools/identity.py --ref 6283481            # 31 configs x 4 seeds
     python tools/identity.py --ref origin/main --quick
 
 The ref is exported with ``git archive`` into a temporary directory (no
@@ -49,8 +49,8 @@ def _matrix() -> "dict[str, dict[str, Any]]":
     ``config`` / ``seeder`` (``PipelineConfig`` / ``SeederConfig`` keywords),
     ``workers`` (``Engine``), ``fault_spec`` (``ParallelConfig``), ``telemetry``
     (``TelemetryConfig`` keywords), ``run`` (``engine``, ``online``,
-    ``paired``, ``roc``, ``read_spread`` or ``memory_spread``) and ``ranks``
-    (cluster size)."""
+    ``paired``, ``roc``, ``read_spread`` or ``memory_spread``), ``ranks``
+    (cluster size) and ``groups`` (``run_memory_spread``'s ``n_groups``)."""
     m: "dict[str, dict[str, Any]]" = {
         # The four ledger workloads, spelled as ledger/child.py spells them.
         "phmm_full": {},
@@ -94,6 +94,12 @@ def _matrix() -> "dict[str, dict[str, Any]]":
             m[f"{run}/P{ranks}"] = {
                 "config": {"accumulator": "CHARDISC"}, "run": run, "ranks": ranks,
             }
+    # The hybrid: several ranks per genome group, merged at the group leader.
+    for ranks, groups in ((4, 2), (6, 3)):
+        m[f"memory_spread/P{ranks}G{groups}"] = {
+            "config": {"accumulator": "CHARDISC"}, "run": "memory_spread",
+            "ranks": ranks, "groups": groups,
+        }
     return m
 
 
@@ -101,7 +107,7 @@ MATRIX = _matrix()
 QUICK = (
     "phmm_full", "pool2_warm", "pool2/faulted", "pool2/telemetry", "online/pool2",
     "seed_heavy", "fast_chardisc", "CHARDISC", "CHARDISC/w3", "CENTDISC", "CENTDISC/w3",
-    "roc",
+    "roc", "read_spread/P2", "memory_spread/P4G2",
 )
 #: Row -> the serial row of the same tree it must equal.  The spread
 #: programs at P > 1 change NORM/CHARDISC float reduction order against
@@ -187,7 +193,8 @@ def run_config(inputs: Path, name: str) -> "dict[str, str]":
                 from repro.pipeline import parallel_driver
 
                 program = getattr(parallel_driver, f"run_{run}")
-                res = Cluster(spec["ranks"]).run(program, reference, reads, config)
+                args = (config, None, spec["groups"]) if "groups" in spec else (config,)
+                res = Cluster(spec["ranks"]).run(program, reference, reads, *args)
                 write_snp_calls(str(out), res.results[0].snps)
         counters = {
             k: v
