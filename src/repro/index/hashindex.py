@@ -1,18 +1,24 @@
 """Genomic k-mer hash table (GNUMAP's "genomic hash table of k-mers").
 
 The index maps every packed k-mer to the sorted list of genome positions
-where it occurs, stored CSR-style in two NumPy arrays (positions +
-per-kmer offsets into them) rather than a dict of lists — this is both the
-memory layout the footprint model accounts for and the fast path for
-vectorised queries.
+where it occurs, stored CSR-style in NumPy arrays (positions + per-row
+offsets into them) rather than a dict of lists — this is both the memory
+layout the footprint model accounts for and the fast path for vectorised
+queries.
 
-Construction cost is one sort of the genome's k-mers; queries are
-O(log #kmers) binary searches into the sorted unique-kmer table.
+Construction is one stable sort of the genome's k-mers (two 16-bit radix
+passes for keys of at most 32 bits) and one pass over its runs.  Up to
+:data:`DIRECT_MAX_K` the table is direct-address: ``offsets`` has a row for
+every possible k-mer, indexed by the packed k-mer itself, so a query is two
+gathers (4 MB of ``int32`` offsets at k = 10, whatever the genome).  Wider
+tables keep only the k-mers present, as a sorted key array, and a query is
+a binary search into it.
 
 One table, one width
 --------------------
-An index is exactly one ``(unique_kmers, offsets, positions)`` CSR triple
-built at one seed width (up to :data:`~repro.index.kmer.MAX_K`).  Longer
+An index is exactly one ``(unique_kmers, offsets, positions)`` CSR table
+built at one seed width (up to :data:`~repro.index.kmer.MAX_K`); its key
+array is empty when the table is direct-address.  Longer
 seeds are SNAP's observation: a 20-mer has ~10\\ :sup:`6` times fewer chance
 genome hits than a 10-mer, so seeding a read with *overlapping* 20-mers
 yields candidate lists nearly free of spurious diagonals, while error
@@ -37,6 +43,11 @@ from repro.observability import span
 
 #: GNUMAP's default mer-size.
 DEFAULT_K = 10
+#: Widest direct-address table: ``4**k + 1`` int32 offsets, 4 MB at 10 whatever
+#: the genome (16 and 64 MB at 11 and 12; EXPERIMENTS.md "Seeding by gather").
+DIRECT_MAX_K = 10
+#: Bytes of the direct-address offsets at :data:`DEFAULT_K`.
+DIRECT_TABLE_BYTES = 4 * (4**DEFAULT_K + 1)
 
 
 def table_width(k: int, seed_len: "int | None") -> int:
@@ -47,6 +58,15 @@ def table_width(k: int, seed_len: "int | None") -> int:
     it is read, and ``k=20`` is the same index.
     """
     return k if seed_len is None else seed_len
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``; non-negative keys of at most 32
+    bits go as two 16-bit passes, which NumPy radix-sorts (~4x faster)."""
+    if keys.dtype.itemsize > 4:
+        return np.argsort(keys, kind="stable")
+    low = np.argsort(keys.astype(np.uint16), kind="stable")
+    return low[np.argsort((keys[low] >> 16).astype(np.uint16), kind="stable")]
 
 
 def gather_runs(
@@ -127,6 +147,7 @@ class GenomeIndex:
         positions: np.ndarray,
         max_positions_per_kmer: "int | None" = 64,
         n_masked_kmers: int = 0,
+        n_indexed_kmers: int = 0,
     ) -> "GenomeIndex":
         """Rehydrate an index from pre-built CSR arrays without rebuilding.
 
@@ -139,16 +160,18 @@ class GenomeIndex:
         """
         if not 1 <= k <= MAX_K:
             raise IndexError_(f"k must be in [1, {MAX_K}], got {k}")
-        if offsets.ndim != 1 or offsets.size != unique_kmers.size + 1:
+        rows = 4**k if k <= DIRECT_MAX_K else unique_kmers.size
+        if offsets.ndim != 1 or offsets.size != rows + 1:
             raise IndexError_(
-                f"offsets must have {unique_kmers.size + 1} entries "
-                f"(one per unique k-mer plus a terminator), got {offsets.size}"
+                f"offsets must have {rows + 1} entries "
+                f"(one per table row plus a terminator), got {offsets.size}"
             )
         index = cls.__new__(cls)
         index.reference = reference
         index.k = k
         index.max_positions_per_kmer = max_positions_per_kmer
         index.n_masked_kmers = n_masked_kmers
+        index.n_indexed_kmers = n_indexed_kmers
         index._unique_kmers = unique_kmers
         index._offsets = offsets
         index._positions = positions
@@ -157,7 +180,8 @@ class GenomeIndex:
     def shared_state(self) -> "tuple[dict[str, np.ndarray], dict[str, int | None]]":
         """``(arrays, scalars)``: between them :meth:`from_arrays`'s keyword
         arguments besides the reference — the arrays to publish through
-        shared memory, the scalars to pickle alongside.
+        shared memory (a direct-address table's key array is empty), the
+        scalars to pickle alongside.
         """
         arrays = {
             "unique_kmers": self._unique_kmers,
@@ -168,11 +192,12 @@ class GenomeIndex:
             "k": self.k,
             "max_positions_per_kmer": self.max_positions_per_kmer,
             "n_masked_kmers": self.n_masked_kmers,
+            "n_indexed_kmers": self.n_indexed_kmers,
         }
         return arrays, scalars
 
     def _build_csr(self) -> None:
-        """Sort the genome's k-mers into the CSR triple."""
+        """Sort the genome's k-mers into the CSR table."""
         reference = self.reference
         max_positions_per_kmer = self.max_positions_per_kmer
         # Compact dtypes: genome positions and (for k <= 15) packed seeds
@@ -181,35 +206,38 @@ class GenomeIndex:
         pos_dtype = np.int32 if len(reference) < 2**31 else np.int64
         kmer_dtype = np.int32 if 2 * self.k <= 31 else np.int64
         packed, valid = rolling_kmers(reference.codes, self.k)
-        positions = np.nonzero(valid)[0].astype(pos_dtype)
+        positions = np.flatnonzero(valid).astype(pos_dtype)
         kmers = packed[valid].astype(kmer_dtype)
-        order = np.argsort(kmers, kind="stable")
+        order = _stable_order(kmers)
         kmers = kmers[order]
         positions = positions[order]
 
-        unique, starts, counts = np.unique(kmers, return_index=True, return_counts=True)
+        # Runs of one k-mer; positions ascend within a run (stable sort).
+        starts = np.flatnonzero(np.r_[True, kmers[1:] != kmers[:-1]][: kmers.size])
+        counts = np.diff(starts, append=kmers.size)
+        keys = kmers[starts]
         n_masked = 0
         if max_positions_per_kmer is not None:
             keep = counts <= max_positions_per_kmer
-            n_masked = int((~keep).sum())
-            if not keep.all():
-                keep_rows = np.repeat(keep, counts)  # kmers is sorted by group
-                kmers = kmers[keep_rows]
-                positions = positions[keep_rows]
-                unique, starts, counts = np.unique(
-                    kmers, return_index=True, return_counts=True
-                )
+            n_masked = int(keep.size - np.count_nonzero(keep))
+            if n_masked:
+                positions = positions[np.repeat(keep, counts)]
+                keys, counts = keys[keep], counts[keep]
+                starts = np.cumsum(counts) - counts
 
         # CSR layout: positions grouped by k-mer, offsets delimit the groups.
-        self._unique_kmers = unique
-        self._offsets = np.concatenate([starts, [kmers.size]]).astype(pos_dtype)
+        ends = np.append(starts, positions.size).astype(pos_dtype)
+        if self.k <= DIRECT_MAX_K:
+            # Row v starts where the first run of a k-mer >= v starts, so an
+            # absent k-mer's row is empty: one fill, no pass over the table.
+            self._offsets = np.repeat(ends, np.diff(keys, prepend=-1, append=4**self.k))
+            keys = keys[:0]
+        else:
+            self._offsets = ends
+        self._unique_kmers = keys
         self._positions = positions
         self.n_masked_kmers = n_masked
-
-    @property
-    def n_indexed_kmers(self) -> int:
-        """Number of distinct k-mers present in the table."""
-        return int(self._unique_kmers.size)
+        self.n_indexed_kmers = int(counts.size)
 
     @property
     def n_indexed_positions(self) -> int:
@@ -227,7 +255,14 @@ class GenomeIndex:
         ``counts.sum()`` is the size of what :meth:`seed_hits` would
         return, so a caller can bound its transients first.
         """
-        return self._locate(self._unique_kmers, self._offsets, packed_seeds)
+        if self.k > DIRECT_MAX_K:
+            return self._locate(self._unique_kmers, self._offsets, packed_seeds)
+        queries = np.asarray(packed_seeds)
+        # A query outside the key space is in no row: "not found".
+        inside = (queries >= 0) & (queries < self._offsets.size - 1)
+        row = np.where(inside, queries, 0)
+        starts = self._offsets[row].astype(np.int64)
+        return starts, np.where(inside, self._offsets[row + 1] - starts, 0)
 
     def seed_hits(
         self, starts: np.ndarray, counts: np.ndarray

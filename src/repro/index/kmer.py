@@ -34,13 +34,16 @@ def rolling_kmers(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = codes.size
     if n < k:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    # sliding windows over the code array; N (code 4) is temporarily clamped
-    # to 0 so the dot product stays in range, then masked via `valid`.
+    # k shift-or passes over the codes, N (code 4) clamped to 0 so packing
+    # stays in range; a window is valid when a prefix count of Ns shows none
+    # inside it.
     is_n = codes > 3
     clamped = np.where(is_n, 0, codes).astype(np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(clamped, k)
-    weights = (1 << (2 * np.arange(k - 1, -1, -1))).astype(np.int64)
-    packed = windows @ weights
-    n_windows = np.lib.stride_tricks.sliding_window_view(is_n, k)
-    valid = ~n_windows.any(axis=1)
+    m = n - k + 1
+    packed = clamped[:m].copy()
+    for j in range(1, k):
+        packed <<= 2
+        packed |= clamped[j : j + m]
+    n_seen = np.concatenate(([0], np.cumsum(is_n)))
+    valid = n_seen[k:] == n_seen[:m]
     return packed, valid

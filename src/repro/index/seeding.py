@@ -397,19 +397,20 @@ class Seeder:
 
         A cluster's window is the genome slice the band would align
         against, widened by ``diagonal_slack`` each side and clamped to the
-        genome.  The block's distinct ``(sequence, q-gram)`` pairs are one
-        sorted key array; each window's rows of the genome-wide q-gram
-        table take their cluster's sequence as the high bits and are
-        matched by one ``searchsorted``, whose rank also de-duplicates a
-        window's matches.
+        genome.  The block's distinct ``(sequence, q-gram)`` pairs are a
+        ``(sequences, 4**q)`` bool membership table (1 KiB per sequence at
+        q = 5); each window's rows of the genome-wide q-gram table are tested
+        against their cluster's sequence by one gather, and only the hits
+        are de-duplicated, as ``window << 2q | q-gram`` keys.
         """
         cfg = self.config
         q = QGRAM_Q
         glen = len(self.index.reference)
         packed, valid = rolling_kmers(codes, q)
         valid &= seq_of[: packed.size] == seq_of[q - 1 :]
-        own = _sorted_distinct((seq_of[: packed.size][valid] << (2 * q)) | packed[valid])
-        n_own = np.bincount(own >> (2 * q), minlength=lens.size)
+        member = np.zeros((lens.size, 4**q), dtype=bool)
+        member[seq_of[: packed.size][valid], packed[valid]] = True
+        n_own = np.count_nonzero(member, axis=1)
         # A sequence too short (or too N-ridden) to carry a q-gram has
         # nothing to measure with: the filter is moot and keeps its clusters.
         keep = n_own[c_seq] == 0
@@ -426,11 +427,10 @@ class Seeder:
         for a, b in _budget_slices(rows_in, _PASS_BUDGET):
             # Row j of window w is reference q-gram lo[w] + j.
             values, window = gather_runs(ref_qgrams, lo[a:b], rows_in[a:b])
-            wanted = (w_seq[a:b][window] << (2 * q)) | values
-            rank = np.searchsorted(own, wanted)
-            hit = np.flatnonzero(own[np.minimum(rank, own.size - 1)] == wanted)
-            distinct = _sorted_distinct(window[hit] * own.size + rank[hit])
-            matches[a:b] = np.bincount(distinct // own.size, minlength=b - a)
+            # A -1 row (window touches an N) matches nothing.
+            hit = np.flatnonzero(member[w_seq[a:b][window], values] & (values >= 0))
+            distinct = _sorted_distinct((window[hit] << (2 * q)) | values[hit])
+            matches[a:b] = np.bincount(distinct >> (2 * q), minlength=b - a)
         # An edge-clamped window can't contain all the sequence's q-grams
         # no matter how perfect the overlap — scale the bar to capacity.
         capacity = np.minimum(n_own[w_seq], rows_in)

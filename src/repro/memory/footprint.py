@@ -5,7 +5,7 @@ accumulator); our scaled runs measure live buffer bytes directly, and this
 model extrapolates per-base costs to the paper's genome sizes (155 Mbp chrX,
 3.1 Gbp human).
 
-Per-base byte costs:
+Per-base byte costs, plus one fixed term:
 
 ===========  =========================================  =====
 component    layout                                     bytes
@@ -16,6 +16,13 @@ NORM         5 x float32                                20.0
 CHARDISC     float32 total + 5 bytes                     9.0
 CENTDISC     float32 total + 1 byte index                5.0
 ===========  =========================================  =====
+
+The index's direct-address offsets are ``4 * (4**k + 1)`` bytes whatever
+the genome's length: 4,194,308 at the default k = 10
+(:data:`repro.index.hashindex.DIRECT_TABLE_BYTES`).  At chrX scale almost every
+10-mer occurs, so that table costs about what a sorted key array of the
+k-mers present would; on a scaled genome of tens of kbp it dominates the
+index.
 
 The 9.7 B/base index overhead is calibrated so NORM on chrX reproduces the
 paper's 4.76 GB.  The paper's own CHARDISC/CENTDISC rows are internally
@@ -31,6 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.errors import AccumulatorError
+from repro.index.hashindex import DIRECT_TABLE_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.index.hashindex import GenomeIndex
@@ -55,7 +63,8 @@ HUMAN_LENGTH = 3_100_000_000
 
 @dataclass
 class FootprintModel:
-    """Per-base cost model; ``index_bytes_per_base`` is the calibrated overhead."""
+    """Per-base cost model; ``index_bytes_per_base`` is the calibrated
+    overhead.  The index's fixed direct-address table is added on top."""
 
     genome_bytes_per_base: float = 1.0
     index_bytes_per_base: float = 9.7
@@ -78,7 +87,7 @@ class FootprintModel:
         """Projected footprint in bytes for a genome of ``genome_length``."""
         if genome_length <= 0:
             raise AccumulatorError("genome_length must be positive")
-        return self.bytes_per_base(optimization) * genome_length
+        return self.bytes_per_base(optimization) * genome_length + DIRECT_TABLE_BYTES
 
     def total_gb(self, optimization: str, genome_length: int) -> float:
         """Projected footprint in GB (decimal, as the paper reports)."""

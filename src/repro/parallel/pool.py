@@ -284,6 +284,11 @@ class PersistentPool:
         """Owned shared-memory segment names (for leak checks/tests)."""
         return self._bundle.segment_names
 
+    def view(self, key: str) -> np.ndarray:
+        """The parent's read-only view of published array ``key``; taken
+        before :meth:`close`, it stays valid after (:meth:`SharedArrayBundle.view`)."""
+        return self._bundle.view(key)
+
     def _spawn(self) -> _Slot:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(

@@ -16,7 +16,9 @@ Segment-ownership protocol (DESIGN.md §14; ``tests/parallel/test_pool.py``):
   *and unlinks* each segment exactly once (idempotent).  The bundle's owner
   (:class:`repro.parallel.pool.PersistentPool`) holds the crash net that
   calls it when a parent interrupted mid-run (``KeyboardInterrupt``) never
-  reaches ``close()``;
+  reaches ``close()``.  The parent's own reads go through
+  :meth:`SharedArrayBundle.view`, a separate mapping that the array
+  holds, so ``close()`` never meets an exported buffer;
 * **workers** attach via :func:`attach_array` and must keep the returned
   handle alive as long as the view (the buffer is only mapped while the
   handle is open) and only ever ``close()`` it — ``unlink`` is the
@@ -27,6 +29,7 @@ Segment-ownership protocol (DESIGN.md §14; ``tests/parallel/test_pool.py``):
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 
@@ -100,6 +103,17 @@ class SharedArrayBundle:
         self._segments[key] = shm
         self._specs[key] = spec
         return spec
+
+    def view(self, key: str) -> np.ndarray:
+        """The parent's read-only view of a published array.
+
+        It is a mapping of its own (of the segment's POSIX descriptor),
+        taken before :meth:`close`: it stays valid after close() unlinks
+        the segment, which lives on until its last mapping goes.
+        """
+        spec = self._specs[key]
+        pages = mmap.mmap(self._segments[key]._fd, 0, access=mmap.ACCESS_READ)
+        return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=pages)
 
     @property
     def specs(self) -> "dict[str, SharedArraySpec]":

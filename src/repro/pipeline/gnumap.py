@@ -150,6 +150,12 @@ class GnumapSnp:
         self.seeder = Seeder(self.index, cfg.seeder)
         self.caller = SNPCaller(cfg.caller)
 
+    def use_index(self, index: GenomeIndex) -> None:
+        """Seed from ``index``, an equal copy of this pipeline's index (the
+        pool's published view of it), from now on."""
+        self.index = index
+        self.seeder = Seeder(index, self.config.seeder)
+
     # -- stage B + C ---------------------------------------------------------
     def accumulator_or_new(self, accumulator: "Accumulator | None") -> Accumulator:
         """``accumulator`` once checked against this genome; a fresh one

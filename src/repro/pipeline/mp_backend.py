@@ -198,9 +198,10 @@ def make_pool(
     """Build a :class:`PersistentPool` for ``pipe``'s genome and config.
 
     The genome codes and the index's arrays are published as shared segments
-    and workers run the attach-mode initializer.  The caller owns the
-    pool: ``Engine`` keeps it for its lifetime and ``close()`` releases
-    workers and segments.
+    and workers run the attach-mode initializer; ``pipe``'s own index then
+    reads the published arrays too, through views that outlive the pool.
+    The caller owns the pool: ``Engine`` keeps it for its lifetime and
+    ``close()`` releases workers and segments.
 
     ``telemetry`` (optional, the Engine wires it from ``TelemetryConfig``)
     makes every pool worker send live metric snapshots on its task pipe,
@@ -212,7 +213,7 @@ def make_pool(
     plan = parse_fault_spec(par.fault_spec)
     ctx = mp.get_context(par.start_method)
     index_arrays, index_scalars = pipe.index.shared_state()
-    return PersistentPool(
+    pool = PersistentPool(
         ctx,
         n_workers,
         _map_chunk,
@@ -224,6 +225,11 @@ def make_pool(
         validate=_validate_chunk,
         telemetry=telemetry,
     )
+    # The parent seeds only on a serial fallback: its index reads the
+    # published copy too, so it keeps no second, private table.
+    views = {key: pool.view(key) for key in index_arrays}
+    pipe.use_index(GenomeIndex.from_arrays(reference, **views, **index_scalars))
+    return pool
 
 
 def chunk_count(n_reads: int, workers: int) -> int:

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import IndexError_
 from repro.genome.reference import Reference
-from repro.index.hashindex import GenomeIndex
+from repro.index.hashindex import DIRECT_MAX_K, GenomeIndex
 from repro.index.kmer import rolling_kmers
 from repro.observability import MetricsRegistry, use
 from repro.simulate.genome_sim import GenomeSpec, simulate_genome
@@ -108,13 +110,14 @@ class TestQueryDtype:
 class TestRepeatMasking:
     def test_masked_build_equals_row_by_row_marking(self):
         """The vectorised drop of over-represented k-mers builds the CSR
-        triple a per-group marking loop would."""
+        table a per-group marking loop would: a row per possible k-mer up
+        to ``DIRECT_MAX_K``, a row per kept k-mer beyond it."""
         ref, _ = simulate_genome(
             GenomeSpec(length=8000, n_repeats=3, repeat_length=300,
                        repeat_divergence=0.0),
             seed=4,
         )
-        for width, cap in ((4, 30), (10, 2), (10, 1)):
+        for width, cap in ((4, 30), (10, 2), (10, 1), (20, 1)):
             idx = GenomeIndex(ref, k=width, max_positions_per_kmer=cap)
             packed, valid = rolling_kmers(ref.codes, width)
             where = {}
@@ -123,10 +126,17 @@ class TestRepeatMasking:
             kept = {kmer: ps for kmer, ps in where.items() if len(ps) <= cap}
             assert 0 < len(kept) < len(where), "masking must fire and spare some"
             unique, offsets, positions = idx.shared_state()[0].values()
-            assert unique.tolist() == sorted(kept)
+            if width <= DIRECT_MAX_K:
+                assert unique.size == 0
+                rows = np.zeros(4**width, dtype=np.int64)
+                rows[list(kept)] = [len(ps) for ps in kept.values()]
+                assert np.array_equal(np.diff(offsets), rows)
+            else:
+                assert unique.tolist() == sorted(kept)
+                assert np.diff(offsets).tolist() == [len(kept[kmer]) for kmer in sorted(kept)]
             assert positions.tolist() == [p for kmer in sorted(kept) for p in kept[kmer]]
-            assert np.diff(offsets).tolist() == [len(kept[kmer]) for kmer in sorted(kept)]
             assert idx.n_masked_kmers == len(where) - len(kept)
+            assert idx.n_indexed_kmers == len(kept)
 
     def test_high_frequency_kmers_dropped(self):
         ref = ref_from("A" * 100 + "ACGTACGTCC")
@@ -221,5 +231,93 @@ class TestFootprint:
     def test_compact_dtypes(self):
         ref, _ = simulate_genome(GenomeSpec(length=1000, n_repeats=0), seed=4)
         idx = GenomeIndex(ref, k=10)
-        # int32 everywhere at this scale: < 13 bytes/base for the index
-        assert idx.nbytes() / len(ref) < 13
+        # int32 everywhere at this scale: the direct table's fixed 4**k + 1
+        # offsets plus one int32 per indexed position.
+        arrays = idx.shared_state()[0]
+        assert arrays["offsets"].dtype == arrays["positions"].dtype == np.int32
+        assert idx.nbytes() == 4 * (4**10 + 1) + arrays["positions"].nbytes
+
+
+def sorted_key_table(codes, k, cap):
+    """The sorted-key CSR build the direct table replaced: ``np.unique`` over
+    the stably sorted k-mers, masked, as ``(keys, offsets, positions)``."""
+    packed, valid = rolling_kmers(codes, k)
+    positions = np.flatnonzero(valid)
+    kmers = packed[valid]
+    order = np.argsort(kmers, kind="stable")
+    kmers, positions = kmers[order], positions[order]
+    _, counts = np.unique(kmers, return_counts=True)
+    if cap is not None:
+        rows = np.repeat(counts <= cap, counts)
+        kmers, positions = kmers[rows], positions[rows]
+    keys, starts = np.unique(kmers, return_index=True)
+    return keys, np.append(starts, kmers.size), positions, int(counts.size - keys.size)
+
+
+def sorted_key_locate(keys, offsets, queries):
+    """``(starts, counts)`` by binary search over int64 keys."""
+    if keys.size == 0:
+        return np.zeros(queries.size, np.int64), np.zeros(queries.size, np.int64)
+    at = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+    found = keys[at] == queries
+    return offsets[at], np.where(found, offsets[at + 1] - offsets[at], 0)
+
+
+@st.composite
+def genomes(draw):
+    """Random codes with exact repeats copied in and runs of N."""
+    length = draw(st.integers(20, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, 4, length).astype(np.uint8)
+    for _ in range(draw(st.integers(0, 4))):
+        size = draw(st.integers(1, length // 2))
+        src, dst = (draw(st.integers(0, length - size)) for _ in range(2))
+        codes[dst : dst + size] = codes[src : src + size].copy()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, length - 1))
+        codes[at : at + draw(st.integers(1, 30))] = 4
+    return codes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    genomes(),
+    st.sampled_from([*range(1, 13), 20]),
+    st.sampled_from([None, 1, 2, 64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_table_equals_sorted_key_search(codes, k, cap, seed):
+    """Direct table (k <= DIRECT_MAX_K) or sorted keys (wider), every query finds what
+    the sorted-key build's binary search finds, and the shared-memory round
+    trip is the same index."""
+    ref = Reference(codes, name="g")
+    idx = GenomeIndex(ref, k=k, max_positions_per_kmer=cap)
+    keys, offsets, positions, n_masked = sorted_key_table(codes, k, cap)
+    rng = np.random.default_rng(seed)
+    space = 4**k
+    queries = np.concatenate([
+        rolling_kmers(codes, k)[0],
+        rng.integers(0, space, 50),
+        -rng.integers(1, 1 << 40, 5),
+        space + rng.integers(0, 5, 5),
+        (1 << 31) + rng.integers(0, 5, 5),
+        (1 << 32) + rng.integers(0, min(space, 1 << 20), 5),
+    ])
+    want_starts, want_counts = sorted_key_locate(keys, offsets, queries)
+    want_hits = [positions[a : a + n] for a, n in zip(want_starts, want_counts)]
+    want_hits = np.concatenate([np.empty(0, np.int64), *want_hits])
+    want_qidx = np.repeat(np.arange(queries.size), want_counts)
+
+    arrays, scalars = idx.shared_state()
+    attached = GenomeIndex.from_arrays(ref, **arrays, **scalars)
+    for index in (idx, attached):
+        starts, counts = index.locate_seeds(queries)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(starts[counts > 0], want_starts[counts > 0])
+        hits, qidx = index.lookup_seeds_flat(queries)
+        assert np.array_equal(hits, want_hits) and np.array_equal(qidx, want_qidx)
+        assert index.n_indexed_kmers == keys.size
+        assert index.n_indexed_positions == positions.size
+        assert index.n_masked_kmers == n_masked
+        assert index.nbytes() == idx.nbytes()
+    assert arrays["unique_kmers"].size == (0 if k <= DIRECT_MAX_K else keys.size)

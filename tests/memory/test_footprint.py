@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import AccumulatorError
+from repro.index.hashindex import DIRECT_TABLE_BYTES
 from repro.memory.base import make_accumulator
 from repro.memory.footprint import (
     CHRX_LENGTH,
@@ -24,9 +25,12 @@ class TestProjection:
             assert gbs[0] > gbs[1] > gbs[2]
 
     def test_linear_in_genome_length(self):
+        """Linear past the direct-address table's fixed bytes."""
         model = FootprintModel()
-        assert model.total_gb("NORM", 2 * CHRX_LENGTH) == pytest.approx(
-            2 * model.total_gb("NORM", CHRX_LENGTH)
+        fixed = DIRECT_TABLE_BYTES
+        assert fixed == 4 * (4**10 + 1)
+        assert model.total_bytes("NORM", 2 * CHRX_LENGTH) - fixed == pytest.approx(
+            2 * (model.total_bytes("NORM", CHRX_LENGTH) - fixed)
         )
 
     def test_case_insensitive(self):

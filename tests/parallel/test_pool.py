@@ -72,6 +72,22 @@ class TestPoolLifecycle:
         assert segments_on_disk(pool.segment_names) == []
         assert pool.closed
 
+    def test_parent_index_reads_the_published_copy_after_close(self, workload):
+        """The parent's index serves from the published arrays, so the
+        parent keeps no private copy of the table; unlinking them at
+        close() leaves that view readable and serial mapping unchanged."""
+        pipe = GnumapSnp(workload.reference, pool_config())
+        built = pipe.index
+        before = pipe.map_reads(workload.reads)[0].snapshot()
+        pool = make_pool(pipe, 2)
+        pool.close()
+        assert segments_on_disk(pool.segment_names) == []
+        assert pipe.index is not built and pipe.seeder.index is pipe.index
+        offsets = pipe.index.shared_state()[0]["offsets"]
+        assert not offsets.flags.writeable
+        assert np.array_equal(offsets, built.shared_state()[0]["offsets"])
+        assert np.array_equal(pipe.map_reads(workload.reads)[0].snapshot(), before)
+
     def test_closed_pool_rejects_runs_and_close_is_idempotent(self, workload):
         pipe = GnumapSnp(workload.reference, pool_config())
         pool = make_pool(pipe, 2)

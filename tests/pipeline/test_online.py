@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import PipelineError
 from repro.experiments.workload import build_workload
-from repro.observability import scope
+from repro.observability import current, scope
 from repro.phmm import sanitize
 from repro.phmm.alignment import LANE_TILE
 from repro.pipeline.config import ParallelConfig, PipelineConfig, TelemetryConfig
@@ -120,12 +120,23 @@ class TestOnlineParallelFeed:
             faulted.accumulator.snapshot(), clean.accumulator.snapshot()
         )
 
-    def test_flag_flip_between_feeds_keeps_the_fleet(self, workload):
+    def test_flag_flip_between_feeds_keeps_the_fleet(self, workload, monkeypatch):
         # The sanitizer switch rides each chunk, so enabling it mid-stream
         # reaches the next feed over the same fleet.  The corrupted
-        # evidence is rejected and retried either way.  The faulted chunk
-        # is the second feed's last, which the first feed does not reach,
-        # so the first stays clean.
+        # evidence is rejected and retried either way (the parent checks
+        # every partial), so what shows the switch arrived is the workers'
+        # own z-vector checks, counted into the metrics they ship home: the
+        # fleet is forked with the patch while the sanitizer is off, and
+        # the parent maps nothing itself.  The faulted chunk is the second
+        # feed's last, which the first feed does not reach, so the first
+        # stays clean.
+        check_z = sanitize.check_z
+
+        def counted_check_z(*args, **kwargs):
+            current().inc("sanitize.z_checks")
+            check_z(*args, **kwargs)
+
+        monkeypatch.setattr(sanitize, "check_z", counted_check_z)
         batches = [workload.reads[:4], workload.reads[4 : 4 + 2 * 2 * LANE_TILE]]
         last = chunk_count(len(batches[1]), 2) - 1
         assert last >= chunk_count(len(batches[0]), 2)
@@ -143,6 +154,8 @@ class TestOnlineParallelFeed:
                 assert stream.engine._pool is first_fleet
         assert first.snapshot().counter("mp.partial_rejects") == 0
         assert reg.snapshot().counter("mp.partial_rejects") == 1
+        assert first.snapshot().counter("sanitize.z_checks") == 0
+        assert reg.snapshot().counter("sanitize.z_checks") > 0
         assert np.array_equal(
             stream.accumulator.snapshot(), clean.accumulator.snapshot()
         )

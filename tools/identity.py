@@ -1,6 +1,6 @@
 """Do this tree and a git ref make the same calls?  One declared matrix.
 
-    python tools/identity.py --ref 6283481            # 31 configs x 4 seeds
+    python tools/identity.py --ref 6283481            # 32 configs x 4 seeds
     python tools/identity.py --ref origin/main --quick
 
 The ref is exported with ``git archive`` into a temporary directory (no
@@ -74,6 +74,14 @@ def _matrix() -> "dict[str, dict[str, Any]]":
             "seeder": {"qgram_filter": True},
             "config": {"band_mode": "adaptive"},
         },
+        # The attached direct-address table and the q-gram filter on the
+        # decoy, through the pool's shared memory.
+        "seed_heavy/w2": {
+            "ref": "ref_decoy.fa",
+            "seeder": {"qgram_filter": True},
+            "config": {"band_mode": "adaptive"},
+            "workers": 2,
+        },
         "fast_chardisc": {
             "seeder": {"seed_len": 20, "qgram_filter": True},
             "config": {"band_mode": "adaptive", "accumulator": "CHARDISC"},
@@ -106,8 +114,8 @@ def _matrix() -> "dict[str, dict[str, Any]]":
 MATRIX = _matrix()
 QUICK = (
     "phmm_full", "pool2_warm", "pool2/faulted", "pool2/telemetry", "online/pool2",
-    "seed_heavy", "fast_chardisc", "CHARDISC", "CHARDISC/w3", "CENTDISC", "CENTDISC/w3",
-    "roc", "read_spread/P2", "memory_spread/P4G2",
+    "seed_heavy", "seed_heavy/w2", "fast_chardisc", "CHARDISC", "CHARDISC/w3", "CENTDISC",
+    "CENTDISC/w3", "roc", "read_spread/P2", "memory_spread/P4G2",
 )
 #: Row -> the serial row of the same tree it must equal.  The spread
 #: programs at P > 1 change NORM/CHARDISC float reduction order against
@@ -122,6 +130,7 @@ TWINS = {
         for acc in ("CHARDISC", "CENTDISC", "CENTDISC_WEIGHTED")
         for workers in (2, 3)
     },
+    "seed_heavy/w2": "seed_heavy",
     "read_spread/P1": "CHARDISC",
     "memory_spread/P1": "CHARDISC",
 }
