@@ -50,7 +50,7 @@ def main() -> None:
             rate = wl.n_reads / res.makespan
             base = base if base is not None else rate / p  # per-rank baseline
             eff = rate / (base * p)
-            got = {(s.pos, s.alt_name) for s in res.results[0].snps}
+            got = {(s.pos, s.alt_name) for s in res.results[0]}
             print(
                 f"{mode:<14} {p:>5} {res.makespan:>8.2f}s {rate:>9.0f} "
                 f"{eff:>5.0%}  {'OK' if got == serial_snps else 'DIFFERS'}"

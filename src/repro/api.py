@@ -81,7 +81,6 @@ class Engine:
         self._workers = workers
         self._pipeline = GnumapSnp(reference, self.config)
         self._accumulator: Accumulator | None = None
-        self._stats = MappingStats()
         self._metrics = MetricsSnapshot.empty()
         self._pool: "PersistentPool | None" = None
         self._telemetry: "TelemetryAggregator | None" = None
@@ -196,7 +195,7 @@ class Engine:
 
     def _map(
         self, reads: "list[Read]", accumulator: "Accumulator | None" = None
-    ) -> "tuple[Accumulator, MappingStats]":
+    ) -> Accumulator:
         """Steps A-C into ``accumulator`` (a fresh one when ``None``):
         serially at ``workers == 1``, else over the warm pool, (re)building
         it as needed.
@@ -216,19 +215,19 @@ class Engine:
             self._pool = make_pool(
                 self._pipeline, self._workers, telemetry=self._ensure_telemetry()
             )
-        acc, stats = map_reads_multiprocessing(
-            self._pipeline, reads, self._pool, accumulator
-        )
+        acc = map_reads_multiprocessing(self._pipeline, reads, self._pool, accumulator)
         if sanitize.enabled():
             # Every chunk's evidence was validated on arrival; this checks
             # what the deposits made of it before anyone consumes it.
             sanitize.check_accumulator(acc.snapshot(), where="accumulator.merge")
-        return acc, stats
+        return acc
 
     # -- staged verbs -----------------------------------------------------------
     def map_reads(self, reads: "list[Read]") -> MappingStats:
         """Align ``reads`` and fold their evidence into the engine's
-        accumulator; returns the cumulative mapping stats.
+        accumulator; returns the mapping counts of every read mapped since
+        the last :meth:`reset`, read from the staged metrics'
+        ``pipeline.*`` counters.
 
         Call repeatedly to accumulate evidence online; ``call()`` consumes
         whatever has been accumulated so far.  With engine ``workers > 1``
@@ -241,10 +240,9 @@ class Engine:
         over all of them would.
         """
         with scope() as reg:
-            self._accumulator, stats = self._map(reads, self._accumulator)
+            self._accumulator = self._map(reads, self._accumulator)
             self._metrics = self._metrics.merge(reg.snapshot_values())
-        self._stats.merge(stats)
-        return self._stats
+        return MappingStats.of(self._metrics)
 
     def call(self) -> CallResult:
         """LRT over the evidence accumulated by ``map_reads`` so far."""
@@ -253,12 +251,11 @@ class Engine:
         with scope() as reg:
             snps = self._pipeline.call_snps(self._accumulator)
             self._metrics = self._metrics.merge(reg.snapshot_values())
-        return CallResult(snps, self._stats, self._accumulator, self._metrics)
+        return CallResult(snps, self._accumulator, self._metrics)
 
     def reset(self) -> None:
-        """Drop accumulated evidence and stats (start a fresh staged run)."""
+        """Drop accumulated evidence and metrics (start a fresh staged run)."""
         self._accumulator = None
-        self._stats = MappingStats()
         self._metrics = MetricsSnapshot.empty()
 
     # -- one-shot verb ----------------------------------------------------------
@@ -271,6 +268,6 @@ class Engine:
         engine's staged accumulator.
         """
         with scope() as reg:
-            acc, stats = self._map(reads)
+            acc = self._map(reads)
             snps = self._pipeline.call_snps(acc)
-            return CallResult(snps, stats, acc, reg.snapshot_values())
+            return CallResult(snps, acc, reg.snapshot_values())

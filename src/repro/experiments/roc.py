@@ -60,7 +60,7 @@ def gnumap_scored_positions(
     thresholds.
     """
     pipe = GnumapSnp(wl.reference, config or PipelineConfig())
-    acc, _ = pipe.map_reads(wl.reads)
+    acc = pipe.map_reads(wl.reads)
     ref = wl.reference.codes
     return [
         (call.pos, call.stat)

@@ -266,14 +266,15 @@ class Seeder:
 
     def _reference_qgrams(self) -> np.ndarray:
         """Genome-wide packed q-gram per position (-1 where the window
-        touches an N, which matches nothing), built once.
+        touches an N, which matches nothing), built once as ``int16`` (the
+        values lie in [-1, 4**q)); :func:`gather_runs` widens what it reads.
 
         ``rolling_kmers`` is purely positional, so the q-grams of any
         window ``ref[lo:hi]`` are exactly rows ``lo .. hi - q`` of this table.
         """
         if self._ref_qgrams is None:
             packed, valid = rolling_kmers(self.index.reference.codes, QGRAM_Q)
-            self._ref_qgrams = np.where(valid, packed, -1)
+            self._ref_qgrams = np.where(valid, packed, -1).astype(np.int16)
         return self._ref_qgrams
 
     def candidates(self, read: Read) -> list[CandidateRegion]:

@@ -31,7 +31,7 @@ from repro.index.seeding import SeedBlock
 from repro.phmm.forward_backward import emissions_batch
 from repro.phmm.viterbi import viterbi_align
 from repro.pipeline.evidence import PairStack, cut_windows, read_slices
-from repro.pipeline.gnumap import GnumapSnp, MappingStats
+from repro.pipeline.gnumap import GnumapSnp
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def collect_placements(
     cfg = pipeline.config
     reads = list(reads)
     out: list[Placement] = []
-    for evidence in pipeline.map_batches(reads, MappingStats()):
+    for evidence in pipeline.map_batches(reads):
         weights = pipeline.weigh(evidence)
         kept: list[int] = []  # pair index of every placement, heaviest first per read
         primary = set()

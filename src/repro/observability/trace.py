@@ -13,8 +13,8 @@ the current registry's bounded ring buffer —
 
 Every event carries its **lane identity**: ``(pid, process label, thread
 id, thread label)``.  Worker processes label themselves in the pool
-initializer; simulated cluster ranks get their lane for free from their
-``rank-N`` thread names.  Events are plain tuples inside
+initializer; a thread's label is its name, so simulated cluster ranks get
+their lane from their ``rank-N`` thread names.  Events are plain tuples inside
 :class:`~repro.observability.snapshot.MetricsSnapshot`, so they ride the
 existing picklable-snapshot machinery home from spawn/fork workers and
 merge (by concatenation; order is normalised at export) exactly like
@@ -42,8 +42,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
 import repro.observability.registry as _registry
 
@@ -54,10 +53,7 @@ __all__ = [
     "enable",
     "enabled",
     "instant",
-    "process_label",
     "set_process_label",
-    "set_thread_label",
-    "thread_lane",
 ]
 
 #: One recorded event:
@@ -68,7 +64,6 @@ TraceEvent = "tuple[int, str, str, int, str, int, str, dict[str, Any] | None]"
 
 _enabled: bool = False
 _process_label: str = "main"
-_thread_local = threading.local()
 
 
 def enabled() -> bool:
@@ -98,33 +93,6 @@ def set_process_label(label: str) -> None:
     _process_label = label
 
 
-def process_label() -> str:
-    """This process's lane label."""
-    return _process_label
-
-
-def set_thread_label(label: "str | None") -> None:
-    """Override the calling thread's lane label (None restores the default,
-    which is the thread's own name — ``rank-3`` threads need no override)."""
-    _thread_local.label = label
-
-
-def _thread_label() -> str:
-    label = getattr(_thread_local, "label", None)
-    return label if label is not None else threading.current_thread().name
-
-
-@contextmanager
-def thread_lane(label: str) -> "Iterator[None]":
-    """Label the calling thread's lane for the duration of the block."""
-    prev = getattr(_thread_local, "label", None)
-    _thread_local.label = label
-    try:
-        yield
-    finally:
-        _thread_local.label = prev
-
-
 def _event(ph: str, name: str, args: "dict[str, Any] | None") -> "tuple[int, str, str, int, str, int, str, dict[str, Any] | None]":
     return (
         time.time_ns() // 1000,
@@ -133,7 +101,7 @@ def _event(ph: str, name: str, args: "dict[str, Any] | None") -> "tuple[int, str
         os.getpid(),
         _process_label,
         threading.get_ident(),
-        _thread_label(),
+        threading.current_thread().name,
         args,
     )
 

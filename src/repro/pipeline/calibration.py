@@ -102,18 +102,20 @@ class ComputeCalibration:
         # is what we calibrate on.
         pipe.map_reads(reads)
         with scope() as reg:
-            acc, stats = pipe.map_reads(reads)
-            pipe.call_snps(acc)
-        stages = reg.snapshot().leaf_totals()
+            pipe.call_snps(pipe.map_reads(reads))
+        snap = reg.snapshot()
+        stages = snap.leaf_totals()
+        n_reads = max(snap.counter("pipeline.reads"), 1)
+        n_pairs = snap.counter("pipeline.pairs")
 
         def seconds(name: str) -> float:
             return stages.get(name, (0.0, 0))[0]
 
         pair_seconds = seconds("align") + seconds("weigh") + seconds("accumulate")
         return cls(
-            seconds_per_seed=seconds("seed") / max(stats.n_reads, 1),
-            seconds_per_pair=pair_seconds / max(stats.n_pairs, 1),
-            pairs_per_read=stats.n_pairs / max(stats.n_reads, 1),
+            seconds_per_seed=seconds("seed") / n_reads,
+            seconds_per_pair=pair_seconds / max(n_pairs, 1),
+            pairs_per_read=n_pairs / n_reads,
             seconds_per_index_base=t_index / len(reference),
             seconds_per_called_position=seconds("call") / len(reference),
         )

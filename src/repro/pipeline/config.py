@@ -195,9 +195,10 @@ class PipelineConfig:
     alignment_mode: ClassVar[str] = "semiglobal"
     phmm_kernel: ClassVar[str] = "rowsweep"
     phmm_dtype: ClassVar[str] = "float64"
+    # Not a field: nothing sets it (``GenomeIndex`` takes the value).
+    max_index_positions_per_kmer: ClassVar[int] = 64
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    max_index_positions_per_kmer: int | None = 64
     phmm: PHMMParams = field(default_factory=PHMMParams)
     seeder: SeederConfig = field(default_factory=SeederConfig)
     caller: CallerConfig = field(default_factory=CallerConfig)

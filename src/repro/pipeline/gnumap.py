@@ -49,29 +49,27 @@ def _one_hot_best(logliks: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return weights
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappingStats:
-    """Counters from the mapping stage."""
+    """The mapping stage's counts, read from a snapshot's ``pipeline.*``
+    counters — the one record of them, which every executor merges."""
 
-    n_reads: int = 0
-    n_mapped: int = 0
-    n_unmapped: int = 0
-    n_pairs: int = 0
-    n_batches: int = 0
+    n_reads: int
+    n_mapped: int
+    n_unmapped: int
+    n_pairs: int
+    n_batches: int
 
-    def merge(self, other: "MappingStats") -> None:
-        for name, count in vars(other).items():
-            setattr(self, name, getattr(self, name) + count)
-
-    def publish(self) -> None:
-        """Add these counts (one call's, not a running total) to the current
-        registry's ``pipeline.*`` counters."""
-        reg = current()
-        reg.inc("pipeline.reads", self.n_reads)
-        reg.inc("pipeline.reads_mapped", self.n_mapped)
-        reg.inc("pipeline.reads_unmapped", self.n_unmapped)
-        reg.inc("pipeline.pairs", self.n_pairs)
-        reg.inc("pipeline.batches", self.n_batches)
+    @classmethod
+    def of(cls, metrics: MetricsSnapshot) -> "MappingStats":
+        count = metrics.counter
+        return cls(
+            int(count("pipeline.reads")),
+            int(count("pipeline.reads_mapped")),
+            int(count("pipeline.reads_unmapped")),
+            int(count("pipeline.pairs")),
+            int(count("pipeline.batches")),
+        )
 
 
 @dataclass
@@ -82,20 +80,22 @@ class CallResult:
     ----------
     snps:
         Significant SNP calls, sorted by position.
-    stats:
-        Mapping-stage counters (reads, pairs, batches).
     accumulator:
         The genome evidence the calls were made from (reusable for
         re-calling under a different caller configuration).
     metrics:
         The run's own spans, counters, gauges and histograms (trace events
-        are left to the enclosing registry).
+        are left to the enclosing registry); :attr:`stats` reads its
+        mapping counts.
     """
 
     snps: list[SNPCall]
-    stats: MappingStats
     accumulator: Accumulator
     metrics: MetricsSnapshot
+
+    @property
+    def stats(self) -> MappingStats:
+        return MappingStats.of(self.metrics)
 
     @property
     def reads_per_second(self) -> float:
@@ -104,7 +104,7 @@ class CallResult:
         spans under it are worker-summed CPU seconds), else ``map_reads``."""
         totals = self.metrics.leaf_totals()
         mapping = totals.get("map_parallel", totals.get("map_reads", (0.0, 0)))[0]
-        return self.stats.n_reads / mapping if mapping > 0 else 0.0
+        return self.metrics.counter("pipeline.reads") / mapping if mapping > 0 else 0.0
 
     def write_tsv(self, path: str) -> int:
         """Write the SNP calls as the standard TSV; returns rows written."""
@@ -169,20 +169,18 @@ class GnumapSnp:
             )
         return accumulator
 
-    def map_batches(
-        self, reads: "list[Read]", stats: MappingStats
-    ) -> "Iterator[PairEvidence]":
+    def map_batches(self, reads: "list[Read]") -> "Iterator[PairEvidence]":
         """Steps A-B: seed and align ``reads``; yield each Pair-HMM batch's
         evidence in read order, ``groups`` indexing ``reads``.
 
         The one loop that turns reads into evidence: every driver consumes
         it and differs only in how it weights the pairs (:meth:`weigh`, the
-        paired insert-size softmax, SAM's per-read ranking).  ``stats``
-        gains this call's counts, which are also published to the current
-        registry on exhaustion.
+        paired insert-size softmax, SAM's per-read ranking).  It counts what
+        it maps in the current registry's ``pipeline.*`` counters: reads,
+        reads mapped (at least one candidate) and unmapped, pairs, batches.
         """
         cfg = self.config
-        added = MappingStats(n_reads=len(reads))
+        reg = current()
         # Step A runs a block of reads at a time; step B cuts kernel calls
         # from the seeded pairs, carrying the stack still open (`held`, of
         # `read_len`-long reads) into the next block.
@@ -192,26 +190,26 @@ class GnumapSnp:
             with span("seed"):
                 seeded = self.seeder.seed(block)
             per_read = np.bincount(seeded.read, minlength=len(block)).tolist()
-            added.n_unmapped += per_read.count(0)
-            added.n_pairs += len(seeded)
+            n_unmapped = per_read.count(0)
+            reg.inc("pipeline.reads", len(block))
+            reg.inc("pipeline.reads_mapped", len(block) - n_unmapped)
+            reg.inc("pipeline.reads_unmapped", n_unmapped)
+            reg.inc("pipeline.pairs", len(seeded))
             a, b = 0, len(held)  # the open stack is held[a:b]
             held = SeedBlock.concat((held, replace(seeded, read=seeded.read + lo)))
             for read, n_pairs in zip(block, per_read):
                 if not n_pairs:
                     continue
                 if b > a and (len(read) != read_len or b - a >= cfg.batch_size):
-                    added.n_batches += 1
+                    reg.inc("pipeline.batches")
                     yield self._align(reads, held[a:b])
                     a = b
                 read_len = len(read)
                 b += n_pairs
             held = held[a:]
         if len(held):
-            added.n_batches += 1
+            reg.inc("pipeline.batches")
             yield self._align(reads, held)
-        added.n_mapped = added.n_reads - added.n_unmapped
-        stats.merge(added)
-        added.publish()
 
     def _align(self, reads: "list[Read]", seeded: SeedBlock) -> PairEvidence:
         with span("align"):
@@ -246,17 +244,17 @@ class GnumapSnp:
         self,
         reads: "list[Read]",
         accumulator: Accumulator | None = None,
-    ) -> tuple[Accumulator, MappingStats]:
+    ) -> Accumulator:
         """Align reads and accumulate evidence (steps A-C).
 
-        Returns the (possibly supplied) accumulator and mapping counters.
+        Returns the (possibly supplied) accumulator; the counts land in the
+        current registry (:meth:`map_batches`).
         """
         acc = self.accumulator_or_new(accumulator)
-        stats = MappingStats()
         with span("map_reads"):
-            for evidence in self.map_batches(reads, stats):
+            for evidence in self.map_batches(reads):
                 self.accumulate(acc, evidence, self.weigh(evidence))
-        return acc, stats
+        return acc
 
     # -- stage D ---------------------------------------------------------------
     def call_snps(self, accumulator: Accumulator) -> list[SNPCall]:
@@ -271,6 +269,6 @@ class GnumapSnp:
     def run(self, reads: "list[Read]") -> CallResult:
         """Full pipeline: map every read, then call SNPs."""
         with scope() as reg:
-            acc, stats = self.map_reads(reads)
+            acc = self.map_reads(reads)
             snps = self.call_snps(acc)
-            return CallResult(snps, stats, acc, reg.snapshot_values())
+            return CallResult(snps, acc, reg.snapshot_values())

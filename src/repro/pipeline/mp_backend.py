@@ -4,8 +4,10 @@ The simulated cluster measures *modelled* speedup; this backend is the real
 thing for machines that have the cores.  It is the serial program with a
 second executor: reads are chunked across worker processes, each worker
 runs :meth:`GnumapSnp.map_batches` (steps A-B) over its chunk, weighs each
-batch and ships the ``(PairEvidence, weights)`` home, and the parent deposits
-them, in chunk order, into the **one** accumulator the caller owns — every
+batch and ships the ``(PairEvidence, weights)`` home with the chunk's metrics
+snapshot (whose ``pipeline.*`` counters are its mapping counts; nothing else
+counts them), and the parent deposits them, in chunk order, into the
+**one** accumulator the caller owns — every
 position receives the contributions a serial run gives it, in the same read
 order (:func:`repro.pipeline.evidence.deposit`; batch boundaries may differ).
 No worker allocates, ships or merges an accumulator, so SNP calls and the
@@ -66,7 +68,7 @@ from repro.phmm import sanitize
 from repro.phmm.alignment import LANE_TILE
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.evidence import PairEvidence
-from repro.pipeline.gnumap import GnumapSnp, MappingStats
+from repro.pipeline.gnumap import GnumapSnp
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.shared_memory import SharedMemory
@@ -139,7 +141,7 @@ def _map_chunk(
     payload: "tuple[list, list, list, bool, bool]",
     chunk_id: int,
     attempt: int,
-) -> "tuple[list[tuple[PairEvidence, np.ndarray]], dict, MetricsSnapshot]":
+) -> "tuple[list[tuple[PairEvidence, np.ndarray]], MetricsSnapshot]":
     codes_list, quals_list, names, sanitize_on, trace_on = payload
     # The parent's sanitizer and tracing switches as of this run are the
     # worker's only source for them: each is set either way, so neither the
@@ -155,9 +157,9 @@ def _map_chunk(
         Read(name=n, codes=c, quals=q)
         for n, c, q in zip(names, codes_list, quals_list)
     ]
-    stats = MappingStats()
-    # The scope isolates this chunk's metrics; the snapshot travels home by
-    # pickle and the parent folds all workers into one coherent tree.
+    # The scope isolates this chunk's metrics (its ``pipeline.*`` counts
+    # included); the snapshot travels home by pickle and the parent folds
+    # all workers into one coherent tree.
     # detached(): forked workers inherit the parent's open span path (spawned
     # ones don't) — root the chunk's spans either way.
     with detached(), scope() as reg:
@@ -168,19 +170,19 @@ def _map_chunk(
         trace.instant("mp.chunk_begin", chunk=chunk_id, attempt=attempt)
         started = time.perf_counter()
         with span("map_reads"):
-            batches = [(ev, pipe.weigh(ev)) for ev in pipe.map_batches(reads, stats)]
+            batches = [(ev, pipe.weigh(ev)) for ev in pipe.map_batches(reads)]
         reg.observe("mp.chunk_map_seconds", time.perf_counter() - started)
         snapshot = reg.snapshot()
     if batches and plan.corrupts(chunk_id, attempt):
         evidence, weights = batches[0]
         # First float field is z: the NaN lands in the shipped evidence.
         batches[0] = (PairEvidence(**corrupt_buffers(vars(evidence))), weights)
-    return batches, vars(stats), snapshot
+    return batches, snapshot
 
 
 def _validate_chunk(
     chunk_id: int,
-    result: "tuple[list[tuple[PairEvidence, np.ndarray]], dict, MetricsSnapshot]",
+    result: "tuple[list[tuple[PairEvidence, np.ndarray]], MetricsSnapshot]",
 ) -> None:
     """Parent-side check of one chunk's evidence before it is accepted:
     evidence corrupted in a worker (or in transit) is rejected *here*,
@@ -248,7 +250,7 @@ def map_reads_multiprocessing(
     reads: "list[Read]",
     pool: PersistentPool,
     accumulator: "Accumulator | None" = None,
-) -> "tuple[Accumulator, MappingStats]":
+) -> Accumulator:
     """:meth:`GnumapSnp.map_reads` over ``pool``'s warm fleet: same
     arguments, same accumulator bytes, with fault tolerance.
 
@@ -262,7 +264,9 @@ def map_reads_multiprocessing(
     along the way
     and how the reads were chunked change latency, never a byte.
 
-    Counters and spans land in the *current* observability registry.
+    Counters and spans land in the *current* observability registry: each
+    chunk's ``pipeline.*`` counts arrive in its worker's snapshot (or are
+    counted here on a serial fallback), so they sum to serial's.
     Fewer than two reads run serially with an explicit
     ``mp.serial_fallbacks`` counter and an effective-worker gauge of 1, so
     metrics consumers can always distinguish "ran serial" from "parallel
@@ -288,7 +292,6 @@ def map_reads_multiprocessing(
         for part in chunk_reads
     ]
 
-    total = MappingStats()
     with span("map_parallel"):
         results = pool.run(payloads)
 
@@ -297,10 +300,9 @@ def map_reads_multiprocessing(
         worker_snaps = []
         for cid in range(n_chunks):
             if cid in results:
-                batches, stats_dict, snapshot = results.pop(cid)
+                batches, snapshot = results.pop(cid)
                 for evidence, weights in batches:
                     pipe.accumulate(acc, evidence, weights)
-                part_stats = MappingStats(**stats_dict)
                 worker_snaps.append(snapshot)
             else:
                 # Retries exhausted: degrade gracefully — map this chunk
@@ -309,12 +311,11 @@ def map_reads_multiprocessing(
                 trace.instant("mp.serial_fallback", chunk=cid)
                 with span("serial_fallback"):
                     started = time.perf_counter()
-                    _, part_stats = pipe.map_reads(chunk_reads[cid], acc)
+                    pipe.map_reads(chunk_reads[cid], acc)
                     reg.observe(
                         "mp.chunk_map_seconds", time.perf_counter() - started
                     )
                 reg.inc("mp.serial_fallbacks")
-            total.merge(part_stats)
         if worker_snaps:
             # One associative fold, then one coherent tree in this process.
             reg.absorb(merge_snapshots(*worker_snaps))
@@ -322,4 +323,4 @@ def map_reads_multiprocessing(
         # Effective parallelism: requested workers capped by chunk count
         # (n_workers > n_chunks leaves the surplus idle).
         reg.gauge_max("mp.workers_effective", min(n_workers, n_chunks))
-    return acc, total
+    return acc

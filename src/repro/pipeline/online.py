@@ -38,6 +38,7 @@ from repro.calling.records import SNPCall
 from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference
+from repro.observability.snapshot import MetricsSnapshot
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.gnumap import MappingStats
 
@@ -74,8 +75,9 @@ class OnlineGnumap:
     the workload the persistent pool exists for: spawn and genome-broadcast
     costs are paid once, not per chunk.
 
-    ``accumulator`` and ``stats`` hold the evidence and mapping counters as
-    of the last ``feed`` (``accumulator`` is ``None`` before the first).
+    ``accumulator`` holds the evidence as of the last ``feed`` (``None``
+    before the first); ``stats`` reads the mapping counts of every read fed
+    from the engine's staged metrics.
     """
 
     def __init__(
@@ -89,7 +91,7 @@ class OnlineGnumap:
 
         self.engine = Engine(reference, config, workers=workers)
         self.accumulator: "Accumulator | None" = None
-        self.stats = MappingStats()
+        self.stats = MappingStats.of(MetricsSnapshot.empty())
         self._chunk_index = 0
         self._watched: set[int] = set()
         self._watch_state: dict[int, "str | None"] = {}
@@ -116,9 +118,9 @@ class OnlineGnumap:
 
     def feed(self, reads: "list[Read]") -> ChunkReport:
         """Map one chunk of reads and report the updated call state."""
-        self.engine.map_reads(reads)
+        self.stats = self.engine.map_reads(reads)
         result = self.engine.call()
-        self.accumulator, self.stats = result.accumulator, result.stats
+        self.accumulator = result.accumulator
         snps = result.snps
         self._history.append(len(snps))
         events: list[WatchEvent] = []

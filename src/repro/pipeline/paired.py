@@ -33,7 +33,7 @@ from repro.observability import scope, span
 from repro.phmm.scoring import normalize_location_weights
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.evidence import PairEvidence, read_slices
-from repro.pipeline.gnumap import CallResult, GnumapSnp, MappingStats
+from repro.pipeline.gnumap import CallResult, GnumapSnp
 from repro.simulate.paired import ReadPair
 
 
@@ -146,7 +146,7 @@ class PairedGnumap:
         self,
         pairs: "list[ReadPair]",
         accumulator: Accumulator | None = None,
-    ) -> tuple[Accumulator, MappingStats]:
+    ) -> Accumulator:
         """Align read pairs with joint insert-aware weighting (steps A-C).
 
         Both mates of a block of fragments go through the pipeline's one
@@ -155,7 +155,6 @@ class PairedGnumap:
         """
         pipe = self.pipeline
         acc = pipe.accumulator_or_new(accumulator)
-        stats = MappingStats()
         per_block = max(1, self.config.batch_size // 2)
         with span("map_reads"):
             for lo in range(0, len(pairs), per_block):
@@ -164,16 +163,16 @@ class PairedGnumap:
                     for pair in pairs[lo : lo + per_block]
                     for mate in (pair.read1, pair.read2)
                 ]
-                batches = list(pipe.map_batches(reads, stats))
+                batches = list(pipe.map_batches(reads))
                 with span("weigh"):
                     weights = self._block_weights(reads, batches)
                 for evidence, share in zip(batches, weights):
                     pipe.accumulate(acc, evidence, share)
-        return acc, stats
+        return acc
 
     def run(self, pairs: "list[ReadPair]") -> CallResult:
         """Full paired pipeline: map every pair, then call SNPs."""
         with scope() as reg:
-            acc, stats = self.map_pairs(pairs)
+            acc = self.map_pairs(pairs)
             snps = self.pipeline.call_snps(acc)
-            return CallResult(snps, stats, acc, reg.snapshot_values())
+            return CallResult(snps, acc, reg.snapshot_values())

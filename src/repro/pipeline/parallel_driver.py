@@ -34,7 +34,7 @@ end-of-run reduction these drivers keep (DESIGN §14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,27 +46,19 @@ from repro.genome.reference import Reference, Segment
 from repro.index.hashindex import GenomeIndex
 from repro.index.seeding import Seeder
 from repro.memory.base import Accumulator, make_accumulator
-from repro.observability import span
+from repro.observability import current, scope, span
 from repro.parallel.comm import Comm
 from repro.parallel.partition import partition_reads_contiguous
 from repro.parallel.reduction import reduce_accumulator
 from repro.pipeline.calibration import ComputeCalibration
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.evidence import PairStack, align_pairs, deposit
-from repro.pipeline.gnumap import GnumapSnp, MappingStats
+from repro.pipeline.gnumap import GnumapSnp
 
 
 #: Reads per memory-spread round: each round ends in one global allreduce
 #: of the per-read likelihood totals.
 READ_BATCH = 256
-
-
-@dataclass
-class ParallelRunResult:
-    """Root-rank result of a parallel run (None fields on non-root ranks)."""
-
-    snps: "list[SNPCall] | None"
-    stats: "MappingStats | None"
 
 
 def run_read_spread(
@@ -75,8 +67,9 @@ def run_read_spread(
     reads: "list[Read]",
     config: PipelineConfig | None = None,
     calibration: ComputeCalibration | None = None,
-) -> ParallelRunResult:
-    """Read-partitioned SPMD program (call via ``Cluster.run``)."""
+) -> "list[SNPCall] | None":
+    """Read-partitioned SPMD program (call via ``Cluster.run``); the root
+    returns the calls, every other rank ``None``."""
     config = config or PipelineConfig()
     pipe = GnumapSnp(reference, config)
     if calibration:
@@ -84,23 +77,20 @@ def run_read_spread(
 
     mine = partition_reads_contiguous(len(reads), comm.size)[comm.rank]
     local_reads = reads[mine.start : mine.stop]
-    acc, stats = pipe.map_reads(local_reads)
+    with scope() as reg:
+        acc = pipe.map_reads(local_reads)
     if calibration:
-        comm.account_compute(calibration.mapping_seconds(stats.n_reads, stats.n_pairs))
+        n_pairs = int(reg.snapshot_values().counter("pipeline.pairs"))
+        comm.account_compute(calibration.mapping_seconds(len(local_reads), n_pairs))
 
     with span("reduce"):
         merged = reduce_accumulator(comm, acc, root=0)
-    all_stats = comm.gather(stats, root=0)
 
     if comm.rank != 0:
-        return ParallelRunResult(snps=None, stats=None)
-    total = MappingStats()
-    for s in all_stats:
-        total.merge(s)
+        return None
     if calibration:
         comm.account_compute(calibration.calling_seconds(len(reference)))
-    snps = pipe.call_snps(merged)
-    return ParallelRunResult(snps=snps, stats=total)
+    return pipe.call_snps(merged)
 
 
 def run_memory_spread(
@@ -110,8 +100,9 @@ def run_memory_spread(
     config: PipelineConfig | None = None,
     calibration: ComputeCalibration | None = None,
     n_groups: int | None = None,
-) -> ParallelRunResult:
-    """Genome-partitioned SPMD program (call via ``Cluster.run``).
+) -> "list[SNPCall] | None":
+    """Genome-partitioned SPMD program (call via ``Cluster.run``); the root
+    returns the calls, every other rank ``None``.
 
     ``n_groups`` rank groups each own one genome segment, so per-rank
     memory scales as 1/groups; inside a group the reads are partitioned,
@@ -121,6 +112,7 @@ def run_memory_spread(
     "distributed memory and/or shared memory" hybrid.  Per-read score
     normalisation is a global allreduce; each group's genome state merges
     at its leader, and halos flow between neighbouring group leaders.
+    The ``pipeline.*`` counters count each read once, as serial does.
 
     Only the root needs ``reads``; they are broadcast (a real, costed
     message) to every rank.  ``comm.size`` must be divisible by
@@ -169,12 +161,11 @@ def run_memory_spread(
         comm.account_compute(calibration.index_seconds(len(local_ref)))
 
     acc = make_accumulator(config.accumulator, len(local_ref))
-    stats = MappingStats()
     for batch_lo in range(0, len(reads), READ_BATCH):
         batch = reads[batch_lo : batch_lo + READ_BATCH]
         _process_read_batch(
             comm, batch, (np.arange(len(batch)) % rpg) == comm.rank % rpg, seeder,
-            local_ref, acc, seg, ext_start, config, stats, calibration,
+            local_ref, acc, seg, ext_start, config, calibration,
         )
 
     # Genome state merges at the group's leader, in rank order (the order
@@ -185,7 +176,6 @@ def run_memory_spread(
         else:
             for member in range(leader + 1, leader + rpg):
                 acc.merge(type(acc).from_buffers(acc.length, comm.recv(source=member)))
-    gathered_stats = comm.gather(stats, root=0)
 
     local_snps: "list[SNPCall] | None" = None
     if comm.rank == leader:
@@ -206,16 +196,10 @@ def run_memory_spread(
 
     gathered_snps = comm.gather(local_snps, root=0)
     if comm.rank != 0:
-        return ParallelRunResult(snps=None, stats=None)
+        return None
     snps = [snp for part in gathered_snps if part is not None for snp in part]
     snps.sort(key=lambda s: s.pos)
-    total = MappingStats()
-    for s in gathered_stats:
-        total.merge(s)
-    # Each read is seeded in every group; report logical counts once.
-    total.n_reads = len(reads)
-    total.n_mapped = min(total.n_mapped, len(reads))
-    return ParallelRunResult(snps=snps, stats=total)
+    return snps
 
 
 def _process_read_batch(
@@ -228,14 +212,15 @@ def _process_read_batch(
     seg: Segment,
     ext_start: int,
     config: PipelineConfig,
-    stats: MappingStats,
     calibration: ComputeCalibration | None,
 ) -> None:
     """Align one batch of reads against the local segment with global weights.
 
     ``read_mask`` marks which batch reads *this* rank seeds (its share of
     the group's reads); unmarked reads still occupy allreduce slots so
-    other ranks' scores normalise correctly.
+    other ranks' scores normalise correctly.  Each rank counts the pairs
+    and batches it aligns; rank 0 counts the batch's reads, a read being
+    mapped when some rank owns a candidate of it.
     """
     if len({len(r) for r in batch}) > 1:
         raise PipelineError(
@@ -244,36 +229,40 @@ def _process_read_batch(
     mine = np.flatnonzero(read_mask)
     seeded = seeder.seed([batch[b] for b in mine.tolist()])
     # This rank aligns the candidates its group owns: those starting in
-    # the core segment.
-    owned = seeded[seg.contains(ext_start + seeded.start)]
+    # the core segment.  A candidate overhanging position 0 (start < 0)
+    # belongs to the first segment; no start reaches past the genome's end.
+    owned = seeded[seg.contains(np.maximum(ext_start + seeded.start, 0))]
     owned = replace(owned, read=mine[owned.read])
 
     if calibration:
         comm.account_compute(calibration.mapping_seconds(int(read_mask.sum()), len(owned)))
 
-    # Global per-read normalisation: allreduce (logsumexp, max) across ranks.
+    # Global per-read normalisation: allreduce (logsumexp, max, candidate
+    # count) across ranks.
     local_lse = np.full(len(batch), -np.inf)
     local_max = np.full(len(batch), -np.inf)
+    local_n = np.bincount(owned.read, minlength=len(batch)).astype(np.float64)
     evidence = None
     if len(owned):
         evidence = align_pairs(local_ref.codes, PairStack(batch, owned, config), config)
         np.logaddexp.at(local_lse, evidence.groups, evidence.loglik)
         np.maximum.at(local_max, evidence.groups, evidence.loglik)
-    packed = np.stack([local_lse, local_max])
+    packed = np.stack([local_lse, local_max, local_n])
     with span("allreduce_normalise"):
-        global_packed = comm.allreduce(
+        global_lse, global_max, global_n = comm.allreduce(
             packed,
             op=lambda a, b: np.stack(
-                [np.logaddexp(a[0], b[0]), np.maximum(a[1], b[1])]
+                [np.logaddexp(a[0], b[0]), np.maximum(a[1], b[1]), a[2] + b[2]]
             ),
         )
-    global_lse, global_max = global_packed[0], global_packed[1]
 
-    n_mapped = int(np.isfinite(global_lse).sum())
-    stats.n_reads += len(batch)
-    stats.n_mapped += n_mapped
-    stats.n_unmapped += len(batch) - n_mapped
-    stats.n_pairs += len(owned)
+    reg = current()
+    reg.inc("pipeline.pairs", len(owned))
+    if comm.rank == 0:
+        n_mapped = int(np.count_nonzero(global_n))
+        reg.inc("pipeline.reads", len(batch))
+        reg.inc("pipeline.reads_mapped", n_mapped)
+        reg.inc("pipeline.reads_unmapped", len(batch) - n_mapped)
 
     if evidence is None:
         return
@@ -283,7 +272,7 @@ def _process_read_batch(
     weights = np.where(rel < config.min_ratio, 0.0, weights)
     weights = np.nan_to_num(weights, nan=0.0)
     deposit(acc, evidence, weights, config)
-    stats.n_batches += 1
+    reg.inc("pipeline.batches")
 
 
 def _halo_exchange(

@@ -96,7 +96,7 @@ def background_run():
         [ref], ReadSimSpec(read_length=62, coverage=10.0), seed=42
     ).simulate()
     pipe = GnumapSnp(ref, PipelineConfig())
-    acc, _ = pipe.map_reads(reads)
+    acc = pipe.map_reads(reads)
     return ref, acc.snapshot()
 
 

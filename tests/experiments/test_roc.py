@@ -37,7 +37,7 @@ class TestScoredPositions:
 
     def test_default_config_scores_the_non_reference_base_calls(self, workload):
         pipe = GnumapSnp(workload.reference, PipelineConfig())
-        acc, _ = pipe.map_reads(workload.reads)
+        acc = pipe.map_reads(workload.reads)
         ref = workload.reference.codes
         expected = [
             (call.pos, call.stat)
@@ -51,7 +51,7 @@ class TestScoredPositions:
         """Depth eligibility is the caller's ``MIN_DEPTH``: the sweep scores
         only positions the caller would test."""
         scored = roc.gnumap_scored_positions(workload)
-        acc, _ = GnumapSnp(workload.reference, PipelineConfig()).map_reads(workload.reads)
+        acc = GnumapSnp(workload.reference, PipelineConfig()).map_reads(workload.reads)
         depth = acc.snapshot().sum(axis=1)
         assert scored
         assert all(depth[pos] >= MIN_DEPTH for pos, _ in scored)

@@ -133,11 +133,11 @@ class TestSerialInvariants:
     def test_cells_match_batch_geometry(self, workload, reads):
         with scope() as reg:
             pipe = GnumapSnp(workload.reference, PipelineConfig())
-            _, stats = pipe.map_reads(reads)
+            pipe.map_reads(reads)
         snap = reg.snapshot()
         read_len = len(reads[0])
         width = read_len + 2 * PipelineConfig().pad
-        expected = stats.n_pairs * read_len * width
+        expected = snap.counter("pipeline.pairs") * read_len * width
         assert snap.counters["phmm.forward_cells"] == expected
         assert snap.counters["phmm.backward_cells"] == expected
 

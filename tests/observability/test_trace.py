@@ -20,11 +20,10 @@ from repro.observability.registry import EVENT_CAPACITY
 def restore_trace_state():
     """Every test leaves the module-global trace state as it found it."""
     was_enabled = trace.enabled()
-    label = trace.process_label()
     yield
     (trace.enable if was_enabled else trace.disable)()
-    trace.set_process_label(label)
-    trace.set_thread_label(None)
+    # Only pool workers relabel their process; this one stays "main".
+    trace.set_process_label("main")
 
 
 def ticks(registry: MetricsRegistry, start: int, stop: int) -> None:
@@ -88,16 +87,6 @@ class TestEventsAndLanes:
         phases = [(ev[1], ev[2]) for ev in snap.events]
         assert phases == [("B", "align"), ("E", "align")]
         assert snap.events[0][0] <= snap.events[1][0]
-
-    def test_thread_lane_override_and_restore(self):
-        trace.enable()
-        with scope() as reg:
-            with trace.thread_lane("rank-7"):
-                trace.instant("cluster.rank_start")
-            trace.instant("pipeline.done")
-            snap = reg.snapshot()
-        labels = [ev[6] for ev in snap.events]
-        assert labels == ["rank-7", threading.current_thread().name]
 
     def test_rank_threads_get_lane_from_thread_name(self):
         trace.enable()

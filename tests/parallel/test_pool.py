@@ -54,8 +54,8 @@ class TestPoolLifecycle:
                 live = segments_on_disk(pool.segment_names)
                 assert set(live) == set(pool.segment_names)
 
-                first, _ = map_reads_multiprocessing(pipe, workload.reads, pool)
-                second, _ = map_reads_multiprocessing(pipe, workload.reads, pool)
+                first = map_reads_multiprocessing(pipe, workload.reads, pool)
+                second = map_reads_multiprocessing(pipe, workload.reads, pool)
             finally:
                 pool.close()
             snap = reg.snapshot()
@@ -78,7 +78,7 @@ class TestPoolLifecycle:
         close() leaves that view readable and serial mapping unchanged."""
         pipe = GnumapSnp(workload.reference, pool_config())
         built = pipe.index
-        before = pipe.map_reads(workload.reads)[0].snapshot()
+        before = pipe.map_reads(workload.reads).snapshot()
         pool = make_pool(pipe, 2)
         pool.close()
         assert segments_on_disk(pool.segment_names) == []
@@ -86,7 +86,7 @@ class TestPoolLifecycle:
         offsets = pipe.index.shared_state()[0]["offsets"]
         assert not offsets.flags.writeable
         assert np.array_equal(offsets, built.shared_state()[0]["offsets"])
-        assert np.array_equal(pipe.map_reads(workload.reads)[0].snapshot(), before)
+        assert np.array_equal(pipe.map_reads(workload.reads).snapshot(), before)
 
     def test_closed_pool_rejects_runs_and_close_is_idempotent(self, workload):
         pipe = GnumapSnp(workload.reference, pool_config())
@@ -106,11 +106,11 @@ class TestPoolFaultRecovery:
         clean_pool = make_pool(clean_pipe, 2)
         faulted_pool = make_pool(faulted_pipe, 2)
         try:
-            clean, _ = map_reads_multiprocessing(
+            clean = map_reads_multiprocessing(
                 clean_pipe, workload.reads, clean_pool
             )
             with scope() as reg:
-                faulted, _ = map_reads_multiprocessing(
+                faulted = map_reads_multiprocessing(
                     faulted_pipe, workload.reads, faulted_pool
                 )
             snap = reg.snapshot()

@@ -293,7 +293,7 @@ class TestEndToEnd:
     def test_snapshot_check_catches_poisoned_accumulator(self, workload):
         config = PipelineConfig()
         pipe = GnumapSnp(workload.reference, config)
-        acc, _ = pipe.map_reads(workload.reads)
+        acc = pipe.map_reads(workload.reads)
         acc.add(np.array([0], dtype=np.int64), np.full((1, 5), 0.1))
         # Poison the stored evidence directly (as a buggy merge would).
         acc._z[0, 0] = np.inf

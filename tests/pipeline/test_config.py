@@ -43,21 +43,27 @@ class TestPipelineConfig:
         cfg = PipelineConfig()
         assert (cfg.phmm_kernel, cfg.phmm_dtype) == ("rowsweep", "float64")
         names = {f.name for f in dataclasses.fields(cfg)}
-        assert len(names) == 17
-        assert not names & {"phmm_kernel", "phmm_dtype", "alignment_mode"}
+        assert len(names) == 16
+        assert not names & {
+            "phmm_kernel", "phmm_dtype", "alignment_mode", "max_index_positions_per_kmer",
+        }
 
     def test_deleted_knobs_are_gone(self):
-        """The global alignment mode, the fixed band and the seeder's step
-        were deleted; the ledger's pins read the one value left."""
+        """The global alignment mode, the fixed band, the seeder's step and
+        the index's repeat cap were deleted as options; the ledger's pins
+        read the one value left."""
         from repro.index.seeding import SeederConfig
 
         with pytest.raises(TypeError):
             PipelineConfig(alignment_mode="global")
         with pytest.raises(TypeError):
             SeederConfig(step=2)
+        with pytest.raises(TypeError):
+            PipelineConfig(max_index_positions_per_kmer=None)
         with pytest.raises(ConfigError):
             PipelineConfig(band_mode="fixed")
         assert PipelineConfig().alignment_mode == "semiglobal"
+        assert PipelineConfig().max_index_positions_per_kmer == 64
         assert SeederConfig().step == 1
         assert "step" not in {f.name for f in dataclasses.fields(SeederConfig)}
 

@@ -220,10 +220,10 @@ def test_deposit_schedule_follows_the_accumulator_not_the_config():
 
     wl = build_workload(scale="tiny", seed=24)
     reads, n = wl.reads[:120], len(wl.reference)
-    handed, _ = GnumapSnp(wl.reference, PipelineConfig()).map_reads(
+    handed = GnumapSnp(wl.reference, PipelineConfig()).map_reads(
         reads, make_accumulator("CHARDISC", n)
     )
-    configured, _ = GnumapSnp(
+    configured = GnumapSnp(
         wl.reference, PipelineConfig(accumulator="CHARDISC")
     ).map_reads(reads)
     _assert_same_buffers(handed, configured)

@@ -8,7 +8,16 @@ from repro.evaluation.metrics import compare_to_truth
 from repro.experiments.workload import build_workload
 from repro.genome.fastq import Read
 from repro.pipeline.config import PipelineConfig
+from repro.observability import scope
+from repro.observability.snapshot import MetricsSnapshot
 from repro.pipeline.gnumap import GnumapSnp, MappingStats
+
+
+def _mapped(pipe, reads):
+    """``pipe.map_reads(reads)`` and the counts it added."""
+    with scope() as reg:
+        acc = pipe.map_reads(reads)
+    return acc, MappingStats.of(reg.snapshot())
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +104,8 @@ class TestStages:
             )
 
     def test_no_reads(self, pipeline):
-        acc, stats = pipeline.map_reads([])
-        assert stats == MappingStats()
+        acc, stats = _mapped(pipeline, [])
+        assert stats == MappingStats.of(MetricsSnapshot.empty())
         assert acc.total_depth().sum() == 0
         assert pipeline.call_snps(acc) == []
 
@@ -115,7 +124,7 @@ class TestStages:
         # Several blocks of reads: the first batch is cut inside the loop.
         assert len(workload.reads) > 2 * PipelineConfig().batch_size
         for run in (
-            lambda: list(pipeline.map_batches(workload.reads, MappingStats())),
+            lambda: list(pipeline.map_batches(workload.reads)),
             lambda: pipeline.run(workload.reads),
         ):
             calls.clear()
@@ -131,7 +140,7 @@ class TestStages:
             rng.integers(0, 4, 62).astype(np.uint8),
             np.full(62, 40, dtype=np.uint8),
         )
-        _acc, stats = pipeline.map_reads([junk])
+        _acc, stats = _mapped(pipeline, [junk])
         assert stats.n_unmapped >= 0
         assert stats.n_reads == 1
 
@@ -176,7 +185,7 @@ class TestConfigurations:
                 )
             )
         pipe = GnumapSnp(ref, PipelineConfig())
-        _acc, stats = pipe.map_reads(reads)
+        _acc, stats = _mapped(pipe, reads)
         assert stats.n_mapped == 5
 
 
@@ -206,7 +215,7 @@ class TestEdgeCandidates:
     def test_overhanging_reads_map_in_all_band_modes(self, edge_setup, band_mode):
         ref, left, right = edge_setup
         pipe = GnumapSnp(ref, PipelineConfig(band_mode=band_mode))
-        acc, stats = pipe.map_reads([left, right])
+        acc, stats = _mapped(pipe, [left, right])
         assert stats.n_mapped == 2
         ev = acc.snapshot()
         glen = len(ref)
@@ -226,7 +235,7 @@ class TestEdgeCandidates:
                 seeder=SeederConfig(qgram_filter=True),
             ),
         )
-        _acc, stats = pipe.map_reads([left, right])
+        _acc, stats = _mapped(pipe, [left, right])
         assert stats.n_mapped == 2
 
     def test_clamped_start_keeps_band_centred(self, workload):

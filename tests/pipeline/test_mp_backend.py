@@ -248,7 +248,7 @@ class TestFaultRecovery:
         faulted = _config(self.method, fault_spec="corrupt:chunk=0")
         pipe = GnumapSnp(workload.reference, faulted)
         with sanitize.sanitized(False), scope() as reg, make_pool(pipe, 2) as pool:
-            acc, _ = map_reads_multiprocessing(pipe, workload.reads, pool)
+            acc = map_reads_multiprocessing(pipe, workload.reads, pool)
         assert reg.snapshot().counter("mp.partial_rejects") == 1
         assert np.isfinite(acc.snapshot()).all()
 
@@ -360,7 +360,7 @@ class TestSerialPoolContract:
         the rejected attempt would show in the bytes."""
         pipe = GnumapSnp(workload.reference, _config(fault_spec="corrupt:chunk=0"))
         with scope() as reg, make_pool(pipe, 1) as pool:
-            acc, stats = map_reads_multiprocessing(pipe, workload.reads, pool)
+            acc = map_reads_multiprocessing(pipe, workload.reads, pool)
         assert reg.snapshot().counter("mp.partial_rejects") == 1
-        retried = CallResult(pipe.call_snps(acc), stats, acc, reg.snapshot_values())
+        retried = CallResult(pipe.call_snps(acc), acc, reg.snapshot_values())
         _assert_same_bytes(retried, serial_result)

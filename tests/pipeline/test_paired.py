@@ -14,6 +14,8 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.evidence import PairEvidence
 from repro.genome.fastq import Read
 from repro.memory.base import make_accumulator
+from repro.observability import scope
+from repro.pipeline.gnumap import MappingStats
 from repro.pipeline.paired import DISCORDANT_LOGPENALTY, PairedConfig, PairedGnumap
 from repro.simulate.paired import ReadPair
 from repro.simulate.error_model import IlluminaErrorModel
@@ -76,7 +78,7 @@ class TestPairedPipeline:
     def test_depth_tracks_coverage(self):
         ref, _, pairs, _, pcfg = paired_workload(n_snps=0, seed=13, coverage=10.0)
         paired = PairedGnumap(ref, PipelineConfig(), pcfg)
-        acc, _ = paired.map_pairs(pairs)
+        acc = paired.map_pairs(pairs)
         depth = acc.total_depth()
         interior = depth[300:-300]
         assert abs(np.median(interior) - 10.0) < 4.0
@@ -93,8 +95,9 @@ class TestPairedPipeline:
             insert_size=10**6,
         )
         paired = PairedGnumap(ref, PipelineConfig(), pcfg)
-        acc, stats = paired.map_pairs([frankenstein])
-        assert stats.n_mapped == 2
+        with scope() as reg:
+            acc = paired.map_pairs([frankenstein])
+        assert MappingStats.of(reg.snapshot()).n_mapped == 2
         assert acc.total_depth().sum() > 60  # both mates deposited
 
     def test_wrong_length_accumulator_rejected(self):
@@ -162,16 +165,17 @@ class TestUnequalMates:
             else p
             for i, p in enumerate(pairs[:42])
         ]
-        acc, stats = PairedGnumap(ref, PipelineConfig(), pcfg).map_pairs(trimmed)
+        with scope() as reg:
+            acc = PairedGnumap(ref, PipelineConfig(), pcfg).map_pairs(trimmed)
+        stats = MappingStats.of(reg.snapshot())
         assert stats.n_reads == 84 and stats.n_mapped >= 80
         # a trimmed mate opens a kernel call and so does the read after it
         assert stats.n_batches >= 2 * 14
         bases = 14 * (62 + 50) + 28 * (62 + 62)
         assert acc.total_depth().sum() == pytest.approx(bases, rel=0.08)
-        small, small_stats = PairedGnumap(
-            ref, PipelineConfig(batch_size=6), pcfg
-        ).map_pairs(trimmed)
-        assert small_stats.n_batches > stats.n_batches
+        with scope() as reg:
+            small = PairedGnumap(ref, PipelineConfig(batch_size=6), pcfg).map_pairs(trimmed)
+        assert MappingStats.of(reg.snapshot()).n_batches > stats.n_batches
         assert np.array_equal(small.snapshot(), acc.snapshot())
 
 

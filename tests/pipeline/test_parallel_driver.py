@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.experiments.workload import build_workload
+from repro.observability import scope
 from repro.parallel.cluster import Cluster
 from repro.parallel.costmodel import LogGPModel
 from repro.pipeline.calibration import ComputeCalibration
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.gnumap import GnumapSnp
+from repro.pipeline.gnumap import GnumapSnp, MappingStats
 from repro.pipeline.parallel_driver import run_memory_spread, run_read_spread
 
 
@@ -34,12 +35,9 @@ class TestReadSpread:
         res = Cluster(n_ranks).run(
             run_read_spread, workload.reference, workload.reads, config
         )
-        out = res.results[0]
-        assert {(s.pos, s.alt_name) for s in out.snps} == serial_snps
-        assert out.stats.n_reads == workload.n_reads
-        # non-root ranks return empty results
-        for other in res.results[1:]:
-            assert other.snps is None
+        assert {(s.pos, s.alt_name) for s in res.results[0]} == serial_snps
+        # non-root ranks return no calls
+        assert res.results[1:] == [None] * (n_ranks - 1)
 
     def test_virtual_speedup_with_calibration(self, workload, config):
         calib = ComputeCalibration.measure(
@@ -62,14 +60,13 @@ class TestMemorySpread:
         res = Cluster(n_ranks).run(
             run_memory_spread, workload.reference, workload.reads, config
         )
-        out = res.results[0]
-        assert {(s.pos, s.alt_name) for s in out.snps} == serial_snps
+        assert {(s.pos, s.alt_name) for s in res.results[0]} == serial_snps
 
     def test_snps_sorted_by_position(self, workload, config):
         res = Cluster(3).run(
             run_memory_spread, workload.reference, workload.reads, config
         )
-        positions = [s.pos for s in res.results[0].snps]
+        positions = [s.pos for s in res.results[0]]
         assert positions == sorted(positions)
 
     def test_scales_worse_than_read_spread(self, workload, config):
@@ -90,7 +87,7 @@ class TestMemorySpread:
         res = Cluster(1).run(
             run_memory_spread, workload.reference, workload.reads, config
         )
-        got = {(s.pos, s.alt_name) for s in res.results[0].snps}
+        got = {(s.pos, s.alt_name) for s in res.results[0]}
         assert got == serial_snps
 
 
@@ -98,16 +95,18 @@ class TestGroupCount:
     @pytest.mark.parametrize("n_ranks", [2, 4])
     def test_default_is_one_group_per_rank(self, workload, config, n_ranks):
         calib = ComputeCalibration(2e-4, 8e-4, 1.3, 2e-6, 3e-6)
-        runs = [
-            Cluster(n_ranks, LogGPModel()).run(
-                run_memory_spread, workload.reference, workload.reads[:600],
-                config, calib, n_groups,
-            )
-            for n_groups in (None, n_ranks)
-        ]
-        implicit, explicit = (r.results[0] for r in runs)
-        assert implicit.snps == explicit.snps
-        assert implicit.stats == explicit.stats
+        runs, counts = [], []
+        for n_groups in (None, n_ranks):
+            with scope() as reg:
+                runs.append(
+                    Cluster(n_ranks, LogGPModel()).run(
+                        run_memory_spread, workload.reference, workload.reads[:600],
+                        config, calib, n_groups,
+                    )
+                )
+            counts.append(MappingStats.of(reg.snapshot()))
+        assert runs[0].results[0] == runs[1].results[0]
+        assert counts[0] == counts[1]
         assert runs[0].makespan == runs[1].makespan
 
     def test_viterbi_mode_rejected(self, workload):
@@ -130,7 +129,7 @@ class TestHybrid:
             run_memory_spread, workload.reference, workload.reads, config, None,
             n_groups,
         )
-        got = {(s.pos, s.alt_name) for s in res.results[0].snps}
+        got = {(s.pos, s.alt_name) for s in res.results[0]}
         assert got == serial_snps
 
     def test_indivisible_world_rejected(self, workload, config):
@@ -174,7 +173,7 @@ class TestHybrid:
 class TestEvidenceEquivalence:
     def test_read_spread_accumulator_bitwise_close(self, workload, config):
         serial = GnumapSnp(workload.reference, config)
-        serial_acc, _ = serial.map_reads(workload.reads)
+        serial_acc = serial.map_reads(workload.reads)
 
         def program(comm):
             from repro.parallel.partition import partition_reads_contiguous
@@ -182,7 +181,7 @@ class TestEvidenceEquivalence:
 
             pipe = GnumapSnp(workload.reference, config)
             sl = partition_reads_contiguous(len(workload.reads), comm.size)[comm.rank]
-            acc, _ = pipe.map_reads(workload.reads[sl.start : sl.stop])
+            acc = pipe.map_reads(workload.reads[sl.start : sl.stop])
             return reduce_accumulator(comm, acc)
 
         res = Cluster(3).run(program)

@@ -48,7 +48,7 @@ class TestViterbiMode:
         # single-path evidence: each covered position gets ~1 unit per read
         config = PipelineConfig(posterior_mode="viterbi")
         pipe = GnumapSnp(workload.reference, config)
-        acc, _ = pipe.map_reads(workload.reads[:100])
+        acc = pipe.map_reads(workload.reads[:100])
         depth = acc.total_depth()
         assert depth.max() > 0
         assert depth.sum() == pytest.approx(

@@ -98,9 +98,12 @@ class TestEngine:
         half = len(workload.reads) // 2
         with Engine(workload.reference, config, workers=2) as parallel:
             for batch in (workload.reads[:half], workload.reads[half:]):
-                serial.map_reads(batch)
-                parallel.map_reads(batch)
-            assert parallel._stats.n_reads == len(workload.reads)
+                serial_stats = serial.map_reads(batch)
+                stats = parallel.map_reads(batch)
+            # Kernel calls are cut per chunk, so only the batch count differs.
+            counts = [(s.n_reads, s.n_mapped, s.n_pairs) for s in (stats, serial_stats)]
+            assert counts[0] == counts[1]
+            assert stats.n_reads == len(workload.reads)
             assert snp_keys(parallel.call().snps) == snp_keys(serial.call().snps)
 
     def test_from_fasta(self, workload, tmp_path):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro import PipelineConfig, build_workload
-from repro.pipeline.gnumap import GnumapSnp
+from repro.observability import scope
+from repro.pipeline.gnumap import GnumapSnp, MappingStats
 from repro.calling.caller import CallerConfig
 from repro.errors import FastqError
 from repro.evaluation.metrics import compare_to_truth
@@ -155,8 +156,9 @@ class TestFailureInjection:
             "long", ref.codes[10:150].copy(), np.full(140, 35, dtype=np.uint8)
         )
         pipe = GnumapSnp(ref, PipelineConfig())
-        _acc, stats = pipe.map_reads([read])
-        assert stats.n_reads == 1  # mapped or not, never crashes
+        with scope() as reg:
+            pipe.map_reads([read])
+        assert reg.snapshot().counter("pipeline.reads") == 1  # mapped or not, never crashes
 
     def test_read_at_genome_edges(self):
         ref, _ = simulate_genome(GenomeSpec(length=3000, n_repeats=0), seed=20)
@@ -165,8 +167,9 @@ class TestFailureInjection:
             Read("right", ref.codes[-62:].copy(), np.full(62, 38, dtype=np.uint8)),
         ]
         pipe = GnumapSnp(ref, PipelineConfig())
-        acc, stats = pipe.map_reads(reads)
-        assert stats.n_mapped == 2
+        with scope() as reg:
+            acc = pipe.map_reads(reads)
+        assert MappingStats.of(reg.snapshot()).n_mapped == 2
         depth = acc.total_depth()
         assert depth[:62].sum() > 30  # left read's evidence present
         assert depth[-62:].sum() > 30

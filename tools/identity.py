@@ -14,7 +14,8 @@ tree's ``src``.  Each configuration reports the sha256 of
   the ROC sweep's scored ``(pos, stat)`` candidates, one per line);
 * its accumulator's ``to_buffers()`` (``-`` for the simulated-cluster
   programs, whose root returns calls only);
-* its ``seed.*``, ``phmm.pairs`` and ``caller.snps`` counters.
+* its ``seed.*``, ``phmm.pairs`` and ``caller.snps`` counters and the
+  mapping counts (``COUNTS``).
 
 The table has one row per (seed, configuration).  Its last column compares
 a row that must equal a serial run (``TWINS``) with that run in this tree:
@@ -136,6 +137,10 @@ TWINS = {
 }
 
 
+#: The mapping counters every executor must report as serial does.
+COUNTS = ("pipeline.reads", "pipeline.reads_mapped", "pipeline.reads_unmapped", "pipeline.pairs")
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -203,12 +208,14 @@ def run_config(inputs: Path, name: str) -> "dict[str, str]":
 
                 program = getattr(parallel_driver, f"run_{run}")
                 args = (config, None, spec["groups"]) if "groups" in spec else (config,)
-                res = Cluster(spec["ranks"]).run(program, reference, reads, *args)
-                write_snp_calls(str(out), res.results[0].snps)
+                root = Cluster(spec["ranks"]).run(program, reference, reads, *args).results[0]
+                # The root returns its calls, or (in older trees) a result
+                # object holding them.
+                write_snp_calls(str(out), getattr(root, "snps", root))
         counters = {
             k: v
             for k, v in registry.snapshot().counters.items()
-            if k.startswith("seed.") or k in ("phmm.pairs", "caller.snps")
+            if k.startswith("seed.") or k in ("phmm.pairs", "caller.snps", *COUNTS)
         }
     digest = "-"
     if acc is not None:
