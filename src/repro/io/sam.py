@@ -105,7 +105,7 @@ def collect_placements(
     reads = list(reads)
     out: list[Placement] = []
     for evidence in pipeline.map_batches(reads):
-        weights = pipeline.weigh(evidence)
+        weights = pipeline.weigh(evidence.loglik, evidence.groups)
         kept: list[int] = []  # pair index of every placement, heaviest first per read
         primary = set()
         for _, pairs in read_slices(evidence.groups):

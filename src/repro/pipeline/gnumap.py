@@ -18,7 +18,7 @@ caller; the paired pipeline and the SAM writer weight its evidence their way.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -174,37 +174,52 @@ class GnumapSnp:
         evidence in read order, ``groups`` indexing ``reads``.
 
         The one loop that turns reads into evidence: every driver consumes
-        it and differs only in how it weights the pairs (:meth:`weigh`, the
+        it (the genome-partitioned one its second half, :meth:`align_seeded`)
+        and differs only in how it weights the pairs (:meth:`weigh`, the
         paired insert-size softmax, SAM's per-read ranking).  It counts what
         it maps in the current registry's ``pipeline.*`` counters: reads,
         reads mapped (at least one candidate) and unmapped, pairs, batches.
         """
-        cfg = self.config
+        return self.align_seeded(reads, self._seed_blocks(reads))
+
+    def _seed_blocks(self, reads: "list[Read]") -> "Iterator[SeedBlock]":
+        """Step A, ``batch_size`` reads at a time, ``read`` indexing ``reads``."""
         reg = current()
-        # Step A runs a block of reads at a time; step B cuts kernel calls
-        # from the seeded pairs, carrying the stack still open (`held`, of
-        # `read_len`-long reads) into the next block.
-        held, read_len = NO_CANDIDATES, None
-        for lo in range(0, len(reads), cfg.batch_size):
-            block = reads[lo : lo + cfg.batch_size]
+        for lo in range(0, len(reads), self.config.batch_size):
+            block = reads[lo : lo + self.config.batch_size]
             with span("seed"):
                 seeded = self.seeder.seed(block)
-            per_read = np.bincount(seeded.read, minlength=len(block)).tolist()
-            n_unmapped = per_read.count(0)
+            n_mapped = np.unique(seeded.read).size
             reg.inc("pipeline.reads", len(block))
-            reg.inc("pipeline.reads_mapped", len(block) - n_unmapped)
-            reg.inc("pipeline.reads_unmapped", n_unmapped)
+            reg.inc("pipeline.reads_mapped", n_mapped)
+            reg.inc("pipeline.reads_unmapped", len(block) - n_mapped)
             reg.inc("pipeline.pairs", len(seeded))
+            yield replace(seeded, read=seeded.read + lo)
+
+    def align_seeded(
+        self, reads: "list[Read]", blocks: "Iterable[SeedBlock]"
+    ) -> "Iterator[PairEvidence]":
+        """Step B: cut kernel calls from seeded ``blocks`` (``read``
+        indexing ``reads``, in read order) and yield each call's evidence,
+        counting it in ``pipeline.batches``.
+
+        A call holds equal-length reads and is closed before it passes
+        ``batch_size`` pairs; a read's pairs never straddle two calls.  The
+        stack still open at a block's end (``held``, of ``read_len``-long
+        reads) carries into the next block.
+        """
+        reg = current()
+        held, read_len = NO_CANDIDATES, None
+        for seeded in blocks:
             a, b = 0, len(held)  # the open stack is held[a:b]
-            held = SeedBlock.concat((held, replace(seeded, read=seeded.read + lo)))
-            for read, n_pairs in zip(block, per_read):
-                if not n_pairs:
-                    continue
-                if b > a and (len(read) != read_len or b - a >= cfg.batch_size):
+            held = SeedBlock.concat((held, seeded))
+            ids, per_read = np.unique(seeded.read, return_counts=True)
+            for i, n_pairs in zip(ids.tolist(), per_read.tolist()):
+                if b > a and (len(reads[i]) != read_len or b - a >= self.config.batch_size):
                     reg.inc("pipeline.batches")
                     yield self._align(reads, held[a:b])
                     a = b
-                read_len = len(read)
+                read_len = len(reads[i])
                 b += n_pairs
             held = held[a:]
         if len(held):
@@ -217,16 +232,14 @@ class GnumapSnp:
                 self.reference.codes, PairStack(reads, seeded, self.config), self.config
             )
 
-    def weigh(self, evidence: PairEvidence) -> np.ndarray:
-        """Per-pair mapping weights of one batch: each read's z mass shared
-        over its candidates by posterior (one-hot on the best under
-        ``posterior_mode="viterbi"``)."""
+    def weigh(self, loglik: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """Per-pair mapping weights of pairs grouped by read: each read's z
+        mass shared over its candidates by posterior (one-hot on the best
+        under ``posterior_mode="viterbi"``)."""
         with span("weigh"):
             if self.config.posterior_mode == "viterbi":
-                return _one_hot_best(evidence.loglik, evidence.groups)
-            return group_normalize(
-                evidence.loglik, evidence.groups, min_ratio=self.config.min_ratio
-            )
+                return _one_hot_best(loglik, groups)
+            return group_normalize(loglik, groups, min_ratio=self.config.min_ratio)
 
     def accumulate(
         self, acc: Accumulator, evidence: PairEvidence, weights: np.ndarray
@@ -253,7 +266,7 @@ class GnumapSnp:
         acc = self.accumulator_or_new(accumulator)
         with span("map_reads"):
             for evidence in self.map_batches(reads):
-                self.accumulate(acc, evidence, self.weigh(evidence))
+                self.accumulate(acc, evidence, self.weigh(evidence.loglik, evidence.groups))
         return acc
 
     # -- stage D ---------------------------------------------------------------

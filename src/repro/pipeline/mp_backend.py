@@ -170,7 +170,7 @@ def _map_chunk(
         trace.instant("mp.chunk_begin", chunk=chunk_id, attempt=attempt)
         started = time.perf_counter()
         with span("map_reads"):
-            batches = [(ev, pipe.weigh(ev)) for ev in pipe.map_batches(reads)]
+            batches = [(ev, pipe.weigh(ev.loglik, ev.groups)) for ev in pipe.map_batches(reads)]
         reg.observe("mp.chunk_map_seconds", time.perf_counter() - started)
         snapshot = reg.snapshot()
     if batches and plan.corrupts(chunk_id, attempt):

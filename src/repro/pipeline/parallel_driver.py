@@ -8,17 +8,18 @@ Read-spread ("shared memory" in Fig. 4)
 Memory-spread (genome-partitioned)
     One program with a group count.  The genome is split into ``n_groups``
     contiguous segments (plus a halo so candidate windows never cross
-    ownership); every rank sees every read (broadcast), the ranks of a
-    group share its reads out between them, each seeds against the group's
-    sub-index and aligns only candidates the group *owns* (candidate start
-    inside the core segment), and per read-batch all ranks allreduce
-    per-read likelihood totals so multiread weights are normalised
-    globally — the communication that spoils scaling.  The group's leader
-    receives its members' evidence, one ordered send per member, and ships
-    what it accumulated into the halo to the owning neighbour group at the
-    end.  One rank per group (the default) is the paper's memory-spread
-    mode, where every rank seeds every read; fewer groups are its
-    "distributed memory and/or shared memory" hybrid.
+    ownership), and each rank runs a ``GnumapSnp`` over its group's
+    extended segment.  Every rank sees every read (broadcast), the ranks
+    of a group share its reads out between them, each seeds against the
+    segment and aligns only candidates the group *owns* (candidate start
+    inside the core segment).  Per read batch all ranks allreduce their
+    candidates' scores, so each weighs every read with serial's rule over
+    all its candidates — the communication that spoils scaling.  The
+    group's leader receives its members' evidence, one ordered send per
+    member, and ships what it accumulated into the halo to the owning
+    neighbour group at the end.  One rank per group (the default) is the
+    paper's memory-spread mode, where every rank seeds every read; fewer
+    groups are its "distributed memory and/or shared memory" hybrid.
 
 Both programs compute real results (used by the correctness tests against
 serial runs) while charging calibrated compute and modelled communication to
@@ -38,26 +39,22 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.calling.caller import SNPCaller
 from repro.calling.records import SNPCall
 from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference, Segment
-from repro.index.hashindex import GenomeIndex
-from repro.index.seeding import Seeder
-from repro.memory.base import Accumulator, make_accumulator
+from repro.memory.base import Accumulator
 from repro.observability import current, scope, span
 from repro.parallel.comm import Comm
 from repro.parallel.partition import partition_reads_contiguous
 from repro.parallel.reduction import reduce_accumulator
 from repro.pipeline.calibration import ComputeCalibration
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.evidence import PairStack, align_pairs, deposit
 from repro.pipeline.gnumap import GnumapSnp
 
 
-#: Reads per memory-spread round: each round ends in one global allreduce
-#: of the per-read likelihood totals.
+#: Reads per memory-spread round: each round's scored candidates meet in
+#: one global allreduce.
 READ_BATCH = 256
 
 
@@ -127,13 +124,6 @@ def run_memory_spread(
         raise PipelineError(
             f"world size {comm.size} not divisible by n_groups {n_groups}"
         )
-    if config.posterior_mode != "marginal":
-        # One-hot-best needs every candidate of a read in one place; here
-        # they are spread over the ranks that own their segments.
-        raise PipelineError(
-            f"posterior_mode={config.posterior_mode!r} is not supported by the "
-            "genome-partitioned program; use run_read_spread"
-        )
     rpg = comm.size // n_groups
     group = comm.rank // rpg
     leader = group * rpg
@@ -141,31 +131,26 @@ def run_memory_spread(
     if reads is None:
         raise PipelineError("root must supply the reads")
 
-    glen = len(reference)
     seg = Reference.split(reference, n_groups)[group]
-    max_read_len = max((len(r) for r in reads), default=0)
-    halo = max_read_len + config.pad
+    halo = max((len(r) for r in reads), default=0) + config.pad
     ext_start = max(0, seg.start - halo)
-    ext_stop = min(glen, seg.stop + halo)
-    local_ref = Reference(
-        np.asarray(reference.codes[ext_start:ext_stop]),
-        name=f"{reference.name}[{ext_start}:{ext_stop}]",
+    ext_stop = min(len(reference), seg.stop + halo)
+    pipe = GnumapSnp(
+        Reference(
+            np.asarray(reference.codes[ext_start:ext_stop]),
+            name=f"{reference.name}[{ext_start}:{ext_stop}]",
+        ),
+        config,
     )
-    index = GenomeIndex(
-        local_ref, k=config.k,
-        max_positions_per_kmer=config.max_index_positions_per_kmer,
-        seed_len=config.seeder.seed_len,
-    )
-    seeder = Seeder(index, config.seeder)
     if calibration:
-        comm.account_compute(calibration.index_seconds(len(local_ref)))
+        comm.account_compute(calibration.index_seconds(len(pipe.reference)))
 
-    acc = make_accumulator(config.accumulator, len(local_ref))
+    acc = pipe.accumulator_or_new(None)
     for batch_lo in range(0, len(reads), READ_BATCH):
         batch = reads[batch_lo : batch_lo + READ_BATCH]
         _process_read_batch(
-            comm, batch, (np.arange(len(batch)) % rpg) == comm.rank % rpg, seeder,
-            local_ref, acc, seg, ext_start, config, calibration,
+            comm, pipe, acc, batch, np.arange(comm.rank % rpg, len(batch), rpg),
+            seg, ext_start, calibration,
         )
 
     # Genome state merges at the group's leader, in rank order (the order
@@ -190,9 +175,7 @@ def run_memory_spread(
         positions = np.arange(seg.start, seg.stop, dtype=np.int64)
         if calibration:
             comm.account_compute(calibration.calling_seconds(len(seg)))
-        local_snps = SNPCaller(config.caller).snps(
-            z, reference.codes, positions=positions
-        )
+        local_snps = pipe.caller.snps(z, reference.codes, positions=positions)
 
     gathered_snps = comm.gather(local_snps, root=0)
     if comm.rank != 0:
@@ -204,75 +187,64 @@ def run_memory_spread(
 
 def _process_read_batch(
     comm: Comm,
-    batch: "list[Read]",
-    read_mask: np.ndarray,
-    seeder: Seeder,
-    local_ref: Reference,
+    pipe: GnumapSnp,
     acc: Accumulator,
+    batch: "list[Read]",
+    mine: np.ndarray,
     seg: Segment,
     ext_start: int,
-    config: PipelineConfig,
     calibration: ComputeCalibration | None,
 ) -> None:
     """Align one batch of reads against the local segment with global weights.
 
-    ``read_mask`` marks which batch reads *this* rank seeds (its share of
-    the group's reads); unmarked reads still occupy allreduce slots so
-    other ranks' scores normalise correctly.  Each rank counts the pairs
-    and batches it aligns; rank 0 counts the batch's reads, a read being
-    mapped when some rank owns a candidate of it.
+    ``mine`` indexes the batch reads *this* rank seeds (its share of the
+    group's reads).  Every rank's scored candidates meet in one
+    allreduce, so each weighs the whole batch as serial does and keeps its
+    own rows' weights.  Each rank counts the pairs it aligns and its kernel
+    calls; rank 0 counts the batch's reads, a read being mapped when some
+    rank owns a candidate of it.
     """
-    if len({len(r) for r in batch}) > 1:
-        raise PipelineError(
-            "memory-spread driver requires equal-length reads per batch"
-        )
-    mine = np.flatnonzero(read_mask)
-    seeded = seeder.seed([batch[b] for b in mine.tolist()])
+    seeded = pipe.seeder.seed([batch[b] for b in mine.tolist()])
     # This rank aligns the candidates its group owns: those starting in
     # the core segment.  A candidate overhanging position 0 (start < 0)
     # belongs to the first segment; no start reaches past the genome's end.
     owned = seeded[seg.contains(np.maximum(ext_start + seeded.start, 0))]
     owned = replace(owned, read=mine[owned.read])
-
     if calibration:
-        comm.account_compute(calibration.mapping_seconds(int(read_mask.sum()), len(owned)))
+        comm.account_compute(calibration.mapping_seconds(len(mine), len(owned)))
+    batches = list(pipe.align_seeded(batch, [owned]))
 
-    # Global per-read normalisation: allreduce (logsumexp, max, candidate
-    # count) across ranks.
-    local_lse = np.full(len(batch), -np.inf)
-    local_max = np.full(len(batch), -np.inf)
-    local_n = np.bincount(owned.read, minlength=len(batch)).astype(np.float64)
-    evidence = None
-    if len(owned):
-        evidence = align_pairs(local_ref.codes, PairStack(batch, owned, config), config)
-        np.logaddexp.at(local_lse, evidence.groups, evidence.loglik)
-        np.maximum.at(local_max, evidence.groups, evidence.loglik)
-    packed = np.stack([local_lse, local_max, local_n])
+    # The batch's candidates in global coordinates, in Seeder.seed's order.
+    rows = {
+        "read": owned.read,
+        "support": -owned.support,
+        "start": ext_start + owned.start,
+        "strand": owned.strand,
+        "diagonal": ext_start + owned.diagonal,
+        "loglik": np.concatenate([ev.loglik for ev in batches] or [np.empty(0)]),
+        "rank": np.full(len(owned), comm.rank),
+    }
     with span("allreduce_normalise"):
-        global_lse, global_max, global_n = comm.allreduce(
-            packed,
-            op=lambda a, b: np.stack(
-                [np.logaddexp(a[0], b[0]), np.maximum(a[1], b[1]), a[2] + b[2]]
-            ),
+        every = comm.allreduce(
+            rows, op=lambda a, b: {key: np.concatenate((a[key], b[key])) for key in a}
         )
+    order = np.lexsort(
+        [every[key] for key in ("diagonal", "strand", "start", "support", "read")]
+    )
+    weights = np.empty(order.size)
+    weights[order] = pipe.weigh(every["loglik"][order], every["read"][order])
+    weights = weights[every["rank"] == comm.rank]
 
     reg = current()
     reg.inc("pipeline.pairs", len(owned))
     if comm.rank == 0:
-        n_mapped = int(np.count_nonzero(global_n))
+        n_mapped = np.unique(every["read"]).size
         reg.inc("pipeline.reads", len(batch))
         reg.inc("pipeline.reads_mapped", n_mapped)
         reg.inc("pipeline.reads_unmapped", len(batch) - n_mapped)
-
-    if evidence is None:
-        return
-    with np.errstate(invalid="ignore"):
-        weights = np.exp(evidence.loglik - global_lse[evidence.groups])
-        rel = np.exp(evidence.loglik - global_max[evidence.groups])
-    weights = np.where(rel < config.min_ratio, 0.0, weights)
-    weights = np.nan_to_num(weights, nan=0.0)
-    deposit(acc, evidence, weights, config)
-    reg.inc("pipeline.batches")
+    for evidence in batches:
+        pipe.accumulate(acc, evidence, weights[: evidence.loglik.size])
+        weights = weights[evidence.loglik.size :]
 
 
 def _halo_exchange(

@@ -95,27 +95,12 @@ def test_every_executor_counts_as_serial(case, serial, name):
     assert _counts(lambda: RUNS[name](*case)) == serial
 
 
-def test_memory_spread_keeps_a_left_overhanging_read(case, monkeypatch):
-    """A candidate that starts left of position 0 is owned by the first
-    segment: one rank owning the whole genome deposits what serial does,
-    byte for byte.  (On the full case the two differ in the last bits of
-    multiread weights, which the programs compute differently.)"""
-    reference, reads = case
-    overhang = reads[-1:]
-    made = []
-    real = parallel_driver.make_accumulator
-
-    def recording(*args):
-        made.append(real(*args))
-        return made[-1]
-
-    monkeypatch.setattr(parallel_driver, "make_accumulator", recording)
-    Cluster(1).run(parallel_driver.run_memory_spread, reference, overhang, PipelineConfig())
-    serial = GnumapSnp(reference, PipelineConfig()).map_reads(overhang)
-    (spread,) = made
-    assert serial.snapshot()[:57].sum() > 50
-    want, got = serial.to_buffers(), spread.to_buffers()
-    assert want.keys() == got.keys()
-    for key in want:
-        assert want[key].tobytes() == got[key].tobytes(), key
-
+@pytest.mark.parametrize("accumulator", ["NORM", "CHARDISC", "CENTDISC"])
+def test_one_rank_memory_spread_deposits_serials_bytes(
+    case, accumulator, assert_one_rank_spread_is_serial
+):
+    """One rank owning the whole genome weighs every read as serial does,
+    so it deposits serial's bytes — the left-overhanging read included,
+    whose candidate starts left of position 0 and is owned by the first
+    segment."""
+    assert_one_rank_spread_is_serial(*case, PipelineConfig(accumulator=accumulator))

@@ -72,7 +72,8 @@ def test_evidence_is_batch_composition_invariant(picks, split, band_mode, batch_
 
 def test_kernel_calls_are_cut_by_the_flush_rule():
     """A kernel call closes before a read that finds ``batch_size`` pairs
-    stacked or has another length — wherever the 5-read seed blocks end."""
+    stacked or has another length — wherever the 5-read seed blocks end,
+    and when ``align_seeded`` gets the reads seeded as one block."""
     pipe = _pipe("off", 5)
     reads = [
         Read(r.name, r.codes[:50], r.quals[:50]) if i % 7 == 0 else r
@@ -90,7 +91,8 @@ def test_kernel_calls_are_cut_by_the_flush_rule():
     with scope() as reg:
         got = [e.loglik.size for e in pipe.map_batches(reads)]
     stats = MappingStats.of(reg.snapshot_values())
-    assert got == sizes
+    one_block = pipe.align_seeded(reads, [pipe.seeder.seed(reads)])
+    assert got == [e.loglik.size for e in one_block] == sizes
     assert stats.n_batches == len(sizes) > 12 and stats.n_pairs == sum(sizes)
 
 

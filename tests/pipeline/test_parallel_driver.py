@@ -1,5 +1,7 @@
 """Tests for the two MPI-mode programs against the serial pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from repro.parallel.costmodel import LogGPModel
 from repro.pipeline.calibration import ComputeCalibration
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp, MappingStats
-from repro.pipeline.parallel_driver import run_memory_spread, run_read_spread
+from repro.pipeline.parallel_driver import READ_BATCH, run_memory_spread, run_read_spread
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,36 @@ class TestMemorySpread:
         got = {(s.pos, s.alt_name) for s in res.results[0]}
         assert got == serial_snps
 
+    def test_viterbi_mode_as_serial(self, workload, assert_one_rank_spread_is_serial):
+        """One-hot-best is decided once a read's scores from every rank
+        meet in the batch's allreduce: one rank deposits serial's bytes and
+        two ranks make serial's calls."""
+        config = PipelineConfig(posterior_mode="viterbi")
+        reads = workload.reads[:300]
+        assert_one_rank_spread_is_serial(workload.reference, reads, config)
+        want = GnumapSnp(workload.reference, config).run(reads).snps
+        res = Cluster(2).run(run_memory_spread, workload.reference, reads, config)
+        assert want
+        assert {(s.pos, s.alt_name) for s in res.results[0]} == {
+            (s.pos, s.alt_name) for s in want
+        }
+
+    def test_mixed_length_reads(self, workload, config):
+        """Reads trimmed to 50-62 bp, a length per run of 40 reads, so a
+        read batch holds several: kernel calls are cut by read length, as
+        serial cuts them."""
+        reads = [
+            replace(r, codes=r.codes[:n], quals=r.quals[:n])
+            for i, r in enumerate(workload.reads)
+            for n in [50 + i // 40 % 13]
+        ]
+        want = GnumapSnp(workload.reference, config).run(reads).snps
+        res = Cluster(2).run(run_memory_spread, workload.reference, reads, config)
+        assert want
+        assert {(s.pos, s.alt_name) for s in res.results[0]} == {
+            (s.pos, s.alt_name) for s in want
+        }
+
 
 class TestGroupCount:
     @pytest.mark.parametrize("n_ranks", [2, 4])
@@ -108,18 +140,6 @@ class TestGroupCount:
         assert runs[0].results[0] == runs[1].results[0]
         assert counts[0] == counts[1]
         assert runs[0].makespan == runs[1].makespan
-
-    def test_viterbi_mode_rejected(self, workload):
-        """One-hot-best cannot be decided per rank; dropping the field
-        silently (marginal evidence, softmax weights) is not an option."""
-        from repro.errors import CommError, PipelineError
-
-        with pytest.raises(CommError, match="posterior_mode") as exc:
-            Cluster(2, timeout=10.0).run(
-                run_memory_spread, workload.reference, workload.reads,
-                PipelineConfig(posterior_mode="viterbi"),
-            )
-        assert isinstance(exc.value.__cause__, PipelineError)
 
 
 class TestHybrid:
@@ -157,7 +177,7 @@ class TestHybrid:
         seed_only = ComputeCalibration(3e-5, 0.0, 1.4, 0.0, 0.0)
         free_net = LogGPModel(latency=0.0, byte_time=0.0)
         # every read batch splits evenly over a group of 1, 2 or 4 ranks
-        assert len(workload.reads) % 256 % 4 == 0
+        assert len(workload.reads) % READ_BATCH % 4 == 0
         all_reads = len(workload.reads) * seed_only.seconds_per_seed
         for n_groups, group_size in ((None, 1), (2, 2), (1, 4)):
             charged = run(seed_only, free_net, n_groups).virtual_times
