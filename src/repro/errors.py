@@ -45,6 +45,12 @@ class AlignmentError(ReproError):
     """Pair-HMM alignment failure (empty sequences, window misuse, ...)."""
 
 
+class KernelBuildError(ReproError):
+    """The compiled Pair-HMM lane kernels could not be built or loaded (no C
+    compiler, or the compile failed: the message holds its command and
+    stderr)."""
+
+
 class CallingError(ReproError):
     """LRT / SNP-calling misuse (negative counts, bad alpha, ...)."""
 

@@ -14,12 +14,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from repro.errors import ObservabilityError
+from repro.observability.registry import MetricsRegistry, current
 
 __all__ = ["TelemetryEndpoint"]
 
 
 class _Handler(BaseHTTPRequestHandler):
     collect: "Callable[[], str]" = staticmethod(lambda: "")
+    registry: MetricsRegistry
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
@@ -27,7 +29,10 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 body = type(self).collect().encode("utf-8")
             except Exception as exc:  # noqa: BLE001 -- a failed collect must answer 500, never kill the server
-                self.send_error(500, explain=f"collect failed: {exc}")
+                type(self).registry.inc("obs.collect_errors")
+                self.send_error(
+                    500, explain=f"collect failed: {type(exc).__name__}: {exc}"
+                )
                 return
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -52,7 +57,10 @@ class TelemetryEndpoint:
     """A daemon-thread HTTP server exposing ``collect()`` at ``/metrics``.
 
     ``port=0`` binds an ephemeral port (tests, benches); the bound port is
-    available after :meth:`start` via :attr:`port` / :attr:`url`.
+    available after :meth:`start` via :attr:`port` / :attr:`url`.  A
+    ``collect()`` that raises answers 500 with the exception's type and
+    message, and counts ``obs.collect_errors`` in the registry that was
+    current when the endpoint was made.
     """
 
     def __init__(
@@ -62,6 +70,7 @@ class TelemetryEndpoint:
         port: int = 0,
     ) -> None:
         self._collect = collect
+        self._registry = current()
         self._host = host
         self._port = int(port)
         self._server: "ThreadingHTTPServer | None" = None
@@ -71,7 +80,11 @@ class TelemetryEndpoint:
         """Bind + serve; returns the document URL (idempotent)."""
         if self._server is not None:
             return self.url
-        handler = type("_BoundHandler", (_Handler,), {"collect": staticmethod(self._collect)})
+        handler = type(
+            "_BoundHandler",
+            (_Handler,),
+            {"collect": staticmethod(self._collect), "registry": self._registry},
+        )
         try:
             server = ThreadingHTTPServer((self._host, self._port), handler)
         except OSError as exc:

@@ -2,10 +2,16 @@
 
 ``model``             :class:`PHMMParams` — transition/emission parameterisation.
 ``pwm``               Position-weight matrices from read qualities.
-``forward_backward``  The one kernel pair: lane-major, scaled forward/backward
-                      row sweeps; an optional band restricts each row.
+``forward_backward``  Emissions and the one kernel pair: lane-major, scaled
+                      forward/backward passes (:class:`LaneTile`), the
+                      posterior deposit fused into the backward one; an
+                      optional band restricts each row.  Whole-batch
+                      drivers keep every row (tests, ledger replay).
+``lanes``             Builds and loads the C source of those passes,
+                      ``_lanes.c`` (needs ``cc``; no fallback).
 ``banded``            Band geometry (:class:`BandSpec`).
-``posterior``         Marginal alignment posteriors and the z vectors.
+``posterior``         What the posterior deposit means; the z vectors;
+                      the whole-batch posterior driver.
 ``alignment``         High-level API: align a batch of (read, window) pairs.
 ``scoring``           Mapping-score normalisation across candidate locations.
 ``viterbi``           Max-product single-best alignment (ablation and SAM).

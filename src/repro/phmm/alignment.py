@@ -7,10 +7,11 @@ codes (uniform emission) and a validity mask marks pad columns so their
 posterior mass is never accumulated into the genome.
 
 A batch runs *streamed*, in equal lane tiles of bounded width: per tile the
-forward state is stored once, the backward recursion runs on a two-row ring
-and each row is deposited into the tile's z the moment it exists.  Backward
-and posterior tensors are never materialised, and per-pair cost and peak
-memory do not depend on the batch size (DESIGN §12).
+forward state is stored once, and the compiled backward pass runs on a
+two-row ring, depositing each row into the tile's z the moment it exists
+(:class:`~repro.phmm.forward_backward.LaneTile`).  Backward and posterior
+tensors are never materialised, and per-pair cost and peak memory do not
+depend on the batch size (DESIGN §12).
 """
 
 from __future__ import annotations
@@ -27,32 +28,30 @@ from repro.observability import current as metrics
 from repro.phmm import sanitize
 from repro.phmm.banded import BandSpec
 from repro.phmm.forward_backward import (
-    ST_GY,
-    ST_M,
+    LaneTile,
     _check_kernel,
     as_lanes,
-    backward_rows,
     charge_pass,
     check_pairs,
     check_shape,
     emissions_batch,
-    forward_lanes,
 )
 from repro.phmm.model import PHMMParams
-from repro.phmm.posterior import RowDeposit, z_vectors
+from repro.phmm.posterior import z_vectors
 
-#: Widest lane tile, from the sweep in EXPERIMENTS.md ("Lane-tile width"): on
-#: 62 x 78 pairs the full kernels are 6-10% and the banded ones 21-24% fewer
-#: µs/pair at 256 lanes than at 171, and the full ones lose 15-20% again on
-#: one untiled 512-lane block.  The pool sizes its chunks from it too
+#: Widest lane tile, from the sweep in EXPERIMENTS.md ("Compiled lane
+#: kernel"): on 62 x 78 pairs the compiled kernels cost the same per pair
+#: from 32 to 256 lanes, within run-to-run spread, and 20-30% more on one
+#: 512-lane tile.  The pool sizes its chunks from it too
 #: (:func:`repro.pipeline.mp_backend.chunk_count`).
 LANE_TILE = 256
 
 #: The child spans a kernel call records under the open span (``align`` in
-#: the pipeline): per-call workspace cuts and ring resets, the emission
-#: table, the forward pass, the backward rows, their deposit
-#: (:class:`~repro.phmm.posterior.RowDeposit`) and the z reduction.
-LAYERS = ("workspace", "emissions", "forward", "backward", "posterior", "zvec")
+#: the pipeline): per-call workspace cuts, the emission table, the forward
+#: pass, the backward pass with its posterior deposit fused in
+#: (:meth:`~repro.phmm.forward_backward.LaneTile.backward`) and the z
+#: reduction.
+LAYERS = ("workspace", "emissions", "forward", "backward", "zvec")
 
 
 @dataclass
@@ -118,9 +117,9 @@ def _align_streamed(
     band: BandSpec | None,
     want_edge: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """``(z, loglik, band-edge mass)`` of a validated batch, counted as
-    ``forward_batch`` + ``backward_batch`` count it (a tile is not a batch),
-    its layers timed per tile as children of the open span (:data:`LAYERS`)."""
+    """``(z, loglik, band-edge mass)`` of a validated batch, counted as one
+    forward and one backward pass (a tile is not a batch), its layers timed
+    per tile as children of the open span (:data:`LAYERS`)."""
     laps = Laps(*LAYERS)
     B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
     charge_pass("forward", B, N, M, band)
@@ -142,40 +141,30 @@ def _align_streamed(
     for start in tiles:
         tile = slice(start, start + step)
         if min(step, B - start) != lanes:
-            # Once per call, and once more for a narrower last tile.
+            # Once per call, and once more for a narrower last tile; under
+            # the sanitizer the backward pass is kept whole for its check.
             lanes = min(step, B - start)
-            emissions = np.empty((N, M, lanes))
-            f_state, f_scale = np.zeros((N + 1, 3, M + 1, lanes)), np.zeros((N + 1, lanes))
-            ring, scale = np.zeros((2, 3, M + 1, lanes)), np.zeros((N + 1, lanes))
-            deposit = RowDeposit(
-                N, M, lanes, band if want_edge else None, occupancy=edge_policy == "paper"
+            work = LaneTile(
+                N, M, lanes, band, depth=N + 1 if sanitize.enabled() else 2,
+                occupancy=edge_policy == "paper", edge=want_edge,
             )
-        else:
-            # Equal tiles overwrite the emissions, the forward state and both
-            # scale tables cell for cell; the ring holds rows a new pass must
-            # find zero.
-            ring.fill(0.0)
         laps.lap("workspace")
-        pstar = emissions_batch(pwms[tile], windows[tile], params, emissions)
+        pstar = emissions_batch(pwms[tile], windows[tile], params, work.emissions)
         if sanitize.enabled():
             sanitize.check_emissions(pstar)
         pl = as_lanes(pstar)
         laps.lap("emissions")
-        fwd = forward_lanes(pl, params, band, f_state, f_scale)
+        loglik[tile] = work.forward(pl, params)
+        if sanitize.enabled():
+            work.check("forward", loglik[tile])
         laps.lap("forward")
-        deposit.begin(pwms[tile], fwd)
-        laps.lap("posterior")
-        for i, lo, hi, row in backward_rows(pl, params, band, ring, scale):
-            if sanitize.enabled():
-                one_row = [state.T[:, None, :] for state in row]
-                sanitize.check_pass("backward", one_row, scale[i][:, None], band, row=i)
-            laps.lap("backward")
-            deposit.add_row(i, lo, hi, row[ST_M], row[ST_GY], scale[i])
-            laps.lap("posterior")
-        z[tile] = z_vectors(deposit.result(), edge_policy=edge_policy)
-        loglik[tile] = fwd.loglik
+        work.backward(pl, pwms[tile], params)
+        if sanitize.enabled():
+            work.check("backward")
+        laps.lap("backward")
+        z[tile] = z_vectors(work, edge_policy=edge_policy)
         if edge is not None:
-            edge[tile] = deposit.edge_mass()
+            edge[tile] = work.edge
         laps.lap("zvec")
     laps.record(count=len(tiles))
     return z, loglik, edge

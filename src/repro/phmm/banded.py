@@ -21,9 +21,9 @@ pipeline every window is cut at ``candidate.start - pad``, so ``center`` is
 Escape hatch
 ------------
 Banding is a bet that the alignment stays near the seed diagonal, and the bet
-is audited: :meth:`~repro.phmm.posterior.RowDeposit.edge_mass` measures the
-posterior mass on the *interior* band-edge cells (edges the band created, not
-the matrix boundary).
+is audited: the backward deposit (:class:`~repro.phmm.forward_backward.LaneTile`)
+sums the match posterior on the *interior* band-edge cells (edges the band
+created, not the matrix boundary) over the read length.
 A well-centred alignment leaves essentially none there (reaching the edge
 costs ``~q^band_w``); a long indel or a mis-centred seed lights it up, and
 :func:`repro.phmm.alignment.align_batch_banded` re-runs such pairs unbanded.

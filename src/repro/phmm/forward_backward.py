@@ -1,29 +1,28 @@
-"""Batched, scaled forward/backward dynamic programmes, lane-major.
+"""Lane-major Pair-HMM kernels: emissions, and the forward/backward pair.
 
-This is the hot path of the whole system (DESIGN §5):
+This is the hot path of the whole system (DESIGN §5, §12):
 
 * **The pair is the lane.**  Emissions are stored ``(N, M, B)`` and DP state
   ``(N+1, 3, M+1, B)`` — batch innermost — so a DP row of all ``B`` pairs,
-  full or banded, is one contiguous block and every ``j``-shifted operand a
-  contiguous sub-block of it.  A row step is a dozen whole-block NumPy calls
-  into scratch allocated once per pass.  Results keep their public
-  ``(B, ., .)`` shapes as strided views of that storage.
-* **In-row recurrences as doubling scans**: ``f_GY(i, j)`` depends on
-  ``f_GY(i, j-1)`` within the same row — a first-order linear recurrence
-  ``y[j] = x[j] + c y[j-1]``, ``c = q T_GG`` — which :meth:`_Sweep.scan`
-  solves in place in ``ceil(log2 n)`` whole-block steps
-  ``y[s:] += c^s * y[:-s]``, ``s = 1, 2, 4, ...`` (``b_GY`` runs the
-  mirrored scan ``y[:-s] += c^s * y[s:]``).
-* **Power-of-two row scales** keep values in float64 range: each row is
-  multiplied by ``2^-e``, ``2^e`` the power of two at its per-pair maximum
-  (``frexp``), which changes exponents only, and ``e ln 2`` is added to the
-  cumulative log scale carried alongside, so likelihoods and posteriors are
-  exact.
+  full or banded, is one contiguous block.  The row recurrences are C loops
+  over that block (``_lanes.c``, loaded by :mod:`repro.phmm.lanes`);
+  :class:`LaneTile` holds a tile's buffers and makes the two calls.
+* **In-row recurrences in order**: ``f_GY(i, j)`` depends on ``f_GY(i, j-1)``
+  within the same row, a first-order scan each lane runs left to right
+  (``b_GY`` right to left).
+* **Power-of-two row scales, exact exponents**: each row is multiplied by
+  ``2^-e``, ``2^e`` the power of two at its per-pair maximum, and the int
+  exponent is carried per (row, pair).  So ``loglik = log(total) + E_N ln 2``
+  is one rounding, and the posterior factor of row ``i`` is the exact
+  ``2^(Ef_i + Eb_i - E_N) / total``.
+* **The backward pass deposits as it goes**: row ``i``'s posterior mass goes
+  into the tile's ``z`` the moment the row exists, so the pipeline runs the
+  backward recursion on a two-row ring (``depth=2``); ``depth=N+1``
+  materialises it for the sanitizer and the tests.
 
-Both are elementwise per lane, so a pair's bits never depend on which other
-pairs share its tile.  The batch-major kernels these replaced (a first-order
-IIR filter per row, rows divided by their maximum; frozen in
-``tests/phmm/parent_kernels.py``) agree with them to ``1e-12`` (DESIGN §5).
+Every step is elementwise per lane, so a pair's bits never depend on which
+other pairs share its tile.  The batch-major kernels these replaced (frozen
+in ``tests/phmm/parent_kernels.py``) agree with them to ``1e-12``.
 
 Recursions (Durbin et al. 1998 ch. 4; see the note in
 :mod:`repro.phmm.model` about the paper's forward-recursion typo)::
@@ -39,26 +38,21 @@ Recursions (Durbin et al. 1998 ch. 4; see the note in
 One boundary convention, semiglobal: the read must be fully aligned but may
 land anywhere inside the window, so ``f_M(0, j) = 1`` for every ``j`` (free
 genome prefix) and the likelihood sums ``f_M(N, j) + f_GX(N, j)`` over all
-``j`` (free genome suffix).  ``mode=`` survives on the public passes only as
+``j`` (free genome suffix).  ``mode=`` survives on the public calls only as
 a pin (:func:`_check_kernel`).
 
-An optional :class:`~repro.phmm.banded.BandSpec` makes row ``i`` the sub-block
-of its in-band columns; cells outside keep their zeros, which the in-band
-recurrences read back as "no path enters from outside the band".
-``band=None`` is the band whose every row spans ``[0, M]`` — the same code,
-bit for bit.  A full pass charges its ``B*N*M`` cells to ``phmm.cells_full``,
-a banded one its ``B*band.n_cells()`` to ``phmm.cells_banded``; either also
-charges ``phmm.forward_cells``/``phmm.backward_cells``.
-
-The backward recursion exists once, as the row generator
-:func:`backward_rows`: :func:`backward_batch` drives it into a full tensor,
-:mod:`repro.phmm.alignment` onto a two-row ring (DESIGN §12).
+An optional :class:`~repro.phmm.banded.BandSpec` gives each row its in-band
+columns ``lo..hi``; cells outside keep their zeros, which the in-band
+recurrences read back as "no path enters from outside the band".  No band is
+the band whose every row spans ``[0, M]`` — the same code, bit for bit.  A
+full pass charges its ``B*N*M`` cells to ``phmm.cells_full``, a banded one
+its ``B*band.n_cells()`` to ``phmm.cells_banded``; either also charges
+``phmm.forward_cells``/``phmm.backward_cells``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -66,11 +60,10 @@ from repro.errors import AlignmentError
 from repro.observability import current as metrics
 from repro.phmm import sanitize
 from repro.phmm.banded import BandSpec
+from repro.phmm.lanes import LIB
 from repro.phmm.model import PHMMParams
 
-_TINY = 1e-300
-_LOG_TINY = float(np.log(_TINY))
-_LN2 = float(np.log(2.0))
+LN2 = float(np.log(2.0))
 #: Pairs per batch-major emission product before it is copied into lanes.
 _EMIT_PAIRS = 32
 #: State axis of the lane-major DP tensors.
@@ -135,47 +128,12 @@ def as_lanes(pstar: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(pstar, dtype=np.float64).transpose(1, 2, 0))
 
 
-@dataclass
-class ForwardResult:
-    """Scaled forward matrices plus log scales and total log-likelihood.
-
-    ``fM/fGX/fGY`` are ``(B, N+1, M+1)`` *scaled* values (strided views of the
-    lane-major state): the true forward probability is
-    ``fM[b, i, j] * exp(log_scale[b, i])``.  ``loglik`` is the per-pair total
-    alignment log-likelihood.
-    """
-
-    fM: np.ndarray
-    fGX: np.ndarray
-    fGY: np.ndarray
-    log_scale: np.ndarray
-    loglik: np.ndarray
-
-
-@dataclass
-class BackwardResult:
-    """Scaled backward matrices; true value ``bM[b,i,j] * exp(log_scale[b,i])``."""
-
-    bM: np.ndarray
-    bGX: np.ndarray
-    bGY: np.ndarray
-    log_scale: np.ndarray
-
-
 def check_shape(N: int, M: int, band: BandSpec | None) -> None:
     """Reject an empty DP matrix or a band cut for another."""
     if N == 0 or M == 0:
         raise AlignmentError("empty read or window")
     if band is not None and (band.n, band.m) != (N, M):
         raise AlignmentError(f"band is for ({band.n}, {band.m}), batch is ({N}, {M})")
-
-
-def _check_inputs(pstar: np.ndarray, mode: str, band: BandSpec | None) -> np.ndarray:
-    _check_kernel(mode)
-    if np.ndim(pstar) != 3:
-        raise AlignmentError(f"pstar must be (B, N, M), got {np.shape(pstar)}")
-    check_shape(np.shape(pstar)[1], np.shape(pstar)[2], band)
-    return as_lanes(pstar)
 
 
 def charge_pass(kind: str, B: int, N: int, M: int, band: BandSpec | None) -> None:
@@ -191,240 +149,185 @@ def charge_pass(kind: str, B: int, N: int, M: int, band: BandSpec | None) -> Non
     reg.inc("phmm.forward_cells" if kind == "forward" else "phmm.backward_cells", n_cells)
 
 
-def _views(state: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(B, N+1, M+1)`` views of the three states, ``(B, N+1)`` of the scales."""
-    return (*(state[:, s].transpose(2, 0, 1) for s in (ST_M, ST_GX, ST_GY)), log_scale.T)
 
 
-class _Sweep:
-    """Constants, band geometry and scratch shared by the row steps of one
-    pass over lane-major emissions ``pl`` of shape ``(N, M, B)``."""
-
-    def __init__(self, pl: np.ndarray, params: PHMMParams, band: BandSpec | None):
-        self.pl, self.band = pl, band
-        self.N, self.M, B = pl.shape
-        self.q, self.TMM, self.TGM = params.q, params.T_MM, params.T_GM
-        self.TMG, self.TGG = params.T_MG, params.T_GG
-        # Doubling-scan shifts 1, 2, 4, ... <= M and their coefficients
-        # (q T_GG)^shift, each the square of the one before.
-        self.shifts = [1 << k for k in range(self.M.bit_length())]
-        self.powers = [self.q * self.TGG]
-        for _ in self.shifts[1:]:
-            self.powers.append(self.powers[-1] * self.powers[-1])
-        self.sa, self.sb, self.sc = np.empty((3, self.M + 1, B))
-
-    def bounds(self, i: int) -> tuple[int, int]:
-        return (0, self.M) if self.band is None else self.band.row_bounds(i)
-
-    @staticmethod
-    def rescale(block: np.ndarray, ls_from: np.ndarray, ls_to: np.ndarray) -> None:
-        """Scale the row's in-band block by ``2^-e``, ``2^e`` the power of two
-        at its per-pair maximum (exact: only exponents change); all three
-        states share one scale so the recursion stays exact, and a zero row
-        means the alignment has probability zero."""
-        _, e = np.frexp(np.maximum(block.max(axis=(0, 1)), _TINY))
-        block *= np.ldexp(1.0, -e)
-        np.add(ls_from, e * _LN2, out=ls_to)
-
-    def scan(self, y: np.ndarray, tmp: np.ndarray, reverse: bool = False) -> None:
-        """Solve ``y[j] = x[j] + q T_GG y[j-1]`` down axis 0 in place (``y``
-        holds ``x`` on entry; ``reverse``: ``y[j+1]``), zero past the edge.
-
-        Step ``s`` adds ``(q T_GG)^s`` times the values ``s`` rows back
-        (``tmp`` holds the product), so after it every row sums the ``2s``
-        terms that reach it: ``ceil(log2 n)`` whole-block steps for ``n``
-        rows.  Elementwise per lane, so a lane's bits do not depend on its
-        neighbours."""
-        n = len(y)
-        for s, c in zip(self.shifts, self.powers):
-            if s >= n:
-                break
-            src, dst = (y[s:], y[: n - s]) if reverse else (y[: n - s], y[s:])
-            np.add(dst, np.multiply(src, c, out=tmp[: n - s]), out=dst)
-
-    def forward_row(self, i: int, lo: int, hi: int, prev: np.ndarray, row: np.ndarray) -> None:
-        """Fill unscaled in-band row ``i >= 1`` from scaled row ``i-1``."""
-        jlo = max(lo, 1)  # M/GY cells exist only for j >= 1
-        n = hi - jlo + 1
-        if n > 0:
-            a, b = self.sa[:n], self.sb[:n]
-            np.multiply(prev[ST_M, jlo - 1 : hi], self.TMM, out=a)
-            np.add(prev[ST_GX, jlo - 1 : hi], prev[ST_GY, jlo - 1 : hi], out=b)
-            b *= self.TGM
-            a += b
-            np.multiply(self.pl[i - 1, jlo - 1 : hi], a, out=row[ST_M, jlo : hi + 1])
-        gx, a = row[ST_GX, lo : hi + 1], self.sa[: hi - lo + 1]
-        np.multiply(prev[ST_M, lo : hi + 1], self.TMG, out=gx)
-        np.multiply(prev[ST_GX, lo : hi + 1], self.TGG, out=a)
-        gx += a
-        gx *= self.q
-        if n > 0:
-            # First-order in-row recurrence, zero-initialised at the row's
-            # left edge (f_GY(i, jlo-1) is out of band or column 0, hence 0).
-            gy = row[ST_GY, jlo : hi + 1]
-            np.multiply(row[ST_M, jlo - 1 : hi], self.q * self.TMG, out=gy)
-            self.scan(gy, self.sa)
-
-    def backward_last_row(self, row: np.ndarray) -> None:
-        """Initialise row ``N`` (already scaled: its log scale is 0).
-
-        bGY stays 0 at i = N: once the read is consumed, paths that keep
-        eating genome bases through G_Y are redundant with ending earlier."""
-        lo, hi = self.bounds(self.N)
-        if lo <= hi:
-            row[ST_M, lo : hi + 1] = 1.0
-            row[ST_GX, lo : hi + 1] = 1.0
-
-    def backward_row(self, i: int, lo: int, hi: int, nxt: np.ndarray, row: np.ndarray) -> None:
-        """Fill unscaled in-band row ``i < N`` from scaled row ``i+1``."""
-        n = hi - lo + 1
-        # d[j] = p*(i+1, j+1) * b_M(i+1, j+1) for j = lo..hi (zero at j = M).
-        d, gd, t = self.sa[:n], self.sb[:n], self.sc[:n]
-        nd = min(hi, self.M - 1) - lo + 1
-        if nd > 0:
-            np.multiply(self.pl[i, lo : lo + nd], nxt[ST_M, lo + 1 : lo + nd + 1], out=d[:nd])
-        d[max(nd, 0) :] = 0.0
-        np.multiply(d, self.TGM, out=gd)
-        gy = row[ST_GY, lo : hi + 1]
-        if i > 0:
-            # b_GY row i: reversed first-order recurrence driven by T_GM * d,
-            # zero-initialised at the row's right edge (b_GY(i, hi+1) is out
-            # of band or past column M, hence 0).
-            np.copyto(gy, gd)
-            self.scan(gy, t, reverse=True)
-        else:
-            # Row 0 keeps b_GY = 0 and drops the M -> G_Y term: f_GY(0, j) = 0
-            # (genome bases before the first read base belong to the start
-            # distribution, not to gap states), so paths entering G_Y before
-            # any read base must not count.
-            gy[...] = 0.0
-        # t[j] = b_GX(i+1, j) + b_GY(i, j+1), the latter zero past the edge.
-        np.copyto(t, nxt[ST_GX, lo : hi + 1])
-        t[:-1] += gy[1:]
-        t *= self.q * self.TMG
-        bm = row[ST_M, lo : hi + 1]
-        np.multiply(d, self.TMM, out=bm)
-        bm += t
-        np.multiply(nxt[ST_GX, lo : hi + 1], self.q * self.TGG, out=t)
-        np.add(gd, t, out=row[ST_GX, lo : hi + 1])
+def _ptr(a: np.ndarray | None) -> int | None:
+    return None if a is None else int(a.ctypes.data)
 
 
-def forward_lanes(
-    pl: np.ndarray,
-    params: PHMMParams,
-    band: BandSpec | None,
-    state: np.ndarray,
-    log_scale: np.ndarray,
-) -> ForwardResult:
-    """The forward pass over validated lane-major emissions ``(N, M, B)``
-    (no counters: callers charge per batch, not per lane tile).
+class LaneTile:
+    """The buffers of one lane tile of ``(N, M)`` pairs and its two kernel
+    calls.
 
-    ``state`` ``(N+1, 3, M+1, B)`` and ``log_scale`` ``(N+1, B)`` must be
-    zeroed, or hold an earlier pass of this shape and band: a pass writes
-    the same cells whatever the emissions, so they need no clearing.
+    Cut once per ``(N, M, lanes)`` and reused by equal tiles: each pass
+    rewrites the same cells whatever the emissions, and the cells outside
+    the band stay zero.  ``emissions`` is room for
+    :func:`emissions_batch`'s ``out``.  ``depth`` is the backward store's: ``2`` is the ring
+    the pipeline runs on, ``N+1`` keeps every row (the sanitizer's check and
+    the tests).  ``occupancy`` and ``edge`` switch on the outputs no default
+    caller reads: the match posterior per window column, and the band-edge
+    audit (:meth:`~repro.phmm.banded.BandSpec.edge_columns`).
     """
-    sweep = _Sweep(pl, params, band)
-    N = sweep.N
-    lo, hi = sweep.bounds(0)
-    # Free genome prefix: the read may begin at any in-band column.
-    if lo <= hi:
-        state[0, ST_M, lo : hi + 1] = 1.0
-    for i in range(1, N + 1):
-        lo, hi = sweep.bounds(i)
-        if lo > hi:
-            # Band slid off the matrix: nothing reachable from here on.
-            log_scale[i] = log_scale[i - 1] + _LOG_TINY
-            continue
-        sweep.forward_row(i, lo, hi, state[i - 1], state[i])
-        sweep.rescale(state[i, :, lo : hi + 1], log_scale[i - 1], log_scale[i])
-    last = state[N]
-    # Free genome suffix, summed along a contiguous j axis: NumPy's pairwise
-    # summation, which a sum down the lane-major rows would not use.
-    total = np.ascontiguousarray(last[ST_M].T).sum(axis=1)
-    total += np.ascontiguousarray(last[ST_GX].T).sum(axis=1)
-    with np.errstate(divide="ignore"):
-        loglik = np.log(np.maximum(total, 0.0)) + log_scale[N]
-    fM, fGX, fGY, ls = _views(state, log_scale)
-    if sanitize.enabled():
-        sanitize.check_pass("forward", (fM, fGX, fGY), ls, band, loglik=loglik)
-    return ForwardResult(fM=fM, fGX=fGX, fGY=fGY, log_scale=ls, loglik=loglik)
+
+    def __init__(
+        self,
+        N: int,
+        M: int,
+        lanes: int,
+        band: BandSpec | None,
+        depth: int = 2,
+        occupancy: bool = False,
+        edge: bool = False,
+    ) -> None:
+        rows = range(N + 1)
+        self.shape = (N, M, lanes)
+        self.bounds = np.array(
+            [(0, M) if band is None else band.row_bounds(i) for i in rows], dtype=np.intc
+        )
+        self.band = band
+        self.emissions = np.empty((N, M, lanes))
+        self.state = np.zeros((N + 1, 3, M + 1, lanes))
+        self.f_exp = np.zeros((N + 1, lanes), dtype=np.intc)
+        self.store = np.zeros((depth, 3, M + 1, lanes))
+        self.b_exp = np.zeros((N + 1, lanes), dtype=np.intc)
+        self.pwms = np.empty((N, 4, lanes))
+        self.total = np.empty(lanes)
+        self.z = np.empty((5, M, lanes))
+        self.occ: np.ndarray | None = np.empty((M, lanes)) if occupancy else None
+        self.edges: np.ndarray | None = None
+        self.cells: np.ndarray | None = None
+        self.edge: np.ndarray | None = None
+        if edge and band is not None:
+            edges = np.array([band.interior_edges(i) for i in rows], dtype=np.intc)
+            self.edges = np.where(edges >= 1, edges, -1).astype(np.intc)
+            self.cells = np.empty((N + 1, 2, lanes))
+            self.edge = np.empty(lanes)
+
+    def forward(self, pl: np.ndarray, params: PHMMParams) -> np.ndarray:
+        """Fill the forward state from lane-major emissions ``(N, M, lanes)``;
+        returns the pairs' ``loglik``."""
+        N, M, B = self.shape
+        LIB.forward(
+            N, M, B, self._emissions(pl), _ptr(self.bounds), *_params(params),
+            _ptr(self.state), _ptr(self.f_exp),
+        )
+        last = self.state[N]
+        # Free genome suffix, summed along a contiguous j axis: NumPy's
+        # pairwise summation, which a sum down the lane-major rows would
+        # not use.
+        total = np.ascontiguousarray(last[ST_M].T).sum(axis=1)
+        total += np.ascontiguousarray(last[ST_GX].T).sum(axis=1)
+        np.copyto(self.total, total)
+        with np.errstate(divide="ignore"):
+            return np.log(np.maximum(total, 0.0)) + self.f_exp[N] * LN2
+
+    def backward(self, pl: np.ndarray, pwms: np.ndarray, params: PHMMParams) -> None:
+        """Run the backward pass after :meth:`forward` on the same emissions
+        and deposit it: ``z`` (and ``occ``, ``edge`` when cut) for the
+        ``(lanes, N, 4)`` PWMs.  Pairs with ``loglik = -inf`` deposit zeros."""
+        N, M, B = self.shape
+        np.copyto(self.pwms, pwms.transpose(1, 2, 0))
+        LIB.backward_deposit(
+            N, M, B, self._emissions(pl), _ptr(self.pwms), _ptr(self.bounds), *_params(params),
+            self.store.shape[0], _ptr(self.store), _ptr(self.b_exp),
+            _ptr(self.state), _ptr(self.f_exp), _ptr(self.total),
+            _ptr(self.z), _ptr(self.occ), _ptr(self.edges), _ptr(self.cells),
+            _ptr(self.edge),
+        )
+
+    def _emissions(self, pl: np.ndarray) -> int | None:
+        """``pl``'s address, once it is known to be what the C loops read."""
+        if pl.shape != self.shape or pl.dtype != np.float64 or not pl.flags.c_contiguous:
+            raise AlignmentError(
+                f"lane emissions must be C-contiguous float64 {self.shape}, "
+                f"got {pl.dtype} {pl.shape}"
+            )
+        return _ptr(pl)
+
+    def views(self, kind: str) -> tuple[np.ndarray, ...]:
+        """``(B, N+1, M+1)`` views of a pass's three states and its
+        ``(B, N+1)`` log scales (``"backward"``: only with depth ``N+1``)."""
+        state, exps = (self.state, self.f_exp) if kind == "forward" else (self.store, self.b_exp)
+        return (*(state[:, s].transpose(2, 0, 1) for s in (ST_M, ST_GX, ST_GY)), exps.T * LN2)
+
+    def check(self, kind: str, loglik: np.ndarray | None = None) -> None:
+        """Hand a pass to the sanitizer (:func:`repro.phmm.sanitize.check_pass`)."""
+        *states, log_scale = self.views(kind)
+        sanitize.check_pass(kind, states, log_scale, self.band, loglik=loglik)
+
+
+def _params(params: PHMMParams) -> tuple[float, ...]:
+    return params.q, params.T_MM, params.T_GM, params.T_MG, params.T_GG
+
+
+# Whole-batch drivers.  The pipeline never keeps a backward pass; these run
+# the same two LaneTile calls over a whole batch with the backward store at
+# depth N+1 and hand back every matrix as (B, N+1, M+1) views, for the tests
+# and for the ledger's split-kernel replay.
+
+
+@dataclass
+class ForwardResult:
+    """Scaled forward matrices: the true value is
+    ``fM[b, i, j] * exp(log_scale[b, i])``; ``loglik`` per pair.  ``tile``
+    and its lane emissions ``pl`` are what a posterior pass re-enters."""
+
+    fM: np.ndarray
+    fGX: np.ndarray
+    fGY: np.ndarray
+    log_scale: np.ndarray
+    loglik: np.ndarray
+    tile: LaneTile
+    pl: np.ndarray
+
+
+@dataclass
+class BackwardResult:
+    """Scaled backward matrices; true value ``bM[b,i,j] * exp(log_scale[b,i])``."""
+
+    bM: np.ndarray
+    bGX: np.ndarray
+    bGY: np.ndarray
+    log_scale: np.ndarray
+
+
+def _batch_lanes(pstar: np.ndarray, mode: str, band: BandSpec | None) -> np.ndarray:
+    _check_kernel(mode)
+    if np.ndim(pstar) != 3:
+        raise AlignmentError(f"pstar must be (B, N, M), got {np.shape(pstar)}")
+    check_shape(np.shape(pstar)[1], np.shape(pstar)[2], band)
+    return as_lanes(pstar)
+
+
+def _whole_tile(
+    pl: np.ndarray, params: PHMMParams, band: BandSpec | None
+) -> tuple[LaneTile, np.ndarray]:
+    N, M, B = pl.shape
+    tile = LaneTile(N, M, B, band, depth=N + 1, occupancy=True, edge=band is not None)
+    return tile, tile.forward(pl, params)
 
 
 def forward_batch(
-    pstar: np.ndarray,
-    params: PHMMParams,
-    mode: str = "semiglobal",
-    band: BandSpec | None = None,
+    pstar: np.ndarray, params: PHMMParams, mode: str = "semiglobal", band: BandSpec | None = None
 ) -> ForwardResult:
-    """Run the scaled forward algorithm over a batch.
-
-    ``pstar`` is the ``(B, N, M)`` emission array from
-    :func:`emissions_batch`.  ``band`` restricts every DP row to its in-band
-    columns (``None``: every row spans ``[0, M]``); all matrices keep their
-    full ``(B, N+1, M+1)`` shape with exact zeros outside the band, so
-    downstream posterior extraction is unchanged.  ``mode`` is pinned to
-    ``"semiglobal"`` (:func:`_check_kernel`).
-    """
-    pl = _check_inputs(pstar, mode, band)
+    """The forward pass over a ``(B, N, M)`` emission batch."""
+    pl = _batch_lanes(pstar, mode, band)
     N, M, B = pl.shape
     charge_pass("forward", B, N, M, band)
-    return forward_lanes(
-        pl, params, band, np.zeros((N + 1, 3, M + 1, B)), np.zeros((N + 1, B))
-    )
-
-
-def backward_rows(
-    pl: np.ndarray,
-    params: PHMMParams,
-    band: BandSpec | None,
-    store: np.ndarray,
-    log_scale: np.ndarray,
-) -> Iterator[tuple[int, int, int, np.ndarray]]:
-    """The backward pass over lane-major emissions, one row at a time.
-
-    Yields ``(i, lo, hi, row)`` for ``i = N..0``: ``row`` is the scaled
-    ``(3, M+1, B)`` state of DP row ``i`` — exact zeros outside its in-band
-    columns ``lo..hi`` (``lo > hi``: the band is off the matrix) — held in
-    ``store[i % len(store)]``, with ``log_scale[i]`` filled in.  ``store``
-    must start zeroed; ``len(store) == N+1`` materialises the pass, ``2`` is
-    the smallest ring the recursion can run on.
-    """
-    sweep = _Sweep(pl, params, band)
-    N, depth = sweep.N, store.shape[0]
-    spans: list[tuple[int, int]] = [(0, -1)] * depth  # columns a slot holds
-    for i in range(N, -1, -1):
-        lo, hi = sweep.bounds(i)
-        row = store[i % depth]
-        # A reused ring slot keeps row i+depth: bands only move left as i
-        # falls, so what this row will not overwrite lies right of hi.
-        plo, phi = spans[i % depth]
-        row[:, max(plo, hi + 1) : phi + 1] = 0.0
-        spans[i % depth] = (lo, hi) if lo <= hi else (0, -1)
-        if i == N:
-            sweep.backward_last_row(row)
-        elif lo > hi:
-            log_scale[i] = log_scale[i + 1] + _LOG_TINY
-        else:
-            sweep.backward_row(i, lo, hi, store[(i + 1) % depth], row)
-            sweep.rescale(row[:, lo : hi + 1], log_scale[i + 1], log_scale[i])
-        yield i, lo, hi, row
+    tile, loglik = _whole_tile(pl, params, band)
+    fM, fGX, fGY, log_scale = tile.views("forward")
+    return ForwardResult(fM, fGX, fGY, log_scale, loglik, tile, pl)
 
 
 def backward_batch(
-    pstar: np.ndarray,
-    params: PHMMParams,
-    mode: str = "semiglobal",
-    band: BandSpec | None = None,
+    pstar: np.ndarray, params: PHMMParams, mode: str = "semiglobal", band: BandSpec | None = None
 ) -> BackwardResult:
-    """Run the scaled backward algorithm over a batch (same conventions)."""
-    pl = _check_inputs(pstar, mode, band)
+    """The backward pass over a batch, kept whole.  The kernel deposits as
+    it goes, so this runs the forward pass it needs first, and discards the
+    deposit (of uniform PWMs)."""
+    pl = _batch_lanes(pstar, mode, band)
     N, M, B = pl.shape
     charge_pass("backward", B, N, M, band)
-    state = np.zeros((N + 1, 3, M + 1, B))
-    log_scale = np.zeros((N + 1, B))
-    for _ in backward_rows(pl, params, band, state, log_scale):
-        pass
-    bM, bGX, bGY, ls = _views(state, log_scale)
-    if sanitize.enabled():
-        sanitize.check_pass("backward", (bM, bGX, bGY), ls, band)
-    return BackwardResult(bM=bM, bGX=bGX, bGY=bGY, log_scale=ls)
+    tile, _ = _whole_tile(pl, params, band)
+    tile.backward(pl, np.full((B, N, 4), 0.25), params)
+    return BackwardResult(*tile.views("backward"))

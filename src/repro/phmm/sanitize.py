@@ -119,13 +119,11 @@ def check_pass(
     states: "Sequence[np.ndarray]",
     log_scale: np.ndarray,
     band: "BandSpec | None" = None,
-    row: "int | None" = None,
     loglik: "np.ndarray | None" = None,
 ) -> None:
     """One ``kind`` (``"forward"``/``"backward"``) pass: scaled ``(M, GX, GY)``
     matrices finite and non-negative, log scales finite, ``loglik`` finite or
-    ``-inf``, exact zeros outside ``band``.  With ``row`` the arrays hold that
-    one DP row, ``(B, 1, M+1)``: a streamed pass checks rows as they appear."""
+    ``-inf``, exact zeros outside ``band``."""
     for name, arr in zip(("M", "GX", "GY"), states):
         check_finite(kind, kind[0] + name, arr)
         check_non_negative(kind, kind[0] + name, arr)
@@ -133,7 +131,7 @@ def check_pass(
     if loglik is not None:
         check_finite(kind, "loglik", loglik, allow_neg_inf=True)
     if band is not None:
-        check_band(*states, band=band, kind=kind, row=row)
+        check_band(*states, band=band, kind=kind)
 
 
 def check_z(z: np.ndarray, valid: "np.ndarray | None" = None) -> None:
@@ -163,18 +161,15 @@ def check_band(
     sGY: np.ndarray,
     band: "BandSpec",
     kind: str = "forward",
-    row: "int | None" = None,
 ) -> None:
     """Band mass conservation: banded DP matrices are exactly zero outside
-    the band (``row``: as in :func:`check_pass`).
+    the band.
 
     The banded kernels *never write* outside the band, so any non-zero mass
     there means an index-arithmetic bug leaked probability across the band
     boundary — the invariant the escape-hatch accounting rests on.
     """
     outside = band.outside_mask()[None, :, :]
-    if row is not None:
-        outside = outside[:, row : row + 1]
     for name, arr in (("M", sM), ("GX", sGX), ("GY", sGY)):
         arr = np.asarray(arr)
         bad = (arr != 0.0) & outside

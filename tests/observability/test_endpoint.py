@@ -9,7 +9,7 @@ import urllib.request
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.observability import MetricsRegistry, TelemetryEndpoint, to_json
+from repro.observability import MetricsRegistry, TelemetryEndpoint, scope, to_json
 from repro.observability.dashboard import parse_live_document
 
 
@@ -57,6 +57,27 @@ class TestEndpoint:
             assert err.value.code == 500
         finally:
             endpoint.close()
+
+    def test_collect_failure_names_its_cause_and_counts(self):
+        """The 500 body carries the exception's type and message, and each
+        failure counts ``obs.collect_errors``."""
+
+        def boom() -> str:
+            raise KeyError("pipeline.reads")
+
+        with scope() as reg:
+            endpoint = TelemetryEndpoint(boom)
+        url = endpoint.start()
+        try:
+            for _ in range(2):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    urllib.request.urlopen(url, timeout=5)
+                assert err.value.code == 500
+                body = err.value.read().decode("utf-8")
+                assert "collect failed: KeyError: 'pipeline.reads'" in body
+        finally:
+            endpoint.close()
+        assert reg.snapshot().counters == {"obs.collect_errors": 2}
 
     def test_close_is_idempotent_and_frees_port(self):
         endpoint = TelemetryEndpoint(lambda: "")

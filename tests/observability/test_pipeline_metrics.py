@@ -33,7 +33,7 @@ from repro.pipeline.mp_backend import chunk_count
 #: Child spans of `align` (window cutting, then the kernel's layers) and of
 #: `seed`.
 ALIGN_LAYERS = (
-    "pwm", "windows", "workspace", "emissions", "forward", "backward", "posterior", "zvec",
+    "pwm", "windows", "workspace", "emissions", "forward", "backward", "zvec",
 )
 SEED_LAYERS = ("lookup", "cluster", "filter", "rank")
 
@@ -167,7 +167,7 @@ class TestLayerSpans:
         assert m.span_count("map_reads/align/forward") >= m.counter("pipeline.batches")
         seed = m.span_node("map_reads/seed")["children"]
         assert set(SEED_LAYERS) <= set(seed)
-        for name in ("forward", "backward", "posterior"):
+        for name in ("forward", "backward"):
             assert align[name]["seconds"] > 0, name
         assert seed["lookup"]["seconds"] > 0
         assert_children_within_parents(m.spans)

@@ -9,7 +9,7 @@ Nothing here is imported by ``src/``.  Three levels of oracle:
   problems and add up their probabilities.  This validates the recursions
   themselves, not just the vectorisation.
 * :func:`band_edge_mass` — the band audit over a materialised match
-  posterior, which ``RowDeposit.edge_mass`` computes row by row.
+  posterior, which the compiled backward deposit sums row by row.
 
 All of them use the kernels' one boundary convention, semiglobal.
 """

@@ -24,6 +24,7 @@ from repro.phmm.forward_backward import (
     forward_batch,
 )
 from repro.phmm.model import PHMMParams
+from repro.phmm.posterior import posteriors_batch
 from repro.phmm.pwm import pwm_from_codes
 from tests.phmm.reference_impl import band_edge_mass
 
@@ -275,8 +276,6 @@ class TestEscapeHatch:
         band = BandSpec(n=n, m=m, center=m // 2, width=n + m)
         fwd = forward_batch(pstar, PARAMS, band=band)
         bwd = backward_batch(pstar, PARAMS, band=band)
-        from repro.phmm.posterior import posteriors_batch
-
         post = posteriors_batch(pstar, pwms, windows, fwd, bwd, PARAMS)
         edge = band_edge_mass(post.match_posterior, band)
         assert np.all(edge == 0.0)  # covering band has no interior edges

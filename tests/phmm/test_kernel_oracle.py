@@ -247,11 +247,13 @@ def test_batching_is_not_load_bearing(case, params, band):
 
 
 def _bands(n, m):
-    """No band, a covering band, a narrow one, and bands that leave the
-    matrix on the left (low rows) and on the right (high rows)."""
+    """No band, a covering band, the pipeline's ``band_w = 10`` at a pad-8
+    seed diagonal, a narrow one, and bands that leave the matrix on the
+    left (low rows) and on the right (high rows)."""
     return {
         "none": None,
         "covering": BandSpec(n=n, m=m, center=m // 2, width=n + m),
+        "w10": BandSpec(n=n, m=m, center=min(8, m - 1), width=10),
         "narrow": BandSpec(n=n, m=m, center=min(1, m - 1), width=1),
         "off_left": BandSpec(n=n, m=m, center=-n, width=2),
         "off_right": BandSpec(n=n, m=m, center=m, width=2),
@@ -282,14 +284,14 @@ ORACLE_CASES = EDGE_CASES + (
     _embedded_case(3, 150, 6),
 )
 
-#: How far the kernels may sit from the frozen oracle.  The doubling scan
-#: re-associates the ``G_Y`` recurrence's sums and the power-of-two row
-#: scales carry ``e ln 2`` where the oracle carried ``ln(max)``, so only the
-#: emissions stay bit-equal.  Worst measured over 30/62/150 bp batches,
-#: semiglobal and global, full and banded: 1.7e-13 relative on z and
-#: 1.3e-13 on loglik for reads embedded in their windows, 5.8e-13 / 5.7e-13
-#: for 150 bp reads against unrelated windows (loglik ~ -300), 3.3e-16 on
-#: the unscaled DP matrices — 1.7x headroom at worst, 6x on real pairs.
+#: How far the kernels may sit from the frozen oracle.  The oracle solves
+#: the ``G_Y`` recurrence with a first-order IIR filter and carries each row
+#: scale as ``ln(max)`` summed row by row; the compiled kernels scan in
+#: order and carry exact power-of-two exponents, so only the emissions stay
+#: bit-equal.  Worst measured over 30/62/150 bp batches: 1.0e-13 relative
+#: on z and 7.1e-14 on loglik for reads embedded in their windows,
+#: 3.6e-13 / 2.3e-13 for 150 bp reads against unrelated windows (loglik
+#: ~ -240) — 2.8x headroom at worst, 10x on real pairs.
 KERNEL_RTOL = 1e-12
 #: z cells at or below this are compared absolutely, at the same bound.
 Z_FLOOR = 1e-12
@@ -303,7 +305,9 @@ def _assert_close_relative(got, want, err_msg=""):
     np.testing.assert_allclose(got[~big], want[~big], rtol=0, atol=Z_FLOOR, err_msg=err_msg)
 
 
-@pytest.mark.parametrize("band_kind", ("none", "covering", "narrow", "off_left", "off_right"))
+@pytest.mark.parametrize(
+    "band_kind", ("none", "covering", "w10", "narrow", "off_left", "off_right")
+)
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
 def test_lane_major_kernels_reproduce_parent_bitwise(case, mode, band_kind):
@@ -404,8 +408,8 @@ def test_a_pairs_bits_do_not_depend_on_its_tile(n, m, seed, where):
 @pytest.mark.parametrize("b", (1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3, 2 * TILE + 5))
 @with_tile
 def test_streamed_alignment_equals_unrolled_public_calls(b, mode):
-    """The ledger replay's contract: ``align_batch`` deposits exactly what
-    ``emissions -> forward -> backward -> posteriors -> z_vectors`` and
+    """The ring and the kept store agree: ``align_batch`` deposits exactly
+    what ``emissions -> forward -> backward -> posteriors -> z_vectors`` and
     ``* valid`` give, and ``align_batch_banded`` the same per bucket —
     whatever the batch size is against the lane tile."""
     pwms, windows = _random_case(b, 6, 10, seed=b)

@@ -20,8 +20,9 @@ from repro.errors import ReproError, SanitizerError
 from repro.experiments.workload import build_workload
 from repro.memory.dense import DenseAccumulator
 from repro.observability import span
-from repro.phmm import sanitize
-from repro.phmm.forward_backward import emissions_batch, forward_batch
+from repro.phmm import alignment, sanitize
+from repro.phmm.alignment import align_batch
+from repro.phmm.forward_backward import LaneTile, emissions_batch
 from repro.phmm.model import PHMMParams
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
@@ -144,39 +145,37 @@ class TestChecks:
 class TestKernelHooks:
     PARAMS = PHMMParams()
 
-    def _pstar(self) -> np.ndarray:
+    def _batch(self) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(5)
-        return rng.uniform(0.01, 0.95, size=(2, 6, 10))
+        pwms = rng.dirichlet(np.ones(4), size=(2, 6))
+        return pwms, rng.integers(0, 4, (2, 10)).astype(np.uint8)
 
     def test_forward_clean_passes_when_enabled(self):
-        pstar = self._pstar()
         with sanitize.sanitized():
-            result = forward_batch(pstar, self.PARAMS)
+            result = align_batch(*self._batch(), self.PARAMS)
         assert np.isfinite(result.loglik).all()
 
     def test_corrupted_forward_raises_only_when_enabled(self, monkeypatch):
-        """Seeded fault: the kernel returns a NaN-poisoned matrix."""
-        import repro.phmm.forward_backward as fb
+        """Seeded fault: a NaN in the lane-major emissions the forward pass
+        reads (past the emission check, which sees the clean array)."""
+        real_as_lanes = alignment.as_lanes
 
-        real_scan = fb._Sweep.scan
+        def poisoned(pstar):
+            pl = real_as_lanes(pstar).copy()
+            pl[0, 0, 0] = np.nan
+            return pl
 
-        def poisoned_scan(sweep, y, tmp, reverse=False):
-            real_scan(sweep, y, tmp, reverse)
-            y[0, 0] = np.nan
-
-        monkeypatch.setattr(fb._Sweep, "scan", poisoned_scan)
-        pstar = self._pstar()
+        monkeypatch.setattr(alignment, "as_lanes", poisoned)
         # Default mode: the corruption flows through silently.
-        result = forward_batch(pstar, self.PARAMS)
-        assert np.isnan(result.fM).any() or np.isnan(result.loglik).any()
+        result = align_batch(*self._batch(), self.PARAMS)
+        assert np.isnan(result.z).any() or np.isnan(result.loglik).any()
         # Sanitized mode: the same fault is caught at the kernel boundary.
         with sanitize.sanitized():
             with pytest.raises(SanitizerError, match="forward"):
-                forward_batch(pstar, self.PARAMS)
+                align_batch(*self._batch(), self.PARAMS)
 
     def test_emission_corruption_attributed_to_stage(self, workload, monkeypatch):
         """A poisoned emission kernel fails inside map_reads/align."""
-        import repro.phmm.alignment as alignment
 
         def poisoned_emissions(pwms, windows, params, out=None):
             out = emissions_batch(pwms, windows, params, out)
@@ -192,23 +191,22 @@ class TestKernelHooks:
         assert exc_info.value.check == "emissions"
         assert "align" in exc_info.value.span_path
 
-
     def test_streamed_backward_corruption_attributed_to_stage(
         self, workload, monkeypatch
     ):
-        """The pipeline never materialises the backward pass: a NaN planted
-        in one streamed row is caught on that row, before it is deposited,
-        and attributed to ``map_reads/align``."""
-        import repro.phmm.forward_backward as fb
+        """The pipeline never keeps the backward pass, except under the
+        sanitizer, which runs it on an ``N+1``-row store and checks it whole:
+        a NaN planted in the emissions after the forward pass has read them
+        is caught there, before its tile's z leaves the call, and attributed
+        to ``map_reads/align``."""
+        real_forward = LaneTile.forward
 
-        real_scan = fb._Sweep.scan
+        def poisoned_forward(tile, pl, params):
+            loglik = real_forward(tile, pl, params)
+            pl[-1, 0] = np.nan  # read by backward row N-1, column 0
+            return loglik
 
-        def poisoned_scan(sweep, y, tmp, reverse=False):
-            real_scan(sweep, y, tmp, reverse)
-            if reverse:  # the backward pass scans its rows right to left
-                y[0, 0] = np.nan
-
-        monkeypatch.setattr(fb._Sweep, "scan", poisoned_scan)
+        monkeypatch.setattr(LaneTile, "forward", poisoned_forward)
         pipe = GnumapSnp(workload.reference, PipelineConfig())
         with sanitize.sanitized():
             with pytest.raises(SanitizerError) as exc_info:
@@ -222,9 +220,9 @@ class TestKernelHooks:
         seen = []
         real_check_band = sanitize.check_band
 
-        def spy(sM, sGX, sGY, band, kind="forward", row=None):
-            seen.append((kind, row, sM.shape))
-            real_check_band(sM, sGX, sGY, band, kind=kind, row=row)
+        def spy(sM, sGX, sGY, band, kind="forward"):
+            seen.append((kind, sM.shape))
+            real_check_band(sM, sGX, sGY, band, kind=kind)
 
         monkeypatch.setattr(sanitize, "check_band", spy)
         rng = np.random.default_rng(6)
@@ -234,22 +232,21 @@ class TestKernelHooks:
             align_batch_banded(
                 pwms, windows, self.PARAMS, np.full(3, 2), band_w=2, adaptive=False
             )
-        assert ("forward", None, (3, 7, 11)) in seen
-        assert [row for kind, row, _ in seen if kind == "backward"] == list(
-            range(6, -1, -1)
-        )
-        assert {shape for kind, _, shape in seen if kind == "backward"} == {(3, 1, 11)}
+        # Both passes whole: all seven rows of the backward one.
+        assert seen == [("forward", (3, 7, 11)), ("backward", (3, 7, 11))]
 
     def test_leaked_mass_in_a_streamed_row_is_caught(self):
-        """One-row form of check_band: row ``i`` of the band, not row 0."""
+        """Mass one backward row holds outside its band is caught; the same
+        mass inside it is not."""
         from repro.phmm.banded import BandSpec
 
         band = BandSpec(n=3, m=5, center=2, width=1)  # row 2 spans columns 3..5
-        row = np.zeros((1, 1, 6))
-        row[0, 0, 3:6] = 0.5
-        sanitize.check_band(row, row, row, band, kind="backward", row=2)
+        rows = np.zeros((1, 4, 6))
+        rows[0, 2, 3:6] = 0.5
+        sanitize.check_band(rows, rows, rows, band, kind="backward")
+        rows[0, 0, 3:6] = 0.5  # row 0 spans columns 1..3
         with pytest.raises(SanitizerError, match="band_backward"):
-            sanitize.check_band(row, row, row, band, kind="backward", row=0)
+            sanitize.check_band(rows, rows, rows, band, kind="backward")
 
 
 class TestAccumulatorHooks:
