@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memory.base import Accumulator
+from repro.phmm.lanes import LIB
 
 
 class DenseAccumulator(Accumulator):
@@ -25,10 +26,10 @@ class DenseAccumulator(Accumulator):
 
     def add(self, positions: np.ndarray, z: np.ndarray) -> None:
         positions, z = self._check_add(positions, z)
-        if positions.size == 0:
-            return
-        # np.add.at handles repeated positions correctly (unbuffered).
-        np.add.at(self._z, positions, z.astype(np.float32))
+        positions, z = np.ascontiguousarray(positions), np.ascontiguousarray(z)
+        # Row by row in order, rounding each row to float32 as it lands
+        # (np.add.at's bits, repeated positions included).
+        LIB.scatter_add(positions.size, positions.ctypes.data, z.ctypes.data, self._z.ctypes.data)
 
     def snapshot(self) -> np.ndarray:
         return self._z.astype(np.float64)

@@ -6,12 +6,12 @@ forward/backward pass.  Windows clipped by genome edges are padded with ``N``
 codes (uniform emission) and a validity mask marks pad columns so their
 posterior mass is never accumulated into the genome.
 
-A batch runs *streamed*, in equal lane tiles of bounded width: per tile the
-forward state is stored once, and the compiled backward pass runs on a
-two-row ring, depositing each row into the tile's z the moment it exists
-(:class:`~repro.phmm.forward_backward.LaneTile`).  Backward and posterior
-tensors are never materialised, and per-pair cost and peak memory do not
-depend on the batch size (DESIGN §12).
+A batch runs *streamed*, in equal lane tiles of bounded width cut from the
+caller's workspace: per tile the forward state is stored once, and the
+compiled backward pass runs on a two-row ring, depositing each row into the
+tile's z the moment it exists (:class:`~repro.phmm.forward_backward.LaneTile`).
+Emission, backward and posterior tensors are never materialised, and
+per-pair cost and peak memory do not depend on the batch size (DESIGN §12).
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from repro.phmm import sanitize
 from repro.phmm.banded import BandSpec
 from repro.phmm.forward_backward import (
     LaneTile,
+    Workspace,
     _check_kernel,
-    as_lanes,
     charge_pass,
     check_pairs,
     check_shape,
-    emissions_batch,
+    emission_table,
 )
 from repro.phmm.model import PHMMParams
 from repro.phmm.posterior import z_vectors
@@ -47,11 +47,11 @@ from repro.phmm.posterior import z_vectors
 LANE_TILE = 256
 
 #: The child spans a kernel call records under the open span (``align`` in
-#: the pipeline): per-call workspace cuts, the emission table, the forward
-#: pass, the backward pass with its posterior deposit fused in
+#: the pipeline): the emission table (with the tile cut), the forward pass,
+#: the backward pass with its posterior deposit fused in
 #: (:meth:`~repro.phmm.forward_backward.LaneTile.backward`) and the z
 #: reduction.
-LAYERS = ("workspace", "emissions", "forward", "backward", "zvec")
+LAYERS = ("emissions", "forward", "backward", "zvec")
 
 
 @dataclass
@@ -116,6 +116,7 @@ def _align_streamed(
     edge_policy: str,
     band: BandSpec | None,
     want_edge: bool = False,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """``(z, loglik, band-edge mass)`` of a validated batch, counted as one
     forward and one backward pass (a tile is not a batch), its layers timed
@@ -136,7 +137,7 @@ def _align_streamed(
         reg.observe("phmm.tile_lanes", float(step), count=B // step)
         if B % step:
             reg.observe("phmm.tile_lanes", float(B % step))
-    lanes = 0  # width the workspace below was cut for
+    lanes = 0  # width the tile below was cut for
     tiles = range(0, B, step)
     for start in tiles:
         tile = slice(start, start + step)
@@ -146,19 +147,18 @@ def _align_streamed(
             lanes = min(step, B - start)
             work = LaneTile(
                 N, M, lanes, band, depth=N + 1 if sanitize.enabled() else 2,
-                occupancy=edge_policy == "paper", edge=want_edge,
+                occupancy=edge_policy == "paper", edge=want_edge, workspace=workspace,
             )
-        laps.lap("workspace")
-        pstar = emissions_batch(pwms[tile], windows[tile], params, work.emissions)
+        table = emission_table(pwms[tile], params)
         if sanitize.enabled():
-            sanitize.check_emissions(pstar)
-        pl = as_lanes(pstar)
+            sanitize.check_emissions(table)
+        work.load(table, windows[tile])
         laps.lap("emissions")
-        loglik[tile] = work.forward(pl, params)
+        loglik[tile] = work.forward(work.table, params)
         if sanitize.enabled():
             work.check("forward", loglik[tile])
         laps.lap("forward")
-        work.backward(pl, pwms[tile], params)
+        work.backward(work.table, pwms[tile], params)
         if sanitize.enabled():
             work.check("backward")
         laps.lap("backward")
@@ -179,6 +179,7 @@ def align_batch(
     valid: np.ndarray | None = None,
     kernel: str = "rowsweep",
     dtype: str = "float64",
+    workspace: Workspace | None = None,
 ) -> AlignmentOutcome:
     """Align a batch of equal-shape (PWM, window) pairs.
 
@@ -186,7 +187,8 @@ def align_batch(
     z mass on False columns of the optional ``(B, M)`` bool mask ``valid`` is
     zeroed (genome-edge pad columns).  ``mode``/``kernel``/``dtype`` are
     single-valued (``"semiglobal"``, ``"rowsweep"``, ``"float64"``); see
-    :func:`~repro.phmm.forward_backward._check_kernel`.
+    :func:`~repro.phmm.forward_backward._check_kernel`.  Tiles are cut from
+    ``workspace`` (private ones by default).
     """
     _check_kernel(mode, kernel, dtype)
     pwms, windows, valid = _check_batch(pwms, windows, valid, edge_policy)
@@ -196,7 +198,7 @@ def align_batch(
             "phmm.pair_cells", float(pwms.shape[1] * windows.shape[1]),
             count=int(pwms.shape[0]),
         )
-    z, loglik, _ = _align_streamed(pwms, windows, params, edge_policy, None)
+    z, loglik, _ = _align_streamed(pwms, windows, params, edge_policy, None, workspace=workspace)
     if valid is not None:
         z *= valid[:, :, None]
     if sanitize.enabled():
@@ -219,6 +221,7 @@ def align_batch_banded(
     escape_min_ratio: float = 0.0,
     kernel: str = "rowsweep",
     dtype: str = "float64",
+    workspace: Workspace | None = None,
 ) -> AlignmentOutcome:
     """Banded alignment of a batch, with an optional full-kernel escape hatch.
 
@@ -240,7 +243,7 @@ def align_batch_banded(
     *best* banded likelihood is ``-inf`` escape wholesale: the band saw
     nothing, so the full kernels arbitrate.
 
-    ``mode``/``kernel``/``dtype`` are single-valued, as in :func:`align_batch`.
+    ``mode``/``kernel``/``dtype``/``workspace`` are as in :func:`align_batch`.
     """
     _check_kernel(mode, kernel, dtype)
     pwms, windows, valid = _check_batch(pwms, windows, valid, edge_policy)
@@ -277,7 +280,8 @@ def align_batch_banded(
             continue
         metrics().observe("phmm.pair_cells", float(band.n_cells()), count=int(sel.size))
         z[sel], loglik[sel], edge = _align_streamed(
-            pwms[sel], windows[sel], params, edge_policy, band, want_edge=adaptive
+            pwms[sel], windows[sel], params, edge_policy, band, want_edge=adaptive,
+            workspace=workspace,
         )
         if edge is not None:
             metrics().observe_array("phmm.band_edge_mass", edge)
@@ -295,7 +299,9 @@ def align_batch_banded(
     if esc.size:
         metrics().inc("phmm.band_escapes", int(esc.size))
         trace.instant("phmm.band_escape", pairs=int(esc.size))
-        full = align_batch(pwms[esc], windows[esc], params, edge_policy=edge_policy)
+        full = align_batch(
+            pwms[esc], windows[esc], params, edge_policy=edge_policy, workspace=workspace
+        )
         z[esc] = full.z
         loglik[esc] = full.loglik
 

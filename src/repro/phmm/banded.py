@@ -67,31 +67,38 @@ class BandSpec:
         if self.width < 1:
             raise AlignmentError(f"band width must be >= 1, got {self.width}")
 
-    def row_bounds(self, i: int) -> tuple[int, int]:
-        """Inclusive in-band column range ``(lo, hi)`` for DP row ``i``.
+    def bounds(self) -> np.ndarray:
+        """``(n+1, 2)`` inclusive in-band columns ``lo, hi`` of every DP row.
 
         ``lo > hi`` means the band has slid entirely off the matrix for this
         row (the seed diagonal cannot carry the read that far); the row stays
         all-zero and the pair's likelihood collapses to ``-inf``.
         """
-        lo = max(0, i + self.center - self.width)
-        hi = min(self.m, i + self.center + self.width)
+        diag = np.arange(self.n + 1) + self.center
+        lo, hi = np.maximum(diag - self.width, 0), np.minimum(diag + self.width, self.m)
+        return np.stack([lo, hi], 1)
+
+    def row_bounds(self, i: int) -> tuple[int, int]:
+        """Row ``i`` of :meth:`bounds`: ``(lo, hi)``."""
+        lo, hi = self.bounds()[i].tolist()
         return lo, hi
 
-    def interior_edges(self, i: int) -> tuple[int, int]:
-        """Band-edge columns of row ``i`` that are *interior* to the matrix.
+    def edges(self) -> np.ndarray:
+        """``(n+1, 2)`` band-edge columns of every row that are *interior* to
+        the matrix, ``-1`` standing for "this side is clipped by the matrix
+        boundary, not by the band" — mass at a matrix boundary is legitimate
+        alignment geometry, only mass pressed against a band-created edge
+        signals that the band is too narrow.  A row the band has left the
+        matrix on has no cells, hence no edges."""
+        (lo, hi), diag = self.bounds().T, np.arange(self.n + 1) + self.center
+        on = lo <= hi
+        lo_edge = np.where(on & (lo > 0) & (lo == diag - self.width), lo, -1)
+        hi_edge = np.where(on & (hi < self.m) & (hi == diag + self.width), hi, -1)
+        return np.stack([lo_edge, hi_edge], 1)
 
-        Returns ``(lo_edge, hi_edge)`` with ``-1`` standing for "this side is
-        clipped by the matrix boundary, not by the band" — mass at a matrix
-        boundary is legitimate alignment geometry, only mass pressed against
-        a band-created edge signals that the band is too narrow.  A row the
-        band has left the matrix on has no cells, hence no edges.
-        """
-        lo, hi = self.row_bounds(i)
-        if lo > hi:
-            return -1, -1
-        lo_edge = lo if lo > 0 and lo == i + self.center - self.width else -1
-        hi_edge = hi if hi < self.m and hi == i + self.center + self.width else -1
+    def interior_edges(self, i: int) -> tuple[int, int]:
+        """Row ``i`` of :meth:`edges`: ``(lo_edge, hi_edge)``."""
+        lo_edge, hi_edge = self.edges()[i].tolist()
         return lo_edge, hi_edge
 
     def edge_columns(self, i: int) -> list[int]:
@@ -101,12 +108,8 @@ class BandSpec:
 
     def n_cells(self) -> int:
         """DP cells inside the band (one state set per cell), rows ``1..n``."""
-        total = 0
-        for i in range(1, self.n + 1):
-            lo, hi = self.row_bounds(i)
-            if lo <= hi:
-                total += hi - lo + 1
-        return total
+        lo, hi = self.bounds()[1:].T
+        return int(np.maximum(hi - lo + 1, 0).sum())
 
     def outside_mask(self) -> np.ndarray:
         """Boolean ``(n+1, m+1)`` mask, True strictly outside the band."""

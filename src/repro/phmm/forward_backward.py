@@ -2,11 +2,15 @@
 
 This is the hot path of the whole system (DESIGN §5, §12):
 
-* **The pair is the lane.**  Emissions are stored ``(N, M, B)`` and DP state
-  ``(N+1, 3, M+1, B)`` — batch innermost — so a DP row of all ``B`` pairs,
-  full or banded, is one contiguous block.  The row recurrences are C loops
-  over that block (``_lanes.c``, loaded by :mod:`repro.phmm.lanes`);
-  :class:`LaneTile` holds a tile's buffers and makes the two calls.
+* **The pair is the lane.**  DP state is stored ``(N+1, 3, width, B)`` —
+  batch innermost — so a DP row of all ``B`` pairs is one contiguous
+  block.  The row recurrences are C loops over that block (``_lanes.c``,
+  loaded by :mod:`repro.phmm.lanes`); :class:`LaneTile` holds a tile's
+  buffers, views of one :class:`Workspace`, and makes the two calls.
+* **Emissions are a table**: the C loops read ``p*(i, j)`` as entry
+  ``code[j-1]`` of row ``i-1`` of the ``(N, 5, B)`` :func:`emission_table`,
+  for in-band cells only; the whole-batch drivers hand in any ``p*`` as an
+  ``(N, M, B)`` table under the identity codes.
 * **In-row recurrences in order**: ``f_GY(i, j)`` depends on ``f_GY(i, j-1)``
   within the same row, a first-order scan each lane runs left to right
   (``b_GY`` right to left).
@@ -42,8 +46,8 @@ genome prefix) and the likelihood sums ``f_M(N, j) + f_GX(N, j)`` over all
 a pin (:func:`_check_kernel`).
 
 An optional :class:`~repro.phmm.banded.BandSpec` gives each row its in-band
-columns ``lo..hi``; cells outside keep their zeros, which the in-band
-recurrences read back as "no path enters from outside the band".  No band is
+columns ``lo..hi``; a row holds one more column each side, and the kernels
+write zeros there: no path enters from outside the band.  No band is
 the band whose every row spans ``[0, M]`` — the same code, bit for bit.  A
 full pass charges its ``B*N*M`` cells to ``phmm.cells_full``, a banded one
 its ``B*band.n_cells()`` to ``phmm.cells_banded``; either also charges
@@ -53,6 +57,7 @@ its ``B*band.n_cells()`` to ``phmm.cells_banded``; either also charges
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -64,8 +69,6 @@ from repro.phmm.lanes import LIB
 from repro.phmm.model import PHMMParams
 
 LN2 = float(np.log(2.0))
-#: Pairs per batch-major emission product before it is copied into lanes.
-_EMIT_PAIRS = 32
 #: State axis of the lane-major DP tensors.
 ST_M, ST_GX, ST_GY = 0, 1, 2
 
@@ -95,37 +98,22 @@ def check_pairs(pwms: np.ndarray, windows: np.ndarray) -> tuple[np.ndarray, np.n
     return pwms, windows
 
 
-def emissions_batch(
-    pwms: np.ndarray,
-    windows: np.ndarray,
-    params: PHMMParams,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def emission_table(pwms: np.ndarray, params: PHMMParams) -> np.ndarray:
+    """``(B, N, 5)`` match emissions of each read row against each genome
+    code (N = 4 included): ``T[b, i, y] = sum_k pwm[b,i,k] p[k, y]``."""
+    return np.matmul(pwms, params.emission)
+
+
+def emissions_batch(pwms: np.ndarray, windows: np.ndarray, params: PHMMParams) -> np.ndarray:
     """Quality-aware match emissions ``p*`` for a batch.
 
     ``pwms`` are ``(B, N, 4)`` read PWMs, ``windows`` ``(B, M)`` genome window
     codes (N = 4 allowed), ``params`` supplies the ``p[k, y]`` table.  Returns
-    ``p*[b, i, j] = sum_k pwm[b,i,k] p[k, window[b,j]]`` as a ``(B, N, M)``
-    view of ``(N, M, B)`` storage, the layout the kernels consume: ``out``
-    when given, else a new array.
+    the ``(B, N, M)`` ``p*[b, i, j] = T[b, i, window[b, j]]`` of
+    :func:`emission_table` ``T``: the kernels' own entries, bit for bit.
     """
     pwms, windows = check_pairs(pwms, windows)
-    B, N, M = pwms.shape[0], pwms.shape[1], windows.shape[1]
-    lanes = np.empty((N, M, B)) if out is None else out
-    view = lanes.transpose(2, 0, 1)
-    # p[k, window[b, j]] as (b, 4, M): one (N, 4) @ (4, M) product per pair,
-    # a few pairs at a time so the batch-major product stays small.
-    for a in range(0, B, _EMIT_PAIRS):
-        b = slice(a, a + _EMIT_PAIRS)
-        emission = params.emission[:, windows[b]].transpose(1, 0, 2)
-        np.copyto(view[b], np.matmul(pwms[b], emission))
-    return view
-
-
-def as_lanes(pstar: np.ndarray) -> np.ndarray:
-    """``(B, N, M)`` emissions as contiguous ``(N, M, B)`` (no copy when they
-    come from :func:`emissions_batch`)."""
-    return np.ascontiguousarray(np.asarray(pstar, dtype=np.float64).transpose(1, 2, 0))
+    return np.take_along_axis(emission_table(pwms, params), windows[:, None, :], axis=2)
 
 
 def check_shape(N: int, M: int, band: BandSpec | None) -> None:
@@ -149,22 +137,47 @@ def charge_pass(kind: str, B: int, N: int, M: int, band: BandSpec | None) -> Non
     reg.inc("phmm.forward_cells" if kind == "forward" else "phmm.backward_cells", n_cells)
 
 
-
-
 def _ptr(a: np.ndarray | None) -> int | None:
     return None if a is None else int(a.ctypes.data)
 
 
+class Workspace:
+    """Grow-only memory one pipeline's lane tiles are cut from (DESIGN §5):
+    every call views the same pages at its own strides, never initialised,
+    as each kernel row writes every column it holds before it is read."""
+
+    def __init__(self) -> None:
+        self.buffers: dict[type, np.ndarray] = {
+            np.float64: np.zeros(0), np.intc: np.zeros(0, dtype=np.intc)
+        }
+
+    def cut(self, dtype: type, *shapes: "tuple[int, ...] | None") -> list[Any]:
+        """C-contiguous views, one per shape (``None`` for ``None``), each
+        on a 64-byte boundary of the ``dtype`` buffer, grown first if need
+        be; the buffers' bytes go to the ``phmm.workspace_bytes`` gauge."""
+        sizes = [0 if shape is None else int(np.prod(shape)) for shape in shapes]
+        starts = np.cumsum([0] + [-(-size // 16) * 16 for size in sizes]).tolist()
+        if starts[-1] > self.buffers[dtype].size:
+            self.buffers[dtype] = np.empty(starts[-1], dtype=dtype)
+        buffer = self.buffers[dtype]
+        metrics().gauge_max("phmm.workspace_bytes", sum(b.nbytes for b in self.buffers.values()))
+        return [
+            None if shape is None else buffer[start : start + size].reshape(shape)
+            for shape, size, start in zip(shapes, sizes, starts)
+        ]
+
+
 class LaneTile:
     """The buffers of one lane tile of ``(N, M)`` pairs and its two kernel
-    calls.
+    calls, cut from ``workspace`` (a private one by default) and reused by
+    equal tiles.
 
-    Cut once per ``(N, M, lanes)`` and reused by equal tiles: each pass
-    rewrites the same cells whatever the emissions, and the cells outside
-    the band stay zero.  ``emissions`` is room for
-    :func:`emissions_batch`'s ``out``.  ``depth`` is the backward store's: ``2`` is the ring
-    the pipeline runs on, ``N+1`` keeps every row (the sanitizer's check and
-    the tests).  ``occupancy`` and ``edge`` switch on the outputs no default
+    :meth:`load` fills the ``(N, columns, lanes)`` emission ``table`` and
+    the ``(M, lanes)`` window ``codes``.  DP row ``i`` holds ``width``
+    columns from ``base[i]``: all ``M+1`` unbanded, the band and its halo
+    when banded.  ``depth`` is the backward store's: ``2`` is the ring the
+    pipeline runs on, ``N+1`` keeps every row (the sanitizer and the
+    tests).  ``occupancy`` and ``edge`` switch on the outputs no default
     caller reads: the match posterior per window column, and the band-edge
     audit (:meth:`~repro.phmm.banded.BandSpec.edge_columns`).
     """
@@ -178,77 +191,98 @@ class LaneTile:
         depth: int = 2,
         occupancy: bool = False,
         edge: bool = False,
+        columns: int = 5,
+        workspace: Workspace | None = None,
     ) -> None:
-        rows = range(N + 1)
-        self.shape = (N, M, lanes)
-        self.bounds = np.array(
-            [(0, M) if band is None else band.row_bounds(i) for i in rows], dtype=np.intc
+        self.shape, self.band = (N, columns, lanes), band
+        bounds = np.array([[0, M]] * (N + 1)) if band is None else band.bounds()
+        self.bounds = bounds.astype(np.intc)
+        self.width = M + 1 if band is None else min(M + 1, 2 * band.width + 3)
+        # The band of row i is i + center +- width; its halo one more.
+        first = np.arange(N + 1) + (0 if band is None else band.center - band.width - 1)
+        self.base = np.clip(first, 0, M + 1 - self.width).astype(np.intc)
+        workspace = workspace or Workspace()
+        row, audit = (3, self.width, lanes), edge and band is not None
+        (self.state, self.store, self.table, self.pwms, self.total, self.z, self.occ,
+         self.cells, self.edge) = workspace.cut(
+            np.float64, (N + 1, *row), (depth, *row), self.shape, (N, 4, lanes), (lanes,),
+            (5, M, lanes), (M, lanes) if occupancy else None,
+            (N + 1, 2, lanes) if audit else None, (lanes,) if audit else None,
         )
-        self.band = band
-        self.emissions = np.empty((N, M, lanes))
-        self.state = np.zeros((N + 1, 3, M + 1, lanes))
-        self.f_exp = np.zeros((N + 1, lanes), dtype=np.intc)
-        self.store = np.zeros((depth, 3, M + 1, lanes))
-        self.b_exp = np.zeros((N + 1, lanes), dtype=np.intc)
-        self.pwms = np.empty((N, 4, lanes))
-        self.total = np.empty(lanes)
-        self.z = np.empty((5, M, lanes))
-        self.occ: np.ndarray | None = np.empty((M, lanes)) if occupancy else None
+        self.f_exp, self.b_exp, self.codes = workspace.cut(
+            np.intc, (N + 1, lanes), (N + 1, lanes), (M, lanes)
+        )
         self.edges: np.ndarray | None = None
-        self.cells: np.ndarray | None = None
-        self.edge: np.ndarray | None = None
-        if edge and band is not None:
-            edges = np.array([band.interior_edges(i) for i in rows], dtype=np.intc)
+        if band is not None and audit:
+            edges = band.edges()
             self.edges = np.where(edges >= 1, edges, -1).astype(np.intc)
-            self.cells = np.empty((N + 1, 2, lanes))
-            self.edge = np.empty(lanes)
 
-    def forward(self, pl: np.ndarray, params: PHMMParams) -> np.ndarray:
-        """Fill the forward state from lane-major emissions ``(N, M, lanes)``;
-        returns the pairs' ``loglik``."""
-        N, M, B = self.shape
+    def load(self, table: np.ndarray, windows: np.ndarray) -> None:
+        """Store a ``(lanes, N, columns)`` emission table lane-major and the
+        ``(lanes, M)`` window codes that index its columns."""
+        if windows.size and not 0 <= windows.min() <= windows.max() < self.shape[1]:
+            raise AlignmentError(f"window codes must index the {self.shape[1]} table columns")
+        np.copyto(self.table, table.transpose(1, 2, 0))
+        np.copyto(self.codes, windows.T)
+
+    def forward(self, table: np.ndarray, params: PHMMParams) -> np.ndarray:
+        """Fill the forward state from a lane-major emission table
+        ``(N, columns, lanes)``; returns the pairs' ``loglik``."""
+        N, K, B = self.shape
         LIB.forward(
-            N, M, B, self._emissions(pl), _ptr(self.bounds), *_params(params),
-            _ptr(self.state), _ptr(self.f_exp),
+            N, B, K, self.width, self._table(table), _ptr(self.codes), _ptr(self.bounds),
+            _ptr(self.base), *_params(params), _ptr(self.state), _ptr(self.f_exp),
         )
-        last = self.state[N]
-        # Free genome suffix, summed along a contiguous j axis: NumPy's
-        # pairwise summation, which a sum down the lane-major rows would
-        # not use.
-        total = np.ascontiguousarray(last[ST_M].T).sum(axis=1)
-        total += np.ascontiguousarray(last[ST_GX].T).sum(axis=1)
-        np.copyto(self.total, total)
+        # Free genome suffix, summed along a contiguous j axis of all M+1
+        # columns: NumPy's pairwise summation, which a sum down the
+        # lane-major rows would not use.
+        last = self._whole(self.state[N:], self.base[N:])[0].transpose(0, 2, 1)
+        total = np.add(last[ST_M].copy().sum(1), last[ST_GX].copy().sum(1), out=self.total)
         with np.errstate(divide="ignore"):
             return np.log(np.maximum(total, 0.0)) + self.f_exp[N] * LN2
 
-    def backward(self, pl: np.ndarray, pwms: np.ndarray, params: PHMMParams) -> None:
-        """Run the backward pass after :meth:`forward` on the same emissions
-        and deposit it: ``z`` (and ``occ``, ``edge`` when cut) for the
+    def backward(self, table: np.ndarray, pwms: np.ndarray, params: PHMMParams) -> None:
+        """Run the backward pass after :meth:`forward` on the same table and
+        deposit it: ``z`` (and ``occ``, ``edge`` when cut) for the
         ``(lanes, N, 4)`` PWMs.  Pairs with ``loglik = -inf`` deposit zeros."""
-        N, M, B = self.shape
+        N, K, B = self.shape
         np.copyto(self.pwms, pwms.transpose(1, 2, 0))
         LIB.backward_deposit(
-            N, M, B, self._emissions(pl), _ptr(self.pwms), _ptr(self.bounds), *_params(params),
+            N, self.codes.shape[0], B, K, self.width, self._table(table), _ptr(self.codes),
+            _ptr(self.pwms), _ptr(self.bounds), _ptr(self.base), *_params(params),
             self.store.shape[0], _ptr(self.store), _ptr(self.b_exp),
             _ptr(self.state), _ptr(self.f_exp), _ptr(self.total),
             _ptr(self.z), _ptr(self.occ), _ptr(self.edges), _ptr(self.cells),
             _ptr(self.edge),
         )
 
-    def _emissions(self, pl: np.ndarray) -> int | None:
-        """``pl``'s address, once it is known to be what the C loops read."""
-        if pl.shape != self.shape or pl.dtype != np.float64 or not pl.flags.c_contiguous:
+    def _table(self, table: np.ndarray) -> int | None:
+        """``table``'s address, once it is known to be what the C loops read."""
+        if table.shape != self.shape or table.dtype != np.float64 or not table.flags.c_contiguous:
             raise AlignmentError(
                 f"lane emissions must be C-contiguous float64 {self.shape}, "
-                f"got {pl.dtype} {pl.shape}"
+                f"got {table.dtype} {table.shape}"
             )
-        return _ptr(pl)
+        return _ptr(table)
+
+    def _whole(self, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """DP rows ``(n, 3, width, B)`` held from columns ``base`` as
+        ``(n, 3, M+1, B)``, zero where no row holds a column (``rows``
+        itself when every row holds all ``M+1``)."""
+        if self.width == self.codes.shape[0] + 1:
+            return rows
+        whole = np.zeros((*rows.shape[:2], self.codes.shape[0] + 1, rows.shape[3]))
+        for row, held, c in zip(whole, rows, base.tolist()):
+            row[:, c : c + self.width] = held
+        return whole
 
     def views(self, kind: str) -> tuple[np.ndarray, ...]:
-        """``(B, N+1, M+1)`` views of a pass's three states and its
-        ``(B, N+1)`` log scales (``"backward"``: only with depth ``N+1``)."""
+        """``(B, N+1, M+1)`` views (copies when banded) of a pass's three
+        states and its ``(B, N+1)`` log scales (``"backward"``: only with
+        depth ``N+1``)."""
         state, exps = (self.state, self.f_exp) if kind == "forward" else (self.store, self.b_exp)
-        return (*(state[:, s].transpose(2, 0, 1) for s in (ST_M, ST_GX, ST_GY)), exps.T * LN2)
+        whole = self._whole(state, self.base)
+        return (*(whole[:, s].transpose(2, 0, 1) for s in (ST_M, ST_GX, ST_GY)), exps.T * LN2)
 
     def check(self, kind: str, loglik: np.ndarray | None = None) -> None:
         """Hand a pass to the sanitizer (:func:`repro.phmm.sanitize.check_pass`)."""
@@ -262,15 +296,16 @@ def _params(params: PHMMParams) -> tuple[float, ...]:
 
 # Whole-batch drivers.  The pipeline never keeps a backward pass; these run
 # the same two LaneTile calls over a whole batch with the backward store at
-# depth N+1 and hand back every matrix as (B, N+1, M+1) views, for the tests
-# and for the ledger's split-kernel replay.
+# depth N+1, p* as the table under the identity codes, and hand back every
+# matrix as (B, N+1, M+1) arrays, for the tests and for the ledger's
+# split-kernel replay.
 
 
 @dataclass
 class ForwardResult:
     """Scaled forward matrices: the true value is
     ``fM[b, i, j] * exp(log_scale[b, i])``; ``loglik`` per pair.  ``tile``
-    and its lane emissions ``pl`` are what a posterior pass re-enters."""
+    is what a posterior pass re-enters."""
 
     fM: np.ndarray
     fGX: np.ndarray
@@ -278,7 +313,6 @@ class ForwardResult:
     log_scale: np.ndarray
     loglik: np.ndarray
     tile: LaneTile
-    pl: np.ndarray
 
 
 @dataclass
@@ -291,32 +325,29 @@ class BackwardResult:
     log_scale: np.ndarray
 
 
-def _batch_lanes(pstar: np.ndarray, mode: str, band: BandSpec | None) -> np.ndarray:
+def _whole_tile(
+    kind: str, pstar: np.ndarray, params: PHMMParams, mode: str, band: BandSpec | None
+) -> tuple[LaneTile, np.ndarray]:
+    """A private depth ``N+1`` tile of ``(B, N, M)`` ``pstar`` under the
+    identity codes, its ``kind`` pass charged, after its forward pass."""
     _check_kernel(mode)
     if np.ndim(pstar) != 3:
         raise AlignmentError(f"pstar must be (B, N, M), got {np.shape(pstar)}")
-    check_shape(np.shape(pstar)[1], np.shape(pstar)[2], band)
-    return as_lanes(pstar)
-
-
-def _whole_tile(
-    pl: np.ndarray, params: PHMMParams, band: BandSpec | None
-) -> tuple[LaneTile, np.ndarray]:
-    N, M, B = pl.shape
-    tile = LaneTile(N, M, B, band, depth=N + 1, occupancy=True, edge=band is not None)
-    return tile, tile.forward(pl, params)
+    B, N, M = np.shape(pstar)
+    check_shape(N, M, band)
+    charge_pass(kind, B, N, M, band)
+    tile = LaneTile(N, M, B, band, depth=N + 1, occupancy=True, edge=True, columns=M)
+    tile.load(np.asarray(pstar, dtype=np.float64), np.broadcast_to(np.arange(M), (B, M)))
+    return tile, tile.forward(tile.table, params)
 
 
 def forward_batch(
     pstar: np.ndarray, params: PHMMParams, mode: str = "semiglobal", band: BandSpec | None = None
 ) -> ForwardResult:
     """The forward pass over a ``(B, N, M)`` emission batch."""
-    pl = _batch_lanes(pstar, mode, band)
-    N, M, B = pl.shape
-    charge_pass("forward", B, N, M, band)
-    tile, loglik = _whole_tile(pl, params, band)
+    tile, loglik = _whole_tile("forward", pstar, params, mode, band)
     fM, fGX, fGY, log_scale = tile.views("forward")
-    return ForwardResult(fM, fGX, fGY, log_scale, loglik, tile, pl)
+    return ForwardResult(fM, fGX, fGY, log_scale, loglik, tile)
 
 
 def backward_batch(
@@ -325,9 +356,6 @@ def backward_batch(
     """The backward pass over a batch, kept whole.  The kernel deposits as
     it goes, so this runs the forward pass it needs first, and discards the
     deposit (of uniform PWMs)."""
-    pl = _batch_lanes(pstar, mode, band)
-    N, M, B = pl.shape
-    charge_pass("backward", B, N, M, band)
-    tile, _ = _whole_tile(pl, params, band)
-    tile.backward(pl, np.full((B, N, 4), 0.25), params)
+    tile, _ = _whole_tile("backward", pstar, params, mode, band)
+    tile.backward(tile.table, np.full(np.shape(pstar)[:2] + (4,), 0.25), params)
     return BackwardResult(*tile.views("backward"))

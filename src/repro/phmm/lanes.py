@@ -32,14 +32,15 @@ SOURCE = Path(__file__).with_name("_lanes.c")
 PACKAGE_CACHE = SOURCE.parent / "__pycache__"
 FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
-_INT, _DBL, _PTR = ctypes.c_int, ctypes.c_double, ctypes.c_void_p
+_INT, _INT64, _DBL, _PTR = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _PARAMS = [_DBL] * 5  # q, T_MM, T_GM, T_MG, T_GG
 _SIGNATURES = {
-    "forward": [_INT, _INT, _INT, _PTR, _PTR, *_PARAMS, _PTR, _PTR],
+    "forward": [_INT, _INT, _INT, _INT, _PTR, _PTR, _PTR, _PTR, *_PARAMS, _PTR, _PTR],
     "backward_deposit": [
-        _INT, _INT, _INT, _PTR, _PTR, _PTR, *_PARAMS, _INT, _PTR, _PTR,
-        _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
+        _INT, _INT, _INT, _INT, _INT, _PTR, _PTR, _PTR, _PTR, _PTR, *_PARAMS, _INT,
+        _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
     ],
+    "scatter_add": [_INT64, _PTR, _PTR, _PTR],
 }
 
 

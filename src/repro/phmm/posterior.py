@@ -86,7 +86,7 @@ def posteriors_batch(
     if fwd.fM.shape != (B, N + 1, M + 1):
         raise AlignmentError("forward result does not match pstar shape")
     tile = fwd.tile
-    tile.backward(fwd.pl, np.asarray(pwms, dtype=np.float64), params)
+    tile.backward(tile.table, np.asarray(pwms, dtype=np.float64), params)
     z = tile.z.copy()
     occ = None if tile.occ is None else tile.occ.copy()
     return PosteriorResult(

@@ -165,9 +165,9 @@ def check_band(
     """Band mass conservation: banded DP matrices are exactly zero outside
     the band.
 
-    The banded kernels *never write* outside the band, so any non-zero mass
-    there means an index-arithmetic bug leaked probability across the band
-    boundary — the invariant the escape-hatch accounting rests on.
+    The banded kernels write only zeros outside the band, so any non-zero
+    mass there means an index-arithmetic bug leaked probability across the
+    band boundary — the invariant the escape-hatch accounting rests on.
     """
     outside = band.outside_mask()[None, :, :]
     for name, arr in (("M", sM), ("GX", sGX), ("GY", sGY)):

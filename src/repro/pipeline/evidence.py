@@ -20,7 +20,7 @@ from repro.index.seeding import SeedBlock
 from repro.memory.base import Accumulator
 from repro.observability import span
 from repro.phmm.alignment import align_batch, align_batch_banded, build_windows
-from repro.phmm.forward_backward import emissions_batch
+from repro.phmm.forward_backward import Workspace, emissions_batch
 from repro.phmm.pwm import flat_pwm, pwm_from_codes
 from repro.phmm.viterbi import viterbi_align
 from repro.pipeline.config import PipelineConfig
@@ -98,9 +98,10 @@ def cut_windows(
 
 
 def align_pairs(
-    genome_codes: np.ndarray, stack: PairStack, cfg: PipelineConfig
+    genome_codes: np.ndarray, stack: PairStack, cfg: PipelineConfig, workspace: Workspace
 ) -> PairEvidence:
-    """Cut the stack's windows and run the configured evidence kernel."""
+    """Cut the stack's windows and run the configured evidence kernel on
+    tiles cut from ``workspace`` (its caller's own)."""
     pwms, windows, valid = cut_windows(genome_codes, stack, cfg)
     if cfg.posterior_mode == "viterbi":
         z, loglik = _viterbi_evidence(pwms, windows, valid, cfg)
@@ -117,10 +118,12 @@ def align_pairs(
                 valid=valid,
                 groups=stack.seeded.read,
                 escape_min_ratio=cfg.min_ratio,
+                workspace=workspace,
             )
         else:
             outcome = align_batch(
-                pwms, windows, cfg.phmm, edge_policy=cfg.edge_policy, valid=valid
+                pwms, windows, cfg.phmm, edge_policy=cfg.edge_policy, valid=valid,
+                workspace=workspace,
             )
         z, loglik = outcome.z, outcome.loglik
     return PairEvidence(z, loglik, stack.seeded.start, stack.seeded.strand, stack.seeded.read)

@@ -33,6 +33,7 @@ from repro.memory.base import Accumulator, make_accumulator
 from repro.observability import current, scope, span
 from repro.observability.snapshot import MetricsSnapshot
 from repro.phmm import sanitize
+from repro.phmm.forward_backward import Workspace
 from repro.phmm.scoring import group_normalize
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.evidence import PairEvidence, PairStack, align_pairs, deposit, read_slices
@@ -112,7 +113,12 @@ class CallResult:
 
 
 class GnumapSnp:
-    """Serial GNUMAP-SNP pipeline bound to one reference genome."""
+    """Serial GNUMAP-SNP pipeline bound to one reference genome.
+
+    It owns the one :class:`~repro.phmm.forward_backward.Workspace` its
+    kernel calls are cut from, so a pipeline maps in one thread at a time;
+    each pool worker and each simulated-cluster rank builds its own.
+    """
 
     def __init__(
         self,
@@ -149,6 +155,7 @@ class GnumapSnp:
             )
         self.seeder = Seeder(self.index, cfg.seeder)
         self.caller = SNPCaller(cfg.caller)
+        self.workspace = Workspace()
 
     def use_index(self, index: GenomeIndex) -> None:
         """Seed from ``index``, an equal copy of this pipeline's index (the
@@ -229,7 +236,8 @@ class GnumapSnp:
     def _align(self, reads: "list[Read]", seeded: SeedBlock) -> PairEvidence:
         with span("align"):
             return align_pairs(
-                self.reference.codes, PairStack(reads, seeded, self.config), self.config
+                self.reference.codes, PairStack(reads, seeded, self.config), self.config,
+                self.workspace,
             )
 
     def weigh(self, loglik: np.ndarray, groups: np.ndarray) -> np.ndarray:

@@ -91,7 +91,8 @@ MAX_CHUNK_READS = 2048
 @dataclass
 class _WorkerState:
     """What :func:`_init_pool_worker` builds once per worker process (so the
-    reference is never re-pickled per chunk) and hands every :func:`_map_chunk`."""
+    reference is never re-pickled per chunk, and every chunk reuses the
+    pipeline's one DP workspace) and hands every :func:`_map_chunk`."""
 
     pipe: GnumapSnp
     faults: FaultPlan

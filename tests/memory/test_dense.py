@@ -23,6 +23,19 @@ class TestDenseAccumulator:
         acc.add(np.array([1, 1, 1]), np.ones((3, 5)))
         assert acc.snapshot()[1].tolist() == [3.0] * 5
 
+    def test_add_rounds_row_by_row_in_order_as_np_add_at(self):
+        """The compiled scatter-add keeps ``np.add.at``'s float32 bits:
+        repeated positions, rows in order, strided inputs."""
+        rng = np.random.default_rng(8)
+        positions = rng.integers(0, 7, 400)
+        z = rng.exponential(1e-3, (400, 10))[:, ::2]  # not C-contiguous
+        acc = DenseAccumulator(7)
+        for lo in range(0, 400, 150):
+            acc.add(positions[lo : lo + 150], z[lo : lo + 150])
+        want = np.zeros((7, 5), dtype=np.float32)
+        np.add.at(want, positions, z.astype(np.float32))
+        assert acc.to_buffers()["z"].tobytes() == want.tobytes()
+
     def test_empty_add(self):
         acc = DenseAccumulator(4)
         acc.add(np.array([], dtype=np.int64), np.zeros((0, 5)))

@@ -32,9 +32,7 @@ from repro.pipeline.mp_backend import chunk_count
 
 #: Child spans of `align` (window cutting, then the kernel's layers) and of
 #: `seed`.
-ALIGN_LAYERS = (
-    "pwm", "windows", "workspace", "emissions", "forward", "backward", "zvec",
-)
+ALIGN_LAYERS = ("pwm", "windows", "emissions", "forward", "backward", "zvec")
 SEED_LAYERS = ("lookup", "cluster", "filter", "rank")
 
 #: Counters that must not depend on how the work is partitioned.

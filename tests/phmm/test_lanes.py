@@ -48,6 +48,15 @@ def test_emissions_the_tile_was_not_cut_for_never_reach_the_c_loops(pl):
         tile.backward(pl, np.full((5, 7, 4), 0.25), PHMMParams())
 
 
+@pytest.mark.parametrize("code", (5, -1))
+def test_codes_past_the_table_never_reach_the_c_loops(code):
+    tile = LaneTile(7, 11, 5, None)
+    windows = np.zeros((5, 11), dtype=np.int64)
+    windows[2, 3] = code
+    with pytest.raises(AlignmentError, match="table columns"):
+        tile.load(np.full((5, 7, 5), 0.25), windows)
+
+
 def test_missing_compiler_is_a_typed_error_and_no_fallback(monkeypatch, tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()

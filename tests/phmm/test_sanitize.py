@@ -22,7 +22,7 @@ from repro.memory.dense import DenseAccumulator
 from repro.observability import span
 from repro.phmm import alignment, sanitize
 from repro.phmm.alignment import align_batch
-from repro.phmm.forward_backward import LaneTile, emissions_batch
+from repro.phmm.forward_backward import LaneTile, emission_table
 from repro.phmm.model import PHMMParams
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.gnumap import GnumapSnp
@@ -156,16 +156,16 @@ class TestKernelHooks:
         assert np.isfinite(result.loglik).all()
 
     def test_corrupted_forward_raises_only_when_enabled(self, monkeypatch):
-        """Seeded fault: a NaN in the lane-major emissions the forward pass
-        reads (past the emission check, which sees the clean array)."""
-        real_as_lanes = alignment.as_lanes
+        """Seeded fault: a NaN in the lane-major table the forward pass reads,
+        planted as the tile stores it (past the emission check, which sees
+        the clean table)."""
+        real_load = LaneTile.load
 
-        def poisoned(pstar):
-            pl = real_as_lanes(pstar).copy()
-            pl[0, 0, 0] = np.nan
-            return pl
+        def poisoned(tile, table, windows):
+            real_load(tile, table, windows)
+            tile.table[0, :, 0] = np.nan  # every code of lane 0's first row
 
-        monkeypatch.setattr(alignment, "as_lanes", poisoned)
+        monkeypatch.setattr(LaneTile, "load", poisoned)
         # Default mode: the corruption flows through silently.
         result = align_batch(*self._batch(), self.PARAMS)
         assert np.isnan(result.z).any() or np.isnan(result.loglik).any()
@@ -175,15 +175,14 @@ class TestKernelHooks:
                 align_batch(*self._batch(), self.PARAMS)
 
     def test_emission_corruption_attributed_to_stage(self, workload, monkeypatch):
-        """A poisoned emission kernel fails inside map_reads/align."""
+        """A poisoned emission table fails inside map_reads/align."""
 
-        def poisoned_emissions(pwms, windows, params, out=None):
-            out = emissions_batch(pwms, windows, params, out)
-            out = out.copy()
-            out.flat[0] = np.nan
-            return out
+        def poisoned_table(pwms, params):
+            table = emission_table(pwms, params)
+            table.flat[0] = np.nan
+            return table
 
-        monkeypatch.setattr(alignment, "emissions_batch", poisoned_emissions)
+        monkeypatch.setattr(alignment, "emission_table", poisoned_table)
         pipe = GnumapSnp(workload.reference, PipelineConfig())
         with sanitize.sanitized():
             with pytest.raises(SanitizerError) as exc_info:
@@ -203,7 +202,7 @@ class TestKernelHooks:
 
         def poisoned_forward(tile, pl, params):
             loglik = real_forward(tile, pl, params)
-            pl[-1, 0] = np.nan  # read by backward row N-1, column 0
+            pl[-1, 0] = np.nan  # row N, code A: read by backward row N-1
             return loglik
 
         monkeypatch.setattr(LaneTile, "forward", poisoned_forward)

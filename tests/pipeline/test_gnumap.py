@@ -289,3 +289,42 @@ class TestSeedLenThreading:
         assert {(s.pos, s.alt_name) for s in filt.snps} == {
             (s.pos, s.alt_name) for s in result.snps
         }
+
+
+class TestWorkspace:
+    """Each pipeline owns the one workspace its kernel calls are cut from."""
+
+    @pytest.mark.parametrize("band_mode", ["off", "adaptive"])
+    def test_two_pipelines_in_two_threads_give_serial_bytes(self, workload, band_mode):
+        import threading
+
+        config = PipelineConfig(band_mode=band_mode)
+        want = GnumapSnp(workload.reference, config).map_reads(workload.reads).to_buffers()
+        pipes = [GnumapSnp(workload.reference, config) for _ in range(2)]
+        start, got = threading.Barrier(2), [None, None]
+
+        def run(k):
+            start.wait()
+            got[k] = pipes[k].map_reads(workload.reads).to_buffers()
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for buffers in got:
+            assert buffers.keys() == want.keys()
+            for key in want:
+                assert buffers[key].tobytes() == want[key].tobytes(), key
+
+    def test_a_second_map_reads_allocates_no_new_dp_buffer(self, workload):
+        pipe = GnumapSnp(workload.reference, PipelineConfig())
+        with scope() as reg:
+            pipe.map_reads(workload.reads)
+        buffers = pipe.workspace.buffers
+        held = [buffer.ctypes.data for buffer in buffers.values()]
+        assert reg.snapshot().gauges["phmm.workspace_bytes"] == sum(
+            buffer.nbytes for buffer in buffers.values()
+        )
+        pipe.map_reads(workload.reads)
+        assert [buffer.ctypes.data for buffer in buffers.values()] == held
