@@ -4,13 +4,11 @@ An accumulator owns the evidence state for a contiguous range of genome
 positions (the whole genome in read-spread mode, one segment in
 memory-spread mode).  The contract:
 
-* :meth:`add` scatters a batch of z contributions (positions may repeat
-  within a batch; contributions to the same position are combined in real
-  space before any discretisation, so one quantisation cycle happens per
-  ``add`` call per position).  A position's new state depends only on its
-  old state and its own contributions, never on what shares the call:
-  ``deposit`` keeps the paper's one cycle per pair per position by giving
-  each call a position at most once,
+* :meth:`add` applies one update cycle per row of z, rows in order (for the
+  quantising modes: de-quantise, add, re-quantise; a position named twice
+  is cycled twice).  A position's new state depends only on its old state
+  and its own rows, never on what shares the call, so ``deposit`` passes a
+  batch's live cells in pair order in one call,
 * :meth:`snapshot` reconstructs the dense ``(P, 5)`` float64 evidence for
   the calling stage,
 * :meth:`merge` folds another accumulator's state in (the MPI reduction),
@@ -35,9 +33,6 @@ class Accumulator(ABC):
 
     #: Registry name, e.g. "NORM"; set by subclasses.
     name: str = "?"
-    #: True when ``add`` never quantises, so any split of a batch into calls
-    #: leaves the same state; ``deposit`` picks its schedule from this.
-    linear: bool = False
 
     def __init__(self, length: int) -> None:
         if length <= 0:
@@ -45,7 +40,8 @@ class Accumulator(ABC):
         self.length = length
 
     def _check_add(self, positions: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        positions = np.asarray(positions, dtype=np.int64)
+        """Checked, clamped, C-contiguous ``(positions, z)`` for the update loops."""
+        positions = np.ascontiguousarray(positions, dtype=np.int64)
         z = np.asarray(z, dtype=np.float64)
         if positions.ndim != 1:
             raise AccumulatorError("positions must be 1-D")
@@ -59,11 +55,11 @@ class Accumulator(ABC):
             raise AccumulatorError("z contributions must be non-negative")
         if sanitize.enabled():
             sanitize.check_accumulator(z, where="accumulator.add")
-        return positions, np.maximum(z, 0.0)
+        return positions, np.ascontiguousarray(np.maximum(z, 0.0))
 
     @abstractmethod
     def add(self, positions: np.ndarray, z: np.ndarray) -> None:
-        """Scatter-add ``z[k]`` into position ``positions[k]``."""
+        """Cycle ``z[k]`` into position ``positions[k]``, for k in order."""
 
     @abstractmethod
     def snapshot(self) -> np.ndarray:

@@ -8,7 +8,9 @@ relevance — pure-base states and transition mixtures (A/G, C/T) are
 over-represented relative to transversions and gap-heavy states, because
 those are the distributions resequencing data actually produces.
 
-Two update modes, selected by ``update_mode``:
+Two update modes, selected by ``update_mode``, each one cycle per
+:meth:`~CentroidAccumulator.add` row in row order
+(``_lanes.c::centdisc_add``):
 
 ``"lut"`` (default — the paper's behaviour)
     Every update is a lookup in the precomputed 256x256 *equal-weight* merge
@@ -42,11 +44,9 @@ import numpy as np
 
 from repro.errors import AccumulatorError
 from repro.memory.base import Accumulator
+from repro.phmm.lanes import LIB
 
 _K = 256
-#: Rows per GEMM in ``nearest`` (its distance matrix stays in L2) and the gap
-#: under which the GEMM's argmin is not trusted (its error is ~1e-15).
-_BLOCK, _TIE = 128, 1e-12
 #: Simplex grid resolution used to enumerate candidate centroids.
 _GRID = 8
 
@@ -108,6 +108,8 @@ class CentroidCodebook:
         if not np.allclose(sums[1:], 1.0, atol=1e-6):
             raise AccumulatorError("centroids (except slot 0) must sum to 1")
         self.centroids = centroids
+        # Channel-major copy and squared norms for ``_lanes.c``'s search.
+        self._cols = np.ascontiguousarray(centroids.T)
         self._sq_norms = (centroids**2).sum(axis=1)
         self._reduce_table: np.ndarray | None = None
 
@@ -144,29 +146,20 @@ class CentroidCodebook:
     def nearest(self, fractions: np.ndarray) -> np.ndarray:
         """Nearest centroid index per ``(U, 5)`` simplex row (Euclidean).
 
-        A row's answer is the argmin of a fixed-order five-term sum, whatever
-        shares the call: the GEMM, whose low bits move with the row count,
-        decides only rows whose best two distances lie further apart than
-        its error.  Rows are walked in L2-sized blocks.
+        The empty slot 0 never matches.  A row's answer is the first minimum
+        of ``|c|^2 - 2 f.c`` with the dot product summed in channel order
+        (``_lanes.c::nearest``), so it never depends on what shares the call.
         """
-        f = np.atleast_2d(np.asarray(fractions, dtype=np.float64))
-        if f.shape[1] != 5:
+        f = np.ascontiguousarray(np.atleast_2d(fractions), dtype=np.float64)
+        if f.ndim != 2 or f.shape[1] != 5:
             raise AccumulatorError(f"fractions must be (U, 5), got {f.shape}")
-        # exclude the empty slot 0 from matching: occupied states only
-        cents, norms = self.centroids[1:], self._sq_norms[1:]
         out = np.empty(f.shape[0], dtype=np.uint8)
-        for a in range(0, f.shape[0], _BLOCK):
-            rows = f[a : a + _BLOCK]
-            d = norms - 2.0 * (rows @ cents.T)
-            best, each = d.argmin(axis=1), np.arange(rows.shape[0])
-            lowest = d[each, best]
-            d[each, best] = np.inf
-            tied = np.flatnonzero(d.min(axis=1) - lowest <= _TIE)
-            if tied.size:
-                dot = sum(rows[tied, ch, None] * cents[:, ch] for ch in range(5))
-                best[tied] = (norms - 2.0 * dot).argmin(axis=1)
-            out[a : a + _BLOCK] = best + 1
+        LIB.centroid_nearest(f.shape[0], f.ctypes.data, *self._search(), out.ctypes.data)
         return out
+
+    def _search(self) -> "tuple[int, int]":
+        """Pointers to the codebook as ``_lanes.c``'s search reads it."""
+        return self._cols.ctypes.data, self._sq_norms.ctypes.data
 
     def reduce_table(self) -> np.ndarray:
         """Equal-weight merge LUT: ``table[i, j]`` = nearest((c_i + c_j) / 2).
@@ -215,33 +208,12 @@ class CentroidAccumulator(Accumulator):
 
     def add(self, positions: np.ndarray, z: np.ndarray) -> None:
         positions, z = self._check_add(positions, z)
-        if positions.size == 0:
-            return
-        upos, inverse = np.unique(positions, return_inverse=True)
-        delta = np.zeros((upos.size, 5))
-        np.add.at(delta, inverse, z)
-        totals = self._total[upos].astype(np.float64)
-        delta_sum = delta.sum(axis=1)
-        new_totals = totals + delta_sum
-        new_idx = self._idx[upos].copy()
-        if self.update_mode == "lut":
-            # Paper-faithful: quantise the contribution, then merge via the
-            # equal-weight lookup table (each update counts as half).
-            has_new = delta_sum > 0
-            if has_new.any():
-                frac_new = delta[has_new] / delta_sum[has_new, None]
-                c_new = self.codebook.nearest(frac_new)
-                table = self.codebook.reduce_table()
-                new_idx[has_new] = table[new_idx[has_new], c_new]
-        else:
-            real = self.codebook.centroids[new_idx] * totals[:, None]
-            real += delta
-            occupied = new_totals > 0
-            fractions = np.zeros_like(real)
-            fractions[occupied] = real[occupied] / new_totals[occupied, None]
-            new_idx[occupied] = self.codebook.nearest(fractions[occupied])
-        self._idx[upos] = new_idx
-        self._total[upos] = new_totals.astype(np.float32)
+        table = self.codebook.reduce_table() if self.update_mode == "lut" else None
+        LIB.centdisc_add(
+            positions.size, positions.ctypes.data, z.ctypes.data,
+            self._total.ctypes.data, self._idx.ctypes.data, *self.codebook._search(),
+            None if table is None else table.ctypes.data,
+        )
 
     def snapshot(self) -> np.ndarray:
         return (

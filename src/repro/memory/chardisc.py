@@ -8,9 +8,9 @@ full scale — we follow the examples: ``fraction = byte / 255``, with
 largest-remainder rounding so that bytes always sum to exactly 255 at any
 occupied position (the class invariant).
 
-Update cycle, per :meth:`add` call and position: de-quantise
-(``real = byte/255 * total``), add the new contribution, re-quantise with
-the new total.  Saturation behaves exactly as the paper describes: once the
+Update cycle, per :meth:`add` row in row order (``_lanes.c::chardisc_add``):
+de-quantise (``real = byte/255 * total``), add the row, re-quantise with the
+new total.  Saturation behaves exactly as the paper describes: once the
 total exceeds ~255, a single new read's contribution rounds to less than one
 byte step and signal stops moving — acceptable below ~255x coverage.
 """
@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.errors import AccumulatorError
 from repro.memory.base import Accumulator
+from repro.phmm.lanes import LIB
 
 _SCALE = 255
 
@@ -28,29 +29,16 @@ _SCALE = 255
 def quantize_rows(real: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Largest-remainder quantisation of ``(U, 5)`` rows to bytes summing to 255.
 
-    Rows with ``totals <= 0`` quantise to all-zero bytes.
+    Rows with ``totals <= 0`` quantise to all-zero bytes.  The rounding is
+    ``add``'s (``_lanes.c::quantize``).
     """
-    real = np.asarray(real, dtype=np.float64)
-    totals = np.asarray(totals, dtype=np.float64)
-    if real.ndim != 2 or real.shape[1] != 5:
-        raise AccumulatorError(f"real must be (U, 5), got {real.shape}")
-    occupied = totals > 0
-    raw = np.zeros_like(real)
-    raw[occupied] = real[occupied] / totals[occupied, None] * _SCALE
-    floors = np.floor(raw)
-    remainder = raw - floors
-    deficit = (_SCALE - floors.sum(axis=1)).astype(np.int64)
-    deficit = np.where(occupied, deficit, 0)
-    # Rank channels by remainder (descending, index-stable) and top up the
-    # `deficit` largest per row.
-    order = np.argsort(-remainder - np.arange(5) * 1e-12, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(real.shape[0])[:, None]
-    ranks[rows, order] = np.arange(5)[None, :]
-    out = floors + (ranks < deficit[:, None])
-    if (out < 0).any() or (out > _SCALE).any():  # pragma: no cover - invariant
-        raise AccumulatorError("quantisation out of byte range")
-    return out.astype(np.uint8)
+    real = np.ascontiguousarray(real, dtype=np.float64)
+    totals = np.ascontiguousarray(totals, dtype=np.float64)
+    if real.ndim != 2 or real.shape[1] != 5 or totals.shape != real.shape[:1]:
+        raise AccumulatorError(f"real must be (U, 5) beside (U,) totals, got {real.shape}")
+    out = np.empty(real.shape, dtype=np.uint8)
+    LIB.chardisc_quantize(real.shape[0], real.ctypes.data, totals.ctypes.data, out.ctypes.data)
+    return out
 
 
 class ByteAccumulator(Accumulator):
@@ -65,17 +53,10 @@ class ByteAccumulator(Accumulator):
 
     def add(self, positions: np.ndarray, z: np.ndarray) -> None:
         positions, z = self._check_add(positions, z)
-        if positions.size == 0:
-            return
-        upos, inverse = np.unique(positions, return_inverse=True)
-        delta = np.zeros((upos.size, 5))
-        np.add.at(delta, inverse, z)
-        totals = self._total[upos].astype(np.float64)
-        real = self._bytes[upos].astype(np.float64) / _SCALE * totals[:, None]
-        real += delta
-        new_totals = totals + delta.sum(axis=1)
-        self._bytes[upos] = quantize_rows(real, new_totals)
-        self._total[upos] = new_totals.astype(np.float32)
+        LIB.chardisc_add(
+            positions.size, positions.ctypes.data, z.ctypes.data,
+            self._total.ctypes.data, self._bytes.ctypes.data,
+        )
 
     def snapshot(self) -> np.ndarray:
         return (

@@ -18,7 +18,6 @@ class DenseAccumulator(Accumulator):
     """``(length, 5)`` float32 evidence matrix with scatter-add updates."""
 
     name = "NORM"
-    linear = True
 
     def __init__(self, length: int) -> None:
         super().__init__(length)
@@ -26,7 +25,6 @@ class DenseAccumulator(Accumulator):
 
     def add(self, positions: np.ndarray, z: np.ndarray) -> None:
         positions, z = self._check_add(positions, z)
-        positions, z = np.ascontiguousarray(positions), np.ascontiguousarray(z)
         # Row by row in order, rounding each row to float32 as it lands
         # (np.add.at's bits, repeated positions included).
         LIB.scatter_add(positions.size, positions.ctypes.data, z.ctypes.data, self._z.ctypes.data)

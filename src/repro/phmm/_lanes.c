@@ -1,7 +1,9 @@
 /*
  * Lane-major Pair-HMM kernels: the forward pass, and the backward pass with
- * the posterior deposit fused into it (DESIGN §5, §12); and NORM's
- * scatter-add.  Loaded by repro/phmm/lanes.py through ctypes.
+ * the posterior deposit fused into it (DESIGN §5, §12); and the three
+ * accumulators' update loops, one cycle per row in row order (NORM's
+ * scatter-add, CHARDISC's and CENTDISC's de-quantise / add / re-quantise).
+ * Loaded by repro/phmm/lanes.py through ctypes.
  *
  * Layouts, all C-contiguous with the pair (the lane) innermost:
  *   tab    (N, K, B)          emission table, per read row
@@ -295,4 +297,117 @@ void scatter_add(int64_t n, const int64_t *pos, const double *z, float *acc)
     for (int64_t r = 0; r < n; r++)
         for (int c = 0; c < 5; c++)
             acc[pos[r] * 5 + c] += (float)z[r * 5 + c];
+}
+
+/* CHARDISC's largest-remainder quantisation of one row to bytes summing to
+ * 255 (all zero unless total > 0): floor each channel's real / total * 255,
+ * then top up the `deficit` channels of largest remainder, ties to the lower
+ * channel.  The key -(raw - floor) - c * 1e-12 and the rank, a stable
+ * argsort's count of keys that sort before, are NumPy's. */
+static void quantize(const double *real, double total, uint8_t *out)
+{
+    double key[5];
+    int64_t fl[5], deficit = 255;
+    if (!(total > 0)) {
+        memset(out, 0, 5);
+        return;
+    }
+    for (int c = 0; c < 5; c++) {
+        double raw = real[c] / total * 255.0;
+        fl[c] = (int64_t)raw; /* floor: raw >= 0 */
+        deficit -= fl[c];
+        key[c] = -(raw - (double)fl[c]) - c * 1e-12;
+    }
+    for (int c = 0; c < 5; c++) {
+        int rank = 0;
+        for (int d = 0; d < 5; d++)
+            rank += (key[d] < key[c]) | ((d < c) & (key[d] == key[c]));
+        out[c] = (uint8_t)(fl[c] + (rank < deficit));
+    }
+}
+
+/* quantize() over n rows of real (n, 5) and total (n). */
+void chardisc_quantize(int64_t n, const double *real, const double *total, uint8_t *out)
+{
+    for (int64_t r = 0; r < n; r++)
+        quantize(real + r * 5, total[r], out + r * 5);
+}
+
+/* A row's contribution as NumPy's delta held it (0.0 + z) and its sum,
+ * left to right as NumPy's sum over a row of five. */
+static double contribution(const double *zr, double *d)
+{
+    for (int c = 0; c < 5; c++)
+        d[c] = 0.0 + zr[c];
+    return (((d[0] + d[1]) + d[2]) + d[3]) + d[4];
+}
+
+/* CHARDISC, one cycle per row in row order: de-quantise the position's
+ * state (b / 255 * total), add the row, re-quantise at the new total.  The
+ * float32 total and the bytes are the cycle's two rounding points. */
+void chardisc_add(int64_t n, const int64_t *pos, const double *z, float *total, uint8_t *bytes)
+{
+    for (int64_t r = 0; r < n; r++) {
+        uint8_t *b = bytes + pos[r] * 5;
+        double d[5], real[5], t = (double)total[pos[r]];
+        double next = t + contribution(z + r * 5, d);
+        for (int c = 0; c < 5; c++)
+            real[c] = b[c] / 255.0 * t + d[c];
+        quantize(real, next, b);
+        total[pos[r]] = (float)next;
+    }
+}
+
+/* CENTDISC's nearest centroid to the row f among slots 1..255 (slot 0 is
+ * the empty state): the first minimum of |c|^2 - 2 f.c, the dot product
+ * summed in channel order.  cols (5, 256) holds the codebook channel-major,
+ * so the distance loop runs across centroids. */
+static uint8_t nearest(const double *f, const double *cols, const double *norms)
+{
+    double dist[256];
+    int best = 1;
+    for (int k = 1; k < 256; k++) {
+        double dot = f[0] * cols[k] + f[1] * cols[256 + k];
+        dot = dot + f[2] * cols[512 + k];
+        dot = dot + f[3] * cols[768 + k];
+        dot = dot + f[4] * cols[1024 + k];
+        dist[k] = norms[k] - 2.0 * dot;
+    }
+    for (int k = 2; k < 256; k++)
+        if (dist[k] < dist[best])
+            best = k;
+    return (uint8_t)best;
+}
+
+/* nearest() over n rows of f (n, 5). */
+void centroid_nearest(int64_t n, const double *f, const double *cols, const double *norms,
+                      uint8_t *out)
+{
+    for (int64_t r = 0; r < n; r++)
+        out[r] = nearest(f + r * 5, cols, norms);
+}
+
+/* CENTDISC, one cycle per row in row order.  With a merge table (the
+ * paper's update) a row with mass moves the state to table[state][nearest
+ * (row / its sum)]; with none (the weighted update) the state is
+ * de-quantised at its total, the row added, and the sum re-quantised to its
+ * nearest centroid at the new total. */
+void centdisc_add(int64_t n, const int64_t *pos, const double *z, float *total, uint8_t *idx,
+                  const double *cols, const double *norms, const uint8_t *table)
+{
+    for (int64_t r = 0; r < n; r++) {
+        double d[5], f[5], t = (double)total[pos[r]];
+        double mass = contribution(z + r * 5, d), next = t + mass;
+        uint8_t *s = idx + pos[r];
+        if (table && mass > 0) {
+            for (int c = 0; c < 5; c++)
+                f[c] = d[c] / mass;
+            *s = table[*s * 256 + nearest(f, cols, norms)];
+        } else if (!table && next > 0) {
+            for (int c = 0; c < 5; c++)
+                f[c] = (cols[c * 256 + *s] * t + d[c]) / next;
+            *s = nearest(f, cols, norms);
+        }
+        total[pos[r]] = (float)next;
+    }
 }

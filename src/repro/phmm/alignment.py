@@ -265,10 +265,13 @@ def align_batch_banded(
     escaped = np.zeros(B, dtype=bool)
 
     # An empty batch has no buckets (np.unique of no centers) and no escapes.
-    for center in np.unique(centers):
-        sel = np.nonzero(centers == center)[0]
+    buckets = np.unique(centers)
+    for center in buckets:
+        # The pipeline's usual batch is one bucket: its arrays as they are.
+        sel = slice(None) if buckets.size == 1 else np.nonzero(centers == center)[0]
         band = BandSpec(n=N, m=M, center=int(center), width=band_w)
-        if band.n_cells() == 0:
+        cells = band.n_cells()
+        if cells == 0:
             # The band slid entirely off the matrix for every DP row: no
             # in-band path exists, so the bucket's pairs are dead under the
             # band (-inf, zero mass) without running the kernels; with the
@@ -278,7 +281,8 @@ def align_batch_banded(
             loglik[sel] = -np.inf
             escaped[sel] = adaptive
             continue
-        metrics().observe("phmm.pair_cells", float(band.n_cells()), count=int(sel.size))
+        pairs = int(np.count_nonzero(centers == center))
+        metrics().observe("phmm.pair_cells", float(cells), count=pairs)
         z[sel], loglik[sel], edge = _align_streamed(
             pwms[sel], windows[sel], params, edge_policy, band, want_edge=adaptive,
             workspace=workspace,

@@ -41,6 +41,10 @@ _SIGNATURES = {
         _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR,
     ],
     "scatter_add": [_INT64, _PTR, _PTR, _PTR],
+    "chardisc_quantize": [_INT64, _PTR, _PTR, _PTR],
+    "chardisc_add": [_INT64, _PTR, _PTR, _PTR, _PTR],
+    "centroid_nearest": [_INT64, _PTR, _PTR, _PTR, _PTR],
+    "centdisc_add": [_INT64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
 }
 
 

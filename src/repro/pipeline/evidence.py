@@ -161,23 +161,12 @@ def deposit(
 ) -> None:
     """Add each pair's z, scaled by its weight, at its genome columns.
 
-    A quantising accumulator owes each position one cycle per pair, in pair
-    order, and positions are independent: round k adds every column's k-th
-    live cell, so a batch costs its deepest column's depth in ``add`` calls,
-    each holding a column at most once.  A linear one is the one-round case.
+    One ``add`` whose rows are the batch's live cells in pair order: the
+    accumulator cycles each row in turn, so every position takes one
+    update per pair, in pair order, as the paper's per-pair loop does.
     """
     width = evidence.z.shape[1]
     cols = (evidence.starts - cfg.pad)[:, None] + np.arange(width)[None, :]
     live = (cols >= 0) & (cols < acc.length) & (weights[:, None] > 0)
     cell = np.flatnonzero(live)  # the live cells, in pair order
-    cols, ends = cols.ravel()[cell], [cell.size]
-    if not acc.linear:
-        by_col = np.argsort(cols, kind="stable")
-        heads = np.flatnonzero(np.diff(cols[by_col], prepend=-1))
-        rank = np.arange(cols.size) - np.repeat(heads, np.diff(heads, append=cols.size))
-        order = by_col[np.argsort(rank, kind="stable")]
-        cols, cell = cols[order], cell[order]  # each round a contiguous slice
-        ends = np.cumsum(np.bincount(rank)).tolist()
-    zw = evidence.z.reshape(-1, 5)[cell] * weights[cell // width, None]
-    for a, b in zip([0, *ends], ends):
-        acc.add(cols[a:b], zw[a:b])
+    acc.add(cols.ravel()[cell], evidence.z.reshape(-1, 5)[cell] * weights[cell // width, None])

@@ -1,6 +1,6 @@
 """``PairStack``: the array-built stack and its block-built PWMs against the
-per-read oracle; ``deposit`` forming its own columns and regrouping a
-batch's per-pair adds into conflict-free rounds, against the per-pair loop."""
+per-read oracle; ``deposit`` forming its own columns and adding a batch's
+live cells in one call, against the per-pair loop."""
 
 import numpy as np
 import pytest
@@ -102,14 +102,14 @@ def test_deposit_forms_columns_from_starts():
     np.testing.assert_array_equal(acc.snapshot()[:, 0], want)
 
 
-# -- deposit in rounds == the per-pair loop -----------------------------------
+# -- deposit in one call == the per-pair loop ---------------------------------
 
 KINDS = ["NORM", "CHARDISC", "CENTDISC", "CENTDISC_WEIGHTED"]
 
 
 def deposit_by_loop(acc, evidence, weights, cfg):
-    """The per-pair loop ``deposit`` ran for quantising accumulators before
-    it regrouped a batch into rounds: one ``add`` per pair, in pair order."""
+    """The per-pair loop ``deposit`` once ran for quantising accumulators:
+    one ``add`` per pair, in pair order."""
     zw = evidence.z * weights[:, None, None]
     cols = (evidence.starts - cfg.pad)[:, None] + np.arange(zw.shape[1])[None, :]
     live = (cols >= 0) & (cols < acc.length) & (weights[:, None] > 0)
@@ -134,11 +134,11 @@ def _assert_same_buffers(got, want):
 
 
 def _recorded_adds(acc):
-    """Make ``acc`` record the positions of every ``add`` it is given."""
+    """Make ``acc`` record the positions and rows of every ``add`` it is given."""
     calls, add = [], acc.add
 
     def recording(positions, z):
-        calls.append(np.array(positions))
+        calls.append((np.array(positions), np.array(z)))
         add(positions, z)
 
     acc.add = recording
@@ -184,10 +184,10 @@ def test_deposit_equals_per_pair_loop(case, kind):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_deposit_adds_once_per_round_not_per_pair(kind):
-    """A quantising accumulator sees as many ``add`` calls as the batch's
-    deepest live column holds cells, each naming a position at most once;
-    a linear one sees one call."""
+def test_deposit_adds_once_per_batch_in_pair_order(kind):
+    """Every accumulator sees one ``add`` per batch whose rows are the live
+    cells in pair order (a column named once per pair that reaches it), each
+    row its cell's z times its pair's weight."""
     cfg = PipelineConfig()
     rng = np.random.default_rng(24)
     width = 6 + 2 * cfg.pad
@@ -199,17 +199,13 @@ def test_deposit_adds_once_per_round_not_per_pair(kind):
     deposit(acc, _evidence(z, starts), weights, cfg)
     cols = (starts - cfg.pad)[:, None] + np.arange(width)
     live = (cols >= 0) & (cols < 50) & (weights[:, None] > 0)
-    depth = np.bincount(cols[live]).max()
-    assert 1 < depth < np.count_nonzero(live.any(axis=1))
-    assert len(calls) == (1 if acc.linear else depth)
-    assert sum(c.size for c in calls) == np.count_nonzero(live)
-    if not acc.linear:
-        assert all(np.unique(c).size == c.size for c in calls)
-        # Round sizes shrink: round k holds the columns at least k+1 deep.
-        assert [c.size for c in calls] == sorted((c.size for c in calls), reverse=True)
+    assert np.bincount(cols[live]).max() > 1  # columns repeat within the call
+    [(positions, rows)] = calls
+    np.testing.assert_array_equal(positions, cols[live])
+    np.testing.assert_array_equal(rows, (z * weights[:, None, None])[live])
     calls.clear()
     deposit(acc, _evidence(z, starts), np.zeros(starts.size), cfg)
-    assert len(calls) == (1 if acc.linear else 0)
+    assert [positions.size for positions, _ in calls] == [0]
 
 
 def test_deposit_schedule_follows_the_accumulator_not_the_config():
