@@ -127,6 +127,16 @@ MAX_CANDIDATES = 16
 QGRAM_Q = 5
 
 
+def best_candidates(block: SeedBlock, n_reads: int) -> np.ndarray:
+    """Indices of the candidates to keep: each read's (``read`` in
+    ``range(n_reads)``) best :data:`MAX_CANDIDATES`, grouped by read and best
+    first — most support, then lowest start, strand and diagonal."""
+    order = np.lexsort((block.diagonal, block.strand, block.start, -block.support, block.read))
+    n_found = np.bincount(block.read, minlength=n_reads)
+    rank = np.arange(order.size) - np.repeat(np.cumsum(n_found) - n_found, n_found)
+    return order[rank < MAX_CANDIDATES]
+
+
 @dataclass
 class SeederConfig:
     """Seeding knobs.
@@ -369,22 +379,18 @@ class Seeder:
         # it pins the documented contract that `start` always leaves the
         # alignment window some genome overlap.
         start = np.clip(diagonal, 1 - lens[c_seq], glen - 1)
-        order = np.lexsort((diagonal, strand, start, -support, read_of))
-        n_found = np.bincount(read_of, minlength=n)
-        n_kept = np.minimum(n_found, MAX_CANDIDATES)
-        rank = np.arange(order.size) - np.repeat(np.cumsum(n_found) - n_found, n_found)
-        best = order[rank < MAX_CANDIDATES]
+        block = SeedBlock(read_of, start, strand, support, diagonal)
+        block = block[best_candidates(block, n)]
         reg = metrics()
         reg.inc("seed.reads", n)
         # Pre-truncation count: `seed.candidates` is what seeding *found*;
         # the MAX_CANDIDATES cap's effect is visible as candidates_dropped.
         reg.inc("seed.candidates", int(c_seq.size))
-        if best.size < c_seq.size:
-            reg.inc("seed.candidates_dropped", int(c_seq.size - best.size))
-        per_read = np.bincount(n_kept)
+        if len(block) < c_seq.size:
+            reg.inc("seed.candidates_dropped", int(c_seq.size - len(block)))
+        per_read = np.bincount(np.bincount(block.read, minlength=n))
         for kept in np.flatnonzero(per_read).tolist():
             reg.observe("seed.candidates_per_read", float(kept), int(per_read[kept]))
-        block = SeedBlock(read_of, start, strand, support, diagonal)[best]
         laps.lap("rank")
         laps.record()
         return block

@@ -118,7 +118,7 @@ def collect_placements(
         starts, strands = evidence.starts[at], evidence.strands[at]
         # Windows and PWMs need read, start and strand only.
         placed = SeedBlock(evidence.groups[at], starts, strands, np.ones_like(at), starts)
-        pwms, windows, _ = cut_windows(
+        pwms, windows = cut_windows(
             pipeline.reference.codes, PairStack(reads, placed, cfg), cfg
         )
         pstar = emissions_batch(pwms, windows, cfg.phmm)

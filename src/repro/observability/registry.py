@@ -87,13 +87,14 @@ class MetricsRegistry:
     def _observe(self, name: str, values: np.ndarray, count: int) -> None:
         if values.size == 0:
             return
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = self._histograms[name] = Histogram()
-            hist.record(values, count)
-        if self.parent is not None:
-            self.parent._observe(name, values, count)
+        # Bucketed once and merged up the tee (bit-equal to ``record`` at each).
+        sample = Histogram()
+        sample.record(values, count)
+        registry: "MetricsRegistry | None" = self
+        while registry is not None:
+            with registry._lock:
+                registry._histograms.setdefault(name, Histogram()).merge(sample)
+            registry = registry.parent
 
     def record_event(self, event: "tuple") -> None:
         """Append a flight-recorder event to the bounded ring buffer.

@@ -85,16 +85,17 @@ def read_slices(groups: np.ndarray) -> "Iterator[tuple[int, slice]]":
 
 def cut_windows(
     genome_codes: np.ndarray, stack: PairStack, cfg: PipelineConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(pwms, windows, valid)`` of a non-empty stack: each window spans
-    its read plus ``cfg.pad`` columns either side."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(pwms, windows)`` of a non-empty stack: each window spans its read
+    plus ``cfg.pad`` columns either side, ``N`` past the genome's ends (the
+    z mass there is dropped by :func:`deposit`)."""
     with span("pwm"):
         pwms = stack.pwms(cfg.quality_aware)
     with span("windows"):
-        windows, valid = build_windows(
+        windows, _ = build_windows(
             genome_codes, stack.seeded.start - cfg.pad, pwms.shape[1] + 2 * cfg.pad
         )
-    return pwms, windows, valid
+    return pwms, windows
 
 
 def align_pairs(
@@ -102,9 +103,9 @@ def align_pairs(
 ) -> PairEvidence:
     """Cut the stack's windows and run the configured evidence kernel on
     tiles cut from ``workspace`` (its caller's own)."""
-    pwms, windows, valid = cut_windows(genome_codes, stack, cfg)
+    pwms, windows = cut_windows(genome_codes, stack, cfg)
     if cfg.posterior_mode == "viterbi":
-        z, loglik = _viterbi_evidence(pwms, windows, valid, cfg)
+        z, loglik = _viterbi_evidence(pwms, windows, cfg)
     else:
         if cfg.banding:
             outcome = align_batch_banded(
@@ -115,22 +116,20 @@ def align_pairs(
                 cfg.band_w,
                 tolerance=cfg.band_tolerance,
                 edge_policy=cfg.edge_policy,
-                valid=valid,
                 groups=stack.seeded.read,
                 escape_min_ratio=cfg.min_ratio,
                 workspace=workspace,
             )
         else:
             outcome = align_batch(
-                pwms, windows, cfg.phmm, edge_policy=cfg.edge_policy, valid=valid,
-                workspace=workspace,
+                pwms, windows, cfg.phmm, edge_policy=cfg.edge_policy, workspace=workspace,
             )
         z, loglik = outcome.z, outcome.loglik
     return PairEvidence(z, loglik, stack.seeded.start, stack.seeded.strand, stack.seeded.read)
 
 
 def _viterbi_evidence(
-    pwms: np.ndarray, windows: np.ndarray, valid: np.ndarray, cfg: PipelineConfig
+    pwms: np.ndarray, windows: np.ndarray, cfg: PipelineConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-best-alignment evidence (the ``posterior_mode="viterbi"``
     ablation): along each pair's Viterbi path, matched cells contribute
@@ -152,7 +151,6 @@ def _viterbi_evidence(
                 for skipped in range(prev_j + 1, j):
                     z[b, skipped - 1, 4] += 1.0
             prev_j = j
-    z *= valid[:, :, None]
     return z, loglik
 
 

@@ -11,10 +11,12 @@ Memory-spread (genome-partitioned)
     ownership), and each rank runs a ``GnumapSnp`` over its group's
     extended segment.  Every rank sees every read (broadcast), the ranks
     of a group share its reads out between them, each seeds against the
-    segment and aligns only candidates the group *owns* (candidate start
-    inside the core segment).  Per read batch all ranks allreduce their
-    candidates' scores, so each weighs every read with serial's rule over
-    all its candidates — the communication that spoils scaling.  The
+    segment and keeps the candidates the group *owns* (candidate start
+    inside the core segment).  Per read batch the ranks make two
+    allreduces: one of their owned candidates, so each keeps serial's best
+    candidates of every read (``Seeder.seed``'s cut) and aligns only its
+    own; one of those candidates' scores, so each weighs every read with
+    serial's rule — the communication that spoils scaling.  The
     group's leader receives its members' evidence, one ordered send per
     member, and ships what it accumulated into the halo to the owning
     neighbour group at the end.  One rank per group (the default) is the
@@ -43,6 +45,7 @@ from repro.calling.records import SNPCall
 from repro.errors import PipelineError
 from repro.genome.fastq import Read
 from repro.genome.reference import Reference, Segment
+from repro.index.seeding import SeedBlock, best_candidates
 from repro.memory.base import Accumulator
 from repro.observability import current, scope, span
 from repro.parallel.comm import Comm
@@ -198,11 +201,11 @@ def _process_read_batch(
     """Align one batch of reads against the local segment with global weights.
 
     ``mine`` indexes the batch reads *this* rank seeds (its share of the
-    group's reads).  Every rank's scored candidates meet in one
-    allreduce, so each weighs the whole batch as serial does and keeps its
-    own rows' weights.  Each rank counts the pairs it aligns and its kernel
-    calls; rank 0 counts the batch's reads, a read being mapped when some
-    rank owns a candidate of it.
+    group's reads).  One allreduce gathers the owned candidates, which each
+    rank cuts as serial does (:func:`best_candidates`), aligning its own
+    survivors; one gathers their scores, so each weighs the batch as serial
+    does.  Each rank counts the pairs it aligns and its kernel calls; rank 0
+    counts the batch's reads, a read being mapped when it keeps a candidate.
     """
     seeded = pipe.seeder.seed([batch[b] for b in mine.tolist()])
     # This rank aligns the candidates its group owns: those starting in
@@ -210,33 +213,34 @@ def _process_read_batch(
     # belongs to the first segment; no start reaches past the genome's end.
     owned = seeded[seg.contains(np.maximum(ext_start + seeded.start, 0))]
     owned = replace(owned, read=mine[owned.read])
-    if calibration:
-        comm.account_compute(calibration.mapping_seconds(len(mine), len(owned)))
-    batches = list(pipe.align_seeded(batch, [owned]))
-
-    # The batch's candidates in global coordinates, in Seeder.seed's order.
-    rows = {
-        "read": owned.read,
-        "support": -owned.support,
-        "start": ext_start + owned.start,
-        "strand": owned.strand,
-        "diagonal": ext_start + owned.diagonal,
-        "loglik": np.concatenate([ev.loglik for ev in batches] or [np.empty(0)]),
-        "rank": np.full(len(owned), comm.rank),
-    }
-    with span("allreduce_normalise"):
+    shifted = replace(owned, start=ext_start + owned.start, diagonal=ext_start + owned.diagonal)
+    with span("allreduce_candidates"):
         every = comm.allreduce(
-            rows, op=lambda a, b: {key: np.concatenate((a[key], b[key])) for key in a}
+            {**vars(shifted), "rank": np.full(len(owned), comm.rank)},
+            op=lambda a, b: {key: np.concatenate((a[key], b[key])) for key in a},
         )
-    order = np.lexsort(
-        [every[key] for key in ("diagonal", "strand", "start", "support", "read")]
-    )
-    weights = np.empty(order.size)
-    weights[order] = pipe.weigh(every["loglik"][order], every["read"][order])
-    weights = weights[every["rank"] == comm.rank]
+    # `every` is one object shared by all ranks: read it, never write it.
+    ranks = every["rank"]
+    kept = best_candidates(SeedBlock(*(every[key] for key in vars(owned))), len(batch))
+    owner = ranks[kept]
+    own = owner == comm.rank
+    # Serial's survivors, in serial's order; the ranks' rows arrived in rank
+    # order, so this rank's are `owned` shifted by the rows ahead of them.
+    survivors = owned[kept[own] - np.searchsorted(ranks, comm.rank)]
+    if calibration:
+        comm.account_compute(calibration.mapping_seconds(len(mine), len(survivors)))
+    batches = list(pipe.align_seeded(batch, [survivors]))
+
+    loglik = np.concatenate([ev.loglik for ev in batches] or [np.empty(0)])
+    with span("allreduce_normalise"):
+        scores = comm.allreduce(loglik, op=lambda a, b: np.concatenate((a, b)))
+    # Scores arrive in rank order, each rank's in serial order.
+    placed = np.empty(kept.size)
+    placed[np.argsort(owner, kind="stable")] = scores
+    weights = pipe.weigh(placed, every["read"][kept])[own]
 
     reg = current()
-    reg.inc("pipeline.pairs", len(owned))
+    reg.inc("pipeline.pairs", len(survivors))
     if comm.rank == 0:
         n_mapped = np.unique(every["read"]).size
         reg.inc("pipeline.reads", len(batch))

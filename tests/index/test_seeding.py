@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import IndexError_
 from repro.genome.alphabet import reverse_complement
@@ -12,8 +14,10 @@ from repro.index.seeding import (
     MAX_CANDIDATES,
     CandidateRegion,
     Seeder,
+    SeedBlock,
     SeederConfig,
     _cluster_runs,
+    best_candidates,
 )
 from repro.observability import scope
 from repro.simulate.genome_sim import GenomeSpec, simulate_genome
@@ -135,6 +139,41 @@ class TestRepeats:
         ref = many_copies_genome()
         cands = Seeder(GenomeIndex(ref, k=10)).candidates(perfect_read(ref, 100))
         assert len(cands) == MAX_CANDIDATES
+
+
+@st.composite
+def split_candidate_tables(draw):
+    """A candidate block of a few reads (one row per (read, strand,
+    diagonal), supports tied often) and segment boundaries on ``start``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_reads = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 6 * MAX_CANDIDATES))
+    diagonal = rng.permutation(2000)[:n] - 30
+    block = SeedBlock(
+        rng.integers(0, n_reads, n), np.clip(diagonal, -20, 1900),
+        rng.choice([-1, 1], n), rng.integers(2, 5, n), diagonal,
+    )
+    cuts = np.sort(rng.integers(-20, 1900, draw(st.integers(0, 5))))
+    return block, n_reads, cuts
+
+
+class TestBestCandidates:
+    @settings(max_examples=80, deadline=None)
+    @given(split_candidate_tables())
+    def test_per_segment_cut_loses_nothing(self, case):
+        """A segment's best candidates hold its share of the global best, so
+        cutting each segment first and then the survivors gives the global
+        cut, rows and order alike."""
+        block, n_reads, cuts = case
+        segment = np.searchsorted(cuts, block.start, side="right")
+        parts = [block[segment == seg] for seg in np.unique(segment).tolist()]
+        survivors = SeedBlock.concat(
+            [block[:0], *(part[best_candidates(part, n_reads)] for part in parts)]
+        )
+        want = block[best_candidates(block, n_reads)]
+        got = survivors[best_candidates(survivors, n_reads)]
+        for key, column in vars(want).items():
+            np.testing.assert_array_equal(vars(got)[key], column)
 
 
 class TestDiagonalClustering:

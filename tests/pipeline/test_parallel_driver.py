@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.workload import build_workload
+from repro.genome.fastq import Read
+from repro.genome.reference import Reference
 from repro.observability import scope
 from repro.parallel.cluster import Cluster
 from repro.parallel.costmodel import LogGPModel
@@ -188,6 +190,69 @@ class TestHybrid:
         ms = run(calib, cost, None).makespan
         assert run(calib, cost, 2).makespan < ms
         assert run(calib, cost, 4).makespan == ms  # P == G is memory-spread
+
+
+@pytest.fixture(scope="module")
+def repeat_case():
+    """40 copies, 1% diverged, of a 400 bp repeat between 600 bp unique
+    spacers, and 600 exact 62 bp reads of a donor carrying six SNPs: 450
+    reads anywhere and 25 over each SNP.  A read in the repeat has more
+    than MAX_CANDIDATES candidates genome-wide and in each half or quarter
+    of the genome, while no 10-mer is frequent enough to be masked."""
+    rng = np.random.default_rng(0)
+    unit = rng.integers(0, 4, 400).astype(np.uint8)
+    parts = []
+    for _ in range(40):
+        copy = unit.copy()
+        flip = rng.random(copy.size) < 0.01
+        copy[flip] = (copy[flip] + rng.integers(1, 4, int(flip.sum()))) % 4
+        parts += [rng.integers(0, 4, 600).astype(np.uint8), copy]
+    codes = np.concatenate([*parts, rng.integers(0, 4, 600).astype(np.uint8)])
+    donor = codes.copy()
+    snps = rng.choice(codes.size, 6, replace=False)
+    donor[snps] = (donor[snps] + 1) % 4
+    starts = np.concatenate((
+        rng.integers(0, codes.size - 62, 450),
+        (snps[:, None] - rng.integers(0, 62, (6, 25))).ravel(),
+    ))
+    quals = np.full(62, 38, dtype=np.uint8)
+    reads = [Read(f"r{i}", donor[a : a + 62], quals) for i, a in enumerate(starts.tolist())]
+    return Reference(codes, name="repeats"), reads
+
+
+def _calls_and_counts(run):
+    """The call set and ``pipeline.pairs`` / ``reads_mapped`` of ``run()``."""
+    with scope() as reg:
+        snps = run()
+    snap = reg.snapshot()
+    assert snap.gauges["index.masked_kmers"] == 0  # the cut is pinned, not the mask
+    counts = [snap.counter(f"pipeline.{name}") for name in ("pairs", "reads_mapped")]
+    return {(s.pos, s.alt_name) for s in snps}, counts, snap
+
+
+class TestRepeatDense:
+    @pytest.fixture(scope="class")
+    def serial(self, repeat_case):
+        reference, reads = repeat_case
+        calls, counts, snap = _calls_and_counts(
+            lambda: GnumapSnp(reference, PipelineConfig()).run(reads).snps
+        )
+        assert calls and snap.counter("seed.candidates_dropped") > 0
+        return calls, counts
+
+    @pytest.mark.parametrize("n_ranks,n_groups", [(2, None), (4, None), (4, 2)])
+    def test_memory_spread_keeps_serials_candidates(
+        self, repeat_case, serial, n_ranks, n_groups
+    ):
+        """Every rank cuts the exchanged candidates with serial's rule, so
+        however the genome is split a read aligns serial's candidates."""
+        reference, reads = repeat_case
+        calls, counts, _ = _calls_and_counts(
+            lambda: Cluster(n_ranks).run(
+                run_memory_spread, reference, reads, PipelineConfig(), None, n_groups
+            ).results[0]
+        )
+        assert (calls, counts) == serial
 
 
 class TestEvidenceEquivalence:

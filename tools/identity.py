@@ -116,7 +116,8 @@ MATRIX = _matrix()
 QUICK = (
     "phmm_full", "pool2_warm", "pool2/faulted", "pool2/telemetry", "online/pool2",
     "seed_heavy", "seed_heavy/w2", "fast_chardisc", "CHARDISC", "CHARDISC/w3", "CENTDISC",
-    "CENTDISC/w3", "roc", "read_spread/P2", "memory_spread/P1", "memory_spread/P4G2",
+    "CENTDISC/w3", "roc", "read_spread/P2", "memory_spread/P1", "memory_spread/P2",
+    "memory_spread/P4G2",
 )
 #: Row -> the serial row of the same tree it must equal.  At P1 both spread
 #: programs weigh and deposit every read as serial does; at P > 1 they
