@@ -6,12 +6,17 @@ chi^2_1 — an alpha/5 Bonferroni adjustment justified by "testing each base
 violation of the max-based test.  :func:`significance_threshold` implements
 exactly that cutoff; :func:`benjamini_hochberg` is the FDR alternative the
 abstract offers.
+
+Both chi^2_1 functions are the :mod:`scipy.special` calls that
+``scipy.stats.chi2`` makes itself (``chdtrc`` for ``sf``, ``2 gammaincinv(1/2,
+.)`` for ``ppf``), bit for bit: ``scipy.stats`` costs a pool worker most of its
+import time, and nothing else in the package needs it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.errors import CallingError
 
@@ -21,7 +26,7 @@ def chi2_pvalue(stat: np.ndarray) -> np.ndarray:
     stat = np.asarray(stat, dtype=np.float64)
     if (stat < -1e-9).any():
         raise CallingError("LRT statistics must be non-negative")
-    return stats.chi2.sf(np.maximum(stat, 0.0), 1)
+    return special.chdtrc(1, np.maximum(stat, 0.0))
 
 
 def significance_threshold(alpha: float = 0.001) -> float:
@@ -32,7 +37,7 @@ def significance_threshold(alpha: float = 0.001) -> float:
     """
     if not 0.0 < alpha < 1.0:
         raise CallingError(f"alpha must be in (0, 1), got {alpha}")
-    return float(stats.chi2.ppf(1.0 - alpha / 5.0, 1))
+    return float(2 * special.gammaincinv(0.5, 1.0 - alpha / 5.0))
 
 
 def benjamini_hochberg(pvalues: np.ndarray, fdr: float = 0.05) -> np.ndarray:

@@ -65,45 +65,79 @@ static void clear_outside(double *row, int c, int W, int B, int lo, int hi)
     clear(row, c, W, B, lo <= hi ? hi + 1 : c + W, c + W - 1);
 }
 
-/* Scale the row's in-band block by 2^-e, 2^e the power of two at each lane's
- * maximum over the three states, and add e to the row's exponents.  Exact:
- * only exponents change. */
-static void rescale(double *row, int c, int W, int B, int lo, int hi,
-                    const int *e_from, int *e_to, double *mx)
+/* Fold v into a lane's running maximum.  Order-free: a NaN never wins. */
+#define FOLD(m, v) ((v) > (m) ? (v) : (m))
+
+/* Turn each lane's maximum mx (at least TINY) into the row's scale 2^-e,
+ * 2^e the power of two at it, and add e to the row's exponents. */
+static void exponents(int B, double *mx, const int *e_from, int *e_to)
 {
-    for (int b = 0; b < B; b++)
-        mx[b] = TINY;
-    for (int s = 0; s < 3; s++)
-        for (int j = lo; j <= hi; j++) {
-            const double *v = AT(row, c, s, j);
-            for (int b = 0; b < B; b++)
-                mx[b] = v[b] > mx[b] ? v[b] : mx[b];
-        }
     for (int b = 0; b < B; b++) {
         int e;
         frexp(mx[b], &e);
         mx[b] = ldexp(1.0, -e);
         e_to[b] = e_from[b] + e;
     }
+}
+
+/* Multiply the row's in-band block by each lane's scale.  Exact: only
+ * exponents change. */
+static void scale(double *row, int c, int W, int B, int lo, int hi, const double *sc)
+{
     for (int s = 0; s < 3; s++)
         for (int j = lo; j <= hi; j++) {
-            double *v = AT(row, c, s, j);
+            double *restrict v = AT(row, c, s, j);
             for (int b = 0; b < B; b++)
-                v[b] *= mx[b];
+                v[b] *= sc[b];
         }
+}
+
+/* Coefficients of the recurrences: the transitions and q times them. */
+typedef struct {
+    double q, mm, gm, mg, gg, qmg, qgg;
+} coef;
+
+/* Forward column j of row i, every lane, each folded into its maximum mx:
+ * f_GX from column j of the row above (pm, px), f_M from its column j-1
+ * (pm0, px0, py0; 0 at column 0, where ``match`` is 0), f_GY from this
+ * row's column j-1 (ml, yl; 0 where ``gy`` is 0: column 0 and the first
+ * in-band column past it). */
+static inline void forward_column(int B, int match, int gy, const coef *k,
+                                  const double *restrict t, const int *restrict cj,
+                                  const double *restrict pm0, const double *restrict px0,
+                                  const double *restrict py0, const double *restrict pm,
+                                  const double *restrict px, const double *restrict ml,
+                                  const double *restrict yl, double *restrict m,
+                                  double *restrict x, double *restrict y, double *restrict mx)
+{
+    const double q = k->q, mm = k->mm, gm = k->gm, mg = k->mg, gg = k->gg;
+    const double qmg = k->qmg, qgg = k->qgg;
+    for (int b = 0; b < B; b++) {
+        double xv = (pm[b] * mg + px[b] * gg) * q;
+        double mv = match ? PSTAR(t, cj, b) * (pm0[b] * mm + (px0[b] + py0[b]) * gm) : 0.0;
+        double yv = gy ? ml[b] * qmg + qgg * yl[b] : 0.0;
+        double a = mx[b];
+        m[b] = mv;
+        x[b] = xv;
+        y[b] = yv;
+        a = FOLD(a, mv);
+        a = FOLD(a, xv);
+        mx[b] = FOLD(a, yv);
+    }
 }
 
 /* f_M(0, j) = 1 on row 0's band (free genome prefix); rows 1..N by
  *   f_M(i,j)  = p*(i,j) [T_MM f_M(i-1,j-1) + T_GM (f_GX + f_GY)(i-1,j-1)]
  *   f_GX(i,j) = q [T_MG f_M(i-1,j) + T_GG f_GX(i-1,j)]
  *   f_GY(i,j) = q T_MG f_M(i,j-1) + q T_GG f_GY(i,j-1)   (in-row, in order)
- * Row 0's gap states and column 0's f_M, f_GY are 0. */
+ * Row 0's gap states and column 0's f_M, f_GY are 0.  One sweep left to
+ * right computes a row and its lanes' maxima, a second scales it. */
 void forward(int N, int B, int K, int W, const double *tab, const int *code,
              const int *bounds, const int *base, double q, double mm,
              double gm, double mg, double gg, double *state, int *fexp)
 {
     const long row_len = 3L * W * B;
-    const double qmg = q * mg, qgg = q * gg;
+    const coef k = {q, mm, gm, mg, gg, q * mg, q * gg};
     double *mx = malloc(sizeof(double) * (B ? B : 1));
     clear(state, base[0], W, B, base[0], base[0] + W - 1);
     for (int j = bounds[0]; j <= bounds[1]; j++) {
@@ -123,70 +157,109 @@ void forward(int N, int B, int K, int W, const double *tab, const int *code,
             memcpy(fexp + i * B, fexp + (i - 1) * B, sizeof(int) * B);
             continue;
         }
+        for (int b = 0; b < B; b++)
+            mx[b] = TINY;
         if (lo == 0) {
-            memset(AT(row, c, 0, 0), 0, sizeof(double) * B);
-            memset(AT(row, c, 2, 0), 0, sizeof(double) * B);
-        }
-        for (int j = jlo; j <= hi; j++) {
-            const double *pm = AT(prev, cp, 0, j - 1), *px = AT(prev, cp, 1, j - 1);
-            const double *py = AT(prev, cp, 2, j - 1);
-            const int *cj = code + (long)(j - 1) * B;
-            double *m = AT(row, c, 0, j);
-            for (int b = 0; b < B; b++) {
-                double u = px[b] + py[b];
-                m[b] = PSTAR(t, cj, b) * (pm[b] * mm + u * gm);
-            }
-        }
-        for (int j = lo; j <= hi; j++) {
-            const double *pm = AT(prev, cp, 0, j), *px = AT(prev, cp, 1, j);
-            double *x = AT(row, c, 1, j);
-            for (int b = 0; b < B; b++)
-                x[b] = (pm[b] * mg + px[b] * gg) * q;
+            const double *pm = AT(prev, cp, 0, 0), *px = AT(prev, cp, 1, 0);
+            forward_column(B, 0, 0, &k, t, code, pm, px, pm, pm, px, pm, pm,
+                           AT(row, c, 0, 0), AT(row, c, 1, 0), AT(row, c, 2, 0), mx);
         }
         /* Column jlo-1 is out of band or column 0, so f_GY(i, jlo) = 0. */
-        if (jlo <= hi)
-            memset(AT(row, c, 2, jlo), 0, sizeof(double) * B);
-        for (int j = jlo + 1; j <= hi; j++) {
-            const double *m = AT(row, c, 0, j - 1), *yp = AT(row, c, 2, j - 1);
-            double *y = AT(row, c, 2, j);
-            for (int b = 0; b < B; b++)
-                y[b] = m[b] * qmg + qgg * yp[b];
+        for (int j = jlo; j <= hi; j++) {
+            const double *pm0 = AT(prev, cp, 0, j - 1), *px0 = AT(prev, cp, 1, j - 1);
+            const double *py0 = AT(prev, cp, 2, j - 1);
+            const double *pm = AT(prev, cp, 0, j), *px = AT(prev, cp, 1, j);
+            const double *ml = AT(row, c, 0, j - 1), *yl = AT(row, c, 2, j - 1);
+            const int *cj = code + (long)(j - 1) * B;
+            double *m = AT(row, c, 0, j), *x = AT(row, c, 1, j), *y = AT(row, c, 2, j);
+            forward_column(B, 1, j > jlo, &k, t, cj, pm0, px0, py0, pm, px, ml, yl, m, x, y, mx);
         }
-        rescale(row, c, W, B, lo, hi, fexp + (i - 1) * B, fexp + i * B, mx);
+        exponents(B, mx, fexp + (i - 1) * B, fexp + i * B);
+        scale(row, c, W, B, lo, hi, mx);
     }
     free(mx);
 }
 
-/* Backward row i < N from row i+1 (``nxt``), right to left:
- *   d(j)      = p*(i+1,j+1) b_M(i+1,j+1)            (0 at j = M)
- *   b_GY(i,j) = T_GM d(j) + q T_GG b_GY(i,j+1)     (row 0: 0)
+/* Backward column j of row i < N, every lane, each folded into its
+ * maximum mx, from row i+1's b_M at column j+1 (nm) and b_GX at column j
+ * (nx), and this row's b_GY at column j+1 (yr):
+ *   d(j)      = p*(i+1,j+1) b_M(i+1,j+1)            (0 where ``has_d`` is 0)
+ *   b_GY(i,j) = T_GM d(j) + q T_GG b_GY(i,j+1)     (0 where ``gy`` is 0)
  *   b_M(i,j)  = T_MM d(j) + q T_MG [b_GX(i+1,j) + b_GY(i,j+1)]
  *   b_GX(i,j) = T_GM d(j) + q T_GG b_GX(i+1,j)
- * b_GY(i, hi+1) is out of band or past column M, hence 0.  Row 0 drops the
- * M -> G_Y term: genome bases before the first read base belong to the
- * start distribution, not to gap states. */
-static void backward_row(int i, int M, int B, int K, int W, int lo, int hi,
-                         const double *tab, const int *code, double mm,
-                         double gm, double qmg, double qgg, const double *nxt,
-                         int cn, double *row, int c)
+ * b_GY(i,j+1) is taken as 0 where ``has_r`` is 0. */
+static inline void backward_column(int B, int has_d, int has_r, int gy, const coef *k,
+                                   const double *restrict t, const int *restrict cj,
+                                   const double *restrict nm, const double *restrict nx,
+                                   const double *restrict yr, double *restrict bm,
+                                   double *restrict bx, double *restrict by,
+                                   double *restrict mx)
 {
-    const double *t = tab + (long)i * K * B;
-    for (int j = hi; j >= lo; j--) {
-        const int has_d = j < M, has_r = j < hi;
-        double *bm = AT(row, c, 0, j), *bx = AT(row, c, 1, j), *by = AT(row, c, 2, j);
-        const double *nx = AT(nxt, cn, 1, j);
-        /* Operands past the edge point at a valid row, never to be read. */
-        const int *cj = code + (long)(has_d ? j : 0) * B;
-        const double *nm = has_d ? AT(nxt, cn, 0, j + 1) : nx;
-        const double *yr = has_r ? AT(row, c, 2, j + 1) : nx;
-        for (int b = 0; b < B; b++) {
-            double d = has_d ? PSTAR(t, cj, b) * nm[b] : 0.0;
-            double gd = d * gm;
-            double y = i == 0 ? 0.0 : has_r ? gd + qgg * yr[b] : gd;
-            double u = has_r ? nx[b] + yr[b] : nx[b];
-            by[b] = y;
-            bm[b] = d * mm + u * qmg;
-            bx[b] = gd + nx[b] * qgg;
+    const double mm = k->mm, gm = k->gm, qmg = k->qmg, qgg = k->qgg;
+    for (int b = 0; b < B; b++) {
+        double d = has_d ? PSTAR(t, cj, b) * nm[b] : 0.0;
+        double gd = d * gm;
+        double y = !gy ? 0.0 : has_r ? gd + qgg * yr[b] : gd;
+        double u = has_r ? nx[b] + yr[b] : nx[b];
+        double mv = d * mm + u * qmg, xv = gd + nx[b] * qgg;
+        double a = mx[b];
+        by[b] = y;
+        bm[b] = mv;
+        bx[b] = xv;
+        a = FOLD(a, y);
+        a = FOLD(a, mv);
+        mx[b] = FOLD(a, xv);
+    }
+}
+
+/* Backward row i < N from row i+1 (``nxt``), right to left, with ``gy``
+ * 0 on row 0, which drops the M -> G_Y term: genome bases before the first
+ * read base belong to the start distribution, not to gap states.  Column hi
+ * is the one whose b_GY(i, hi+1) is out of band or past column M, hence 0,
+ * and the only one that can be column M, where d = 0. */
+static inline void backward_sweep(int gy, int M, int B, int W, int lo, int hi, const coef *k,
+                                  const double *t, const int *code, const double *nxt,
+                                  int cn, double *row, int c, double *mx)
+{
+    const double *nx = AT(nxt, cn, 1, hi);
+    double *bm = AT(row, c, 0, hi), *bx = AT(row, c, 1, hi), *by = AT(row, c, 2, hi);
+    if (hi < M)
+        backward_column(B, 1, 0, gy, k, t, code + (long)hi * B, AT(nxt, cn, 0, hi + 1),
+                        nx, nx, bm, bx, by, mx);
+    else /* Operands past the edge point at a valid row, never to be read. */
+        backward_column(B, 0, 0, gy, k, t, code, nx, nx, nx, bm, bx, by, mx);
+    for (int j = hi - 1; j >= lo; j--)
+        backward_column(B, 1, 1, gy, k, t, code + (long)j * B, AT(nxt, cn, 0, j + 1),
+                        AT(nxt, cn, 1, j), AT(row, c, 2, j + 1), AT(row, c, 0, j),
+                        AT(row, c, 1, j), AT(row, c, 2, j), mx);
+}
+
+/* Column j >= 1 of backward row i: scale its three states by sc, then
+ * deposit with the row's posterior factor g
+ *   z[4][j-1] += f_GY b_GY g
+ *   z[k][j-1] += (f_M b_M g) w[k]          (where ``match`` is 1: i >= 1) */
+static inline void deposit_column(int B, int match, const double *restrict sc,
+                                  const double *restrict g, const double *restrict fm,
+                                  const double *restrict fy, double *restrict bm,
+                                  double *restrict bx, double *restrict by,
+                                  const double *restrict w, double *restrict zg,
+                                  double *restrict z0, double *restrict z1,
+                                  double *restrict z2, double *restrict z3)
+{
+    const double *restrict w0 = w, *restrict w1 = w + B, *restrict w2 = w + 2L * B;
+    const double *restrict w3 = w + 3L * B;
+    for (int b = 0; b < B; b++) {
+        double m = bm[b] * sc[b], y = by[b] * sc[b];
+        bm[b] = m;
+        bx[b] = bx[b] * sc[b];
+        by[b] = y;
+        zg[b] += fy[b] * y * g[b];
+        if (match) {
+            double p = fm[b] * m * g[b];
+            z0[b] += p * w0[b];
+            z1[b] += p * w1[b];
+            z2[b] += p * w2[b];
+            z3[b] += p * w3[b];
         }
     }
 }
@@ -199,7 +272,8 @@ static void backward_row(int i, int M, int B, int K, int W, int lo, int hi,
  * plus, when given, occ[j-1] += f_M b_M g and the match posterior on the
  * band's interior edge columns ``edges`` (N+1, 2; -1: none), summed over
  * rows in ascending order into edge (B), over N.  ``cells`` (N+1, 2, B)
- * holds the edge cells until then. */
+ * holds the edge cells until then.  One sweep right to left computes a row
+ * and its lanes' maxima, a second scales and deposits it. */
 void backward_deposit(int N, int M, int B, int K, int W, const double *tab,
                       const int *code, const double *pw, const int *bounds,
                       const int *base, double q, double mm, double gm,
@@ -209,9 +283,9 @@ void backward_deposit(int N, int M, int B, int K, int W, const double *tab,
                       double *edge)
 {
     const long row_len = 3L * W * B, plane = (long)M * B;
-    const double qmg = q * mg, qgg = q * gg;
+    const coef k = {q, mm, gm, mg, gg, q * mg, q * gg};
     const int n = B ? B : 1;
-    double *mx = malloc(sizeof(double) * n), *g = malloc(sizeof(double) * n);
+    double *sc = malloc(sizeof(double) * n), *g = malloc(sizeof(double) * n);
     double *inv = malloc(sizeof(double) * n);
     int *ie = malloc(sizeof(int) * n);
     memset(z, 0, sizeof(double) * 5 * plane);
@@ -237,45 +311,65 @@ void backward_deposit(int N, int M, int B, int K, int W, const double *tab,
             for (int j = lo; j <= hi; j++)
                 for (int b = 0; b < B; b++)
                     AT(row, c, 0, j)[b] = AT(row, c, 1, j)[b] = 1.0;
+            for (int b = 0; b < B; b++)
+                sc[b] = 1.0; /* row N is not rescaled: x * 1.0 is x */
         } else if (lo > hi) {
             memcpy(e_row, e_row + B, sizeof(int) * B);
+            continue;
         } else {
-            backward_row(i, M, B, K, W, lo, hi, tab, code, mm, gm, qmg, qgg,
-                         store + ((i + 1) % depth) * row_len, base[i + 1], row, c);
-            rescale(row, c, W, B, lo, hi, e_row + B, e_row, mx);
+            const double *t = tab + (long)i * K * B, *nxt = store + ((i + 1) % depth) * row_len;
+            for (int b = 0; b < B; b++)
+                sc[b] = TINY;
+            /* Constant flags, here and for deposit_column: passed as
+             * ``i != 0`` they left the backward pass ~10% (the sweep) and
+             * ~25% (the deposit) slower per cell, GCC -O3 on x86-64. */
+            if (i == 0)
+                backward_sweep(0, M, B, W, lo, hi, &k, t, code, nxt, base[i + 1], row, c, sc);
+            else
+                backward_sweep(1, M, B, W, lo, hi, &k, t, code, nxt, base[i + 1], row, c, sc);
+            exponents(B, sc, e_row + B, e_row);
         }
+        if (lo == 0)
+            scale(row, c, W, B, 0, 0, sc);
 
         const int jlo = lo > 1 ? lo : 1;
         if (jlo > hi)
             continue;
         const double *f = state + i * row_len;
         for (int b = 0; b < B; b++) {
-            int k = fexp[i * B + b] + e_row[b] - fexp[N * B + b] + ie[b];
-            g[b] = ldexp(inv[b], k < G_EXP_MAX ? k : G_EXP_MAX);
+            int e = fexp[i * B + b] + e_row[b] - fexp[N * B + b] + ie[b];
+            g[b] = ldexp(inv[b], e < G_EXP_MAX ? e : G_EXP_MAX);
         }
-        const int elo = edges ? edges[2 * i] : -1, ehi = edges ? edges[2 * i + 1] : -1;
+        const double *w = pw + (long)(i > 0 ? i - 1 : 0) * 4 * B;
         for (int j = jlo; j <= hi; j++) {
-            const double *fy = AT(f, c, 2, j), *by = AT(row, c, 2, j);
-            double *zg = z + 4 * plane + (long)(j - 1) * B;
+            const double *fm = AT(f, c, 0, j), *fy = AT(f, c, 2, j);
+            double *bm = AT(row, c, 0, j), *bx = AT(row, c, 1, j), *by = AT(row, c, 2, j);
+            double *zc = z + (long)(j - 1) * B;
+            if (i > 0)
+                deposit_column(B, 1, sc, g, fm, fy, bm, bx, by, w, zc + 4 * plane, zc,
+                               zc + plane, zc + 2 * plane, zc + 3 * plane);
+            else
+                deposit_column(B, 0, sc, g, fm, fy, bm, bx, by, w, zc + 4 * plane, zc,
+                               zc + plane, zc + 2 * plane, zc + 3 * plane);
+        }
+        if (i == 0)
+            continue;
+        /* The optional outputs recompute f_M b_M g from the scaled row:
+         * the same double the deposit added. */
+        for (int j = occ ? jlo : hi + 1; j <= hi; j++) {
+            const double *fm = AT(f, c, 0, j), *bm = AT(row, c, 0, j);
+            double *oc = occ + (long)(j - 1) * B;
             for (int b = 0; b < B; b++)
-                zg[b] += fy[b] * by[b] * g[b];
-            if (i == 0)
+                oc[b] += fm[b] * bm[b] * g[b];
+        }
+        for (int side = 0; edges && side < 2; side++) {
+            const int j = edges[2 * i + side];
+            if (j < jlo || j > hi || (side == 1 && j == edges[2 * i]))
                 continue;
             const double *fm = AT(f, c, 0, j), *bm = AT(row, c, 0, j);
-            const double *w = pw + (long)(i - 1) * 4 * B;
-            double *zc = z + (long)(j - 1) * B, *oc = occ ? occ + (long)(j - 1) * B : NULL;
-            double *ce = j == elo ? cells + 2L * i * B : j == ehi ? cells + (2L * i + 1) * B : NULL;
-            double *pm = mx; /* free until the next row's rescale */
+            double *ce = cells + (2L * i + side) * B;
             for (int b = 0; b < B; b++)
-                pm[b] = fm[b] * bm[b] * g[b];
-            for (int k = 0; k < 4; k++)
-                for (int b = 0; b < B; b++)
-                    zc[k * plane + b] += pm[b] * w[k * B + b];
-            if (oc)
-                for (int b = 0; b < B; b++)
-                    oc[b] += pm[b];
-            if (ce)
-                memcpy(ce, pm, sizeof(double) * B);
+                ce[b] = fm[b] * bm[b] * g[b];
         }
     }
     if (edges)
@@ -285,7 +379,7 @@ void backward_deposit(int N, int M, int B, int K, int W, const double *tab,
                 s += cells[e * B + b];
             edge[b] = s / (double)N;
         }
-    free(mx);
+    free(sc);
     free(g);
     free(inv);
     free(ie);

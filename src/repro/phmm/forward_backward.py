@@ -5,7 +5,8 @@ This is the hot path of the whole system (DESIGN §5, §12):
 * **The pair is the lane.**  DP state is stored ``(N+1, 3, width, B)`` —
   batch innermost — so a DP row of all ``B`` pairs is one contiguous
   block.  The row recurrences are C loops over that block (``_lanes.c``,
-  loaded by :mod:`repro.phmm.lanes`); :class:`LaneTile` holds a tile's
+  loaded by :mod:`repro.phmm.lanes`): one sweep computes a row, lanes
+  innermost, and a second scales it; :class:`LaneTile` holds a tile's
   buffers, views of one :class:`Workspace`, and makes the two calls.
 * **Emissions are a table**: the C loops read ``p*(i, j)`` as entry
   ``code[j-1]`` of row ``i-1`` of the ``(N, 5, B)`` :func:`emission_table`,

@@ -1,5 +1,10 @@
 """Tests for p-values, the Bonferroni cutoff, and BH FDR control."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +43,35 @@ class TestChi2Pvalue:
     def test_negative_rejected(self):
         with pytest.raises(CallingError):
             chi2_pvalue(np.array([-1.0]))
+
+
+class TestScipyStatsBits:
+    """The ``scipy.special`` calls give ``scipy.stats.chi2``'s bits."""
+
+    def test_pvalues_equal_chi2_sf(self):
+        rng = np.random.default_rng(11)
+        stat = np.concatenate([
+            [0.0, -0.0, 5e-324, 1e-300, 3.841, 1e308, np.inf],
+            rng.exponential(5.0, 50_000),
+            rng.uniform(0.0, 200.0, 50_000),
+            np.logspace(-320, 308, 1_000),
+        ])
+        assert chi2_pvalue(stat).tobytes() == stats.chi2.sf(np.maximum(stat, 0.0), 1).tobytes()
+
+    @pytest.mark.parametrize("alpha", (1e-9, 1e-6, 0.001, 0.05, 0.5))
+    def test_threshold_equals_chi2_ppf(self, alpha):
+        want = float(stats.chi2.ppf(1.0 - alpha / 5.0, 1))
+        assert np.float64(significance_threshold(alpha)).tobytes() == np.float64(want).tobytes()
+
+    def test_a_pool_worker_import_leaves_scipy_stats_out(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        probe = "import sys, repro.pipeline.mp_backend; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestSignificanceThreshold:
