@@ -12,7 +12,7 @@ passes for keys of at most 32 bits) and one pass over its runs.  Up to
 every possible k-mer, indexed by the packed k-mer itself, so a query is two
 gathers (4 MB of ``int32`` offsets at k = 10, whatever the genome).  Wider
 tables keep only the k-mers present, as a sorted key array, and a query is
-a binary search into it.
+a binary search into it (``lower_bound`` in ``repro/phmm/_lanes.c``).
 
 One table, one width
 --------------------
@@ -40,6 +40,7 @@ from repro.genome.reference import Reference
 from repro.index.kmer import MAX_K, rolling_kmers
 from repro.observability import current as metrics
 from repro.observability import span
+from repro.phmm.lanes import LIB
 
 #: GNUMAP's default mer-size.
 DEFAULT_K = 10
@@ -287,16 +288,20 @@ class GenomeIndex:
     def _locate(
         unique_kmers: np.ndarray, offsets: np.ndarray, packed_kmers: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
-        queries = np.asarray(packed_kmers)
+        queries = np.ascontiguousarray(packed_kmers, dtype=np.int64)
         if queries.size == 0 or unique_kmers.size == 0:
             nothing = np.zeros(queries.size, dtype=np.int64)
             return nothing, nothing
-        # Search in the table's dtype: a mixed-dtype searchsorted converts
-        # the whole table on every call.  A query the table dtype cannot
-        # hold is in no table, so it is "not found", never wrapped.
-        narrow = queries.astype(unique_kmers.dtype, copy=False)
-        idx = np.minimum(np.searchsorted(unique_kmers, narrow), unique_kmers.size - 1)
-        found = (unique_kmers[idx] == narrow) & (narrow == queries)
+        # The C search reads the table in its own dtype (int32 up to k = 15)
+        # and compares exactly, so a query the table cannot hold is "not
+        # found", never wrapped.
+        idx = np.empty(queries.size, dtype=np.int64)
+        LIB.lower_bound(
+            queries.size, queries.ctypes.data, unique_kmers.ctypes.data,
+            unique_kmers.size, unique_kmers.dtype.itemsize == 8, idx.ctypes.data,
+        )
+        np.minimum(idx, unique_kmers.size - 1, out=idx)
+        found = unique_kmers[idx] == queries
         starts = offsets[idx].astype(np.int64)
         counts = np.where(found, offsets[idx + 1] - starts, 0)
         return starts, counts

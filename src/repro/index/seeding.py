@@ -5,9 +5,11 @@ read would start at diagonal ``g - r``.  Hits are grouped by (strand,
 binned diagonal); a group with enough distinct supporting seeds becomes a
 :class:`CandidateRegion` handed to the Pair-HMM.  Both strands are always
 queried.  Seeding works on a *block* of reads at a time
-(:meth:`Seeder.seed`): every stage is one NumPy pass over the block's
+(:meth:`Seeder.seed`): every stage is one pass over the block's
 concatenated sequences, keyed by ``(sequence, diagonal)``, and the result is
-one :class:`SeedBlock` of parallel arrays.
+one :class:`SeedBlock` of parallel arrays.  The passes are NumPy, except the
+wide table's key search and the q-gram count, which are C loops
+(``lower_bound`` and ``qgram_filter`` in ``repro/phmm/_lanes.c``).
 
 Two upstream-pruning choices shrink the candidate list before any
 Pair-HMM runs:
@@ -38,10 +40,11 @@ import numpy as np
 from repro.errors import IndexError_
 from repro.genome.alphabet import reverse_complement
 from repro.genome.fastq import Read
-from repro.index.hashindex import GenomeIndex, gather_runs
+from repro.index.hashindex import GenomeIndex
 from repro.index.kmer import MAX_K, rolling_kmers
 from repro.observability import Laps
 from repro.observability import current as metrics
+from repro.phmm.lanes import LIB
 
 
 @dataclass(frozen=True)
@@ -190,9 +193,9 @@ class SeederConfig:
 #: with the :data:`MAX_CANDIDATES` cut and the ``seed.*`` metrics.
 LAYERS = ("lookup", "cluster", "filter", "rank")
 
-#: Most seed hits (or, in the filter, reference q-gram rows) one pass
-#: materialises, at ~100 bytes of transients each; a block holding more is
-#: worked through in slices.  Cache-sized slices are also the fastest.
+#: Most seed hits one pass materialises, at ~100 bytes of transients each; a
+#: block holding more is worked through in slices of sequences.  Cache-sized
+#: slices are also the fastest.
 _PASS_BUDGET = 1 << 16
 
 
@@ -204,13 +207,6 @@ def _budget_slices(sizes: np.ndarray, budget: int) -> "list[tuple[int, int]]":
         return [(0, int(sizes.size))]
     cuts = np.flatnonzero(np.diff((ends - sizes) // budget)) + 1
     return list(zip([0, *cuts.tolist()], [*cuts.tolist(), int(sizes.size)]))
-
-
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """``np.unique(keys)``, sorting ``keys`` in place: NumPy 2.4's plain
-    ``unique`` hashes, ~10x slower on these mostly-distinct int64 keys."""
-    keys.sort()
-    return keys[np.r_[True, keys[1:] != keys[:-1]][: keys.size]]
 
 
 def _cluster_runs(
@@ -272,20 +268,6 @@ class Seeder:
     def __init__(self, index: GenomeIndex, config: SeederConfig | None = None) -> None:
         self.index = index
         self.config = config or SeederConfig()
-        self._ref_qgrams: "np.ndarray | None" = None
-
-    def _reference_qgrams(self) -> np.ndarray:
-        """Genome-wide packed q-gram per position (-1 where the window
-        touches an N, which matches nothing), built once as ``int16`` (the
-        values lie in [-1, 4**q)); :func:`gather_runs` widens what it reads.
-
-        ``rolling_kmers`` is purely positional, so the q-grams of any
-        window ``ref[lo:hi]`` are exactly rows ``lo .. hi - q`` of this table.
-        """
-        if self._ref_qgrams is None:
-            packed, valid = rolling_kmers(self.index.reference.codes, QGRAM_Q)
-            self._ref_qgrams = np.where(valid, packed, -1).astype(np.int16)
-        return self._ref_qgrams
 
     def candidates(self, read: Read) -> list[CandidateRegion]:
         """All candidate regions for ``read``, both strands, best first.
@@ -307,8 +289,8 @@ class Seeder:
 
         Both strands of all reads are one concatenated code array; k-mer
         packing, index lookup, diagonal votes, clustering, q-gram filter,
-        ordering and the :data:`MAX_CANDIDATES` cut are each one NumPy pass
-        over it.  Candidates and ``seed.*`` metrics do not depend on how
+        ordering and the :data:`MAX_CANDIDATES` cut are each one pass over
+        it.  Candidates and ``seed.*`` metrics do not depend on how
         reads are divided into blocks.
         """
         if not reads:
@@ -368,7 +350,7 @@ class Seeder:
         c_seq, diagonal = c_key // span, c_key % span - shift
         laps.lap("cluster")
         if cfg.qgram_filter and c_key.size:
-            keep = self._qgram_keep(codes, seq_of, lens, c_seq, diagonal)
+            keep = self._qgram_keep(codes, lens, c_seq, diagonal)
             c_seq, diagonal, support = c_seq[keep], diagonal[keep], support[keep]
         laps.lap("filter")
 
@@ -396,53 +378,43 @@ class Seeder:
         return block
 
     def _qgram_keep(
-        self, codes: np.ndarray, seq_of: np.ndarray, lens: np.ndarray,
-        c_seq: np.ndarray, diagonal: np.ndarray,
+        self, codes: np.ndarray, lens: np.ndarray, c_seq: np.ndarray, diagonal: np.ndarray
     ) -> np.ndarray:
         """PEANUT-style filtration: which clusters' reference windows share
         enough distinct q-grams with their sequence.
 
-        A cluster's window is the genome slice the band would align
+        ``codes`` holds the block's sequences end to end, ``lens`` their
+        lengths.  A cluster's window is the genome slice the band would align
         against, widened by ``diagonal_slack`` each side and clamped to the
-        genome.  The block's distinct ``(sequence, q-gram)`` pairs are a
-        ``(sequences, 4**q)`` bool membership table (1 KiB per sequence at
-        q = 5); each window's rows of the genome-wide q-gram table are tested
-        against their cluster's sequence by one gather, and only the hits
-        are de-duplicated, as ``window << 2q | q-gram`` keys.
+        genome.  ``qgram_filter`` (C) counts, per window, its sequence's
+        distinct q-grams and how many of them occur in the window; the
+        threshold is applied here.
         """
         cfg = self.config
         q = QGRAM_Q
-        glen = len(self.index.reference)
-        packed, valid = rolling_kmers(codes, q)
-        valid &= seq_of[: packed.size] == seq_of[q - 1 :]
-        member = np.zeros((lens.size, 4**q), dtype=bool)
-        member[seq_of[: packed.size][valid], packed[valid]] = True
-        n_own = np.count_nonzero(member, axis=1)
+        ref = self.index.reference.codes
+        start = np.cumsum(lens) - lens
+        lo = np.maximum(0, diagonal - cfg.diagonal_slack)
+        hi = np.minimum(ref.size, diagonal + lens[c_seq] + cfg.diagonal_slack)
+        own, matches = np.empty((2, c_seq.size), dtype=np.int64)
+        LIB.qgram_filter(
+            c_seq.size, q, ref.ctypes.data, codes.ctypes.data, start.ctypes.data,
+            lens.ctypes.data, c_seq.ctypes.data, lo.ctypes.data, hi.ctypes.data,
+            own.ctypes.data, matches.ctypes.data,
+        )
         # A sequence too short (or too N-ridden) to carry a q-gram has
         # nothing to measure with: the filter is moot and keeps its clusters.
-        keep = n_own[c_seq] == 0
-        lo = np.maximum(0, diagonal - cfg.diagonal_slack)
-        hi = np.minimum(glen, diagonal + lens[c_seq] + cfg.diagonal_slack)
+        keep = own == 0
         # Number of q-gram start positions each window holds; <= 0 means
         # the window can't hold one q-gram (candidate almost entirely
         # off-genome): nothing to measure, drop it.
         rows_in = hi - lo - q + 1
         scored = np.flatnonzero(~keep & (rows_in > 0))
-        rows_in, lo, w_seq = rows_in[scored], lo[scored], c_seq[scored]
-        ref_qgrams = self._reference_qgrams()
-        matches = np.zeros(scored.size, dtype=np.int64)
-        for a, b in _budget_slices(rows_in, _PASS_BUDGET):
-            # Row j of window w is reference q-gram lo[w] + j.
-            values, window = gather_runs(ref_qgrams, lo[a:b], rows_in[a:b])
-            # A -1 row (window touches an N) matches nothing.
-            hit = np.flatnonzero(member[w_seq[a:b][window], values] & (values >= 0))
-            distinct = _sorted_distinct((window[hit] << (2 * q)) | values[hit])
-            matches[a:b] = np.bincount(distinct >> (2 * q), minlength=b - a)
         # An edge-clamped window can't contain all the sequence's q-grams
         # no matter how perfect the overlap — scale the bar to capacity.
-        capacity = np.minimum(n_own[w_seq], rows_in)
+        capacity = np.minimum(own, rows_in)[scored]
         needed = np.maximum(1, np.ceil(cfg.filter_threshold * capacity).astype(np.int64))
-        keep[scored] = matches >= needed
+        keep[scored] = matches[scored] >= needed
         n_dropped = int(keep.size - np.count_nonzero(keep))
         if n_dropped:
             metrics().inc("seed.filtered", n_dropped)

@@ -7,8 +7,10 @@
                       posterior deposit fused into the backward one; an
                       optional band restricts each row.  Whole-batch
                       drivers keep every row (tests, ledger replay).
-``lanes``             Builds and loads the C source of those passes,
-                      ``_lanes.c`` (needs ``cc``; no fallback).
+``lanes``             Builds and loads the one C source, ``_lanes.c``:
+                      those passes, the accumulators' update cycles and
+                      the seeder's q-gram count and key search (needs
+                      ``cc``; no fallback).
 ``banded``            Band geometry (:class:`BandSpec`).
 ``posterior``         What the posterior deposit means; the z vectors;
                       the whole-batch posterior driver.

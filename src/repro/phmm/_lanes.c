@@ -1,11 +1,14 @@
 /*
  * Lane-major Pair-HMM kernels: the forward pass, and the backward pass with
- * the posterior deposit fused into it (DESIGN §5, §12); and the three
+ * the posterior deposit fused into it (DESIGN §5, §12); the three
  * accumulators' update loops, one cycle per row in row order (NORM's
- * scatter-add, CHARDISC's and CENTDISC's de-quantise / add / re-quantise).
- * Loaded by repro/phmm/lanes.py through ctypes.
+ * scatter-add, CHARDISC's and CENTDISC's de-quantise / add / re-quantise);
+ * and two seeding loops (DESIGN §15): the q-gram filter's counting and the
+ * wide seed table's key search.  Loaded by repro/phmm/lanes.py through
+ * ctypes.
  *
- * Layouts, all C-contiguous with the pair (the lane) innermost:
+ * The Pair-HMM kernels' layouts, all C-contiguous with the pair (the lane)
+ * innermost (the other loops state theirs):
  *   tab    (N, K, B)          emission table, per read row
  *   code   (M, B)             window codes: p*(i, j) = tab[i-1][code[j-1]]
  *   pw     (N, 4, B)          read PWM rows
@@ -42,6 +45,12 @@
 /* p*(i+1, j+1) of lane b, from table row t = tab + i * K * B and window
  * column j+1's codes cj = code + j * B. */
 #define PSTAR(t, cj, b) ((t)[(long)(cj)[b] * B + (b)])
+
+/* The two Pair-HMM passes start on a 32-byte boundary, so where their loops
+ * fall against the front end's 32-byte windows does not depend on what the
+ * library holds before them.  Moved 16 bytes by two more exported symbols,
+ * forward read ~10% slower per cell on a 256-lane tile (an AVX-512 Xeon). */
+#define KERNEL __attribute__((aligned(32)))
 
 /* A row whose every lane is at most this (or zero) keeps this as its max. */
 static const double TINY = 1e-300;
@@ -132,7 +141,7 @@ static inline void forward_column(int B, int match, int gy, const coef *k,
  *   f_GY(i,j) = q T_MG f_M(i,j-1) + q T_GG f_GY(i,j-1)   (in-row, in order)
  * Row 0's gap states and column 0's f_M, f_GY are 0.  One sweep left to
  * right computes a row and its lanes' maxima, a second scales it. */
-void forward(int N, int B, int K, int W, const double *tab, const int *code,
+KERNEL void forward(int N, int B, int K, int W, const double *tab, const int *code,
              const int *bounds, const int *base, double q, double mm,
              double gm, double mg, double gg, double *state, int *fexp)
 {
@@ -274,7 +283,7 @@ static inline void deposit_column(int B, int match, const double *restrict sc,
  * rows in ascending order into edge (B), over N.  ``cells`` (N+1, 2, B)
  * holds the edge cells until then.  One sweep right to left computes a row
  * and its lanes' maxima, a second scales and deposits it. */
-void backward_deposit(int N, int M, int B, int K, int W, const double *tab,
+KERNEL void backward_deposit(int N, int M, int B, int K, int W, const double *tab,
                       const int *code, const double *pw, const int *bounds,
                       const int *base, double q, double mm, double gm,
                       double mg, double gg, int depth, double *store, int *bexp,
@@ -503,5 +512,83 @@ void centdisc_add(int64_t n, const int64_t *pos, const double *z, float *total, 
             *s = nearest(f, cols, norms);
         }
         total[pos[r]] = (float)next;
+    }
+}
+
+/* Stamp the distinct q-grams of codes[0:len] into mark as gen and return
+ * how many were not stamped yet; a q-gram holding an N (code > 3) is
+ * skipped.  With keep, only q-grams whose keep entry is keep_gen count. */
+static int64_t stamp(const uint8_t *codes, int64_t len, int q, int64_t mask, int64_t *mark,
+                     int64_t gen, const int64_t *keep, int64_t keep_gen)
+{
+    int64_t v = 0, fresh = 0;
+    int run = 0;
+    for (int64_t p = 0; p < len; p++) {
+        if (codes[p] > 3) {
+            run = 0;
+            continue;
+        }
+        v = ((v << 2) | codes[p]) & mask;
+        if (++run < q || mark[v] == gen || (keep && keep[v] != keep_gen))
+            continue;
+        mark[v] = gen;
+        fresh++;
+    }
+    return fresh;
+}
+
+/* PEANUT's q-gram filtration by counting, over n windows: own[w] is the
+ * number of distinct q-grams of window w's sequence w_seq[w] (codes
+ * start[s] .. start[s] + len[s] - 1), matches[w] how many of them occur in
+ * the reference window ref[lo[w]:hi[w]].  A sequence's q-grams are stamped
+ * into one 4^q table when the sequence differs from the window before's, a
+ * window's matches into a second, so each counts once; any window order is
+ * correct, and grouped by sequence each sequence is stamped once. */
+void qgram_filter(int64_t n, int q, const uint8_t *ref, const uint8_t *codes,
+                  const int64_t *start, const int64_t *len, const int64_t *w_seq,
+                  const int64_t *lo, const int64_t *hi, int64_t *own, int64_t *matches)
+{
+    const int64_t size = (int64_t)1 << (2 * q);
+    int64_t *seq_mark = calloc((size_t)size, sizeof(int64_t));
+    int64_t *win_mark = calloc((size_t)size, sizeof(int64_t));
+    int64_t gen = 0, n_own = 0;
+    for (int64_t w = 0; w < n; w++) {
+        const int64_t s = w_seq[w];
+        if (w == 0 || s != w_seq[w - 1]) {
+            gen = w + 1;
+            n_own = stamp(codes + start[s], len[s], q, size - 1, seq_mark, gen, NULL, 0);
+        }
+        own[w] = n_own;
+        matches[w] = n_own && hi[w] > lo[w]
+                         ? stamp(ref + lo[w], hi[w] - lo[w], q, size - 1, win_mark, w + 1,
+                                 seq_mark, gen)
+                         : 0;
+    }
+    free(seq_mark);
+    free(win_mark);
+}
+
+/* A key of the ascending table keys, int64 when wide and int32 otherwise. */
+static inline int64_t key_at(const void *keys, int wide, int64_t i)
+{
+    return wide ? ((const int64_t *)keys)[i] : ((const int32_t *)keys)[i];
+}
+
+/* The lower bound of each of n int64 queries in keys[0:size]: the first
+ * index whose key is not below the query, size when none is.  Branchless:
+ * every query takes the same log2(size) steps, and the comparison is exact
+ * whatever the table's width. */
+void lower_bound(int64_t n, const int64_t *query, const void *keys, int64_t size, int wide,
+                 int64_t *out)
+{
+    for (int64_t r = 0; r < n; r++) {
+        const int64_t x = query[r];
+        int64_t base = 0, left = size;
+        while (left > 1) {
+            const int64_t half = left / 2;
+            base += key_at(keys, wide, base + half - 1) < x ? half : 0;
+            left -= half;
+        }
+        out[r] = base + (left == 1 && key_at(keys, wide, base) < x);
     }
 }

@@ -45,6 +45,8 @@ _SIGNATURES = {
     "chardisc_add": [_INT64, _PTR, _PTR, _PTR, _PTR],
     "centroid_nearest": [_INT64, _PTR, _PTR, _PTR, _PTR],
     "centdisc_add": [_INT64, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
+    "qgram_filter": [_INT64, _INT, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR, _PTR],
+    "lower_bound": [_INT64, _PTR, _PTR, _INT64, _INT, _PTR],
 }
 
 

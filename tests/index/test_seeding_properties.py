@@ -30,10 +30,10 @@ from repro.index.seeding import (
     CandidateRegion,
     Seeder,
     SeederConfig,
-    _sorted_distinct,
 )
 from repro.observability import current as metrics
 from repro.observability import scope
+from tests.index import reference_filter
 
 GENOME_LEN = 4000
 READ_LEN = 62
@@ -280,7 +280,6 @@ def test_vectorized_filter_matches_scalar_on_edge_overhangs():
         ]
         keep = fast._qgram_keep(
             codes,
-            np.zeros(READ_LEN, dtype=np.int64),
             np.array([READ_LEN]),
             np.zeros(len(clusters), dtype=np.int64),
             np.array([rep for rep, _ in clusters]),
@@ -446,8 +445,9 @@ def test_kmer_across_a_sequence_junction_is_not_a_seed():
 
 
 def test_block_is_worked_through_in_budget_slices(monkeypatch):
-    """A block whose hits or filter rows exceed the per-pass budget is cut
-    into slices; the candidates and metrics do not notice."""
+    """A block whose hits exceed the per-pass budget is cut into slices (the
+    hit pass is the only one that slices; the filter is one C loop); the
+    candidates and metrics do not notice."""
     import repro.index.seeding as seeding
 
     reads = [_read(_REPEAT_CODES[p : p + 62]) for p in range(380, 560, 9)]
@@ -466,7 +466,7 @@ def test_block_is_worked_through_in_budget_slices(monkeypatch):
     monkeypatch.setattr(seeding, "_budget_slices", spy)
     with scope() as sliced_reg:
         sliced = seeder.candidates_batch(reads)
-    assert all(len(cut) > 1 for cut in slices) and len(slices) == 2
+    assert len(slices) == 1 and len(slices[0]) > 1
     assert sliced == whole
     assert _seed_metrics(sliced_reg) == _seed_metrics(whole_reg)
 
@@ -497,19 +497,16 @@ def test_key_headroom_is_checked_with_a_typed_error():
 
 
 def test_qgram_keep_matches_the_np_unique_spelling(monkeypatch):
-    """The filter's sort + neighbour-mask de-duplication decides as
-    ``np.unique`` does, on a decoy-style block: a small target followed by a
-    long decoy with planted repeats, so most clusters are spurious."""
-    import repro.index.seeding as seeding
-
+    """The C filter decides as the NumPy body it replaced (its hits
+    de-duplicated by ``np.unique``) on a decoy-style block: a small target
+    followed by a long decoy with planted repeats, so most clusters are
+    spurious."""
     rng = np.random.default_rng(24)
     codes = rng.integers(0, 4, 60_000).astype(np.uint8)
     for src, dst in rng.integers(4000, 59_000, (8, 2)):
         codes[dst : dst + 400] = codes[src : src + 400]
-    seeder = Seeder(
-        GenomeIndex(Reference(codes, name="decoy"), k=10),
-        SeederConfig(qgram_filter=True),
-    )
+    cfg = SeederConfig(qgram_filter=True)
+    seeder = Seeder(GenomeIndex(Reference(codes, name="decoy"), k=10), cfg)
     reads = [
         _read(codes[p : p + READ_LEN] if p % 3 else rng.integers(0, 4, READ_LEN))
         for p in rng.integers(0, 4000 - READ_LEN, 200).tolist()
@@ -522,8 +519,10 @@ def test_qgram_keep_matches_the_np_unique_spelling(monkeypatch):
     seeder.seed(reads)
     (args,) = calls
     fast = keep_fn(*args)
-    monkeypatch.setattr(seeding, "_sorted_distinct", np.unique)
-    np.testing.assert_array_equal(fast, keep_fn(*args))
+    np.testing.assert_array_equal(
+        fast,
+        reference_filter.qgram_keep(
+            codes, *args, cfg.diagonal_slack, cfg.filter_threshold, QGRAM_Q
+        ),
+    )
     assert 0 < np.count_nonzero(fast) < fast.size
-    for keys in (args[3], np.empty(0, np.int64), rng.integers(0, 5, 40)):
-        np.testing.assert_array_equal(_sorted_distinct(keys.copy()), np.unique(keys))

@@ -3,6 +3,7 @@ fallback, safe under concurrent cold builds, and never loaded from a
 directory another user can write."""
 
 import os
+import re
 import tempfile
 import subprocess
 import sys
@@ -30,6 +31,15 @@ def _batch():
 def test_flags_keep_the_fp_contract():
     assert "-ffp-contract=off" in lanes.FLAGS
     assert not any("fast-math" in f or "march" in f for f in lanes.FLAGS)
+
+
+def test_every_exported_function_has_a_signature():
+    """The non-static functions of ``_lanes.c`` are exactly ``_SIGNATURES``'
+    keys: one loaded without ``argtypes`` would pass Python ints as C
+    ``int`` and truncate its pointers."""
+    source = lanes.SOURCE.read_text()
+    defined = re.findall(r"^(?!static\b)[A-Za-z_][\w *]*?\b(\w+)\(", source, re.M)
+    assert sorted(defined) == sorted(lanes._SIGNATURES)
 
 
 @pytest.mark.parametrize(

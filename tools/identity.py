@@ -1,6 +1,6 @@
 """Do this tree and a git ref make the same calls?  One declared matrix.
 
-    python tools/identity.py --ref 6283481            # 32 configs x 4 seeds
+    python tools/identity.py --ref 6283481            # 33 configs x 4 seeds
     python tools/identity.py --ref origin/main --quick
 
 The ref is exported with ``git archive`` into a temporary directory (no
@@ -87,6 +87,9 @@ def _matrix() -> "dict[str, dict[str, Any]]":
             "seeder": {"seed_len": 20, "qgram_filter": True},
             "config": {"band_mode": "adaptive", "accumulator": "CHARDISC"},
         },
+        # The one int32-key wide table (k = 11..15; the workloads use 10 and
+        # 20), searched in its own dtype, under the q-gram filter.
+        "k12/filter": {"config": {"k": 12}, "seeder": {"qgram_filter": True}},
     }
     for acc in ("CHARDISC", "CENTDISC", "CENTDISC_WEIGHTED"):
         m[acc] = {"config": {"accumulator": acc}}
@@ -115,8 +118,8 @@ def _matrix() -> "dict[str, dict[str, Any]]":
 MATRIX = _matrix()
 QUICK = (
     "phmm_full", "pool2_warm", "pool2/faulted", "pool2/telemetry", "online/pool2",
-    "seed_heavy", "seed_heavy/w2", "fast_chardisc", "CHARDISC", "CHARDISC/w3", "CENTDISC",
-    "CENTDISC/w3", "roc", "read_spread/P2", "memory_spread/P1", "memory_spread/P2",
+    "seed_heavy", "seed_heavy/w2", "fast_chardisc", "k12/filter", "CHARDISC", "CHARDISC/w3",
+    "CENTDISC", "CENTDISC/w3", "roc", "read_spread/P2", "memory_spread/P1", "memory_spread/P2",
     "memory_spread/P4G2",
 )
 #: Row -> the serial row of the same tree it must equal.  At P1 both spread
